@@ -2,8 +2,8 @@
 adversarial feature alignment, theoretically guided budget assignment, and
 pluggable instance-level query strategies."""
 
-from .nn import (AdamState, Batch, DenseNet, Layer, adam_step, grad_check,
-                 sigmoid_bce, softmax, softmax_ce)
+from .nn import (AdamState, DenseNet, Layer, adam_step, grad_check, sigmoid_bce,
+                 softmax, softmax_ce)
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,
                    init_pool, load_idx, rotate_idx_domains)
 from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
@@ -11,7 +11,7 @@ from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
 from .models import ModelBundle, make_bundle
 from .objective import (alpha_objective_coefficients, alpha_step, compute_vd,
                         compute_vh, compute_vlambda, estimate_h_distance, evaluate,
-                        fit_pair_discriminator, pair_h_distance)
+                        labeled_readouts)
 from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConfig,
                        train_round, write_snapshots_csv)
 from .strategies import (QueryRequest, badge_embeddings, grads_select,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle
-from .objective import estimate_h_distance, zero_one_errors
+from .objective import estimate_h_distance, labeled_readouts
 from .simplex import SimilarityMatrix, column_importance, project_simplex
 
 
@@ -154,8 +154,8 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     lab_feats = [pool.labeled_features(j) for j in range(n)]
     lab_labels = [pool.labels(j) for j in range(n)]
 
-    err01 = zero_one_errors(bundle, lab_feats, lab_labels)
-    weighted_err = float(cols @ err01)
+    err_h, head_err, _ = labeled_readouts(bundle, lab_feats, lab_labels)
+    weighted_err = float(cols @ err_h)
 
     beta = counts / total if total > 0 else np.zeros(n)
     hoeff = hoeffding_term(cols, beta, params)
@@ -170,12 +170,9 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     for j in range(n):
         if lab_feats[j].shape[0] == 0:
             continue
-        z = bundle.encode(lab_feats[j])
         for i in range(n):
-            if a[i, j] == 0.0:
-                continue
-            pred = np.argmax(bundle.head_net(i).predict(z), axis=1)
-            proxy += a[i, j] * float(np.mean(pred != lab_labels[j]))
+            if a[i, j] != 0.0:
+                proxy += a[i, j] * head_err[i, j]
     vlambda_proxy = proxy / n
 
     return BoundReport(weighted_err, hoeff, mean_hdist, vlambda_proxy)

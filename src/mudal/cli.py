@@ -86,7 +86,7 @@ def _cmd_gradcheck(args) -> int:
     head = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers[:-1], bundle.head_finals[0]])
     cases.append(("encoder+domain head / CE", head, x,
                   lambda out: softmax_ce(out, labels)[:2]))
-    zc = rng.standard_normal((6, bundle.latent_dim + bundle.code_width))
+    zc = rng.standard_normal((6, bundle.latent_dim + bundle.n_domains))
     targets = rng.integers(0, 2, size=6).astype(float)
     cases.append(("conditional discriminator / BCE", bundle.discriminator, zc,
                   lambda out: _bce_adapter(out, targets, weights)))

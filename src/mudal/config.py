@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import MISSING, dataclass, field, fields as dc_fields
 
 from .data import RotatingSpec
 from .training import TrainConfig, VARIANTS
@@ -24,9 +24,9 @@ class IdxDatasetSpec:
 
     images: str
     labels: str
-    n_domains: int
-    train_per_domain: int
-    test_per_domain: int
+    n_domains: int = 6
+    train_per_domain: int = 400
+    test_per_domain: int = 160
     total_range_deg: float = 180.0
     seed: int = 0
 
@@ -54,9 +54,10 @@ class ExperimentConfig:
         if self.rounds < 0:
             raise ConfigError("rounds must be >= 0")
         n = self.dataset.n_domains
-        if self.assignment in ("cal_optimal", "separate", "paper_literal"):
-            if self.m0 < n or self.m < n:
-                raise ConfigError(f"m0 and m must be >= n_domains ({n}) for {self.assignment}")
+        if self.m0 < n:
+            raise ConfigError(f"m0 must be >= n_domains ({n})")
+        if self.assignment != "joint" and self.m < n:
+            raise ConfigError(f"m must be >= n_domains ({n}) for {self.assignment}")
         if self.assignment == "separate" and self.m % n != 0:
             raise ConfigError(f"separate assignment needs n_domains ({n}) to divide m ({self.m})")
         if self.strategy == "grads" and self.variant == "vanilla":
@@ -66,15 +67,6 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
 def _parse_int_tuple(s: str) -> tuple[int, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
@@ -82,76 +74,42 @@ def _parse_int_tuple(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-_DATASET_ROTATING = {
-    "kind": (str, "rotating"),
-    "n_domains": (int, 6),
-    "train_per_domain": (int, 400),
-    "test_per_domain": (int, 160),
-    "n_classes": (int, 4),
-    "total_range_deg": (float, 90.0),
-    "base_shape": (str, "gaussian_blobs"),
-    "noise": (float, 0.15),
-    "seed": (int, 0),
-}
+# field annotation (a string under `from __future__ import annotations`) -> parser
+_PARSERS = {"str": str, "int": int, "float": float, "tuple[int, ...]": _parse_int_tuple}
 
-_DATASET_IDX = {
-    "kind": (str, "idx"),
-    "images": (str, None),
-    "labels": (str, None),
-    "n_domains": (int, 6),
-    "train_per_domain": (int, 400),
-    "test_per_domain": (int, 160),
-    "total_range_deg": (float, 180.0),
-    "seed": (int, 0),
-}
 
-_METHOD = {
-    "variant": (str, "cal"),
-    "strategy": (str, "grads"),
-    "assignment": (str, "cal_optimal"),
-}
+def _schema(cls, names=None, rename=None) -> dict:
+    """INI key -> (field name, parser, default) for the fields of dataclass
+    `cls` (only `names`, if given), so each default lives on its field.
+    `rename` maps a field name to its INI key where the two differ. A default
+    of None marks a required key."""
+    rename = rename or {}
+    return {rename.get(f.name, f.name): (f.name, _PARSERS[f.type],
+                                         None if f.default is MISSING else f.default)
+            for f in dc_fields(cls) if names is None or f.name in names}
 
-_TRAIN = {
-    "lambda_d": (float, 1.0),
-    "epochs": (int, 30),
-    "batch_size": (int, 16),
-    "lr": (float, 2e-3),
-    "lr_alpha": (float, 0.05),
-    "temperature": (float, 0.5),
-    "extra_disc_step": (_parse_bool, False),
-    "onehot_codes": (_parse_bool, True),
-    "disc_line_search": (_parse_bool, False),
-    "latent_dim": (int, 16),
-    "encoder_hidden": (_parse_int_tuple, (32,)),
-    "classifier_hidden": (_parse_int_tuple, (32,)),
-    "disc_hidden": (_parse_int_tuple, (32, 32)),
-    "warm_start": (_parse_bool, False),
-}
 
-_BUDGET = {
-    "m0": (int, 60),
-    "m": (int, 60),
-    "rounds": (int, 5),
-}
-
-_OUTPUT = {
-    "dir": (str, "mudal_out"),
-    "seeds": (_parse_int_tuple, (1, 2, 3)),
-}
+_DATASET = {"rotating": _schema(RotatingSpec), "idx": _schema(IdxDatasetSpec)}
+_METHOD = _schema(ExperimentConfig, ("variant", "strategy", "assignment"))
+_TRAIN = _schema(TrainConfig)
+del _TRAIN["variant"]  # set from [method]
+_BUDGET = _schema(ExperimentConfig, ("m0", "m", "rounds"))
+_OUTPUT = _schema(ExperimentConfig, ("seeds", "out_dir"), rename={"out_dir": "dir"})
 
 _SECTIONS = ("dataset", "method", "train", "budget", "output")
 
 
 def _read_section(cp: configparser.ConfigParser, name: str, schema: dict) -> dict:
+    """Field name -> parsed value for every key of `schema`."""
     out = {}
     raw = dict(cp[name]) if cp.has_section(name) else {}
     for key in raw:
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-    for key, (conv, default) in schema.items():
+    for key, (field_name, conv, default) in schema.items():
         if key in raw:
             try:
-                out[key] = conv(raw[key])
+                out[field_name] = conv(raw[key])
             except ConfigError:
                 raise
             except (TypeError, ValueError) as exc:
@@ -159,7 +117,7 @@ def _read_section(cp: configparser.ConfigParser, name: str, schema: dict) -> dic
         elif default is None:
             raise ConfigError(f"missing required key {key!r} in section [{name}]")
         else:
-            out[key] = default
+            out[field_name] = default
     return out
 
 
@@ -175,39 +133,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if not cp.has_section("dataset"):
         raise ConfigError("missing required section [dataset]")
 
-    kind = cp["dataset"].get("kind", "rotating").strip()
-    if kind == "rotating":
-        d = _read_section(cp, "dataset", _DATASET_ROTATING)
-        d.pop("kind")
-        dataset = RotatingSpec(**d)
-    elif kind == "idx":
-        d = _read_section(cp, "dataset", _DATASET_IDX)
-        d.pop("kind")
-        dataset = IdxDatasetSpec(**d)
-    else:
+    kind = cp["dataset"].pop("kind", "rotating").strip()
+    if kind not in _DATASET:
         raise ConfigError(f"unknown dataset kind {kind!r}")
+    d = _read_section(cp, "dataset", _DATASET[kind])
+    dataset = RotatingSpec(**d) if kind == "rotating" else IdxDatasetSpec(**d)
 
     method = _read_section(cp, "method", _METHOD)
     train_kw = _read_section(cp, "train", _TRAIN)
-    budget = _read_section(cp, "budget", _BUDGET)
-    output = _read_section(cp, "output", _OUTPUT)
-
     try:
         train = TrainConfig(variant=method["variant"], **train_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        dataset=dataset,
-        variant=method["variant"],
-        strategy=method["strategy"],
-        assignment=method["assignment"],
-        train=train,
-        m0=budget["m0"],
-        m=budget["m"],
-        rounds=budget["rounds"],
-        seeds=output["seeds"],
-        out_dir=output["dir"],
-    )
+    return ExperimentConfig(dataset=dataset, train=train, **method,
+                            **_read_section(cp, "budget", _BUDGET),
+                            **_read_section(cp, "output", _OUTPUT))
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -216,8 +156,6 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(str(v) for v in value)
     if isinstance(value, float):
@@ -228,25 +166,15 @@ def _fmt(value) -> str:
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Serialize a config with every value resolved; parsing it back yields an
     equal ExperimentConfig."""
+    kind = "rotating" if isinstance(cfg.dataset, RotatingSpec) else "idx"
     buf = io.StringIO()
-    buf.write("[dataset]\n")
-    if isinstance(cfg.dataset, RotatingSpec):
-        buf.write("kind = rotating\n")
-        for f in dc_fields(RotatingSpec):
-            buf.write(f"{f.name} = {_fmt(getattr(cfg.dataset, f.name))}\n")
-    else:
-        buf.write("kind = idx\n")
-        for f in dc_fields(IdxDatasetSpec):
-            buf.write(f"{f.name} = {_fmt(getattr(cfg.dataset, f.name))}\n")
-    buf.write("\n[method]\n")
-    buf.write(f"variant = {cfg.variant}\n")
-    buf.write(f"strategy = {cfg.strategy}\n")
-    buf.write(f"assignment = {cfg.assignment}\n")
-    buf.write("\n[train]\n")
-    for key in _TRAIN:
-        buf.write(f"{key} = {_fmt(getattr(cfg.train, key))}\n")
-    buf.write("\n[budget]\n")
-    buf.write(f"m0 = {cfg.m0}\nm = {cfg.m}\nrounds = {cfg.rounds}\n")
-    buf.write("\n[output]\n")
-    buf.write(f"dir = {cfg.out_dir}\nseeds = {_fmt(cfg.seeds)}\n")
+    buf.write(f"[dataset]\nkind = {kind}\n")
+    sections = (("dataset", _DATASET[kind], cfg.dataset), ("method", _METHOD, cfg),
+                ("train", _TRAIN, cfg.train), ("budget", _BUDGET, cfg),
+                ("output", _OUTPUT, cfg))
+    for name, schema, obj in sections:
+        if name != "dataset":
+            buf.write(f"\n[{name}]\n")
+        for key, (field_name, _, _) in schema.items():
+            buf.write(f"{key} = {_fmt(getattr(obj, field_name))}\n")
     return buf.getvalue()

@@ -66,9 +66,9 @@ class RotatingSpec:
     and are unaffected by rotation.
     """
 
-    n_domains: int
-    train_per_domain: int
-    test_per_domain: int
+    n_domains: int = 6
+    train_per_domain: int = 400
+    test_per_domain: int = 160
     n_classes: int = 4
     total_range_deg: float = 90.0
     base_shape: str = "gaussian_blobs"

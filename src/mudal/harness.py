@@ -109,11 +109,9 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
     result = SeedRunResult(seed=seed, ledger=ledger)
     prev_cols = np.full(n, 1.0 / n)
     last_increment = initial.copy()
-    bundle = None
 
     for r in range(cfg.rounds + 1):
-        rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r),
-                         bundle=bundle)
+        rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
         bundle = rr.bundle
         per_acc, avg = evaluate(bundle, dataset)
         lab_feats = [pool.labeled_features(j) for j in range(n)]
@@ -194,9 +192,7 @@ def export_outputs(cfg: ExperimentConfig, results: list[SeedRunResult], out_dir)
         f.write("seed,round,domain,test_accuracy,n_labeled,increment,beta,hdist\n")
         for res in results:
             for rm in res.rounds:
-                counts = res.ledger.initial_counts.copy()
-                for incr in res.ledger.increments[:rm.round]:
-                    counts += incr
+                counts = res.ledger.labeled_counts(rm.round)
                 for j in range(rm.per_domain_acc.size):
                     f.write(",".join([
                         str(rm.seed), str(rm.round), str(j),

@@ -16,8 +16,7 @@ class ModelBundle:
     head_finals[i]: a per-domain final layer over the shared trunk,
     discriminator: (Z + code) -> 1 logit.
 
-    The discriminator conditions on a domain code, either a one-hot vector of
-    width N or a single normalized index (i+1)/N.
+    The discriminator conditions on a one-hot domain code of width N.
     """
 
     encoder: DenseNet
@@ -25,7 +24,6 @@ class ModelBundle:
     head_finals: list[Layer]
     discriminator: DenseNet | None
     n_domains: int
-    onehot_codes: bool = True
 
     def __post_init__(self) -> None:
         if len(self.head_finals) != self.n_domains:
@@ -35,7 +33,7 @@ class ModelBundle:
             if head.in_dim != trunk_out or head.out_dim != self.classifier.output_dim:
                 raise ValueError(f"head {i} does not match the classifier final layer shape")
         if self.discriminator is not None:
-            expected = self.encoder.output_dim + self.code_width
+            expected = self.encoder.output_dim + self.n_domains
             if self.discriminator.input_dim != expected:
                 raise ValueError(
                     f"discriminator input dim {self.discriminator.input_dim} != "
@@ -50,18 +48,12 @@ class ModelBundle:
     def n_classes(self) -> int:
         return self.classifier.output_dim
 
-    @property
-    def code_width(self) -> int:
-        return self.n_domains if self.onehot_codes else 1
-
     def code(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n_domains:
             raise ValueError(f"domain index {i} out of range")
-        if self.onehot_codes:
-            c = np.zeros(self.n_domains)
-            c[i] = 1.0
-            return c
-        return np.array([(i + 1) / self.n_domains])
+        c = np.zeros(self.n_domains)
+        c[i] = 1.0
+        return c
 
     def head_net(self, i: int) -> DenseNet:
         """Domain head i as a net sharing every classifier layer but the last."""
@@ -108,7 +100,6 @@ def make_bundle(feature_dim: int, n_classes: int, n_domains: int,
                 encoder_hidden: tuple[int, ...] = (32,),
                 classifier_hidden: tuple[int, ...] = (32,),
                 disc_hidden: tuple[int, ...] = (32, 32),
-                onehot_codes: bool = True,
                 with_discriminator: bool = True) -> ModelBundle:
     enc_dims = [feature_dim, *encoder_hidden, latent_dim]
     enc_acts = ["relu"] * len(encoder_hidden) + ["identity"]  # linear feature layer
@@ -125,10 +116,8 @@ def make_bundle(feature_dim: int, n_classes: int, n_domains: int,
 
     discriminator = None
     if with_discriminator:
-        code_width = n_domains if onehot_codes else 1
-        disc_dims = [latent_dim + code_width, *disc_hidden, 1]
+        disc_dims = [latent_dim + n_domains, *disc_hidden, 1]
         disc_acts = ["leaky_relu"] * len(disc_hidden) + ["identity"]
         discriminator = DenseNet.create(disc_dims, disc_acts, rng)
 
-    return ModelBundle(encoder, classifier, head_finals, discriminator,
-                       n_domains, onehot_codes)
+    return ModelBundle(encoder, classifier, head_finals, discriminator, n_domains)

@@ -9,7 +9,7 @@ finite-difference gradient checker used as the test oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,42 +97,6 @@ class Layer:
 
 
 @dataclass
-class Batch:
-    """A minibatch: features (B, D) plus optional labels, domain ids, weights."""
-
-    features: np.ndarray
-    labels: np.ndarray | None = None
-    domain_ids: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise ValueError(f"features must be (B>=1, D), got {self.features.shape}")
-        b = self.features.shape[0]
-        if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (b,):
-                raise ValueError("labels must be shape (B,)")
-        if self.domain_ids is not None:
-            self.domain_ids = np.asarray(self.domain_ids, dtype=np.int64)
-            if self.domain_ids.shape != (b,):
-                raise ValueError("domain_ids must be shape (B,)")
-        if self.weights is None:
-            self.weights = np.ones(b)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (b,):
-                raise ValueError("weights must be shape (B,)")
-            if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-                raise ValueError("weights must be finite and nonnegative")
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
-@dataclass
 class ActivationTrace:
     """Everything forward() saw, sufficient for an exact backward pass."""
 
@@ -202,8 +166,8 @@ class DenseNet:
         for layer in self.layers:
             layer.bump()
 
-    def forward(self, batch: Batch | np.ndarray) -> ActivationTrace:
-        x = batch.features if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
+    def forward(self, x: np.ndarray) -> ActivationTrace:
+        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (B, D) features, got shape {x.shape}")
         if x.shape[1] != self.input_dim:

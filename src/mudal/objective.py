@@ -15,8 +15,7 @@ import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (AdamState, DenseNet, Layer, accumulate_layer_grads, adam_step,
-                 sigmoid_bce, softmax_ce)
+from .nn import DenseNet, Layer, accumulate_layer_grads, sigmoid_bce, softmax_ce
 from .simplex import SimilarityMatrix, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -225,20 +224,39 @@ def _disc_decisions(bundle: ModelBundle, feats: np.ndarray, domain: int) -> np.n
     return bundle.disc_logits(z, domain) >= 0.0
 
 
-def zero_one_errors(bundle: ModelBundle, labeled_feats: list[np.ndarray],
-                    labeled_labels: list[np.ndarray]) -> np.ndarray:
-    """Misclassification rate of the shared classifier on each labeled domain."""
-    errs = np.ones(bundle.n_domains)
-    for j in range(bundle.n_domains):
+def labeled_readouts(bundle: ModelBundle, labeled_feats: list[np.ndarray],
+                     labeled_labels: list[np.ndarray]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frozen networks' 0/1 readouts on the labeled batches.
+
+    Returns err_h (N,), the shared classifier's error on each L_j; head_err
+    (N, N), head i's error on L_j; and disc_orig_rate (N, N), how often the
+    discriminator takes L_j for original domain i (zero without one). An
+    empty L_j reads as error 1 and rate 0. Each L_j is encoded once and run
+    through the classifier trunk once; the shared and head final layers then
+    read the same trunk output.
+    """
+    n = bundle.n_domains
+    err_h = np.ones(n)
+    head_err = np.ones((n, n))
+    disc_orig = np.zeros((n, n))
+    trunk = bundle.classifier.layers[:-1]
+    finals = [bundle.classifier.layers[-1], *bundle.head_finals]
+    for j in range(n):
         if labeled_feats[j].shape[0] == 0:
             continue
-        pred = np.argmax(bundle.class_logits(labeled_feats[j]), axis=1)
-        errs[j] = float(np.mean(pred != labeled_labels[j]))
-    return errs
+        z = bundle.encode(labeled_feats[j])
+        t = DenseNet(trunk).predict(z) if trunk else z
+        # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
+        errs = [float(np.mean(np.argmax(t @ f.W.T + f.b, axis=1) != labeled_labels[j]))
+                for f in finals]
+        err_h[j], head_err[:, j] = errs[0], errs[1:]
+        if bundle.discriminator is not None:
+            disc_orig[:, j] = [np.mean(bundle.disc_logits(z, i) >= 0.0) for i in range(n)]
+    return err_h, head_err, disc_orig
 
 
-def alpha_objective_coefficients(bundle: ModelBundle, orig_feats: list[np.ndarray],
-                                 labeled_feats: list[np.ndarray],
+def alpha_objective_coefficients(bundle: ModelBundle, labeled_feats: list[np.ndarray],
                                  labeled_labels: list[np.ndarray],
                                  lambda_d: float = 1.0) -> tuple[np.ndarray, dict]:
     """Linear coefficients of the 0/1-error objective in each alpha entry.
@@ -249,19 +267,7 @@ def alpha_objective_coefficients(bundle: ModelBundle, orig_feats: list[np.ndarra
     discriminator mistakes L_j for original domain i.
     """
     n = bundle.n_domains
-    err_h = zero_one_errors(bundle, labeled_feats, labeled_labels)
-    head_err = np.ones((n, n))
-    disc_orig = np.zeros((n, n))
-    z_lab = [bundle.encode(labeled_feats[j]) if labeled_feats[j].shape[0] else None
-             for j in range(n)]
-    for j in range(n):
-        if z_lab[j] is None:
-            continue
-        for i in range(n):
-            pred = np.argmax(bundle.head_net(i).predict(z_lab[j]), axis=1)
-            head_err[i, j] = float(np.mean(pred != labeled_labels[j]))
-            decisions = bundle.disc_logits(z_lab[j], i) >= 0.0
-            disc_orig[i, j] = float(np.mean(decisions))
+    err_h, head_err, disc_orig = labeled_readouts(bundle, labeled_feats, labeled_labels)
     coeffs = (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
     diag = {"err_h": err_h, "head_err": head_err, "disc_orig_rate": disc_orig}
     return coeffs, diag
@@ -321,37 +327,3 @@ def evaluate(bundle: ModelBundle, dataset: MultiDomainDataset) -> tuple[np.ndarr
         pred = np.argmax(bundle.class_logits(dataset.test_features[i]), axis=1)
         accs[i] = float(np.mean(pred == dataset.test_labels[i]))
     return accs, float(accs.mean())
-
-
-def fit_pair_discriminator(a: np.ndarray, b: np.ndarray,
-                           hidden: tuple[int, ...] = (32, 32), epochs: int = 200,
-                           lr: float = 3e-3, rng: np.random.Generator | None = None) -> DenseNet:
-    """Train a fresh binary discriminator to separate two raw sample sets
-    (a = 'original' side, target 1). Used to estimate distances between
-    arbitrary sample pairs without an encoder or domain codes."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    dims = [a.shape[1], *hidden, 1]
-    acts = ["leaky_relu"] * len(hidden) + ["identity"]
-    net = DenseNet.create(dims, acts, rng)
-    x = np.vstack([a, b])
-    t = np.concatenate([np.ones(a.shape[0]), np.zeros(b.shape[0])])
-    state = AdamState.init(net.param_arrays())
-    for _ in range(epochs):
-        trace = net.forward(x)
-        _, dlogits = sigmoid_bce(trace.output.reshape(-1), t)
-        grads = net.backward(trace, dlogits[:, None])
-        adam_step(net.param_arrays(), grads.params, state, lr)
-        net.bump_versions()
-    return net
-
-
-def pair_h_distance(a: np.ndarray, b: np.ndarray, net: DenseNet) -> float:
-    """Distance estimate for two raw sample sets under a trained pair
-    discriminator: 2 * (1 - [err on a + err on b]), clamped to [0, 2]."""
-    logit_a = net.predict(np.asarray(a, dtype=np.float64)).reshape(-1)
-    logit_b = net.predict(np.asarray(b, dtype=np.float64)).reshape(-1)
-    err_a = float(np.mean(logit_a < 0.0))
-    err_b = float(np.mean(logit_b >= 0.0))
-    return float(np.clip(2.0 * (1.0 - (err_a + err_b)), 0.0, 2.0))

@@ -68,10 +68,6 @@ class SimilarityMatrix:
     def column_importance(self) -> np.ndarray:
         return column_importance(self.alpha)
 
-    def project_rows(self) -> "SimilarityMatrix":
-        self.alpha = np.stack([project_simplex(row) for row in self.alpha])
-        return self
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as f:
             f.write(",".join(f"L{j}" for j in range(self.n)) + "\n")
@@ -99,7 +95,6 @@ class BudgetLedger:
     m: int
     initial_counts: np.ndarray
     increments: list[np.ndarray] = field(default_factory=list)
-    clamp_rounds: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.initial_counts = np.asarray(self.initial_counts, dtype=np.int64)
@@ -114,7 +109,7 @@ class BudgetLedger:
     def rounds_recorded(self) -> int:
         return len(self.increments)
 
-    def record(self, incr: np.ndarray, clamped: bool = False) -> None:
+    def record(self, incr: np.ndarray) -> None:
         incr = np.asarray(incr, dtype=np.int64)
         if incr.shape != self.initial_counts.shape:
             raise ValueError("increment shape mismatch")
@@ -123,8 +118,6 @@ class BudgetLedger:
         if incr.sum() != self.m:
             raise ValueError(f"increments must sum to m={self.m}, got {incr.sum()}")
         self.increments.append(incr)
-        if clamped:
-            self.clamp_rounds.append(len(self.increments))
 
     def labeled_counts(self, r: int | None = None) -> np.ndarray:
         if r is None:

@@ -10,19 +10,21 @@ similarity matrix restarts uniform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import AdamState, sigmoid_bce
-from .objective import (TermResult, alpha_objective_coefficients, alpha_step,
-                        compute_vd, compute_vh, compute_vlambda, zero_one_errors,
-                        _merge)
+from .nn import AdamState
+from .objective import (_disc_decisions, _merge, alpha_objective_coefficients,
+                        alpha_step, compute_vd, compute_vh, compute_vlambda,
+                        labeled_readouts)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
+# EMA weight of past alpha coefficients; single minibatches are too noisy
+ALPHA_COEFF_MOMENTUM = 0.9
 
 
 class NumericalAbort(RuntimeError):
@@ -37,16 +39,11 @@ class TrainConfig:
     batch_size: int = 16
     lr: float = 2e-3
     lr_alpha: float = 0.01
-    alpha_coeff_momentum: float = 0.9
     temperature: float = 0.5
-    extra_disc_step: bool = False
-    onehot_codes: bool = True
-    disc_line_search: bool = False
     latent_dim: int = 16
     encoder_hidden: tuple[int, ...] = (32,)
     classifier_hidden: tuple[int, ...] = (32,)
     disc_hidden: tuple[int, ...] = (32, 32)
-    warm_start: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -57,8 +54,6 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        if not 0.0 <= self.alpha_coeff_momentum < 1.0:
-            raise ValueError("alpha_coeff_momentum must lie in [0, 1)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -88,12 +83,10 @@ class ObjectiveSnapshot:
     v_d: float
     v_lambda: float
     t_value: float
-    v_h_01: float
-    v_lambda_01: float
     disc_acc: np.ndarray
 
     def finite(self) -> bool:
-        vals = [self.v_h, self.v_d, self.v_lambda, self.t_value, self.v_h_01, self.v_lambda_01]
+        vals = [self.v_h, self.v_d, self.v_lambda, self.t_value]
         return all(math.isfinite(v) for v in vals) and bool(np.all(np.isfinite(self.disc_acc)))
 
 
@@ -137,111 +130,57 @@ def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
     return orig_feats, lab_feats, lab_labels
 
 
-def _disc_update(bundle: ModelBundle, vd: TermResult, state: AdamState,
-                 cfg: TrainConfig, orig_feats, lab_feats, alpha) -> None:
-    pset = bundle.disc_param_set()
-    grads = pset.grads_from(vd.grads)
-    if not cfg.disc_line_search:
-        pset.step(grads, state, cfg.lr)
-        return
-    # plain gradient step, halving until the same-minibatch BCE does not increase
-    params = pset.params()
-    backup = [p.copy() for p in params]
-    step = cfg.lr
-    accepted = False
-    for _ in range(25):
-        for p, b, g in zip(params, backup, grads):
-            p[...] = b - step * g
-        new_vd = compute_vd(bundle, orig_feats, lab_feats, alpha)
-        if new_vd.value <= vd.value + 1e-12:
-            accepted = True
-            break
-        step *= 0.5
-    if not accepted:
-        for p, b in zip(params, backup):
-            p[...] = b
-    for layer in pset.layers:
-        layer.bump()
-
-
-def _discriminator_accuracy(bundle: ModelBundle, orig_feats, lab_feats, alpha) -> np.ndarray:
-    from .objective import _disc_decisions
-
-    n = bundle.n_domains
-    acc = np.zeros(n)
-    for i in range(n):
-        ok_orig = float(np.mean(_disc_decisions(bundle, orig_feats[i], i)))
-        ok_lab = 0.0
-        for j in range(n):
-            if alpha[i, j] == 0.0 or lab_feats[j].shape[0] == 0:
-                continue
-            ok_lab += alpha[i, j] * float(np.mean(~_disc_decisions(bundle, lab_feats[j], i)))
-        acc[i] = 0.5 * (ok_orig + ok_lab)
-    return acc
-
-
 def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainConfig,
-                seed, bundle: ModelBundle | None = None) -> RoundResult:
-    """Run one full training round on the current pool and return the trained
-    bundle, the final similarity matrix, and per-epoch objective snapshots."""
+                seed) -> RoundResult:
+    """Train freshly initialized networks on the current pool and return the
+    trained bundle, the final similarity matrix, and per-epoch objective
+    snapshots."""
     rng = np.random.default_rng(seed)
-    n = dataset.n_domains
-
-    if bundle is None or not config.warm_start:
-        bundle = make_bundle(
-            dataset.feature_dim, dataset.n_classes, n, rng,
-            latent_dim=config.latent_dim,
-            encoder_hidden=config.encoder_hidden,
-            classifier_hidden=config.classifier_hidden,
-            disc_hidden=config.disc_hidden,
-            onehot_codes=config.onehot_codes,
-            with_discriminator=config.trains_discriminator,
-        )
-    alpha = np.full((n, n), 1.0 / n)
-
-    net_set = bundle.net_param_set()
-    net_state = AdamState.init(net_set.params())
-    disc_state = AdamState.init(bundle.disc_param_set().params()) if config.trains_discriminator else None
-
-    max_train = max(dataset.train_size(i) for i in range(n))
-    steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
-
+    bundle = make_bundle(
+        dataset.feature_dim, dataset.n_classes, dataset.n_domains, rng,
+        latent_dim=config.latent_dim,
+        encoder_hidden=config.encoder_hidden,
+        classifier_hidden=config.classifier_hidden,
+        disc_hidden=config.disc_hidden,
+        with_discriminator=config.trains_discriminator,
+    )
     history: list[ObjectiveSnapshot] = []
     try:
-        alpha = _run_epochs(dataset, pool, config, rng, bundle, alpha,
-                            net_set, net_state, disc_state, steps_per_epoch, history)
+        alpha = _run_epochs(dataset, pool, config, rng, bundle, history)
     except FloatingPointError as exc:
         raise NumericalAbort(f"training diverged: {exc}") from exc
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def _run_epochs(dataset, pool, config, rng, bundle, alpha, net_set, net_state,
-                disc_state, steps_per_epoch, history) -> np.ndarray:
+def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     n = dataset.n_domains
-    coeff_ema = None  # smoothed 0/1 coefficients; single minibatches are too noisy
+    alpha = np.full((n, n), 1.0 / n)
+    net_set = bundle.net_param_set()
+    net_state = AdamState.init(net_set.params())
+    if config.trains_discriminator:
+        disc_set = bundle.disc_param_set()
+        disc_state = AdamState.init(disc_set.params())
+    max_train = max(dataset.train_size(i) for i in range(n))
+    steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
+    coeff_ema = None
     for epoch in range(1, config.epochs + 1):
         last = None
         for _ in range(steps_per_epoch):
             orig_feats, lab_feats, lab_labels = _sample_batches(rng, dataset, pool, config.batch_size)
 
-            vd = None
             if config.trains_discriminator:
                 vd = compute_vd(bundle, orig_feats, lab_feats, alpha)
-                _disc_update(bundle, vd, disc_state, config, orig_feats, lab_feats, alpha)
+                disc_set.step(disc_set.grads_from(vd.grads), disc_state, config.lr)
 
             if config.optimizes_alpha:
-                coeffs, _ = alpha_objective_coefficients(
-                    bundle, orig_feats, lab_feats, lab_labels, config.lambda_d)
+                coeffs, _ = alpha_objective_coefficients(bundle, lab_feats, lab_labels,
+                                                         config.lambda_d)
                 if coeff_ema is None:
                     coeff_ema = coeffs
                 else:
-                    mom = config.alpha_coeff_momentum
+                    mom = ALPHA_COEFF_MOMENTUM
                     coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
                 alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
-
-            if config.extra_disc_step and config.trains_discriminator:
-                vd_again = compute_vd(bundle, orig_feats, lab_feats, alpha)
-                _disc_update(bundle, vd_again, disc_state, config, orig_feats, lab_feats, alpha)
 
             vh = compute_vh(bundle, lab_feats, lab_labels, alpha)
             total = {}
@@ -264,24 +203,16 @@ def _run_epochs(dataset, pool, config, rng, bundle, alpha, net_set, net_state,
 
         orig_feats, lab_feats, lab_labels, v_h_val, v_d_val, v_lambda_val = last
         t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
-        err01 = zero_one_errors(bundle, lab_feats, lab_labels)
-        cols = alpha.mean(axis=0)
-        v_h_01 = float(cols @ err01)
-        v_lambda_01 = 0.0
-        if config.uses_vlambda:
-            head_err = np.zeros((n, n))
-            for j in range(n):
-                if lab_feats[j].shape[0] == 0:
-                    continue
-                z = bundle.encode(lab_feats[j])
-                for i in range(n):
-                    pred = np.argmax(bundle.head_net(i).predict(z), axis=1)
-                    head_err[i, j] = float(np.mean(pred != lab_labels[j]))
-            v_lambda_01 = float((alpha * head_err).sum() / n)
-        disc_acc = (_discriminator_accuracy(bundle, orig_feats, lab_feats, alpha)
-                    if config.trains_discriminator else np.zeros(n))
-        snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value,
-                                 v_h_01, v_lambda_01, disc_acc)
+        disc_acc = np.zeros(n)
+        if config.trains_discriminator:
+            # half the rate of originals called original plus the alpha-weighted
+            # rate of (nonempty) labeled domains called not original
+            _, _, disc_orig = labeled_readouts(bundle, lab_feats, lab_labels)
+            ok_orig = np.array([np.mean(_disc_decisions(bundle, orig_feats[i], i))
+                                for i in range(n)])
+            present = np.array([f.shape[0] > 0 for f in lab_feats])
+            disc_acc = 0.5 * (ok_orig + (alpha * (1.0 - disc_orig) * present).sum(axis=1))
+        snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():
             raise NumericalAbort(
                 f"non-finite objective at epoch {epoch}: "

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mudal.config import (ConfigError, ExperimentConfig, config_to_text,
 from mudal.data import RotatingSpec
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.simplex import SimilarityMatrix
+from mudal.training import TrainConfig
 
 MINIMAL = """
 [dataset]
@@ -56,7 +59,6 @@ class TestParseConfig:
         assert cfg.train.lambda_d == 1.0
         assert cfg.rounds == 5
         assert cfg.train.temperature == 0.5
-        assert cfg.train.onehot_codes is True
         assert cfg.seeds == (1, 2, 3)
         assert cfg.m0 == 60 and cfg.m == 60
 
@@ -78,6 +80,22 @@ class TestParseConfig:
         path.write_text(text)
         assert parse_config(path) == cfg
 
+    def test_round_trip_every_train_field(self):
+        train = TrainConfig(variant="cal_fa", lambda_d=0.25, epochs=3, batch_size=5,
+                            lr=1e-3, lr_alpha=0.07, temperature=0.8, latent_dim=7,
+                            encoder_hidden=(9, 4), classifier_hidden=(6,),
+                            disc_hidden=(5, 3))
+        defaults = TrainConfig()
+        assert all(getattr(train, f.name) != getattr(defaults, f.name)
+                   for f in dataclasses.fields(TrainConfig))
+        cfg = dataclasses.replace(fast_config(), variant="cal_fa", train=train)
+        assert parse_config_text(config_to_text(cfg)) == cfg
+
+    def test_python_and_file_defaults_agree(self):
+        cfg = parse_config_text(MINIMAL)
+        assert cfg.train == TrainConfig()
+        assert cfg == ExperimentConfig(dataset=cfg.dataset)
+
     def test_separate_divisibility_enforced(self):
         bad = MINIMAL.replace("assignment = cal_optimal", "assignment = separate")
         bad += "\n[budget]\nm0 = 6\nm = 7\nrounds = 1\n"
@@ -85,9 +103,11 @@ class TestParseConfig:
             parse_config_text(bad)
 
     def test_budget_floor_enforced(self):
-        bad = MINIMAL + "\n[budget]\nm0 = 2\nm = 6\nrounds = 1\n"
-        with pytest.raises(ConfigError, match="n_domains"):
-            parse_config_text(bad)
+        for assignment in ("cal_optimal", "joint"):
+            bad = MINIMAL.replace("assignment = cal_optimal", f"assignment = {assignment}")
+            bad += "\n[budget]\nm0 = 2\nm = 6\nrounds = 1\n"
+            with pytest.raises(ConfigError, match="n_domains"):
+                parse_config_text(bad)
 
     def test_grads_requires_discriminator_variant(self):
         bad = MINIMAL.replace("variant = cal", "variant = vanilla")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mudal.nn import (AdamState, Batch, DenseNet, Layer, adam_step, grad_check,
-                      sigmoid_bce, softmax, softmax_ce)
+from mudal.nn import (AdamState, DenseNet, Layer, adam_step, grad_check, sigmoid_bce,
+                      softmax, softmax_ce)
 
 
 def identity_net(dim):
@@ -276,21 +276,6 @@ class TestSigmoidBCE:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             sigmoid_bce(np.zeros(2), np.zeros(2), np.zeros(2))
-
-
-class TestBatch:
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Batch(np.ones((2, 3)), weights=np.array([1.0, -0.1]))
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            Batch(np.ones((0, 3)))
-
-    def test_defaults_fill_weights(self):
-        b = Batch(np.ones((2, 3)), labels=np.array([0, 1]))
-        np.testing.assert_array_equal(b.weights, [1.0, 1.0])
-        assert b.size == 2
 
 
 def test_softmax_helper_temperature():

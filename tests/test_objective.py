@@ -8,8 +8,7 @@ from mudal.models import make_bundle
 from mudal.nn import softmax_ce
 from mudal.objective import (alpha_objective_coefficients, alpha_step,
                              compute_vd, compute_vh, compute_vlambda,
-                             estimate_h_distance, evaluate,
-                             fit_pair_discriminator, pair_h_distance)
+                             estimate_h_distance, evaluate, labeled_readouts)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
 
@@ -271,9 +270,8 @@ class TestAlphaStep:
 
     def test_coefficients_from_bundle(self):
         bundle = tiny_bundle()
-        orig, _ = tiny_batches(seed=23)
         lab, lab_labels = tiny_batches(seed=24)
-        coeffs, diag = alpha_objective_coefficients(bundle, orig, lab, lab_labels, 1.0)
+        coeffs, diag = alpha_objective_coefficients(bundle, lab, lab_labels, 1.0)
         assert coeffs.shape == (3, 3)
         assert np.all(np.isfinite(coeffs))
         assert np.all(diag["err_h"] >= 0) and np.all(diag["err_h"] <= 1)
@@ -282,6 +280,34 @@ class TestAlphaStep:
         np.testing.assert_allclose(
             (coeffs + diag["disc_orig_rate"] / 6.0) - diag["head_err"] / 3.0,
             np.tile(diag["err_h"] / 3.0, (3, 1)), atol=1e-12)
+
+
+class TestLabeledReadouts:
+    def test_matches_per_network_recount(self):
+        bundle = tiny_bundle(seed=5)
+        lab, lab_labels = tiny_batches(seed=28)
+        lab[1] = np.empty((0, 2))
+        lab_labels[1] = np.empty(0, dtype=np.int64)
+        err_h, head_err, rate = labeled_readouts(bundle, lab, lab_labels)
+        for j in (0, 2):
+            z = bundle.encode(lab[j])
+            pred = np.argmax(bundle.class_logits(lab[j]), axis=1)
+            assert err_h[j] == np.mean(pred != lab_labels[j])
+            for i in range(3):
+                pred = np.argmax(bundle.head_net(i).predict(z), axis=1)
+                assert head_err[i, j] == np.mean(pred != lab_labels[j])
+                assert rate[i, j] == np.mean(bundle.disc_logits(z, i) >= 0.0)
+        # an empty labeled domain reads as error 1 and rate 0
+        assert err_h[1] == 1.0
+        np.testing.assert_array_equal(head_err[:, 1], 1.0)
+        np.testing.assert_array_equal(rate[:, 1], 0.0)
+
+    def test_no_discriminator_gives_zero_rates(self):
+        bundle = tiny_bundle(with_disc=False)
+        lab, lab_labels = tiny_batches(seed=29)
+        err_h, head_err, rate = labeled_readouts(bundle, lab, lab_labels)
+        np.testing.assert_array_equal(rate, 0.0)
+        assert np.all((head_err >= 0) & (head_err <= 1))
 
 
 class TestHDistance:
@@ -312,18 +338,6 @@ class TestHDistance:
         empty_lab = [np.empty((0, 2))] * 3
         with pytest.raises(ValueError, match="empty"):
             estimate_h_distance(bundle, feats[0], empty_lab, np.array([1, 0, 0.0]), 0)
-
-    def test_pair_estimator_separated_vs_identical(self):
-        rng = np.random.default_rng(27)
-        a = rng.normal(0.0, 1.0, size=(300, 1))
-        b_far = rng.normal(6.0, 1.0, size=(300, 1))
-        b_same = rng.normal(0.0, 1.0, size=(300, 1))
-        net_far = fit_pair_discriminator(a, b_far, hidden=(16,), epochs=150,
-                                         rng=np.random.default_rng(0))
-        net_same = fit_pair_discriminator(a, b_same, hidden=(16,), epochs=150,
-                                          rng=np.random.default_rng(0))
-        assert pair_h_distance(a, b_far, net_far) > 1.5
-        assert pair_h_distance(a, b_same, net_same) < 0.5
 
 
 class TestEvaluate:
