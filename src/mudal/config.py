@@ -47,6 +47,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.train.variant != self.variant:
+            raise ConfigError(f"variant {self.variant!r} disagrees with "
+                              f"train.variant {self.train.variant!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.assignment not in ASSIGNMENT_MODES:

@@ -15,11 +15,10 @@ import numpy as np
 from .bounds import BoundParams, BoundReport, empirical_bound
 from .config import ExperimentConfig, IdxDatasetSpec, config_to_text
 from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
-                   load_idx, rotate_idx_domains, split_budget_evenly)
+                   load_idx, rotate_idx_domains)
 from .objective import estimate_h_distance, evaluate
-from .simplex import BudgetLedger, SimilarityMatrix, assign_budget, column_importance
-from .strategies import (QueryRequest, badge_embeddings, kmeanspp_select,
-                         margin_scores, outlier_scores, select)
+from .simplex import BudgetLedger, SimilarityMatrix, assign_budget
+from .strategies import QueryRequest, select
 from .training import RoundResult, train_round, write_snapshots_csv
 
 log = logging.getLogger(__name__)
@@ -69,36 +68,18 @@ def build_dataset(cfg: ExperimentConfig) -> MultiDomainDataset:
 
 def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset, pool,
                   bundle, seed_seq) -> list[np.ndarray]:
-    """Pick m samples from the pooled unlabeled set, ignoring domains."""
+    """Pick m samples from the pooled unlabeled set, ignoring domains: one
+    request over every domain's unlabeled rows, each row keeping its domain."""
     n = dataset.n_domains
     per_domain_unlab = [pool.unlabeled_indices(j) for j in range(n)]
-    feats = np.vstack([dataset.train_features[j][per_domain_unlab[j]] for j in range(n)])
     owners = np.concatenate([np.full(per_domain_unlab[j].size, j) for j in range(n)])
     flat_idx = np.concatenate(per_domain_unlab)
-    m = cfg.m
-    rng = np.random.default_rng(seed_seq)
-
-    if cfg.strategy == "random":
-        positions = rng.choice(flat_idx.size, size=m, replace=False)
-    elif cfg.strategy == "margin":
-        scores = margin_scores(bundle, feats)
-        positions = np.lexsort((np.arange(flat_idx.size), scores))[:m]
-    else:
-        emb = badge_embeddings(bundle, feats,
-                               temperature=cfg.train.temperature if cfg.strategy == "grads" else 1.0)
-        if cfg.strategy == "grads":
-            scores = np.concatenate([
-                outlier_scores(bundle, dataset.train_features[j][per_domain_unlab[j]], j)
-                for j in range(n)
-            ])
-            emb = emb * scores[:, None]
-        positions = kmeanspp_select(emb, m, seed_seq)
-
-    chosen_per_domain = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    for j in range(n):
-        mask = owners[positions] == j
-        chosen_per_domain[j] = flat_idx[positions[mask]]
-    return chosen_per_domain
+    req = QueryRequest(domain=owners, k=cfg.m, unlabeled=np.arange(flat_idx.size),
+                       features=np.vstack([dataset.train_features[j][per_domain_unlab[j]]
+                                           for j in range(n)]),
+                       bundle=bundle, seed=seed_seq)
+    positions = select(cfg.strategy, req, temperature=cfg.train.temperature)
+    return [flat_idx[positions[owners[positions] == j]] for j in range(n)]
 
 
 def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> SeedRunResult:

@@ -3,7 +3,7 @@ per-domain classifier heads sharing the classifier trunk, and a conditional
 feature discriminator."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,9 +14,10 @@ from .nn import DenseNet, Layer, ParamSet
 class ModelBundle:
     """encoder: D -> Z, classifier: Z -> C (trunk + final layer),
     head_finals[i]: a per-domain final layer over the shared trunk,
-    discriminator: (Z + code) -> 1 logit.
+    discriminator: (Z + N) -> 1 logit.
 
-    The discriminator conditions on a one-hot domain code of width N.
+    The discriminator is conditioned on the domain as in CDAN: its input rows
+    are [z, one-hot(domain)], built by `disc_input` and nowhere else.
     """
 
     encoder: DenseNet
@@ -48,13 +49,6 @@ class ModelBundle:
     def n_classes(self) -> int:
         return self.classifier.output_dim
 
-    def code(self, i: int) -> np.ndarray:
-        if not 0 <= i < self.n_domains:
-            raise ValueError(f"domain index {i} out of range")
-        c = np.zeros(self.n_domains)
-        c[i] = 1.0
-        return c
-
     def head_net(self, i: int) -> DenseNet:
         """Domain head i as a net sharing every classifier layer but the last."""
         return DenseNet([*self.classifier.layers[:-1], self.head_finals[i]])
@@ -70,11 +64,26 @@ class ModelBundle:
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         return self.classifier.predict(self.encode(x))
 
-    def disc_logits(self, z: np.ndarray, domain: int) -> np.ndarray:
+    def disc_input(self, z: np.ndarray, domains) -> np.ndarray:
+        """Discriminator rows [z, one-hot(domain)]. `domains` is one domain
+        index for every row or one index per row, each in [0, N)."""
+        d = np.asarray(domains)
+        if not np.issubdtype(d.dtype, np.integer):
+            raise ValueError(f"domain indices must be integers, got {d.dtype}")
+        d = np.broadcast_to(d, (z.shape[0],))
+        if d.size and (d.min() < 0 or d.max() >= self.n_domains):
+            raise ValueError(f"domain index out of range [0, {self.n_domains})")
+        rows = np.zeros((z.shape[0], self.latent_dim + self.n_domains))
+        rows[:, :self.latent_dim] = z
+        rows[np.arange(z.shape[0]), self.latent_dim + d] = 1.0
+        return rows
+
+    def disc_logits(self, z: np.ndarray, domains) -> np.ndarray:
+        """Discriminator logits of latent rows `z` conditioned on `domains`
+        (one index, or one per row; see `disc_input`)."""
         if self.discriminator is None:
             raise ValueError("bundle has no discriminator")
-        code = np.tile(self.code(domain), (z.shape[0], 1))
-        return self.discriminator.predict(np.hstack([z, code])).reshape(-1)
+        return self.discriminator.predict(self.disc_input(z, domains)).reshape(-1)
 
     def net_param_set(self) -> ParamSet:
         """Encoder, classifier, and all head finals, each layer once."""

@@ -111,12 +111,20 @@ class ActivationTrace:
         return self.post[-1]
 
 
+LayerGrads = dict[Layer, tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass
 class Gradients:
     """Per-parameter gradients aligned with net.param_arrays(), plus d(loss)/d(input)."""
 
     params: list[np.ndarray]
     input: np.ndarray
+
+    def by_layer(self, net: "DenseNet") -> LayerGrads:
+        """The (dW, db) pair of each of `net`'s layers."""
+        return {layer: (self.params[2 * k], self.params[2 * k + 1])
+                for k, layer in enumerate(net.layers)}
 
 
 class DenseNet:
@@ -162,10 +170,6 @@ class DenseNet:
     def versions(self) -> tuple[int, ...]:
         return tuple(layer.version for layer in self.layers)
 
-    def bump_versions(self) -> None:
-        for layer in self.layers:
-            layer.bump()
-
     def forward(self, x: np.ndarray) -> ActivationTrace:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
@@ -209,6 +213,9 @@ class DenseNet:
         return self.forward(x).output
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators mirroring a flat parameter list."""
@@ -216,18 +223,10 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: list[np.ndarray], beta1: float = 0.9, beta2: float = 0.999,
-             eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def init(cls, params: list[np.ndarray]) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
@@ -243,7 +242,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         if not np.all(np.isfinite(g)):
             raise FloatingPointError("NaN/Inf in gradients; aborting optimizer step")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -251,7 +250,7 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 class ParamSet:
@@ -270,11 +269,8 @@ class ParamSet:
             out.append(layer.b)
         return out
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.params()]
-
-    def grads_from(self, by_layer: dict[Layer, tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-        flat = self.zero_grads()
+    def grads_from(self, by_layer: LayerGrads) -> list[np.ndarray]:
+        flat = [np.zeros_like(p) for p in self.params()]
         for k, layer in enumerate(self.layers):
             if layer in by_layer:
                 dw, db = by_layer[layer]
@@ -288,12 +284,11 @@ class ParamSet:
             layer.bump()
 
 
-def accumulate_layer_grads(acc: dict[Layer, tuple[np.ndarray, np.ndarray]],
-                           net: DenseNet, grads: Gradients, scale: float = 1.0) -> None:
-    """Add a net's Gradients into a per-layer accumulator (handles shared layers)."""
-    for k, layer in enumerate(net.layers):
-        dw = scale * grads.params[2 * k]
-        db = scale * grads.params[2 * k + 1]
+def accumulate_layer_grads(acc: LayerGrads, other: LayerGrads, scale: float = 1.0) -> None:
+    """acc[layer] += scale * other[layer] for every layer of `other`; a layer
+    shared between nets sums its gradients."""
+    for layer, (dw, db) in other.items():
+        dw, db = scale * dw, scale * db
         if layer in acc:
             odw, odb = acc[layer]
             acc[layer] = (odw + dw, odb + db)

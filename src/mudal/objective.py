@@ -15,12 +15,10 @@ import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import DenseNet, Layer, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from .nn import DenseNet, LayerGrads, accumulate_layer_grads, sigmoid_bce, softmax_ce
 from .simplex import SimilarityMatrix, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
-
-LayerGrads = dict[Layer, tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -36,22 +34,13 @@ def _as_alpha(alpha) -> np.ndarray:
     return np.asarray(alpha, dtype=np.float64)
 
 
-def _merge(into: LayerGrads, other: LayerGrads, scale: float = 1.0) -> None:
-    for layer, (dw, db) in other.items():
-        if layer in into:
-            odw, odb = into[layer]
-            into[layer] = (odw + scale * dw, odb + scale * db)
-        else:
-            into[layer] = (scale * dw, scale * db)
-
-
 def compute_vh(bundle: ModelBundle, labeled_feats: list[np.ndarray],
                labeled_labels: list[np.ndarray], alpha) -> TermResult:
     """Column-importance-weighted classification loss of the shared classifier:
     sum_j alpha_j * mean_{L_j} CE(h(e(x)), y), via per-sample weights."""
     a = _as_alpha(alpha)
     cols = column_importance(a)
-    feats, labels, weights, slices = [], [], [], []
+    feats, labels, weights = [], [], []
     for j in range(bundle.n_domains):
         n_j = labeled_feats[j].shape[0]
         if n_j == 0:
@@ -61,9 +50,8 @@ def compute_vh(bundle: ModelBundle, labeled_feats: list[np.ndarray],
         feats.append(labeled_feats[j])
         labels.append(labeled_labels[j])
         weights.append(np.full(n_j, cols[j] / n_j))
-        slices.append(j)
     if not feats:
-        return TermResult(0.0, {}, {"per_domain_ce": np.zeros(bundle.n_domains)})
+        return TermResult(0.0, {})
     x = np.vstack(feats)
     y = np.concatenate(labels)
     w = np.concatenate(weights)
@@ -73,32 +61,23 @@ def compute_vh(bundle: ModelBundle, labeled_feats: list[np.ndarray],
     cls_trace = bundle.classifier.forward(enc_trace.output)
     if wsum <= 0:
         value, dlogits = 0.0, np.zeros_like(cls_trace.output)
-        probs = None
     else:
-        norm_loss, dlogits, probs = softmax_ce(cls_trace.output, y, 1.0, w)
+        norm_loss, dlogits, _ = softmax_ce(cls_trace.output, y, 1.0, w)
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
 
     grads: LayerGrads = {}
     cls_g = bundle.classifier.backward(cls_trace, dlogits)
     enc_g = bundle.encoder.backward(enc_trace, cls_g.input)
-    accumulate_layer_grads(grads, bundle.classifier, cls_g)
-    accumulate_layer_grads(grads, bundle.encoder, enc_g)
-
-    per_domain = np.zeros(bundle.n_domains)
-    if probs is not None:
-        ce = -np.log(np.maximum(probs[np.arange(y.size), y], 1e-300))
-        start = 0
-        for j, f in zip(slices, feats):
-            per_domain[j] = ce[start:start + f.shape[0]].mean()
-            start += f.shape[0]
-    return TermResult(float(value), grads, {"per_domain_ce": per_domain})
+    accumulate_layer_grads(grads, cls_g.by_layer(bundle.classifier))
+    accumulate_layer_grads(grads, enc_g.by_layer(bundle.encoder))
+    return TermResult(float(value), grads)
 
 
 def compute_vd(bundle: ModelBundle, orig_feats: list[np.ndarray],
                labeled_feats: list[np.ndarray], alpha) -> TermResult:
     """Conditional-discriminator loss: for each original domain i, BCE of
-    f(e(x), code(i)) against target 1 on originals and target 0 on every
+    f(e(x), one-hot(i)) against target 1 on originals and target 0 on every
     labeled domain j weighted alpha[i, j]. Returns gradients for the
     discriminator and (separately scaled by the caller) for the encoder."""
     if bundle.discriminator is None:
@@ -106,71 +85,55 @@ def compute_vd(bundle: ModelBundle, orig_feats: list[np.ndarray],
     a = _as_alpha(alpha)
     n = bundle.n_domains
 
-    enc_orig = []
-    for i in range(n):
-        if orig_feats[i].shape[0] == 0:
-            raise ValueError(f"original domain {i} batch is empty")
-        enc_orig.append(bundle.encoder.forward(orig_feats[i]))
-    enc_lab = [bundle.encoder.forward(labeled_feats[j]) if labeled_feats[j].shape[0] else None
-               for j in range(n)]
+    n_orig = np.array([f.shape[0] for f in orig_feats])
+    n_lab = np.array([f.shape[0] for f in labeled_feats])
+    if np.any(n_orig == 0):
+        raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
+    for i, j in zip(*np.nonzero(a > 0)):
+        if n_lab[j] == 0:
+            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
+    traces = ([bundle.encoder.forward(f) for f in orig_feats]
+              + [bundle.encoder.forward(labeled_feats[j]) for j in np.flatnonzero(n_lab)])
+    z = np.concatenate([t.output for t in traces])
 
-    blocks, targets, weights = [], [], []
-    block_meta = []  # ("orig", i) or ("lab", i, j)
-    for i in range(n):
-        code = bundle.code(i)
-        z_o = enc_orig[i].output
-        blocks.append(np.hstack([z_o, np.tile(code, (z_o.shape[0], 1))]))
-        targets.append(np.ones(z_o.shape[0]))
-        weights.append(np.full(z_o.shape[0], 1.0 / z_o.shape[0]))
-        block_meta.append(("orig", i, None))
-        for j in range(n):
-            if enc_lab[j] is None:
-                if a[i, j] > 0:
-                    log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
-                continue
-            z_l = enc_lab[j].output
-            blocks.append(np.hstack([z_l, np.tile(code, (z_l.shape[0], 1))]))
-            targets.append(np.zeros(z_l.shape[0]))
-            weights.append(np.full(z_l.shape[0], a[i, j] / z_l.shape[0]))
-            block_meta.append(("lab", i, j))
-
-    x = np.vstack(blocks)
-    t = np.concatenate(targets)
-    w = np.concatenate(weights)
+    # Block i holds the originals of domain i, then every labeled row, all
+    # conditioned on domain i. Row r of z = [originals, labeled] is in block
+    # i if it is an original of domain i or labeled; nonzero() lists the
+    # blocks in order, each block's rows in z's order.
+    orig_owner = np.repeat(np.arange(n), n_orig)
+    lab_owner = np.repeat(np.arange(n), n_lab)
+    in_block = np.concatenate([orig_owner == np.arange(n)[:, None],
+                               np.ones((n, lab_owner.size), dtype=bool)], axis=1)
+    dom, src = np.nonzero(in_block)
+    # weight of row r in block i: 1/|O_i| for an original, alpha[i, j]/|L_j| for L_j
+    weight = np.concatenate([in_block[:, :orig_owner.size] / n_orig[:, None],
+                             a[:, lab_owner] / n_lab[lab_owner]], axis=1)
+    is_orig = src < orig_owner.size  # the BCE target
+    w = weight[dom, src]
     wsum = w.sum()
 
-    disc_trace = bundle.discriminator.forward(x)
+    disc_trace = bundle.discriminator.forward(bundle.disc_input(z[src], dom))
     logits = disc_trace.output.reshape(-1)
-    norm_loss, dlogits = sigmoid_bce(logits, t, w)
+    norm_loss, dlogits = sigmoid_bce(logits, is_orig, w)
     value = norm_loss * wsum / (2.0 * n)
     dlogits = dlogits * (wsum / (2.0 * n))
 
     disc_g = bundle.discriminator.backward(disc_trace, dlogits[:, None])
     f_grads: LayerGrads = {}
-    accumulate_layer_grads(f_grads, bundle.discriminator, disc_g)
+    accumulate_layer_grads(f_grads, disc_g.by_layer(bundle.discriminator))
 
-    # route the z-part of the input gradient back through the encoder
-    zdim = bundle.latent_dim
-    dz_orig = [np.zeros((orig_feats[i].shape[0], zdim)) for i in range(n)]
-    dz_lab = [np.zeros((labeled_feats[j].shape[0], zdim)) for j in range(n)]
-    start = 0
-    for block, meta in zip(blocks, block_meta):
-        rows = block.shape[0]
-        dz = disc_g.input[start:start + rows, :zdim]
-        kind, i, j = meta
-        if kind == "orig":
-            dz_orig[i] += dz
-        else:
-            dz_lab[j] += dz
-        start += rows
+    # route the z-part of the input gradient back through the encoder: an
+    # original row sits in one block, a labeled row in all N, summed in block order
+    dz_rows = disc_g.input[:, :bundle.latent_dim]
+    dz = np.concatenate([dz_rows[is_orig], dz_rows[~is_orig].reshape(
+        n, lab_owner.size, bundle.latent_dim).sum(axis=0)])
     enc_grads: LayerGrads = {}
-    for i in range(n):
-        g = bundle.encoder.backward(enc_orig[i], dz_orig[i])
-        accumulate_layer_grads(enc_grads, bundle.encoder, g)
-    for j in range(n):
-        if enc_lab[j] is not None:
-            g = bundle.encoder.backward(enc_lab[j], dz_lab[j])
-            accumulate_layer_grads(enc_grads, bundle.encoder, g)
+    start = 0
+    for trace in traces:
+        rows = trace.output.shape[0]
+        g = bundle.encoder.backward(trace, dz[start:start + rows])
+        accumulate_layer_grads(enc_grads, g.by_layer(bundle.encoder))
+        start += rows
 
     return TermResult(float(value), f_grads, {"encoder_grads": enc_grads})
 
@@ -206,14 +169,14 @@ def compute_vlambda(bundle: ModelBundle, labeled_feats: list[np.ndarray],
         norm_loss, dlogits, _ = softmax_ce(trace.output, y_all, 1.0, w)
         value += norm_loss * wsum
         g = head.backward(trace, dlogits * wsum)
-        accumulate_layer_grads(grads, head, g, scale=1.0 / n)
+        accumulate_layer_grads(grads, g.by_layer(head), scale=1.0 / n)
         dz_all += g.input / n
     value /= n
 
     start = 0
     for j, sz in zip(present, sizes):
         g = bundle.encoder.backward(enc_traces[j], dz_all[start:start + sz])
-        accumulate_layer_grads(grads, bundle.encoder, g)
+        accumulate_layer_grads(grads, g.by_layer(bundle.encoder))
         start += sz
     return TermResult(float(value), grads, {})
 
@@ -252,7 +215,10 @@ def labeled_readouts(bundle: ModelBundle, labeled_feats: list[np.ndarray],
                 for f in finals]
         err_h[j], head_err[:, j] = errs[0], errs[1:]
         if bundle.discriminator is not None:
-            disc_orig[:, j] = [np.mean(bundle.disc_logits(z, i) >= 0.0) for i in range(n)]
+            # L_j under every domain code at once: rows of block i read code i
+            logits = bundle.disc_logits(np.concatenate([z] * n),
+                                        np.repeat(np.arange(n), z.shape[0]))
+            disc_orig[:, j] = np.mean(logits.reshape(n, -1) >= 0.0, axis=1)
     return err_h, head_err, disc_orig
 
 

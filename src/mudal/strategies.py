@@ -16,12 +16,15 @@ STRATEGIES = ("random", "margin", "badge", "grads")
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One domain's selection request: pick k of the given unlabeled indices.
+    """A selection request: pick k of the given unlabeled indices.
 
-    ``features`` holds the feature rows aligned with ``unlabeled``.
+    ``features`` holds the feature rows aligned with ``unlabeled``. ``domain``
+    is the one domain every row belongs to, or an array with each row's
+    domain when one request pools several domains (joint assignment); GRADS
+    reads each row's outlier score under that row's domain.
     """
 
-    domain: int
+    domain: int | np.ndarray
     k: int
     unlabeled: np.ndarray
     features: np.ndarray
@@ -35,6 +38,8 @@ class QueryRequest:
             raise ValueError(f"budget k={self.k} outside [0, {self.unlabeled.size}]")
         if self.features.shape[0] != self.unlabeled.size:
             raise ValueError("features must align with unlabeled indices")
+        if np.ndim(self.domain) and np.shape(self.domain) != self.unlabeled.shape:
+            raise ValueError("per-row domains must align with unlabeled indices")
 
 
 def select_random(req: QueryRequest) -> np.ndarray:
@@ -118,9 +123,9 @@ def select_badge(req: QueryRequest, temperature: float = 1.0) -> np.ndarray:
     return req.unlabeled[positions]
 
 
-def outlier_scores(bundle: ModelBundle, feats: np.ndarray, domain: int) -> np.ndarray:
+def outlier_scores(bundle: ModelBundle, feats: np.ndarray, domain) -> np.ndarray:
     """Discriminator probability that a sample is original rather than part of
-    the labeled mixture for its domain."""
+    the labeled mixture for its domain (one index, or one per row)."""
     if bundle.discriminator is None:
         raise ValueError("outlier scores need a discriminator (composite-trained model)")
     z = bundle.encode(feats)

@@ -16,10 +16,9 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import AdamState
-from .objective import (_disc_decisions, _merge, alpha_objective_coefficients,
-                        alpha_step, compute_vd, compute_vh, compute_vlambda,
-                        labeled_readouts)
+from .nn import AdamState, accumulate_layer_grads
+from .objective import (_disc_decisions, alpha_objective_coefficients, alpha_step,
+                        compute_vd, compute_vh, compute_vlambda, labeled_readouts)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -184,11 +183,11 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
 
             vh = compute_vh(bundle, lab_feats, lab_labels, alpha)
             total = {}
-            _merge(total, vh.grads)
+            accumulate_layer_grads(total, vh.grads)
             v_lambda_val = 0.0
             if config.uses_vlambda:
                 vl = compute_vlambda(bundle, lab_feats, lab_labels, alpha)
-                _merge(total, vl.grads)
+                accumulate_layer_grads(total, vl.grads)
                 v_lambda_val = vl.value
             v_d_val = 0.0
             if config.trains_discriminator:
@@ -196,7 +195,8 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
                 v_d_val = vd_now.value
                 if config.aligns_encoder:
                     # descent on -lambda_d * V_d: the encoder fights the discriminator
-                    _merge(total, vd_now.extras["encoder_grads"], scale=-config.lambda_d)
+                    accumulate_layer_grads(total, vd_now.extras["encoder_grads"],
+                                           scale=-config.lambda_d)
             net_set.step(net_set.grads_from(total), net_state, config.lr)
 
             last = (orig_feats, lab_feats, lab_labels, vh.value, v_d_val, v_lambda_val)

@@ -3,6 +3,7 @@
 A refactor must leave these files byte-identical. A change that has to alter
 them updates the digests and says in CHANGES.md why the output changed.
 """
+import dataclasses
 import hashlib
 
 from mudal.config import ExperimentConfig
@@ -31,8 +32,30 @@ DIGESTS = {
 }
 
 
+# The same setup with joint assignment: one pooled GRADS request whose rows
+# each keep their own domain.
+GOLDEN_JOINT = dataclasses.replace(GOLDEN, assignment="joint")
+
+JOINT_DIGESTS = {
+    "bounds.csv": "8fc3c73747e3113ce57a5dcf218e0e238fa33f6134264ece91f4870c662fd16f",
+    "metrics.csv": "da3d231a396bfba677da15e79b53e2196f15391c826c1de2db8bb171eca2ae23",
+    "seed_1/alpha_round_0.csv": "e0746752de9910a598bb69407c4a29602b2691f76bd2894b374128a81b4b481a",
+    "seed_1/alpha_round_1.csv": "778d1a0b61043f6aedaa37112db4cb4c7d7b04da99f5e7d32266dc15b87ff728",
+    "seed_1/alpha_round_2.csv": "9b24c388b7a21b7f71622b8febbf058fa301a6dde175d3434eaad01164bcea3e",
+    "seed_2/alpha_round_0.csv": "b47a441b8d1bbf5d8e4e894e6ed1bfd6a732344841963232368492e04537e2d7",
+    "seed_2/alpha_round_1.csv": "ee05687fafe40c831ccb2c25a89edfcaf77427d95c84d04142d31a2c70071b88",
+    "seed_2/alpha_round_2.csv": "1542f7381bab15bdc5ef6fb3eab17df1282eb3841609f374f8801289cb1916da",
+}
+
+
+def _output_digests(cfg, names, out_dir):
+    run_experiment(cfg, str(out_dir))
+    return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_golden_output_digests(tmp_path):
-    run_experiment(GOLDEN, str(tmp_path))
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in DIGESTS}
-    assert got == DIGESTS
+    assert _output_digests(GOLDEN, DIGESTS, tmp_path) == DIGESTS
+
+
+def test_golden_joint_grads_digests(tmp_path):
+    assert _output_digests(GOLDEN_JOINT, JOINT_DIGESTS, tmp_path) == JOINT_DIGESTS

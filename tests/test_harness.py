@@ -114,6 +114,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="discriminator"):
             parse_config_text(bad)
 
+    def test_variant_must_match_train_variant(self):
+        spec = RotatingSpec(3, 40, 20, n_classes=3)
+        for variant, strategy, train_variant in (("vanilla", "random", "cal"),
+                                                 ("cal", "grads", "vanilla")):
+            with pytest.raises(ConfigError, match="train.variant"):
+                ExperimentConfig(dataset=spec, variant=variant, strategy=strategy,
+                                 train=TrainConfig(train_variant, epochs=1, batch_size=8),
+                                 m0=6, m=6, rounds=1, seeds=(1,))
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             parse_config_text(MINIMAL.replace("variant = cal", "variant = cadl"))
@@ -148,9 +157,9 @@ class TestRunSeed:
         assert res.ledger.rounds_recorded == 0
 
     def test_separate_mode_even_increments(self):
-        cfg = fast_config(assignment="separate", strategy="random", variant="vanilla")
-        import dataclasses
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, variant="vanilla"))
+        cfg = fast_config(assignment="separate", strategy="random")
+        cfg = dataclasses.replace(cfg, variant="vanilla",
+                                  train=dataclasses.replace(cfg.train, variant="vanilla"))
         ds = build_dataset(cfg)
         res = run_seed(cfg, ds, seed=2)
         for incr in res.ledger.increments:

@@ -110,6 +110,24 @@ class TestVh:
         assert "empty" in caplog.text
 
 
+class TestDiscInput:
+    def test_one_hot_rows_for_one_or_per_row_domains(self):
+        bundle = tiny_bundle()
+        z = np.random.default_rng(30).standard_normal((4, 4))
+        np.testing.assert_array_equal(bundle.disc_input(z, 2),
+                                      np.hstack([z, np.tile([0.0, 0.0, 1.0], (4, 1))]))
+        rows = bundle.disc_input(z, np.array([1, 0, 2, 1]))
+        np.testing.assert_array_equal(rows[:, :4], z)
+        np.testing.assert_array_equal(rows[:, 4:], np.eye(3)[[1, 0, 2, 1]])
+
+    def test_bad_domains_rejected(self):
+        bundle = tiny_bundle()
+        z = np.zeros((3, 4))
+        for bad in (3, -1, np.array([0, 1, 3]), 1.0, np.array([0, 1])):
+            with pytest.raises(ValueError):
+                bundle.disc_input(z, bad)
+
+
 class TestVd:
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()
@@ -137,10 +155,13 @@ class TestVd:
         expected /= 6.0
         np.testing.assert_allclose(res_eye.value, expected, atol=1e-12)
 
-    def test_matches_nested_sum_oracle(self):
+    @staticmethod
+    def _check_nested_sum_oracle(empty_labeled):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(seed=5)
         lab, _ = tiny_batches(seed=6)
+        for j in empty_labeled:
+            lab[j] = np.empty((0, 2))
         alpha = random_alpha(3, seed=7)
         from mudal.nn import sigmoid_bce
         expected = 0.0
@@ -149,12 +170,20 @@ class TestVd:
             lo, _ = sigmoid_bce(bundle.disc_logits(z_o, i), np.ones(z_o.shape[0]))
             expected += lo
             for j in range(3):
+                if j in empty_labeled:
+                    continue  # an empty L_j adds nothing
                 z_l = bundle.encode(lab[j])
                 ll, _ = sigmoid_bce(bundle.disc_logits(z_l, i), np.zeros(z_l.shape[0]))
                 expected += alpha[i, j] * ll
         expected /= 6.0
         res = compute_vd(bundle, orig, lab, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
+
+    def test_matches_nested_sum_oracle(self):
+        self._check_nested_sum_oracle(empty_labeled=())
+
+    def test_matches_nested_sum_oracle_with_empty_labeled_domain(self):
+        self._check_nested_sum_oracle(empty_labeled=(1,))
 
     def test_discriminator_gradients_match_fd(self):
         bundle = tiny_bundle()
@@ -166,15 +195,24 @@ class TestVd:
                       lambda: compute_vd(bundle, orig, lab, alpha).value,
                       res.grads)
 
-    def test_encoder_gradients_match_fd(self):
+    @staticmethod
+    def _check_encoder_gradients(empty_labeled):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(per=4, seed=11)
         lab, _ = tiny_batches(per=4, seed=12)
+        for j in empty_labeled:
+            lab[j] = np.empty((0, 2))
         alpha = random_alpha(3, seed=13)
         res = compute_vd(bundle, orig, lab, alpha)
         fd_check_term(bundle, bundle.encoder.layers,
                       lambda: compute_vd(bundle, orig, lab, alpha).value,
                       res.extras["encoder_grads"])
+
+    def test_encoder_gradients_match_fd(self):
+        self._check_encoder_gradients(empty_labeled=())
+
+    def test_encoder_gradients_match_fd_with_empty_labeled_domain(self):
+        self._check_encoder_gradients(empty_labeled=(0,))
 
 
 class TestVlambda:

@@ -195,6 +195,16 @@ class TestGrads:
         s = outlier_scores(bundle, feats, 2)
         assert np.all((s > 0) & (s < 1))
 
+    def test_per_row_domains_score_each_row_under_its_domain(self):
+        bundle = real_bundle(seed=14)
+        feats = np.random.default_rng(15).standard_normal((9, 2))
+        owners = np.array([0, 0, 1, 2, 2, 2, 1, 0, 1])
+        expected = [outlier_scores(bundle, feats[r:r + 1], owners[r])[0] for r in range(9)]
+        np.testing.assert_allclose(outlier_scores(bundle, feats, owners), expected,
+                                   rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="align"):
+            request(bundle, feats, 2, domain=owners[:5])
+
     def test_missing_discriminator_rejected(self):
         bundle = real_bundle(with_disc=False)
         feats = np.zeros((5, 2))
