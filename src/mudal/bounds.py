@@ -151,10 +151,10 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     total = int(counts.sum())
     if params is None:
         params = BoundParams(total_labeled=max(total, 1))
-    lab_feats = [pool.labeled_features(j) for j in range(n)]
+    lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
     lab_labels = [pool.labels(j) for j in range(n)]
 
-    err_h, head_err, _ = labeled_readouts(bundle, lab_feats, lab_labels)
+    err_h, head_err, _ = labeled_readouts(bundle, lab_z, lab_labels)
     weighted_err = float(cols @ err_h)
 
     beta = counts / total if total > 0 else np.zeros(n)
@@ -163,12 +163,13 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     hdist = 0.0
     if bundle.discriminator is not None:
         for i in range(n):
-            hdist += estimate_h_distance(bundle, dataset.train_features[i], lab_feats, a[i], i)
+            hdist += estimate_h_distance(bundle, bundle.encode(dataset.train_features[i]),
+                                         lab_z, a[i], i)
     mean_hdist = hdist / (2.0 * n)
 
     proxy = 0.0
     for j in range(n):
-        if lab_feats[j].shape[0] == 0:
+        if lab_z[j].shape[0] == 0:
             continue
         for i in range(n):
             if a[i, j] != 0.0:

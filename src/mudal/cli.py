@@ -15,18 +15,19 @@ import sys
 import numpy as np
 
 from .bounds import BoundParams, hoeffding_term, verify_optimal_beta
-from .config import ConfigError, parse_config
+from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
 from .nn import grad_check, sigmoid_bce, softmax_ce
-from .training import NumericalAbort
+from .strategies import STRATEGIES
+from .training import VARIANTS, NumericalAbort
 
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     updates = {}
-    if args.seeds:
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+    if args.seeds is not None:
+        updates["seeds"] = parse_int_tuple(args.seeds)
     if args.out:
         updates["out_dir"] = args.out
     if args.variant:
@@ -106,7 +107,7 @@ def _bce_adapter(out, targets, weights):
     return loss, dlogits[:, None]
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mudal",
                                      description="multi-domain active learning runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -115,12 +116,9 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seeds", default=None, help="comma-separated seed list")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--variant", default=None,
-                       choices=["cal", "cal_alpha", "cal_fa", "vanilla"])
-    p_run.add_argument("--strategy", default=None,
-                       choices=["random", "margin", "badge", "grads"])
-    p_run.add_argument("--mode", default=None,
-                       choices=["cal_optimal", "separate", "joint", "paper_literal"])
+    p_run.add_argument("--variant", default=None, choices=VARIANTS)
+    p_run.add_argument("--strategy", default=None, choices=STRATEGIES)
+    p_run.add_argument("--mode", default=None, choices=ASSIGNMENT_MODES)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-theory", help="run the bound-lab numeric checks")
@@ -129,8 +127,11 @@ def main(argv=None) -> int:
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient oracle checks")
     p_grad.set_defaults(func=_cmd_gradcheck)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

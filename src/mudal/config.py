@@ -68,17 +68,22 @@ class ExperimentConfig:
                               "pair it with the cal, cal_alpha, or cal_fa variant")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"repeated seeds in {self.seeds}")
 
 
-def _parse_int_tuple(s: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
+def parse_int_tuple(s: str) -> tuple[int, ...]:
+    try:
+        parts = tuple(int(p) for p in s.split(",") if p.strip())
+    except ValueError:
+        parts = ()
     if not parts:
         raise ConfigError(f"expected comma-separated integers, got {s!r}")
-    return tuple(int(p) for p in parts)
+    return parts
 
 
 # field annotation (a string under `from __future__ import annotations`) -> parser
-_PARSERS = {"str": str, "int": int, "float": float, "tuple[int, ...]": _parse_int_tuple}
+_PARSERS = {"str": str, "int": int, "float": float, "tuple[int, ...]": parse_int_tuple}
 
 
 def _schema(cls, names=None, rename=None) -> dict:
@@ -113,8 +118,6 @@ def _read_section(cp: configparser.ConfigParser, name: str, schema: dict) -> dic
         if key in raw:
             try:
                 out[field_name] = conv(raw[key])
-            except ConfigError:
-                raise
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad value for [{name}] {key}: {exc}") from exc
         elif default is None:

@@ -90,12 +90,6 @@ class RotatingSpec:
             raise ValueError("noise must be nonnegative")
 
 
-def _balanced_class_counts(n: int, c: int) -> np.ndarray:
-    counts = np.full(c, n // c, dtype=np.int64)
-    counts[: n % c] += 1
-    return counts
-
-
 def _base_points(kind: str, labels: np.ndarray, n_classes: int, noise: float,
                  rng: np.random.Generator) -> np.ndarray:
     n = labels.shape[0]
@@ -136,7 +130,7 @@ def gen_rotating(spec: RotatingSpec) -> MultiDomainDataset:
         lo, hi = i * width, (i + 1) * width
         per_split = []
         for count in (spec.train_per_domain, spec.test_per_domain):
-            counts = _balanced_class_counts(count, spec.n_classes)
+            counts = split_budget_evenly(count, spec.n_classes)
             labels = np.repeat(np.arange(spec.n_classes), counts)
             pts = _base_points(spec.base_shape, labels, spec.n_classes, spec.noise, rng)
             deg = rng.uniform(lo, hi, size=count)
@@ -313,10 +307,11 @@ class LabeledPool:
         return self
 
 
-def split_budget_evenly(m0: int, n_domains: int) -> np.ndarray:
-    """m0 // N per domain, remainder to the lowest-indexed domains."""
-    counts = np.full(n_domains, m0 // n_domains, dtype=np.int64)
-    counts[: m0 % n_domains] += 1
+def split_budget_evenly(total: int, parts: int) -> np.ndarray:
+    """total // parts to each part (domain or class), the remainder to the
+    lowest-indexed parts."""
+    counts = np.full(parts, total // parts, dtype=np.int64)
+    counts[: total % parts] += 1
     return counts
 
 

@@ -95,12 +95,12 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
         bundle = rr.bundle
         per_acc, avg = evaluate(bundle, dataset)
-        lab_feats = [pool.labeled_features(j) for j in range(n)]
         hdist = np.zeros(n)
         if bundle.discriminator is not None:
+            lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
             for i in range(n):
-                hdist[i] = estimate_h_distance(bundle, dataset.train_features[i],
-                                               lab_feats, rr.alpha.alpha[i], i)
+                hdist[i] = estimate_h_distance(bundle, bundle.encode(dataset.train_features[i]),
+                                               lab_z, rr.alpha.alpha[i], i)
         report = empirical_bound(bundle, dataset, pool, rr.alpha,
                                  BoundParams(total_labeled=pool.total_labeled()))
         result.rounds.append(RoundMetrics(

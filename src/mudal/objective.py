@@ -4,7 +4,9 @@ projected-gradient updates of the similarity matrix, and the empirical
 feature-space distance estimator.
 
 All three loss terms return their exact values together with per-layer
-gradient dictionaries; the trainer combines them with the appropriate signs.
+gradients; the trainer combines them with the appropriate signs. Everything
+but V_h reads latent rows e(x) that the trainer encodes; V_d and V_lambda
+return their latent gradients, which `encoder_grads` takes into the encoder.
 """
 from __future__ import annotations
 
@@ -15,7 +17,8 @@ import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import DenseNet, LayerGrads, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from .nn import (ActivationTrace, DenseNet, LayerGrads, accumulate_layer_grads,
+                 sigmoid_bce, softmax_ce)
 from .simplex import SimilarityMatrix, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -23,9 +26,10 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TermResult:
+    """Value, per-layer gradients, and the gradient of each latent block read."""
     value: float
     grads: LayerGrads
-    extras: dict = field(default_factory=dict)
+    dz: list[np.ndarray] = field(default_factory=list)
 
 
 def _as_alpha(alpha) -> np.ndarray:
@@ -74,27 +78,26 @@ def compute_vh(bundle: ModelBundle, labeled_feats: list[np.ndarray],
     return TermResult(float(value), grads)
 
 
-def compute_vd(bundle: ModelBundle, orig_feats: list[np.ndarray],
-               labeled_feats: list[np.ndarray], alpha) -> TermResult:
-    """Conditional-discriminator loss: for each original domain i, BCE of
-    f(e(x), one-hot(i)) against target 1 on originals and target 0 on every
-    labeled domain j weighted alpha[i, j]. Returns gradients for the
-    discriminator and (separately scaled by the caller) for the encoder."""
+def compute_vd(bundle: ModelBundle, orig_z: list[np.ndarray],
+               labeled_z: list[np.ndarray], alpha) -> TermResult:
+    """Conditional-discriminator loss on latent rows: for each original domain
+    i, BCE of f(z, one-hot(i)) against target 1 on the originals of i and
+    target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
+    the discriminator; `dz` holds the latent gradients of the N original
+    blocks, then of the N labeled blocks."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
     a = _as_alpha(alpha)
     n = bundle.n_domains
 
-    n_orig = np.array([f.shape[0] for f in orig_feats])
-    n_lab = np.array([f.shape[0] for f in labeled_feats])
+    n_orig = np.array([z.shape[0] for z in orig_z])
+    n_lab = np.array([z.shape[0] for z in labeled_z])
     if np.any(n_orig == 0):
         raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
     for i, j in zip(*np.nonzero(a > 0)):
         if n_lab[j] == 0:
             log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
-    traces = ([bundle.encoder.forward(f) for f in orig_feats]
-              + [bundle.encoder.forward(labeled_feats[j]) for j in np.flatnonzero(n_lab)])
-    z = np.concatenate([t.output for t in traces])
+    z = np.concatenate([*orig_z, *labeled_z])
 
     # Block i holds the originals of domain i, then every labeled row, all
     # conditioned on domain i. Row r of z = [originals, labeled] is in block
@@ -117,50 +120,41 @@ def compute_vd(bundle: ModelBundle, orig_feats: list[np.ndarray],
     norm_loss, dlogits = sigmoid_bce(logits, is_orig, w)
     value = norm_loss * wsum / (2.0 * n)
     dlogits = dlogits * (wsum / (2.0 * n))
-
     disc_g = bundle.discriminator.backward(disc_trace, dlogits[:, None])
-    f_grads: LayerGrads = {}
-    accumulate_layer_grads(f_grads, disc_g.by_layer(bundle.discriminator))
 
-    # route the z-part of the input gradient back through the encoder: an
-    # original row sits in one block, a labeled row in all N, summed in block order
+    # an original row sits in one block, a labeled row in all N, its N
+    # gradients summed in block order
     dz_rows = disc_g.input[:, :bundle.latent_dim]
     dz = np.concatenate([dz_rows[is_orig], dz_rows[~is_orig].reshape(
         n, lab_owner.size, bundle.latent_dim).sum(axis=0)])
-    enc_grads: LayerGrads = {}
-    start = 0
-    for trace in traces:
-        rows = trace.output.shape[0]
-        g = bundle.encoder.backward(trace, dz[start:start + rows])
-        accumulate_layer_grads(enc_grads, g.by_layer(bundle.encoder))
-        start += rows
-
-    return TermResult(float(value), f_grads, {"encoder_grads": enc_grads})
+    return TermResult(float(value), disc_g.by_layer(bundle.discriminator),
+                      np.split(dz, np.cumsum([*n_orig, *n_lab])[:-1]))
 
 
-def compute_vlambda(bundle: ModelBundle, labeled_feats: list[np.ndarray],
+def compute_vlambda(bundle: ModelBundle, labeled_z: list[np.ndarray],
                     labeled_labels: list[np.ndarray], alpha) -> TermResult:
-    """Domain-specific head loss:
-    (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(e(x)), y)."""
+    """Domain-specific head loss on latent rows:
+    (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y). `grads` covers
+    the classifier trunk and the heads; `dz` holds the latent gradient of
+    each labeled block."""
     a = _as_alpha(alpha)
     n = bundle.n_domains
-    present = [j for j in range(n) if labeled_feats[j].shape[0] > 0]
+    sizes = [z.shape[0] for z in labeled_z]
+    present = [j for j in range(n) if sizes[j] > 0]
     for j in range(n):
-        if labeled_feats[j].shape[0] == 0 and a[:, j].max() > 0:
+        if sizes[j] == 0 and a[:, j].max() > 0:
             log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
     if not present:
-        return TermResult(0.0, {}, {})
+        return TermResult(0.0, {}, [np.zeros_like(z) for z in labeled_z])
 
-    enc_traces = {j: bundle.encoder.forward(labeled_feats[j]) for j in present}
-    z_all = np.vstack([enc_traces[j].output for j in present])
+    z_all = np.vstack([labeled_z[j] for j in present])
     y_all = np.concatenate([labeled_labels[j] for j in present])
-    sizes = [labeled_feats[j].shape[0] for j in present]
 
     grads: LayerGrads = {}
     dz_all = np.zeros_like(z_all)
     value = 0.0
     for i in range(n):
-        w = np.concatenate([np.full(sz, a[i, j] / sz) for j, sz in zip(present, sizes)])
+        w = np.concatenate([np.full(sizes[j], a[i, j] / sizes[j]) for j in present])
         wsum = w.sum()
         head = bundle.head_net(i)
         trace = head.forward(z_all)
@@ -172,32 +166,32 @@ def compute_vlambda(bundle: ModelBundle, labeled_feats: list[np.ndarray],
         accumulate_layer_grads(grads, g.by_layer(head), scale=1.0 / n)
         dz_all += g.input / n
     value /= n
-
-    start = 0
-    for j, sz in zip(present, sizes):
-        g = bundle.encoder.backward(enc_traces[j], dz_all[start:start + sz])
-        accumulate_layer_grads(grads, g.by_layer(bundle.encoder))
-        start += sz
-    return TermResult(float(value), grads, {})
+    return TermResult(float(value), grads, np.split(dz_all, np.cumsum(sizes)[:-1]))
 
 
-def _disc_decisions(bundle: ModelBundle, feats: np.ndarray, domain: int) -> np.ndarray:
-    """True where the discriminator calls a sample 'original domain' (threshold 0.5)."""
-    z = bundle.encode(feats)
-    return bundle.disc_logits(z, domain) >= 0.0
+def encoder_grads(bundle: ModelBundle, traces: list[ActivationTrace],
+                  dz: list[np.ndarray]) -> LayerGrads:
+    """Encoder gradients from latent-row gradients: one backward pass per
+    nonempty block through its encoder trace, summed in block order."""
+    grads: LayerGrads = {}
+    for trace, d in zip(traces, dz, strict=True):
+        if d.shape[0]:
+            g = bundle.encoder.backward(trace, d)
+            accumulate_layer_grads(grads, g.by_layer(bundle.encoder))
+    return grads
 
 
-def labeled_readouts(bundle: ModelBundle, labeled_feats: list[np.ndarray],
+def labeled_readouts(bundle: ModelBundle, labeled_z: list[np.ndarray],
                      labeled_labels: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frozen networks' 0/1 readouts on the labeled batches.
+    """The frozen networks' 0/1 readouts on the labeled batches' latent rows.
 
     Returns err_h (N,), the shared classifier's error on each L_j; head_err
     (N, N), head i's error on L_j; and disc_orig_rate (N, N), how often the
     discriminator takes L_j for original domain i (zero without one). An
-    empty L_j reads as error 1 and rate 0. Each L_j is encoded once and run
-    through the classifier trunk once; the shared and head final layers then
-    read the same trunk output.
+    empty L_j reads as error 1 and rate 0. Each L_j runs through the
+    classifier trunk once; the shared and head final layers then read the
+    same trunk output.
     """
     n = bundle.n_domains
     err_h = np.ones(n)
@@ -205,10 +199,9 @@ def labeled_readouts(bundle: ModelBundle, labeled_feats: list[np.ndarray],
     disc_orig = np.zeros((n, n))
     trunk = bundle.classifier.layers[:-1]
     finals = [bundle.classifier.layers[-1], *bundle.head_finals]
-    for j in range(n):
-        if labeled_feats[j].shape[0] == 0:
+    for j, z in enumerate(labeled_z):
+        if z.shape[0] == 0:
             continue
-        z = bundle.encode(labeled_feats[j])
         t = DenseNet(trunk).predict(z) if trunk else z
         # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
         errs = [float(np.mean(np.argmax(t @ f.W.T + f.b, axis=1) != labeled_labels[j]))
@@ -222,7 +215,7 @@ def labeled_readouts(bundle: ModelBundle, labeled_feats: list[np.ndarray],
     return err_h, head_err, disc_orig
 
 
-def alpha_objective_coefficients(bundle: ModelBundle, labeled_feats: list[np.ndarray],
+def alpha_objective_coefficients(bundle: ModelBundle, labeled_z: list[np.ndarray],
                                  labeled_labels: list[np.ndarray],
                                  lambda_d: float = 1.0) -> tuple[np.ndarray, dict]:
     """Linear coefficients of the 0/1-error objective in each alpha entry.
@@ -233,7 +226,7 @@ def alpha_objective_coefficients(bundle: ModelBundle, labeled_feats: list[np.nda
     discriminator mistakes L_j for original domain i.
     """
     n = bundle.n_domains
-    err_h, head_err, disc_orig = labeled_readouts(bundle, labeled_feats, labeled_labels)
+    err_h, head_err, disc_orig = labeled_readouts(bundle, labeled_z, labeled_labels)
     coeffs = (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
     diag = {"err_h": err_h, "head_err": head_err, "disc_orig_rate": disc_orig}
     return coeffs, diag
@@ -262,26 +255,24 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
     return a
 
 
-def estimate_h_distance(bundle: ModelBundle, orig_feats: np.ndarray,
-                        labeled_feats: list[np.ndarray], alpha_row: np.ndarray,
+def estimate_h_distance(bundle: ModelBundle, orig_z: np.ndarray,
+                        labeled_z: list[np.ndarray], alpha_row: np.ndarray,
                         domain: int) -> float:
     """Empirical feature-space distance between original domain `domain` and
-    its weighted labeled mixture, read off the current discriminator:
+    its weighted labeled mixture, from latent rows and the current discriminator:
     2 * (1 - [originals misread as mixture + weighted mixture misread as original]),
     clamped to [0, 2]."""
     alpha_row = np.asarray(alpha_row, dtype=np.float64)
-    if orig_feats.shape[0] == 0:
+    if orig_z.shape[0] == 0:
         raise ValueError("empty original sample set")
-    dec_o = _disc_decisions(bundle, orig_feats, domain)
-    err_o = float(np.mean(~dec_o))
+    err_o = float(np.mean(bundle.disc_logits(orig_z, domain) < 0.0))
     err_l = 0.0
-    for j, feats in enumerate(labeled_feats):
+    for j, z in enumerate(labeled_z):
         if alpha_row[j] == 0.0:
             continue
-        if feats.shape[0] == 0:
+        if z.shape[0] == 0:
             raise ValueError(f"empty labeled sample set for domain {j} with positive weight")
-        dec_l = _disc_decisions(bundle, feats, domain)
-        err_l += alpha_row[j] * float(np.mean(dec_l))
+        err_l += alpha_row[j] * float(np.mean(bundle.disc_logits(z, domain) >= 0.0))
     return float(np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0))
 
 

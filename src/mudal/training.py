@@ -4,7 +4,8 @@ Per minibatch, in order: the discriminator ascends the game value (descends
 its own BCE), the similarity matrix descends its frozen-net 0/1 objective via
 a projected step, and finally encoder, shared classifier, and domain heads
 descend the full objective with the discriminator term sign-flipped into the
-encoder. Models are re-initialized at the start of every round; the
+encoder. Each minibatch block is encoded once; its latent rows serve every
+term but V_h. Models are re-initialized at the start of every round; the
 similarity matrix restarts uniform.
 """
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
 from .nn import AdamState, accumulate_layer_grads
-from .objective import (_disc_decisions, alpha_objective_coefficients, alpha_step,
-                        compute_vd, compute_vh, compute_vlambda, labeled_readouts)
+from .objective import (alpha_objective_coefficients, alpha_step, compute_vd, compute_vh,
+                        compute_vlambda, encoder_grads, labeled_readouts)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -145,7 +146,9 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     )
     history: list[ObjectiveSnapshot] = []
     try:
-        alpha = _run_epochs(dataset, pool, config, rng, bundle, history)
+        # overflow and invalid values stop the round where they arise
+        with np.errstate(over="raise", invalid="raise"):
+            alpha = _run_epochs(dataset, pool, config, rng, bundle, history)
     except FloatingPointError as exc:
         raise NumericalAbort(f"training diverged: {exc}") from exc
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
@@ -168,11 +171,15 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             orig_feats, lab_feats, lab_labels = _sample_batches(rng, dataset, pool, config.batch_size)
 
             if config.trains_discriminator:
-                vd = compute_vd(bundle, orig_feats, lab_feats, alpha)
+                # one encoder trace per block (originals, then labeled), read
+                # by V_d, alpha and V_lambda
+                traces = [bundle.encoder.forward(f) for f in orig_feats + lab_feats]
+                orig_z, lab_z = [t.output for t in traces[:n]], [t.output for t in traces[n:]]
+                vd = compute_vd(bundle, orig_z, lab_z, alpha)
                 disc_set.step(disc_set.grads_from(vd.grads), disc_state, config.lr)
 
             if config.optimizes_alpha:
-                coeffs, _ = alpha_objective_coefficients(bundle, lab_feats, lab_labels,
+                coeffs, _ = alpha_objective_coefficients(bundle, lab_z, lab_labels,
                                                          config.lambda_d)
                 if coeff_ema is None:
                     coeff_ema = coeffs
@@ -186,16 +193,17 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             accumulate_layer_grads(total, vh.grads)
             v_lambda_val = 0.0
             if config.uses_vlambda:
-                vl = compute_vlambda(bundle, lab_feats, lab_labels, alpha)
+                vl = compute_vlambda(bundle, lab_z, lab_labels, alpha)
                 accumulate_layer_grads(total, vl.grads)
+                accumulate_layer_grads(total, encoder_grads(bundle, traces[n:], vl.dz))
                 v_lambda_val = vl.value
             v_d_val = 0.0
             if config.trains_discriminator:
-                vd_now = compute_vd(bundle, orig_feats, lab_feats, alpha)
+                vd_now = compute_vd(bundle, orig_z, lab_z, alpha)
                 v_d_val = vd_now.value
                 if config.aligns_encoder:
                     # descent on -lambda_d * V_d: the encoder fights the discriminator
-                    accumulate_layer_grads(total, vd_now.extras["encoder_grads"],
+                    accumulate_layer_grads(total, encoder_grads(bundle, traces, vd_now.dz),
                                            scale=-config.lambda_d)
             net_set.step(net_set.grads_from(total), net_state, config.lr)
 
@@ -207,9 +215,9 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         if config.trains_discriminator:
             # half the rate of originals called original plus the alpha-weighted
             # rate of (nonempty) labeled domains called not original
-            _, _, disc_orig = labeled_readouts(bundle, lab_feats, lab_labels)
-            ok_orig = np.array([np.mean(_disc_decisions(bundle, orig_feats[i], i))
-                                for i in range(n)])
+            z = [bundle.encode(f) for f in orig_feats + lab_feats]
+            _, _, disc_orig = labeled_readouts(bundle, z[n:], lab_labels)
+            ok_orig = np.array([np.mean(bundle.disc_logits(z[i], i) >= 0.0) for i in range(n)])
             present = np.array([f.shape[0] > 0 for f in lab_feats])
             disc_acc = 0.5 * (ok_orig + (alpha * (1.0 - disc_orig) * present).sum(axis=1))
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)

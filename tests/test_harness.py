@@ -1,15 +1,17 @@
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
-from mudal.cli import main as cli_main
-from mudal.config import (ConfigError, ExperimentConfig, config_to_text,
+from mudal.cli import build_parser, main as cli_main
+from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
 from mudal.data import RotatingSpec
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.simplex import SimilarityMatrix
-from mudal.training import TrainConfig
+from mudal.strategies import STRATEGIES
+from mudal.training import VARIANTS, TrainConfig
 
 MINIMAL = """
 [dataset]
@@ -122,6 +124,12 @@ class TestParseConfig:
                 ExperimentConfig(dataset=spec, variant=variant, strategy=strategy,
                                  train=TrainConfig(train_variant, epochs=1, batch_size=8),
                                  m0=6, m=6, rounds=1, seeds=(1,))
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ConfigError, match="repeated seeds"):
+            fast_config(seeds=(1, 2, 1))
+        with pytest.raises(ConfigError, match="repeated seeds"):
+            parse_config_text(MINIMAL + "\n[output]\nseeds = 3,3\n")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -255,6 +263,23 @@ class TestCli:
         resolved = (tmp_path / "o" / "config.resolved").read_text()
         assert "strategy = random" in resolved
         assert "assignment = separate" in resolved
+
+    def test_bad_seeds_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL + FAST_TRAIN + FAST_BUDGET)
+        for bad in ("1,x", ",", "", "1,1"):
+            assert cli_main(["run", str(path), "--seeds", bad,
+                             "--out", str(tmp_path / "o")]) == 2
+            assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_choices_are_the_package_names(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
+        assert choices["variant"] is VARIANTS
+        assert choices["strategy"] is STRATEGIES
+        assert choices["mode"] is ASSIGNMENT_MODES
 
     def test_verify_theory_exit_0(self, capsys):
         assert cli_main(["verify-theory", "--grid-step", "0.02"]) == 0

@@ -5,9 +5,9 @@ import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
-from mudal.nn import softmax_ce
+from mudal.nn import accumulate_layer_grads, sigmoid_bce, softmax_ce
 from mudal.objective import (alpha_objective_coefficients, alpha_step,
-                             compute_vd, compute_vh, compute_vlambda,
+                             compute_vd, compute_vh, compute_vlambda, encoder_grads,
                              estimate_h_distance, evaluate, labeled_readouts)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
@@ -25,6 +25,11 @@ def tiny_batches(n_domains=3, n_classes=3, per=7, seed=1):
     feats = [rng.standard_normal((per, 2)) for _ in range(n_domains)]
     labels = [rng.integers(0, n_classes, per) for _ in range(n_domains)]
     return feats, labels
+
+
+def encode(bundle, blocks):
+    """The latent rows of each feature block."""
+    return [bundle.encode(b) for b in blocks]
 
 
 def random_alpha(n, seed=2):
@@ -134,17 +139,16 @@ class TestVd:
         final = bundle.discriminator.layers[-1]
         final.W[...] = 0.0
         final.b[...] = 0.0
-        feats, _ = tiny_batches()
-        res = compute_vd(bundle, feats, feats, random_alpha(3))
+        z = encode(bundle, tiny_batches()[0])
+        res = compute_vd(bundle, z, z, random_alpha(3))
         np.testing.assert_allclose(res.value, math.log(2.0), atol=1e-9)
 
     def test_identity_alpha_selects_own_domain(self):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(seed=3)
         lab, _ = tiny_batches(seed=4)
-        res_eye = compute_vd(bundle, orig, lab, np.eye(3))
+        res_eye = compute_vd(bundle, encode(bundle, orig), encode(bundle, lab), np.eye(3))
         # oracle: (1/2N) sum_i [mean BCE(f(zO_i, i), 1) + mean BCE(f(zL_i, i), 0)]
-        from mudal.nn import sigmoid_bce
         expected = 0.0
         for i in range(3):
             z_o = bundle.encode(orig[i])
@@ -163,7 +167,6 @@ class TestVd:
         for j in empty_labeled:
             lab[j] = np.empty((0, 2))
         alpha = random_alpha(3, seed=7)
-        from mudal.nn import sigmoid_bce
         expected = 0.0
         for i in range(3):
             z_o = bundle.encode(orig[i])
@@ -176,7 +179,7 @@ class TestVd:
                 ll, _ = sigmoid_bce(bundle.disc_logits(z_l, i), np.zeros(z_l.shape[0]))
                 expected += alpha[i, j] * ll
         expected /= 6.0
-        res = compute_vd(bundle, orig, lab, alpha)
+        res = compute_vd(bundle, encode(bundle, orig), encode(bundle, lab), alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_matches_nested_sum_oracle(self):
@@ -190,9 +193,11 @@ class TestVd:
         orig, _ = tiny_batches(per=4, seed=8)
         lab, _ = tiny_batches(per=4, seed=9)
         alpha = random_alpha(3, seed=10)
-        res = compute_vd(bundle, orig, lab, alpha)
+        z_o, z_l = encode(bundle, orig), encode(bundle, lab)
+        res = compute_vd(bundle, z_o, z_l, alpha)
+        assert set(res.grads) == set(bundle.discriminator.layers)
         fd_check_term(bundle, bundle.discriminator.layers,
-                      lambda: compute_vd(bundle, orig, lab, alpha).value,
+                      lambda: compute_vd(bundle, z_o, z_l, alpha).value,
                       res.grads)
 
     @staticmethod
@@ -203,10 +208,15 @@ class TestVd:
         for j in empty_labeled:
             lab[j] = np.empty((0, 2))
         alpha = random_alpha(3, seed=13)
-        res = compute_vd(bundle, orig, lab, alpha)
+        traces = [bundle.encoder.forward(f) for f in orig + lab]
+        z = [t.output for t in traces]
+        res = compute_vd(bundle, z[:3], z[3:], alpha)
+        # one latent gradient per block read: originals, then labeled
+        assert [d.shape for d in res.dz] == [b.shape for b in z]
         fd_check_term(bundle, bundle.encoder.layers,
-                      lambda: compute_vd(bundle, orig, lab, alpha).value,
-                      res.extras["encoder_grads"])
+                      lambda: compute_vd(bundle, encode(bundle, orig),
+                                         encode(bundle, lab), alpha).value,
+                      encoder_grads(bundle, traces, res.dz))
 
     def test_encoder_gradients_match_fd(self):
         self._check_encoder_gradients(empty_labeled=())
@@ -224,7 +234,7 @@ class TestVlambda:
         feats, labels = tiny_batches(n_domains=1)
         alpha = np.array([[1.0]])
         vh = compute_vh(bundle, feats, labels, alpha)
-        vl = compute_vlambda(bundle, feats, labels, alpha)
+        vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-12)
 
     def test_equal_heads_collapse_to_vh(self):
@@ -235,7 +245,7 @@ class TestVlambda:
         feats, labels = tiny_batches()
         alpha = random_alpha(3, seed=14)
         vh = compute_vh(bundle, feats, labels, alpha)
-        vl = compute_vlambda(bundle, feats, labels, alpha)
+        vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-9)
 
     def test_matches_nested_sum_oracle(self):
@@ -250,19 +260,24 @@ class TestVlambda:
                 loss, _, _ = softmax_ce(head.predict(z), labels[j])
                 expected += alpha[i, j] * loss
         expected /= 3.0
-        res = compute_vlambda(bundle, feats, labels, alpha)
+        res = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_gradients_match_fd(self):
         bundle = tiny_bundle()
         feats, labels = tiny_batches(per=4, seed=17)
         alpha = random_alpha(3, seed=18)
-        res = compute_vlambda(bundle, feats, labels, alpha)
+        traces = [bundle.encoder.forward(f) for f in feats]
+        res = compute_vlambda(bundle, [t.output for t in traces], labels, alpha)
+        assert not set(res.grads) & set(bundle.encoder.layers)
+        grads = dict(res.grads)
+        accumulate_layer_grads(grads, encoder_grads(bundle, traces, res.dz))
         layers = [*bundle.encoder.layers, *bundle.classifier.layers[:-1],
                   *bundle.head_finals]
         fd_check_term(bundle, layers,
-                      lambda: compute_vlambda(bundle, feats, labels, alpha).value,
-                      res.grads)
+                      lambda: compute_vlambda(bundle, encode(bundle, feats), labels,
+                                              alpha).value,
+                      grads)
 
 
 class TestAlphaStep:
@@ -309,7 +324,8 @@ class TestAlphaStep:
     def test_coefficients_from_bundle(self):
         bundle = tiny_bundle()
         lab, lab_labels = tiny_batches(seed=24)
-        coeffs, diag = alpha_objective_coefficients(bundle, lab, lab_labels, 1.0)
+        coeffs, diag = alpha_objective_coefficients(bundle, encode(bundle, lab), lab_labels,
+                                                    1.0)
         assert coeffs.shape == (3, 3)
         assert np.all(np.isfinite(coeffs))
         assert np.all(diag["err_h"] >= 0) and np.all(diag["err_h"] <= 1)
@@ -326,7 +342,7 @@ class TestLabeledReadouts:
         lab, lab_labels = tiny_batches(seed=28)
         lab[1] = np.empty((0, 2))
         lab_labels[1] = np.empty(0, dtype=np.int64)
-        err_h, head_err, rate = labeled_readouts(bundle, lab, lab_labels)
+        err_h, head_err, rate = labeled_readouts(bundle, encode(bundle, lab), lab_labels)
         for j in (0, 2):
             z = bundle.encode(lab[j])
             pred = np.argmax(bundle.class_logits(lab[j]), axis=1)
@@ -343,7 +359,7 @@ class TestLabeledReadouts:
     def test_no_discriminator_gives_zero_rates(self):
         bundle = tiny_bundle(with_disc=False)
         lab, lab_labels = tiny_batches(seed=29)
-        err_h, head_err, rate = labeled_readouts(bundle, lab, lab_labels)
+        err_h, head_err, rate = labeled_readouts(bundle, encode(bundle, lab), lab_labels)
         np.testing.assert_array_equal(rate, 0.0)
         assert np.all((head_err >= 0) & (head_err <= 1))
 
@@ -354,28 +370,28 @@ class TestHDistance:
         final = bundle.discriminator.layers[-1]
         final.W[...] = 0.0
         final.b[...] = 0.0
-        feats, _ = tiny_batches()
-        d = estimate_h_distance(bundle, feats[0], feats, np.array([1 / 3] * 3), 0)
+        z = encode(bundle, tiny_batches()[0])
+        d = estimate_h_distance(bundle, z[0], z, np.array([1 / 3] * 3), 0)
         assert d == 0.0
 
     def test_result_always_in_range(self):
         bundle = tiny_bundle(seed=25)
         rng = np.random.default_rng(26)
         for _ in range(10):
-            orig = rng.standard_normal((20, 2))
-            lab = [rng.standard_normal((10, 2)) for _ in range(3)]
+            orig = bundle.encode(rng.standard_normal((20, 2)))
+            lab = encode(bundle, [rng.standard_normal((10, 2)) for _ in range(3)])
             row = project_simplex(rng.random(3))
             d = estimate_h_distance(bundle, orig, lab, row, 1)
             assert 0.0 <= d <= 2.0
 
     def test_empty_sets_rejected(self):
         bundle = tiny_bundle()
-        feats, _ = tiny_batches()
+        z = encode(bundle, tiny_batches()[0])
         with pytest.raises(ValueError, match="empty"):
-            estimate_h_distance(bundle, np.empty((0, 2)), feats, np.array([1, 0, 0.0]), 0)
-        empty_lab = [np.empty((0, 2))] * 3
+            estimate_h_distance(bundle, np.empty((0, 4)), z, np.array([1, 0, 0.0]), 0)
+        empty_lab = [np.empty((0, 4))] * 3
         with pytest.raises(ValueError, match="empty"):
-            estimate_h_distance(bundle, feats[0], empty_lab, np.array([1, 0, 0.0]), 0)
+            estimate_h_distance(bundle, z[0], empty_lab, np.array([1, 0, 0.0]), 0)
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
+from mudal.nn import DenseNet
 from mudal.training import NumericalAbort, TrainConfig, train_round, write_snapshots_csv
 
 
@@ -87,6 +88,27 @@ class TestTrainRound:
         ds, pool = toy_setup()
         rr = train_round(ds, pool, fast_cfg(variant="cal_alpha", epochs=6), seed=11)
         assert not np.allclose(rr.alpha.alpha, 1.0 / 3.0, atol=1e-3)
+
+    def test_cal_step_runs_the_encoder_once_per_block(self, monkeypatch):
+        calls = []
+        for name in ("forward", "backward"):
+            def counted(net, *args, _name=name, _orig=getattr(DenseNet, name)):
+                calls.append((_name, net))
+                return _orig(net, *args)
+            monkeypatch.setattr(DenseNet, name, counted)
+        ds, pool = toy_setup()
+        rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
+        n, steps = 3, 8  # ceil(60 train points / batch 8) steps in the one epoch
+
+        def encoder_calls(kind):
+            return sum(1 for k, net in calls if k == kind and net is rr.bundle.encoder)
+
+        # each step encodes the N original and N labeled blocks once, plus
+        # V_h's stacked pass; the epoch snapshot encodes the 2N blocks again
+        assert encoder_calls("forward") == steps * (2 * n + 1) + 2 * n
+        # each step backpropagates V_h's pass, V_lambda's N labeled blocks
+        # and V_d's 2N blocks, and nothing for the discriminator update
+        assert encoder_calls("backward") == steps * (1 + n + 2 * n)
 
     def test_numerical_abort_on_divergence(self):
         # a pathological step size overflows the second matmul immediately
