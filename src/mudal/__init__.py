@@ -10,7 +10,7 @@ from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
                       column_importance, largest_remainder_round, project_simplex)
 from .models import ModelBundle, make_bundle
 from .objective import (alpha_objective_coefficients, alpha_step, compute_vd,
-                        compute_vh, compute_vlambda, encoder_grads, estimate_h_distance,
+                        compute_vh, compute_vlambda, disc_orig_rates, estimate_h_distance,
                         evaluate, labeled_readouts)
 from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConfig,
                        train_round, write_snapshots_csv)

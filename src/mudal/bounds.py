@@ -12,7 +12,7 @@ import numpy as np
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle
 from .objective import estimate_h_distance, labeled_readouts
-from .simplex import SimilarityMatrix, column_importance, project_simplex
+from .simplex import as_alpha, column_importance, project_simplex
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     importance-weighted 0/1 error on labeled data, the Hoeffding term at the
     pool's realized budget shares, the mean estimated feature distance, and
     the trainable stand-in for the per-domain joint-error floor."""
-    a = alpha.alpha if isinstance(alpha, SimilarityMatrix) else np.asarray(alpha, dtype=np.float64)
+    a = as_alpha(alpha)
     n = dataset.n_domains
     cols = column_importance(a)
     counts = pool.counts()

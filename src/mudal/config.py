@@ -59,6 +59,8 @@ class ExperimentConfig:
         n = self.dataset.n_domains
         if self.m0 < n:
             raise ConfigError(f"m0 must be >= n_domains ({n})")
+        if self.m < 1:
+            raise ConfigError("m must be >= 1")
         if self.assignment != "joint" and self.m < n:
             raise ConfigError(f"m must be >= n_domains ({n}) for {self.assignment}")
         if self.assignment == "separate" and self.m % n != 0:
@@ -143,11 +145,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if kind not in _DATASET:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     d = _read_section(cp, "dataset", _DATASET[kind])
-    dataset = RotatingSpec(**d) if kind == "rotating" else IdxDatasetSpec(**d)
-
     method = _read_section(cp, "method", _METHOD)
     train_kw = _read_section(cp, "train", _TRAIN)
     try:
+        dataset = RotatingSpec(**d) if kind == "rotating" else IdxDatasetSpec(**d)
         train = TrainConfig(variant=method["variant"], **train_kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

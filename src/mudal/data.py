@@ -88,6 +88,13 @@ class RotatingSpec:
             raise ValueError(f"unknown base_shape {self.base_shape!r}")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
+        # blob centroids are equally spaced on the unit circle: 2*pi/n_classes >= 4*noise
+        max_classes = max(1, int(np.floor(np.pi / (2.0 * max(self.noise, 1e-9)))))
+        if self.base_shape == "gaussian_blobs" and self.n_classes > max_classes:
+            raise ValueError(f"{self.n_classes} classes are not distinguishable at noise "
+                             f"{self.noise} (max {max_classes})")
+        if self.base_shape == "two_moons_k" and self.n_classes != 2:
+            raise ValueError("two_moons_k provides exactly 2 distinguishable clusters")
 
 
 def _base_points(kind: str, labels: np.ndarray, n_classes: int, noise: float,
@@ -95,18 +102,10 @@ def _base_points(kind: str, labels: np.ndarray, n_classes: int, noise: float,
     n = labels.shape[0]
     if kind == "gaussian_blobs":
         # class centroids equally spaced on the unit circle
-        max_classes = max(1, int(np.floor(np.pi / (2.0 * max(noise, 1e-9)))))
-        if n_classes > max_classes:
-            raise ValueError(
-                f"{n_classes} classes are not distinguishable at noise {noise} "
-                f"(max {max_classes})"
-            )
         angles = 2.0 * np.pi * labels / n_classes
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         return pts + noise * rng.standard_normal((n, 2))
     if kind == "two_moons_k":
-        if n_classes != 2:
-            raise ValueError("two_moons_k provides exactly 2 distinguishable clusters")
         t = rng.uniform(0.0, np.pi, size=n)
         upper = np.stack([np.cos(t) - 0.5, np.sin(t) - 0.25], axis=1)
         pts = np.where((labels == 0)[:, None], upper, -upper)

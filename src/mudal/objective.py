@@ -3,79 +3,61 @@ the conditional-discriminator alignment term, the domain-specific head term,
 projected-gradient updates of the similarity matrix, and the empirical
 feature-space distance estimator.
 
-All three loss terms return their exact values together with per-layer
-gradients; the trainer combines them with the appropriate signs. Everything
-but V_h reads latent rows e(x) that the trainer encodes; V_d and V_lambda
-return their latent gradients, which `encoder_grads` takes into the encoder.
+Every term reads latent rows e(x) that the trainer encodes, and returns its
+exact value, the gradients of the networks past the encoder, and the gradient
+of the latent rows it read. The trainer adds the latent gradients with their
+signs (V_d flipped into the encoder) and runs the encoder backward once.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (ActivationTrace, DenseNet, LayerGrads, accumulate_layer_grads,
-                 sigmoid_bce, softmax_ce)
-from .simplex import SimilarityMatrix, column_importance, project_simplex
+from .nn import DenseNet, LayerGrads, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from .simplex import as_alpha, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class TermResult:
-    """Value, per-layer gradients, and the gradient of each latent block read."""
+    """A term's value; `grads`, the gradients of the networks past the
+    encoder; and `dz`, the latent gradient of the rows the term read, stacked
+    in the order read."""
     value: float
     grads: LayerGrads
-    dz: list[np.ndarray] = field(default_factory=list)
+    dz: np.ndarray
 
 
-def _as_alpha(alpha) -> np.ndarray:
-    if isinstance(alpha, SimilarityMatrix):
-        return alpha.alpha
-    return np.asarray(alpha, dtype=np.float64)
-
-
-def compute_vh(bundle: ModelBundle, labeled_feats: list[np.ndarray],
+def compute_vh(bundle: ModelBundle, labeled_z: list[np.ndarray],
                labeled_labels: list[np.ndarray], alpha) -> TermResult:
-    """Column-importance-weighted classification loss of the shared classifier:
-    sum_j alpha_j * mean_{L_j} CE(h(e(x)), y), via per-sample weights."""
-    a = _as_alpha(alpha)
-    cols = column_importance(a)
-    feats, labels, weights = [], [], []
-    for j in range(bundle.n_domains):
-        n_j = labeled_feats[j].shape[0]
-        if n_j == 0:
-            if cols[j] > 0:
-                log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
-            continue
-        feats.append(labeled_feats[j])
-        labels.append(labeled_labels[j])
-        weights.append(np.full(n_j, cols[j] / n_j))
-    if not feats:
-        return TermResult(0.0, {})
-    x = np.vstack(feats)
-    y = np.concatenate(labels)
+    """Column-importance-weighted classification loss of the shared classifier
+    on latent rows: sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample
+    weights. `grads` covers the classifier; `dz` the labeled rows."""
+    cols = column_importance(alpha)
+    weights = []
+    for j, z in enumerate(labeled_z):
+        if z.shape[0] == 0 and cols[j] > 0:
+            log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
+        weights.append(np.full(z.shape[0], cols[j] / max(z.shape[0], 1)))
+    z = np.concatenate(labeled_z)
+    y = np.concatenate(labeled_labels)
     w = np.concatenate(weights)
     wsum = w.sum()
 
-    enc_trace = bundle.encoder.forward(x)
-    cls_trace = bundle.classifier.forward(enc_trace.output)
+    cls_trace = bundle.classifier.forward(z)
     if wsum <= 0:
         value, dlogits = 0.0, np.zeros_like(cls_trace.output)
     else:
         norm_loss, dlogits, _ = softmax_ce(cls_trace.output, y, 1.0, w)
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
-
-    grads: LayerGrads = {}
     cls_g = bundle.classifier.backward(cls_trace, dlogits)
-    enc_g = bundle.encoder.backward(enc_trace, cls_g.input)
-    accumulate_layer_grads(grads, cls_g.by_layer(bundle.classifier))
-    accumulate_layer_grads(grads, enc_g.by_layer(bundle.encoder))
-    return TermResult(float(value), grads)
+    return TermResult(float(value), cls_g.by_layer(bundle.classifier), cls_g.input)
 
 
 def compute_vd(bundle: ModelBundle, orig_z: list[np.ndarray],
@@ -83,11 +65,10 @@ def compute_vd(bundle: ModelBundle, orig_z: list[np.ndarray],
     """Conditional-discriminator loss on latent rows: for each original domain
     i, BCE of f(z, one-hot(i)) against target 1 on the originals of i and
     target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
-    the discriminator; `dz` holds the latent gradients of the N original
-    blocks, then of the N labeled blocks."""
+    the discriminator; `dz` the original rows, then the labeled rows."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    a = _as_alpha(alpha)
+    a = as_alpha(alpha)
     n = bundle.n_domains
 
     n_orig = np.array([z.shape[0] for z in orig_z])
@@ -127,28 +108,25 @@ def compute_vd(bundle: ModelBundle, orig_z: list[np.ndarray],
     dz_rows = disc_g.input[:, :bundle.latent_dim]
     dz = np.concatenate([dz_rows[is_orig], dz_rows[~is_orig].reshape(
         n, lab_owner.size, bundle.latent_dim).sum(axis=0)])
-    return TermResult(float(value), disc_g.by_layer(bundle.discriminator),
-                      np.split(dz, np.cumsum([*n_orig, *n_lab])[:-1]))
+    return TermResult(float(value), disc_g.by_layer(bundle.discriminator), dz)
 
 
 def compute_vlambda(bundle: ModelBundle, labeled_z: list[np.ndarray],
                     labeled_labels: list[np.ndarray], alpha) -> TermResult:
     """Domain-specific head loss on latent rows:
     (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y). `grads` covers
-    the classifier trunk and the heads; `dz` holds the latent gradient of
-    each labeled block."""
-    a = _as_alpha(alpha)
+    the classifier trunk and the heads; `dz` the labeled rows."""
+    a = as_alpha(alpha)
     n = bundle.n_domains
     sizes = [z.shape[0] for z in labeled_z]
     present = [j for j in range(n) if sizes[j] > 0]
     for j in range(n):
         if sizes[j] == 0 and a[:, j].max() > 0:
             log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
+    z_all = np.concatenate(labeled_z)
     if not present:
-        return TermResult(0.0, {}, [np.zeros_like(z) for z in labeled_z])
-
-    z_all = np.vstack([labeled_z[j] for j in present])
-    y_all = np.concatenate([labeled_labels[j] for j in present])
+        return TermResult(0.0, {}, z_all)
+    y_all = np.concatenate(labeled_labels)
 
     grads: LayerGrads = {}
     dz_all = np.zeros_like(z_all)
@@ -166,19 +144,19 @@ def compute_vlambda(bundle: ModelBundle, labeled_z: list[np.ndarray],
         accumulate_layer_grads(grads, g.by_layer(head), scale=1.0 / n)
         dz_all += g.input / n
     value /= n
-    return TermResult(float(value), grads, np.split(dz_all, np.cumsum(sizes)[:-1]))
+    return TermResult(float(value), grads, dz_all)
 
 
-def encoder_grads(bundle: ModelBundle, traces: list[ActivationTrace],
-                  dz: list[np.ndarray]) -> LayerGrads:
-    """Encoder gradients from latent-row gradients: one backward pass per
-    nonempty block through its encoder trace, summed in block order."""
-    grads: LayerGrads = {}
-    for trace, d in zip(traces, dz, strict=True):
-        if d.shape[0]:
-            g = bundle.encoder.backward(trace, d)
-            accumulate_layer_grads(grads, g.by_layer(bundle.encoder))
-    return grads
+def disc_orig_rates(bundle: ModelBundle, z_blocks: list[np.ndarray]) -> np.ndarray:
+    """How often the discriminator takes each latent block for original
+    domain i, as (N, B): row i scores every block in one call under code i
+    (one call per code keeps a single copy of the rows in flight). An empty
+    block reads 0."""
+    sizes = np.array([z.shape[0] for z in z_blocks])
+    z = np.concatenate(z_blocks)
+    decided = np.stack([bundle.disc_logits(z, i) >= 0.0 for i in range(bundle.n_domains)])
+    member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
+    return decided.astype(np.float64) @ member / np.maximum(sizes, 1)
 
 
 def labeled_readouts(bundle: ModelBundle, labeled_z: list[np.ndarray],
@@ -196,7 +174,6 @@ def labeled_readouts(bundle: ModelBundle, labeled_z: list[np.ndarray],
     n = bundle.n_domains
     err_h = np.ones(n)
     head_err = np.ones((n, n))
-    disc_orig = np.zeros((n, n))
     trunk = bundle.classifier.layers[:-1]
     finals = [bundle.classifier.layers[-1], *bundle.head_finals]
     for j, z in enumerate(labeled_z):
@@ -207,11 +184,8 @@ def labeled_readouts(bundle: ModelBundle, labeled_z: list[np.ndarray],
         errs = [float(np.mean(np.argmax(t @ f.W.T + f.b, axis=1) != labeled_labels[j]))
                 for f in finals]
         err_h[j], head_err[:, j] = errs[0], errs[1:]
-        if bundle.discriminator is not None:
-            # L_j under every domain code at once: rows of block i read code i
-            logits = bundle.disc_logits(np.concatenate([z] * n),
-                                        np.repeat(np.arange(n), z.shape[0]))
-            disc_orig[:, j] = np.mean(logits.reshape(n, -1) >= 0.0, axis=1)
+    disc_orig = (np.zeros((n, n)) if bundle.discriminator is None
+                 else disc_orig_rates(bundle, labeled_z))
     return err_h, head_err, disc_orig
 
 
@@ -236,7 +210,7 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
                max_backtracks: int = 30) -> np.ndarray:
     """One projected-gradient step per row on the frozen linear objective,
     with a backtracking halving that never lets a row's value increase."""
-    a = _as_alpha(alpha).copy()
+    a = as_alpha(alpha).copy()
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if a.shape != coeffs.shape:
         raise ValueError("alpha/coefficient shape mismatch")

@@ -31,10 +31,16 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - tau, 0.0)
 
 
+def as_alpha(alpha: np.ndarray | "SimilarityMatrix") -> np.ndarray:
+    """The float64 array of a similarity matrix or of an array-like."""
+    if isinstance(alpha, SimilarityMatrix):
+        return alpha.alpha
+    return np.asarray(alpha, dtype=np.float64)
+
+
 def column_importance(alpha: np.ndarray | "SimilarityMatrix") -> np.ndarray:
     """Column means of the similarity matrix: labeled domain j's overall weight."""
-    a = alpha.alpha if isinstance(alpha, SimilarityMatrix) else np.asarray(alpha, dtype=np.float64)
-    return a.mean(axis=0)
+    return as_alpha(alpha).mean(axis=0)
 
 
 @dataclass
@@ -46,8 +52,6 @@ class SimilarityMatrix:
 
     def __post_init__(self) -> None:
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.ndim != 2 or self.alpha.shape[0] != self.alpha.shape[1]:
-            raise ValueError("alpha must be square")
         self.validate()
 
     @classmethod
@@ -59,6 +63,8 @@ class SimilarityMatrix:
         return self.alpha.shape[0]
 
     def validate(self, atol: float = 1e-9) -> None:
+        if self.alpha.ndim != 2 or self.alpha.shape[0] != self.alpha.shape[1]:
+            raise ValueError(f"alpha must be square (got shape {self.alpha.shape})")
         if np.any(self.alpha < -atol):
             raise ValueError("alpha entries must be nonnegative")
         rows = self.alpha.sum(axis=1)

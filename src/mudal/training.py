@@ -4,9 +4,10 @@ Per minibatch, in order: the discriminator ascends the game value (descends
 its own BCE), the similarity matrix descends its frozen-net 0/1 objective via
 a projected step, and finally encoder, shared classifier, and domain heads
 descend the full objective with the discriminator term sign-flipped into the
-encoder. Each minibatch block is encoded once; its latent rows serve every
-term but V_h. Models are re-initialized at the start of every round; the
-similarity matrix restarts uniform.
+encoder. The encoder runs forward once per minibatch; every term reads its
+latent rows, their latent gradients are summed (V_d's times -lambda_d), and the
+encoder runs backward once. Models are re-initialized at the start of every
+round; the similarity matrix restarts uniform.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
 from .nn import AdamState, accumulate_layer_grads
 from .objective import (alpha_objective_coefficients, alpha_step, compute_vd, compute_vh,
-                        compute_vlambda, encoder_grads, labeled_readouts)
+                        compute_vlambda, disc_orig_rates)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -56,6 +57,9 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if min(self.latent_dim, *self.encoder_hidden, *self.classifier_hidden,
+               *self.disc_hidden) < 1:
+            raise ValueError("latent_dim and every hidden width must be >= 1")
 
     @property
     def trains_discriminator(self) -> bool:
@@ -130,6 +134,11 @@ def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
     return orig_feats, lab_feats, lab_labels
 
 
+def _split_rows(z: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Views of the rows of `z` that belong to each stacked block."""
+    return np.split(z, np.cumsum([b.shape[0] for b in blocks])[:-1])
+
+
 def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainConfig,
                 seed) -> RoundResult:
     """Train freshly initialized networks on the current pool and return the
@@ -169,12 +178,16 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         last = None
         for _ in range(steps_per_epoch):
             orig_feats, lab_feats, lab_labels = _sample_batches(rng, dataset, pool, config.batch_size)
+            # one encoder pass over the originals (read only by V_d), then the
+            # labeled blocks; the discriminator update leaves the encoder as is
+            blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
+            trace = bundle.encoder.forward(np.vstack(blocks))
+            z = _split_rows(trace.output, blocks)
+            orig_z, lab_z = z[:-n], z[-n:]
+            dz = np.zeros_like(trace.output)
+            lab_rows = slice(sum(b.shape[0] for b in orig_z), None)
 
             if config.trains_discriminator:
-                # one encoder trace per block (originals, then labeled), read
-                # by V_d, alpha and V_lambda
-                traces = [bundle.encoder.forward(f) for f in orig_feats + lab_feats]
-                orig_z, lab_z = [t.output for t in traces[:n]], [t.output for t in traces[n:]]
                 vd = compute_vd(bundle, orig_z, lab_z, alpha)
                 disc_set.step(disc_set.grads_from(vd.grads), disc_state, config.lr)
 
@@ -188,14 +201,15 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
                     coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
                 alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
 
-            vh = compute_vh(bundle, lab_feats, lab_labels, alpha)
+            vh = compute_vh(bundle, lab_z, lab_labels, alpha)
             total = {}
             accumulate_layer_grads(total, vh.grads)
+            dz[lab_rows] = vh.dz
             v_lambda_val = 0.0
             if config.uses_vlambda:
                 vl = compute_vlambda(bundle, lab_z, lab_labels, alpha)
                 accumulate_layer_grads(total, vl.grads)
-                accumulate_layer_grads(total, encoder_grads(bundle, traces[n:], vl.dz))
+                dz[lab_rows] += vl.dz
                 v_lambda_val = vl.value
             v_d_val = 0.0
             if config.trains_discriminator:
@@ -203,23 +217,24 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
                 v_d_val = vd_now.value
                 if config.aligns_encoder:
                     # descent on -lambda_d * V_d: the encoder fights the discriminator
-                    accumulate_layer_grads(total, encoder_grads(bundle, traces, vd_now.dz),
-                                           scale=-config.lambda_d)
+                    dz -= config.lambda_d * vd_now.dz
+            enc_g = bundle.encoder.backward(trace, dz)
+            accumulate_layer_grads(total, enc_g.by_layer(bundle.encoder))
             net_set.step(net_set.grads_from(total), net_state, config.lr)
 
-            last = (orig_feats, lab_feats, lab_labels, vh.value, v_d_val, v_lambda_val)
+            last = (orig_feats, lab_feats, vh.value, v_d_val, v_lambda_val)
 
-        orig_feats, lab_feats, lab_labels, v_h_val, v_d_val, v_lambda_val = last
+        orig_feats, lab_feats, v_h_val, v_d_val, v_lambda_val = last
         t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
         disc_acc = np.zeros(n)
         if config.trains_discriminator:
             # half the rate of originals called original plus the alpha-weighted
             # rate of (nonempty) labeled domains called not original
-            z = [bundle.encode(f) for f in orig_feats + lab_feats]
-            _, _, disc_orig = labeled_readouts(bundle, z[n:], lab_labels)
-            ok_orig = np.array([np.mean(bundle.disc_logits(z[i], i) >= 0.0) for i in range(n)])
+            blocks = orig_feats + lab_feats
+            rates = disc_orig_rates(bundle, _split_rows(bundle.encode(np.vstack(blocks)), blocks))
             present = np.array([f.shape[0] > 0 for f in lab_feats])
-            disc_acc = 0.5 * (ok_orig + (alpha * (1.0 - disc_orig) * present).sum(axis=1))
+            disc_acc = 0.5 * (np.diag(rates[:, :n])
+                              + (alpha * (1.0 - rates[:, n:]) * present).sum(axis=1))
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():
             raise NumericalAbort(

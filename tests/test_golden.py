@@ -31,6 +31,13 @@ DIGESTS = {
     "seed_2/alpha_round_0.csv": "b47a441b8d1bbf5d8e4e894e6ed1bfd6a732344841963232368492e04537e2d7",
     "seed_2/alpha_round_1.csv": "77a07cc8bdda8a87482c6c9e2543f2695b46dbac4ea40703a3cba2cc48e019a4",
     "seed_2/alpha_round_2.csv": "3d14620219161df10e84d73cf20979d986a85e1f52efbb059782b1a6b10412e8",
+    # the snapshot CSVs pin cal's V_h, V_d, V_lambda and disc_acc per epoch
+    "seed_1/snapshots_round_0.csv": "ee94b5802c695c7b715b47a110017b67713876d127d78460137cb35c9952fa9d",
+    "seed_1/snapshots_round_1.csv": "25c9f4bf64a889a3c28348d53dd02cf080093dbd5c60d564a5b82e81dafe4a4d",
+    "seed_1/snapshots_round_2.csv": "5254ac51637c92cec041dadbe0bbb0222d8404811e738a0e38ba93bcd6fd23cf",
+    "seed_2/snapshots_round_0.csv": "3d47deabb576db537d711a310b64434a01ca9c922346cd6553cc81b724559494",
+    "seed_2/snapshots_round_1.csv": "193708f66e359498ab544a5fde6addbdd73c61baf6a6b2bf43b114721948702e",
+    "seed_2/snapshots_round_2.csv": "3f6bbff1a15f56bc075f605d9bc4e02ddff7c00222b979fd17c0f5a458db4a9e",
 }
 
 

@@ -273,6 +273,22 @@ class TestCli:
             assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", [
+        MINIMAL.replace("n_domains = 3", "n_domains = 0") + FAST_TRAIN + FAST_BUDGET,
+        MINIMAL + FAST_TRAIN.replace("latent_dim = 8", "latent_dim = 0") + FAST_BUDGET,
+        MINIMAL + FAST_TRAIN.replace("disc_hidden = 10", "disc_hidden = 10,0") + FAST_BUDGET,
+        MINIMAL.replace("cal_optimal", "joint") + FAST_TRAIN + FAST_BUDGET.replace("m = 6",
+                                                                                  "m = -3"),
+        MINIMAL.replace("n_classes = 3", "n_classes = 40") + FAST_TRAIN + FAST_BUDGET,
+    ], ids=["n_domains_0", "latent_dim_0", "hidden_width_0", "joint_m_negative",
+            "n_classes_40"])
+    def test_bad_values_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_choices_are_the_package_names(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -7,7 +7,7 @@ from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import accumulate_layer_grads, sigmoid_bce, softmax_ce
 from mudal.objective import (alpha_objective_coefficients, alpha_step,
-                             compute_vd, compute_vh, compute_vlambda, encoder_grads,
+                             compute_vd, compute_vh, compute_vlambda, disc_orig_rates,
                              estimate_h_distance, evaluate, labeled_readouts)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
@@ -30,6 +30,23 @@ def tiny_batches(n_domains=3, n_classes=3, per=7, seed=1):
 def encode(bundle, blocks):
     """The latent rows of each feature block."""
     return [bundle.encode(b) for b in blocks]
+
+
+def encode_stacked(bundle, blocks):
+    """One encoder pass over the stacked blocks: the trace and each block's
+    latent rows, as the trainer reads them."""
+    trace = bundle.encoder.forward(np.vstack(blocks))
+    return trace, np.split(trace.output, np.cumsum([b.shape[0] for b in blocks])[:-1])
+
+
+def with_encoder_grads(bundle, trace, res):
+    """The term's grads plus the encoder's, backpropagated from `res.dz`."""
+    assert res.dz.shape == trace.output.shape
+    assert not set(res.grads) & set(bundle.encoder.layers)
+    grads = dict(res.grads)
+    enc_g = bundle.encoder.backward(trace, res.dz)
+    accumulate_layer_grads(grads, enc_g.by_layer(bundle.encoder))
+    return grads
 
 
 def random_alpha(n, seed=2):
@@ -61,7 +78,7 @@ class TestVh:
         bundle = tiny_bundle()
         feats, labels = tiny_batches()
         alpha = np.full((3, 3), 1.0 / 3.0)
-        res = compute_vh(bundle, feats, labels, alpha)
+        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         # pooled mean over equal-size batches == mean of per-domain means
         pooled_logits = bundle.class_logits(np.vstack(feats))
         pooled_loss, _, _ = softmax_ce(pooled_logits, np.concatenate(labels))
@@ -72,7 +89,7 @@ class TestVh:
         feats, labels = tiny_batches()
         alpha = np.zeros((3, 3))
         alpha[:, 1] = 1.0
-        res = compute_vh(bundle, feats, labels, alpha)
+        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         one_loss, _, _ = softmax_ce(bundle.class_logits(feats[1]), labels[1])
         np.testing.assert_allclose(res.value, one_loss, atol=1e-12)
 
@@ -85,18 +102,20 @@ class TestVh:
         for j in range(3):
             loss_j, _, _ = softmax_ce(bundle.class_logits(feats[j]), labels[j])
             expected += cols[j] * loss_j
-        res = compute_vh(bundle, feats, labels, alpha)
+        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
         bundle = tiny_bundle()
         feats, labels = tiny_batches(per=4)
         alpha = random_alpha(3)
-        res = compute_vh(bundle, feats, labels, alpha)
+        trace, z = encode_stacked(bundle, feats)
+        res = compute_vh(bundle, z, labels, alpha)
+        assert set(res.grads) == set(bundle.classifier.layers)
         layers = [*bundle.encoder.layers, *bundle.classifier.layers]
         fd_check_term(bundle, layers,
-                      lambda: compute_vh(bundle, feats, labels, alpha).value,
-                      res.grads)
+                      lambda: compute_vh(bundle, encode(bundle, feats), labels, alpha).value,
+                      with_encoder_grads(bundle, trace, res))
 
     def test_empty_domain_contributes_zero(self, caplog):
         bundle = tiny_bundle()
@@ -105,7 +124,7 @@ class TestVh:
         labels[2] = np.empty(0, dtype=np.int64)
         alpha = np.full((3, 3), 1.0 / 3.0)
         with caplog.at_level("WARNING"):
-            res = compute_vh(bundle, feats, labels, alpha)
+            res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         cols = alpha.mean(axis=0)
         expected = sum(
             cols[j] * softmax_ce(bundle.class_logits(feats[j]), labels[j])[0]
@@ -208,15 +227,13 @@ class TestVd:
         for j in empty_labeled:
             lab[j] = np.empty((0, 2))
         alpha = random_alpha(3, seed=13)
-        traces = [bundle.encoder.forward(f) for f in orig + lab]
-        z = [t.output for t in traces]
+        # the latent gradient of every row read: originals, then labeled
+        trace, z = encode_stacked(bundle, orig + lab)
         res = compute_vd(bundle, z[:3], z[3:], alpha)
-        # one latent gradient per block read: originals, then labeled
-        assert [d.shape for d in res.dz] == [b.shape for b in z]
         fd_check_term(bundle, bundle.encoder.layers,
                       lambda: compute_vd(bundle, encode(bundle, orig),
                                          encode(bundle, lab), alpha).value,
-                      encoder_grads(bundle, traces, res.dz))
+                      with_encoder_grads(bundle, trace, res))
 
     def test_encoder_gradients_match_fd(self):
         self._check_encoder_gradients(empty_labeled=())
@@ -233,7 +250,7 @@ class TestVlambda:
         bundle.head_finals[0].b[...] = bundle.classifier.layers[-1].b
         feats, labels = tiny_batches(n_domains=1)
         alpha = np.array([[1.0]])
-        vh = compute_vh(bundle, feats, labels, alpha)
+        vh = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-12)
 
@@ -244,7 +261,7 @@ class TestVlambda:
             head.b[...] = bundle.classifier.layers[-1].b
         feats, labels = tiny_batches()
         alpha = random_alpha(3, seed=14)
-        vh = compute_vh(bundle, feats, labels, alpha)
+        vh = compute_vh(bundle, encode(bundle, feats), labels, alpha)
         vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-9)
 
@@ -267,17 +284,14 @@ class TestVlambda:
         bundle = tiny_bundle()
         feats, labels = tiny_batches(per=4, seed=17)
         alpha = random_alpha(3, seed=18)
-        traces = [bundle.encoder.forward(f) for f in feats]
-        res = compute_vlambda(bundle, [t.output for t in traces], labels, alpha)
-        assert not set(res.grads) & set(bundle.encoder.layers)
-        grads = dict(res.grads)
-        accumulate_layer_grads(grads, encoder_grads(bundle, traces, res.dz))
+        trace, z = encode_stacked(bundle, feats)
+        res = compute_vlambda(bundle, z, labels, alpha)
         layers = [*bundle.encoder.layers, *bundle.classifier.layers[:-1],
                   *bundle.head_finals]
         fd_check_term(bundle, layers,
                       lambda: compute_vlambda(bundle, encode(bundle, feats), labels,
                                               alpha).value,
-                      grads)
+                      with_encoder_grads(bundle, trace, res))
 
 
 class TestAlphaStep:
@@ -355,6 +369,16 @@ class TestLabeledReadouts:
         assert err_h[1] == 1.0
         np.testing.assert_array_equal(head_err[:, 1], 1.0)
         np.testing.assert_array_equal(rate[:, 1], 0.0)
+
+    def test_disc_orig_rates_match_per_block_recount(self):
+        bundle = tiny_bundle(seed=6)
+        blocks = encode(bundle, tiny_batches(seed=31)[0] + [np.empty((0, 2))])
+        rates = disc_orig_rates(bundle, blocks)
+        assert rates.shape == (3, 4)
+        for i in range(3):
+            for b in range(3):
+                assert rates[i, b] == np.mean(bundle.disc_logits(blocks[b], i) >= 0.0)
+        np.testing.assert_array_equal(rates[:, 3], 0.0)  # an empty block reads 0
 
     def test_no_discriminator_gives_zero_rates(self):
         bundle = tiny_bundle(with_disc=False)

@@ -64,6 +64,12 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             SimilarityMatrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    def test_non_square_csv_rejected(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("L0,L1,L2\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
+        with pytest.raises(ValueError, match="square"):
+            SimilarityMatrix.from_csv(path)
+
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         rows = np.stack([project_simplex(rng.random(5)) for _ in range(5)])

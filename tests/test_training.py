@@ -3,7 +3,8 @@ import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.nn import DenseNet
-from mudal.training import NumericalAbort, TrainConfig, train_round, write_snapshots_csv
+from mudal.training import (VARIANTS, NumericalAbort, TrainConfig, train_round,
+                            write_snapshots_csv)
 
 
 def toy_setup(n_domains=3, n_classes=3, seed=0, m0=18):
@@ -89,7 +90,8 @@ class TestTrainRound:
         rr = train_round(ds, pool, fast_cfg(variant="cal_alpha", epochs=6), seed=11)
         assert not np.allclose(rr.alpha.alpha, 1.0 / 3.0, atol=1e-3)
 
-    def test_cal_step_runs_the_encoder_once_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_step_runs_the_encoder_once(self, variant, monkeypatch):
         calls = []
         for name in ("forward", "backward"):
             def counted(net, *args, _name=name, _orig=getattr(DenseNet, name)):
@@ -97,18 +99,19 @@ class TestTrainRound:
                 return _orig(net, *args)
             monkeypatch.setattr(DenseNet, name, counted)
         ds, pool = toy_setup()
-        rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
-        n, steps = 3, 8  # ceil(60 train points / batch 8) steps in the one epoch
+        cfg = fast_cfg(variant=variant, epochs=2)
+        rr = train_round(ds, pool, cfg, seed=8)
+        steps = 8  # ceil(60 train points / batch 8) steps per epoch
 
         def encoder_calls(kind):
             return sum(1 for k, net in calls if k == kind and net is rr.bundle.encoder)
 
-        # each step encodes the N original and N labeled blocks once, plus
-        # V_h's stacked pass; the epoch snapshot encodes the 2N blocks again
-        assert encoder_calls("forward") == steps * (2 * n + 1) + 2 * n
-        # each step backpropagates V_h's pass, V_lambda's N labeled blocks
-        # and V_d's 2N blocks, and nothing for the discriminator update
-        assert encoder_calls("backward") == steps * (1 + n + 2 * n)
+        # each step encodes its stacked blocks once; the epoch snapshot
+        # encodes them once more to read the discriminator
+        snapshot = 1 if cfg.trains_discriminator else 0
+        assert encoder_calls("forward") == cfg.epochs * (steps + snapshot)
+        # the summed latent gradient goes back through the encoder once a step
+        assert encoder_calls("backward") == cfg.epochs * steps
 
     def test_numerical_abort_on_divergence(self):
         # a pathological step size overflows the second matmul immediately
