@@ -9,9 +9,9 @@ from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,
 from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
                       column_importance, largest_remainder_round, project_simplex)
 from .models import ModelBundle, make_bundle
-from .objective import (alpha_objective_coefficients, alpha_step, compute_vd,
-                        compute_vh, compute_vlambda, disc_orig_rates, estimate_h_distance,
-                        evaluate, labeled_readouts)
+from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass,
+                        compute_vd, compute_vh, compute_vlambda, disc_pass,
+                        estimate_h_distance, evaluate, labeled_readouts)
 from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConfig,
                        train_round, write_snapshots_csv)
 from .strategies import (QueryRequest, badge_embeddings, grads_select,

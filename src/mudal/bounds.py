@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle
-from .objective import estimate_h_distance, labeled_readouts
+from .objective import classifier_pass, estimate_h_distance
 from .simplex import as_alpha, column_importance, project_simplex
 
 
@@ -154,7 +154,11 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
     lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
     lab_labels = [pool.labels(j) for j in range(n)]
 
-    err_h, head_err, _ = labeled_readouts(bundle, lab_z, lab_labels)
+    # one classifier pass per labeled domain: one pass over the whole pool
+    # raised vanilla_select's set-up time and peak RSS (see CHANGES.md)
+    err = np.concatenate([classifier_pass(bundle, [z], [y]).errors()
+                          for z, y in zip(lab_z, lab_labels)], axis=1)
+    err_h, head_err = err[0], err[1:]
     weighted_err = float(cols @ err_h)
 
     beta = counts / total if total > 0 else np.zeros(n)

@@ -30,6 +30,14 @@ class IdxDatasetSpec:
     total_range_deg: float = 180.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_domains < 1:
+            raise ValueError("n_domains must be >= 1")
+        if self.train_per_domain < 1 or self.test_per_domain < 1:
+            raise ValueError("need at least one train and one test point per domain")
+        if self.total_range_deg <= 0:
+            raise ValueError("total_range_deg must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:

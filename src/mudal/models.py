@@ -49,10 +49,6 @@ class ModelBundle:
     def n_classes(self) -> int:
         return self.classifier.output_dim
 
-    def head_net(self, i: int) -> DenseNet:
-        """Domain head i as a net sharing every classifier layer but the last."""
-        return DenseNet([*self.classifier.layers[:-1], self.head_finals[i]])
-
     def trunk_net(self) -> DenseNet:
         if len(self.classifier.layers) == 1:
             raise ValueError("classifier has no trunk (single layer)")
@@ -93,15 +89,6 @@ class ModelBundle:
         if self.discriminator is None:
             raise ValueError("bundle has no discriminator")
         return ParamSet(self.discriminator.layers)
-
-    def shared_trunk_ok(self) -> bool:
-        """Heads must reuse the classifier's non-final layers (same objects)."""
-        trunk = self.classifier.layers[:-1]
-        for i in range(self.n_domains):
-            view = self.head_net(i)
-            if any(a is not b for a, b in zip(view.layers[:-1], trunk)):
-                return False
-        return True
 
 
 def make_bundle(feature_dim: int, n_classes: int, n_domains: int,

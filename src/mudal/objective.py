@@ -3,21 +3,26 @@ the conditional-discriminator alignment term, the domain-specific head term,
 projected-gradient updates of the similarity matrix, and the empirical
 feature-space distance estimator.
 
-Every term reads latent rows e(x) that the trainer encodes, and returns its
-exact value, the gradients of the networks past the encoder, and the gradient
-of the latent rows it read. The trainer adds the latent gradients with their
-signs (V_d flipped into the encoder) and runs the encoder backward once.
+Every term reads latent rows e(x) that the trainer encodes, through one
+forward pass per network. `classifier_pass` runs the classifier trunk once
+over the stacked labeled rows, then the shared and head final layers as one
+stack; V_h, V_lambda and the 0/1 readouts read its logits, and V_h and
+V_lambda return the gradient of the trunk output for one trunk backward
+(`ClassifierPass.backward`). `disc_pass` runs the discriminator once over
+every (row, domain code) pair V_d reads. It does not depend on alpha:
+`compute_vd` takes the loss and backward pass from it at a given alpha, and
+`DiscPass.rates` reads the discriminator's 0/1 decisions from it.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import DenseNet, LayerGrads, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from .nn import ActivationTrace, DenseNet, Layer, LayerGrads, sigmoid_bce, softmax_ce
 from .simplex import as_alpha, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -25,172 +30,228 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TermResult:
-    """A term's value; `grads`, the gradients of the networks past the
-    encoder; and `dz`, the latent gradient of the rows the term read, stacked
-    in the order read."""
+    """A term's value; `grads`, the gradients of the layers the term owns past
+    the rows it read; and `dz`, the gradient of those rows, stacked in the
+    order read (trunk outputs for V_h and V_lambda, latent rows for V_d)."""
     value: float
     grads: LayerGrads
     dz: np.ndarray
 
 
-def compute_vh(bundle: ModelBundle, labeled_z: list[np.ndarray],
-               labeled_labels: list[np.ndarray], alpha) -> TermResult:
-    """Column-importance-weighted classification loss of the shared classifier
-    on latent rows: sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample
-    weights. `grads` covers the classifier; `dz` the labeled rows."""
-    cols = column_importance(alpha)
-    weights = []
-    for j, z in enumerate(labeled_z):
-        if z.shape[0] == 0 and cols[j] > 0:
-            log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
-        weights.append(np.full(z.shape[0], cols[j] / max(z.shape[0], 1)))
-    z = np.concatenate(labeled_z)
-    y = np.concatenate(labeled_labels)
-    w = np.concatenate(weights)
-    wsum = w.sum()
+def _segment_means(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Means of consecutive segments of the given sizes along x's last axis;
+    an empty segment reads 0."""
+    member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
+    return x.astype(np.float64) @ member / np.maximum(sizes, 1)
 
-    cls_trace = bundle.classifier.forward(z)
+
+@dataclass
+class ClassifierPass:
+    """One classifier-trunk forward over the labeled domains' stacked latent
+    rows, and the logits (K, B, C) of the final layers on its output: the
+    shared final layer at 0, then head i's final at 1 + i when the pass
+    includes the heads."""
+    trunk: ActivationTrace | None  # None when the classifier has no trunk
+    hidden: np.ndarray             # the trunk output, (B, H)
+    finals: list[Layer]
+    versions: tuple[int, ...]      # of `finals`, at the forward pass
+    logits: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray              # rows per labeled domain
+
+    def errors(self) -> np.ndarray:
+        """0/1 error (K, N) of each final layer on each L_j; an empty L_j
+        reads 1."""
+        err = _segment_means(np.argmax(self.logits, axis=2) != self.labels, self.sizes)
+        err[:, self.sizes == 0] = 1.0
+        return err
+
+    def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+        """The trunk's gradients and the latent gradient of the rows the pass
+        read, from the summed gradient of the trunk output."""
+        if tuple(f.version for f in self.finals) != self.versions:
+            raise ValueError("stale trace: final layers changed since classifier_pass()")
+        if self.trunk is None:
+            return {}, dhidden
+        net = self.trunk.net
+        g = net.backward(self.trunk, dhidden)
+        return g.by_layer(net), g.input
+
+
+def classifier_pass(bundle: ModelBundle, labeled_z: list[np.ndarray],
+                    labeled_labels: list[np.ndarray], heads: bool = True) -> ClassifierPass:
+    """Run the classifier trunk once over the stacked labeled latent rows and
+    apply the shared final layer (and, with `heads`, every head final) as one
+    (K, C, H) stack."""
+    trunk = bundle.classifier.layers[:-1]
+    z = np.concatenate(labeled_z)
+    trace = DenseNet(trunk).forward(z) if trunk else None
+    hidden = z if trace is None else trace.output
+    finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
+    # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
+    logits = (hidden @ np.stack([f.W for f in finals]).transpose(0, 2, 1)
+              + np.stack([f.b for f in finals])[:, None, :])
+    if not np.all(np.isfinite(logits)):
+        raise FloatingPointError("non-finite values in classifier logits")
+    return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
+                          np.concatenate(labeled_labels),
+                          np.array([zj.shape[0] for zj in labeled_z]))
+
+
+def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
+    """Column-importance-weighted classification loss of the shared classifier:
+    sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample weights. `grads`
+    covers the shared final layer; `dz` the trunk output."""
+    cols = column_importance(alpha)
+    for j in np.nonzero((cls.sizes == 0) & (cols > 0))[0]:
+        log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
+    w = np.repeat(cols / np.maximum(cls.sizes, 1), cls.sizes)
+    wsum = w.sum()
     if wsum <= 0:
-        value, dlogits = 0.0, np.zeros_like(cls_trace.output)
+        value, dlogits = 0.0, np.zeros_like(cls.logits[0])
     else:
-        norm_loss, dlogits, _ = softmax_ce(cls_trace.output, y, 1.0, w)
+        norm_loss, dlogits, _ = softmax_ce(cls.logits[0], cls.labels, 1.0, w)
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
-    cls_g = bundle.classifier.backward(cls_trace, dlogits)
-    return TermResult(float(value), cls_g.by_layer(bundle.classifier), cls_g.input)
+    final = cls.finals[0]
+    grads = {final: (dlogits.T @ cls.hidden, dlogits.sum(axis=0))}
+    return TermResult(float(value), grads, dlogits @ final.W)
 
 
-def compute_vd(bundle: ModelBundle, orig_z: list[np.ndarray],
-               labeled_z: list[np.ndarray], alpha) -> TermResult:
-    """Conditional-discriminator loss on latent rows: for each original domain
-    i, BCE of f(z, one-hot(i)) against target 1 on the originals of i and
-    target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
-    the discriminator; `dz` the original rows, then the labeled rows."""
+def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
+    """Domain-specific head loss:
+    (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y), every head's
+    logits read from the one pass. `grads` covers the head finals; `dz` the
+    trunk output."""
+    a = as_alpha(alpha)
+    n = a.shape[0]
+    heads = cls.finals[1:]
+    if len(heads) != n:
+        raise ValueError("V_lambda needs a classifier pass with every head")
+    for j in np.nonzero((cls.sizes == 0) & (a.max(axis=0) > 0))[0]:
+        log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
+    # head i weighs each row of L_j by alpha[i, j] / |L_j|
+    w = np.repeat(a / np.maximum(cls.sizes, 1), cls.sizes, axis=1)
+    wsum = w.sum()
+    if wsum <= 0:
+        return TermResult(0.0, {}, np.zeros_like(cls.hidden))
+    logits = cls.logits[1:]
+    norm_loss, dlogits, _ = softmax_ce(logits.reshape(-1, logits.shape[2]),
+                                       np.tile(cls.labels, n), 1.0, w.reshape(-1))
+    dlogits = dlogits.reshape(logits.shape) * (wsum / n)
+    dW = dlogits.transpose(0, 2, 1) @ cls.hidden
+    grads = {h: (dW[i], dlogits[i].sum(axis=0)) for i, h in enumerate(heads)}
+    dhidden = (dlogits @ np.stack([h.W for h in heads])).sum(axis=0)
+    return TermResult(float(norm_loss * wsum / n), grads, dhidden)
+
+
+@dataclass
+class DiscPass:
+    """One discriminator forward over every row V_d reads. Block i holds the
+    originals of domain i, then every labeled row, all conditioned on domain
+    i; row r of the pass reads row `src[r]` of [originals, labeled] under code
+    `dom[r]`."""
+    trace: ActivationTrace
+    dom: np.ndarray
+    src: np.ndarray
+    n_orig: np.ndarray  # rows per original domain
+    n_lab: np.ndarray   # rows per labeled domain
+    latent: int         # width of the latent rows
+
+    @property
+    def is_orig(self) -> np.ndarray:
+        return self.src < self.n_orig.sum()
+
+    def rerun(self) -> DiscPass:
+        """The same input rows through the discriminator as it is now, e.g.
+        after its update."""
+        return replace(self, trace=self.trace.net.forward(self.trace.inputs[0]))
+
+    def rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """How often the discriminator takes rows for original: on each
+        domain's originals under its own code, (N,); on each L_j under each
+        code i, (N, N). An empty L_j reads 0."""
+        decided = self.trace.output.reshape(-1) >= 0.0
+        orig = _segment_means(decided[self.is_orig], self.n_orig)
+        lab = decided[~self.is_orig].reshape(self.n_orig.size, self.n_lab.sum())
+        return orig, _segment_means(lab, self.n_lab)
+
+
+def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray],
+              labeled_z: list[np.ndarray]) -> DiscPass:
+    """Run the discriminator once over the originals of each domain i under
+    code i and over every labeled row under every code."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    a = as_alpha(alpha)
     n = bundle.n_domains
-
     n_orig = np.array([z.shape[0] for z in orig_z])
     n_lab = np.array([z.shape[0] for z in labeled_z])
     if np.any(n_orig == 0):
         raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
-    for i, j in zip(*np.nonzero(a > 0)):
-        if n_lab[j] == 0:
-            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
     z = np.concatenate([*orig_z, *labeled_z])
-
-    # Block i holds the originals of domain i, then every labeled row, all
-    # conditioned on domain i. Row r of z = [originals, labeled] is in block
-    # i if it is an original of domain i or labeled; nonzero() lists the
-    # blocks in order, each block's rows in z's order.
-    orig_owner = np.repeat(np.arange(n), n_orig)
-    lab_owner = np.repeat(np.arange(n), n_lab)
-    in_block = np.concatenate([orig_owner == np.arange(n)[:, None],
-                               np.ones((n, lab_owner.size), dtype=bool)], axis=1)
+    # Row r of z = [originals, labeled] is in block i if it is an original of
+    # domain i or labeled; nonzero() lists the blocks in order, each block's
+    # rows in z's order.
+    in_block = np.concatenate([np.repeat(np.arange(n), n_orig) == np.arange(n)[:, None],
+                               np.ones((n, n_lab.sum()), dtype=bool)], axis=1)
     dom, src = np.nonzero(in_block)
+    trace = bundle.discriminator.forward(bundle.disc_input(z[src], dom))
+    return DiscPass(trace, dom, src, n_orig, n_lab, z.shape[1])
+
+
+def compute_vd(disc: DiscPass, alpha) -> TermResult:
+    """Conditional-discriminator loss from one discriminator pass: for each
+    original domain i, BCE of f(z, one-hot(i)) against target 1 on the
+    originals of i and target 0 on every labeled domain j weighted
+    alpha[i, j]. `grads` covers the discriminator; `dz` the original rows,
+    then the labeled rows."""
+    a = as_alpha(alpha)
+    n = disc.n_orig.size
+    for i, j in zip(*np.nonzero(a > 0)):
+        if disc.n_lab[j] == 0:
+            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
+    orig_owner = np.repeat(np.arange(n), disc.n_orig)
+    lab_owner = np.repeat(np.arange(n), disc.n_lab)
     # weight of row r in block i: 1/|O_i| for an original, alpha[i, j]/|L_j| for L_j
-    weight = np.concatenate([in_block[:, :orig_owner.size] / n_orig[:, None],
-                             a[:, lab_owner] / n_lab[lab_owner]], axis=1)
-    is_orig = src < orig_owner.size  # the BCE target
-    w = weight[dom, src]
+    weight = np.concatenate([(orig_owner == np.arange(n)[:, None]) / disc.n_orig[:, None],
+                             a[:, lab_owner] / disc.n_lab[lab_owner]], axis=1)
+    is_orig = disc.is_orig  # the BCE target
+    w = weight[disc.dom, disc.src]
     wsum = w.sum()
 
-    disc_trace = bundle.discriminator.forward(bundle.disc_input(z[src], dom))
-    logits = disc_trace.output.reshape(-1)
-    norm_loss, dlogits = sigmoid_bce(logits, is_orig, w)
+    norm_loss, dlogits = sigmoid_bce(disc.trace.output.reshape(-1), is_orig, w)
     value = norm_loss * wsum / (2.0 * n)
     dlogits = dlogits * (wsum / (2.0 * n))
-    disc_g = bundle.discriminator.backward(disc_trace, dlogits[:, None])
+    net = disc.trace.net
+    disc_g = net.backward(disc.trace, dlogits[:, None])
 
     # an original row sits in one block, a labeled row in all N, its N
     # gradients summed in block order
-    dz_rows = disc_g.input[:, :bundle.latent_dim]
+    dz_rows = disc_g.input[:, :disc.latent]
     dz = np.concatenate([dz_rows[is_orig], dz_rows[~is_orig].reshape(
-        n, lab_owner.size, bundle.latent_dim).sum(axis=0)])
-    return TermResult(float(value), disc_g.by_layer(bundle.discriminator), dz)
+        n, lab_owner.size, disc.latent).sum(axis=0)])
+    return TermResult(float(value), disc_g.by_layer(net), dz)
 
 
-def compute_vlambda(bundle: ModelBundle, labeled_z: list[np.ndarray],
-                    labeled_labels: list[np.ndarray], alpha) -> TermResult:
-    """Domain-specific head loss on latent rows:
-    (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y). `grads` covers
-    the classifier trunk and the heads; `dz` the labeled rows."""
-    a = as_alpha(alpha)
-    n = bundle.n_domains
-    sizes = [z.shape[0] for z in labeled_z]
-    present = [j for j in range(n) if sizes[j] > 0]
-    for j in range(n):
-        if sizes[j] == 0 and a[:, j].max() > 0:
-            log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
-    z_all = np.concatenate(labeled_z)
-    if not present:
-        return TermResult(0.0, {}, z_all)
-    y_all = np.concatenate(labeled_labels)
-
-    grads: LayerGrads = {}
-    dz_all = np.zeros_like(z_all)
-    value = 0.0
-    for i in range(n):
-        w = np.concatenate([np.full(sizes[j], a[i, j] / sizes[j]) for j in present])
-        wsum = w.sum()
-        head = bundle.head_net(i)
-        trace = head.forward(z_all)
-        if wsum <= 0:
-            continue
-        norm_loss, dlogits, _ = softmax_ce(trace.output, y_all, 1.0, w)
-        value += norm_loss * wsum
-        g = head.backward(trace, dlogits * wsum)
-        accumulate_layer_grads(grads, g.by_layer(head), scale=1.0 / n)
-        dz_all += g.input / n
-    value /= n
-    return TermResult(float(value), grads, dz_all)
-
-
-def disc_orig_rates(bundle: ModelBundle, z_blocks: list[np.ndarray]) -> np.ndarray:
-    """How often the discriminator takes each latent block for original
-    domain i, as (N, B): row i scores every block in one call under code i
-    (one call per code keeps a single copy of the rows in flight). An empty
-    block reads 0."""
-    sizes = np.array([z.shape[0] for z in z_blocks])
-    z = np.concatenate(z_blocks)
-    decided = np.stack([bundle.disc_logits(z, i) >= 0.0 for i in range(bundle.n_domains)])
-    member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
-    return decided.astype(np.float64) @ member / np.maximum(sizes, 1)
-
-
-def labeled_readouts(bundle: ModelBundle, labeled_z: list[np.ndarray],
-                     labeled_labels: list[np.ndarray]
+def labeled_readouts(cls: ClassifierPass, disc: DiscPass | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frozen networks' 0/1 readouts on the labeled batches' latent rows.
+    """The frozen networks' 0/1 readouts on the labeled batches, read from one
+    classifier pass with heads and, if given, one discriminator pass.
 
     Returns err_h (N,), the shared classifier's error on each L_j; head_err
     (N, N), head i's error on L_j; and disc_orig_rate (N, N), how often the
-    discriminator takes L_j for original domain i (zero without one). An
-    empty L_j reads as error 1 and rate 0. Each L_j runs through the
-    classifier trunk once; the shared and head final layers then read the
-    same trunk output.
+    discriminator takes L_j for original domain i (zero without a pass). An
+    empty L_j reads as error 1 and rate 0.
     """
-    n = bundle.n_domains
-    err_h = np.ones(n)
-    head_err = np.ones((n, n))
-    trunk = bundle.classifier.layers[:-1]
-    finals = [bundle.classifier.layers[-1], *bundle.head_finals]
-    for j, z in enumerate(labeled_z):
-        if z.shape[0] == 0:
-            continue
-        t = DenseNet(trunk).predict(z) if trunk else z
-        # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-        errs = [float(np.mean(np.argmax(t @ f.W.T + f.b, axis=1) != labeled_labels[j]))
-                for f in finals]
-        err_h[j], head_err[:, j] = errs[0], errs[1:]
-    disc_orig = (np.zeros((n, n)) if bundle.discriminator is None
-                 else disc_orig_rates(bundle, labeled_z))
-    return err_h, head_err, disc_orig
+    err = cls.errors()
+    n = err.shape[1]
+    if err.shape[0] != n + 1:
+        raise ValueError("the readouts need a classifier pass with every head")
+    disc_orig = np.zeros((n, n)) if disc is None else disc.rates()[1]
+    return err[0], err[1:], disc_orig
 
 
-def alpha_objective_coefficients(bundle: ModelBundle, labeled_z: list[np.ndarray],
-                                 labeled_labels: list[np.ndarray],
+def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
                                  lambda_d: float = 1.0) -> tuple[np.ndarray, dict]:
     """Linear coefficients of the 0/1-error objective in each alpha entry.
 
@@ -199,8 +260,8 @@ def alpha_objective_coefficients(bundle: ModelBundle, labeled_z: list[np.ndarray
     head-i 0/1 error on L_j, and (negatively) the rate at which the
     discriminator mistakes L_j for original domain i.
     """
-    n = bundle.n_domains
-    err_h, head_err, disc_orig = labeled_readouts(bundle, labeled_z, labeled_labels)
+    err_h, head_err, disc_orig = labeled_readouts(cls, disc)
+    n = err_h.size
     coeffs = (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
     diag = {"err_h": err_h, "head_err": head_err, "disc_orig_rate": disc_orig}
     return coeffs, diag

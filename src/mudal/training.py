@@ -4,10 +4,22 @@ Per minibatch, in order: the discriminator ascends the game value (descends
 its own BCE), the similarity matrix descends its frozen-net 0/1 objective via
 a projected step, and finally encoder, shared classifier, and domain heads
 descend the full objective with the discriminator term sign-flipped into the
-encoder. The encoder runs forward once per minibatch; every term reads its
-latent rows, their latent gradients are summed (V_d's times -lambda_d), and the
-encoder runs backward once. Models are re-initialized at the start of every
-round; the similarity matrix restarts uniform.
+encoder. Each network runs forward once per minibatch, the discriminator
+once before and once after its own update:
+
+1. the encoder, over the originals and the labeled rows stacked;
+2. the classifier trunk over the labeled rows, with the shared and head
+   final layers as one stack (`classifier_pass`);
+3. the discriminator (`disc_pass`), for its own update;
+4. the updated discriminator over the same rows (`DiscPass.rerun`). Its
+   decisions and the classifier pass's errors give the alpha coefficients;
+   V_d at the new alpha reads the same pass.
+
+V_h and V_lambda read the classifier pass and the trunk runs backward once on
+their summed gradient; the latent gradients (the trunk's, and V_d's times
+-lambda_d) go back through the encoder once. No pass or trace outlives its
+step. Models are re-initialized at the start of every round; the similarity
+matrix restarts uniform.
 """
 from __future__ import annotations
 
@@ -18,9 +30,9 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import AdamState, accumulate_layer_grads
-from .objective import (alpha_objective_coefficients, alpha_step, compute_vd, compute_vh,
-                        compute_vlambda, disc_orig_rates)
+from .nn import AdamState, LayerGrads, ParamSet, accumulate_layer_grads
+from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass, compute_vd,
+                        compute_vh, compute_vlambda, disc_pass)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -163,78 +175,97 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
+def _adam(opt: tuple[ParamSet, AdamState], grads: LayerGrads, lr: float) -> None:
+    params, state = opt
+    params.step(params.grads_from(grads), state, lr)
+
+
+def _train_step(bundle, config, batch, alpha, coeff_ema, net_opt, disc_opt):
+    """One minibatch step. Returns the new alpha, the new coefficient EMA and
+    (V_h, V_d, V_lambda); every pass and trace lives only as long as the step."""
+    orig_feats, lab_feats, lab_labels = batch
+    n = bundle.n_domains
+    # one encoder pass over the originals (read only by V_d), then the
+    # labeled blocks; the discriminator update leaves the encoder as is
+    blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
+    trace = bundle.encoder.forward(np.vstack(blocks))
+    z = _split_rows(trace.output, blocks)
+    orig_z, lab_z = z[:-n], z[-n:]
+    # one trunk pass over the labeled rows; the head logits only where
+    # V_lambda or the alpha readouts read them
+    cls = classifier_pass(bundle, lab_z, lab_labels,
+                          heads=config.uses_vlambda or config.optimizes_alpha)
+
+    v_d_val = 0.0
+    if config.trains_discriminator:
+        disc = disc_pass(bundle, orig_z, lab_z)
+        _adam(disc_opt, compute_vd(disc, alpha).grads, config.lr)
+        # the updated discriminator's one pass over the same rows feeds the
+        # alpha readouts and then V_d at the new alpha
+        disc = disc.rerun()
+        if config.optimizes_alpha:
+            coeffs, _ = alpha_objective_coefficients(cls, disc, config.lambda_d)
+            if coeff_ema is None:
+                coeff_ema = coeffs
+            else:
+                mom = ALPHA_COEFF_MOMENTUM
+                coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
+            alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
+        vd = compute_vd(disc, alpha)
+        v_d_val = vd.value
+
+    vh = compute_vh(cls, alpha)
+    total = dict(vh.grads)
+    dhidden = vh.dz
+    v_lambda_val = 0.0
+    if config.uses_vlambda:
+        vl = compute_vlambda(cls, alpha)
+        accumulate_layer_grads(total, vl.grads)
+        dhidden = dhidden + vl.dz
+        v_lambda_val = vl.value
+    trunk_g, dz_lab = cls.backward(dhidden)
+    accumulate_layer_grads(total, trunk_g)
+    dz = np.zeros_like(trace.output)
+    dz[trace.output.shape[0] - dz_lab.shape[0]:] = dz_lab
+    if config.aligns_encoder:
+        # descent on -lambda_d * V_d: the encoder fights the discriminator
+        dz -= config.lambda_d * vd.dz
+    enc_g = bundle.encoder.backward(trace, dz)
+    accumulate_layer_grads(total, enc_g.by_layer(bundle.encoder))
+    _adam(net_opt, total, config.lr)
+    return alpha, coeff_ema, (vh.value, v_d_val, v_lambda_val)
+
+
 def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     n = dataset.n_domains
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
-    net_state = AdamState.init(net_set.params())
+    net_opt = (net_set, AdamState.init(net_set.params()))
+    disc_opt = None
     if config.trains_discriminator:
         disc_set = bundle.disc_param_set()
-        disc_state = AdamState.init(disc_set.params())
+        disc_opt = (disc_set, AdamState.init(disc_set.params()))
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
     for epoch in range(1, config.epochs + 1):
-        last = None
         for _ in range(steps_per_epoch):
-            orig_feats, lab_feats, lab_labels = _sample_batches(rng, dataset, pool, config.batch_size)
-            # one encoder pass over the originals (read only by V_d), then the
-            # labeled blocks; the discriminator update leaves the encoder as is
-            blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
-            trace = bundle.encoder.forward(np.vstack(blocks))
-            z = _split_rows(trace.output, blocks)
-            orig_z, lab_z = z[:-n], z[-n:]
-            dz = np.zeros_like(trace.output)
-            lab_rows = slice(sum(b.shape[0] for b in orig_z), None)
+            batch = _sample_batches(rng, dataset, pool, config.batch_size)
+            alpha, coeff_ema, values = _train_step(bundle, config, batch, alpha, coeff_ema,
+                                                   net_opt, disc_opt)
 
-            if config.trains_discriminator:
-                vd = compute_vd(bundle, orig_z, lab_z, alpha)
-                disc_set.step(disc_set.grads_from(vd.grads), disc_state, config.lr)
-
-            if config.optimizes_alpha:
-                coeffs, _ = alpha_objective_coefficients(bundle, lab_z, lab_labels,
-                                                         config.lambda_d)
-                if coeff_ema is None:
-                    coeff_ema = coeffs
-                else:
-                    mom = ALPHA_COEFF_MOMENTUM
-                    coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
-                alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
-
-            vh = compute_vh(bundle, lab_z, lab_labels, alpha)
-            total = {}
-            accumulate_layer_grads(total, vh.grads)
-            dz[lab_rows] = vh.dz
-            v_lambda_val = 0.0
-            if config.uses_vlambda:
-                vl = compute_vlambda(bundle, lab_z, lab_labels, alpha)
-                accumulate_layer_grads(total, vl.grads)
-                dz[lab_rows] += vl.dz
-                v_lambda_val = vl.value
-            v_d_val = 0.0
-            if config.trains_discriminator:
-                vd_now = compute_vd(bundle, orig_z, lab_z, alpha)
-                v_d_val = vd_now.value
-                if config.aligns_encoder:
-                    # descent on -lambda_d * V_d: the encoder fights the discriminator
-                    dz -= config.lambda_d * vd_now.dz
-            enc_g = bundle.encoder.backward(trace, dz)
-            accumulate_layer_grads(total, enc_g.by_layer(bundle.encoder))
-            net_set.step(net_set.grads_from(total), net_state, config.lr)
-
-            last = (orig_feats, lab_feats, vh.value, v_d_val, v_lambda_val)
-
-        orig_feats, lab_feats, v_h_val, v_d_val, v_lambda_val = last
+        orig_feats, lab_feats, _ = batch
+        v_h_val, v_d_val, v_lambda_val = values
         t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
         disc_acc = np.zeros(n)
         if config.trains_discriminator:
             # half the rate of originals called original plus the alpha-weighted
             # rate of (nonempty) labeled domains called not original
             blocks = orig_feats + lab_feats
-            rates = disc_orig_rates(bundle, _split_rows(bundle.encode(np.vstack(blocks)), blocks))
+            z = _split_rows(bundle.encode(np.vstack(blocks)), blocks)
+            orig_rate, lab_rate = disc_pass(bundle, z[:n], z[n:]).rates()
             present = np.array([f.shape[0] > 0 for f in lab_feats])
-            disc_acc = 0.5 * (np.diag(rates[:, :n])
-                              + (alpha * (1.0 - rates[:, n:]) * present).sum(axis=1))
+            disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():
             raise NumericalAbort(

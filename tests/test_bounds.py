@@ -9,6 +9,7 @@ from mudal.bounds import (BoundParams, BoundReport, bound_ordering_diag,
 from mudal.data import MultiDomainDataset, init_pool
 from mudal.models import ModelBundle
 from mudal.nn import DenseNet, Layer
+from mudal.objective import classifier_pass, labeled_readouts
 from mudal.simplex import project_simplex
 
 
@@ -179,6 +180,27 @@ class TestEmpiricalBound:
         for part in (report.weighted_err, report.hoeffding, report.mean_hdist,
                      report.vlambda_proxy):
             assert part >= 0.0
+
+    @pytest.mark.parametrize("m0, alpha", [(8, [[0.7, 0.3], [0.4, 0.6]]), (1, [[1.0, 0.0]] * 2)],
+                             ids=["full", "empty_domain"])
+    def test_errors_match_the_stacked_readouts(self, m0, alpha):
+        # per-domain passes must read what one pass over the pool reads; an
+        # empty L_j (allowed only with a zero alpha column) drops out
+        ds = onehot_dataset(n_domains=2, per=10, n_classes=2)
+        bundle = passthrough_bundle(disc_zero=False)
+        rng = np.random.default_rng(5)
+        for layer in [*bundle.classifier.layers, *bundle.head_finals]:
+            layer.W[...] = rng.normal(size=layer.W.shape)
+        pool = init_pool(ds, m0, seed=1)
+        alpha = np.array(alpha)
+        report = empirical_bound(bundle, ds, pool, alpha)
+        lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(2)]
+        err_h, head_err, _ = labeled_readouts(
+            classifier_pass(bundle, lab_z, [pool.labels(j) for j in range(2)]))
+        has_rows = pool.counts() > 0
+        np.testing.assert_allclose(report.weighted_err, alpha.mean(axis=0) @ err_h, atol=1e-12)
+        np.testing.assert_allclose(report.vlambda_proxy,
+                                   (alpha * head_err)[:, has_rows].sum() / 2, atol=1e-12)
 
 
 class TestOrderingDiag:

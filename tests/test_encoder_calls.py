@@ -1,17 +1,21 @@
 """Structure check on the AST: every loss term and readout in `objective.py`
-reads latent rows that the trainer encodes, so no function there but
-`evaluate` runs the encoder forward or backward itself.
+reads latent rows that the trainer encodes, and classifier logits from the
+one stacked `classifier_pass`. So no function there but `evaluate` runs the
+encoder forward or backward itself, runs the whole classifier, or builds a
+per-head net.
 """
 import ast
 import pathlib
 
 OBJECTIVE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mudal" / "objective.py"
 ALLOWED = {"evaluate"}
+NET_CALLS = ("forward", "backward", "predict")
 
 
 def encoder_callers(source: str) -> list[str]:
-    """Names of the functions that call `encoder.forward`, `encoder.backward`
-    or `.encode(`."""
+    """Names of the functions that call `encoder.forward`, `encoder.backward`,
+    `classifier.forward`/`.backward`/`.predict`, `.encode(`, `.class_logits(`
+    or `.head_net(`."""
     callers = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
@@ -20,9 +24,9 @@ def encoder_callers(source: str) -> list[str]:
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             attr, owner = node.func.attr, node.func.value
-            if attr == "encode" or (attr in ("forward", "backward")
-                                    and isinstance(owner, ast.Attribute)
-                                    and owner.attr == "encoder"):
+            if attr in ("encode", "class_logits", "head_net") or (
+                    attr in NET_CALLS and isinstance(owner, ast.Attribute)
+                    and owner.attr in ("encoder", "classifier")):
                 callers.append(fn.name)
                 break
     return callers
@@ -32,10 +36,15 @@ def test_checker_flags_encoder_calls():
     source = ("def a(b, x):\n    return b.encoder.forward(x)\n"
               "def c(b, t, d):\n    b.encoder.backward(t, d)\n"
               "def e(b, x):\n    return b.encode(x)\n"
-              "def f(b, z):\n    return b.classifier.forward(z)\n")
-    assert encoder_callers(source) == ["a", "c", "e"]
+              "def f(b, z):\n    return b.classifier.forward(z)\n"
+              "def g(b, z):\n    return b.head_net(0).forward(z)\n"
+              "def h(b, x):\n    return b.class_logits(x)\n"
+              "def k(b, z):\n    return b.classifier.predict(z)\n"
+              "def m(trunk, z):\n    return DenseNet(trunk).forward(z)\n"
+              "def p(b, z, i):\n    return b.disc_logits(z, i)\n")
+    assert encoder_callers(source) == ["a", "c", "e", "f", "g", "h", "k"]
 
 
 def test_objective_terms_read_latent_rows():
     callers = [name for name in encoder_callers(OBJECTIVE.read_text()) if name not in ALLOWED]
-    assert not callers, f"objective.py functions that run the encoder: {callers}"
+    assert not callers, f"objective.py functions that run the encoder or classifier: {callers}"

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from mudal.cli import build_parser, main as cli_main
 from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
-from mudal.data import RotatingSpec
+from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, RotatingSpec
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.simplex import SimilarityMatrix
 from mudal.strategies import STRATEGIES
@@ -280,11 +281,19 @@ class TestCli:
         MINIMAL.replace("cal_optimal", "joint") + FAST_TRAIN + FAST_BUDGET.replace("m = 6",
                                                                                   "m = -3"),
         MINIMAL.replace("n_classes = 3", "n_classes = 40") + FAST_TRAIN + FAST_BUDGET,
+        # readable IDX files (written below), so only the bad value can stop the run
+        MINIMAL.replace("kind = rotating", "kind = idx\nimages = {dir}/img.idx\n"
+                        "labels = {dir}/lab.idx")
+        .replace("n_classes = 3\n", "").replace("n_domains = 3", "n_domains = 0")
+        + FAST_TRAIN + FAST_BUDGET,
     ], ids=["n_domains_0", "latent_dim_0", "hidden_width_0", "joint_m_negative",
-            "n_classes_40"])
+            "n_classes_40", "idx_n_domains_0"])
     def test_bad_values_exit_2(self, text, tmp_path, capsys):
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2)
+                                           + bytes(16))
+        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4))
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
+        path.write_text(text.replace("{dir}", str(tmp_path)))
         assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -5,10 +5,10 @@ import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
-from mudal.nn import accumulate_layer_grads, sigmoid_bce, softmax_ce
-from mudal.objective import (alpha_objective_coefficients, alpha_step,
-                             compute_vd, compute_vh, compute_vlambda, disc_orig_rates,
-                             estimate_h_distance, evaluate, labeled_readouts)
+from mudal.nn import AdamState, DenseNet, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from mudal.objective import (TermResult, alpha_objective_coefficients, alpha_step,
+                             classifier_pass, compute_vd, compute_vh, compute_vlambda,
+                             disc_pass, estimate_h_distance, evaluate, labeled_readouts)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
 
@@ -37,6 +37,42 @@ def encode_stacked(bundle, blocks):
     latent rows, as the trainer reads them."""
     trace = bundle.encoder.forward(np.vstack(blocks))
     return trace, np.split(trace.output, np.cumsum([b.shape[0] for b in blocks])[:-1])
+
+
+def vh_of(bundle, z, labels, alpha):
+    return compute_vh(classifier_pass(bundle, z, labels, heads=False), alpha)
+
+
+def vlambda_of(bundle, z, labels, alpha):
+    return compute_vlambda(classifier_pass(bundle, z, labels), alpha)
+
+
+def vd_of(bundle, orig_z, lab_z, alpha):
+    return compute_vd(disc_pass(bundle, orig_z, lab_z), alpha)
+
+
+def head_net(bundle, i):
+    """Oracle: domain head i as a net sharing every classifier layer but the
+    last."""
+    return DenseNet([*bundle.classifier.layers[:-1], bundle.head_finals[i]])
+
+
+def disc_orig_rates(bundle, z_blocks):
+    """Oracle: (N, B), how often the discriminator takes latent block b for
+    original domain i, one `disc_logits` call per (code, block). An empty
+    block reads 0."""
+    return np.array([[np.mean(bundle.disc_logits(z, i) >= 0.0) if z.shape[0] else 0.0
+                      for z in z_blocks] for i in range(bundle.n_domains)])
+
+
+def with_trunk_grads(cls, res):
+    """A classifier term's grads plus the trunk's, and the latent gradient of
+    the labeled rows, backpropagated from `res.dz`."""
+    assert res.dz.shape == cls.hidden.shape
+    grads = dict(res.grads)
+    trunk_g, dz = cls.backward(res.dz)
+    accumulate_layer_grads(grads, trunk_g)
+    return TermResult(res.value, grads, dz)
 
 
 def with_encoder_grads(bundle, trace, res):
@@ -78,7 +114,7 @@ class TestVh:
         bundle = tiny_bundle()
         feats, labels = tiny_batches()
         alpha = np.full((3, 3), 1.0 / 3.0)
-        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
+        res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         # pooled mean over equal-size batches == mean of per-domain means
         pooled_logits = bundle.class_logits(np.vstack(feats))
         pooled_loss, _, _ = softmax_ce(pooled_logits, np.concatenate(labels))
@@ -89,7 +125,7 @@ class TestVh:
         feats, labels = tiny_batches()
         alpha = np.zeros((3, 3))
         alpha[:, 1] = 1.0
-        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
+        res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         one_loss, _, _ = softmax_ce(bundle.class_logits(feats[1]), labels[1])
         np.testing.assert_allclose(res.value, one_loss, atol=1e-12)
 
@@ -102,7 +138,7 @@ class TestVh:
         for j in range(3):
             loss_j, _, _ = softmax_ce(bundle.class_logits(feats[j]), labels[j])
             expected += cols[j] * loss_j
-        res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
+        res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -110,11 +146,14 @@ class TestVh:
         feats, labels = tiny_batches(per=4)
         alpha = random_alpha(3)
         trace, z = encode_stacked(bundle, feats)
-        res = compute_vh(bundle, z, labels, alpha)
+        cls = classifier_pass(bundle, z, labels, heads=False)
+        res = compute_vh(cls, alpha)
+        assert set(res.grads) == {bundle.classifier.layers[-1]}
+        res = with_trunk_grads(cls, res)
         assert set(res.grads) == set(bundle.classifier.layers)
         layers = [*bundle.encoder.layers, *bundle.classifier.layers]
         fd_check_term(bundle, layers,
-                      lambda: compute_vh(bundle, encode(bundle, feats), labels, alpha).value,
+                      lambda: vh_of(bundle, encode(bundle, feats), labels, alpha).value,
                       with_encoder_grads(bundle, trace, res))
 
     def test_empty_domain_contributes_zero(self, caplog):
@@ -124,7 +163,7 @@ class TestVh:
         labels[2] = np.empty(0, dtype=np.int64)
         alpha = np.full((3, 3), 1.0 / 3.0)
         with caplog.at_level("WARNING"):
-            res = compute_vh(bundle, encode(bundle, feats), labels, alpha)
+            res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         cols = alpha.mean(axis=0)
         expected = sum(
             cols[j] * softmax_ce(bundle.class_logits(feats[j]), labels[j])[0]
@@ -159,14 +198,14 @@ class TestVd:
         final.W[...] = 0.0
         final.b[...] = 0.0
         z = encode(bundle, tiny_batches()[0])
-        res = compute_vd(bundle, z, z, random_alpha(3))
+        res = vd_of(bundle, z, z, random_alpha(3))
         np.testing.assert_allclose(res.value, math.log(2.0), atol=1e-9)
 
     def test_identity_alpha_selects_own_domain(self):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(seed=3)
         lab, _ = tiny_batches(seed=4)
-        res_eye = compute_vd(bundle, encode(bundle, orig), encode(bundle, lab), np.eye(3))
+        res_eye = vd_of(bundle, encode(bundle, orig), encode(bundle, lab), np.eye(3))
         # oracle: (1/2N) sum_i [mean BCE(f(zO_i, i), 1) + mean BCE(f(zL_i, i), 0)]
         expected = 0.0
         for i in range(3):
@@ -198,7 +237,7 @@ class TestVd:
                 ll, _ = sigmoid_bce(bundle.disc_logits(z_l, i), np.zeros(z_l.shape[0]))
                 expected += alpha[i, j] * ll
         expected /= 6.0
-        res = compute_vd(bundle, encode(bundle, orig), encode(bundle, lab), alpha)
+        res = vd_of(bundle, encode(bundle, orig), encode(bundle, lab), alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_matches_nested_sum_oracle(self):
@@ -213,10 +252,10 @@ class TestVd:
         lab, _ = tiny_batches(per=4, seed=9)
         alpha = random_alpha(3, seed=10)
         z_o, z_l = encode(bundle, orig), encode(bundle, lab)
-        res = compute_vd(bundle, z_o, z_l, alpha)
+        res = vd_of(bundle, z_o, z_l, alpha)
         assert set(res.grads) == set(bundle.discriminator.layers)
         fd_check_term(bundle, bundle.discriminator.layers,
-                      lambda: compute_vd(bundle, z_o, z_l, alpha).value,
+                      lambda: vd_of(bundle, z_o, z_l, alpha).value,
                       res.grads)
 
     @staticmethod
@@ -229,10 +268,10 @@ class TestVd:
         alpha = random_alpha(3, seed=13)
         # the latent gradient of every row read: originals, then labeled
         trace, z = encode_stacked(bundle, orig + lab)
-        res = compute_vd(bundle, z[:3], z[3:], alpha)
+        res = vd_of(bundle, z[:3], z[3:], alpha)
         fd_check_term(bundle, bundle.encoder.layers,
-                      lambda: compute_vd(bundle, encode(bundle, orig),
-                                         encode(bundle, lab), alpha).value,
+                      lambda: vd_of(bundle, encode(bundle, orig),
+                                    encode(bundle, lab), alpha).value,
                       with_encoder_grads(bundle, trace, res))
 
     def test_encoder_gradients_match_fd(self):
@@ -250,8 +289,8 @@ class TestVlambda:
         bundle.head_finals[0].b[...] = bundle.classifier.layers[-1].b
         feats, labels = tiny_batches(n_domains=1)
         alpha = np.array([[1.0]])
-        vh = compute_vh(bundle, encode(bundle, feats), labels, alpha)
-        vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
+        vh = vh_of(bundle, encode(bundle, feats), labels, alpha)
+        vl = vlambda_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-12)
 
     def test_equal_heads_collapse_to_vh(self):
@@ -261,8 +300,8 @@ class TestVlambda:
             head.b[...] = bundle.classifier.layers[-1].b
         feats, labels = tiny_batches()
         alpha = random_alpha(3, seed=14)
-        vh = compute_vh(bundle, encode(bundle, feats), labels, alpha)
-        vl = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
+        vh = vh_of(bundle, encode(bundle, feats), labels, alpha)
+        vl = vlambda_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(vl.value, vh.value, atol=1e-9)
 
     def test_matches_nested_sum_oracle(self):
@@ -271,13 +310,13 @@ class TestVlambda:
         alpha = random_alpha(3, seed=16)
         expected = 0.0
         for i in range(3):
-            head = bundle.head_net(i)
+            head = head_net(bundle, i)
             for j in range(3):
                 z = bundle.encode(feats[j])
                 loss, _, _ = softmax_ce(head.predict(z), labels[j])
                 expected += alpha[i, j] * loss
         expected /= 3.0
-        res = compute_vlambda(bundle, encode(bundle, feats), labels, alpha)
+        res = vlambda_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_gradients_match_fd(self):
@@ -285,13 +324,14 @@ class TestVlambda:
         feats, labels = tiny_batches(per=4, seed=17)
         alpha = random_alpha(3, seed=18)
         trace, z = encode_stacked(bundle, feats)
-        res = compute_vlambda(bundle, z, labels, alpha)
+        cls = classifier_pass(bundle, z, labels)
+        res = compute_vlambda(cls, alpha)
+        assert set(res.grads) == set(bundle.head_finals)
         layers = [*bundle.encoder.layers, *bundle.classifier.layers[:-1],
                   *bundle.head_finals]
         fd_check_term(bundle, layers,
-                      lambda: compute_vlambda(bundle, encode(bundle, feats), labels,
-                                              alpha).value,
-                      with_encoder_grads(bundle, trace, res))
+                      lambda: vlambda_of(bundle, encode(bundle, feats), labels, alpha).value,
+                      with_encoder_grads(bundle, trace, with_trunk_grads(cls, res)))
 
 
 class TestAlphaStep:
@@ -337,9 +377,11 @@ class TestAlphaStep:
 
     def test_coefficients_from_bundle(self):
         bundle = tiny_bundle()
+        orig_z = encode(bundle, tiny_batches(seed=23)[0])
         lab, lab_labels = tiny_batches(seed=24)
-        coeffs, diag = alpha_objective_coefficients(bundle, encode(bundle, lab), lab_labels,
-                                                    1.0)
+        lab_z = encode(bundle, lab)
+        coeffs, diag = alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels),
+                                                    disc_pass(bundle, orig_z, lab_z), 1.0)
         assert coeffs.shape == (3, 3)
         assert np.all(np.isfinite(coeffs))
         assert np.all(diag["err_h"] >= 0) and np.all(diag["err_h"] <= 1)
@@ -350,42 +392,91 @@ class TestAlphaStep:
             np.tile(diag["err_h"] / 3.0, (3, 1)), atol=1e-12)
 
 
+def labeled_batches(bundle, empty=(), seed=28):
+    """Latent originals, latent labeled blocks and their labels; the labeled
+    domains in `empty` have no rows."""
+    orig_z = encode(bundle, tiny_batches(seed=seed - 1)[0])
+    lab, lab_labels = tiny_batches(seed=seed)
+    for j in empty:
+        lab[j] = np.empty((0, 2))
+        lab_labels[j] = np.empty(0, dtype=np.int64)
+    return orig_z, encode(bundle, lab), lab_labels
+
+
+def assert_errors_match_recount(bundle, lab_z, lab_labels, err_h, head_err):
+    """The stacked 0/1 readouts against one network run per (net, domain);
+    an empty labeled domain reads as error 1."""
+    for j, z in enumerate(lab_z):
+        if z.shape[0] == 0:
+            assert err_h[j] == 1.0
+            np.testing.assert_array_equal(head_err[:, j], 1.0)
+            continue
+        pred = np.argmax(bundle.classifier.predict(z), axis=1)
+        assert err_h[j] == np.mean(pred != lab_labels[j])
+        for i in range(bundle.n_domains):
+            pred = np.argmax(head_net(bundle, i).predict(z), axis=1)
+            assert head_err[i, j] == np.mean(pred != lab_labels[j])
+
+
 class TestLabeledReadouts:
     def test_matches_per_network_recount(self):
         bundle = tiny_bundle(seed=5)
-        lab, lab_labels = tiny_batches(seed=28)
-        lab[1] = np.empty((0, 2))
-        lab_labels[1] = np.empty(0, dtype=np.int64)
-        err_h, head_err, rate = labeled_readouts(bundle, encode(bundle, lab), lab_labels)
-        for j in (0, 2):
-            z = bundle.encode(lab[j])
-            pred = np.argmax(bundle.class_logits(lab[j]), axis=1)
-            assert err_h[j] == np.mean(pred != lab_labels[j])
-            for i in range(3):
-                pred = np.argmax(bundle.head_net(i).predict(z), axis=1)
-                assert head_err[i, j] == np.mean(pred != lab_labels[j])
-                assert rate[i, j] == np.mean(bundle.disc_logits(z, i) >= 0.0)
-        # an empty labeled domain reads as error 1 and rate 0
-        assert err_h[1] == 1.0
-        np.testing.assert_array_equal(head_err[:, 1], 1.0)
-        np.testing.assert_array_equal(rate[:, 1], 0.0)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=(1,))
+        err_h, head_err, rate = labeled_readouts(classifier_pass(bundle, lab_z, lab_labels),
+                                                 disc_pass(bundle, orig_z, lab_z))
+        assert_errors_match_recount(bundle, lab_z, lab_labels, err_h, head_err)
+        np.testing.assert_array_equal(rate, disc_orig_rates(bundle, lab_z))
+        np.testing.assert_array_equal(rate[:, 1], 0.0)  # an empty labeled domain reads 0
 
     def test_disc_orig_rates_match_per_block_recount(self):
         bundle = tiny_bundle(seed=6)
-        blocks = encode(bundle, tiny_batches(seed=31)[0] + [np.empty((0, 2))])
-        rates = disc_orig_rates(bundle, blocks)
-        assert rates.shape == (3, 4)
-        for i in range(3):
-            for b in range(3):
-                assert rates[i, b] == np.mean(bundle.disc_logits(blocks[b], i) >= 0.0)
-        np.testing.assert_array_equal(rates[:, 3], 0.0)  # an empty block reads 0
+        orig_z, lab_z, _ = labeled_batches(bundle, empty=(2,), seed=31)
+        orig_rate, lab_rate = disc_pass(bundle, orig_z, lab_z).rates()
+        np.testing.assert_array_equal(orig_rate, np.diag(disc_orig_rates(bundle, orig_z)))
+        np.testing.assert_array_equal(lab_rate, disc_orig_rates(bundle, lab_z))
+        np.testing.assert_array_equal(lab_rate[:, 2], 0.0)  # an empty block reads 0
 
     def test_no_discriminator_gives_zero_rates(self):
         bundle = tiny_bundle(with_disc=False)
         lab, lab_labels = tiny_batches(seed=29)
-        err_h, head_err, rate = labeled_readouts(bundle, encode(bundle, lab), lab_labels)
+        err_h, head_err, rate = labeled_readouts(
+            classifier_pass(bundle, encode(bundle, lab), lab_labels))
         np.testing.assert_array_equal(rate, 0.0)
         assert np.all((head_err >= 0) & (head_err <= 1))
+
+    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
+    def test_post_update_pass_feeds_the_alpha_readouts(self, empty):
+        # a training step reads the alpha coefficients' discriminator rates
+        # from the pass V_d reads after the discriminator update
+        bundle = tiny_bundle(seed=7)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
+        alpha = random_alpha(3, seed=35)
+        before = disc_pass(bundle, orig_z, lab_z)
+        disc_set = bundle.disc_param_set()
+        disc_set.step(disc_set.grads_from(compute_vd(before, alpha).grads),
+                      AdamState.init(disc_set.params()), 0.05)
+        after = before.rerun()
+        assert not np.allclose(after.trace.output, before.trace.output)
+        np.testing.assert_array_equal(after.trace.output,
+                                      disc_pass(bundle, orig_z, lab_z).trace.output)
+        _, diag = alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels),
+                                               after)
+        np.testing.assert_array_equal(diag["disc_orig_rate"], disc_orig_rates(bundle, lab_z))
+        assert_errors_match_recount(bundle, lab_z, lab_labels, diag["err_h"],
+                                    diag["head_err"])
+        with pytest.raises(ValueError, match="stale"):
+            compute_vd(before, alpha)
+        np.testing.assert_allclose(compute_vd(after, alpha).value,
+                                   vd_of(bundle, orig_z, lab_z, alpha).value, atol=0)
+
+    def test_stale_classifier_pass_refused(self):
+        bundle = tiny_bundle(seed=8)
+        _, lab_z, lab_labels = labeled_batches(bundle)
+        for layer in (bundle.head_finals[0], bundle.classifier.layers[0]):
+            cls = classifier_pass(bundle, lab_z, lab_labels)
+            layer.bump()
+            with pytest.raises(ValueError, match="stale"):
+                cls.backward(np.zeros_like(cls.hidden))
 
 
 class TestHDistance:

@@ -15,6 +15,18 @@ def toy_setup(n_domains=3, n_classes=3, seed=0, m0=18):
     return ds, pool
 
 
+def shared_trunk_ok(bundle):
+    """Oracle of the heads' trunk sharing: every head's net is the
+    classifier's non-final layers (the same objects) and its own final, and
+    the parameter set updates each of those layers once."""
+    trunk = bundle.classifier.layers[:-1]
+    heads = [DenseNet([*trunk, final]) for final in bundle.head_finals]
+    layers = bundle.net_param_set().layers
+    return (all(a is b for head in heads for a, b in zip(head.layers[:-1], trunk))
+            and all(sum(x is layer for x in layers) == 1
+                    for layer in [*trunk, *bundle.head_finals]))
+
+
 def fast_cfg(**over):
     base = dict(variant="cal", epochs=4, batch_size=8, latent_dim=8,
                 encoder_hidden=(12,), classifier_hidden=(12,), disc_hidden=(12,))
@@ -49,7 +61,7 @@ class TestTrainRound:
     def test_shared_trunk_invariant_after_training(self):
         ds, pool = toy_setup()
         rr = train_round(ds, pool, fast_cfg(), seed=4)
-        assert rr.bundle.shared_trunk_ok()
+        assert shared_trunk_ok(rr.bundle)
 
     def test_vanilla_fits_separable_data(self):
         # single well-separated blob per class: train accuracy beyond 95%
@@ -103,8 +115,17 @@ class TestTrainRound:
         rr = train_round(ds, pool, cfg, seed=8)
         steps = 8  # ceil(60 train points / batch 8) steps per epoch
 
+        def net_calls(kind, is_net):
+            return sum(1 for k, net in calls if k == kind and is_net(net))
+
         def encoder_calls(kind):
-            return sum(1 for k, net in calls if k == kind and net is rr.bundle.encoder)
+            return net_calls(kind, lambda net: net is rr.bundle.encoder)
+
+        def trunk_calls(kind):
+            return net_calls(kind, lambda net: net.layers[0] is rr.bundle.classifier.layers[0])
+
+        def disc_calls(kind):
+            return net_calls(kind, lambda net: net is rr.bundle.discriminator)
 
         # each step encodes its stacked blocks once; the epoch snapshot
         # encodes them once more to read the discriminator
@@ -112,6 +133,13 @@ class TestTrainRound:
         assert encoder_calls("forward") == cfg.epochs * (steps + snapshot)
         # the summed latent gradient goes back through the encoder once a step
         assert encoder_calls("backward") == cfg.epochs * steps
+        # one classifier-trunk pass feeds V_h, V_lambda and the alpha readouts
+        assert trunk_calls("forward") == trunk_calls("backward") == cfg.epochs * steps
+        # the discriminator runs once before its update and once after it;
+        # the snapshot reads one more pass
+        disc_steps = 2 * steps if cfg.trains_discriminator else 0
+        assert disc_calls("forward") == cfg.epochs * (disc_steps + snapshot)
+        assert disc_calls("backward") == cfg.epochs * disc_steps
 
     def test_numerical_abort_on_divergence(self):
         # a pathological step size overflows the second matmul immediately
