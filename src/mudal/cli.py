@@ -18,7 +18,7 @@ from .bounds import BoundParams, hoeffding_term, verify_optimal_beta
 from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
-from .nn import grad_check, sigmoid_bce, softmax_ce
+from .nn import DenseNet, grad_check, sigmoid_bce, softmax_ce
 from .strategies import STRATEGIES
 from .training import VARIANTS, NumericalAbort
 
@@ -69,42 +69,42 @@ def _cmd_verify_theory(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(0)
+def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
+    """(name, net, inputs, loss) for each network of a default bundle, with
+    inputs, labels, targets and weights drawn from `rng`."""
     bundle = make_bundle(2, 4, 6, rng)
     x = rng.standard_normal((6, 2))
     labels = rng.integers(0, 4, size=6)
     weights = rng.uniform(0.2, 1.0, size=6)
+    z = rng.standard_normal((6, bundle.latent_dim))
+    targets = rng.integers(0, 2, size=(6, bundle.n_domains)).astype(float)
+    disc_weights = rng.uniform(0.2, 1.0, size=(6, bundle.n_domains))
 
-    from .nn import DenseNet
+    def bce(out):
+        loss, dlogits = sigmoid_bce(out, targets, disc_weights)
+        return loss, dlogits.reshape(out.shape)
 
-    cases = []
     full = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers])
-    cases.append(("encoder+classifier / CE",
-                  full, x, lambda out: softmax_ce(out, labels)[:2]))
-    cases.append(("encoder+classifier / CE T=0.5 weighted",
-                  full, x, lambda out: softmax_ce(out, labels, 0.5, weights)[:2]))
-    head = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers[:-1], bundle.head_finals[0]])
-    cases.append(("encoder+domain head / CE", head, x,
-                  lambda out: softmax_ce(out, labels)[:2]))
-    zc = rng.standard_normal((6, bundle.latent_dim + bundle.n_domains))
-    targets = rng.integers(0, 2, size=6).astype(float)
-    cases.append(("conditional discriminator / BCE", bundle.discriminator, zc,
-                  lambda out: _bce_adapter(out, targets, weights)))
+    head = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers[:-1],
+                     bundle.head_finals[0]])
+    return [
+        ("encoder+classifier / CE", full, x, lambda out: softmax_ce(out, labels)[:2]),
+        ("encoder+classifier / CE T=0.5 weighted", full, x,
+         lambda out: softmax_ce(out, labels, 0.5, weights)[:2]),
+        ("encoder+domain head / CE", head, x, lambda out: softmax_ce(out, labels)[:2]),
+        ("discriminator, one logit per domain / weighted BCE", bundle.discriminator, z, bce),
+    ]
 
+
+def _cmd_gradcheck(args) -> int:
     worst = 0.0
-    for name, net, feats, loss in cases:
+    for name, net, feats, loss in gradcheck_cases(np.random.default_rng(0)):
         err = grad_check(net, feats, loss)
         worst = max(worst, err)
-        print(f"  {name}: max relative error {err:.3e}")
+        print(f"  {name}: max relative error beyond roundoff {err:.3e}")
     print(f"worst case: {worst:.3e} "
           f"[{'ok' if worst < 1e-4 else 'FAIL'}]")
     return 0 if worst < 1e-4 else 1
-
-
-def _bce_adapter(out, targets, weights):
-    loss, dlogits = sigmoid_bce(out.reshape(-1), targets, weights)
-    return loss, dlogits[:, None]
 
 
 def build_parser() -> argparse.ArgumentParser:

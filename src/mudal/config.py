@@ -37,6 +37,8 @@ class IdxDatasetSpec:
             raise ValueError("need at least one train and one test point per domain")
         if self.total_range_deg <= 0:
             raise ValueError("total_range_deg must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class ExperimentConfig:
                               "pair it with the cal, cal_alpha, or cal_fa variant")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"repeated seeds in {self.seeds}")
 

@@ -88,6 +88,8 @@ class RotatingSpec:
             raise ValueError(f"unknown base_shape {self.base_shape!r}")
         if self.noise < 0:
             raise ValueError("noise must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         # blob centroids are equally spaced on the unit circle: 2*pi/n_classes >= 4*noise
         max_classes = max(1, int(np.floor(np.pi / (2.0 * max(self.noise, 1e-9)))))
         if self.base_shape == "gaussian_blobs" and self.n_classes > max_classes:

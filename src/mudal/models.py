@@ -1,6 +1,6 @@
 """Network bundle for the composite trainer: shared encoder, shared classifier,
 per-domain classifier heads sharing the classifier trunk, and a conditional
-feature discriminator."""
+feature discriminator with one output per domain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -14,10 +14,11 @@ from .nn import DenseNet, Layer, ParamSet
 class ModelBundle:
     """encoder: D -> Z, classifier: Z -> C (trunk + final layer),
     head_finals[i]: a per-domain final layer over the shared trunk,
-    discriminator: (Z + N) -> 1 logit.
+    discriminator: Z -> N logits.
 
-    The discriminator is conditioned on the domain as in CDAN: its input rows
-    are [z, one-hot(domain)], built by `disc_input` and nowhere else.
+    Logit i of the discriminator is the conditional decision D_i(z) that a
+    latent row is an original of domain i rather than part of its labeled
+    mixture: MDAN's per-domain discriminators as heads over one shared trunk.
     """
 
     encoder: DenseNet
@@ -33,13 +34,11 @@ class ModelBundle:
         for i, head in enumerate(self.head_finals):
             if head.in_dim != trunk_out or head.out_dim != self.classifier.output_dim:
                 raise ValueError(f"head {i} does not match the classifier final layer shape")
-        if self.discriminator is not None:
-            expected = self.encoder.output_dim + self.n_domains
-            if self.discriminator.input_dim != expected:
-                raise ValueError(
-                    f"discriminator input dim {self.discriminator.input_dim} != "
-                    f"latent + code width {expected}"
-                )
+        disc = self.discriminator
+        if disc is not None and (disc.input_dim, disc.output_dim) != (self.latent_dim,
+                                                                       self.n_domains):
+            raise ValueError(f"discriminator maps {disc.input_dim} -> {disc.output_dim}; "
+                             f"need latent {self.latent_dim} -> {self.n_domains} domain logits")
 
     @property
     def latent_dim(self) -> int:
@@ -60,26 +59,19 @@ class ModelBundle:
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         return self.classifier.predict(self.encode(x))
 
-    def disc_input(self, z: np.ndarray, domains) -> np.ndarray:
-        """Discriminator rows [z, one-hot(domain)]. `domains` is one domain
-        index for every row or one index per row, each in [0, N)."""
+    def disc_logits(self, z: np.ndarray, domains) -> np.ndarray:
+        """The logit D_i(z) of each latent row under its domain i. `domains`
+        is one domain index for every row or one index per row, each in
+        [0, N)."""
+        if self.discriminator is None:
+            raise ValueError("bundle has no discriminator")
         d = np.asarray(domains)
         if not np.issubdtype(d.dtype, np.integer):
             raise ValueError(f"domain indices must be integers, got {d.dtype}")
         d = np.broadcast_to(d, (z.shape[0],))
         if d.size and (d.min() < 0 or d.max() >= self.n_domains):
             raise ValueError(f"domain index out of range [0, {self.n_domains})")
-        rows = np.zeros((z.shape[0], self.latent_dim + self.n_domains))
-        rows[:, :self.latent_dim] = z
-        rows[np.arange(z.shape[0]), self.latent_dim + d] = 1.0
-        return rows
-
-    def disc_logits(self, z: np.ndarray, domains) -> np.ndarray:
-        """Discriminator logits of latent rows `z` conditioned on `domains`
-        (one index, or one per row; see `disc_input`)."""
-        if self.discriminator is None:
-            raise ValueError("bundle has no discriminator")
-        return self.discriminator.predict(self.disc_input(z, domains)).reshape(-1)
+        return self.discriminator.predict(z)[np.arange(z.shape[0]), d]
 
     def net_param_set(self) -> ParamSet:
         """Encoder, classifier, and all head finals, each layer once."""
@@ -112,7 +104,7 @@ def make_bundle(feature_dim: int, n_classes: int, n_domains: int,
 
     discriminator = None
     if with_discriminator:
-        disc_dims = [latent_dim + n_domains, *disc_hidden, 1]
+        disc_dims = [latent_dim, *disc_hidden, n_domains]
         disc_acts = ["leaky_relu"] * len(disc_hidden) + ["identity"]
         discriminator = DenseNet.create(disc_dims, disc_acts, rng)
 

@@ -23,7 +23,7 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "leaky_relu":
         return np.where(z > 0.0, z, LEAKY_SLOPE * z)
     if kind == "sigmoid":
-        return _sigmoid(z)
+        return sigmoid(z)
     if kind == "identity":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -43,7 +43,8 @@ def _activation_grad(z: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, overflow-safe for logits of either sign."""
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
@@ -116,7 +117,8 @@ LayerGrads = dict[Layer, tuple[np.ndarray, np.ndarray]]
 
 @dataclass
 class Gradients:
-    """Per-parameter gradients aligned with net.param_arrays(), plus d(loss)/d(input)."""
+    """Per-parameter gradients, each layer's W then b in layer order, plus
+    d(loss)/d(input)."""
 
     params: list[np.ndarray]
     input: np.ndarray
@@ -159,13 +161,6 @@ class DenseNet:
             for k in range(len(dims) - 1)
         ]
         return cls(layers)
-
-    def param_arrays(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for layer in self.layers:
-            out.append(layer.W)
-            out.append(layer.b)
-        return out
 
     def versions(self) -> tuple[int, ...]:
         return tuple(layer.version for layer in self.layers)
@@ -367,13 +362,22 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,
     # max(z,0) - z*t + log(1 + exp(-|z|)) is the overflow-safe BCE
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     loss = float((weights * per).sum() / wsum)
-    dlogits = weights * (_sigmoid(z) - t) / wsum
+    dlogits = weights * (sigmoid(z) - t) / wsum
     return loss, dlogits
+
+
+# a loss value is taken as exact to within this many units in its last place
+FD_ROUNDOFF_ULPS = 8.0
 
 
 def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) -> float:
     """Max relative error between analytic parameter gradients and central
     finite differences. ``loss_fn`` maps the net output to (scalar, dloss/doutput).
+
+    A central difference carries its two loss values' roundoff, divided by
+    2 * eps. Each entry scores |g - fd| less that noise floor, relative to
+    max(|g|, |fd|): an entry that agrees to within the floor scores 0 however
+    small it is, and any larger disagreement counts in full above it.
     """
     features = np.asarray(features, dtype=np.float64)
     trace = net.forward(features)
@@ -385,7 +389,7 @@ def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) 
         return value
 
     worst = 0.0
-    params = net.param_arrays()
+    params = [p for layer in net.layers for p in (layer.W, layer.b)]
     for p, g in zip(params, analytic):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)
@@ -397,6 +401,8 @@ def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) 
             down = loss_at()
             flat_p[i] = orig
             fd = (up - down) / (2.0 * eps)
-            denom = max(abs(flat_g[i]), abs(fd), 1e-12)
-            worst = max(worst, abs(flat_g[i] - fd) / denom)
+            noise = FD_ROUNDOFF_ULPS * np.finfo(np.float64).eps * max(abs(up), abs(down)) / eps
+            excess = abs(flat_g[i] - fd) - noise
+            if excess > 0.0:
+                worst = max(worst, excess / max(abs(flat_g[i]), abs(fd)))
     return worst

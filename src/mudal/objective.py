@@ -9,7 +9,8 @@ over the stacked labeled rows, then the shared and head final layers as one
 stack; V_h, V_lambda and the 0/1 readouts read its logits, and V_h and
 V_lambda return the gradient of the trunk output for one trunk backward
 (`ClassifierPass.backward`). `disc_pass` runs the discriminator once over
-every (row, domain code) pair V_d reads. It does not depend on alpha:
+the stacked original and labeled latent rows; column i of its output is the
+conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha, and
 `DiscPass.rates` reads the discriminator's 0/1 decisions from it.
 """
@@ -147,20 +148,13 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
 
 @dataclass
 class DiscPass:
-    """One discriminator forward over every row V_d reads. Block i holds the
-    originals of domain i, then every labeled row, all conditioned on domain
-    i; row r of the pass reads row `src[r]` of [originals, labeled] under code
-    `dom[r]`."""
+    """One discriminator forward over the latent rows V_d reads, stacked as
+    [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]: the originals of each domain,
+    then each labeled domain. Column i of the output is D_i(z), the logit
+    that a row is an original of domain i."""
     trace: ActivationTrace
-    dom: np.ndarray
-    src: np.ndarray
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
-    latent: int         # width of the latent rows
-
-    @property
-    def is_orig(self) -> np.ndarray:
-        return self.src < self.n_orig.sum()
 
     def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
@@ -169,42 +163,33 @@ class DiscPass:
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         """How often the discriminator takes rows for original: on each
-        domain's originals under its own code, (N,); on each L_j under each
-        code i, (N, N). An empty L_j reads 0."""
-        decided = self.trace.output.reshape(-1) >= 0.0
-        orig = _segment_means(decided[self.is_orig], self.n_orig)
-        lab = decided[~self.is_orig].reshape(self.n_orig.size, self.n_lab.sum())
-        return orig, _segment_means(lab, self.n_lab)
+        domain's originals under its own logit, (N,); on each L_j under each
+        logit i, (N, N). An empty L_j reads 0."""
+        decided = (self.trace.output >= 0.0).T
+        n_o = self.n_orig.sum()
+        orig = _segment_means(decided[:, :n_o], self.n_orig)
+        return np.diag(orig), _segment_means(decided[:, n_o:], self.n_lab)
 
 
 def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray],
               labeled_z: list[np.ndarray]) -> DiscPass:
-    """Run the discriminator once over the originals of each domain i under
-    code i and over every labeled row under every code."""
+    """Run the discriminator once over the stacked original and labeled latent
+    rows."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    n = bundle.n_domains
     n_orig = np.array([z.shape[0] for z in orig_z])
     n_lab = np.array([z.shape[0] for z in labeled_z])
     if np.any(n_orig == 0):
         raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
-    z = np.concatenate([*orig_z, *labeled_z])
-    # Row r of z = [originals, labeled] is in block i if it is an original of
-    # domain i or labeled; nonzero() lists the blocks in order, each block's
-    # rows in z's order.
-    in_block = np.concatenate([np.repeat(np.arange(n), n_orig) == np.arange(n)[:, None],
-                               np.ones((n, n_lab.sum()), dtype=bool)], axis=1)
-    dom, src = np.nonzero(in_block)
-    trace = bundle.discriminator.forward(bundle.disc_input(z[src], dom))
-    return DiscPass(trace, dom, src, n_orig, n_lab, z.shape[1])
+    trace = bundle.discriminator.forward(np.concatenate([*orig_z, *labeled_z]))
+    return DiscPass(trace, n_orig, n_lab)
 
 
 def compute_vd(disc: DiscPass, alpha) -> TermResult:
     """Conditional-discriminator loss from one discriminator pass: for each
-    original domain i, BCE of f(z, one-hot(i)) against target 1 on the
-    originals of i and target 0 on every labeled domain j weighted
-    alpha[i, j]. `grads` covers the discriminator; `dz` the original rows,
-    then the labeled rows."""
+    original domain i, BCE of D_i against target 1 on the originals of i and
+    target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
+    the discriminator; `dz` the original rows, then the labeled rows."""
     a = as_alpha(alpha)
     n = disc.n_orig.size
     for i, j in zip(*np.nonzero(a > 0)):
@@ -212,25 +197,19 @@ def compute_vd(disc: DiscPass, alpha) -> TermResult:
             log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
     orig_owner = np.repeat(np.arange(n), disc.n_orig)
     lab_owner = np.repeat(np.arange(n), disc.n_lab)
-    # weight of row r in block i: 1/|O_i| for an original, alpha[i, j]/|L_j| for L_j
-    weight = np.concatenate([(orig_owner == np.arange(n)[:, None]) / disc.n_orig[:, None],
-                             a[:, lab_owner] / disc.n_lab[lab_owner]], axis=1)
-    is_orig = disc.is_orig  # the BCE target
-    w = weight[disc.dom, disc.src]
+    # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
+    # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
+    w = np.concatenate([np.eye(n)[orig_owner] / disc.n_orig[orig_owner, None],
+                        a[:, lab_owner].T / disc.n_lab[lab_owner, None]])
     wsum = w.sum()
+    logits = disc.trace.output
+    target = np.repeat([1.0, 0.0], [orig_owner.size, lab_owner.size])[:, None]
 
-    norm_loss, dlogits = sigmoid_bce(disc.trace.output.reshape(-1), is_orig, w)
-    value = norm_loss * wsum / (2.0 * n)
-    dlogits = dlogits * (wsum / (2.0 * n))
+    norm_loss, dlogits = sigmoid_bce(logits, np.broadcast_to(target, logits.shape), w)
+    scale = wsum / (2.0 * n)
     net = disc.trace.net
-    disc_g = net.backward(disc.trace, dlogits[:, None])
-
-    # an original row sits in one block, a labeled row in all N, its N
-    # gradients summed in block order
-    dz_rows = disc_g.input[:, :disc.latent]
-    dz = np.concatenate([dz_rows[is_orig], dz_rows[~is_orig].reshape(
-        n, lab_owner.size, disc.latent).sum(axis=0)])
-    return TermResult(float(value), disc_g.by_layer(net), dz)
+    disc_g = net.backward(disc.trace, dlogits.reshape(logits.shape) * scale)
+    return TermResult(float(norm_loss * scale), disc_g.by_layer(net), disc_g.input)
 
 
 def labeled_readouts(cls: ClassifierPass, disc: DiscPass | None = None

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelBundle
-from .nn import softmax
+from .nn import sigmoid, softmax
 
 STRATEGIES = ("random", "margin", "badge", "grads")
 
@@ -128,9 +128,7 @@ def outlier_scores(bundle: ModelBundle, feats: np.ndarray, domain) -> np.ndarray
     the labeled mixture for its domain (one index, or one per row)."""
     if bundle.discriminator is None:
         raise ValueError("outlier scores need a discriminator (composite-trained model)")
-    z = bundle.encode(feats)
-    logits = bundle.disc_logits(z, domain)
-    return 1.0 / (1.0 + np.exp(-logits))
+    return sigmoid(bundle.disc_logits(bundle.encode(feats), domain))
 
 
 def grads_select(req: QueryRequest, temperature: float = 0.5) -> np.ndarray:

@@ -10,7 +10,8 @@ once before and once after its own update:
 1. the encoder, over the originals and the labeled rows stacked;
 2. the classifier trunk over the labeled rows, with the shared and head
    final layers as one stack (`classifier_pass`);
-3. the discriminator (`disc_pass`), for its own update;
+3. the discriminator over the originals and the labeled rows stacked, each
+   row once, with one logit per domain (`disc_pass`), for its own update;
 4. the updated discriminator over the same rows (`DiscPass.rerun`). Its
    decisions and the classifier pass's errors give the alpha coefficients;
    V_d at the new alpha reads the same pass.

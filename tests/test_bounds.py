@@ -33,7 +33,7 @@ def passthrough_bundle(c=2, n_domains=2, disc_zero=True):
     classifier = DenseNet([eye(), eye()])
     heads = [Layer(np.eye(c), np.zeros(c), "identity") for _ in range(n_domains)]
     rng = np.random.default_rng(0)
-    disc = DenseNet.create([c + n_domains, 4, 1], ["leaky_relu", "identity"], rng)
+    disc = DenseNet.create([c, 4, n_domains], ["leaky_relu", "identity"], rng)
     if disc_zero:
         for layer in disc.layers:
             layer.W[...] = 0.0

@@ -23,21 +23,21 @@ GOLDEN = ExperimentConfig(
 )
 
 DIGESTS = {
-    "bounds.csv": "18f6e0043dbd089d307d69f99cca9397935e791760830b9878ed850f4c95258e",
-    "metrics.csv": "6be4332a329ad47b53cf04a5fb452e04f0471e0939a94a434ec1a0716398f6ff",
-    "seed_1/alpha_round_0.csv": "e0746752de9910a598bb69407c4a29602b2691f76bd2894b374128a81b4b481a",
-    "seed_1/alpha_round_1.csv": "df3ab74b1c39c38ea77d82fa11be1f46dd3d17fbcad1e7f99d29de6df7e43d8f",
-    "seed_1/alpha_round_2.csv": "b396d7840afaf630f30482d17c5e0a5e54edb5be428f07840572a54aebd397e0",
-    "seed_2/alpha_round_0.csv": "b47a441b8d1bbf5d8e4e894e6ed1bfd6a732344841963232368492e04537e2d7",
-    "seed_2/alpha_round_1.csv": "77a07cc8bdda8a87482c6c9e2543f2695b46dbac4ea40703a3cba2cc48e019a4",
-    "seed_2/alpha_round_2.csv": "3d14620219161df10e84d73cf20979d986a85e1f52efbb059782b1a6b10412e8",
+    "bounds.csv": "3eb17d5f7aeb9d572232e005511a8fe428438cd45b077c08d00fb157db97fd4a",
+    "metrics.csv": "0e7548329c9354d748040a9d68a4ec024f253afa7cc762204e3ded4c50dfe2da",
+    "seed_1/alpha_round_0.csv": "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
+    "seed_1/alpha_round_1.csv": "aaa13c6cab59cafa7d5bd8ac5d5f2bae7e44e31d426049c6a3fac510e55eec89",
+    "seed_1/alpha_round_2.csv": "90e0b9e353df5f86a0e62cd6662cc8ff287e0185399ef54f0b20eaa6984e044e",
+    "seed_2/alpha_round_0.csv": "d1145d62fc89b03cc265b9f1af6c8dd4d763562a6b77ed5c110890080c7d6d77",
+    "seed_2/alpha_round_1.csv": "15a14526e8845839c0c14e1eee61a064fcb05d0daebc1c468904c4ead5848631",
+    "seed_2/alpha_round_2.csv": "46ae38e23f2665805a8807650851ef15f22b536bd863386358ad74ab19e148d8",
     # the snapshot CSVs pin cal's V_h, V_d, V_lambda and disc_acc per epoch
-    "seed_1/snapshots_round_0.csv": "ee94b5802c695c7b715b47a110017b67713876d127d78460137cb35c9952fa9d",
-    "seed_1/snapshots_round_1.csv": "25c9f4bf64a889a3c28348d53dd02cf080093dbd5c60d564a5b82e81dafe4a4d",
-    "seed_1/snapshots_round_2.csv": "5254ac51637c92cec041dadbe0bbb0222d8404811e738a0e38ba93bcd6fd23cf",
-    "seed_2/snapshots_round_0.csv": "3d47deabb576db537d711a310b64434a01ca9c922346cd6553cc81b724559494",
-    "seed_2/snapshots_round_1.csv": "193708f66e359498ab544a5fde6addbdd73c61baf6a6b2bf43b114721948702e",
-    "seed_2/snapshots_round_2.csv": "3f6bbff1a15f56bc075f605d9bc4e02ddff7c00222b979fd17c0f5a458db4a9e",
+    "seed_1/snapshots_round_0.csv": "3e45c5dfb733811c61f6528c09b37925af3097d1b01f5c34d416f83828a4c04d",
+    "seed_1/snapshots_round_1.csv": "da4da9c067fcac8febd820296e046b9fc0cedce0c35e9bdffdafa136a7e8ad64",
+    "seed_1/snapshots_round_2.csv": "0f648e67cd284e6316b626cbd2e1b91cedbaf3854cf0686a644024cb01a42a12",
+    "seed_2/snapshots_round_0.csv": "fa150d7b9ab0dd8ea3748cb1943090038454ea412cf32df70b5ac4f55c298fc4",
+    "seed_2/snapshots_round_1.csv": "ffb9a26ae8ceeedffbe17771b07b6c2519dec7f885e84f020cf309ebc607f693",
+    "seed_2/snapshots_round_2.csv": "bb016ab378b7d2d04782f79f6883ec6db69d714f31a34197c44d1c1f23888481",
 }
 
 
@@ -46,14 +46,14 @@ DIGESTS = {
 GOLDEN_JOINT = dataclasses.replace(GOLDEN, assignment="joint")
 
 JOINT_DIGESTS = {
-    "bounds.csv": "8fc3c73747e3113ce57a5dcf218e0e238fa33f6134264ece91f4870c662fd16f",
-    "metrics.csv": "da3d231a396bfba677da15e79b53e2196f15391c826c1de2db8bb171eca2ae23",
-    "seed_1/alpha_round_0.csv": "e0746752de9910a598bb69407c4a29602b2691f76bd2894b374128a81b4b481a",
-    "seed_1/alpha_round_1.csv": "778d1a0b61043f6aedaa37112db4cb4c7d7b04da99f5e7d32266dc15b87ff728",
-    "seed_1/alpha_round_2.csv": "9b24c388b7a21b7f71622b8febbf058fa301a6dde175d3434eaad01164bcea3e",
-    "seed_2/alpha_round_0.csv": "b47a441b8d1bbf5d8e4e894e6ed1bfd6a732344841963232368492e04537e2d7",
-    "seed_2/alpha_round_1.csv": "ee05687fafe40c831ccb2c25a89edfcaf77427d95c84d04142d31a2c70071b88",
-    "seed_2/alpha_round_2.csv": "1542f7381bab15bdc5ef6fb3eab17df1282eb3841609f374f8801289cb1916da",
+    "bounds.csv": "1f7b4dbeb8b002a8b5df2b5f12dd0ac074b3be015eb7928b406b0c2beb2c2967",
+    "metrics.csv": "38426d2158d13b08fd3325aa7aca2e79860365e158315e5c1b882cbc9a707772",
+    "seed_1/alpha_round_0.csv": "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
+    "seed_1/alpha_round_1.csv": "266537bc3f5067c253e744a454420f916258d7c06139ac66c8eb89b8b33bf880",
+    "seed_1/alpha_round_2.csv": "3a293e4ab731b9e2217826a678016fd449279d534770b4e46e405e9f647a23a6",
+    "seed_2/alpha_round_0.csv": "d1145d62fc89b03cc265b9f1af6c8dd4d763562a6b77ed5c110890080c7d6d77",
+    "seed_2/alpha_round_1.csv": "5d1cbaf062072fddcb820cad264466daaa1580141eb0182a27a0de286000a70b",
+    "seed_2/alpha_round_2.csv": "8a48685b5d882dd2945d6266d843c61eeb3cbf5e4576be209e01d1b1217cb963",
 }
 
 
@@ -67,51 +67,51 @@ VARIANT_STRATEGY = {"cal_alpha": "grads", "cal_fa": "grads", "vanilla": "margin"
 VARIANT_DIGESTS = {
     "cal_alpha": {
         "bounds.csv":
-            "ff4b47a8195f5e226c00906206f6c852eda3d6002897ca8d81ad78cd6fb2a90e",
+            "913171ec2c29a944381e8ae1a8952134851805bbf50fbf1939c3c65a7d158f80",
         "metrics.csv":
-            "c637d4eab1d1459442036cc128596172f3f13391329b15df352b6aee31ba99c3",
+            "02a964a0e0a4a9febebd53cde6cdbdf70a48944c508768b7674988b23fbfa2fd",
         "seed_1/alpha_round_0.csv":
-            "384d222c74997e557b0d6f1ace77e793355b9410b3fd021ce892c390b904fe2b",
+            "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
         "seed_1/alpha_round_1.csv":
-            "c524014844926dc222294cc9aa0e7cc28156d64b626f3e1c07741e18863c8a3c",
+            "780fd538163ab12b8246b0dcbea9ded14464d3461c082568ed9d207c54cf4ab3",
         "seed_1/alpha_round_2.csv":
-            "3106a3fda31b32fd130bf93b92bbf64efe0371a7d5c9c149d13bd03933c4d532",
+            "651f3ee12467effbbe776781bfe6e9bda8f4eb5e349d65dbc08516a093b5b51b",
         "seed_2/alpha_round_0.csv":
-            "f0a4d2bcca05e807480472bcae10bbdb984ca2272827703180989d081e09bb65",
+            "7c97f348ab136c0712004189185f3511aaf5de5f4f3b038ee5651836c3ec29d6",
         "seed_2/alpha_round_1.csv":
-            "c9682e26897b84a5aa3fbfba8ff462811ac58a69ab72a1d737425d36f159ff09",
+            "15a14526e8845839c0c14e1eee61a064fcb05d0daebc1c468904c4ead5848631",
         "seed_2/alpha_round_2.csv":
-            "fc7a1f84c4e377326287d7f531b09ab3397103f912f70bf130bf73a16ab8ebed",
+            "314eedda7d1d096c56d500faf369991c51be2e61bbc877dc087d9bf9cfd4d1c2",
         "seed_1/snapshots_round_0.csv":
-            "c91e62ab6ce459b5aa5d2094a06a1d6b11fe169961118c6e662814e2b7579d7f",
+            "7dd409dbbcb06cb98d228124760a98432f7cb6f1083fad1a1c3bf06c07ba7382",
         "seed_1/snapshots_round_1.csv":
-            "f6112d2ae8175586647d5b16695b251f8000d14d2ebc196802c78b2445c6bee6",
+            "5c2db3e3b98c8387d67ffb508a95b4e6c25dcf641ad49983cee63bf84dadae7b",
         "seed_1/snapshots_round_2.csv":
-            "82c6fcf4d1775be641d8310ac8ac5ffb2dcdb4161a0f13f63dc943f7c8514749",
+            "87bb9ec9ee621d964b762dbf3723ddff7f1623fa0f50e7c1ad0f7ec11ef1f9f1",
         "seed_2/snapshots_round_0.csv":
-            "abfec4761082925be819b6dc96a0235774ce48571525564cfdbaaba3579a996e",
+            "47abc6f3182355bd098cb32314c75728ccc0302912ea2b84bc0bddf1cd6a4c35",
         "seed_2/snapshots_round_1.csv":
-            "4eb32a5437f84affaa9dabcb1184713ccfc94b2b08e4fd5efefce7bdaabcda48",
+            "572dd598aabc72f2d6a155b6421ce29d2b1f02f5b9d3fa5975632570c4c4c03a",
         "seed_2/snapshots_round_2.csv":
-            "72aede97ef8063ed9507071287fd3dd0a3d3f695c8f5807d2fa8a0f64d334636",
+            "36a3ea24c1f0260a70a5ad4d6480f20d045542e4117d43d42e48bcf440f6b60b",
     },
     "cal_fa": {
         "bounds.csv":
-            "152068badfa7e987746b2b79110805e1a5692b4c4a7821b2545a753bea40b4c3",
+            "f928d9ba78a939445795ded52444db1f6a9e85c0a6ca11394bd4b965d15e638a",
         "metrics.csv":
-            "a62422bfa5b57aff5d17cbb701a6371c1a801437156dba08366f0efedf996e44",
+            "52b144fd789f47b3f87ca63f684700c7968ac904e45fff7dee8d9de1d8cc02fb",
         "seed_1/snapshots_round_0.csv":
-            "58443bc02972905b3099342243b88b7ad27df296dbc8df705bf7f8b2c6717375",
+            "097f63a9e5ec854c75d3258f19f36a27e4e7db9751fb2f3e02b5a09ddd5684d8",
         "seed_1/snapshots_round_1.csv":
-            "d86d1789673f08537c66e35bddbcfe2121307c12f44ca56d6b4616a35be58ff0",
+            "05b0515548051a8012ae4060978f0cf730b8f2918813befc4f9c23b747b3aad7",
         "seed_1/snapshots_round_2.csv":
-            "8deae1483e0254a3c51702918e81e5551e6777675c10c399b9b27afe6301de6d",
+            "d7ed25a528410e24e5c87506595fcce5e777335c1b0898616680adc8f903c43d",
         "seed_2/snapshots_round_0.csv":
-            "aaef6c092f69ea6c74e7d6aed832c3a05328746089f383406efe55dd1f7ef912",
+            "ad1350e8b18941013868cb7d6b6042f30d2a129644ac1fda48b256e6fdf56528",
         "seed_2/snapshots_round_1.csv":
-            "62a54ea9290bb5b2058c2dfeb158c0fa4d91f94a34360719a4477f761761fa79",
+            "48921d4feeed2ff54f65bf704dd2ef585a407b45260153dcd4848fcb13f7c89e",
         "seed_2/snapshots_round_2.csv":
-            "d84f9c3c2f9436dc887f213ae5a9da53a48499277015e844a2c22bf2f2fe2f91",
+            "c7483f7691e1256c78ff0c88d4d285405cedada79cb1ecf7dca2a08246da1b15",
     },
     "vanilla": {
         "bounds.csv":

@@ -268,7 +268,7 @@ class TestCli:
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL + FAST_TRAIN + FAST_BUDGET)
-        for bad in ("1,x", ",", "", "1,1"):
+        for bad in ("1,x", ",", "", "1,1", "-1", "2,-3"):
             assert cli_main(["run", str(path), "--seeds", bad,
                              "--out", str(tmp_path / "o")]) == 2
             assert "config error:" in capsys.readouterr().err
@@ -286,8 +286,15 @@ class TestCli:
                         "labels = {dir}/lab.idx")
         .replace("n_classes = 3\n", "").replace("n_domains = 3", "n_domains = 0")
         + FAST_TRAIN + FAST_BUDGET,
+        MINIMAL.replace("seed = 0", "seed = -2") + FAST_TRAIN + FAST_BUDGET,
+        MINIMAL.replace("kind = rotating", "kind = idx\nimages = {dir}/img.idx\n"
+                        "labels = {dir}/lab.idx")
+        .replace("n_classes = 3\n", "").replace("seed = 0", "seed = -2")
+        + FAST_TRAIN + FAST_BUDGET,
+        MINIMAL + FAST_TRAIN + FAST_BUDGET + "\n[output]\nseeds = 1,-1\n",
     ], ids=["n_domains_0", "latent_dim_0", "hidden_width_0", "joint_m_negative",
-            "n_classes_40", "idx_n_domains_0"])
+            "n_classes_40", "idx_n_domains_0", "dataset_seed_negative",
+            "idx_seed_negative", "output_seed_negative"])
     def test_bad_values_exit_2(self, text, tmp_path, capsys):
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2)
                                            + bytes(16))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mudal.cli import gradcheck_cases
 from mudal.nn import (AdamState, DenseNet, Layer, adam_step, grad_check, sigmoid_bce,
                       softmax, softmax_ce)
 
@@ -136,6 +137,20 @@ class TestGradCheck:
             return value, d[:, None]
 
         assert grad_check(net, x, loss) < 1e-5
+
+    def test_command_cases_pass_at_every_draw(self):
+        # correct gradients far below one pass the check: their central
+        # differences differ from them by roundoff alone
+        for seed in range(40):
+            for name, net, x, loss in gradcheck_cases(np.random.default_rng(seed)):
+                assert grad_check(net, x, loss) < 1e-4, (seed, name)
+
+    def test_planted_wrong_gradient_fails(self):
+        for name, net, x, loss in gradcheck_cases(np.random.default_rng(0)):
+            def wrong(out, loss=loss):
+                value, dout = loss(out)
+                return value, dout * 1.001
+            assert 5e-4 < grad_check(net, x, wrong) < 2e-3, name
 
 
 class TestAdam:

@@ -173,25 +173,35 @@ class TestVh:
         assert "empty" in caplog.text
 
 
-class TestDiscInput:
-    def test_one_hot_rows_for_one_or_per_row_domains(self):
+class TestDiscLogits:
+    def test_reads_the_logit_of_each_rows_domain(self):
         bundle = tiny_bundle()
         z = np.random.default_rng(30).standard_normal((4, 4))
-        np.testing.assert_array_equal(bundle.disc_input(z, 2),
-                                      np.hstack([z, np.tile([0.0, 0.0, 1.0], (4, 1))]))
-        rows = bundle.disc_input(z, np.array([1, 0, 2, 1]))
-        np.testing.assert_array_equal(rows[:, :4], z)
-        np.testing.assert_array_equal(rows[:, 4:], np.eye(3)[[1, 0, 2, 1]])
+        logits = bundle.discriminator.predict(z)
+        assert logits.shape == (4, 3)
+        np.testing.assert_array_equal(bundle.disc_logits(z, 2), logits[:, 2])
+        np.testing.assert_array_equal(bundle.disc_logits(z, np.array([1, 0, 2, 1])),
+                                      logits[np.arange(4), [1, 0, 2, 1]])
 
     def test_bad_domains_rejected(self):
         bundle = tiny_bundle()
         z = np.zeros((3, 4))
         for bad in (3, -1, np.array([0, 1, 3]), 1.0, np.array([0, 1])):
             with pytest.raises(ValueError):
-                bundle.disc_input(z, bad)
+                bundle.disc_logits(z, bad)
 
 
 class TestVd:
+    def test_disc_pass_reads_each_row_once(self):
+        bundle = tiny_bundle()
+        orig_z, lab_z, _ = labeled_batches(bundle, empty=(1,))
+        disc = disc_pass(bundle, orig_z, lab_z)
+        rows = sum(z.shape[0] for z in orig_z + lab_z)
+        assert disc.trace.inputs[0].shape == (rows, bundle.latent_dim)
+        np.testing.assert_array_equal(disc.trace.output,
+                                      bundle.discriminator.predict(np.vstack(orig_z + lab_z)))
+        assert disc.trace.output.shape == (rows, 3)
+
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()
         final = bundle.discriminator.layers[-1]

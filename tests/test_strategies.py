@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ def passthrough_bundle(c=3, n_domains=2, with_disc=True, seed=0):
     heads = [Layer(np.eye(c), np.zeros(c), "identity") for _ in range(n_domains)]
     disc = None
     if with_disc:
-        disc = DenseNet.create([c + n_domains, 6, 1], ["leaky_relu", "identity"], rng)
+        disc = DenseNet.create([c, 6, n_domains], ["leaky_relu", "identity"], rng)
     return ModelBundle(encoder, classifier, heads, disc, n_domains)
 
 
@@ -194,6 +196,15 @@ class TestGrads:
         feats = np.random.default_rng(15).standard_normal((10, 2))
         s = outlier_scores(bundle, feats, 2)
         assert np.all((s > 0) & (s < 1))
+
+    def test_outlier_scores_saturate_without_overflow(self):
+        bundle = real_bundle(seed=14)
+        bundle.discriminator.layers[-1].b[...] = -1000.0
+        feats = np.random.default_rng(15).standard_normal((10, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = outlier_scores(bundle, feats, 2)
+        np.testing.assert_array_equal(s, 0.0)
 
     def test_per_row_domains_score_each_row_under_its_domain(self):
         bundle = real_bundle(seed=14)
