@@ -11,7 +11,7 @@ from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
 from .models import ModelBundle, make_bundle
 from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass,
                         compute_vd, compute_vh, compute_vlambda, disc_pass,
-                        estimate_h_distance, evaluate, labeled_readouts)
+                        estimate_h_distance, evaluate)
 from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConfig,
                        train_round, write_snapshots_csv)
 from .strategies import (QueryRequest, badge_embeddings, grads_select,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundParams, BoundReport, empirical_bound
-from .config import ExperimentConfig, IdxDatasetSpec, config_to_text
+from .config import ConfigError, ExperimentConfig, IdxDatasetSpec, config_to_text
 from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
                    load_idx, rotate_idx_domains)
 from .objective import estimate_h_distance, evaluate
@@ -60,10 +60,13 @@ def build_dataset(cfg: ExperimentConfig) -> MultiDomainDataset:
     if isinstance(cfg.dataset, RotatingSpec):
         return gen_rotating(cfg.dataset)
     spec: IdxDatasetSpec = cfg.dataset
-    features, labels = load_idx(spec.images, spec.labels)
-    return rotate_idx_domains(features, labels, spec.n_domains,
-                              spec.train_per_domain, spec.test_per_domain,
-                              spec.total_range_deg, spec.seed)
+    try:
+        features, labels = load_idx(spec.images, spec.labels)
+        return rotate_idx_domains(features, labels, spec.n_domains,
+                                  spec.train_per_domain, spec.test_per_domain,
+                                  spec.total_range_deg, spec.seed)
+    except ValueError as exc:  # a corrupt or too-small IDX pair
+        raise ConfigError(str(exc)) from exc
 
 
 def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset, pool,
@@ -97,10 +100,9 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         per_acc, avg = evaluate(bundle, dataset)
         hdist = np.zeros(n)
         if bundle.discriminator is not None:
-            lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
-            for i in range(n):
-                hdist[i] = estimate_h_distance(bundle, bundle.encode(dataset.train_features[i]),
-                                               lab_z, rr.alpha.alpha[i], i)
+            hdist = estimate_h_distance(
+                bundle, [bundle.encode(dataset.train_features[i]) for i in range(n)],
+                [bundle.encode(pool.labeled_features(j)) for j in range(n)], rr.alpha)
         report = empirical_bound(bundle, dataset, pool, rr.alpha,
                                  BoundParams(total_labeled=pool.total_labeled()))
         result.rounds.append(RoundMetrics(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("relu", "leaky_relu", "sigmoid", "identity")
+ACTIVATIONS = ("relu", "leaky_relu", "identity")
 LEAKY_SLOPE = 0.01
 
 
@@ -22,22 +22,18 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
         return np.maximum(z, 0.0)
     if kind == "leaky_relu":
         return np.where(z > 0.0, z, LEAKY_SLOPE * z)
-    if kind == "sigmoid":
-        return sigmoid(z)
     if kind == "identity":
         return z
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(z: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
+def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
     # Derivative with respect to the pre-activation. The subgradient of relu
     # at 0 is taken as 0; leaky_relu uses its negative-side slope there.
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
     if kind == "leaky_relu":
         return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
-    if kind == "sigmoid":
-        return post * (1.0 - post)
     if kind == "identity":
         return np.ones_like(z)
     raise ValueError(f"unknown activation {kind!r}")
@@ -198,7 +194,7 @@ class DenseNet:
         grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.layers))
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            dz = delta * _activation_grad(trace.pre[k], trace.post[k], layer.activation)
+            dz = delta * _activation_grad(trace.pre[k], layer.activation)
             grads[2 * k] = dz.T @ trace.inputs[k]
             grads[2 * k + 1] = dz.sum(axis=0)
             delta = dz @ layer.W

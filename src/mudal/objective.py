@@ -6,13 +6,17 @@ feature-space distance estimator.
 Every term reads latent rows e(x) that the trainer encodes, through one
 forward pass per network. `classifier_pass` runs the classifier trunk once
 over the stacked labeled rows, then the shared and head final layers as one
-stack; V_h, V_lambda and the 0/1 readouts read its logits, and V_h and
+stack; V_h, V_lambda and the 0/1 errors read its logits, and V_h and
 V_lambda return the gradient of the trunk output for one trunk backward
 (`ClassifierPass.backward`). `disc_pass` runs the discriminator once over
 the stacked original and labeled latent rows; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
-`compute_vd` takes the loss and backward pass from it at a given alpha, and
-`DiscPass.rates` reads the discriminator's 0/1 decisions from it.
+`compute_vd` takes the loss and backward pass from it at a given alpha.
+
+`decision_rates` is the one home of the discriminator's 0/1 decision rates:
+`DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
+`estimate_h_distance` (every domain's distance from one discriminator
+forward per block) both read them through it.
 """
 from __future__ import annotations
 
@@ -162,13 +166,20 @@ class DiscPass:
         return replace(self, trace=self.trace.net.forward(self.trace.inputs[0]))
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """How often the discriminator takes rows for original: on each
-        domain's originals under its own logit, (N,); on each L_j under each
-        logit i, (N, N). An empty L_j reads 0."""
-        decided = (self.trace.output >= 0.0).T
-        n_o = self.n_orig.sum()
-        orig = _segment_means(decided[:, :n_o], self.n_orig)
-        return np.diag(orig), _segment_means(decided[:, n_o:], self.n_lab)
+        """The pass's `decision_rates`."""
+        return decision_rates(self.trace.output, self.n_orig, self.n_lab)
+
+
+def decision_rates(logits: np.ndarray, n_orig: np.ndarray,
+                   n_lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How often the discriminator takes rows for original (D_i >= 0), from
+    its logits (rows x N) on rows stacked as [O_0, ..., O_{N-1}, L_0, ...,
+    L_{N-1}]: on each domain's originals under its own logit, (N,); on each
+    L_j under each logit i, (N, N). An empty block reads 0."""
+    decided = (logits >= 0.0).T
+    n_o = n_orig.sum()
+    orig = _segment_means(decided[:, :n_o], n_orig)
+    return np.diag(orig), _segment_means(decided[:, n_o:], n_lab)
 
 
 def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray],
@@ -212,38 +223,24 @@ def compute_vd(disc: DiscPass, alpha) -> TermResult:
     return TermResult(float(norm_loss * scale), disc_g.by_layer(net), disc_g.input)
 
 
-def labeled_readouts(cls: ClassifierPass, disc: DiscPass | None = None
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frozen networks' 0/1 readouts on the labeled batches, read from one
-    classifier pass with heads and, if given, one discriminator pass.
-
-    Returns err_h (N,), the shared classifier's error on each L_j; head_err
-    (N, N), head i's error on L_j; and disc_orig_rate (N, N), how often the
-    discriminator takes L_j for original domain i (zero without a pass). An
-    empty L_j reads as error 1 and rate 0.
-    """
-    err = cls.errors()
-    n = err.shape[1]
-    if err.shape[0] != n + 1:
-        raise ValueError("the readouts need a classifier pass with every head")
-    disc_orig = np.zeros((n, n)) if disc is None else disc.rates()[1]
-    return err[0], err[1:], disc_orig
-
-
 def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
-                                 lambda_d: float = 1.0) -> tuple[np.ndarray, dict]:
-    """Linear coefficients of the 0/1-error objective in each alpha entry.
+                                 lambda_d: float = 1.0) -> np.ndarray:
+    """Linear coefficients (N, N) of the 0/1-error objective in each alpha
+    entry, from one classifier pass with every head and one discriminator
+    pass over the same labeled rows.
 
     With the networks frozen the objective is linear in every alpha row:
     coefficient (i, j) collects the shared-classifier 0/1 error on L_j, the
     head-i 0/1 error on L_j, and (negatively) the rate at which the
-    discriminator mistakes L_j for original domain i.
+    discriminator mistakes L_j for original domain i. An empty L_j reads as
+    error 1 and rate 0.
     """
-    err_h, head_err, disc_orig = labeled_readouts(cls, disc)
-    n = err_h.size
-    coeffs = (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
-    diag = {"err_h": err_h, "head_err": head_err, "disc_orig_rate": disc_orig}
-    return coeffs, diag
+    err = cls.errors()
+    n = err.shape[1]
+    if err.shape[0] != n + 1:
+        raise ValueError("the alpha coefficients need a classifier pass with every head")
+    err_h, head_err, disc_orig = err[0], err[1:], disc.rates()[1]
+    return (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
 
 
 def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
@@ -269,25 +266,30 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
     return a
 
 
-def estimate_h_distance(bundle: ModelBundle, orig_z: np.ndarray,
-                        labeled_z: list[np.ndarray], alpha_row: np.ndarray,
-                        domain: int) -> float:
-    """Empirical feature-space distance between original domain `domain` and
-    its weighted labeled mixture, from latent rows and the current discriminator:
-    2 * (1 - [originals misread as mixture + weighted mixture misread as original]),
-    clamped to [0, 2]."""
-    alpha_row = np.asarray(alpha_row, dtype=np.float64)
-    if orig_z.shape[0] == 0:
-        raise ValueError("empty original sample set")
-    err_o = float(np.mean(bundle.disc_logits(orig_z, domain) < 0.0))
-    err_l = 0.0
-    for j, z in enumerate(labeled_z):
-        if alpha_row[j] == 0.0:
-            continue
-        if z.shape[0] == 0:
-            raise ValueError(f"empty labeled sample set for domain {j} with positive weight")
-        err_l += alpha_row[j] * float(np.mean(bundle.disc_logits(z, domain) >= 0.0))
-    return float(np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0))
+def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],
+                        labeled_z: list[np.ndarray], alpha) -> np.ndarray:
+    """Empirical feature-space distance (N,) between each original domain i
+    and its alpha[i]-weighted labeled mixture, from latent rows and one
+    discriminator forward per nonempty block: 2 * (1 - [originals of i
+    misread as mixture + sum_j alpha[i, j] * L_j misread as original of i]),
+    clamped to [0, 2]. The sum runs over j in domain order."""
+    a = as_alpha(alpha)
+    n_orig = np.array([z.shape[0] for z in orig_z])
+    n_lab = np.array([z.shape[0] for z in labeled_z])
+    if np.any(n_orig == 0):
+        raise ValueError(f"original domain {np.argmin(n_orig)} sample set is empty")
+    empty = np.nonzero((n_lab == 0) & np.any(a != 0.0, axis=0))[0]
+    if empty.size:
+        raise ValueError(f"empty labeled sample set for domain {empty[0]} with positive weight")
+    logits = np.concatenate([bundle.discriminator.predict(z)
+                             for z in [*orig_z, *labeled_z] if z.shape[0]])
+    orig_rate, lab_rate = decision_rates(logits, n_orig, n_lab)
+    # misread originals counted back from the rate: the mean of D_i < 0 to the bit
+    err_o = (n_orig - np.rint(orig_rate * n_orig)) / n_orig
+    err_l = np.zeros(a.shape[0])
+    for j in range(a.shape[1]):
+        err_l += a[:, j] * lab_rate[:, j]
+    return np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
 
 
 def evaluate(bundle: ModelBundle, dataset: MultiDomainDataset) -> tuple[np.ndarray, float]:

@@ -111,10 +111,6 @@ class BudgetLedger:
     def n_domains(self) -> int:
         return self.initial_counts.size
 
-    @property
-    def rounds_recorded(self) -> int:
-        return len(self.increments)
-
     def record(self, incr: np.ndarray) -> None:
         incr = np.asarray(incr, dtype=np.int64)
         if incr.shape != self.initial_counts.shape:

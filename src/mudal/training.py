@@ -205,7 +205,7 @@ def _train_step(bundle, config, batch, alpha, coeff_ema, net_opt, disc_opt):
         # alpha readouts and then V_d at the new alpha
         disc = disc.rerun()
         if config.optimizes_alpha:
-            coeffs, _ = alpha_objective_coefficients(cls, disc, config.lambda_d)
+            coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
             if coeff_ema is None:
                 coeff_ema = coeffs
             else:

@@ -9,7 +9,7 @@ from mudal.bounds import (BoundParams, BoundReport, bound_ordering_diag,
 from mudal.data import MultiDomainDataset, init_pool
 from mudal.models import ModelBundle
 from mudal.nn import DenseNet, Layer
-from mudal.objective import classifier_pass, labeled_readouts
+from mudal.objective import classifier_pass
 from mudal.simplex import project_simplex
 
 
@@ -195,8 +195,8 @@ class TestEmpiricalBound:
         alpha = np.array(alpha)
         report = empirical_bound(bundle, ds, pool, alpha)
         lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(2)]
-        err_h, head_err, _ = labeled_readouts(
-            classifier_pass(bundle, lab_z, [pool.labels(j) for j in range(2)]))
+        err = classifier_pass(bundle, lab_z, [pool.labels(j) for j in range(2)]).errors()
+        err_h, head_err = err[0], err[1:]
         has_rows = pool.counts() > 0
         np.testing.assert_allclose(report.weighted_err, alpha.mean(axis=0) @ err_h, atol=1e-12)
         np.testing.assert_allclose(report.vlambda_proxy,

@@ -48,3 +48,23 @@ def test_checker_flags_encoder_calls():
 def test_objective_terms_read_latent_rows():
     callers = [name for name in encoder_callers(OBJECTIVE.read_text()) if name not in ALLOWED]
     assert not callers, f"objective.py functions that run the encoder or classifier: {callers}"
+
+
+def disc_logits_callers(source: str) -> list[str]:
+    """Names of the functions that call `.disc_logits(`."""
+    return [fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "disc_logits" for node in ast.walk(fn))]
+
+
+def test_checker_flags_disc_logits_calls():
+    source = ("def p(b, z, i):\n    return b.disc_logits(z, i)\n"
+              "def q(b, z):\n    return b.discriminator.predict(z)\n")
+    assert disc_logits_callers(source) == ["p"]
+
+
+def test_objective_reads_discriminator_decisions_from_one_home():
+    # every decision rate in objective.py comes from `decision_rates` over
+    # whole-block logits, not from per-domain `disc_logits` reads
+    callers = disc_logits_callers(OBJECTIVE.read_text())
+    assert not callers, f"objective.py functions that call disc_logits: {callers}"

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import logging
 import struct
 
 import numpy as np
@@ -163,7 +164,7 @@ class TestRunSeed:
         ds = build_dataset(cfg)
         res = run_seed(cfg, ds, seed=1)
         assert len(res.rounds) == 1
-        assert res.ledger.rounds_recorded == 0
+        assert len(res.ledger.increments) == 0
 
     def test_separate_mode_even_increments(self):
         cfg = fast_config(assignment="separate", strategy="random")
@@ -182,11 +183,31 @@ class TestRunSeed:
         for incr in res.ledger.increments:
             assert incr.sum() == cfg.m
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_budget_shares_track_column_importance(self, seed, caplog):
+        # cal_optimal with no clamp: round r's shares are alpha's column
+        # importance from round r - 1 times m0 + r*m, off by less than one
+        # point per domain after rounding
+        cfg = fast_config(rounds=6)
+        assert cfg.assignment == "cal_optimal"
+        with caplog.at_level(logging.INFO, logger="mudal.simplex"):
+            res = run_seed(cfg, build_dataset(cfg), seed=seed)
+        clamped = {rec.args[0] for rec in caplog.records if "clamping" in rec.getMessage()}
+        n, ledger = res.rounds[0].beta.size, res.ledger
+        checked = 0
+        for r in range(1, len(ledger.increments) + 1):
+            if r in clamped:
+                continue
+            cols = res.rounds[r - 1].alpha.column_importance()
+            assert np.abs(ledger.beta(r) - cols).sum() < n / (cfg.m0 + r * cfg.m), r
+            checked += 1
+        assert checked >= 4
+
     def test_paper_literal_mode_runs(self):
         cfg = fast_config(assignment="paper_literal")
         ds = build_dataset(cfg)
         res = run_seed(cfg, ds, seed=4)
-        assert res.ledger.rounds_recorded == cfg.rounds
+        assert len(res.ledger.increments) == cfg.rounds
 
     def test_truncation_marker_on_exhaustion(self):
         cfg = fast_config(rounds=30)  # 6 + 30*6 > 3*30 available
@@ -303,6 +324,27 @@ class TestCli:
         path.write_text(text.replace("{dir}", str(tmp_path)))
         assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("magic, pixels, message", [
+        (IDX_IMAGE_MAGIC, 10, "truncated pixel data at byte offset 26"),
+        (0, 40 * 16, "bad magic 0x00000000"),
+        # 3 domains x (30 + 15) points need 135 images
+        (IDX_IMAGE_MAGIC, 40 * 16, "need 135 samples, have 40"),
+    ], ids=["truncated_pixels", "bad_magic", "too_few_images"])
+    def test_corrupt_idx_exit_2(self, magic, pixels, message, tmp_path, capsys):
+        # a 40-image pair of 4x4 images, broken one way per case
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", magic, 40, 4, 4)
+                                           + bytes(pixels))
+        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 40)
+                                           + bytes(40))
+        path = tmp_path / "bad.cfg"
+        idx = f"kind = idx\nimages = {tmp_path}/img.idx\nlabels = {tmp_path}/lab.idx"
+        path.write_text(MINIMAL.replace("kind = rotating", idx).replace("n_classes = 3\n", "")
+                        + FAST_TRAIN + FAST_BUDGET)
+        assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
         assert not (tmp_path / "o").exists()
 
     def test_run_choices_are_the_package_names(self):

@@ -114,18 +114,6 @@ class TestGradCheck:
 
         assert grad_check(net, x, loss) < 1e-5
 
-    def test_sigmoid_discriminator_net(self):
-        rng = np.random.default_rng(5)
-        net = DenseNet.create([4, 8, 1], ["sigmoid", "identity"], rng)
-        x = rng.standard_normal((6, 4))
-        targets = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-
-        def loss(out):
-            value, d = sigmoid_bce(out.reshape(-1), targets)
-            return value, d[:, None]
-
-        assert grad_check(net, x, loss) < 1e-5
-
     def test_leaky_relu_net(self):
         rng = np.random.default_rng(8)
         net = DenseNet.create([3, 8, 1], ["leaky_relu", "identity"], rng)

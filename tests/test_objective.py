@@ -8,7 +8,7 @@ from mudal.models import make_bundle
 from mudal.nn import AdamState, DenseNet, accumulate_layer_grads, sigmoid_bce, softmax_ce
 from mudal.objective import (TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
-                             disc_pass, estimate_h_distance, evaluate, labeled_readouts)
+                             disc_pass, estimate_h_distance, evaluate)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
 
@@ -390,16 +390,21 @@ class TestAlphaStep:
         orig_z = encode(bundle, tiny_batches(seed=23)[0])
         lab, lab_labels = tiny_batches(seed=24)
         lab_z = encode(bundle, lab)
-        coeffs, diag = alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels),
-                                                    disc_pass(bundle, orig_z, lab_z), 1.0)
+        cls = classifier_pass(bundle, lab_z, lab_labels)
+        disc = disc_pass(bundle, orig_z, lab_z)
+        coeffs = alpha_objective_coefficients(cls, disc, 1.0)
         assert coeffs.shape == (3, 3)
         assert np.all(np.isfinite(coeffs))
-        assert np.all(diag["err_h"] >= 0) and np.all(diag["err_h"] <= 1)
+        err = cls.errors()
+        assert np.all(err[0] >= 0) and np.all(err[0] <= 1)
         # classification part is identical across rows; rows differ only
         # through the discriminator rates
         np.testing.assert_allclose(
-            (coeffs + diag["disc_orig_rate"] / 6.0) - diag["head_err"] / 3.0,
-            np.tile(diag["err_h"] / 3.0, (3, 1)), atol=1e-12)
+            (coeffs + disc.rates()[1] / 6.0) - err[1:] / 3.0,
+            np.tile(err[0] / 3.0, (3, 1)), atol=1e-12)
+        with pytest.raises(ValueError, match="every head"):
+            alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels, heads=False),
+                                         disc)
 
 
 def labeled_batches(bundle, empty=(), seed=28):
@@ -429,12 +434,15 @@ def assert_errors_match_recount(bundle, lab_z, lab_labels, err_h, head_err):
 
 
 class TestLabeledReadouts:
+    """The frozen networks' 0/1 readouts on the labeled batches: the errors of
+    one classifier pass and the rates of one discriminator pass."""
+
     def test_matches_per_network_recount(self):
         bundle = tiny_bundle(seed=5)
         orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=(1,))
-        err_h, head_err, rate = labeled_readouts(classifier_pass(bundle, lab_z, lab_labels),
-                                                 disc_pass(bundle, orig_z, lab_z))
-        assert_errors_match_recount(bundle, lab_z, lab_labels, err_h, head_err)
+        err = classifier_pass(bundle, lab_z, lab_labels).errors()
+        rate = disc_pass(bundle, orig_z, lab_z).rates()[1]
+        assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
         np.testing.assert_array_equal(rate, disc_orig_rates(bundle, lab_z))
         np.testing.assert_array_equal(rate[:, 1], 0.0)  # an empty labeled domain reads 0
 
@@ -445,14 +453,6 @@ class TestLabeledReadouts:
         np.testing.assert_array_equal(orig_rate, np.diag(disc_orig_rates(bundle, orig_z)))
         np.testing.assert_array_equal(lab_rate, disc_orig_rates(bundle, lab_z))
         np.testing.assert_array_equal(lab_rate[:, 2], 0.0)  # an empty block reads 0
-
-    def test_no_discriminator_gives_zero_rates(self):
-        bundle = tiny_bundle(with_disc=False)
-        lab, lab_labels = tiny_batches(seed=29)
-        err_h, head_err, rate = labeled_readouts(
-            classifier_pass(bundle, encode(bundle, lab), lab_labels))
-        np.testing.assert_array_equal(rate, 0.0)
-        assert np.all((head_err >= 0) & (head_err <= 1))
 
     @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
     def test_post_update_pass_feeds_the_alpha_readouts(self, empty):
@@ -469,11 +469,13 @@ class TestLabeledReadouts:
         assert not np.allclose(after.trace.output, before.trace.output)
         np.testing.assert_array_equal(after.trace.output,
                                       disc_pass(bundle, orig_z, lab_z).trace.output)
-        _, diag = alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels),
-                                               after)
-        np.testing.assert_array_equal(diag["disc_orig_rate"], disc_orig_rates(bundle, lab_z))
-        assert_errors_match_recount(bundle, lab_z, lab_labels, diag["err_h"],
-                                    diag["head_err"])
+        cls = classifier_pass(bundle, lab_z, lab_labels)
+        coeffs = alpha_objective_coefficients(cls, after)
+        err = cls.errors()
+        assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
+        np.testing.assert_array_equal(after.rates()[1], disc_orig_rates(bundle, lab_z))
+        np.testing.assert_array_equal(
+            coeffs, (err[0][None, :] + err[1:]) / 3 - disc_orig_rates(bundle, lab_z) / 6.0)
         with pytest.raises(ValueError, match="stale"):
             compute_vd(before, alpha)
         np.testing.assert_allclose(compute_vd(after, alpha).value,
@@ -489,6 +491,24 @@ class TestLabeledReadouts:
                 cls.backward(np.zeros_like(cls.hidden))
 
 
+def h_distance_oracle(bundle, orig_z, lab_z, alpha):
+    """Oracle: each domain's estimate on its own, one `disc_logits` call per
+    (domain, block), skipping the zero-weight labeled blocks."""
+    out = np.zeros(len(orig_z))
+    for i, z_o in enumerate(orig_z):
+        err_o = float(np.mean(bundle.disc_logits(z_o, i) < 0.0))
+        err_l = 0.0
+        for j, z in enumerate(lab_z):
+            if alpha[i, j] != 0.0:
+                err_l += alpha[i, j] * float(np.mean(bundle.disc_logits(z, i) >= 0.0))
+        out[i] = np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
+    return out
+
+
+def random_blocks(bundle, rng, sizes):
+    return [bundle.encode(rng.standard_normal((k, 2))) for k in sizes]
+
+
 class TestHDistance:
     def test_chance_discriminator_gives_zero(self):
         bundle = tiny_bundle()
@@ -496,27 +516,62 @@ class TestHDistance:
         final.W[...] = 0.0
         final.b[...] = 0.0
         z = encode(bundle, tiny_batches()[0])
-        d = estimate_h_distance(bundle, z[0], z, np.array([1 / 3] * 3), 0)
-        assert d == 0.0
+        d = estimate_h_distance(bundle, z, z, np.full((3, 3), 1 / 3))
+        np.testing.assert_array_equal(d, np.zeros(3))
 
     def test_result_always_in_range(self):
         bundle = tiny_bundle(seed=25)
         rng = np.random.default_rng(26)
         for _ in range(10):
-            orig = bundle.encode(rng.standard_normal((20, 2)))
-            lab = encode(bundle, [rng.standard_normal((10, 2)) for _ in range(3)])
-            row = project_simplex(rng.random(3))
-            d = estimate_h_distance(bundle, orig, lab, row, 1)
-            assert 0.0 <= d <= 2.0
+            orig = random_blocks(bundle, rng, (20, 20, 20))
+            lab = random_blocks(bundle, rng, (10, 10, 10))
+            alpha = np.array([project_simplex(rng.random(3)) for _ in range(3)])
+            d = estimate_h_distance(bundle, orig, lab, alpha)
+            assert d.shape == (3,)
+            assert np.all((0.0 <= d) & (d <= 2.0))
+
+    def test_matches_the_per_domain_oracle(self):
+        # random block sizes, so most rates are not short binary fractions;
+        # labeled domain 1 is empty under a zero alpha column; 9 domains, so
+        # a sum out of domain order (np.sum pairs terms from 8 up) shows
+        rng = np.random.default_rng(27)
+        for seed in range(12):
+            bundle = tiny_bundle(n_domains=9, seed=seed)
+            orig = random_blocks(bundle, rng, rng.integers(1, 40, 9))
+            sizes = rng.integers(1, 15, 9)
+            sizes[1] = 0
+            lab = random_blocks(bundle, rng, sizes)
+            alpha = np.array([project_simplex(rng.random(9)) for _ in range(9)])
+            alpha[:, 1] = 0.0
+            alpha /= alpha.sum(axis=1, keepdims=True)
+            np.testing.assert_array_equal(estimate_h_distance(bundle, orig, lab, alpha),
+                                          h_distance_oracle(bundle, orig, lab, alpha))
+
+    def test_one_forward_per_nonempty_block(self, monkeypatch):
+        bundle = tiny_bundle(seed=9)
+        rng = np.random.default_rng(10)
+        orig = random_blocks(bundle, rng, (5, 6, 7))
+        lab = random_blocks(bundle, rng, (4, 0, 3))
+        alpha = np.array([[0.5, 0.0, 0.5]] * 3)
+        expected = h_distance_oracle(bundle, orig, lab, alpha)
+        rows = []
+        predict = bundle.discriminator.predict
+        monkeypatch.setattr(bundle.discriminator, "predict",
+                            lambda z: rows.append(z.shape[0]) or predict(z))
+        monkeypatch.setattr(bundle, "disc_logits", None)  # no per-domain reads
+        np.testing.assert_array_equal(estimate_h_distance(bundle, orig, lab, alpha), expected)
+        assert rows == [5, 6, 7, 4, 3]
 
     def test_empty_sets_rejected(self):
         bundle = tiny_bundle()
         z = encode(bundle, tiny_batches()[0])
-        with pytest.raises(ValueError, match="empty"):
-            estimate_h_distance(bundle, np.empty((0, 4)), z, np.array([1, 0, 0.0]), 0)
-        empty_lab = [np.empty((0, 4))] * 3
-        with pytest.raises(ValueError, match="empty"):
-            estimate_h_distance(bundle, z[0], empty_lab, np.array([1, 0, 0.0]), 0)
+        alpha = np.array([[1, 0, 0.0]] * 3)
+        with pytest.raises(ValueError, match="original domain 1 .*empty"):
+            estimate_h_distance(bundle, [z[0], np.empty((0, 4)), z[2]], z, alpha)
+        with pytest.raises(ValueError, match="empty labeled .* domain 0 "):
+            estimate_h_distance(bundle, z, [np.empty((0, 4))] * 3, alpha)
+        # an empty labeled domain under a zero alpha column is fine
+        estimate_h_distance(bundle, z, [z[0], np.empty((0, 4)), np.empty((0, 4))], alpha)
 
 
 class TestEvaluate:
