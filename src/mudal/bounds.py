@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import LabeledPool, MultiDomainDataset
+from .data import LabeledPool
 from .models import ModelBundle
 from .objective import classifier_pass, estimate_h_distance
 from .simplex import as_alpha, column_importance, project_simplex
@@ -71,6 +71,19 @@ def hoeffding_term(alpha_cols: np.ndarray, beta: np.ndarray, params: BoundParams
     return float(2.0 * np.sqrt(ratio * inner))
 
 
+MIN_GRID_STEP = 0.01  # an N = 4 grid holds C(1/step + 3, 3) points: 176,851 at 0.01
+
+
+def grid_steps(grid_step: float) -> int:
+    """1 / grid_step, for a step in [MIN_GRID_STEP, 0.5] that evenly divides 1."""
+    if not MIN_GRID_STEP <= grid_step <= 0.5:  # also refuses nan
+        raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP}, 0.5], got {grid_step}")
+    steps = int(round(1.0 / grid_step))
+    if abs(steps * grid_step - 1.0) > 1e-9:
+        raise ValueError(f"grid_step must evenly divide 1, got {grid_step}")
+    return steps
+
+
 @lru_cache(maxsize=16)
 def _simplex_grid(n: int, steps: int) -> np.ndarray:
     """All points of the n-simplex whose coordinates are multiples of 1/steps."""
@@ -100,11 +113,7 @@ def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float = 0.01
     """
     alpha_cols = np.asarray(alpha_cols, dtype=np.float64)
     n = alpha_cols.size
-    if grid_step <= 0 or grid_step > 0.5:
-        raise ValueError("grid_step must lie in (0, 0.5]")
-    steps = int(round(1.0 / grid_step))
-    if abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValueError("grid_step must evenly divide 1")
+    steps = grid_steps(grid_step)
 
     if n <= 4:
         grid = _simplex_grid(n, steps)
@@ -138,20 +147,22 @@ def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float = 0.01
     return best_beta, float(np.max(np.abs(best_beta - alpha_cols))), float(best_val)
 
 
-def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: LabeledPool,
-                    alpha, params: BoundParams | None = None) -> BoundReport:
+def empirical_bound(bundle: ModelBundle, pool: LabeledPool, alpha, lab_z: list[np.ndarray],
+                    orig_z: list[np.ndarray] | None,
+                    params: BoundParams | None = None) -> BoundReport:
     """Compose the empirical bound from the current model state: the
     importance-weighted 0/1 error on labeled data, the Hoeffding term at the
     pool's realized budget shares, the mean estimated feature distance, and
-    the trainable stand-in for the per-domain joint-error floor."""
+    the trainable stand-in for the per-domain joint-error floor. It reads the
+    latent rows of each labeled domain (`lab_z`) and of each domain's train
+    rows (`orig_z`, None without a discriminator) and encodes nothing."""
     a = as_alpha(alpha)
-    n = dataset.n_domains
+    n = pool.n_domains
     cols = column_importance(a)
     counts = pool.counts()
     total = int(counts.sum())
     if params is None:
         params = BoundParams(total_labeled=max(total, 1))
-    lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
     lab_labels = [pool.labels(j) for j in range(n)]
 
     # one classifier pass per labeled domain: one pass over the whole pool
@@ -166,7 +177,6 @@ def empirical_bound(bundle: ModelBundle, dataset: MultiDomainDataset, pool: Labe
 
     hdist = 0.0
     if bundle.discriminator is not None:
-        orig_z = [bundle.encode(dataset.train_features[i]) for i in range(n)]
         # a running sum in domain order: np.sum pairs terms from 8 domains up
         hdist = float(np.cumsum(estimate_h_distance(bundle, orig_z, lab_z, a))[-1])
     mean_hdist = hdist / (2.0 * n)

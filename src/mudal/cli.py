@@ -14,13 +14,13 @@ import sys
 
 import numpy as np
 
-from .bounds import BoundParams, hoeffding_term, verify_optimal_beta
+from .bounds import MIN_GRID_STEP, BoundParams, grid_steps, hoeffding_term, verify_optimal_beta
 from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
 from .nn import DenseNet, grad_check, sigmoid_bce, softmax_ce
 from .strategies import STRATEGIES
-from .training import VARIANTS, NumericalAbort
+from .training import VARIANTS, NumericalAbort, TrainConfig
 
 
 def _cmd_run(args) -> int:
@@ -70,9 +70,11 @@ def _cmd_verify_theory(args) -> int:
 
 
 def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
-    """(name, net, inputs, loss) for each network of a default bundle, with
-    inputs, labels, targets and weights drawn from `rng`."""
-    bundle = make_bundle(2, 4, 6, rng)
+    """(name, net, inputs, loss) for each network of a bundle at the default
+    `TrainConfig` widths, with inputs, labels, targets and weights from `rng`."""
+    cfg = TrainConfig()
+    bundle = make_bundle(2, 4, 6, rng, cfg.latent_dim, cfg.encoder_hidden,
+                         cfg.classifier_hidden, cfg.disc_hidden)
     x = rng.standard_normal((6, 2))
     labels = rng.integers(0, 4, size=6)
     weights = rng.uniform(0.2, 1.0, size=6)
@@ -107,6 +109,15 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst < 1e-4 else 1
 
 
+def _grid_step(text: str) -> float:
+    """A `--grid-step` value, checked before any grid is built."""
+    try:
+        grid_steps(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mudal",
                                      description="multi-domain active learning runner")
@@ -122,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-theory", help="run the bound-lab numeric checks")
-    p_verify.add_argument("--grid-step", type=float, default=0.01)
+    p_verify.add_argument("--grid-step", type=_grid_step, default=0.01,
+                          help=f"simplex grid spacing: a step in [{MIN_GRID_STEP}, 0.5] that "
+                          "evenly divides 1 (default 0.01)")
     p_verify.set_defaults(func=_cmd_verify_theory)
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient oracle checks")

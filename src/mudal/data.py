@@ -80,8 +80,8 @@ class RotatingSpec:
             raise ValueError("n_domains must be >= 1")
         if self.train_per_domain < 1 or self.test_per_domain < 1:
             raise ValueError("need at least one train and one test point per domain")
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
         if self.total_range_deg <= 0:
             raise ValueError("total_range_deg must be positive")
         if self.base_shape not in ("gaussian_blobs", "two_moons_k"):
@@ -212,8 +212,7 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
 
 def rotate_idx_domains(features: np.ndarray, labels: np.ndarray, n_domains: int,
                        train_per_domain: int, test_per_domain: int,
-                       total_range_deg: float = 180.0, seed: int = 0,
-                       image_side: int | None = None) -> MultiDomainDataset:
+                       total_range_deg: float, seed: int) -> MultiDomainDataset:
     """Build a rotating multi-domain dataset from square IDX images.
 
     Each domain gets a disjoint subsample of the flat dataset; its images are
@@ -222,14 +221,15 @@ def rotate_idx_domains(features: np.ndarray, labels: np.ndarray, n_domains: int,
     from scipy import ndimage
 
     n = features.shape[0]
-    side = image_side or int(round(np.sqrt(features.shape[1])))
+    side = int(round(np.sqrt(features.shape[1])))
     if side * side != features.shape[1]:
         raise ValueError("features are not flattened square images")
     per_domain = train_per_domain + test_per_domain
     if n_domains * per_domain > n:
-        raise ValueError(
-            f"need {n_domains * per_domain} samples, have {n}"
-        )
+        raise ValueError(f"need {n_domains * per_domain} samples, have {n}")
+    n_classes = int(labels.max()) + 1
+    if n_classes < 2:
+        raise ValueError(f"labels give {n_classes} class; need at least 2")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     width = total_range_deg / n_domains
@@ -247,7 +247,6 @@ def rotate_idx_domains(features: np.ndarray, labels: np.ndarray, n_domains: int,
         train_y.append(labels[take[:train_per_domain]])
         test_f.append(flat[train_per_domain:])
         test_y.append(labels[take[train_per_domain:]])
-    n_classes = int(labels.max()) + 1
     return MultiDomainDataset(train_f, train_y, test_f, test_y, n_classes,
                               {"kind": "idx_rotating"})
 
@@ -279,9 +278,6 @@ class LabeledPool:
 
     def counts(self) -> np.ndarray:
         return np.array([self.labeled_count(j) for j in range(self.n_domains)], dtype=np.int64)
-
-    def total_labeled(self) -> int:
-        return int(self.counts().sum())
 
     def labeled_features(self, j: int) -> np.ndarray:
         return self.dataset.train_features[j][self._labeled[j]]

@@ -1,5 +1,9 @@
-"""Experiment runner: the round loop (train, evaluate, assign domain budgets,
-select instances, reveal), the baseline assignment modes, and CSV export.
+"""Experiment runner: the round loop (train, evaluate, score the bound, assign
+domain budgets, select instances, reveal), the baseline assignment modes, and
+CSV export. After training, a round encodes each row block once: each
+domain's test rows, labeled rows and, with a discriminator, train rows (read
+by the h-distances and the bound), and each nonempty margin, BADGE or GRADS
+request. The export reads each round's reveals and budget shares from the ledger.
 
 Every random draw derives from (experiment seed, purpose, round, domain), so a
 rerun with the same config and seeds reproduces byte-identical outputs.
@@ -12,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundParams, BoundReport, empirical_bound
+from .bounds import BoundReport, empirical_bound
 from .config import ConfigError, ExperimentConfig, IdxDatasetSpec, config_to_text
 from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
                    load_idx, rotate_idx_domains)
 from .objective import estimate_h_distance, evaluate
 from .simplex import BudgetLedger, SimilarityMatrix, assign_budget
 from .strategies import QueryRequest, select
-from .training import RoundResult, train_round, write_snapshots_csv
+from .training import ObjectiveSnapshot, train_round, write_snapshots_csv
 
 log = logging.getLogger(__name__)
 
@@ -38,9 +42,8 @@ class RoundMetrics:
     avg_acc: float
     alpha: SimilarityMatrix
     hdist: np.ndarray
-    increments: np.ndarray      # reveals that produced this round's pool
-    beta: np.ndarray
     bound: BoundReport
+    history: list[ObjectiveSnapshot]
 
     def __post_init__(self) -> None:
         if abs(self.avg_acc - float(np.mean(self.per_domain_acc))) > 1e-12:
@@ -51,7 +54,6 @@ class RoundMetrics:
 class SeedRunResult:
     seed: int
     rounds: list[RoundMetrics] = field(default_factory=list)
-    round_results: list[RoundResult] = field(default_factory=list)
     ledger: BudgetLedger | None = None
     truncated_at: int | None = None
 
@@ -85,33 +87,34 @@ def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset, pool,
     return [flat_idx[positions[owners[positions] == j]] for j in range(n)]
 
 
+def _score_round(bundle, dataset, pool, alpha) -> tuple[np.ndarray, BoundReport]:
+    """The h-distances (N,) and the bound from one encode of each labeled domain
+    and, with a discriminator, of each domain's train rows, freed before selection."""
+    n = dataset.n_domains
+    lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
+    orig_z, hdist = None, np.zeros(n)
+    if bundle.discriminator is not None:
+        orig_z = [bundle.encode(dataset.train_features[i]) for i in range(n)]
+        hdist = estimate_h_distance(bundle, orig_z, lab_z, alpha)
+    return hdist, empirical_bound(bundle, pool, alpha, lab_z, orig_z)
+
+
 def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> SeedRunResult:
     n = dataset.n_domains
     pool = init_pool(dataset, cfg.m0, _rng_seed(seed, _STREAM_POOL))
-    initial = pool.counts()
-    ledger = BudgetLedger(cfg.m0, cfg.m, initial)
+    ledger = BudgetLedger(cfg.m0, cfg.m, pool.counts())
     result = SeedRunResult(seed=seed, ledger=ledger)
     prev_cols = np.full(n, 1.0 / n)
-    last_increment = initial.copy()
 
     for r in range(cfg.rounds + 1):
         rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
         bundle = rr.bundle
         per_acc, avg = evaluate(bundle, dataset)
-        hdist = np.zeros(n)
-        if bundle.discriminator is not None:
-            hdist = estimate_h_distance(
-                bundle, [bundle.encode(dataset.train_features[i]) for i in range(n)],
-                [bundle.encode(pool.labeled_features(j)) for j in range(n)], rr.alpha)
-        report = empirical_bound(bundle, dataset, pool, rr.alpha,
-                                 BoundParams(total_labeled=pool.total_labeled()))
+        hdist, report = _score_round(bundle, dataset, pool, rr.alpha)
         result.rounds.append(RoundMetrics(
             seed=seed, round=r, per_domain_acc=per_acc, avg_acc=avg,
-            alpha=rr.alpha, hdist=hdist,
-            increments=last_increment.copy(), beta=ledger.beta(),
-            bound=report,
+            alpha=rr.alpha, hdist=hdist, bound=report, history=rr.history,
         ))
-        result.round_results.append(rr)
 
         if r == cfg.rounds:
             break
@@ -153,7 +156,6 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
             pool.reveal(j, chosen[j])
         ledger.record(increments)
         prev_cols = cols
-        last_increment = increments
 
     return result
 
@@ -174,20 +176,17 @@ def export_outputs(cfg: ExperimentConfig, results: list[SeedRunResult], out_dir)
     with open(metrics_path, "w", newline="\n") as f:
         f.write("seed,round,domain,test_accuracy,n_labeled,increment,beta,hdist\n")
         for res in results:
+            ledger = res.ledger
+            reveals = [ledger.initial_counts, *ledger.increments]  # that produced each pool
             for rm in res.rounds:
-                counts = res.ledger.labeled_counts(rm.round)
-                for j in range(rm.per_domain_acc.size):
-                    f.write(",".join([
-                        str(rm.seed), str(rm.round), str(j),
-                        _fmt(rm.per_domain_acc[j]), str(int(counts[j])),
-                        str(int(rm.increments[j])), _fmt(rm.beta[j]), _fmt(rm.hdist[j]),
-                    ]) + "\n")
-                f.write(",".join([
-                    str(rm.seed), str(rm.round), "avg",
-                    _fmt(rm.avg_acc), str(int(counts.sum())),
-                    str(int(rm.increments.sum())), _fmt(rm.beta.sum()),
-                    _fmt(float(rm.hdist.mean())),
-                ]) + "\n")
+                acc, counts = rm.per_domain_acc, ledger.labeled_counts(rm.round)
+                incr, beta, hdist = reveals[rm.round], ledger.beta(rm.round), rm.hdist
+                rows = [(str(j), *v) for j, v in enumerate(zip(acc, counts, incr, beta, hdist))]
+                rows.append(("avg", rm.avg_acc, counts.sum(), incr.sum(), beta.sum(),
+                             hdist.mean()))
+                for domain, *values in rows:
+                    f.write(",".join([str(rm.seed), str(rm.round), domain,
+                                      *map(_fmt, values)]) + "\n")
     written.append(metrics_path)
 
     bounds_path = os.path.join(out_dir, "bounds.csv")
@@ -206,12 +205,12 @@ def export_outputs(cfg: ExperimentConfig, results: list[SeedRunResult], out_dir)
     for res in results:
         seed_dir = os.path.join(out_dir, f"seed_{res.seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        for rm, rr in zip(res.rounds, res.round_results):
+        for rm in res.rounds:
             alpha_path = os.path.join(seed_dir, f"alpha_round_{rm.round}.csv")
             rm.alpha.to_csv(alpha_path)
             written.append(alpha_path)
             snap_path = os.path.join(seed_dir, f"snapshots_round_{rm.round}.csv")
-            write_snapshots_csv(rr.history, snap_path)
+            write_snapshots_csv(rm.history, snap_path)
             written.append(snap_path)
 
     truncated = [res for res in results if res.truncated_at is not None]

@@ -44,34 +44,11 @@ class ModelBundle:
     def latent_dim(self) -> int:
         return self.encoder.output_dim
 
-    @property
-    def n_classes(self) -> int:
-        return self.classifier.output_dim
-
-    def trunk_net(self) -> DenseNet:
-        if len(self.classifier.layers) == 1:
-            raise ValueError("classifier has no trunk (single layer)")
-        return DenseNet(self.classifier.layers[:-1])
-
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.predict(x)
 
     def class_logits(self, x: np.ndarray) -> np.ndarray:
         return self.classifier.predict(self.encode(x))
-
-    def disc_logits(self, z: np.ndarray, domains) -> np.ndarray:
-        """The logit D_i(z) of each latent row under its domain i. `domains`
-        is one domain index for every row or one index per row, each in
-        [0, N)."""
-        if self.discriminator is None:
-            raise ValueError("bundle has no discriminator")
-        d = np.asarray(domains)
-        if not np.issubdtype(d.dtype, np.integer):
-            raise ValueError(f"domain indices must be integers, got {d.dtype}")
-        d = np.broadcast_to(d, (z.shape[0],))
-        if d.size and (d.min() < 0 or d.max() >= self.n_domains):
-            raise ValueError(f"domain index out of range [0, {self.n_domains})")
-        return self.discriminator.predict(z)[np.arange(z.shape[0]), d]
 
     def net_param_set(self) -> ParamSet:
         """Encoder, classifier, and all head finals, each layer once."""
@@ -84,11 +61,9 @@ class ModelBundle:
 
 
 def make_bundle(feature_dim: int, n_classes: int, n_domains: int,
-                rng: np.random.Generator, latent_dim: int = 16,
-                encoder_hidden: tuple[int, ...] = (32,),
-                classifier_hidden: tuple[int, ...] = (32,),
-                disc_hidden: tuple[int, ...] = (32, 32),
-                with_discriminator: bool = True) -> ModelBundle:
+                rng: np.random.Generator, latent_dim: int,
+                encoder_hidden: tuple[int, ...], classifier_hidden: tuple[int, ...],
+                disc_hidden: tuple[int, ...], with_discriminator: bool = True) -> ModelBundle:
     enc_dims = [feature_dim, *encoder_hidden, latent_dim]
     enc_acts = ["relu"] * len(encoder_hidden) + ["identity"]  # linear feature layer
     encoder = DenseNet.create(enc_dims, enc_acts, rng)

@@ -122,18 +122,10 @@ class BudgetLedger:
         self.increments.append(incr)
 
     def labeled_counts(self, r: int | None = None) -> np.ndarray:
-        if r is None:
-            r = len(self.increments)
-        counts = self.initial_counts.copy()
-        for incr in self.increments[:r]:
-            counts += incr
-        return counts
+        return np.sum([self.initial_counts, *self.increments[:r]], axis=0)
 
     def beta(self, r: int | None = None) -> np.ndarray:
-        if r is None:
-            r = len(self.increments)
-        total = self.m0 + r * self.m
-        return self.labeled_counts(r) / total
+        return self.labeled_counts(r) / self.total_budget(r)
 
     def total_budget(self, r: int | None = None) -> int:
         if r is None:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mudal import bounds
 from mudal.bounds import (BoundParams, BoundReport, bound_ordering_diag,
                           complexity_ratio, empirical_bound, hoeffding_term,
                           verify_optimal_beta)
@@ -39,6 +40,16 @@ def passthrough_bundle(c=2, n_domains=2, disc_zero=True):
             layer.W[...] = 0.0
             layer.b[...] = 0.0
     return ModelBundle(encoder, classifier, heads, disc, n_domains)
+
+
+def bound_of(bundle, ds, pool, alpha):
+    """The bound from one encode of each labeled domain and, with a
+    discriminator, of each domain's train rows, as the harness reads it."""
+    lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(ds.n_domains)]
+    orig_z = None
+    if bundle.discriminator is not None:
+        orig_z = [bundle.encode(x) for x in ds.train_features]
+    return empirical_bound(bundle, pool, alpha, lab_z, orig_z)
 
 
 class TestHoeffdingTerm:
@@ -131,6 +142,15 @@ class TestVerifyOptimalBeta:
         with pytest.raises(ValueError, match="grid_step"):
             verify_optimal_beta(np.array([0.5, 0.5]), 0.7)
 
+    @pytest.mark.parametrize("step", [0.005, 0.001, 0.0, -0.25, math.nan, math.inf, 0.3])
+    def test_step_refused_before_any_grid(self, step, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(bounds, "_simplex_grid", no_grid)
+        with pytest.raises(ValueError, match="grid_step"):
+            verify_optimal_beta(np.full(4, 0.25), step)
+
 
 class TestEmpiricalBound:
     def test_perfect_classifier_identical_domains_chance_discriminator(self):
@@ -138,7 +158,7 @@ class TestEmpiricalBound:
         bundle = passthrough_bundle()
         pool = init_pool(ds, 8, seed=0)
         alpha = np.full((2, 2), 0.5)
-        report = empirical_bound(bundle, ds, pool, alpha)
+        report = bound_of(bundle, ds, pool, alpha)
         assert report.weighted_err == 0.0
         assert report.vlambda_proxy == 0.0
         assert report.mean_hdist == 0.0  # zero-logit discriminator is at chance
@@ -158,7 +178,7 @@ class TestEmpiricalBound:
         pool = init_pool(ds, 48, seed=0)  # everything labeled, balanced
         rng = np.random.default_rng(4)
         alpha = np.stack([project_simplex(rng.random(3)) for _ in range(3)])
-        report = empirical_bound(bundle, ds, pool, alpha)
+        report = bound_of(bundle, ds, pool, alpha)
         np.testing.assert_allclose(report.weighted_err, 0.75, atol=1e-12)
 
     def test_components_recountable_and_total_exact(self):
@@ -166,7 +186,7 @@ class TestEmpiricalBound:
         bundle = passthrough_bundle(disc_zero=False)
         pool = init_pool(ds, 8, seed=1)
         alpha = np.array([[0.7, 0.3], [0.4, 0.6]])
-        report = empirical_bound(bundle, ds, pool, alpha)
+        report = bound_of(bundle, ds, pool, alpha)
         # independent recount of the weighted empirical error
         cols = alpha.mean(axis=0)
         recount = 0.0
@@ -193,7 +213,7 @@ class TestEmpiricalBound:
             layer.W[...] = rng.normal(size=layer.W.shape)
         pool = init_pool(ds, m0, seed=1)
         alpha = np.array(alpha)
-        report = empirical_bound(bundle, ds, pool, alpha)
+        report = bound_of(bundle, ds, pool, alpha)
         lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(2)]
         err = classifier_pass(bundle, lab_z, [pool.labels(j) for j in range(2)]).errors()
         err_h, head_err = err[0], err[1:]

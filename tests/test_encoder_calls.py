@@ -2,12 +2,15 @@
 reads latent rows that the trainer encodes, and classifier logits from the
 one stacked `classifier_pass`. So no function there but `evaluate` runs the
 encoder forward or backward itself, runs the whole classifier, or builds a
-per-head net.
+per-head net. The same layering holds in `bounds.py`, which reads the latent
+rows the harness encodes, and in `strategies.py`, where only the `select_*`
+entry points and `grads_select` encode their request's rows.
 """
 import ast
 import pathlib
 
-OBJECTIVE = pathlib.Path(__file__).resolve().parents[1] / "src" / "mudal" / "objective.py"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mudal"
+OBJECTIVE = SRC / "objective.py"
 ALLOWED = {"evaluate"}
 NET_CALLS = ("forward", "backward", "predict")
 
@@ -68,3 +71,14 @@ def test_objective_reads_discriminator_decisions_from_one_home():
     # whole-block logits, not from per-domain `disc_logits` reads
     callers = disc_logits_callers(OBJECTIVE.read_text())
     assert not callers, f"objective.py functions that call disc_logits: {callers}"
+
+
+def test_bounds_reads_latent_rows():
+    callers = encoder_callers((SRC / "bounds.py").read_text())
+    assert not callers, f"bounds.py functions that run the encoder or classifier: {callers}"
+
+
+def test_only_strategy_entry_points_encode():
+    callers = [name for name in encoder_callers((SRC / "strategies.py").read_text())
+               if not (name.startswith("select_") or name == "grads_select")]
+    assert not callers, f"strategies.py readouts that run the encoder or classifier: {callers}"

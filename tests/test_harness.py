@@ -10,7 +10,9 @@ from mudal.cli import build_parser, main as cli_main
 from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
 from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, RotatingSpec
+from mudal import bounds, harness
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
+from mudal.models import ModelBundle
 from mudal.simplex import SimilarityMatrix
 from mudal.strategies import STRATEGIES
 from mudal.training import VARIANTS, TrainConfig
@@ -157,7 +159,7 @@ class TestRunSeed:
             assert np.all(incr >= 0)
         for rm in res.rounds:
             np.testing.assert_allclose(rm.avg_acc, rm.per_domain_acc.mean(), atol=1e-12)
-            np.testing.assert_allclose(rm.beta.sum(), 1.0, atol=1e-9)
+            np.testing.assert_allclose(res.ledger.beta(rm.round).sum(), 1.0, atol=1e-9)
 
     def test_rounds_zero_only_initial(self):
         cfg = fast_config(rounds=0)
@@ -193,7 +195,7 @@ class TestRunSeed:
         with caplog.at_level(logging.INFO, logger="mudal.simplex"):
             res = run_seed(cfg, build_dataset(cfg), seed=seed)
         clamped = {rec.args[0] for rec in caplog.records if "clamping" in rec.getMessage()}
-        n, ledger = res.rounds[0].beta.size, res.ledger
+        n, ledger = res.ledger.beta(0).size, res.ledger
         checked = 0
         for r in range(1, len(ledger.increments) + 1):
             if r in clamped:
@@ -202,6 +204,48 @@ class TestRunSeed:
             assert np.abs(ledger.beta(r) - cols).sum() < n / (cfg.m0 + r * cfg.m), r
             checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize("assignment, strategy, variant", [
+        ("cal_optimal", "grads", "cal"), ("joint", "margin", "cal"),
+        ("separate", "badge", "vanilla"), ("paper_literal", "random", "cal"),
+    ])
+    def test_each_row_block_encoded_once_per_round(self, assignment, strategy, variant,
+                                                    monkeypatch):
+        # per round, outside training: each domain's test rows, its labeled
+        # rows and, with a discriminator, its train rows, plus the rows of each
+        # nonempty margin/badge/grads request
+        cfg = fast_config(assignment=assignment, strategy=strategy)
+        cfg = dataclasses.replace(cfg, variant=variant,
+                                  train=dataclasses.replace(cfg.train, variant=variant))
+        per_round, training = [], [False]
+        encode, train = ModelBundle.encode, harness.train_round
+
+        def counting_encode(bundle, x):
+            if not training[0]:
+                per_round[-1] += 1
+            return encode(bundle, x)
+
+        def counted_train(*args):
+            training[0] = True
+            try:
+                return train(*args)
+            finally:
+                training[0] = False
+                per_round.append(0)
+
+        monkeypatch.setattr(ModelBundle, "encode", counting_encode)
+        monkeypatch.setattr(harness, "train_round", counted_train)
+        res = run_seed(cfg, build_dataset(cfg), seed=1)
+        n = 3
+        blocks = 2 * n if variant == "vanilla" else 3 * n
+        if strategy == "random":
+            requests = [0] * cfg.rounds
+        elif assignment == "joint":
+            requests = [1] * cfg.rounds
+        else:
+            requests = [int(np.count_nonzero(incr)) for incr in res.ledger.increments]
+        assert len(res.ledger.increments) == cfg.rounds
+        assert per_round == [blocks + q for q in requests] + [blocks]
 
     def test_paper_literal_mode_runs(self):
         cfg = fast_config(assignment="paper_literal")
@@ -302,6 +346,8 @@ class TestCli:
         MINIMAL.replace("cal_optimal", "joint") + FAST_TRAIN + FAST_BUDGET.replace("m = 6",
                                                                                   "m = -3"),
         MINIMAL.replace("n_classes = 3", "n_classes = 40") + FAST_TRAIN + FAST_BUDGET,
+        MINIMAL.replace("n_classes = 3", "n_classes = 1").replace("grads", "margin")
+        + FAST_TRAIN + FAST_BUDGET,
         # readable IDX files (written below), so only the bad value can stop the run
         MINIMAL.replace("kind = rotating", "kind = idx\nimages = {dir}/img.idx\n"
                         "labels = {dir}/lab.idx")
@@ -314,7 +360,7 @@ class TestCli:
         + FAST_TRAIN + FAST_BUDGET,
         MINIMAL + FAST_TRAIN + FAST_BUDGET + "\n[output]\nseeds = 1,-1\n",
     ], ids=["n_domains_0", "latent_dim_0", "hidden_width_0", "joint_m_negative",
-            "n_classes_40", "idx_n_domains_0", "dataset_seed_negative",
+            "n_classes_40", "n_classes_1", "idx_n_domains_0", "dataset_seed_negative",
             "idx_seed_negative", "output_seed_negative"])
     def test_bad_values_exit_2(self, text, tmp_path, capsys):
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2)
@@ -326,18 +372,21 @@ class TestCli:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("magic, pixels, message", [
-        (IDX_IMAGE_MAGIC, 10, "truncated pixel data at byte offset 26"),
-        (0, 40 * 16, "bad magic 0x00000000"),
+    @pytest.mark.parametrize("magic, images, pixels, message", [
+        (IDX_IMAGE_MAGIC, 40, 10, "truncated pixel data at byte offset 26"),
+        (0, 40, 40 * 16, "bad magic 0x00000000"),
         # 3 domains x (30 + 15) points need 135 images
-        (IDX_IMAGE_MAGIC, 40 * 16, "need 135 samples, have 40"),
-    ], ids=["truncated_pixels", "bad_magic", "too_few_images"])
-    def test_corrupt_idx_exit_2(self, magic, pixels, message, tmp_path, capsys):
-        # a 40-image pair of 4x4 images, broken one way per case
-        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", magic, 40, 4, 4)
+        (IDX_IMAGE_MAGIC, 40, 40 * 16, "need 135 samples, have 40"),
+        # enough images, but every label is 0
+        (IDX_IMAGE_MAGIC, 140, 140 * 16, "labels give 1 class"),
+    ], ids=["truncated_pixels", "bad_magic", "too_few_images", "one_class"])
+    def test_corrupt_idx_exit_2(self, magic, images, pixels, message, tmp_path, capsys):
+        # a pair of 4x4 images with all-zero pixels and labels, broken one way
+        # per case
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", magic, images, 4, 4)
                                            + bytes(pixels))
-        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 40)
-                                           + bytes(40))
+        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, images)
+                                           + bytes(images))
         path = tmp_path / "bad.cfg"
         idx = f"kind = idx\nimages = {tmp_path}/img.idx\nlabels = {tmp_path}/lab.idx"
         path.write_text(MINIMAL.replace("kind = rotating", idx).replace("n_classes = 3\n", "")
@@ -358,6 +407,17 @@ class TestCli:
     def test_verify_theory_exit_0(self, capsys):
         assert cli_main(["verify-theory", "--grid-step", "0.02"]) == 0
         assert "ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("step", ["0.3", "0", "nan", "-0.5", "0.75", "x", "0.005"])
+    def test_verify_theory_bad_grid_step_exit_2(self, step, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(bounds, "_simplex_grid", no_grid)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify-theory", "--grid-step", step])
+        assert exc.value.code == 2
+        assert "--grid-step" in capsys.readouterr().err
 
     def test_gradcheck_exit_0(self, capsys):
         assert cli_main(["gradcheck"]) == 0

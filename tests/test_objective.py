@@ -57,11 +57,16 @@ def head_net(bundle, i):
     return DenseNet([*bundle.classifier.layers[:-1], bundle.head_finals[i]])
 
 
+def disc_logit(bundle, z, i):
+    """Oracle: the logit D_i(z) of each latent row, read on its own."""
+    return bundle.discriminator.predict(z)[:, i]
+
+
 def disc_orig_rates(bundle, z_blocks):
     """Oracle: (N, B), how often the discriminator takes latent block b for
-    original domain i, one `disc_logits` call per (code, block). An empty
+    original domain i, one `disc_logit` read per (code, block). An empty
     block reads 0."""
-    return np.array([[np.mean(bundle.disc_logits(z, i) >= 0.0) if z.shape[0] else 0.0
+    return np.array([[np.mean(disc_logit(bundle, z, i) >= 0.0) if z.shape[0] else 0.0
                       for z in z_blocks] for i in range(bundle.n_domains)])
 
 
@@ -173,24 +178,6 @@ class TestVh:
         assert "empty" in caplog.text
 
 
-class TestDiscLogits:
-    def test_reads_the_logit_of_each_rows_domain(self):
-        bundle = tiny_bundle()
-        z = np.random.default_rng(30).standard_normal((4, 4))
-        logits = bundle.discriminator.predict(z)
-        assert logits.shape == (4, 3)
-        np.testing.assert_array_equal(bundle.disc_logits(z, 2), logits[:, 2])
-        np.testing.assert_array_equal(bundle.disc_logits(z, np.array([1, 0, 2, 1])),
-                                      logits[np.arange(4), [1, 0, 2, 1]])
-
-    def test_bad_domains_rejected(self):
-        bundle = tiny_bundle()
-        z = np.zeros((3, 4))
-        for bad in (3, -1, np.array([0, 1, 3]), 1.0, np.array([0, 1])):
-            with pytest.raises(ValueError):
-                bundle.disc_logits(z, bad)
-
-
 class TestVd:
     def test_disc_pass_reads_each_row_once(self):
         bundle = tiny_bundle()
@@ -221,8 +208,8 @@ class TestVd:
         for i in range(3):
             z_o = bundle.encode(orig[i])
             z_l = bundle.encode(lab[i])
-            lo, _ = sigmoid_bce(bundle.disc_logits(z_o, i), np.ones(z_o.shape[0]))
-            ll, _ = sigmoid_bce(bundle.disc_logits(z_l, i), np.zeros(z_l.shape[0]))
+            lo, _ = sigmoid_bce(disc_logit(bundle, z_o, i), np.ones(z_o.shape[0]))
+            ll, _ = sigmoid_bce(disc_logit(bundle, z_l, i), np.zeros(z_l.shape[0]))
             expected += lo + ll
         expected /= 6.0
         np.testing.assert_allclose(res_eye.value, expected, atol=1e-12)
@@ -238,13 +225,13 @@ class TestVd:
         expected = 0.0
         for i in range(3):
             z_o = bundle.encode(orig[i])
-            lo, _ = sigmoid_bce(bundle.disc_logits(z_o, i), np.ones(z_o.shape[0]))
+            lo, _ = sigmoid_bce(disc_logit(bundle, z_o, i), np.ones(z_o.shape[0]))
             expected += lo
             for j in range(3):
                 if j in empty_labeled:
                     continue  # an empty L_j adds nothing
                 z_l = bundle.encode(lab[j])
-                ll, _ = sigmoid_bce(bundle.disc_logits(z_l, i), np.zeros(z_l.shape[0]))
+                ll, _ = sigmoid_bce(disc_logit(bundle, z_l, i), np.zeros(z_l.shape[0]))
                 expected += alpha[i, j] * ll
         expected /= 6.0
         res = vd_of(bundle, encode(bundle, orig), encode(bundle, lab), alpha)
@@ -492,15 +479,15 @@ class TestLabeledReadouts:
 
 
 def h_distance_oracle(bundle, orig_z, lab_z, alpha):
-    """Oracle: each domain's estimate on its own, one `disc_logits` call per
+    """Oracle: each domain's estimate on its own, one `disc_logit` read per
     (domain, block), skipping the zero-weight labeled blocks."""
     out = np.zeros(len(orig_z))
     for i, z_o in enumerate(orig_z):
-        err_o = float(np.mean(bundle.disc_logits(z_o, i) < 0.0))
+        err_o = float(np.mean(disc_logit(bundle, z_o, i) < 0.0))
         err_l = 0.0
         for j, z in enumerate(lab_z):
             if alpha[i, j] != 0.0:
-                err_l += alpha[i, j] * float(np.mean(bundle.disc_logits(z, i) >= 0.0))
+                err_l += alpha[i, j] * float(np.mean(disc_logit(bundle, z, i) >= 0.0))
         out[i] = np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
     return out
 
@@ -558,7 +545,6 @@ class TestHDistance:
         predict = bundle.discriminator.predict
         monkeypatch.setattr(bundle.discriminator, "predict",
                             lambda z: rows.append(z.shape[0]) or predict(z))
-        monkeypatch.setattr(bundle, "disc_logits", None)  # no per-domain reads
         np.testing.assert_array_equal(estimate_h_distance(bundle, orig, lab, alpha), expected)
         assert rows == [5, 6, 7, 4, 3]
 

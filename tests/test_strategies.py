@@ -31,6 +31,12 @@ def real_bundle(seed=0, n_domains=3, with_disc=True):
                        with_discriminator=with_disc)
 
 
+def trunk_output(bundle, feats):
+    """Oracle: the classifier's final-layer input, from every classifier
+    layer but the last."""
+    return DenseNet(bundle.classifier.layers[:-1]).predict(bundle.encode(feats))
+
+
 def request(bundle, feats, k, domain=0, seed=0):
     n = feats.shape[0]
     return QueryRequest(domain=domain, k=k, unlabeled=np.arange(100, 100 + n),
@@ -61,8 +67,8 @@ class TestRandom:
 class TestMargin:
     def test_margin_arithmetic(self):
         bundle = passthrough_bundle(c=3)
-        feats = np.log(np.array([[0.6, 0.3, 0.1]]))
-        np.testing.assert_allclose(margin_scores(bundle, feats), [0.3], atol=1e-12)
+        z = np.log(np.array([[0.6, 0.3, 0.1]]))
+        np.testing.assert_allclose(margin_scores(bundle, z), [0.3], atol=1e-12)
 
     def test_uncertain_sample_selected_first(self):
         bundle = passthrough_bundle(c=3)
@@ -95,8 +101,8 @@ class TestMargin:
 class TestBadgeEmbeddings:
     def test_one_hot_probability_gives_zero_embedding(self):
         bundle = passthrough_bundle(c=2)
-        feats = np.array([[1000.0, 0.0]])  # softmax saturates to exactly (1, 0)
-        emb = badge_embeddings(bundle, feats)
+        z = np.array([[1000.0, 0.0]])  # softmax saturates to exactly (1, 0)
+        emb = badge_embeddings(bundle, z)
         np.testing.assert_array_equal(emb, np.zeros((1, 4)))
 
     def test_hand_chain_rule_case(self):
@@ -116,8 +122,8 @@ class TestBadgeEmbeddings:
     def test_norm_factorizes(self):
         bundle = real_bundle(seed=6)
         feats = np.random.default_rng(7).standard_normal((15, 2))
-        emb = badge_embeddings(bundle, feats)
-        z = bundle.trunk_net().predict(bundle.encode(feats))
+        emb = badge_embeddings(bundle, bundle.encode(feats))
+        z = trunk_output(bundle, feats)
         probs = softmax(z @ bundle.classifier.layers[-1].W.T + bundle.classifier.layers[-1].b)
         delta = probs.copy()
         delta[np.arange(15), np.argmax(probs, axis=1)] -= 1.0
@@ -127,8 +133,8 @@ class TestBadgeEmbeddings:
     def test_embedding_is_exact_last_layer_gradient(self):
         bundle = real_bundle(seed=8)
         feats = np.random.default_rng(9).standard_normal((6, 2))
-        emb = badge_embeddings(bundle, feats)
-        z = bundle.trunk_net().predict(bundle.encode(feats))
+        emb = badge_embeddings(bundle, bundle.encode(feats))
+        z = trunk_output(bundle, feats)
         final_net = DenseNet([bundle.classifier.layers[-1]])
         for b in range(6):
             trace = final_net.forward(z[b:b + 1])
@@ -194,7 +200,7 @@ class TestGrads:
     def test_outlier_scores_are_probabilities(self):
         bundle = real_bundle(seed=14)
         feats = np.random.default_rng(15).standard_normal((10, 2))
-        s = outlier_scores(bundle, feats, 2)
+        s = outlier_scores(bundle, bundle.encode(feats), 2)
         assert np.all((s > 0) & (s < 1))
 
     def test_outlier_scores_saturate_without_overflow(self):
@@ -203,15 +209,16 @@ class TestGrads:
         feats = np.random.default_rng(15).standard_normal((10, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = outlier_scores(bundle, feats, 2)
+            s = outlier_scores(bundle, bundle.encode(feats), 2)
         np.testing.assert_array_equal(s, 0.0)
 
     def test_per_row_domains_score_each_row_under_its_domain(self):
         bundle = real_bundle(seed=14)
         feats = np.random.default_rng(15).standard_normal((9, 2))
         owners = np.array([0, 0, 1, 2, 2, 2, 1, 0, 1])
-        expected = [outlier_scores(bundle, feats[r:r + 1], owners[r])[0] for r in range(9)]
-        np.testing.assert_allclose(outlier_scores(bundle, feats, owners), expected,
+        z = bundle.encode(feats)
+        expected = [outlier_scores(bundle, z[r:r + 1], owners[r])[0] for r in range(9)]
+        np.testing.assert_allclose(outlier_scores(bundle, z, owners), expected,
                                    rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="align"):
             request(bundle, feats, 2, domain=owners[:5])
@@ -229,7 +236,7 @@ class TestGrads:
         feats = np.stack([low_margin, high_margin])
 
         def norm_ratio(temp):
-            emb = badge_embeddings(bundle, feats, temperature=temp)
+            emb = badge_embeddings(bundle, feats, temperature=temp)  # identity encoder
             norms = np.linalg.norm(emb, axis=1)
             return norms[0] / norms[1]
 
@@ -247,6 +254,19 @@ class TestDispatchAndContracts:
             assert np.unique(out).size == 5
             assert np.all(np.isin(out, req.unlabeled))
 
+    @pytest.mark.parametrize("name, encodes", [("random", 0), ("margin", 1), ("badge", 1),
+                                               ("grads", 1)])
+    def test_each_entry_point_encodes_its_rows_once(self, name, encodes, monkeypatch):
+        bundle = real_bundle(seed=18)
+        feats = np.random.default_rng(19).standard_normal((12, 2))
+        rows = []
+        encode = bundle.encode
+        monkeypatch.setattr(bundle, "encode", lambda x: rows.append(x.shape[0]) or encode(x))
+        select(name, request(bundle, feats, 4, domain=2))
+        assert rows == [12] * encodes
+        select(name, request(bundle, feats, 0, domain=2))  # an empty request encodes nothing
+        assert rows == [12] * encodes
+
     def test_unknown_strategy_rejected(self):
         bundle = real_bundle()
         req = request(bundle, np.zeros((3, 2)), 1)
@@ -257,3 +277,10 @@ class TestDispatchAndContracts:
         bundle = real_bundle()
         with pytest.raises(ValueError, match="budget"):
             request(bundle, np.zeros((3, 2)), 4)
+
+    def test_bad_domains_rejected(self):
+        bundle = real_bundle(n_domains=3)
+        feats = np.zeros((3, 2))
+        for bad in (3, -1, np.array([0, 1, 3]), 1.0, np.array([0, 1])):
+            with pytest.raises(ValueError, match="domain"):
+                request(bundle, feats, 1, domain=bad)
