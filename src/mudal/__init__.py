@@ -2,8 +2,7 @@
 adversarial feature alignment, theoretically guided budget assignment, and
 pluggable instance-level query strategies."""
 
-from .nn import (AdamState, DenseNet, Layer, adam_step, grad_check, sigmoid_bce,
-                 softmax, softmax_ce)
+from .nn import DenseNet, Layer, grad_check, sigmoid_bce, softmax, softmax_ce
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,
                    init_pool, load_idx, rotate_idx_domains)
 from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,

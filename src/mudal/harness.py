@@ -71,16 +71,16 @@ def build_dataset(cfg: ExperimentConfig) -> MultiDomainDataset:
         raise ConfigError(str(exc)) from exc
 
 
-def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset, pool,
-                  bundle, seed_seq) -> list[np.ndarray]:
+def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset,
+                  unlab: list[np.ndarray], bundle, seed_seq) -> list[np.ndarray]:
     """Pick m samples from the pooled unlabeled set, ignoring domains: one
-    request over every domain's unlabeled rows, each row keeping its domain."""
+    request over every domain's unlabeled rows `unlab[j]`, each row keeping
+    its domain."""
     n = dataset.n_domains
-    per_domain_unlab = [pool.unlabeled_indices(j) for j in range(n)]
-    owners = np.concatenate([np.full(per_domain_unlab[j].size, j) for j in range(n)])
-    flat_idx = np.concatenate(per_domain_unlab)
+    owners = np.concatenate([np.full(unlab[j].size, j) for j in range(n)])
+    flat_idx = np.concatenate(unlab)
     req = QueryRequest(domain=owners, k=cfg.m, unlabeled=np.arange(flat_idx.size),
-                       features=np.vstack([dataset.train_features[j][per_domain_unlab[j]]
+                       features=np.vstack([dataset.train_features[j][unlab[j]]
                                            for j in range(n)]),
                        bundle=bundle, seed=seed_seq)
     positions = select(cfg.strategy, req, temperature=cfg.train.temperature)
@@ -119,7 +119,9 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         if r == cfg.rounds:
             break
 
-        capacities = np.array([pool.unlabeled_indices(j).size for j in range(n)])
+        # the round's unlabeled rows, read once for the capacities and the requests
+        unlab = [pool.unlabeled_indices(j) for j in range(n)]
+        capacities = np.array([u.size for u in unlab])
         if capacities.sum() < cfg.m:
             log.warning("seed %d: unlabeled pool exhausted before round %d", seed, r + 1)
             result.truncated_at = r + 1
@@ -127,7 +129,7 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
 
         cols = rr.alpha.column_importance()
         if cfg.assignment == "joint":
-            chosen = _joint_select(cfg, dataset, pool, bundle,
+            chosen = _joint_select(cfg, dataset, unlab, bundle,
                                    _rng_seed(seed, _STREAM_QUERY, r + 1))
             increments = np.array([c.size for c in chosen], dtype=np.int64)
         else:
@@ -145,9 +147,8 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
                                            mode="paper_literal", prev_alpha_cols=prev_cols)
             chosen = []
             for j in range(n):
-                unlab = pool.unlabeled_indices(j)
-                req = QueryRequest(domain=j, k=int(increments[j]), unlabeled=unlab,
-                                   features=dataset.train_features[j][unlab],
+                req = QueryRequest(domain=j, k=int(increments[j]), unlabeled=unlab[j],
+                                   features=dataset.train_features[j][unlab[j]],
                                    bundle=bundle,
                                    seed=_rng_seed(seed, _STREAM_QUERY, r + 1, j))
                 chosen.append(select(cfg.strategy, req, temperature=cfg.train.temperature))

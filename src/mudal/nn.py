@@ -3,9 +3,13 @@
 Provides exactly what the rest of the package needs: dense layers with a
 handful of activations, an explicit forward/backward pass that also returns
 input gradients (required to chain gradients into an upstream encoder and to
-flip the sign of adversarial updates), an Adam optimizer over flat parameter
-lists, weighted softmax/sigmoid cross-entropy losses, and a central
-finite-difference gradient checker used as the test oracle.
+flip the sign of adversarial updates), weighted softmax/sigmoid cross-entropy
+losses, and a central finite-difference gradient checker used as the test
+oracle.
+
+A gradient has one shape from backward to the optimizer: `LayerGrads`, the
+(dW, db) pair of each layer. A `ParamSet` holds its layers' Adam state and
+steps them on a `LayerGrads`.
 """
 from __future__ import annotations
 
@@ -27,15 +31,17 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(z: np.ndarray, kind: str) -> np.ndarray:
-    # Derivative with respect to the pre-activation. The subgradient of relu
-    # at 0 is taken as 0; leaky_relu uses its negative-side slope there.
+def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    # Derivative with respect to the pre-activation, read from the activation
+    # a: relu and leaky_relu are positive exactly where their input is. The
+    # subgradient of relu at 0 is taken as 0; leaky_relu uses its
+    # negative-side slope there.
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if kind == "leaky_relu":
-        return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        return np.where(a > 0.0, 1.0, LEAKY_SLOPE)
     if kind == "identity":
-        return np.ones_like(z)
+        return np.ones_like(a)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -98,31 +104,16 @@ class ActivationTrace:
     """Everything forward() saw, sufficient for an exact backward pass."""
 
     net: "DenseNet"
-    inputs: list[np.ndarray]   # input to each layer
-    pre: list[np.ndarray]      # pre-activations per layer
-    post: list[np.ndarray]     # post-activations per layer
+    acts: list[np.ndarray]     # the input, then the activation of each layer
     versions: tuple[int, ...]
 
     @property
     def output(self) -> np.ndarray:
-        return self.post[-1]
+        return self.acts[-1]
 
 
+# the (dW, db) pair of each layer a gradient reaches
 LayerGrads = dict[Layer, tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass
-class Gradients:
-    """Per-parameter gradients, each layer's W then b in layer order, plus
-    d(loss)/d(input)."""
-
-    params: list[np.ndarray]
-    input: np.ndarray
-
-    def by_layer(self, net: "DenseNet") -> LayerGrads:
-        """The (dW, db) pair of each of `net`'s layers."""
-        return {layer: (self.params[2 * k], self.params[2 * k + 1])
-                for k, layer in enumerate(net.layers)}
 
 
 class DenseNet:
@@ -169,19 +160,17 @@ class DenseNet:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match net input dim {self.input_dim}"
             )
-        inputs, pre, post = [], [], []
+        acts = [x]
         for layer in self.layers:
-            inputs.append(x)
-            z = x @ layer.W.T + layer.b
-            a = _activate(z, layer.activation)
-            pre.append(z)
-            post.append(a)
-            x = a
+            x = _activate(x @ layer.W.T + layer.b, layer.activation)
+            acts.append(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite values in forward output")
-        return ActivationTrace(self, inputs, pre, post, self.versions())
+        return ActivationTrace(self, acts, self.versions())
 
-    def backward(self, trace: ActivationTrace, output_grad: np.ndarray) -> Gradients:
+    def backward(self, trace: ActivationTrace,
+                 output_grad: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+        """Every layer's (dW, db) and d(loss)/d(input)."""
         if trace.net is not self:
             raise ValueError("trace was produced by a different net")
         if trace.versions != self.versions():
@@ -191,14 +180,13 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {delta.shape} != output shape {trace.output.shape}"
             )
-        grads: list[np.ndarray] = [np.empty(0)] * (2 * len(self.layers))
+        grads: LayerGrads = {}
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            dz = delta * _activation_grad(trace.pre[k], layer.activation)
-            grads[2 * k] = dz.T @ trace.inputs[k]
-            grads[2 * k + 1] = dz.sum(axis=0)
+            dz = delta * _activation_grad(trace.acts[k + 1], layer.activation)
+            grads[layer] = (dz.T @ trace.acts[k], dz.sum(axis=0))
             delta = dz @ layer.W
-        return Gradients(params=grads, input=delta)
+        return grads, delta
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).output
@@ -245,46 +233,23 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 
 class ParamSet:
-    """An ordered, de-duplicated collection of layers updated together."""
+    """An ordered, de-duplicated collection of layers updated together by one
+    Adam optimizer, whose state the set holds."""
 
     def __init__(self, layers: list[Layer]):
-        seen: dict[int, Layer] = {}
-        for layer in layers:
-            seen.setdefault(id(layer), layer)
-        self.layers = list(seen.values())
+        self.layers = list({id(layer): layer for layer in layers}.values())
+        self.adam = AdamState.init([p for layer in self.layers for p in (layer.W, layer.b)])
 
-    def params(self) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
+    def step(self, grads: LayerGrads, lr: float) -> None:
+        """One Adam step on every layer; a layer missing from `grads` steps on
+        a zero gradient."""
+        params, flat = [], []
         for layer in self.layers:
-            out.append(layer.W)
-            out.append(layer.b)
-        return out
-
-    def grads_from(self, by_layer: LayerGrads) -> list[np.ndarray]:
-        flat = [np.zeros_like(p) for p in self.params()]
-        for k, layer in enumerate(self.layers):
-            if layer in by_layer:
-                dw, db = by_layer[layer]
-                flat[2 * k] += dw
-                flat[2 * k + 1] += db
-        return flat
-
-    def step(self, grads: list[np.ndarray], state: AdamState, lr: float) -> None:
-        adam_step(self.params(), grads, state, lr)
+            params += (layer.W, layer.b)
+            flat += grads.get(layer) or (np.zeros_like(layer.W), np.zeros_like(layer.b))
+        adam_step(params, flat, self.adam, lr)
         for layer in self.layers:
             layer.bump()
-
-
-def accumulate_layer_grads(acc: LayerGrads, other: LayerGrads, scale: float = 1.0) -> None:
-    """acc[layer] += scale * other[layer] for every layer of `other`; a layer
-    shared between nets sums its gradients."""
-    for layer, (dw, db) in other.items():
-        dw, db = scale * dw, scale * db
-        if layer in acc:
-            odw, odb = acc[layer]
-            acc[layer] = (odw + dw, odb + db)
-        else:
-            acc[layer] = (dw, db)
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -378,7 +343,7 @@ def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) 
     features = np.asarray(features, dtype=np.float64)
     trace = net.forward(features)
     _, dout = loss_fn(trace.output)
-    analytic = net.backward(trace, dout).params
+    grads, _ = net.backward(trace, dout)
 
     def loss_at() -> float:
         value, _ = loss_fn(net.forward(features).output)
@@ -386,6 +351,7 @@ def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) 
 
     worst = 0.0
     params = [p for layer in net.layers for p in (layer.W, layer.b)]
+    analytic = [g for layer in net.layers for g in grads[layer]]
     for p, g in zip(params, analytic):
         flat_p = p.reshape(-1)
         flat_g = g.reshape(-1)

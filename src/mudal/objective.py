@@ -78,9 +78,7 @@ class ClassifierPass:
             raise ValueError("stale trace: final layers changed since classifier_pass()")
         if self.trunk is None:
             return {}, dhidden
-        net = self.trunk.net
-        g = net.backward(self.trunk, dhidden)
-        return g.by_layer(net), g.input
+        return self.trunk.net.backward(self.trunk, dhidden)
 
 
 def classifier_pass(bundle: ModelBundle, labeled_z: list[np.ndarray],
@@ -163,7 +161,7 @@ class DiscPass:
     def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
         after its update."""
-        return replace(self, trace=self.trace.net.forward(self.trace.inputs[0]))
+        return replace(self, trace=self.trace.net.forward(self.trace.acts[0]))
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         """The pass's `decision_rates`."""
@@ -218,9 +216,8 @@ def compute_vd(disc: DiscPass, alpha) -> TermResult:
 
     norm_loss, dlogits = sigmoid_bce(logits, np.broadcast_to(target, logits.shape), w)
     scale = wsum / (2.0 * n)
-    net = disc.trace.net
-    disc_g = net.backward(disc.trace, dlogits.reshape(logits.shape) * scale)
-    return TermResult(float(norm_loss * scale), disc_g.by_layer(net), disc_g.input)
+    grads, dz = disc.trace.net.backward(disc.trace, dlogits.reshape(logits.shape) * scale)
+    return TermResult(float(norm_loss * scale), grads, dz)
 
 
 def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,

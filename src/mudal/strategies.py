@@ -126,11 +126,12 @@ def kmeanspp_select(vectors: np.ndarray, k: int, seed) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
-def select_badge(req: QueryRequest, temperature: float = 1.0) -> np.ndarray:
-    """BADGE: k-means++ seeds over gradient embeddings, in selection order."""
+def select_badge(req: QueryRequest) -> np.ndarray:
+    """BADGE: k-means++ seeds over gradient embeddings at the T = 1 softmax, in
+    selection order."""
     if req.k == 0:
         return np.empty(0, dtype=np.int64)
-    emb = badge_embeddings(req.bundle, req.bundle.encode(req.features), temperature=temperature)
+    emb = badge_embeddings(req.bundle, req.bundle.encode(req.features))
     positions = kmeanspp_select(emb, req.k, req.seed)
     return req.unlabeled[positions]
 

@@ -18,9 +18,13 @@ once before and once after its own update:
 
 V_h and V_lambda read the classifier pass and the trunk runs backward once on
 their summed gradient; the latent gradients (the trunk's, and V_d's times
--lambda_d) go back through the encoder once. No pass or trace outlives its
-step. Models are re-initialized at the start of every round; the similarity
-matrix restarts uniform.
+-lambda_d) go back through the encoder once. Each term's layer gradients
+cover layers no other term reaches (V_h the shared final layer, V_lambda the
+head finals, the trunk backward the trunk, the encoder backward the encoder),
+so the step's gradient is their union, and one Adam step of the network
+`ParamSet` applies it; the discriminator's `ParamSet` steps on V_d's. No pass
+or trace outlives its step. Models are re-initialized at the start of every
+round; the similarity matrix restarts uniform.
 """
 from __future__ import annotations
 
@@ -31,7 +35,6 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import AdamState, LayerGrads, ParamSet, accumulate_layer_grads
 from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass, compute_vd,
                         compute_vh, compute_vlambda, disc_pass)
 from .simplex import SimilarityMatrix
@@ -176,12 +179,7 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def _adam(opt: tuple[ParamSet, AdamState], grads: LayerGrads, lr: float) -> None:
-    params, state = opt
-    params.step(params.grads_from(grads), state, lr)
-
-
-def _train_step(bundle, config, batch, alpha, coeff_ema, net_opt, disc_opt):
+def _train_step(bundle, config, batch, alpha, coeff_ema, net_set, disc_set):
     """One minibatch step. Returns the new alpha, the new coefficient EMA and
     (V_h, V_d, V_lambda); every pass and trace lives only as long as the step."""
     orig_feats, lab_feats, lab_labels = batch
@@ -200,7 +198,7 @@ def _train_step(bundle, config, batch, alpha, coeff_ema, net_opt, disc_opt):
     v_d_val = 0.0
     if config.trains_discriminator:
         disc = disc_pass(bundle, orig_z, lab_z)
-        _adam(disc_opt, compute_vd(disc, alpha).grads, config.lr)
+        disc_set.step(compute_vd(disc, alpha).grads, config.lr)
         # the updated discriminator's one pass over the same rows feeds the
         # alpha readouts and then V_d at the new alpha
         disc = disc.rerun()
@@ -216,24 +214,22 @@ def _train_step(bundle, config, batch, alpha, coeff_ema, net_opt, disc_opt):
         v_d_val = vd.value
 
     vh = compute_vh(cls, alpha)
-    total = dict(vh.grads)
+    grads = vh.grads
     dhidden = vh.dz
     v_lambda_val = 0.0
     if config.uses_vlambda:
         vl = compute_vlambda(cls, alpha)
-        accumulate_layer_grads(total, vl.grads)
+        grads = grads | vl.grads
         dhidden = dhidden + vl.dz
         v_lambda_val = vl.value
     trunk_g, dz_lab = cls.backward(dhidden)
-    accumulate_layer_grads(total, trunk_g)
     dz = np.zeros_like(trace.output)
     dz[trace.output.shape[0] - dz_lab.shape[0]:] = dz_lab
     if config.aligns_encoder:
         # descent on -lambda_d * V_d: the encoder fights the discriminator
         dz -= config.lambda_d * vd.dz
-    enc_g = bundle.encoder.backward(trace, dz)
-    accumulate_layer_grads(total, enc_g.by_layer(bundle.encoder))
-    _adam(net_opt, total, config.lr)
+    enc_g, _ = bundle.encoder.backward(trace, dz)
+    net_set.step(grads | trunk_g | enc_g, config.lr)
     return alpha, coeff_ema, (vh.value, v_d_val, v_lambda_val)
 
 
@@ -241,11 +237,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     n = dataset.n_domains
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
-    net_opt = (net_set, AdamState.init(net_set.params()))
-    disc_opt = None
-    if config.trains_discriminator:
-        disc_set = bundle.disc_param_set()
-        disc_opt = (disc_set, AdamState.init(disc_set.params()))
+    disc_set = bundle.disc_param_set() if config.trains_discriminator else None
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
@@ -253,7 +245,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         for _ in range(steps_per_epoch):
             batch = _sample_batches(rng, dataset, pool, config.batch_size)
             alpha, coeff_ema, values = _train_step(bundle, config, batch, alpha, coeff_ema,
-                                                   net_opt, disc_opt)
+                                                   net_set, disc_set)
 
         orig_feats, lab_feats, _ = batch
         v_h_val, v_d_val, v_lambda_val = values

@@ -9,7 +9,7 @@ import pytest
 from mudal.cli import build_parser, main as cli_main
 from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
-from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, RotatingSpec
+from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledPool, RotatingSpec
 from mudal import bounds, harness
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.models import ModelBundle
@@ -246,6 +246,25 @@ class TestRunSeed:
             requests = [int(np.count_nonzero(incr)) for incr in res.ledger.increments]
         assert len(res.ledger.increments) == cfg.rounds
         assert per_round == [blocks + q for q in requests] + [blocks]
+
+    @pytest.mark.parametrize("assignment, strategy", [
+        ("cal_optimal", "grads"), ("joint", "margin"), ("separate", "random"),
+    ])
+    def test_unlabeled_rows_read_once_per_domain_per_query_round(self, assignment, strategy,
+                                                                  monkeypatch):
+        # the capacities, the per-domain requests and the joint request read
+        # one list of each domain's unlabeled rows per query round
+        cfg = fast_config(assignment=assignment, strategy=strategy)
+        calls, unlabeled = [], LabeledPool.unlabeled_indices
+
+        def counted(pool, j):
+            calls.append(j)
+            return unlabeled(pool, j)
+
+        monkeypatch.setattr(LabeledPool, "unlabeled_indices", counted)
+        res = run_seed(cfg, build_dataset(cfg), seed=1)
+        assert len(res.ledger.increments) == cfg.rounds
+        assert calls == [0, 1, 2] * cfg.rounds
 
     def test_paper_literal_mode_runs(self):
         cfg = fast_config(assignment="paper_literal")

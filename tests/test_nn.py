@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mudal.cli import gradcheck_cases
-from mudal.nn import (AdamState, DenseNet, Layer, adam_step, grad_check, sigmoid_bce,
-                      softmax, softmax_ce)
+from mudal.nn import (LEAKY_SLOPE, AdamState, DenseNet, Layer, adam_step, grad_check,
+                      sigmoid_bce, softmax, softmax_ce)
 
 
 def identity_net(dim):
@@ -59,19 +59,39 @@ class TestBackward:
         x = np.array([[1.5, -2.0], [0.5, 3.0]])
         trace = net.forward(x)
         g = np.array([[1.0, 2.0], [3.0, 4.0]])
-        grads = net.backward(trace, g)
-        np.testing.assert_allclose(grads.input, g)
-        np.testing.assert_allclose(grads.params[0], g.T @ x)
-        np.testing.assert_allclose(grads.params[1], g.sum(axis=0))
+        grads, dx = net.backward(trace, g)
+        np.testing.assert_allclose(dx, g)
+        np.testing.assert_allclose(grads[net.layers[0]][0], g.T @ x)
+        np.testing.assert_allclose(grads[net.layers[0]][1], g.sum(axis=0))
 
     def test_zero_output_grad_gives_zero_grads(self):
         rng = np.random.default_rng(0)
         net = DenseNet.create([3, 6, 2], ["relu", "identity"], rng)
         trace = net.forward(rng.standard_normal((4, 3)))
-        grads = net.backward(trace, np.zeros((4, 2)))
-        for g in grads.params:
-            assert np.all(g == 0)
-        assert np.all(grads.input == 0)
+        grads, dx = net.backward(trace, np.zeros((4, 2)))
+        assert set(grads) == set(net.layers)
+        for dw, db in grads.values():
+            assert np.all(dw == 0) and np.all(db == 0)
+        assert np.all(dx == 0)
+
+    @pytest.mark.parametrize("kind, slope", [("relu", 0.0), ("leaky_relu", LEAKY_SLOPE)])
+    def test_activation_derivative_at_the_kinks(self, kind, slope):
+        # the trace keeps activations only, so backward reads the derivative
+        # off the activation's sign; at a pre-activation of 0 or below, relu
+        # gives 0 and leaky_relu its slope, even where leaky_relu's output
+        # underflows to -0.0
+        pre = np.array([0.0, -0.0, -1e-320, -1e-322, -5e-324, 5e-324, 1e-320, 1.0, -1.0])
+        net = DenseNet([Layer(np.zeros((pre.size, 1)), pre, kind)])
+        x = np.array([[2.0]])
+        trace = net.forward(x)
+        if kind == "leaky_relu":
+            underflowed = trace.output[0, 3:5]
+            assert np.all(underflowed == 0.0) and np.all(np.signbit(underflowed))
+        oracle = np.array([slope] * 5 + [1.0, 1.0, 1.0, slope])
+        grads, _ = net.backward(trace, np.full((1, pre.size), 3.0))
+        dw, db = grads[net.layers[0]]
+        np.testing.assert_array_equal(db, 3.0 * oracle)
+        np.testing.assert_array_equal(dw, 3.0 * oracle[:, None] * x)
 
     def test_stale_trace_rejected(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
-from mudal.nn import AdamState, DenseNet, accumulate_layer_grads, sigmoid_bce, softmax_ce
+from mudal.nn import DenseNet, sigmoid_bce, softmax_ce
 from mudal.objective import (TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              disc_pass, estimate_h_distance, evaluate)
@@ -74,20 +75,17 @@ def with_trunk_grads(cls, res):
     """A classifier term's grads plus the trunk's, and the latent gradient of
     the labeled rows, backpropagated from `res.dz`."""
     assert res.dz.shape == cls.hidden.shape
-    grads = dict(res.grads)
     trunk_g, dz = cls.backward(res.dz)
-    accumulate_layer_grads(grads, trunk_g)
-    return TermResult(res.value, grads, dz)
+    assert not set(res.grads) & set(trunk_g)
+    return TermResult(res.value, res.grads | trunk_g, dz)
 
 
 def with_encoder_grads(bundle, trace, res):
     """The term's grads plus the encoder's, backpropagated from `res.dz`."""
     assert res.dz.shape == trace.output.shape
     assert not set(res.grads) & set(bundle.encoder.layers)
-    grads = dict(res.grads)
-    enc_g = bundle.encoder.backward(trace, res.dz)
-    accumulate_layer_grads(grads, enc_g.by_layer(bundle.encoder))
-    return grads
+    enc_g, _ = bundle.encoder.backward(trace, res.dz)
+    return res.grads | enc_g
 
 
 def random_alpha(n, seed=2):
@@ -184,7 +182,7 @@ class TestVd:
         orig_z, lab_z, _ = labeled_batches(bundle, empty=(1,))
         disc = disc_pass(bundle, orig_z, lab_z)
         rows = sum(z.shape[0] for z in orig_z + lab_z)
-        assert disc.trace.inputs[0].shape == (rows, bundle.latent_dim)
+        assert disc.trace.acts[0].shape == (rows, bundle.latent_dim)
         np.testing.assert_array_equal(disc.trace.output,
                                       bundle.discriminator.predict(np.vstack(orig_z + lab_z)))
         assert disc.trace.output.shape == (rows, 3)
@@ -331,6 +329,31 @@ class TestVlambda:
                       with_encoder_grads(bundle, trace, with_trunk_grads(cls, res)))
 
 
+class TestTermGradients:
+    @pytest.mark.parametrize("classifier_hidden", [(5,), ()], ids=["trunk", "no_trunk"])
+    def test_terms_reach_disjoint_layers(self, classifier_hidden):
+        # the training step merges the term gradients by dict union: V_h's
+        # (shared final), V_lambda's (head finals), the trunk's and the
+        # encoder's reach no layer twice and together every network layer
+        bundle = make_bundle(2, 3, 3, np.random.default_rng(4), latent_dim=4,
+                             encoder_hidden=(5,), classifier_hidden=classifier_hidden,
+                             disc_hidden=(6,))
+        orig, _ = tiny_batches(seed=40)
+        lab, lab_labels = tiny_batches(seed=41)
+        alpha = random_alpha(3, seed=42)
+        trace, z = encode_stacked(bundle, orig + lab)
+        cls = classifier_pass(bundle, z[3:], lab_labels)
+        vh, vl = compute_vh(cls, alpha), compute_vlambda(cls, alpha)
+        vd = compute_vd(disc_pass(bundle, z[:3], z[3:]), alpha)
+        trunk_g, _ = cls.backward(vh.dz + vl.dz)
+        enc_g, _ = bundle.encoder.backward(trace, vd.dz)
+        parts = [set(vh.grads), set(vl.grads), set(trunk_g), set(enc_g)]
+        for a, b in itertools.combinations(parts, 2):
+            assert not a & b
+        assert set().union(*parts) == set(bundle.net_param_set().layers)
+        assert set(vd.grads) == set(bundle.discriminator.layers)
+
+
 class TestAlphaStep:
     def test_equal_coefficients_leave_alpha(self):
         alpha = random_alpha(4, seed=19)
@@ -449,9 +472,7 @@ class TestLabeledReadouts:
         orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
         alpha = random_alpha(3, seed=35)
         before = disc_pass(bundle, orig_z, lab_z)
-        disc_set = bundle.disc_param_set()
-        disc_set.step(disc_set.grads_from(compute_vd(before, alpha).grads),
-                      AdamState.init(disc_set.params()), 0.05)
+        bundle.disc_param_set().step(compute_vd(before, alpha).grads, 0.05)
         after = before.rerun()
         assert not np.allclose(after.trace.output, before.trace.output)
         np.testing.assert_array_equal(after.trace.output,

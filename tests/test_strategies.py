@@ -140,8 +140,9 @@ class TestBadgeEmbeddings:
             trace = final_net.forward(z[b:b + 1])
             pseudo = np.array([int(np.argmax(trace.output))])
             _, dlogits, _ = softmax_ce(trace.output, pseudo)
-            grads = final_net.backward(trace, dlogits)
-            np.testing.assert_allclose(emb[b], grads.params[0].reshape(-1), atol=1e-10)
+            grads, _ = final_net.backward(trace, dlogits)
+            np.testing.assert_allclose(emb[b], grads[final_net.layers[0]][0].reshape(-1),
+                                       atol=1e-10)
 
 
 class TestKmeansPP:
