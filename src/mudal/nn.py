@@ -8,8 +8,8 @@ losses, and a central finite-difference gradient checker used as the test
 oracle.
 
 A gradient has one shape from backward to the optimizer: `LayerGrads`, the
-(dW, db) pair of each layer. A `ParamSet` holds its layers' Adam state and
-steps them on a `LayerGrads`.
+(dW, db) pair of each layer. A `ParamSet` keeps its layers' W and b as views
+into one flat vector and steps them on a `LayerGrads` with one Adam update.
 """
 from __future__ import annotations
 
@@ -47,12 +47,8 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for logits of either sign."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class Layer:
@@ -234,20 +230,45 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
 
 class ParamSet:
     """An ordered, de-duplicated collection of layers updated together by one
-    Adam optimizer, whose state the set holds."""
+    Adam optimizer, whose state the set holds. `flat` holds every layer's W and
+    b in order, each `Layer.W`/`.b` rebound to a view into it, so in-place
+    writes (e.g. `grad_check`'s) reach it; the Adam moments and the gradient
+    buffer are flat alike. A set refuses to step once a layer was rebound, by
+    a later set or by assignment."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list({id(layer): layer for layer in layers}.values())
-        self.adam = AdamState.init([p for layer in self.layers for p in (layer.W, layer.b)])
+        self.flat = np.empty(sum(layer.W.size + layer.b.size for layer in self.layers))
+        self._grad = np.empty_like(self.flat)
+        self._slots = []  # (layer, W view, dW slot, b view, db slot)
+        end = 0
+        for layer in self.layers:
+            slot = [layer]
+            for p in (layer.W, layer.b):
+                start, end = end, end + p.size
+                view = self.flat[start:end].reshape(p.shape)
+                view[...] = p
+                slot += (view, self._grad[start:end].reshape(p.shape))
+            layer.W, layer.b = slot[1], slot[3]
+            self._slots.append(tuple(slot))
+        self.adam = AdamState.init([self.flat])
 
     def step(self, grads: LayerGrads, lr: float) -> None:
         """One Adam step on every layer; a layer missing from `grads` steps on
         a zero gradient."""
-        params, flat = [], []
-        for layer in self.layers:
-            params += (layer.W, layer.b)
-            flat += grads.get(layer) or (np.zeros_like(layer.W), np.zeros_like(layer.b))
-        adam_step(params, flat, self.adam, lr)
+        for k, (layer, W, dW, b, db) in enumerate(self._slots):
+            if layer.W is not W or layer.b is not b:
+                raise ValueError(f"layer {k} ({layer.out_dim}x{layer.in_dim}) no longer views "
+                                 "this ParamSet's parameters")
+            pair = grads.get(layer)
+            if pair is None:
+                dW[...] = db[...] = 0.0
+                continue
+            if (np.shape(pair[0]), np.shape(pair[1])) != (dW.shape, db.shape):
+                raise ValueError(f"layer {k}: gradient shapes {tuple(map(np.shape, pair))} "
+                                 f"!= parameter shapes {(dW.shape, db.shape)}")
+            dW[...], db[...] = pair
+        adam_step([self.flat], [self._grad], self.adam, lr)
         for layer in self.layers:
             layer.bump()
 
@@ -279,10 +300,7 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0,
         raise ValueError("labels must be shape (B,)")
     if np.any(labels < 0) or np.any(labels >= c):
         raise ValueError("labels out of range")
-    if weights is None:
-        weights = np.ones(b)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
+    weights = np.ones(b) if weights is None else np.asarray(weights, dtype=np.float64)
     wsum = weights.sum()
     if wsum <= 0:
         raise ValueError("weights must not all be zero")

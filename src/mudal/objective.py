@@ -157,6 +157,10 @@ class DiscPass:
     trace: ActivationTrace
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
+    # V_d's alpha-free BCE parts (originals' weights, labeled rows' domains, targets)
+    orig_w: np.ndarray
+    lab_owner: np.ndarray
+    target: np.ndarray
 
     def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
@@ -191,7 +195,11 @@ def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray],
     if np.any(n_orig == 0):
         raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
     trace = bundle.discriminator.forward(np.concatenate([*orig_z, *labeled_z]))
-    return DiscPass(trace, n_orig, n_lab)
+    n = n_orig.size
+    owner = np.repeat(np.arange(n), n_orig)
+    target = np.repeat([1.0, 0.0], [n_orig.sum(), n_lab.sum()])[:, None] * np.ones(n)
+    return DiscPass(trace, n_orig, n_lab, np.eye(n)[owner] / n_orig[owner, None],
+                    np.repeat(np.arange(n), n_lab), target)
 
 
 def compute_vd(disc: DiscPass, alpha) -> TermResult:
@@ -201,20 +209,15 @@ def compute_vd(disc: DiscPass, alpha) -> TermResult:
     the discriminator; `dz` the original rows, then the labeled rows."""
     a = as_alpha(alpha)
     n = disc.n_orig.size
-    for i, j in zip(*np.nonzero(a > 0)):
-        if disc.n_lab[j] == 0:
-            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
-    orig_owner = np.repeat(np.arange(n), disc.n_orig)
-    lab_owner = np.repeat(np.arange(n), disc.n_lab)
+    for i, j in zip(*np.nonzero((a > 0) & (disc.n_lab == 0))):
+        log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
     # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
-    w = np.concatenate([np.eye(n)[orig_owner] / disc.n_orig[orig_owner, None],
-                        a[:, lab_owner].T / disc.n_lab[lab_owner, None]])
+    w = np.concatenate([disc.orig_w, a[:, disc.lab_owner].T / disc.n_lab[disc.lab_owner, None]])
     wsum = w.sum()
     logits = disc.trace.output
-    target = np.repeat([1.0, 0.0], [orig_owner.size, lab_owner.size])[:, None]
 
-    norm_loss, dlogits = sigmoid_bce(logits, np.broadcast_to(target, logits.shape), w)
+    norm_loss, dlogits = sigmoid_bce(logits, disc.target, w)
     scale = wsum / (2.0 * n)
     grads, dz = disc.trace.net.backward(disc.trace, dlogits.reshape(logits.shape) * scale)
     return TermResult(float(norm_loss * scale), grads, dz)
@@ -243,23 +246,22 @@ def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
 def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
                max_backtracks: int = 30) -> np.ndarray:
     """One projected-gradient step per row on the frozen linear objective,
-    with a backtracking halving that never lets a row's value increase."""
+    with a backtracking halving that never lets a row's value increase. The
+    rows step together; only those that would rise halve and project again."""
     a = as_alpha(alpha).copy()
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if a.shape != coeffs.shape:
         raise ValueError("alpha/coefficient shape mismatch")
-    for i in range(a.shape[0]):
-        row, c = a[i], coeffs[i]
-        base = float(row @ c)
-        step = lr
-        candidate = row
-        for _ in range(max_backtracks + 1):
-            trial = project_simplex(row - step * c)
-            if float(trial @ c) <= base + 1e-12:
-                candidate = trial
-                break
-            step *= 0.5
-        a[i] = candidate
+    # a stacked matmul takes each row's 1-D dot product a[i] @ coeffs[i], to the bit
+    base = (a[:, None, :] @ coeffs[:, :, None]).ravel()
+    rows = np.arange(a.shape[0])  # rows whose step is not yet accepted
+    for k in range(max_backtracks + 1):
+        trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
+        ok = (trial[:, None, :] @ coeffs[rows, :, None]).ravel() <= base[rows] + 1e-12
+        a[rows[ok]] = trial[ok]
+        rows = rows[~ok]
+        if rows.size == 0:
+            break
     return a
 
 

@@ -14,21 +14,22 @@ BUDGET_MODES = ("target_tracking", "paper_literal")
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based, exact).
-
-    Returns argmin_{w >= 0, sum w = 1} ||w - v||_2.
-    """
+    """argmin_{w >= 0, sum w = 1} ||w - v||_2 (sort-based, exact) for each row of
+    a 2-D array; a 1-D vector is the one-row case."""
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a nonempty 1-D vector")
+    if v.ndim not in (1, 2) or v.size == 0:
+        raise ValueError("expected a nonempty 1-D vector or 2-D array of rows")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / ind > 0)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+    rows = v.reshape(-1, v.shape[-1])
+    u = np.sort(rows, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    positive = u - css / np.arange(1, u.shape[1] + 1) > 0
+    if not positive.any(axis=1).all():  # only where float64 cannot tell u - 1 from u
+        raise ValueError("input too large to project")
+    rho = u.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)  # each row's last positive
+    tau = css[np.arange(rows.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(rows - tau[:, None], 0.0).reshape(v.shape)
 
 
 def as_alpha(alpha: np.ndarray | "SimilarityMatrix") -> np.ndarray:

@@ -22,9 +22,11 @@ their summed gradient; the latent gradients (the trunk's, and V_d's times
 cover layers no other term reaches (V_h the shared final layer, V_lambda the
 head finals, the trunk backward the trunk, the encoder backward the encoder),
 so the step's gradient is their union, and one Adam step of the network
-`ParamSet` applies it; the discriminator's `ParamSet` steps on V_d's. No pass
-or trace outlives its step. Models are re-initialized at the start of every
-round; the similarity matrix restarts uniform.
+`ParamSet` applies it; the discriminator's `ParamSet` steps on V_d's. Each set
+runs one Adam update over its flat parameter vector, and a layer no term
+reaches (head finals under `vanilla` and `cal_fa`) keeps its initial weights.
+No pass or trace outlives its step. Models are re-initialized at the start of
+every round; the similarity matrix restarts uniform.
 """
 from __future__ import annotations
 

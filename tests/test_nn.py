@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mudal.cli import gradcheck_cases
-from mudal.nn import (LEAKY_SLOPE, AdamState, DenseNet, Layer, adam_step, grad_check,
-                      sigmoid_bce, softmax, softmax_ce)
+from mudal.nn import (LEAKY_SLOPE, AdamState, DenseNet, Layer, ParamSet, adam_step,
+                      grad_check, sigmoid, sigmoid_bce, softmax, softmax_ce)
 
 
 def identity_net(dim):
@@ -306,3 +306,125 @@ def test_softmax_helper_temperature():
     p2 = softmax(np.array([2.0, 1.0]), temperature=0.1)
     assert p2[0] > p1[0]
     np.testing.assert_allclose(p1.sum(), 1.0, atol=1e-12)
+
+
+def masked_sigmoid(z):
+    """The boolean-mask form `sigmoid` replaced, as the bitwise oracle."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_the_mask_version_bit_for_bit():
+    z = np.concatenate([np.random.default_rng(0).standard_normal(10**6),
+                        [0.0, -0.0, 745.0, -745.0, 1e308, -1e308]])
+    with np.errstate(over="raise", invalid="raise"):
+        got, want = sigmoid(z), masked_sigmoid(z)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def small_net(seed=0):
+    return DenseNet.create([3, 5, 4, 2], ["relu", "leaky_relu", "identity"],
+                           np.random.default_rng(seed))
+
+
+def random_grads(net, rng):
+    return {layer: (rng.standard_normal(layer.W.shape), rng.standard_normal(layer.b.shape))
+            for layer in net.layers}
+
+
+def state_of(pset):
+    return pset.flat.copy(), pset.adam.m[0].copy(), pset.adam.v[0].copy(), pset.adam.t
+
+
+class TestParamSet:
+    def test_layers_view_the_flat_vector(self):
+        net = small_net()
+        before = [(layer.W.copy(), layer.b.copy()) for layer in net.layers]
+        pset = ParamSet(net.layers)
+        assert pset.flat.size == sum(w.size + b.size for w, b in before)
+        assert pset.adam.m[0].shape == pset.adam.v[0].shape == pset.flat.shape
+        for layer, (w, b) in zip(net.layers, before):
+            assert np.shares_memory(layer.W, pset.flat)
+            assert np.shares_memory(layer.b, pset.flat)
+            assert np.array_equal(layer.W, w) and np.array_equal(layer.b, b)
+
+    def test_step_matches_per_array_adam(self):
+        # the flat update is the per-array update, element for element
+        net = small_net(1)
+        rng = np.random.default_rng(2)
+        params = [p.copy() for layer in net.layers for p in (layer.W, layer.b)]
+        state = AdamState.init(params)
+        pset = ParamSet(net.layers)
+        for _ in range(3):
+            grads = random_grads(net, rng)
+            adam_step(params, [g for layer in net.layers for g in grads[layer]], state, 0.01)
+            pset.step(grads, 0.01)
+        live = [p for layer in net.layers for p in (layer.W, layer.b)]
+        assert all(np.array_equal(a, b) for a, b in zip(live, params))
+
+    def test_missing_layer_steps_on_zero_gradient(self):
+        net = small_net(3)
+        pset = ParamSet(net.layers)
+        untouched, stepped = net.layers[1], net.layers[0]
+        W, b, W0 = untouched.W.copy(), untouched.b.copy(), stepped.W.copy()
+        grads = random_grads(net, np.random.default_rng(4))
+        del grads[untouched]
+        for _ in range(3):
+            pset.step(grads, 0.01)
+        assert np.array_equal(untouched.W, W) and np.array_equal(untouched.b, b)
+        assert not np.array_equal(stepped.W, W0)
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_nan_in_any_layer_aborts_before_any_change(self, k, which):
+        net = small_net(5)
+        pset = ParamSet(net.layers)
+        rng = np.random.default_rng(6)
+        pset.step(random_grads(net, rng), 0.01)
+        before = state_of(pset)
+        grads = random_grads(net, rng)
+        grads[net.layers[k]][which].flat[-1] = np.nan
+        with pytest.raises(FloatingPointError):
+            pset.step(grads, 0.01)
+        after = state_of(pset)
+        for a, b in zip(before[:3], after[:3]):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert after[3] == before[3] == 1
+
+    def test_wrong_gradient_shape_rejected(self):
+        net = small_net(7)
+        pset = ParamSet(net.layers)
+        grads = random_grads(net, np.random.default_rng(8))
+        dW, db = grads[net.layers[1]]
+        grads[net.layers[1]] = (dW[:1], db)  # would broadcast into the slot
+        before = state_of(pset)
+        with pytest.raises(ValueError, match="layer 1"):
+            pset.step(grads, 0.01)
+        assert np.array_equal(pset.flat, before[0]) and pset.adam.t == 0
+
+    def test_step_after_rebinding_rejected(self):
+        net = small_net(9)
+        first = ParamSet(net.layers)
+        second = ParamSet(net.layers[1:])
+        grads = random_grads(net, np.random.default_rng(10))
+        with pytest.raises(ValueError, match="layer 1 .*no longer views"):
+            first.step(grads, 0.01)
+        second.step(grads, 0.01)
+        net.layers[2].W = net.layers[2].W.copy()
+        with pytest.raises(ValueError, match="layer 1 .*no longer views"):
+            second.step(grads, 0.01)
+
+    def test_grad_check_reaches_the_live_weights(self):
+        for name, net, x, loss in gradcheck_cases(np.random.default_rng(11)):
+            ParamSet(net.layers)
+            assert grad_check(net, x, loss) < 1e-4, name
+
+            def wrong(out, loss=loss):
+                value, dout = loss(out)
+                return value, dout * 1.001
+            assert 5e-4 < grad_check(net, x, wrong) < 2e-3, name

@@ -187,6 +187,24 @@ class TestVd:
                                       bundle.discriminator.predict(np.vstack(orig_z + lab_z)))
         assert disc.trace.output.shape == (rows, 3)
 
+    @pytest.mark.parametrize("empty", [(), (1,)])
+    def test_rerun_carries_the_alpha_free_bce_parts(self, empty):
+        bundle = tiny_bundle(seed=7)
+        orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=34)
+        disc = disc_pass(bundle, orig_z, lab_z)
+        again = disc.rerun()
+        for name in ("orig_w", "lab_owner", "target"):
+            assert getattr(again, name) is getattr(disc, name)
+        # oracle: the parts built from the pass's block sizes
+        orig_owner = np.repeat(np.arange(3), disc.n_orig)
+        lab_owner = np.repeat(np.arange(3), disc.n_lab)
+        np.testing.assert_array_equal(disc.orig_w,
+                                      np.eye(3)[orig_owner] / disc.n_orig[orig_owner, None])
+        np.testing.assert_array_equal(disc.lab_owner, lab_owner)
+        target = np.repeat([1.0, 0.0], [orig_owner.size, lab_owner.size])[:, None]
+        np.testing.assert_array_equal(disc.target,
+                                      np.broadcast_to(target, disc.trace.output.shape))
+
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()
         final = bundle.discriminator.layers[-1]
@@ -354,7 +372,47 @@ class TestTermGradients:
         assert set(vd.grads) == set(bundle.discriminator.layers)
 
 
+def alpha_step_per_row(alpha, coeffs, lr, max_backtracks=30, backtracked=None):
+    """The per-row loop the batched `alpha_step` replaced, as the bitwise
+    oracle; `backtracked` collects the number of halvings of each row."""
+    a = np.asarray(alpha, dtype=np.float64).copy()
+    for i in range(a.shape[0]):
+        row, c = a[i], coeffs[i]
+        base = float(row @ c)
+        step = lr
+        candidate = row
+        for k in range(max_backtracks + 1):
+            trial = project_simplex(row - step * c)
+            if float(trial @ c) <= base + 1e-12:
+                candidate = trial
+                break
+            step *= 0.5
+        if backtracked is not None:
+            backtracked.append(k)
+        a[i] = candidate
+    return a
+
+
 class TestAlphaStep:
+    def test_matches_the_per_row_loop_bit_for_bit(self):
+        # rows off the simplex can rise under any step, so they backtrack
+        # through every halving while the other rows of the call step at once
+        rng = np.random.default_rng(18)
+        halvings = []
+        for trial in range(300):
+            n = int(rng.integers(1, 8))
+            if trial % 2:
+                alpha = rng.random((n, n)) * 2.0
+            else:
+                alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
+            coeffs = rng.standard_normal((n, n)) * rng.choice([0.01, 1.0, 100.0])
+            for lr in (0.01, 1.0, 1e3):
+                want = alpha_step_per_row(alpha, coeffs, lr, backtracked=halvings)
+                got = alpha_step(alpha, coeffs, lr)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (trial, lr)
+        halvings = np.array(halvings)
+        assert np.any(halvings == 30) and np.any(halvings == 0)
+
     def test_equal_coefficients_leave_alpha(self):
         alpha = random_alpha(4, seed=19)
         coeffs = np.full((4, 4), 0.37)

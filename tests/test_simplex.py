@@ -17,7 +17,37 @@ def grid_simplex_points(n, step):
     return np.array(pts)
 
 
+def project_one_row(v):
+    """The one-row sort-based projection the row-wise kernel replaced, as the
+    bitwise oracle."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    rho = np.nonzero(u - css / ind > 0)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
 class TestProjectSimplex:
+    def test_rows_match_the_one_row_projection_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 6, 9):
+            rows = rng.standard_normal((200, n)) * rng.choice([0.01, 1.0, 100.0], size=(200, 1))
+            want = np.stack([project_one_row(r) for r in rows])
+            assert np.array_equal(project_simplex(rows).view(np.int64), want.view(np.int64))
+            for r, w in zip(rows[:20], want):
+                assert np.array_equal(project_simplex(r).view(np.int64), w.view(np.int64))
+
+    def test_rejects_magnitudes_beyond_float64_precision(self):
+        # u - (u - 1) reads 0 once u passes 2**53, so no entry tests positive
+        with pytest.raises(ValueError, match="too large"):
+            project_simplex(np.array([[0.2, 0.8], [1e17, 0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0), (0, 3), (2, 2, 2)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="nonempty"):
+            project_simplex(np.ones(shape))
+
     def test_identity_on_simplex(self):
         v = np.array([0.2, 0.5, 0.3])
         np.testing.assert_allclose(project_simplex(v), v, atol=1e-13)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mudal import training
 from mudal.data import RotatingSpec, gen_rotating, init_pool
+from mudal.models import make_bundle
 from mudal.nn import DenseNet
 from mudal.training import (VARIANTS, NumericalAbort, TrainConfig, train_round,
                             write_snapshots_csv)
@@ -140,6 +142,26 @@ class TestTrainRound:
         disc_steps = 2 * steps if cfg.trains_discriminator else 0
         assert disc_calls("forward") == cfg.epochs * (disc_steps + snapshot)
         assert disc_calls("backward") == cfg.epochs * disc_steps
+
+    @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
+                                                     ("cal", True)])
+    def test_head_finals_move_only_under_vlambda(self, variant, heads_move, monkeypatch):
+        # a head final no term reaches steps on a zero gradient with zero
+        # moments, which leaves every bit of it as initialized
+        initial = []
+
+        def recording(*args, **kwargs):
+            bundle = make_bundle(*args, **kwargs)
+            initial.extend((h.W.copy(), h.b.copy()) for h in bundle.head_finals)
+            return bundle
+        monkeypatch.setattr(training, "make_bundle", recording)
+        ds, pool = toy_setup()
+        rr = train_round(ds, pool, fast_cfg(variant=variant, epochs=2), seed=12)
+        assert len(initial) == ds.n_domains
+        for head, (W, b) in zip(rr.bundle.head_finals, initial):
+            same = (np.array_equal(head.W.view(np.int64), W.view(np.int64))
+                    and np.array_equal(head.b.view(np.int64), b.view(np.int64)))
+            assert same != heads_move
 
     def test_numerical_abort_on_divergence(self):
         # a pathological step size overflows the second matmul immediately
