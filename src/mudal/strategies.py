@@ -2,7 +2,9 @@
 embeddings + k-means++ seeding), and the discriminator-score-weighted variant
 with a temperature-sharpened softmax. Strategies never touch the pool; they
 return indices and the harness applies the reveals. Each `select_*` entry point
-encodes its request's rows once; the readouts take the latent rows."""
+encodes its request's rows once; the readouts take the latent rows. k-means++
+seeding skips the distance updates that the triangle inequality rules out
+(Elkan 2003), with picks bit-identical to updating every row (`kmeanspp_select`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -95,22 +97,43 @@ def badge_embeddings(bundle: ModelBundle, z: np.ndarray,
     return emb.reshape(hidden.shape[0], -1)
 
 
+def _sq_dists(vectors, rows, center, buf, out) -> np.ndarray:
+    """Squared distances from ``center`` to ``vectors[rows]`` into ``out``,
+    gathered a block of ``buf``'s rows at a time; each row sums its D entries."""
+    for s in range(0, rows.size, buf.shape[0]):
+        block = rows[s:s + buf.shape[0]]
+        b = np.take(vectors, block, axis=0, out=buf[:block.size])
+        np.sum(np.square(np.subtract(b, center, out=b), out=b), axis=1, out=out[s:s + block.size])
+    return out[:rows.size]
+
+
 def kmeanspp_select(vectors: np.ndarray, k: int, seed) -> np.ndarray:
     """k-means++ seeding; the chosen seeds are the selected batch.
 
     First pick is seeded-uniform; every next pick is drawn with probability
     proportional to squared Euclidean distance to the nearest pick so far.
-    Returns positions into ``vectors`` in selection order.
+    Returns positions into ``vectors`` in selection order; a non-finite row
+    is rejected. A row x whose d2 was set by pick o keeps it under pick c when
+    ||c_o - c|| >= 2 ||x - c_o||, so only rows with ||c_o - c||^2 / 4 (1 - 1e-9)
+    < d2, or d2 < 1e-250, are recomputed. Each term has relative roundoff of
+    about D eps, so the slack keeps a skipped row's computed distance >= d2 for
+    D below ~1e6; the floor covers underflow. The norm bound | ||x|| - ||c|| |
+    is not used: its subtraction cancels, and the absolute error could skip a row.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     n = vectors.shape[0]
     if k > n:
         raise ValueError(f"cannot select {k} from {n} vectors")
+    if vectors.size and not np.isfinite([vectors.min(), vectors.max()]).all():
+        bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))[0]
+        raise ValueError(f"k-means++ input row {bad} holds a NaN or inf")
     if k == 0:
         return np.empty(0, dtype=np.int64)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
-    d2 = np.sum((vectors - vectors[chosen[0]]) ** 2, axis=1)
+    buf, new = np.empty((min(n, 256), vectors.shape[1])), np.empty(n)
+    d2 = _sq_dists(vectors, np.arange(n), vectors[chosen[0]], buf, np.empty(n))
+    owner = np.zeros(n, dtype=np.int64)  # the pick that set each row's d2
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -121,8 +144,13 @@ def kmeanspp_select(vectors: np.ndarray, k: int, seed) -> np.ndarray:
             u = rng.random() * total
             pick = int(np.searchsorted(np.cumsum(d2), u, side="right"))
             pick = min(pick, n - 1)
+        cc2 = np.sum((vectors[chosen] - vectors[pick]) ** 2, axis=1)
         chosen.append(pick)
-        d2 = np.minimum(d2, np.sum((vectors - vectors[pick]) ** 2, axis=1))
+        rows = np.flatnonzero((cc2[owner] * (0.25 * (1.0 - 1e-9)) < d2) | (d2 < 1e-250))
+        dist = _sq_dists(vectors, rows, vectors[pick], buf, new)
+        closer = dist < d2[rows]
+        d2[rows[closer]] = dist[closer]
+        owner[rows[closer]] = len(chosen) - 1
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -154,7 +182,8 @@ def grads_select(req: QueryRequest, temperature: float = 0.5) -> np.ndarray:
     z = req.bundle.encode(req.features)
     emb = badge_embeddings(req.bundle, z, temperature=temperature)
     scores = outlier_scores(req.bundle, z, req.domain)
-    positions = kmeanspp_select(emb * scores[:, None], req.k, req.seed)
+    emb *= scores[:, None]
+    positions = kmeanspp_select(emb, req.k, req.seed)
     return req.unlabeled[positions]
 
 

@@ -38,7 +38,7 @@ import numpy as np
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
 from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass, compute_vd,
-                        compute_vh, compute_vlambda, disc_pass)
+                        compute_vh, compute_vlambda, decision_rates, disc_pass)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -257,9 +257,10 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             # half the rate of originals called original plus the alpha-weighted
             # rate of (nonempty) labeled domains called not original
             blocks = orig_feats + lab_feats
-            z = _split_rows(bundle.encode(np.vstack(blocks)), blocks)
-            orig_rate, lab_rate = disc_pass(bundle, z[:n], z[n:]).rates()
-            present = np.array([f.shape[0] > 0 for f in lab_feats])
+            sizes = np.array([f.shape[0] for f in blocks])
+            logits = bundle.discriminator.predict(bundle.encode(np.vstack(blocks)))
+            orig_rate, lab_rate = decision_rates(logits, sizes[:n], sizes[n:])
+            present = sizes[n:] > 0
             disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():

@@ -145,6 +145,56 @@ class TestBadgeEmbeddings:
                                        atol=1e-10)
 
 
+def direct_kmeanspp(vectors, k, seed):
+    """Oracle: k-means++ seeding that recomputes every row's distance to each
+    new pick, the loop the pruned `kmeanspp_select` must match bit for bit."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    n = vectors.shape[0]
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((vectors - vectors[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0.0:
+            pick = int(rng.choice(np.setdiff1d(np.arange(n), np.array(chosen))))
+        else:
+            u = rng.random() * total
+            pick = min(int(np.searchsorted(np.cumsum(d2), u, side="right")), n - 1)
+        chosen.append(pick)
+        d2 = np.minimum(d2, np.sum((vectors - vectors[pick]) ** 2, axis=1))
+    return np.asarray(chosen, dtype=np.int64)
+
+
+def kmeanspp_case(rng, draw):
+    """One k-means++ input: Gaussian rows, an integer grid, BADGE-shaped
+    rank-1 rows delta (x) h with |delta| down to 1e-12, or exact duplicates;
+    some rows zeroed, and a third of the draws scaled by 1e-160 to 1e140 (below
+    squares that overflow), a third so that squared distances land near the
+    subnormal range. Every 40th draw has more rows than one row block."""
+    big = draw % 40 == 0
+    n = int(rng.integers(257, 600)) if big else int(rng.integers(1, 50))
+    d = int(rng.integers(1, 10))
+    kind = draw % 4
+    if kind == 0:
+        v = rng.standard_normal((n, d))
+    elif kind == 1:
+        v = rng.integers(-2, 3, (n, d)).astype(np.float64)
+    elif kind == 2:
+        delta = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-12, 0, (n, 1))
+        v = np.einsum("bc,bz->bcz", delta, rng.standard_normal((n, d))).reshape(n, -1)
+    else:
+        m = max(1, n // 4)
+        v = rng.standard_normal((m, d))[rng.integers(0, m, n)]
+    v[rng.random(n) < 0.2] = 0.0
+    if draw % 3 == 1:
+        v *= 10.0 ** rng.uniform(-160, 140)
+    elif draw % 3 == 2:
+        v *= 10.0 ** rng.uniform(-163.5, -160)
+    return v, int(rng.integers(0, min(n, 12 if big else 30) + 1))
+
+
 class TestKmeansPP:
     def test_k_one_is_seeded_uniform(self):
         vectors = np.random.default_rng(0).standard_normal((10, 3))
@@ -180,6 +230,23 @@ class TestKmeansPP:
         vectors = np.zeros((5, 2))
         picks = kmeanspp_select(vectors, 3, seed=1)
         assert len(set(picks.tolist())) == 3
+
+    def test_pruned_picks_match_the_direct_loop(self):
+        rng = np.random.default_rng(2024)
+        for draw in range(2400):
+            vectors, k = kmeanspp_case(rng, draw)
+            seed = int(rng.integers(2**32))
+            np.testing.assert_array_equal(kmeanspp_select(vectors, k, seed),
+                                          direct_kmeanspp(vectors, k, seed),
+                                          err_msg=f"draw {draw}")
+
+    def test_non_finite_row_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            vectors = np.ones((6, 3))
+            vectors[4, 1] = bad
+            vectors[5, 0] = bad
+            with pytest.raises(ValueError, match="row 4 holds a NaN or inf"):
+                kmeanspp_select(vectors, 2, seed=0)
 
 
 class TestGrads:
