@@ -16,8 +16,7 @@ from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConf
 from .strategies import (QueryRequest, badge_embeddings, grads_select,
                          kmeanspp_select, select, select_badge, select_margin,
                          select_random)
-from .bounds import (BoundParams, BoundReport, bound_ordering_diag, empirical_bound,
-                     hoeffding_term, verify_optimal_beta)
+from .bounds import BoundReport, empirical_bound, hoeffding_term, verify_optimal_beta
 from .config import ConfigError, ExperimentConfig, config_to_text, parse_config
 from .harness import RoundMetrics, SeedRunResult, export_outputs, run_experiment
 

@@ -1,7 +1,8 @@
 """Numerical embodiment of the error-bound theory: the Hoeffding complexity
-term, a brute-force verifier that the budget-share simplex minimizes the
-complexity ratio exactly at the column-importance vector, composition of the
-full empirical bound, and a side-by-side ordering diagnostic across variants."""
+term at a fixed capacity proxy d and confidence delta, a brute-force verifier
+that the budget-share simplex minimizes the complexity ratio exactly at the
+column-importance vector, and composition of the full empirical bound from the
+model state and the budget ledger's realized shares."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,27 +10,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import LabeledPool
 from .models import ModelBundle
 from .objective import classifier_pass, estimate_h_distance
-from .simplex import as_alpha, column_importance, project_simplex
+from .simplex import BudgetLedger, as_alpha, column_importance, project_simplex
 
-
-@dataclass(frozen=True)
-class BoundParams:
-    """d is a comparative capacity proxy, not a certified VC dimension."""
-
-    d: float = 1.0
-    delta: float = 0.05
-    total_labeled: int = 1
-
-    def __post_init__(self) -> None:
-        if self.d <= 0:
-            raise ValueError("d must be positive")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.total_labeled < 1:
-            raise ValueError("total labeled count must be >= 1")
+# The Hoeffding term's d, a comparative capacity proxy rather than a certified
+# VC dimension, and its confidence delta.
+BOUND_D = 1.0
+BOUND_DELTA = 0.05
 
 
 @dataclass
@@ -63,11 +51,12 @@ def complexity_ratio(alpha_cols: np.ndarray, beta: np.ndarray) -> float:
     return float(np.sum(alpha_cols[mask] ** 2 / beta[mask]))
 
 
-def hoeffding_term(alpha_cols: np.ndarray, beta: np.ndarray, params: BoundParams) -> float:
-    """2 * sqrt(ratio * (2 d log(2(M+1)) + log(4/delta)) / M)."""
+def hoeffding_term(alpha_cols: np.ndarray, beta: np.ndarray, m: int) -> float:
+    """2 * sqrt(ratio * (2 d log(2(M+1)) + log(4/delta)) / M) over M = m labels."""
+    if m < 1:
+        raise ValueError("total labeled count must be >= 1")
     ratio = complexity_ratio(alpha_cols, beta)
-    m = params.total_labeled
-    inner = (2.0 * params.d * np.log(2.0 * (m + 1)) + np.log(4.0 / params.delta)) / m
+    inner = (2.0 * BOUND_D * np.log(2.0 * (m + 1)) + np.log(4.0 / BOUND_DELTA)) / m
     return float(2.0 * np.sqrt(ratio * inner))
 
 
@@ -100,7 +89,7 @@ def _simplex_grid(n: int, steps: int) -> np.ndarray:
     return grid / steps
 
 
-def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float = 0.01
+def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float
                         ) -> tuple[np.ndarray, float, float]:
     """Check numerically that the complexity ratio over the budget simplex is
     minimized at beta = alpha.
@@ -147,23 +136,19 @@ def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float = 0.01
     return best_beta, float(np.max(np.abs(best_beta - alpha_cols))), float(best_val)
 
 
-def empirical_bound(bundle: ModelBundle, pool: LabeledPool, alpha, lab_z: list[np.ndarray],
-                    orig_z: list[np.ndarray] | None,
-                    params: BoundParams | None = None) -> BoundReport:
-    """Compose the empirical bound from the current model state: the
-    importance-weighted 0/1 error on labeled data, the Hoeffding term at the
-    pool's realized budget shares, the mean estimated feature distance, and
-    the trainable stand-in for the per-domain joint-error floor. It reads the
-    latent rows of each labeled domain (`lab_z`) and of each domain's train
+def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
+                    lab_z: list[np.ndarray], lab_labels: list[np.ndarray],
+                    orig_z: list[np.ndarray] | None) -> BoundReport:
+    """Compose the empirical bound of round r from the current model state:
+    the importance-weighted 0/1 error on labeled data, the Hoeffding term at
+    the ledger's realized budget shares and label total, the mean estimated
+    feature distance, and the trainable stand-in for the per-domain
+    joint-error floor. It reads the latent rows and labels of each labeled
+    domain (`lab_z`, `lab_labels`) and the latent rows of each domain's train
     rows (`orig_z`, None without a discriminator) and encodes nothing."""
     a = as_alpha(alpha)
-    n = pool.n_domains
+    n = a.shape[0]
     cols = column_importance(a)
-    counts = pool.counts()
-    total = int(counts.sum())
-    if params is None:
-        params = BoundParams(total_labeled=max(total, 1))
-    lab_labels = [pool.labels(j) for j in range(n)]
 
     # one classifier pass per labeled domain: one pass over the whole pool
     # raised vanilla_select's set-up time and peak RSS (see CHANGES.md)
@@ -172,8 +157,7 @@ def empirical_bound(bundle: ModelBundle, pool: LabeledPool, alpha, lab_z: list[n
     err_h, head_err = err[0], err[1:]
     weighted_err = float(cols @ err_h)
 
-    beta = counts / total if total > 0 else np.zeros(n)
-    hoeff = hoeffding_term(cols, beta, params)
+    hoeff = hoeffding_term(cols, ledger.beta(r), ledger.total_budget(r))
 
     hdist = 0.0
     if bundle.discriminator is not None:
@@ -191,23 +175,3 @@ def empirical_bound(bundle: ModelBundle, pool: LabeledPool, alpha, lab_z: list[n
     vlambda_proxy = proxy / n
 
     return BoundReport(weighted_err, hoeff, mean_hdist, vlambda_proxy)
-
-
-def bound_ordering_diag(reports: dict[str, BoundReport]) -> list[dict]:
-    """Side-by-side table of bound components per variant, sorted by total.
-    Purely diagnostic; per-run stochastic training need not respect the
-    idealized ordering of minima."""
-    if not reports:
-        raise ValueError("no reports to compare")
-    rows = []
-    for name, rep in reports.items():
-        rows.append({
-            "variant": name,
-            "weighted_err": rep.weighted_err,
-            "hoeffding": rep.hoeffding,
-            "mean_hdist": rep.mean_hdist,
-            "vlambda_proxy": rep.vlambda_proxy,
-            "total": rep.total,
-        })
-    rows.sort(key=lambda r: r["total"])
-    return rows

@@ -87,8 +87,8 @@ def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset,
     return [flat_idx[positions[owners[positions] == j]] for j in range(n)]
 
 
-def _score_round(bundle, dataset, pool, alpha) -> tuple[np.ndarray, BoundReport]:
-    """The h-distances (N,) and the bound from one encode of each labeled domain
+def _score_round(bundle, dataset, pool, ledger, r, alpha) -> tuple[np.ndarray, BoundReport]:
+    """Round r's h-distances (N,) and bound from one encode of each labeled domain
     and, with a discriminator, of each domain's train rows, freed before selection."""
     n = dataset.n_domains
     lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(n)]
@@ -96,7 +96,8 @@ def _score_round(bundle, dataset, pool, alpha) -> tuple[np.ndarray, BoundReport]
     if bundle.discriminator is not None:
         orig_z = [bundle.encode(dataset.train_features[i]) for i in range(n)]
         hdist = estimate_h_distance(bundle, orig_z, lab_z, alpha)
-    return hdist, empirical_bound(bundle, pool, alpha, lab_z, orig_z)
+    lab_labels = [pool.labels(j) for j in range(n)]
+    return hdist, empirical_bound(bundle, ledger, r, alpha, lab_z, lab_labels, orig_z)
 
 
 def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> SeedRunResult:
@@ -110,7 +111,7 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
         bundle = rr.bundle
         per_acc, avg = evaluate(bundle, dataset)
-        hdist, report = _score_round(bundle, dataset, pool, rr.alpha)
+        hdist, report = _score_round(bundle, dataset, pool, ledger, r, rr.alpha)
         result.rounds.append(RoundMetrics(
             seed=seed, round=r, per_domain_acc=per_acc, avg_acc=avg,
             alpha=rr.alpha, hdist=hdist, bound=report, history=rr.history,
@@ -139,12 +140,9 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
                     log.warning("seed %d: a domain ran out of unlabeled points", seed)
                     result.truncated_at = r + 1
                     break
-            elif cfg.assignment == "cal_optimal":
-                increments = assign_budget(cols, ledger, r + 1, capacities,
-                                           mode="target_tracking")
-            else:  # paper_literal
-                increments = assign_budget(cols, ledger, r + 1, capacities,
-                                           mode="paper_literal", prev_alpha_cols=prev_cols)
+            else:
+                increments = assign_budget(cols, ledger, r + 1, capacities, cfg.assignment,
+                                           prev_cols)
             chosen = []
             for j in range(n):
                 req = QueryRequest(domain=j, k=int(increments[j]), unlabeled=unlab[j],

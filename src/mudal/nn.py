@@ -283,18 +283,15 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return expz / expz.sum(axis=-1, keepdims=True)
 
 
-def softmax_ce(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0,
-               weights: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Weighted-mean softmax cross-entropy at a temperature.
+def softmax_ce(logits: np.ndarray, labels: np.ndarray,
+               weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+    """Weighted-mean softmax cross-entropy. Returns (loss, dloss/dlogits).
 
-    Returns (loss, dloss/dlogits, probabilities). The loss is
-    sum_b w_b * CE_b / sum_b w_b with CE computed on logits / temperature,
-    so the gradient rows are w_b * (p_b - onehot_b) / (T * sum w).
+    The loss is sum_b w_b * CE_b / sum_b w_b, so the gradient rows are
+    w_b * (p_b - onehot_b) / sum w, with p_b the softmax of row b.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
     b, c = logits.shape
     if labels.shape != (b,):
         raise ValueError("labels must be shape (B,)")
@@ -305,8 +302,7 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0,
     if wsum <= 0:
         raise ValueError("weights must not all be zero")
 
-    scaled = logits / temperature
-    shifted = scaled - scaled.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     denom = expz.sum(axis=1)
     probs = expz / denom[:, None]
@@ -316,8 +312,8 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray, temperature: float = 1.0,
 
     onehot = np.zeros_like(probs)
     onehot[np.arange(b), labels] = 1.0
-    dlogits = (weights / (wsum * temperature))[:, None] * (probs - onehot)
-    return loss, dlogits, probs
+    dlogits = (weights / wsum)[:, None] * (probs - onehot)
+    return loss, dlogits
 
 
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,

@@ -113,7 +113,7 @@ def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
     if wsum <= 0:
         value, dlogits = 0.0, np.zeros_like(cls.logits[0])
     else:
-        norm_loss, dlogits, _ = softmax_ce(cls.logits[0], cls.labels, 1.0, w)
+        norm_loss, dlogits = softmax_ce(cls.logits[0], cls.labels, w)
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
     final = cls.finals[0]
@@ -139,8 +139,8 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
     if wsum <= 0:
         return TermResult(0.0, {}, np.zeros_like(cls.hidden))
     logits = cls.logits[1:]
-    norm_loss, dlogits, _ = softmax_ce(logits.reshape(-1, logits.shape[2]),
-                                       np.tile(cls.labels, n), 1.0, w.reshape(-1))
+    norm_loss, dlogits = softmax_ce(logits.reshape(-1, logits.shape[2]),
+                                    np.tile(cls.labels, n), w.reshape(-1))
     dlogits = dlogits.reshape(logits.shape) * (wsum / n)
     dW = dlogits.transpose(0, 2, 1) @ cls.hidden
     grads = {h: (dW[i], dlogits[i].sum(axis=0)) for i, h in enumerate(heads)}
@@ -224,7 +224,7 @@ def compute_vd(disc: DiscPass, alpha) -> TermResult:
 
 
 def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
-                                 lambda_d: float = 1.0) -> np.ndarray:
+                                 lambda_d: float) -> np.ndarray:
     """Linear coefficients (N, N) of the 0/1-error objective in each alpha
     entry, from one classifier pass with every head and one discriminator
     pass over the same labeled rows.
@@ -243,8 +243,11 @@ def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
     return (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
 
 
-def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
-               max_backtracks: int = 30) -> np.ndarray:
+# halvings of the alpha step before a row that still would rise keeps its value
+ALPHA_MAX_BACKTRACKS = 30
+
+
+def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
     """One projected-gradient step per row on the frozen linear objective,
     with a backtracking halving that never lets a row's value increase. The
     rows step together; only those that would rise halve and project again."""
@@ -255,7 +258,7 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float,
     # a stacked matmul takes each row's 1-D dot product a[i] @ coeffs[i], to the bit
     base = (a[:, None, :] @ coeffs[:, :, None]).ravel()
     rows = np.arange(a.shape[0])  # rows whose step is not yet accepted
-    for k in range(max_backtracks + 1):
+    for k in range(ALPHA_MAX_BACKTRACKS + 1):
         trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
         ok = (trial[:, None, :] @ coeffs[rows, :, None]).ravel() <= base[rows] + 1e-12
         a[rows[ok]] = trial[ok]

@@ -10,8 +10,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-BUDGET_MODES = ("target_tracking", "paper_literal")
-
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """argmin_{w >= 0, sum w = 1} ||w - v||_2 (sort-based, exact) for each row of
@@ -189,28 +187,28 @@ def _round_capped(raw: np.ndarray, m: int, capacities: np.ndarray) -> np.ndarray
 
 
 def assign_budget(alpha_cols: np.ndarray, ledger: BudgetLedger, round_r: int,
-                  capacities: np.ndarray, mode: str = "target_tracking",
+                  capacities: np.ndarray, mode: str,
                   prev_alpha_cols: np.ndarray | None = None) -> np.ndarray:
-    """Per-domain increments for query round round_r (>= 1), summing to m.
+    """Per-domain increments for query round round_r (>= 1), summing to m,
+    under one of the experiment's assignment modes.
 
-    target_tracking (default) drives cumulative counts toward
-    alpha_cols * (m0 + r*m); paper_literal uses the difference
-    (alpha_cols - prev_alpha_cols) * m. Both share the clamp / cap /
-    renormalize / largest-remainder pipeline.
+    cal_optimal drives cumulative counts toward alpha_cols * (m0 + r*m);
+    paper_literal spends the difference (alpha_cols - prev_alpha_cols) * m.
+    Both share the clamp / cap / renormalize / largest-remainder pipeline.
     """
     if round_r < 1:
         raise ValueError("query rounds start at 1")
-    if mode not in BUDGET_MODES:
-        raise ValueError(f"unknown budget mode {mode!r}")
     alpha_cols = np.asarray(alpha_cols, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.int64)
-    if mode == "target_tracking":
+    if mode == "cal_optimal":
         target = alpha_cols * ledger.total_budget(round_r)
         raw = target - ledger.labeled_counts(round_r - 1)
-    else:
+    elif mode == "paper_literal":
         if prev_alpha_cols is None:
             raise ValueError("paper_literal mode needs the previous round's alpha columns")
         raw = (alpha_cols - np.asarray(prev_alpha_cols, dtype=np.float64)) * ledger.m
+    else:
+        raise ValueError(f"unknown budget mode {mode!r}")
     clamped = bool(np.any(raw < 0) or np.any(raw > capacities))
     if clamped:
         log.info("budget round %d: clamping triggered (raw=%s)", round_r, np.round(raw, 3))

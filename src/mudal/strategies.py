@@ -172,7 +172,7 @@ def outlier_scores(bundle: ModelBundle, z: np.ndarray, domain) -> np.ndarray:
     return sigmoid(bundle.discriminator.predict(z)[np.arange(z.shape[0]), domain])
 
 
-def grads_select(req: QueryRequest, temperature: float = 0.5) -> np.ndarray:
+def grads_select(req: QueryRequest, temperature: float) -> np.ndarray:
     """Gradient embeddings at the given temperature, each scaled by the
     sample's outlier score, then k-means++ selection."""
     if req.bundle.discriminator is None:
@@ -187,8 +187,9 @@ def grads_select(req: QueryRequest, temperature: float = 0.5) -> np.ndarray:
     return req.unlabeled[positions]
 
 
-def select(strategy: str, req: QueryRequest, temperature: float = 0.5) -> np.ndarray:
-    """Dispatch by strategy name: random | margin | badge | grads."""
+def select(strategy: str, req: QueryRequest, temperature: float) -> np.ndarray:
+    """Dispatch by strategy name: random | margin | badge | grads; only grads
+    reads the temperature."""
     if strategy == "random":
         return select_random(req)
     if strategy == "margin":

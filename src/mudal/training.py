@@ -85,10 +85,7 @@ class TrainConfig:
 
     @property
     def optimizes_alpha(self) -> bool:
-        return self.variant in ("cal", "cal_alpha")
-
-    @property
-    def uses_vlambda(self) -> bool:
+        # the variants that optimize alpha are also the ones with the V_lambda term
         return self.variant in ("cal", "cal_alpha")
 
     @property
@@ -193,9 +190,8 @@ def _train_step(bundle, config, batch, alpha, coeff_ema, net_set, disc_set):
     z = _split_rows(trace.output, blocks)
     orig_z, lab_z = z[:-n], z[-n:]
     # one trunk pass over the labeled rows; the head logits only where
-    # V_lambda or the alpha readouts read them
-    cls = classifier_pass(bundle, lab_z, lab_labels,
-                          heads=config.uses_vlambda or config.optimizes_alpha)
+    # V_lambda and the alpha readouts read them
+    cls = classifier_pass(bundle, lab_z, lab_labels, heads=config.optimizes_alpha)
 
     v_d_val = 0.0
     if config.trains_discriminator:
@@ -219,7 +215,7 @@ def _train_step(bundle, config, batch, alpha, coeff_ema, net_set, disc_set):
     grads = vh.grads
     dhidden = vh.dz
     v_lambda_val = 0.0
-    if config.uses_vlambda:
+    if config.optimizes_alpha:
         vl = compute_vlambda(cls, alpha)
         grads = grads | vl.grads
         dhidden = dhidden + vl.dz

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from mudal import bounds
-from mudal.bounds import (BoundParams, BoundReport, bound_ordering_diag,
-                          complexity_ratio, empirical_bound, hoeffding_term,
+from mudal.bounds import (BoundReport, complexity_ratio, empirical_bound, hoeffding_term,
                           verify_optimal_beta)
 from mudal.data import MultiDomainDataset, init_pool
 from mudal.models import ModelBundle
 from mudal.nn import DenseNet, Layer
 from mudal.objective import classifier_pass
-from mudal.simplex import project_simplex
+from mudal.simplex import BudgetLedger, project_simplex
 
 
 def onehot_dataset(n_domains=2, per=12, n_classes=2):
@@ -44,64 +43,61 @@ def passthrough_bundle(c=2, n_domains=2, disc_zero=True):
 
 def bound_of(bundle, ds, pool, alpha):
     """The bound from one encode of each labeled domain and, with a
-    discriminator, of each domain's train rows, as the harness reads it."""
+    discriminator, of each domain's train rows, as the harness reads it, at
+    round 0 of a ledger that starts from the pool's counts."""
+    counts = pool.counts()
+    ledger = BudgetLedger(int(counts.sum()), 1, counts)
     lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(ds.n_domains)]
+    lab_labels = [pool.labels(j) for j in range(ds.n_domains)]
     orig_z = None
     if bundle.discriminator is not None:
         orig_z = [bundle.encode(x) for x in ds.train_features]
-    return empirical_bound(bundle, pool, alpha, lab_z, orig_z)
+    return empirical_bound(bundle, ledger, 0, alpha, lab_z, lab_labels, orig_z)
 
 
 class TestHoeffdingTerm:
     def test_beta_equals_alpha_closed_form(self):
-        params = BoundParams(d=1.0, delta=0.05, total_labeled=100)
         alpha = np.array([0.3, 0.45, 0.25])
-        term = hoeffding_term(alpha, alpha, params)
+        term = hoeffding_term(alpha, alpha, 100)
         expected = 2.0 * math.sqrt((2.0 * math.log(202.0) + math.log(80.0)) / 100.0)
         np.testing.assert_allclose(term, expected, atol=1e-12)
 
     def test_uniform_alpha_uniform_beta_same_value(self):
-        params = BoundParams(d=1.0, delta=0.05, total_labeled=100)
         uni = np.full(4, 0.25)
-        a = hoeffding_term(uni, uni, params)
+        a = hoeffding_term(uni, uni, 100)
         alpha = np.array([0.1, 0.2, 0.3, 0.4])
-        b = hoeffding_term(alpha, alpha, params)
+        b = hoeffding_term(alpha, alpha, 100)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_spot_value_hand_evaluation(self):
         # ratio = 0.64/0.5 + 0.04/0.5 = 1.36
-        params = BoundParams(d=1.0, delta=0.05, total_labeled=100)
         alpha = np.array([0.8, 0.2])
         beta = np.array([0.5, 0.5])
         np.testing.assert_allclose(complexity_ratio(alpha, beta), 1.36, atol=1e-12)
         expected = 2.0 * math.sqrt(1.36 * (2.0 * math.log(202.0) + math.log(80.0)) / 100.0)
-        np.testing.assert_allclose(hoeffding_term(alpha, beta, params), expected, atol=1e-12)
+        np.testing.assert_allclose(hoeffding_term(alpha, beta, 100), expected, atol=1e-12)
 
     def test_zero_beta_with_mass_rejected(self):
-        params = BoundParams(total_labeled=10)
         with pytest.raises(ValueError, match="diverges"):
-            hoeffding_term(np.array([0.5, 0.5]), np.array([1.0, 0.0]), params)
+            hoeffding_term(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 10)
 
     def test_zero_alpha_zero_beta_allowed(self):
-        params = BoundParams(total_labeled=10)
-        value = hoeffding_term(np.array([1.0, 0.0]), np.array([1.0, 0.0]), params)
+        value = hoeffding_term(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 10)
         assert np.isfinite(value)
 
     def test_permutation_symmetry(self):
-        params = BoundParams(total_labeled=50)
         rng = np.random.default_rng(1)
         alpha = project_simplex(rng.random(5))
         beta = project_simplex(rng.random(5))
         perm = rng.permutation(5)
-        np.testing.assert_allclose(hoeffding_term(alpha, beta, params),
-                                   hoeffding_term(alpha[perm], beta[perm], params),
+        np.testing.assert_allclose(hoeffding_term(alpha, beta, 50),
+                                   hoeffding_term(alpha[perm], beta[perm], 50),
                                    atol=1e-12)
 
-    def test_bad_params_rejected(self):
-        with pytest.raises(ValueError):
-            BoundParams(delta=1.5)
-        with pytest.raises(ValueError):
-            BoundParams(d=0.0)
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_label_count_below_one_rejected(self, m):
+        with pytest.raises(ValueError, match="labeled count"):
+            hoeffding_term(np.array([0.5, 0.5]), np.array([0.5, 0.5]), m)
 
 
 class TestVerifyOptimalBeta:
@@ -162,10 +158,9 @@ class TestEmpiricalBound:
         assert report.weighted_err == 0.0
         assert report.vlambda_proxy == 0.0
         assert report.mean_hdist == 0.0  # zero-logit discriminator is at chance
-        params = BoundParams(total_labeled=8)
         np.testing.assert_allclose(report.total,
                                    hoeffding_term(np.array([0.5, 0.5]),
-                                                  pool.counts() / 8, params),
+                                                  pool.counts() / 8, 8),
                                    atol=1e-12)
 
     def test_constant_classifier_balanced_labels(self):
@@ -223,24 +218,7 @@ class TestEmpiricalBound:
                                    (alpha * head_err)[:, has_rows].sum() / 2, atol=1e-12)
 
 
-class TestOrderingDiag:
-    def test_identical_reports_identical_rows(self):
-        rep = BoundReport(0.1, 0.2, 0.3, 0.05)
-        rows = bound_ordering_diag({"cal": rep, "vanilla": rep})
-        assert len(rows) == 2
-        assert rows[0]["total"] == rows[1]["total"]
-
-    def test_sorted_by_total(self):
-        rows = bound_ordering_diag({
-            "a": BoundReport(0.5, 0.2, 0.3, 0.05),
-            "b": BoundReport(0.1, 0.2, 0.3, 0.05),
-        })
-        assert [r["variant"] for r in rows] == ["b", "a"]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no reports"):
-            bound_ordering_diag({})
-
+class TestBoundReport:
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             BoundReport(-0.1, 0.2, 0.3, 0.05)

@@ -128,11 +128,7 @@ class TestGradCheck:
         x = rng.standard_normal((6, 3)) + 0.1
         labels = np.array([0, 1, 0, 1, 0, 1])
 
-        def loss(out):
-            value, d, _ = softmax_ce(out, labels)
-            return value, d
-
-        assert grad_check(net, x, loss) < 1e-5
+        assert grad_check(net, x, lambda out: softmax_ce(out, labels)) < 1e-5
 
     def test_leaky_relu_net(self):
         rng = np.random.default_rng(8)
@@ -204,20 +200,21 @@ class TestAdam:
             assert state.t == k
 
 
+def probs_from_gradient(dlogits, labels):
+    """The probabilities behind an unweighted `softmax_ce` gradient, whose
+    rows are (p - onehot) / B."""
+    probs = dlogits * labels.size
+    probs[np.arange(labels.size), labels] += 1.0
+    return probs
+
+
 class TestSoftmaxCE:
     def test_equal_logits_symmetry(self):
         logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2])
-        loss, _, probs = softmax_ce(logits, labels)
-        np.testing.assert_allclose(probs, 0.25)
+        loss, d = softmax_ce(logits, labels)
+        np.testing.assert_allclose(probs_from_gradient(d, labels), 0.25)
         np.testing.assert_allclose(loss, math.log(4.0), rtol=1e-12)
-
-    def test_temperature_sharpens(self):
-        logits = np.array([[2.0, 1.0]])
-        labels = np.array([0])
-        _, _, p_hot = softmax_ce(logits, labels, temperature=1.0)
-        _, _, p_cold = softmax_ce(logits, labels, temperature=0.01)
-        assert p_cold[0, 0] > p_hot[0, 0]
 
     def test_hand_computed_weighted_oracle(self):
         # scalar arithmetic done independently with math.*
@@ -231,40 +228,38 @@ class TestSoftmaxCE:
             ce = math.log(denom) - z[labels[b]]
             expected += weights[b] * ce
         expected /= weights.sum()
-        loss, _, _ = softmax_ce(logits, labels, 1.0, weights)
+        loss, _ = softmax_ce(logits, labels, weights)
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
 
     def test_probability_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((20, 5)) * 10
-        _, _, probs = softmax_ce(logits, rng.integers(0, 5, 20))
+        labels = rng.integers(0, 5, 20)
+        _, d = softmax_ce(logits, labels)
+        probs = probs_from_gradient(d, labels)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_gradient_rows_sum_to_zero_uniform_weights(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((10, 4))
-        _, d, _ = softmax_ce(logits, rng.integers(0, 4, 10))
+        _, d = softmax_ce(logits, rng.integers(0, 4, 10))
         np.testing.assert_allclose(d.sum(axis=1), 0.0, atol=1e-9)
 
     def test_gradient_scaling_contract(self):
-        # rows equal weight * (p - onehot) / (T * sum w)
+        # rows equal weight * (p - onehot) / sum w
         logits = np.array([[0.3, -0.7], [1.2, 0.1]])
         labels = np.array([1, 0])
         weights = np.array([2.0, 1.0])
-        temp = 0.5
-        _, d, probs = softmax_ce(logits, labels, temp, weights)
+        _, d = softmax_ce(logits, labels, weights)
+        probs = softmax(logits)
         onehot = np.zeros_like(probs)
         onehot[np.arange(2), labels] = 1.0
-        expected = weights[:, None] * (probs - onehot) / (weights.sum() * temp)
+        expected = weights[:, None] * (probs - onehot) / weights.sum()
         np.testing.assert_allclose(d, expected, rtol=1e-12)
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             softmax_ce(np.zeros((2, 2)), np.array([0, 1]), weights=np.zeros(2))
-
-    def test_bad_temperature_rejected(self):
-        with pytest.raises(ValueError, match="temperature"):
-            softmax_ce(np.zeros((1, 2)), np.array([0]), temperature=0.0)
 
     def test_out_of_range_labels_rejected(self):
         with pytest.raises(ValueError, match="range"):

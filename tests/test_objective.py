@@ -120,7 +120,7 @@ class TestVh:
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         # pooled mean over equal-size batches == mean of per-domain means
         pooled_logits = bundle.class_logits(np.vstack(feats))
-        pooled_loss, _, _ = softmax_ce(pooled_logits, np.concatenate(labels))
+        pooled_loss, _ = softmax_ce(pooled_logits, np.concatenate(labels))
         np.testing.assert_allclose(res.value, pooled_loss, atol=1e-9)
 
     def test_point_mass_selects_single_domain(self):
@@ -129,7 +129,7 @@ class TestVh:
         alpha = np.zeros((3, 3))
         alpha[:, 1] = 1.0
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
-        one_loss, _, _ = softmax_ce(bundle.class_logits(feats[1]), labels[1])
+        one_loss, _ = softmax_ce(bundle.class_logits(feats[1]), labels[1])
         np.testing.assert_allclose(res.value, one_loss, atol=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -139,7 +139,7 @@ class TestVh:
         cols = alpha.mean(axis=0)
         expected = 0.0
         for j in range(3):
-            loss_j, _, _ = softmax_ce(bundle.class_logits(feats[j]), labels[j])
+            loss_j, _ = softmax_ce(bundle.class_logits(feats[j]), labels[j])
             expected += cols[j] * loss_j
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
@@ -326,7 +326,7 @@ class TestVlambda:
             head = head_net(bundle, i)
             for j in range(3):
                 z = bundle.encode(feats[j])
-                loss, _, _ = softmax_ce(head.predict(z), labels[j])
+                loss, _ = softmax_ce(head.predict(z), labels[j])
                 expected += alpha[i, j] * loss
         expected /= 3.0
         res = vlambda_of(bundle, encode(bundle, feats), labels, alpha)
@@ -472,7 +472,7 @@ class TestAlphaStep:
             np.tile(err[0] / 3.0, (3, 1)), atol=1e-12)
         with pytest.raises(ValueError, match="every head"):
             alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels, heads=False),
-                                         disc)
+                                         disc, 1.0)
 
 
 def labeled_batches(bundle, empty=(), seed=28):
@@ -536,7 +536,7 @@ class TestLabeledReadouts:
         np.testing.assert_array_equal(after.trace.output,
                                       disc_pass(bundle, orig_z, lab_z).trace.output)
         cls = classifier_pass(bundle, lab_z, lab_labels)
-        coeffs = alpha_objective_coefficients(cls, after)
+        coeffs = alpha_objective_coefficients(cls, after, 1.0)
         err = cls.errors()
         assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
         np.testing.assert_array_equal(after.rates()[1], disc_orig_rates(bundle, lab_z))

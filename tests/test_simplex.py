@@ -205,14 +205,15 @@ class TestAssignBudget:
         n, m0, m = 4, 8, 8
         ledger = BudgetLedger(m0=m0, m=m, initial_counts=np.full(n, 2))
         cols = np.full(n, 0.25)
-        incr = assign_budget(cols, ledger, 1, capacities=np.full(n, 100))
+        incr = assign_budget(cols, ledger, 1, capacities=np.full(n, 100), mode="cal_optimal")
         np.testing.assert_array_equal(incr, [2, 2, 2, 2])
 
     def test_hand_traced_pipeline(self):
         # N=2, m0=m=10, labeled (5,5), alpha=(0.8,0.2):
         # targets (16,4) - (5,5) = (11,-1) -> clamp (11,0) -> scale to 10 -> (10,0)
         ledger = BudgetLedger(m0=10, m=10, initial_counts=np.array([5, 5]))
-        incr = assign_budget(np.array([0.8, 0.2]), ledger, 1, capacities=np.array([50, 50]))
+        incr = assign_budget(np.array([0.8, 0.2]), ledger, 1, capacities=np.array([50, 50]),
+                             mode="cal_optimal")
         np.testing.assert_array_equal(incr, [10, 0])
 
     def test_sum_and_nonnegativity_forced(self):
@@ -221,20 +222,22 @@ class TestAssignBudget:
         ledger = BudgetLedger(m0=10, m=m, initial_counts=np.array([2, 2, 2, 2, 2]))
         for _ in range(20):
             cols = project_simplex(rng.random(n))
-            incr = assign_budget(cols, ledger, 1, capacities=np.full(n, 40))
+            incr = assign_budget(cols, ledger, 1, capacities=np.full(n, 40), mode="cal_optimal")
             assert incr.sum() == m
             assert np.all(incr >= 0)
 
     def test_capacity_respected(self):
         ledger = BudgetLedger(m0=4, m=6, initial_counts=np.array([2, 2]))
-        incr = assign_budget(np.array([1.0, 0.0]), ledger, 1, capacities=np.array([3, 10]))
+        incr = assign_budget(np.array([1.0, 0.0]), ledger, 1, capacities=np.array([3, 10]),
+                             mode="cal_optimal")
         assert incr.sum() == 6
         assert incr[0] <= 3
 
     def test_infeasible_rejected(self):
         ledger = BudgetLedger(m0=4, m=6, initial_counts=np.array([2, 2]))
         with pytest.raises(ValueError, match="infeasible"):
-            assign_budget(np.array([0.5, 0.5]), ledger, 1, capacities=np.array([2, 3]))
+            assign_budget(np.array([0.5, 0.5]), ledger, 1, capacities=np.array([2, 3]),
+                          mode="cal_optimal")
 
     def test_paper_literal_mode(self):
         # raw = (alpha - prev) * m = (0.2, -0.2) * 10 -> clamp (2, 0) -> scale to 10
@@ -250,7 +253,14 @@ class TestAssignBudget:
             assign_budget(np.array([0.7, 0.3]), ledger, 1,
                           capacities=np.array([50, 50]), mode="paper_literal")
 
+    def test_unknown_mode_rejected(self):
+        ledger = BudgetLedger(m0=10, m=10, initial_counts=np.array([5, 5]))
+        with pytest.raises(ValueError, match="unknown budget mode"):
+            assign_budget(np.array([0.5, 0.5]), ledger, 1, capacities=np.array([9, 9]),
+                          mode="target_tracking")
+
     def test_round_zero_rejected(self):
         ledger = BudgetLedger(m0=10, m=10, initial_counts=np.array([5, 5]))
         with pytest.raises(ValueError, match="round"):
-            assign_budget(np.array([0.5, 0.5]), ledger, 0, capacities=np.array([9, 9]))
+            assign_budget(np.array([0.5, 0.5]), ledger, 0, capacities=np.array([9, 9]),
+                          mode="cal_optimal")

@@ -8,6 +8,9 @@ from mudal.nn import DenseNet, Layer, softmax, softmax_ce
 from mudal.strategies import (QueryRequest, badge_embeddings, grads_select,
                               kmeanspp_select, margin_scores, outlier_scores,
                               select, select_badge, select_margin, select_random)
+from mudal.training import TrainConfig
+
+TEMPERATURE = TrainConfig().temperature  # the GRADS temperature a run uses by default
 
 
 def passthrough_bundle(c=3, n_domains=2, with_disc=True, seed=0):
@@ -139,7 +142,7 @@ class TestBadgeEmbeddings:
         for b in range(6):
             trace = final_net.forward(z[b:b + 1])
             pseudo = np.array([int(np.argmax(trace.output))])
-            _, dlogits, _ = softmax_ce(trace.output, pseudo)
+            _, dlogits = softmax_ce(trace.output, pseudo)
             grads, _ = final_net.backward(trace, dlogits)
             np.testing.assert_allclose(emb[b], grads[final_net.layers[0]][0].reshape(-1),
                                        atol=1e-10)
@@ -295,7 +298,7 @@ class TestGrads:
         bundle = real_bundle(with_disc=False)
         feats = np.zeros((5, 2))
         with pytest.raises(ValueError, match="discriminator"):
-            grads_select(request(bundle, feats, 2))
+            grads_select(request(bundle, feats, 2), TEMPERATURE)
 
     def test_temperature_reweights_toward_uncertain(self):
         bundle = passthrough_bundle(c=2, with_disc=True)
@@ -317,7 +320,7 @@ class TestDispatchAndContracts:
         feats = np.random.default_rng(17).standard_normal((18, 2))
         for name in ("random", "margin", "badge", "grads"):
             req = request(bundle, feats, 5, domain=0, seed=9)
-            out = select(name, req)
+            out = select(name, req, TEMPERATURE)
             assert out.shape == (5,)
             assert np.unique(out).size == 5
             assert np.all(np.isin(out, req.unlabeled))
@@ -330,16 +333,17 @@ class TestDispatchAndContracts:
         rows = []
         encode = bundle.encode
         monkeypatch.setattr(bundle, "encode", lambda x: rows.append(x.shape[0]) or encode(x))
-        select(name, request(bundle, feats, 4, domain=2))
+        select(name, request(bundle, feats, 4, domain=2), TEMPERATURE)
         assert rows == [12] * encodes
-        select(name, request(bundle, feats, 0, domain=2))  # an empty request encodes nothing
+        # an empty request encodes nothing
+        select(name, request(bundle, feats, 0, domain=2), TEMPERATURE)
         assert rows == [12] * encodes
 
     def test_unknown_strategy_rejected(self):
         bundle = real_bundle()
         req = request(bundle, np.zeros((3, 2)), 1)
         with pytest.raises(ValueError, match="unknown strategy"):
-            select("entropy", req)
+            select("entropy", req, TEMPERATURE)
 
     def test_budget_exceeding_pool_rejected(self):
         bundle = real_bundle()
