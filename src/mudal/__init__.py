@@ -1,6 +1,11 @@
 """Multi-domain active learning: similarity-weighted surrogate domains,
 adversarial feature alignment, theoretically guided budget assignment, and
-pluggable instance-level query strategies."""
+pluggable instance-level query strategies. Importing the package pins
+OpenBLAS to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set; the pin cannot reach a NumPy imported before it."""
+import os
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .nn import DenseNet, Layer, grad_check, sigmoid_bce, softmax, softmax_ce
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,

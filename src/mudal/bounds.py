@@ -151,7 +151,7 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
     cols = column_importance(a)
 
     # one classifier pass per labeled domain: one pass over the whole pool
-    # raised vanilla_select's set-up time and peak RSS (see CHANGES.md)
+    # raises vanilla_select's peak RSS (see CHANGES.md)
     err = np.concatenate([classifier_pass(bundle, [z], [y]).errors()
                           for z, y in zip(lab_z, lab_labels)], axis=1)
     err_h, head_err = err[0], err[1:]

@@ -5,6 +5,7 @@ from mudal import training
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import DenseNet
+from mudal.objective import alpha_step
 from mudal.training import (VARIANTS, NumericalAbort, TrainConfig, train_round,
                             write_snapshots_csv)
 
@@ -59,6 +60,22 @@ class TestTrainRound:
         rr = train_round(ds, pool, fast_cfg(epochs=6), seed=3)
         assert np.all(rr.alpha.alpha >= 0)
         np.testing.assert_allclose(rr.alpha.alpha.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("variant", ["cal", "cal_alpha"])
+    def test_every_alpha_step_stays_on_simplex(self, monkeypatch, variant):
+        steps = []
+
+        def recorded(*args):
+            steps.append(alpha_step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(training, "alpha_step", recorded)
+        ds, pool = toy_setup()
+        train_round(ds, pool, fast_cfg(variant=variant, epochs=6), seed=3)
+        assert steps
+        for alpha in steps:
+            assert np.all(alpha >= 0.0)
+            np.testing.assert_allclose(alpha.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
 
     def test_shared_trunk_invariant_after_training(self):
         ds, pool = toy_setup()
