@@ -1,18 +1,17 @@
 """Numerical embodiment of the error-bound theory: the Hoeffding complexity
-term at a fixed capacity proxy d and confidence delta, a brute-force verifier
-that the budget-share simplex minimizes the complexity ratio exactly at the
+term at a fixed capacity proxy d and confidence delta, an exact check that the
+complexity ratio's minimizer over a grid of budget shares sits at the
 column-importance vector, and composition of the full empirical bound from the
 model state and the budget ledger's realized shares."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .models import ModelBundle
 from .objective import classifier_pass, estimate_h_distance
-from .simplex import BudgetLedger, as_alpha, column_importance, project_simplex
+from .simplex import BudgetLedger, as_alpha, column_importance, greedy_increments
 
 # The Hoeffding term's d, a comparative capacity proxy rather than a certified
 # VC dimension, and its confidence delta.
@@ -60,7 +59,7 @@ def hoeffding_term(alpha_cols: np.ndarray, beta: np.ndarray, m: int) -> float:
     return float(2.0 * np.sqrt(ratio * inner))
 
 
-MIN_GRID_STEP = 0.01  # an N = 4 grid holds C(1/step + 3, 3) points: 176,851 at 0.01
+MIN_GRID_STEP = 0.01  # grid steps accepted: [MIN_GRID_STEP, 0.5], each dividing 1 evenly
 
 
 def grid_steps(grid_step: float) -> int:
@@ -73,67 +72,24 @@ def grid_steps(grid_step: float) -> int:
     return steps
 
 
-@lru_cache(maxsize=16)
-def _simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All points of the n-simplex whose coordinates are multiples of 1/steps."""
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first, *rest)
-
-    grid = np.array(list(compositions(steps, n)), dtype=np.float64)
-    return grid / steps
-
-
 def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float
                         ) -> tuple[np.ndarray, float, float]:
     """Check numerically that the complexity ratio over the budget simplex is
     minimized at beta = alpha.
 
-    For N <= 4 this exhaustively evaluates a simplex grid (cells with
-    beta_j = 0 while alpha_j > 0 are excluded) and returns
-    (grid minimizer, inf-distance to alpha, minimum value). For larger N a
-    multi-start projected-gradient descent substitutes for the grid and the
-    returned minimizer is the best stationary point found.
+    Returns (grid minimizer, inf-distance to alpha, minimum value) over the
+    shares that are multiples of grid_step, excluding beta_j = 0 where
+    alpha_j > 0. The minimizer is `greedy_increments` of 1/grid_step units
+    from zero counts, so it is exact on the grid for every N.
     """
     alpha_cols = np.asarray(alpha_cols, dtype=np.float64)
     n = alpha_cols.size
     steps = grid_steps(grid_step)
-
-    if n <= 4:
-        grid = _simplex_grid(n, steps)
-        feasible = ~np.any((grid == 0.0) & (alpha_cols > 0)[None, :], axis=1)
-        grid = grid[feasible]
-        if grid.shape[0] == 0:
-            raise ValueError("grid too coarse: no feasible interior point")
-        with np.errstate(divide="ignore"):
-            inv = np.where(grid > 0, 1.0 / np.where(grid > 0, grid, 1.0), 0.0)
-        values = inv @ (alpha_cols ** 2)
-        best = int(np.argmin(values))
-        beta_star = grid[best]
-        return beta_star, float(np.max(np.abs(beta_star - alpha_cols))), float(values[best])
-
-    # large N: multi-start projected gradient on the smooth ratio
-    rng = np.random.default_rng(0)
-    best_beta, best_val = None, np.inf
-    floor = 1e-6
-    for start in range(8):
-        beta = project_simplex(rng.dirichlet(np.ones(n))) if start else alpha_cols.copy()
-        beta = np.maximum(beta, floor)
-        beta /= beta.sum()
-        for _ in range(500):
-            grad = -(alpha_cols ** 2) / beta ** 2
-            beta = project_simplex(beta - 0.05 * grad)
-            beta = np.maximum(beta, floor)
-            beta /= beta.sum()
-        val = complexity_ratio(alpha_cols, beta)
-        if val < best_val:
-            best_beta, best_val = beta, val
-    return best_beta, float(np.max(np.abs(best_beta - alpha_cols))), float(best_val)
+    if np.count_nonzero(alpha_cols > 0) > steps:
+        raise ValueError("grid too coarse: no feasible interior point")
+    beta_star = greedy_increments(alpha_cols, np.zeros(n), steps, np.full(n, steps)) / steps
+    return (beta_star, float(np.max(np.abs(beta_star - alpha_cols))),
+            complexity_ratio(alpha_cols, beta_star))
 
 
 def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,

@@ -49,7 +49,7 @@ def _cmd_verify_theory(args) -> int:
     rng = np.random.default_rng(7)
     print("optimal budget-share check: minimizer of sum alpha_j^2 / beta_j over the simplex")
     ok = True
-    for n in (2, 3, 4):
+    for n in range(2, 7):  # through the default config's 6 domains
         alpha = rng.dirichlet(np.ones(n))
         alpha = np.maximum(alpha, 0.02)
         alpha /= alpha.sum()

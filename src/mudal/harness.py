@@ -23,7 +23,7 @@ from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
 from .objective import estimate_h_distance, evaluate
 from .simplex import BudgetLedger, SimilarityMatrix, assign_budget
 from .strategies import QueryRequest, select
-from .training import ObjectiveSnapshot, train_round, write_snapshots_csv
+from .training import NumericalAbort, ObjectiveSnapshot, train_round, write_snapshots_csv
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,10 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
     prev_cols = np.full(n, 1.0 / n)
 
     for r in range(cfg.rounds + 1):
-        rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
+        try:
+            rr = train_round(dataset, pool, cfg.train, _rng_seed(seed, _STREAM_TRAIN, r))
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"seed {seed}, round {r}: {exc}") from exc
         bundle = rr.bundle
         per_acc, avg = evaluate(bundle, dataset)
         hdist, report = _score_round(bundle, dataset, pool, ledger, r, rr.alpha)

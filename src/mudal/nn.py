@@ -193,39 +193,34 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring a flat parameter list."""
+    """First/second moment accumulators of one flat parameter vector."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def init(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def init(cls, param: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState,
-              lr: float) -> None:
+def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
     """Apply one bias-corrected Adam update in place and advance the step counter."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params/grads/state length mismatch")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch: param {p.shape} vs grad {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("NaN/Inf in gradients; aborting optimizer step")
+    if param.shape != grad.shape or param.shape != state.m.shape:
+        raise ValueError(f"shape mismatch: param {param.shape} vs grad {grad.shape} "
+                         f"vs state {state.m.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("NaN/Inf in gradients; aborting optimizer step")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    param -= lr * (m / (1.0 - b1 ** state.t)) / (np.sqrt(v / (1.0 - b2 ** state.t)) + ADAM_EPS)
 
 
 class ParamSet:
@@ -251,7 +246,7 @@ class ParamSet:
                 slot += (view, self._grad[start:end].reshape(p.shape))
             layer.W, layer.b = slot[1], slot[3]
             self._slots.append(tuple(slot))
-        self.adam = AdamState.init([self.flat])
+        self.adam = AdamState.init(self.flat)
 
     def step(self, grads: LayerGrads, lr: float) -> None:
         """One Adam step on every layer; a layer missing from `grads` steps on
@@ -268,7 +263,7 @@ class ParamSet:
                 raise ValueError(f"layer {k}: gradient shapes {tuple(map(np.shape, pair))} "
                                  f"!= parameter shapes {(dW.shape, db.shape)}")
             dW[...], db[...] = pair
-        adam_step([self.flat], [self._grad], self.adam, lr)
+        adam_step(self.flat, self._grad, self.adam, lr)
         for layer in self.layers:
             layer.bump()
 

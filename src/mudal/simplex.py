@@ -1,6 +1,7 @@
-"""Similarity-matrix storage, exact Euclidean simplex projection, and the
-budget-assignment pipeline that tracks each domain's cumulative labeling share
-toward its column importance."""
+"""Similarity-matrix storage, exact Euclidean simplex projection, the exact
+integer allocator for the bound's complexity term sum_j alpha_j^2 / beta_j,
+and the budget-assignment modes: `cal_optimal` runs that allocator,
+`paper_literal` rounds the paper's literal rule."""
 from __future__ import annotations
 
 import logging
@@ -160,11 +161,6 @@ def largest_remainder_round(fractions: np.ndarray, m: int) -> np.ndarray:
 def _round_capped(raw: np.ndarray, m: int, capacities: np.ndarray) -> np.ndarray:
     """Clamp raw desires at 0 and capacity, scale to sum m, round with largest
     remainder, then repair any capacity overshoot deterministically."""
-    capacities = np.asarray(capacities, dtype=np.int64)
-    if capacities.sum() < m:
-        raise ValueError(
-            f"infeasible budget: only {capacities.sum()} unlabeled points for m={m}"
-        )
     x = np.minimum(np.maximum(raw, 0.0), capacities.astype(np.float64))
     if x.sum() <= 0:
         # no domain wants budget; spread it by remaining capacity
@@ -186,30 +182,62 @@ def _round_capped(raw: np.ndarray, m: int, capacities: np.ndarray) -> np.ndarray
     return incr
 
 
+def greedy_increments(weights: np.ndarray, counts: np.ndarray, m: int,
+                      capacities: np.ndarray) -> np.ndarray:
+    """Integer x with 0 <= x <= capacities and sum x = m that minimizes
+    sum_j weights_j^2 / (counts_j + x_j), a zero weight's term counting 0;
+    the capacities must hold m.
+
+    The objective is separable and convex, so handing out the m units one at
+    a time, each where the objective falls most (ties to the lower index), is
+    exact (Fox 1966). Domain j's gain from its k-th extra unit,
+    w_j^2 / (c (c + 1)) at c = counts_j + k, falls as k grows, so those picks
+    are the m largest gains of the (N, m) table, a prefix per domain: one
+    stable sort takes them. A gain at or past capacity is -inf, and a zero
+    count under a positive weight gains +inf."""
+    w2 = np.asarray(weights, dtype=np.float64)[:, None] ** 2
+    k = np.arange(m)
+    c = np.asarray(counts, dtype=np.float64)[:, None] + k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(w2 > 0, w2 / (c * (c + 1.0)), 0.0)
+    gain[k >= np.asarray(capacities)[:, None]] = -np.inf
+    # row-major order breaks ties by domain, then by unit
+    picks = np.argsort(-gain, axis=None, kind="stable")[:m] // m
+    return np.bincount(picks, minlength=w2.shape[0])
+
+
 def assign_budget(alpha_cols: np.ndarray, ledger: BudgetLedger, round_r: int,
                   capacities: np.ndarray, mode: str,
                   prev_alpha_cols: np.ndarray | None = None) -> np.ndarray:
-    """Per-domain increments for query round round_r (>= 1), summing to m,
-    under one of the experiment's assignment modes.
+    """Per-domain increments for query round round_r (>= 1), summing to m
+    within the capacities, under one of the experiment's assignment modes.
 
-    cal_optimal drives cumulative counts toward alpha_cols * (m0 + r*m);
-    paper_literal spends the difference (alpha_cols - prev_alpha_cols) * m.
-    Both share the clamp / cap / renormalize / largest-remainder pipeline.
+    cal_optimal minimizes the bound's complexity term: sum_j alpha_cols_j^2
+    over the labeled counts after the round (`greedy_increments`).
+    paper_literal spends the difference (alpha_cols - prev_alpha_cols) * m
+    through a clamp / cap / renormalize / largest-remainder pipeline. Either
+    logs a clamp when its raw desires leave [0, capacity]: cal_optimal's are
+    the gaps from the counts to alpha_cols * (m0 + r*m).
     """
     if round_r < 1:
         raise ValueError("query rounds start at 1")
     alpha_cols = np.asarray(alpha_cols, dtype=np.float64)
     capacities = np.asarray(capacities, dtype=np.int64)
+    if capacities.sum() < ledger.m:
+        raise ValueError(
+            f"infeasible budget: only {capacities.sum()} unlabeled points for m={ledger.m}"
+        )
     if mode == "cal_optimal":
-        target = alpha_cols * ledger.total_budget(round_r)
-        raw = target - ledger.labeled_counts(round_r - 1)
+        counts = ledger.labeled_counts(round_r - 1)
+        raw = alpha_cols * ledger.total_budget(round_r) - counts
+        incr = greedy_increments(alpha_cols, counts, ledger.m, capacities)
     elif mode == "paper_literal":
         if prev_alpha_cols is None:
             raise ValueError("paper_literal mode needs the previous round's alpha columns")
         raw = (alpha_cols - np.asarray(prev_alpha_cols, dtype=np.float64)) * ledger.m
+        incr = _round_capped(raw, ledger.m, capacities)
     else:
         raise ValueError(f"unknown budget mode {mode!r}")
-    clamped = bool(np.any(raw < 0) or np.any(raw > capacities))
-    if clamped:
+    if np.any(raw < 0) or np.any(raw > capacities):
         log.info("budget round %d: clamping triggered (raw=%s)", round_r, np.round(raw, 3))
-    return _round_capped(raw, ledger.m, capacities)
+    return incr

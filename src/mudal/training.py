@@ -169,12 +169,9 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
         with_discriminator=config.trains_discriminator,
     )
     history: list[ObjectiveSnapshot] = []
-    try:
-        # overflow and invalid values stop the round where they arise
-        with np.errstate(over="raise", invalid="raise"):
-            alpha = _run_epochs(dataset, pool, config, rng, bundle, history)
-    except FloatingPointError as exc:
-        raise NumericalAbort(f"training diverged: {exc}") from exc
+    # overflow and invalid values stop the round where they arise
+    with np.errstate(over="raise", invalid="raise"):
+        alpha = _run_epochs(dataset, pool, config, rng, bundle, history)
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
@@ -240,24 +237,27 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
     for epoch in range(1, config.epochs + 1):
-        for _ in range(steps_per_epoch):
-            batch = _sample_batches(rng, dataset, pool, config.batch_size)
-            alpha, coeff_ema, values = _train_step(bundle, config, batch, alpha, coeff_ema,
-                                                   net_set, disc_set)
+        try:
+            for _ in range(steps_per_epoch):
+                batch = _sample_batches(rng, dataset, pool, config.batch_size)
+                alpha, coeff_ema, values = _train_step(bundle, config, batch, alpha, coeff_ema,
+                                                       net_set, disc_set)
 
-        orig_feats, lab_feats, _ = batch
-        v_h_val, v_d_val, v_lambda_val = values
-        t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
-        disc_acc = np.zeros(n)
-        if config.trains_discriminator:
-            # half the rate of originals called original plus the alpha-weighted
-            # rate of (nonempty) labeled domains called not original
-            blocks = orig_feats + lab_feats
-            sizes = np.array([f.shape[0] for f in blocks])
-            logits = bundle.discriminator.predict(bundle.encode(np.vstack(blocks)))
-            orig_rate, lab_rate = decision_rates(logits, sizes[:n], sizes[n:])
-            present = sizes[n:] > 0
-            disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
+            orig_feats, lab_feats, _ = batch
+            v_h_val, v_d_val, v_lambda_val = values
+            t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
+            disc_acc = np.zeros(n)
+            if config.trains_discriminator:
+                # half the rate of originals called original plus the alpha-weighted
+                # rate of (nonempty) labeled domains called not original
+                blocks = orig_feats + lab_feats
+                sizes = np.array([f.shape[0] for f in blocks])
+                logits = bundle.discriminator.predict(bundle.encode(np.vstack(blocks)))
+                orig_rate, lab_rate = decision_rates(logits, sizes[:n], sizes[n:])
+                present = sizes[n:] > 0
+                disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
+        except FloatingPointError as exc:
+            raise NumericalAbort(f"training diverged at epoch {epoch}: {exc}") from exc
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():
             raise NumericalAbort(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +54,23 @@ def bound_of(bundle, ds, pool, alpha):
     if bundle.discriminator is not None:
         orig_z = [bundle.encode(x) for x in ds.train_features]
     return empirical_bound(bundle, ledger, 0, alpha, lab_z, lab_labels, orig_z)
+
+
+def simplex_grid(n, steps):
+    """Every point of the n-simplex whose coordinates are multiples of 1/steps."""
+    cuts = itertools.combinations(range(steps + n - 1), n - 1)
+    bars = np.array([(-1, *c, steps + n - 1) for c in cuts])
+    return (np.diff(bars, axis=1) - 1) / steps
+
+
+def grid_minimum(alpha, steps):
+    """The least complexity ratio over the 1/steps grid, by brute force; cells
+    with beta_j = 0 where alpha_j > 0 are excluded."""
+    grid = simplex_grid(alpha.size, steps)
+    grid = grid[~np.any((grid == 0) & (alpha > 0), axis=1)]
+    with np.errstate(divide="ignore"):
+        inv = np.where(grid > 0, 1.0 / grid, 0.0)
+    return float(np.min(inv @ alpha ** 2))
 
 
 class TestHoeffdingTerm:
@@ -127,12 +145,30 @@ class TestVerifyOptimalBeta:
             _, _, value = verify_optimal_beta(alpha, 0.02)
             assert value >= 1.0 - 1e-12
 
-    def test_large_n_projected_gradient_path(self):
+    @pytest.mark.parametrize("n, step", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (5, 0.05)])
+    def test_matches_the_grid_oracle(self, n, step):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            alpha = rng.dirichlet(np.ones(n))
+            alpha[rng.random(n) < 0.2] = 0.0
+            if not alpha.any():
+                alpha[0] = 1.0
+            alpha /= alpha.sum()
+            beta_star, _, value = verify_optimal_beta(alpha, step)
+            assert math.isclose(value, grid_minimum(alpha, round(1 / step)), rel_tol=1e-12)
+            assert value == complexity_ratio(alpha, beta_star)
+
+    def test_exact_at_six_domains(self):
+        # the default config's domain count, against the whole 0.1 grid
         rng = np.random.default_rng(3)
         alpha = project_simplex(rng.random(6) + 0.5)
-        beta_star, gap, value = verify_optimal_beta(alpha, 0.01)
-        assert gap <= 0.02
-        assert value >= 1.0 - 1e-9
+        _, gap, value = verify_optimal_beta(alpha, 0.1)
+        assert math.isclose(value, grid_minimum(alpha, 10), rel_tol=1e-12)
+        assert gap <= 0.1 and value >= 1.0 - 1e-12
+
+    def test_grid_too_coarse_refused(self):
+        with pytest.raises(ValueError, match="grid too coarse"):
+            verify_optimal_beta(np.array([0.4, 0.3, 0.3]), 0.5)
 
     def test_bad_grid_step_rejected(self):
         with pytest.raises(ValueError, match="grid_step"):
@@ -141,9 +177,9 @@ class TestVerifyOptimalBeta:
     @pytest.mark.parametrize("step", [0.005, 0.001, 0.0, -0.25, math.nan, math.inf, 0.3])
     def test_step_refused_before_any_grid(self, step, monkeypatch):
         def no_grid(*args):
-            raise AssertionError("a grid was built")
+            raise AssertionError("the grid was searched")
 
-        monkeypatch.setattr(bounds, "_simplex_grid", no_grid)
+        monkeypatch.setattr(bounds, "greedy_increments", no_grid)
         with pytest.raises(ValueError, match="grid_step"):
             verify_optimal_beta(np.full(4, 0.25), step)
 

@@ -349,6 +349,15 @@ class TestCli:
         assert "strategy = random" in resolved
         assert "assignment = separate" in resolved
 
+    def test_numerical_abort_exit_3_names_seed_round_and_epoch(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL + FAST_TRAIN + "lr = 1e200\n" + FAST_BUDGET
+                        + "\n[output]\nseeds = 4\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical abort: seed 4, round 0: training diverged at epoch ")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(MINIMAL + FAST_TRAIN + FAST_BUDGET)
@@ -430,9 +439,9 @@ class TestCli:
     @pytest.mark.parametrize("step", ["0.3", "0", "nan", "-0.5", "0.75", "x", "0.005"])
     def test_verify_theory_bad_grid_step_exit_2(self, step, capsys, monkeypatch):
         def no_grid(*args):
-            raise AssertionError("a grid was built")
+            raise AssertionError("the grid was searched")
 
-        monkeypatch.setattr(bounds, "_simplex_grid", no_grid)
+        monkeypatch.setattr(bounds, "greedy_increments", no_grid)
         with pytest.raises(SystemExit) as exc:
             cli_main(["verify-theory", "--grid-step", step])
         assert exc.value.code == 2

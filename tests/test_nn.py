@@ -159,44 +159,50 @@ class TestGradCheck:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        rng = np.random.default_rng(0)
-        params = [rng.standard_normal((3, 2)), rng.standard_normal(3)]
-        start = [p.copy() for p in params]
-        state = AdamState.init(params)
+        param = np.random.default_rng(0).standard_normal(9)
+        start = param.copy()
+        state = AdamState.init(param)
         for _ in range(7):
-            adam_step(params, [np.zeros_like(p) for p in params], state, lr=0.1)
-        for p, s in zip(params, start):
-            np.testing.assert_allclose(p, s, atol=1e-12)
+            adam_step(param, np.zeros_like(param), state, lr=0.1)
+        np.testing.assert_allclose(param, start, atol=1e-12)
         assert state.t == 7
 
     def test_constant_gradient_descends(self):
-        params = [np.zeros(4)]
+        param = np.zeros(4)
         g = np.array([1.0, -2.0, 3.0, -0.5])
-        state = AdamState.init(params)
+        state = AdamState.init(param)
         for _ in range(50):
-            adam_step(params, [g], state, lr=0.01)
-        assert np.all(np.sign(params[0]) == -np.sign(g))
+            adam_step(param, g, state, lr=0.01)
+        assert np.all(np.sign(param) == -np.sign(g))
 
     def test_first_step_hand_value(self):
         # with zeroed state, g=1: m_hat = 1, v_hat = 1, so delta = -lr / (1 + eps)
-        params = [np.zeros(1)]
-        state = AdamState.init(params)
-        adam_step(params, [np.ones(1)], state, lr=0.1)
+        param = np.zeros(1)
+        state = AdamState.init(param)
+        adam_step(param, np.ones(1), state, lr=0.1)
         expected = -0.1 * (1.0 / (1.0 + 1e-8))
-        np.testing.assert_allclose(params[0][0], expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(param[0], expected, rtol=0, atol=1e-15)
 
     def test_nan_gradient_aborts(self):
-        params = [np.zeros(2)]
-        state = AdamState.init(params)
+        param = np.zeros(2)
+        state = AdamState.init(param)
         with pytest.raises(FloatingPointError, match="NaN"):
-            adam_step(params, [np.array([np.nan, 0.0])], state, lr=0.1)
+            adam_step(param, np.array([np.nan, 0.0]), state, lr=0.1)
         assert state.t == 0
 
+    @pytest.mark.parametrize("grad_size, state_size", [(3, 2), (2, 3)])
+    def test_shape_mismatch_rejected(self, grad_size, state_size):
+        param = np.zeros(2)
+        state = AdamState.init(np.zeros(state_size))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            adam_step(param, np.ones(grad_size), state, lr=0.1)
+        assert state.t == 0 and not param.any()
+
     def test_step_counter_strictly_increments(self):
-        params = [np.zeros(2)]
-        state = AdamState.init(params)
+        param = np.zeros(2)
+        state = AdamState.init(param)
         for k in range(1, 4):
-            adam_step(params, [np.ones(2)], state, lr=0.1)
+            adam_step(param, np.ones(2), state, lr=0.1)
             assert state.t == k
 
 
@@ -333,7 +339,7 @@ def random_grads(net, rng):
 
 
 def state_of(pset):
-    return pset.flat.copy(), pset.adam.m[0].copy(), pset.adam.v[0].copy(), pset.adam.t
+    return pset.flat.copy(), pset.adam.m.copy(), pset.adam.v.copy(), pset.adam.t
 
 
 class TestParamSet:
@@ -342,7 +348,7 @@ class TestParamSet:
         before = [(layer.W.copy(), layer.b.copy()) for layer in net.layers]
         pset = ParamSet(net.layers)
         assert pset.flat.size == sum(w.size + b.size for w, b in before)
-        assert pset.adam.m[0].shape == pset.adam.v[0].shape == pset.flat.shape
+        assert pset.adam.m.shape == pset.adam.v.shape == pset.flat.shape
         for layer, (w, b) in zip(net.layers, before):
             assert np.shares_memory(layer.W, pset.flat)
             assert np.shares_memory(layer.b, pset.flat)
@@ -353,11 +359,13 @@ class TestParamSet:
         net = small_net(1)
         rng = np.random.default_rng(2)
         params = [p.copy() for layer in net.layers for p in (layer.W, layer.b)]
-        state = AdamState.init(params)
+        states = [AdamState.init(p) for p in params]
         pset = ParamSet(net.layers)
         for _ in range(3):
             grads = random_grads(net, rng)
-            adam_step(params, [g for layer in net.layers for g in grads[layer]], state, 0.01)
+            per_array = [g for layer in net.layers for g in grads[layer]]
+            for p, g, state in zip(params, per_array, states):
+                adam_step(p, g, state, 0.01)
             pset.step(grads, 0.01)
         live = [p for layer in net.layers for p in (layer.W, layer.b)]
         assert all(np.array_equal(a, b) for a, b in zip(live, params))

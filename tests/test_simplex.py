@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from mudal.bounds import complexity_ratio
 from mudal.simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
-                           column_importance, largest_remainder_round,
+                           column_importance, greedy_increments, largest_remainder_round,
                            project_simplex)
 
 
@@ -209,8 +210,9 @@ class TestAssignBudget:
         np.testing.assert_array_equal(incr, [2, 2, 2, 2])
 
     def test_hand_traced_pipeline(self):
-        # N=2, m0=m=10, labeled (5,5), alpha=(0.8,0.2):
-        # targets (16,4) - (5,5) = (11,-1) -> clamp (11,0) -> scale to 10 -> (10,0)
+        # N=2, m0=m=10, labeled (5,5), alpha columns (0.8,0.2): domain 0's gains
+        # 0.64 / (c (c+1)) for c = 5..14 run 0.0213 down to 0.0030, all above
+        # domain 1's first, 0.04 / 30 = 0.0013, so all 10 go to domain 0
         ledger = BudgetLedger(m0=10, m=10, initial_counts=np.array([5, 5]))
         incr = assign_budget(np.array([0.8, 0.2]), ledger, 1, capacities=np.array([50, 50]),
                              mode="cal_optimal")
@@ -264,3 +266,49 @@ class TestAssignBudget:
         with pytest.raises(ValueError, match="round"):
             assign_budget(np.array([0.5, 0.5]), ledger, 0, capacities=np.array([9, 9]),
                           mode="cal_optimal")
+
+
+class TestGreedyIncrements:
+    def test_ties_go_to_the_lower_index(self):
+        np.testing.assert_array_equal(greedy_increments([0.5, 0.5], [3, 3], 3, [9, 9]), [2, 1])
+
+    def test_zero_count_under_a_positive_weight_is_served_first(self):
+        np.testing.assert_array_equal(greedy_increments([0.1, 0.9], [0, 50], 1, [5, 5]), [1, 0])
+
+    def test_zero_weights_fill_from_the_lowest_index(self):
+        np.testing.assert_array_equal(greedy_increments([0.0, 0.0, 0.0], [0, 4, 1], 5,
+                                                        [2, 9, 9]), [2, 3, 0])
+
+    def test_capacity_binds(self):
+        np.testing.assert_array_equal(greedy_increments([0.9, 0.1], [1, 1], 6, [2, 9]), [2, 4])
+
+    def test_no_units(self):
+        out = greedy_increments([0.5, 0.5], [1, 1], 0, [3, 3])
+        np.testing.assert_array_equal(out, [0, 0])
+        assert out.dtype.kind == "i"
+
+
+class TestCalOptimalMinimizesTheComplexityTerm:
+    def test_no_feasible_split_does_better(self):
+        # every increment vector within capacity, so every pooled (joint) split,
+        # and `separate`'s even split, against cal_optimal at the same alpha and pool
+        rng = np.random.default_rng(16)
+        for _ in range(400):
+            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 10))
+            initial = rng.integers(1, 8, size=n)
+            ledger = BudgetLedger(int(initial.sum()), m, initial)
+            capacities = rng.integers(0, m + 1, size=n)
+            capacities[rng.integers(n)] += max(0, m - int(capacities.sum()))
+            cols = rng.dirichlet(np.ones(n))
+            cols[rng.random(n) < 0.15] = 0.0
+            incr = assign_budget(cols, ledger, 1, capacities, "cal_optimal")
+            assert incr.sum() == m and np.all((incr >= 0) & (incr <= capacities))
+            best = complexity_ratio(cols, initial + incr)
+            candidates = [x for x in itertools.product(*(range(c + 1) for c in capacities))
+                          if sum(x) == m]
+            if np.all(m // n <= capacities):
+                candidates.append(np.full(n, m // n))
+            for x in candidates:
+                assert best <= complexity_ratio(cols, initial + np.array(x)) * (1 + 1e-12), (
+                    cols, initial, capacities, incr, x)
+

@@ -1,5 +1,8 @@
-"""Properties of the row-wise simplex projection, the batched alpha step and
-the budget rounding and assignment, over inputs that hypothesis draws."""
+"""Properties of the row-wise simplex projection, the batched alpha step, the
+budget rounding and assignment and the greedy allocator, over inputs that
+hypothesis draws."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from mudal.objective import alpha_step  # noqa: E402
-from mudal.simplex import (BudgetLedger, assign_budget,  # noqa: E402
+from mudal.simplex import (BudgetLedger, assign_budget, greedy_increments,  # noqa: E402
                            largest_remainder_round, project_simplex)
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -86,3 +89,64 @@ def test_assigned_increments_sum_to_m_within_capacity(case, mode):
     assert incr.dtype.kind == "i"
     assert incr.sum() == ledger.m
     assert np.all((incr >= 0) & (incr <= capacities))
+
+
+def per_label_greedy(weights, counts, m, capacities):
+    """Hand out m units one at a time, each to the domain whose term
+    w^2 / count falls most (ties to the lower index): the reference for
+    `greedy_increments`' one sort."""
+    w2 = np.asarray(weights, dtype=np.float64) ** 2
+    c = np.asarray(counts, dtype=np.float64).copy()
+    x = np.zeros(w2.size, dtype=np.int64)
+    for _ in range(m):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(w2 > 0, w2 / (c * (c + 1.0)), 0.0)
+        gain[x >= capacities] = -np.inf
+        j = int(np.argmax(gain))
+        x[j] += 1
+        c[j] += 1.0
+    return x
+
+
+@st.composite
+def allocations(draw, min_count=0):
+    """Weights (some tied, some zero), counts, m and capacities that hold m."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, 80))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5])
+                                     | st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    counts = np.array(draw(st.lists(st.integers(min_count, 40), min_size=n, max_size=n)))
+    capacities = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    capacities[draw(st.integers(0, n - 1))] += max(0, m - int(capacities.sum()))
+    return weights, counts, m, capacities
+
+
+@PROPERTY
+@given(allocations())
+def test_greedy_increments_equal_the_per_label_loop(case):
+    weights, counts, m, capacities = case
+    np.testing.assert_array_equal(greedy_increments(weights, counts, m, capacities),
+                                  per_label_greedy(weights, counts, m, capacities))
+
+
+@PROPERTY
+@given(allocations(min_count=1))
+def test_cal_optimal_admits_no_better_unit_move(case):
+    # a separable convex objective is at its integer minimum under the sum and
+    # box constraints iff no one-unit move between two domains lowers it, so
+    # this certifies cal_optimal's increments against every feasible split
+    cols, counts, m, capacities = case
+    ledger = BudgetLedger(int(counts.sum()), m, counts)
+    incr = assign_budget(cols, ledger, 1, capacities, "cal_optimal")
+    assert incr.sum() == m and np.all((incr >= 0) & (incr <= capacities))
+    w2 = cols ** 2
+    after = counts + incr
+    for j, k in itertools.permutations(range(cols.size), 2):
+        if incr[j] > 0 and incr[k] < capacities[k]:
+            saved = w2[k] / after[k] - w2[k] / (after[k] + 1)
+            lost = w2[j] / (after[j] - 1) - w2[j] / after[j]
+            assert saved <= lost + 1e-12 * np.sum(w2 / after), (j, k)
+    if np.all(m // cols.size <= capacities):
+        even = counts + m // cols.size
+        assert np.sum(w2 / after) <= np.sum(w2 / even) * (1 + 1e-12)
+
