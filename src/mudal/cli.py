@@ -1,8 +1,13 @@
 """Command-line entry point.
 
-    mudal run <config> [--seeds 1,2,3] [--out DIR] [--variant V] [--strategy S] [--mode M]
-    mudal verify-theory [--grid-step X]
-    mudal gradcheck
+    mudal [--log-level LEVEL] run <config> [--seeds 1,2,3] [--out DIR] [--variant V]
+                                           [--strategy S] [--mode M]
+    mudal [--log-level LEVEL] verify-theory [--grid-step X]
+    mudal [--log-level LEVEL] gradcheck
+
+The package's log records at LEVEL (default WARNING) and above go to stderr
+for the length of the command, e.g. `--log-level INFO` shows each budget
+round's `clamping triggered` line.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort.
 """
@@ -10,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import logging
 import sys
 
 import numpy as np
@@ -21,6 +27,9 @@ from .models import make_bundle
 from .nn import DenseNet, grad_check, sigmoid_bce, softmax_ce
 from .strategies import STRATEGIES
 from .training import VARIANTS, NumericalAbort, TrainConfig
+
+
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 def _cmd_run(args) -> int:
@@ -120,6 +129,8 @@ def _grid_step(text: str) -> float:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mudal",
                                      description="multi-domain active learning runner")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=LOG_LEVELS,
+                        help="least severe log records shown on stderr (default WARNING)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
@@ -144,6 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the package's records at the chosen level go to stderr while the command runs
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    pkg = logging.getLogger("mudal")
+    level = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel(args.log_level)
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -155,6 +173,9 @@ def main(argv=None) -> int:
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(level)
 
 
 if __name__ == "__main__":

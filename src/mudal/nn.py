@@ -10,6 +10,16 @@ oracle.
 A gradient has one shape from backward to the optimizer: `LayerGrads`, the
 (dW, db) pair of each layer. A `ParamSet` keeps its layers' W and b as views
 into one flat vector and steps them on a `LayerGrads` with one Adam update.
+
+`DenseNet.backward` computes only what its caller reads: `params=False`
+skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
+skipped part comes back as None. Either way the parts it does compute are
+the full backward's to the bit.
+
+The leaky ReLU and its derivative mask avoid `np.where`: on rows whose signs
+mix at random, its data-dependent branch mispredicts about half the time
+and costs several times the arithmetic. `max(z, slope * z)` and a 0/1 mask
+scaled by 1 - slope plus slope give the same bits (see `_activate`).
 """
 from __future__ import annotations
 
@@ -22,10 +32,13 @@ LEAKY_SLOPE = 0.01
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of the pre-activation z, written over z."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "leaky_relu":
-        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        # slope * z lies above z exactly where z < 0, so this is
+        # np.where(z > 0, z, slope * z) to the bit, without the branch
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if kind == "identity":
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -39,10 +52,13 @@ def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return (a > 0.0).astype(np.float64)
     if kind == "leaky_relu":
-        return np.where(a > 0.0, 1.0, LEAKY_SLOPE)
-    if kind == "identity":
-        return np.ones_like(a)
-    raise ValueError(f"unknown activation {kind!r}")
+        # 1 or the slope from the 0/1 mask: (1 - slope) + slope rounds to 1
+        grad = (a > 0.0).astype(np.float64)
+        grad *= 1.0 - LEAKY_SLOPE
+        grad += LEAKY_SLOPE
+        return grad
+    # identity's derivative is 1: backward passes its gradient through as is
+    raise ValueError(f"no derivative mask for activation {kind!r}")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -107,6 +123,13 @@ class ActivationTrace:
     def output(self) -> np.ndarray:
         return self.acts[-1]
 
+    def check_current(self, net: "DenseNet") -> None:
+        """Refuse a trace of another net, or one taken before a parameter update."""
+        if self.net is not net:
+            raise ValueError("trace was produced by a different net")
+        if self.versions != net.versions():
+            raise ValueError("stale trace: parameters changed since forward()")
+
 
 # the (dW, db) pair of each layer a gradient reaches
 LayerGrads = dict[Layer, tuple[np.ndarray, np.ndarray]]
@@ -158,30 +181,40 @@ class DenseNet:
             )
         acts = [x]
         for layer in self.layers:
-            x = _activate(x @ layer.W.T + layer.b, layer.activation)
+            z = x @ layer.W.T
+            z += layer.b  # the same add as `x @ W.T + b`, one temporary fewer
+            x = _activate(z, layer.activation)
             acts.append(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite values in forward output")
         return ActivationTrace(self, acts, self.versions())
 
-    def backward(self, trace: ActivationTrace,
-                 output_grad: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
-        """Every layer's (dW, db) and d(loss)/d(input)."""
-        if trace.net is not self:
-            raise ValueError("trace was produced by a different net")
-        if trace.versions != self.versions():
-            raise ValueError("stale trace: parameters changed since forward()")
+    def backward(self, trace: ActivationTrace, output_grad: np.ndarray, *,
+                 params: bool = True, inputs: bool = True,
+                 ) -> tuple[LayerGrads | None, np.ndarray | None]:
+        """Every layer's (dW, db) and d(loss)/d(input). A caller that reads
+        only one of them turns the other off: `params=False` skips every
+        dW/db, `inputs=False` skips layer 0's input gradient, and the skipped
+        part comes back as None."""
+        if not (params or inputs):
+            raise ValueError("backward needs params, inputs or both")
+        trace.check_current(self)
         delta = np.asarray(output_grad, dtype=np.float64)
         if delta.shape != trace.output.shape:
             raise ValueError(
                 f"output_grad shape {delta.shape} != output shape {trace.output.shape}"
             )
-        grads: LayerGrads = {}
+        grads: LayerGrads | None = {} if params else None
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
-            dz = delta * _activation_grad(trace.acts[k + 1], layer.activation)
-            grads[layer] = (dz.T @ trace.acts[k], dz.sum(axis=0))
-            delta = dz @ layer.W
+            if layer.activation == "identity":
+                dz = delta  # times a derivative of 1
+            else:
+                dz = _activation_grad(trace.acts[k + 1], layer.activation)
+                dz *= delta
+            if params:
+                grads[layer] = (dz.T @ trace.acts[k], dz.sum(axis=0))
+            delta = dz @ layer.W if k or inputs else None
         return grads, delta
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -352,7 +385,7 @@ def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) 
     features = np.asarray(features, dtype=np.float64)
     trace = net.forward(features)
     _, dout = loss_fn(trace.output)
-    grads, _ = net.backward(trace, dout)
+    grads, _ = net.backward(trace, dout, inputs=False)
 
     def loss_at() -> float:
         value, _ = loss_fn(net.forward(features).output)

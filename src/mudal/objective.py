@@ -11,7 +11,11 @@ V_lambda return the gradient of the trunk output for one trunk backward
 (`ClassifierPass.backward`). `disc_pass` runs the discriminator once over
 the stacked original and labeled latent rows; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
-`compute_vd` takes the loss and backward pass from it at a given alpha.
+`compute_vd` takes the loss and backward pass from it at a given alpha,
+running only the parts of the backward its caller reads. The alpha-free
+parts of both passes (block sizes, segment-membership matrices, V_d's BCE
+weights and targets) form a `BlockLayout` that a trainer builds once per
+round.
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
@@ -37,17 +41,65 @@ log = logging.getLogger(__name__)
 class TermResult:
     """A term's value; `grads`, the gradients of the layers the term owns past
     the rows it read; and `dz`, the gradient of those rows, stacked in the
-    order read (trunk outputs for V_h and V_lambda, latent rows for V_d)."""
+    order read (trunk outputs for V_h and V_lambda, latent rows for V_d).
+    A part the caller asked `compute_vd` to skip is None."""
     value: float
-    grads: LayerGrads
-    dz: np.ndarray
+    grads: LayerGrads | None
+    dz: np.ndarray | None
 
 
-def _segment_means(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Means of consecutive segments of the given sizes along x's last axis;
-    an empty segment reads 0."""
-    member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
+def segment_member(sizes: np.ndarray) -> np.ndarray:
+    """The boolean matrix (rows, segments) of which consecutive segment of
+    the given sizes each row belongs to."""
+    return np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
+
+
+def _segment_means(x: np.ndarray, sizes: np.ndarray,
+                   member: np.ndarray | None = None) -> np.ndarray:
+    """Means of 0/1 values in consecutive segments of the given sizes along
+    x's last axis, through `member`, the sizes' `segment_member` matrix
+    (built here if not given; a float64 copy spares the cast); an empty
+    segment reads 0. The sums count 0/1 values, so they are exact in any
+    order and either matrix gives the same bits."""
+    if member is None:
+        member = segment_member(sizes)
     return x.astype(np.float64) @ member / np.maximum(sizes, 1)
+
+
+@dataclass(frozen=True)
+class BlockLayout:
+    """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
+    L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
+    domain. It holds the block sizes, their `segment_member` matrices as
+    float64 (read by the 0/1 errors and the decision rates) and V_d's BCE
+    parts: the originals' weights, each labeled row's domain and the
+    targets. It depends on the sizes alone, so a trainer whose batches keep
+    their sizes builds it once per round."""
+    n_orig: np.ndarray  # rows per original domain
+    n_lab: np.ndarray   # rows per labeled domain
+    orig_member: np.ndarray
+    lab_member: np.ndarray
+    orig_w: np.ndarray
+    lab_owner: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def of(cls, n_orig, n_lab) -> BlockLayout:
+        n_orig, n_lab = np.asarray(n_orig), np.asarray(n_lab)
+        if np.any(n_orig == 0):
+            raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
+        n = n_orig.size
+        owner = np.repeat(np.arange(n), n_orig)
+        target = np.repeat([1.0, 0.0], [n_orig.sum(), n_lab.sum()])[:, None] * np.ones(n)
+        return cls(n_orig, n_lab, segment_member(n_orig).astype(np.float64),
+                   segment_member(n_lab).astype(np.float64),
+                   np.eye(n)[owner] / n_orig[owner, None], np.repeat(np.arange(n), n_lab),
+                   target)
+
+    def rates(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`decision_rates` of the logits of rows in this layout."""
+        return decision_rates(logits, self.n_orig, self.n_lab,
+                              (self.orig_member, self.lab_member))
 
 
 @dataclass
@@ -63,11 +115,13 @@ class ClassifierPass:
     logits: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray              # rows per labeled domain
+    member: np.ndarray | None      # the sizes' `segment_member`, if the caller has it
 
     def errors(self) -> np.ndarray:
         """0/1 error (K, N) of each final layer on each L_j; an empty L_j
         reads 1."""
-        err = _segment_means(np.argmax(self.logits, axis=2) != self.labels, self.sizes)
+        err = _segment_means(np.argmax(self.logits, axis=2) != self.labels, self.sizes,
+                             self.member)
         err[:, self.sizes == 0] = 1.0
         return err
 
@@ -82,23 +136,29 @@ class ClassifierPass:
 
 
 def classifier_pass(bundle: ModelBundle, labeled_z: list[np.ndarray],
-                    labeled_labels: list[np.ndarray], heads: bool = True) -> ClassifierPass:
+                    labeled_labels: list[np.ndarray], heads: bool = True,
+                    layout: BlockLayout | None = None) -> ClassifierPass:
     """Run the classifier trunk once over the stacked labeled latent rows and
     apply the shared final layer (and, with `heads`, every head final) as one
-    (K, C, H) stack."""
+    (K, C, H) stack. A `layout` whose labeled blocks are these rows lends
+    the pass its sizes and membership matrix."""
     trunk = bundle.classifier.layers[:-1]
     z = np.concatenate(labeled_z)
     trace = DenseNet(trunk).forward(z) if trunk else None
     hidden = z if trace is None else trace.output
     finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-    logits = (hidden @ np.stack([f.W for f in finals]).transpose(0, 2, 1)
-              + np.stack([f.b for f in finals])[:, None, :])
+    logits = hidden @ np.stack([f.W for f in finals]).transpose(0, 2, 1)
+    logits += np.stack([f.b for f in finals])[:, None, :]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite values in classifier logits")
+    sizes = np.array([zj.shape[0] for zj in labeled_z])
+    if layout is not None and not np.array_equal(layout.n_lab, sizes):
+        raise ValueError(f"labeled blocks of {sizes.tolist()} rows do not fit a layout of "
+                         f"{layout.n_lab.tolist()}")
     return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
-                          np.concatenate(labeled_labels),
-                          np.array([zj.shape[0] for zj in labeled_z]))
+                          np.concatenate(labeled_labels), sizes,
+                          None if layout is None else layout.lab_member)
 
 
 def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
@@ -151,16 +211,10 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
 @dataclass
 class DiscPass:
     """One discriminator forward over the latent rows V_d reads, stacked as
-    [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]: the originals of each domain,
-    then each labeled domain. Column i of the output is D_i(z), the logit
-    that a row is an original of domain i."""
+    `layout` says. Column i of the output is D_i(z), the logit that a row is
+    an original of domain i."""
     trace: ActivationTrace
-    n_orig: np.ndarray  # rows per original domain
-    n_lab: np.ndarray   # rows per labeled domain
-    # V_d's alpha-free BCE parts (originals' weights, labeled rows' domains, targets)
-    orig_w: np.ndarray
-    lab_owner: np.ndarray
-    target: np.ndarray
+    layout: BlockLayout
 
     def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
@@ -169,57 +223,69 @@ class DiscPass:
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         """The pass's `decision_rates`."""
-        return decision_rates(self.trace.output, self.n_orig, self.n_lab)
+        return self.layout.rates(self.trace.output)
 
 
-def decision_rates(logits: np.ndarray, n_orig: np.ndarray,
-                   n_lab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
+                   members: tuple[np.ndarray, np.ndarray] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """How often the discriminator takes rows for original (D_i >= 0), from
     its logits (rows x N) on rows stacked as [O_0, ..., O_{N-1}, L_0, ...,
     L_{N-1}]: on each domain's originals under its own logit, (N,); on each
-    L_j under each logit i, (N, N). An empty block reads 0."""
+    L_j under each logit i, (N, N). An empty block reads 0. `members`, the
+    two sizes' `segment_member` matrices, spares building them."""
     decided = (logits >= 0.0).T
     n_o = n_orig.sum()
-    orig = _segment_means(decided[:, :n_o], n_orig)
-    return np.diag(orig), _segment_means(decided[:, n_o:], n_lab)
+    orig_m, lab_m = (None, None) if members is None else members
+    orig = _segment_means(decided[:, :n_o], n_orig, orig_m)
+    return np.diag(orig), _segment_means(decided[:, n_o:], n_lab, lab_m)
 
 
-def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray],
-              labeled_z: list[np.ndarray]) -> DiscPass:
+def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray], labeled_z: list[np.ndarray],
+              layout: BlockLayout | None = None) -> DiscPass:
     """Run the discriminator once over the stacked original and labeled latent
-    rows."""
+    rows. `layout`, when the caller has built the rows' `BlockLayout`, is
+    shared rather than rebuilt."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    n_orig = np.array([z.shape[0] for z in orig_z])
-    n_lab = np.array([z.shape[0] for z in labeled_z])
-    if np.any(n_orig == 0):
-        raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
-    trace = bundle.discriminator.forward(np.concatenate([*orig_z, *labeled_z]))
-    n = n_orig.size
-    owner = np.repeat(np.arange(n), n_orig)
-    target = np.repeat([1.0, 0.0], [n_orig.sum(), n_lab.sum()])[:, None] * np.ones(n)
-    return DiscPass(trace, n_orig, n_lab, np.eye(n)[owner] / n_orig[owner, None],
-                    np.repeat(np.arange(n), n_lab), target)
+    n_orig = [z.shape[0] for z in orig_z]
+    n_lab = [z.shape[0] for z in labeled_z]
+    if layout is None:
+        layout = BlockLayout.of(n_orig, n_lab)
+    elif not (np.array_equal(layout.n_orig, n_orig) and np.array_equal(layout.n_lab, n_lab)):
+        raise ValueError(f"blocks of {n_orig} originals and {n_lab} labeled rows do not fit "
+                         f"a layout of {layout.n_orig.tolist()} and {layout.n_lab.tolist()}")
+    return DiscPass(bundle.discriminator.forward(np.concatenate([*orig_z, *labeled_z])), layout)
 
 
-def compute_vd(disc: DiscPass, alpha) -> TermResult:
+def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True) -> TermResult:
     """Conditional-discriminator loss from one discriminator pass: for each
     original domain i, BCE of D_i against target 1 on the originals of i and
     target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
-    the discriminator; `dz` the original rows, then the labeled rows."""
+    the discriminator; `dz` the original rows, then the labeled rows. A
+    caller turns off what it does not read: `params=False` leaves `grads`
+    None, `inputs=False` leaves `dz` None, and with both off no backward
+    runs."""
     a = as_alpha(alpha)
-    n = disc.n_orig.size
-    for i, j in zip(*np.nonzero((a > 0) & (disc.n_lab == 0))):
+    lay = disc.layout
+    n = lay.n_orig.size
+    for i, j in zip(*np.nonzero((a > 0) & (lay.n_lab == 0))):
         log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
     # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
-    w = np.concatenate([disc.orig_w, a[:, disc.lab_owner].T / disc.n_lab[disc.lab_owner, None]])
+    w = np.concatenate([lay.orig_w, a[:, lay.lab_owner].T / lay.n_lab[lay.lab_owner, None]])
     wsum = w.sum()
     logits = disc.trace.output
 
-    norm_loss, dlogits = sigmoid_bce(logits, disc.target, w)
+    norm_loss, dlogits = sigmoid_bce(logits, lay.target, w)
     scale = wsum / (2.0 * n)
-    grads, dz = disc.trace.net.backward(disc.trace, dlogits.reshape(logits.shape) * scale)
+    net = disc.trace.net
+    if params or inputs:
+        grads, dz = net.backward(disc.trace, dlogits.reshape(logits.shape) * scale,
+                                 params=params, inputs=inputs)
+    else:
+        disc.trace.check_current(net)
+        grads = dz = None
     return TermResult(float(norm_loss * scale), grads, dz)
 
 

@@ -27,6 +27,21 @@ runs one Adam update over its flat parameter vector, and a layer no term
 reaches (head finals under `vanilla` and `cal_fa`) keeps its initial weights.
 No pass or trace outlives its step. Models are re-initialized at the start of
 every round; the similarity matrix restarts uniform.
+
+Each backward computes only what its caller reads:
+- the discriminator's update: its layer gradients, not its input gradient;
+- V_d at the new alpha: under `cal` and `cal_fa` only its latent gradient
+  (no layer gradients), under `cal_alpha` only its value (no backward);
+- the classifier trunk: its layer gradients and its input gradient;
+- the encoder: its layer gradients, not its input gradient.
+
+Every batch of a round has the same block sizes, so `_run_epochs` builds
+what depends on them once per round and drops it with the round: each
+labeled domain's features and labels, gathered once (a step draws its rows
+from them with the same `rng.choice` calls as before), and the `BlockLayout`
+of V_d's alpha-free BCE parts and the segment-membership matrices of the
+0/1 errors and decision rates. A numerical abort names the phase of the step
+it arose in.
 """
 from __future__ import annotations
 
@@ -37,8 +52,8 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .objective import (alpha_objective_coefficients, alpha_step, classifier_pass, compute_vd,
-                        compute_vh, compute_vlambda, decision_rates, disc_pass)
+from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
+                        compute_vd, compute_vh, compute_vlambda, disc_pass)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -130,22 +145,23 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
 
 
 def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
-                    pool: LabeledPool, batch: int):
+                    labeled: list[tuple[np.ndarray, np.ndarray]], batch: int):
+    """One minibatch: up to `batch` train rows of each domain, then up to
+    `batch` rows of each domain's labeled (features, labels), as gathered
+    for the round."""
     orig_feats, lab_feats, lab_labels = [], [], []
     for i in range(dataset.n_domains):
         n = dataset.train_size(i)
         take = rng.choice(n, size=min(batch, n), replace=False)
         orig_feats.append(dataset.train_features[i][take])
-    for j in range(dataset.n_domains):
-        idx = pool.labeled_indices(j)
-        if idx.size == 0:
-            lab_feats.append(np.empty((0, dataset.feature_dim)))
-            lab_labels.append(np.empty(0, dtype=np.int64))
+    for feats, labels in labeled:
+        if labels.size == 0:
+            lab_feats.append(feats)
+            lab_labels.append(labels)
             continue
-        take = rng.choice(idx.size, size=min(batch, idx.size), replace=False)
-        chosen = idx[take]
-        lab_feats.append(dataset.train_features[j][chosen])
-        lab_labels.append(dataset.train_labels[j][chosen])
+        take = rng.choice(labels.size, size=min(batch, labels.size), replace=False)
+        lab_feats.append(feats[take])
+        lab_labels.append(labels[take])
     return orig_feats, lab_feats, lab_labels
 
 
@@ -175,61 +191,98 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def _train_step(bundle, config, batch, alpha, coeff_ema, net_set, disc_set):
-    """One minibatch step. Returns the new alpha, the new coefficient EMA and
-    (V_h, V_d, V_lambda); every pass and trace lives only as long as the step."""
+def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_set):
+    """One minibatch step over a batch of the round's `layout`. Returns the
+    new alpha, the new coefficient EMA and (V_h, V_d, V_lambda); every pass
+    and trace lives only as long as the step. A FloatingPointError leaves
+    naming the phase it arose in."""
     orig_feats, lab_feats, lab_labels = batch
     n = bundle.n_domains
-    # one encoder pass over the originals (read only by V_d), then the
-    # labeled blocks; the discriminator update leaves the encoder as is
-    blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
-    trace = bundle.encoder.forward(np.vstack(blocks))
-    z = _split_rows(trace.output, blocks)
-    orig_z, lab_z = z[:-n], z[-n:]
-    # one trunk pass over the labeled rows; the head logits only where
-    # V_lambda and the alpha readouts read them
-    cls = classifier_pass(bundle, lab_z, lab_labels, heads=config.optimizes_alpha)
+    phase = "encoder forward"
+    try:
+        # one encoder pass over the originals (read only by V_d), then the
+        # labeled blocks; the discriminator update leaves the encoder as is
+        blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
+        trace = bundle.encoder.forward(np.vstack(blocks))
+        z = _split_rows(trace.output, blocks)
+        orig_z, lab_z = z[:-n], z[-n:]
+        phase = "classifier forward"
+        # one trunk pass over the labeled rows; the head logits only where
+        # V_lambda and the alpha readouts read them
+        cls = classifier_pass(bundle, lab_z, lab_labels, heads=config.optimizes_alpha,
+                              layout=layout)
 
-    v_d_val = 0.0
-    if config.trains_discriminator:
-        disc = disc_pass(bundle, orig_z, lab_z)
-        disc_set.step(compute_vd(disc, alpha).grads, config.lr)
-        # the updated discriminator's one pass over the same rows feeds the
-        # alpha readouts and then V_d at the new alpha
-        disc = disc.rerun()
+        v_d_val = 0.0
+        if config.trains_discriminator:
+            phase = "discriminator update"
+            disc = disc_pass(bundle, orig_z, lab_z, layout)
+            disc_set.step(compute_vd(disc, alpha, inputs=False).grads, config.lr)
+            # the updated discriminator's one pass over the same rows feeds the
+            # alpha readouts and then V_d at the new alpha
+            phase = "discriminator forward"
+            disc = disc.rerun()
+            if config.optimizes_alpha:
+                phase = "alpha step"
+                coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
+                if coeff_ema is None:
+                    coeff_ema = coeffs
+                else:
+                    mom = ALPHA_COEFF_MOMENTUM
+                    coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
+                alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
+            phase = "V_d"
+            # the encoder reads V_d's latent gradient only where it aligns
+            vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder)
+            v_d_val = vd.value
+
+        phase = "V_h"
+        vh = compute_vh(cls, alpha)
+        grads = vh.grads
+        dhidden = vh.dz
+        v_lambda_val = 0.0
         if config.optimizes_alpha:
-            coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
-            if coeff_ema is None:
-                coeff_ema = coeffs
-            else:
-                mom = ALPHA_COEFF_MOMENTUM
-                coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
-            alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
-        vd = compute_vd(disc, alpha)
-        v_d_val = vd.value
-
-    vh = compute_vh(cls, alpha)
-    grads = vh.grads
-    dhidden = vh.dz
-    v_lambda_val = 0.0
-    if config.optimizes_alpha:
-        vl = compute_vlambda(cls, alpha)
-        grads = grads | vl.grads
-        dhidden = dhidden + vl.dz
-        v_lambda_val = vl.value
-    trunk_g, dz_lab = cls.backward(dhidden)
-    dz = np.zeros_like(trace.output)
-    dz[trace.output.shape[0] - dz_lab.shape[0]:] = dz_lab
-    if config.aligns_encoder:
-        # descent on -lambda_d * V_d: the encoder fights the discriminator
-        dz -= config.lambda_d * vd.dz
-    enc_g, _ = bundle.encoder.backward(trace, dz)
-    net_set.step(grads | trunk_g | enc_g, config.lr)
+            phase = "V_lambda"
+            vl = compute_vlambda(cls, alpha)
+            grads = grads | vl.grads
+            dhidden = dhidden + vl.dz
+            v_lambda_val = vl.value
+        phase = "backward"
+        trunk_g, dz_lab = cls.backward(dhidden)
+        dz = np.zeros_like(trace.output)
+        dz[trace.output.shape[0] - dz_lab.shape[0]:] = dz_lab
+        if config.aligns_encoder:
+            # descent on -lambda_d * V_d: the encoder fights the discriminator
+            dz -= config.lambda_d * vd.dz
+        enc_g, _ = bundle.encoder.backward(trace, dz, inputs=False)
+        phase = "optimizer step"
+        net_set.step(grads | trunk_g | enc_g, config.lr)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{phase}: {exc}") from exc
     return alpha, coeff_ema, (vh.value, v_d_val, v_lambda_val)
+
+
+def _disc_accuracy(bundle, batch, layout, alpha) -> np.ndarray:
+    """Per domain, half the rate of originals called original plus the
+    alpha-weighted rate of (nonempty) labeled domains called not original,
+    on one batch."""
+    orig_feats, lab_feats, _ = batch
+    try:
+        logits = bundle.discriminator.predict(bundle.encode(np.vstack(orig_feats + lab_feats)))
+        orig_rate, lab_rate = layout.rates(logits)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"epoch snapshot: {exc}") from exc
+    present = layout.n_lab > 0
+    return 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
 
 
 def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     n = dataset.n_domains
+    # every batch of the round has the same blocks: gather each labeled
+    # domain once and lay the blocks out once
+    labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(n)]
+    layout = BlockLayout.of(
+        [min(config.batch_size, dataset.train_size(i)) for i in range(n)],
+        [min(config.batch_size, labels.size) for _, labels in labeled])
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
     disc_set = bundle.disc_param_set() if config.trains_discriminator else None
@@ -239,23 +292,13 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     for epoch in range(1, config.epochs + 1):
         try:
             for _ in range(steps_per_epoch):
-                batch = _sample_batches(rng, dataset, pool, config.batch_size)
-                alpha, coeff_ema, values = _train_step(bundle, config, batch, alpha, coeff_ema,
-                                                       net_set, disc_set)
-
-            orig_feats, lab_feats, _ = batch
+                batch = _sample_batches(rng, dataset, labeled, config.batch_size)
+                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, alpha,
+                                                       coeff_ema, net_set, disc_set)
             v_h_val, v_d_val, v_lambda_val = values
             t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
-            disc_acc = np.zeros(n)
-            if config.trains_discriminator:
-                # half the rate of originals called original plus the alpha-weighted
-                # rate of (nonempty) labeled domains called not original
-                blocks = orig_feats + lab_feats
-                sizes = np.array([f.shape[0] for f in blocks])
-                logits = bundle.discriminator.predict(bundle.encode(np.vstack(blocks)))
-                orig_rate, lab_rate = decision_rates(logits, sizes[:n], sizes[n:])
-                present = sizes[n:] > 0
-                disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
+            disc_acc = (_disc_accuracy(bundle, batch, layout, alpha)
+                        if config.trains_discriminator else np.zeros(n))
         except FloatingPointError as exc:
             raise NumericalAbort(f"training diverged at epoch {epoch}: {exc}") from exc
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)

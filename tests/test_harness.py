@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import logging
+import re
 import struct
 
 import numpy as np
@@ -357,6 +358,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical abort: seed 4, round 0: training diverged at epoch ")
         assert not (tmp_path / "o").exists()
+
+    def test_numerical_abort_names_the_phase(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL + FAST_TRAIN + "lr = 1e200\n" + FAST_BUDGET
+                        + "\n[output]\nseeds = 4\n")
+        assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        phases = ("encoder forward", "classifier forward", "discriminator update",
+                  "discriminator forward", "alpha step", "V_d", "V_h", "V_lambda", "backward",
+                  "optimizer step", "epoch snapshot")
+        match = re.match(r"numerical abort: seed 4, round 0: training diverged at epoch \d+: "
+                         r"([^:]+): ", err)
+        assert match and match.group(1) in phases, err
+
+    @pytest.mark.parametrize("flag, shown", [([], False), (["--log-level", "INFO"], True),
+                                             (["--log-level", "info"], True)])
+    def test_log_level_shows_the_budget_clamp(self, flag, shown, tmp_path, capsys):
+        # paper_literal budgets follow the change in alpha's columns, which
+        # is negative somewhere in every round that moves alpha
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL.replace("cal_optimal", "paper_literal") + FAST_TRAIN
+                        + FAST_BUDGET + "\n[output]\nseeds = 1\n")
+        assert cli_main([*flag, "run", str(path), "--out", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert ("INFO mudal.simplex: budget round 1: clamping triggered" in err) == shown
+        assert not logging.getLogger("mudal").handlers
+
+    def test_bad_log_level_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--log-level", "LOUD", "gradcheck"])
+        assert exc.value.code == 2
+        assert "--log-level" in capsys.readouterr().err
 
     def test_bad_seeds_exit_2(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"

@@ -93,6 +93,38 @@ class TestBackward:
         np.testing.assert_array_equal(db, 3.0 * oracle)
         np.testing.assert_array_equal(dw, 3.0 * oracle[:, None] * x)
 
+    def test_leaky_mask_is_exact(self):
+        # the branch-free derivative mask scales a 0/1 mask by 1 - slope and
+        # adds the slope; it gives exactly 1 only while these round to 1
+        assert (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == 1.0
+        assert 0.0 * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE == LEAKY_SLOPE
+
+    @staticmethod
+    def mixed_net_and_trace(seed):
+        rng = np.random.default_rng(seed)
+        net = DenseNet.create([3, 7, 5, 4], ["relu", "leaky_relu", "identity"], rng)
+        trace = net.forward(rng.standard_normal((9, 3)))
+        return net, trace, rng.standard_normal((9, 4))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_backward_equals_the_full_one(self, seed):
+        net, trace, g = self.mixed_net_and_trace(seed)
+        full_grads, full_dx = net.backward(trace, g)
+        grads, dx = net.backward(trace, g, inputs=False)
+        assert dx is None
+        assert list(grads) == list(full_grads)
+        for layer, (dw, db) in grads.items():
+            assert dw.tobytes() == full_grads[layer][0].tobytes()
+            assert db.tobytes() == full_grads[layer][1].tobytes()
+        grads, dx = net.backward(trace, g, params=False)
+        assert grads is None
+        assert dx.tobytes() == full_dx.tobytes()
+
+    def test_backward_of_nothing_refused(self):
+        net, trace, g = self.mixed_net_and_trace(0)
+        with pytest.raises(ValueError, match="params, inputs or both"):
+            net.backward(trace, g, params=False, inputs=False)
+
     def test_stale_trace_rejected(self):
         rng = np.random.default_rng(0)
         net = DenseNet.create([2, 3], ["identity"], rng)

@@ -7,7 +7,7 @@ import pytest
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import DenseNet, sigmoid_bce, softmax_ce
-from mudal.objective import (TermResult, alpha_objective_coefficients, alpha_step,
+from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              disc_pass, estimate_h_distance, evaluate)
 from mudal.simplex import project_simplex
@@ -193,17 +193,61 @@ class TestVd:
         orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=34)
         disc = disc_pass(bundle, orig_z, lab_z)
         again = disc.rerun()
-        for name in ("orig_w", "lab_owner", "target"):
-            assert getattr(again, name) is getattr(disc, name)
+        assert again.layout is disc.layout
         # oracle: the parts built from the pass's block sizes
-        orig_owner = np.repeat(np.arange(3), disc.n_orig)
-        lab_owner = np.repeat(np.arange(3), disc.n_lab)
-        np.testing.assert_array_equal(disc.orig_w,
-                                      np.eye(3)[orig_owner] / disc.n_orig[orig_owner, None])
-        np.testing.assert_array_equal(disc.lab_owner, lab_owner)
+        lay = disc.layout
+        orig_owner = np.repeat(np.arange(3), lay.n_orig)
+        lab_owner = np.repeat(np.arange(3), lay.n_lab)
+        np.testing.assert_array_equal(lay.orig_w,
+                                      np.eye(3)[orig_owner] / lay.n_orig[orig_owner, None])
+        np.testing.assert_array_equal(lay.lab_owner, lab_owner)
         target = np.repeat([1.0, 0.0], [orig_owner.size, lab_owner.size])[:, None]
-        np.testing.assert_array_equal(disc.target,
+        np.testing.assert_array_equal(lay.target,
                                       np.broadcast_to(target, disc.trace.output.shape))
+        np.testing.assert_array_equal(lay.orig_member, np.eye(3)[orig_owner])
+        np.testing.assert_array_equal(lay.lab_member, np.eye(3)[lab_owner])
+
+    @pytest.mark.parametrize("empty", [(), (1,)])
+    def test_a_shared_layout_gives_the_same_passes(self, empty):
+        bundle = tiny_bundle(seed=7)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
+        alpha = random_alpha(3, seed=35)
+        own = disc_pass(bundle, orig_z, lab_z)
+        layout = BlockLayout.of(own.layout.n_orig, own.layout.n_lab)
+        shared = disc_pass(bundle, orig_z, lab_z, layout)
+        assert shared.layout is layout
+        a, b = compute_vd(own, alpha), compute_vd(shared, alpha)
+        assert a.value == b.value and a.dz.tobytes() == b.dz.tobytes()
+        for x, y in zip(own.rates(), shared.rates()):
+            assert x.tobytes() == y.tobytes()
+        np.testing.assert_array_equal(
+            classifier_pass(bundle, lab_z, lab_labels, layout=layout).errors(),
+            classifier_pass(bundle, lab_z, lab_labels).errors())
+        other = BlockLayout.of(layout.n_orig, layout.n_lab + 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            disc_pass(bundle, orig_z, lab_z, other)
+        with pytest.raises(ValueError, match="do not fit"):
+            classifier_pass(bundle, lab_z, lab_labels, layout=other)
+
+    def test_compute_vd_skips_what_is_not_read(self):
+        bundle = tiny_bundle(seed=7)
+        orig_z, lab_z, _ = labeled_batches(bundle, seed=34)
+        alpha = random_alpha(3, seed=35)
+        disc = disc_pass(bundle, orig_z, lab_z)
+        full = compute_vd(disc, alpha)
+        params = compute_vd(disc, alpha, inputs=False)
+        inputs = compute_vd(disc, alpha, params=False)
+        value = compute_vd(disc, alpha, params=False, inputs=False)
+        assert full.value == params.value == inputs.value == value.value
+        assert params.dz is None and inputs.grads is None
+        assert value.grads is None and value.dz is None
+        assert inputs.dz.tobytes() == full.dz.tobytes()
+        for layer, (dw, db) in full.grads.items():
+            assert params.grads[layer][0].tobytes() == dw.tobytes()
+            assert params.grads[layer][1].tobytes() == db.tobytes()
+        bundle.discriminator.layers[0].bump()
+        with pytest.raises(ValueError, match="stale"):
+            compute_vd(disc, alpha, params=False, inputs=False)
 
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()

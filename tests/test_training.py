@@ -125,9 +125,9 @@ class TestTrainRound:
     def test_each_step_runs_the_encoder_once(self, variant, monkeypatch):
         calls = []
         for name in ("forward", "backward"):
-            def counted(net, *args, _name=name, _orig=getattr(DenseNet, name)):
+            def counted(net, *args, _name=name, _orig=getattr(DenseNet, name), **kwargs):
                 calls.append((_name, net))
-                return _orig(net, *args)
+                return _orig(net, *args, **kwargs)
             monkeypatch.setattr(DenseNet, name, counted)
         ds, pool = toy_setup()
         cfg = fast_cfg(variant=variant, epochs=2)
@@ -155,10 +155,43 @@ class TestTrainRound:
         # one classifier-trunk pass feeds V_h, V_lambda and the alpha readouts
         assert trunk_calls("forward") == trunk_calls("backward") == cfg.epochs * steps
         # the discriminator runs once before its update and once after it;
-        # the snapshot reads one more pass
+        # the snapshot reads one more pass. It runs backward for its update,
+        # and after it only where the encoder reads V_d's latent gradient
         disc_steps = 2 * steps if cfg.trains_discriminator else 0
         assert disc_calls("forward") == cfg.epochs * (disc_steps + snapshot)
-        assert disc_calls("backward") == cfg.epochs * disc_steps
+        disc_backwards = steps * (cfg.trains_discriminator + cfg.aligns_encoder)
+        assert disc_calls("backward") == cfg.epochs * disc_backwards
+
+    @pytest.mark.parametrize("variant, disc_flags", [
+        # the update reads the layer gradients; V_d at the new alpha, its
+        # latent gradient where the encoder aligns, else only its value
+        ("cal", [(True, False), (False, True)]),
+        ("cal_fa", [(True, False), (False, True)]),
+        ("cal_alpha", [(True, False)]),
+        ("vanilla", []),
+    ])
+    def test_each_backward_computes_only_what_is_read(self, variant, disc_flags, monkeypatch):
+        calls = []
+        full = DenseNet.backward
+
+        def recorded(net, trace, grad, *, params=True, inputs=True):
+            calls.append((net, params, inputs))
+            return full(net, trace, grad, params=params, inputs=inputs)
+        monkeypatch.setattr(DenseNet, "backward", recorded)
+        step = training._train_step
+
+        def one_step(bundle, *args):
+            calls.clear()
+            out = step(bundle, *args)
+            steps.append([(p, i) for net, p, i in calls if net is bundle.discriminator])
+            # the encoder's input gradient is never read
+            assert [(p, i) for net, p, i in calls if net is bundle.encoder] == [(True, False)]
+            return out
+        steps = []
+        monkeypatch.setattr(training, "_train_step", one_step)
+        ds, pool = toy_setup()
+        train_round(ds, pool, fast_cfg(variant=variant, epochs=1), seed=8)
+        assert steps == [disc_flags] * 8  # ceil(60 train points / batch 8) steps
 
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
                                                      ("cal", True)])
