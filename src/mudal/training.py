@@ -31,7 +31,8 @@ every round; the similarity matrix restarts uniform.
 Each backward computes only what its caller reads:
 - the discriminator's update: its layer gradients, not its input gradient;
 - V_d at the new alpha: under `cal` and `cal_fa` only its latent gradient
-  (no layer gradients), under `cal_alpha` only its value (no backward);
+  (no layer gradients), under `cal_alpha` only its value (no backward), and
+  only on each epoch's last step, whose value the epoch snapshot reads;
 - the classifier trunk: its layer gradients and its input gradient;
 - the encoder: its layer gradients, not its input gradient.
 
@@ -145,15 +146,19 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
 
 
 def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
-                    labeled: list[tuple[np.ndarray, np.ndarray]], batch: int):
+                    labeled: list[tuple[np.ndarray, np.ndarray]], batch: int,
+                    originals: bool):
     """One minibatch: up to `batch` train rows of each domain, then up to
     `batch` rows of each domain's labeled (features, labels), as gathered
-    for the round."""
+    for the round. The train rows are drawn either way, so the stream does not
+    depend on `originals`, but gathered only when it is set: only the
+    discriminator reads them."""
     orig_feats, lab_feats, lab_labels = [], [], []
     for i in range(dataset.n_domains):
         n = dataset.train_size(i)
         take = rng.choice(n, size=min(batch, n), replace=False)
-        orig_feats.append(dataset.train_features[i][take])
+        if originals:
+            orig_feats.append(dataset.train_features[i][take])
     for feats, labels in labeled:
         if labels.size == 0:
             lab_feats.append(feats)
@@ -191,18 +196,20 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_set):
+def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_set,
+                last_step):
     """One minibatch step over a batch of the round's `layout`. Returns the
-    new alpha, the new coefficient EMA and (V_h, V_d, V_lambda); every pass
-    and trace lives only as long as the step. A FloatingPointError leaves
-    naming the phase it arose in."""
+    new alpha, the new coefficient EMA and (V_h, V_d, V_lambda); V_d reads 0
+    where nothing reads it, under `cal_alpha` on all but an epoch's
+    `last_step`. Every pass and trace lives only as long as the step. A
+    FloatingPointError leaves naming the phase it arose in."""
     orig_feats, lab_feats, lab_labels = batch
     n = bundle.n_domains
     phase = "encoder forward"
     try:
-        # one encoder pass over the originals (read only by V_d), then the
+        # one encoder pass over the originals (gathered only for V_d), then the
         # labeled blocks; the discriminator update leaves the encoder as is
-        blocks = (orig_feats if config.trains_discriminator else []) + lab_feats
+        blocks = orig_feats + lab_feats
         trace = bundle.encoder.forward(np.vstack(blocks))
         z = _split_rows(trace.output, blocks)
         orig_z, lab_z = z[:-n], z[-n:]
@@ -230,10 +237,11 @@ def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_s
                     mom = ALPHA_COEFF_MOMENTUM
                     coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
                 alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
-            phase = "V_d"
-            # the encoder reads V_d's latent gradient only where it aligns
-            vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder)
-            v_d_val = vd.value
+            if config.aligns_encoder or last_step:
+                phase = "V_d"
+                # the encoder reads V_d's latent gradient only where it aligns
+                vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder)
+                v_d_val = vd.value
 
         phase = "V_h"
         vh = compute_vh(cls, alpha)
@@ -291,10 +299,12 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     coeff_ema = None
     for epoch in range(1, config.epochs + 1):
         try:
-            for _ in range(steps_per_epoch):
-                batch = _sample_batches(rng, dataset, labeled, config.batch_size)
+            for step in range(1, steps_per_epoch + 1):
+                batch = _sample_batches(rng, dataset, labeled, config.batch_size,
+                                        config.trains_discriminator)
                 alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, alpha,
-                                                       coeff_ema, net_set, disc_set)
+                                                       coeff_ema, net_set, disc_set,
+                                                       step == steps_per_epoch)
             v_h_val, v_d_val, v_lambda_val = values
             t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
             disc_acc = (_disc_accuracy(bundle, batch, layout, alpha)

@@ -385,6 +385,15 @@ class TestCli:
         assert ("INFO mudal.simplex: budget round 1: clamping triggered" in err) == shown
         assert not logging.getLogger("mudal").handlers
 
+    def test_debug_level_shows_each_kmeanspp_call(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(MINIMAL + FAST_TRAIN + FAST_BUDGET + "\n[output]\nseeds = 1\n")
+        assert cli_main(["--log-level", "DEBUG", "run", str(path),
+                         "--out", str(tmp_path / "o")]) == 0
+        records = re.findall(r"DEBUG mudal\.strategies: k-means\+\+ over \d+ rows, "
+                             r"k=\d+: \d+ exact fallbacks", capsys.readouterr().err)
+        assert records  # GRADS runs k-means++ in every domain with a budget
+
     def test_bad_log_level_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["--log-level", "LOUD", "gradcheck"])

@@ -5,7 +5,8 @@ import pytest
 
 from mudal.models import ModelBundle, make_bundle
 from mudal.nn import DenseNet, Layer, softmax, softmax_ce
-from mudal.strategies import (QueryRequest, badge_embeddings, grads_select,
+import mudal.strategies as strategies
+from mudal.strategies import (QueryRequest, RankOneRows, badge_embeddings, grads_select,
                               kmeanspp_select, margin_scores, outlier_scores,
                               select, select_badge, select_margin, select_random)
 from mudal.training import TrainConfig
@@ -105,7 +106,7 @@ class TestBadgeEmbeddings:
     def test_one_hot_probability_gives_zero_embedding(self):
         bundle = passthrough_bundle(c=2)
         z = np.array([[1000.0, 0.0]])  # softmax saturates to exactly (1, 0)
-        emb = badge_embeddings(bundle, z)
+        emb = badge_embeddings(bundle, z).dense()
         np.testing.assert_array_equal(emb, np.zeros((1, 4)))
 
     def test_hand_chain_rule_case(self):
@@ -119,13 +120,13 @@ class TestBadgeEmbeddings:
         classifier = DenseNet([trunk, final])
         heads = [Layer(np.eye(c), np.zeros(c), "identity")]
         bundle = ModelBundle(encoder, classifier, heads, None, 1)
-        emb = badge_embeddings(bundle, np.array([[1.0, 0.0]]))
+        emb = badge_embeddings(bundle, np.array([[1.0, 0.0]])).dense()
         np.testing.assert_allclose(emb, [[-0.3, 0.0, 0.3, 0.0]], atol=1e-12)
 
     def test_norm_factorizes(self):
         bundle = real_bundle(seed=6)
         feats = np.random.default_rng(7).standard_normal((15, 2))
-        emb = badge_embeddings(bundle, bundle.encode(feats))
+        emb = badge_embeddings(bundle, bundle.encode(feats)).dense()
         z = trunk_output(bundle, feats)
         probs = softmax(z @ bundle.classifier.layers[-1].W.T + bundle.classifier.layers[-1].b)
         delta = probs.copy()
@@ -136,7 +137,7 @@ class TestBadgeEmbeddings:
     def test_embedding_is_exact_last_layer_gradient(self):
         bundle = real_bundle(seed=8)
         feats = np.random.default_rng(9).standard_normal((6, 2))
-        emb = badge_embeddings(bundle, bundle.encode(feats))
+        emb = badge_embeddings(bundle, bundle.encode(feats)).dense()
         z = trunk_output(bundle, feats)
         final_net = DenseNet([bundle.classifier.layers[-1]])
         for b in range(6):
@@ -146,6 +147,30 @@ class TestBadgeEmbeddings:
             grads, _ = final_net.backward(trace, dlogits)
             np.testing.assert_allclose(emb[b], grads[final_net.layers[0]][0].reshape(-1),
                                        atol=1e-10)
+
+
+    def test_rows_equal_the_dense_einsum(self):
+        rng = np.random.default_rng(10)
+        delta, hidden = rng.standard_normal((9, 4)), rng.standard_normal((9, 5))
+        scores = rng.random(9)
+        scores[2] = 5e-324  # a subnormal score
+        emb = np.einsum("bc,bz->bcz", delta, hidden).reshape(9, -1)
+        rows = RankOneRows(delta, hidden)
+        assert np.array_equal(rows.dense(), emb)
+        idx = np.array([7, 0, 7, 3])
+        assert np.array_equal(rows.rows(idx), emb[idx])
+        emb *= scores[:, None]  # GRADS's scaling of the dense embedding
+        scaled = RankOneRows(delta, hidden, scores)
+        assert np.array_equal(scaled.dense(), emb)
+        assert np.array_equal(scaled.rows(idx), emb[idx])
+        assert np.array_equal(scaled.rows(slice(2, 5)), emb[2:5])
+        assert len(scaled) == 9
+
+    def test_factors_must_align(self):
+        with pytest.raises(ValueError, match="align"):
+            RankOneRows(np.ones((3, 2)), np.ones((4, 2)))
+        with pytest.raises(ValueError, match="align"):
+            RankOneRows(np.ones((3, 2)), np.ones((3, 2)), np.ones(2))
 
 
 def direct_kmeanspp(vectors, k, seed):
@@ -198,6 +223,15 @@ def kmeanspp_case(rng, draw):
     return v, int(rng.integers(0, min(n, 12 if big else 30) + 1))
 
 
+def count_fallbacks(monkeypatch) -> list:
+    """A list that grows by one on each exact fallback of `kmeanspp_select`."""
+    fallbacks = []
+    exact = strategies._fold_exact
+    monkeypatch.setattr(strategies, "_fold_exact",
+                        lambda *args: fallbacks.append(1) or exact(*args))
+    return fallbacks
+
+
 class TestKmeansPP:
     def test_k_one_is_seeded_uniform(self):
         vectors = np.random.default_rng(0).standard_normal((10, 3))
@@ -234,7 +268,10 @@ class TestKmeansPP:
         picks = kmeanspp_select(vectors, 3, seed=1)
         assert len(set(picks.tolist())) == 3
 
-    def test_pruned_picks_match_the_direct_loop(self):
+    def test_pruned_picks_match_the_direct_loop(self, monkeypatch):
+        # duplicates, zero rows and subnormal scales must send some picks down
+        # the exact path; most picks keep the certified approximate one
+        fallbacks, picks = count_fallbacks(monkeypatch), 0
         rng = np.random.default_rng(2024)
         for draw in range(2400):
             vectors, k = kmeanspp_case(rng, draw)
@@ -242,6 +279,8 @@ class TestKmeansPP:
             np.testing.assert_array_equal(kmeanspp_select(vectors, k, seed),
                                           direct_kmeanspp(vectors, k, seed),
                                           err_msg=f"draw {draw}")
+            picks += max(k - 1, 0)
+        assert 0 < len(fallbacks) < picks / 2
 
     def test_non_finite_row_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -250,6 +289,49 @@ class TestKmeansPP:
             vectors[5, 0] = bad
             with pytest.raises(ValueError, match="row 4 holds a NaN or inf"):
                 kmeanspp_select(vectors, 2, seed=0)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["left", "right", "scale"])
+    def test_non_finite_factor_rejected(self, bad, part):
+        parts = {"left": np.ones((6, 2)), "right": np.ones((6, 3)), "scale": np.full(6, 0.5)}
+        parts[part][4] = bad
+        parts[part][5] = bad
+        with pytest.raises(ValueError, match="row 4 holds a NaN or inf"):
+            kmeanspp_select(RankOneRows(**parts), 2, seed=0)
+
+    def test_overflowing_row_rejected(self):
+        # finite factors whose product overflows: the dense row holds an inf
+        left, right = np.ones((6, 2)), np.ones((6, 3))
+        left[3, 1], right[3, 2] = 1e200, -1e200
+        with pytest.raises(ValueError, match="row 3 holds a NaN or inf"):
+            kmeanspp_select(RankOneRows(left, right), 2, seed=0)
+
+    @pytest.mark.parametrize("case", ["scale above one", "norms near overflow"])
+    def test_uncertified_inputs_take_the_exact_path(self, case, monkeypatch):
+        fallbacks = count_fallbacks(monkeypatch)
+        rng = np.random.default_rng(21)
+        left, right = rng.standard_normal((40, 3)), rng.standard_normal((40, 4))
+        scale = None
+        if case == "scale above one":
+            scale = rng.uniform(0.0, 4.0, 40)
+        else:
+            right *= 1e150
+        rows = RankOneRows(left, right, scale)
+        for seed in range(5):
+            fallbacks.clear()
+            np.testing.assert_array_equal(kmeanspp_select(rows, 12, seed),
+                                          direct_kmeanspp(rows.dense(), 12, seed))
+            assert len(fallbacks) == 11
+
+    def test_debug_record_counts_the_fallbacks(self, caplog):
+        vectors = np.zeros((5, 2))  # every pick after the first is uniform, exactly
+        with caplog.at_level("DEBUG", logger="mudal.strategies"):
+            kmeanspp_select(vectors, 3, seed=1)
+            kmeanspp_select(vectors, 0, seed=1)
+        assert [r.getMessage() for r in caplog.records] == [
+            "k-means++ over 5 rows, k=3: 2 exact fallbacks",
+            "k-means++ over 5 rows, k=0: 0 exact fallbacks"]
 
 
 class TestGrads:
@@ -307,7 +389,7 @@ class TestGrads:
         feats = np.stack([low_margin, high_margin])
 
         def norm_ratio(temp):
-            emb = badge_embeddings(bundle, feats, temperature=temp)  # identity encoder
+            emb = badge_embeddings(bundle, feats, temperature=temp).dense()  # identity encoder
             norms = np.linalg.norm(emb, axis=1)
             return norms[0] / norms[1]
 

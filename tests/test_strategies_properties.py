@@ -1,5 +1,5 @@
-"""k-means++ seeding with triangle-inequality pruning picks exactly what the
-direct loop picks, over inputs that hypothesis draws."""
+"""k-means++ seeding over certified approximate distances picks exactly what
+the direct loop picks, over inputs that hypothesis draws."""
 import numpy as np
 import pytest
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 from test_strategies import direct_kmeanspp  # noqa: E402
 
-from mudal.strategies import kmeanspp_select  # noqa: E402
+from mudal.strategies import RankOneRows, kmeanspp_select  # noqa: E402
 
 # small integers give exact duplicates, zero rows and exact ties
 entries = st.one_of(st.integers(-3, 3).map(float),
@@ -45,3 +45,21 @@ def test_rank_one_rows_match_the_direct_loop(parts, scale, fraction, seed):
     delta, exponent, h = parts
     vectors = np.einsum("bc,bz->bcz", delta * 10.0 ** exponent, h).reshape(delta.shape[0], -1)
     assert_parity(vectors * scale, fraction, seed)
+
+
+@PROPERTY
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+           arrays(np.float64, (n, 3), elements=entries),
+           arrays(np.float64, (n, 1), elements=st.floats(-12.0, 0.0)),
+           arrays(np.float64, (n, 4), elements=entries),
+           st.none() | arrays(np.float64, (n,), elements=st.floats(0.0, 1.0)))),
+       scales, st.booleans(), st.floats(0.0, 1.0), seeds)
+def test_factored_rows_match_the_direct_loop(parts, scale, on_left, fraction, seed):
+    # the same rows held as factors, with or without a GRADS-like score in [0, 1]
+    delta, exponent, h, score = parts
+    delta = delta * 10.0 ** exponent
+    rows = (RankOneRows(delta * scale, h, score) if on_left
+            else RankOneRows(delta, h * scale, score))
+    k = int(round(fraction * len(rows)))
+    np.testing.assert_array_equal(kmeanspp_select(rows, k, seed),
+                                  direct_kmeanspp(rows.dense(), k, seed))

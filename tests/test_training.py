@@ -193,6 +193,32 @@ class TestTrainRound:
         train_round(ds, pool, fast_cfg(variant=variant, epochs=1), seed=8)
         assert steps == [disc_flags] * 8  # ceil(60 train points / batch 8) steps
 
+    @pytest.mark.parametrize("variant, per_epoch", [("cal", 8), ("cal_fa", 8), ("cal_alpha", 1),
+                                                    ("vanilla", 0)])
+    def test_post_update_vd_runs_only_where_read(self, variant, per_epoch, monkeypatch):
+        # V_d at the new alpha runs on every step where the encoder reads its
+        # latent gradient, else once an epoch for the snapshot's value
+        calls = []
+        full = training.compute_vd
+        monkeypatch.setattr(training, "compute_vd",
+                            lambda disc, alpha, **kw: calls.append(kw) or full(disc, alpha, **kw))
+        ds, pool = toy_setup()
+        rr = train_round(ds, pool, fast_cfg(variant=variant, epochs=2), seed=8)
+        assert sum(kw.get("params", True) is False for kw in calls) == 2 * per_epoch
+        assert all(snap.v_d != 0.0 for snap in rr.history) == (variant != "vanilla")
+
+    def test_originals_drawn_but_gathered_only_for_the_discriminator(self):
+        ds, pool = toy_setup()
+        labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
+        rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
+        orig, lab, labels = training._sample_batches(rng, ds, labeled, 8, True)
+        bare_orig, bare_lab, bare_labels = training._sample_batches(bare_rng, ds, labeled, 8,
+                                                                    False)
+        assert [o.shape for o in orig] == [(8, ds.feature_dim)] * ds.n_domains
+        assert bare_orig == []
+        assert all(np.array_equal(a, b) for a, b in zip(lab + labels, bare_lab + bare_labels))
+        assert rng.random() == bare_rng.random()  # the stream is the same after
+
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
                                                      ("cal", True)])
     def test_head_finals_move_only_under_vlambda(self, variant, heads_move, monkeypatch):
