@@ -75,7 +75,7 @@ class ExperimentConfig:
             raise ConfigError(f"m must be >= n_domains ({n}) for {self.assignment}")
         if self.assignment == "separate" and self.m % n != 0:
             raise ConfigError(f"separate assignment needs n_domains ({n}) to divide m ({self.m})")
-        if self.strategy == "grads" and self.variant == "vanilla":
+        if self.strategy == "grads" and not self.train.trains_discriminator:
             raise ConfigError("the grads strategy needs a discriminator; "
                               "pair it with the cal, cal_alpha, or cal_fa variant")
         if not self.seeds:

@@ -3,19 +3,18 @@ the conditional-discriminator alignment term, the domain-specific head term,
 projected-gradient updates of the similarity matrix, and the empirical
 feature-space distance estimator.
 
-Every term reads latent rows e(x) that the trainer encodes, through one
-forward pass per network. `classifier_pass` runs the classifier trunk once
-over the stacked labeled rows, then the shared and head final layers as one
-stack; V_h, V_lambda and the 0/1 errors read its logits, and V_h and
-V_lambda return the gradient of the trunk output for one trunk backward
-(`ClassifierPass.backward`). `disc_pass` runs the discriminator once over
-the stacked original and labeled latent rows; column i of its output is the
+Every term reads latent rows e(x) that the trainer encodes, one forward
+pass per network, stacked as a `BlockLayout` says. `classifier_pass` runs
+the classifier trunk once over the labeled rows, the stack's tail, then the
+shared and head final layers as one stack; V_h, V_lambda and the 0/1 errors
+read its logits, and V_h and V_lambda return the gradient of the trunk
+output for one trunk backward (`ClassifierPass.backward`). `disc_pass` runs
+the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
 parts of both passes (block sizes, segment-membership matrices, V_d's BCE
-weights and targets) form a `BlockLayout` that a trainer builds once per
-round.
+weights and targets) form the `BlockLayout`, built once per round.
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
@@ -135,15 +134,17 @@ class ClassifierPass:
         return self.trunk.net.backward(self.trunk, dhidden)
 
 
-def classifier_pass(bundle: ModelBundle, labeled_z: list[np.ndarray],
-                    labeled_labels: list[np.ndarray], heads: bool = True,
-                    layout: BlockLayout | None = None) -> ClassifierPass:
-    """Run the classifier trunk once over the stacked labeled latent rows and
-    apply the shared final layer (and, with `heads`, every head final) as one
-    (K, C, H) stack. A `layout` whose labeled blocks are these rows lends
-    the pass its sizes and membership matrix."""
+def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
+                    heads: bool = True, member: np.ndarray | None = None) -> ClassifierPass:
+    """Run the classifier trunk once over labeled latent rows `z` (`sizes`
+    rows per labeled domain) and apply the shared final layer (and, with
+    `heads`, every head final) as one (K, C, H) stack. `member`, e.g. a
+    `BlockLayout`'s `lab_member`, spares building the sizes' matrix."""
+    sizes = np.asarray(sizes)
+    if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
+        raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
+                         f"labeled blocks of {sizes.tolist()} rows")
     trunk = bundle.classifier.layers[:-1]
-    z = np.concatenate(labeled_z)
     trace = DenseNet(trunk).forward(z) if trunk else None
     hidden = z if trace is None else trace.output
     finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
@@ -152,13 +153,8 @@ def classifier_pass(bundle: ModelBundle, labeled_z: list[np.ndarray],
     logits += np.stack([f.b for f in finals])[:, None, :]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite values in classifier logits")
-    sizes = np.array([zj.shape[0] for zj in labeled_z])
-    if layout is not None and not np.array_equal(layout.n_lab, sizes):
-        raise ValueError(f"labeled blocks of {sizes.tolist()} rows do not fit a layout of "
-                         f"{layout.n_lab.tolist()}")
     return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
-                          np.concatenate(labeled_labels), sizes,
-                          None if layout is None else layout.lab_member)
+                          labels, sizes, member)
 
 
 def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
@@ -241,21 +237,15 @@ def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
     return np.diag(orig), _segment_means(decided[:, n_o:], n_lab, lab_m)
 
 
-def disc_pass(bundle: ModelBundle, orig_z: list[np.ndarray], labeled_z: list[np.ndarray],
-              layout: BlockLayout | None = None) -> DiscPass:
-    """Run the discriminator once over the stacked original and labeled latent
-    rows. `layout`, when the caller has built the rows' `BlockLayout`, is
-    shared rather than rebuilt."""
+def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout) -> DiscPass:
+    """Run the discriminator once over the latent rows `z`, stacked as
+    `layout` says."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    n_orig = [z.shape[0] for z in orig_z]
-    n_lab = [z.shape[0] for z in labeled_z]
-    if layout is None:
-        layout = BlockLayout.of(n_orig, n_lab)
-    elif not (np.array_equal(layout.n_orig, n_orig) and np.array_equal(layout.n_lab, n_lab)):
-        raise ValueError(f"blocks of {n_orig} originals and {n_lab} labeled rows do not fit "
-                         f"a layout of {layout.n_orig.tolist()} and {layout.n_lab.tolist()}")
-    return DiscPass(bundle.discriminator.forward(np.concatenate([*orig_z, *labeled_z])), layout)
+    rows = layout.n_orig.sum() + layout.n_lab.sum()
+    if z.shape[0] != rows:
+        raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
+    return DiscPass(bundle.discriminator.forward(z), layout)
 
 
 def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True) -> TermResult:

@@ -134,51 +134,40 @@ class BudgetLedger:
 
 
 def largest_remainder_round(fractions: np.ndarray, m: int) -> np.ndarray:
-    """Round nonnegative fractions summing to m onto integers summing to m:
-    floor everything, then hand out the remaining units by descending
-    fractional part, ties to the lower index."""
+    """Round nonnegative fractions summing to m (within less than 1) onto
+    integers summing to m: floor everything, then hand out the remaining
+    units, at most one each, by descending fractional part, ties to the
+    lower index."""
     fractions = np.asarray(fractions, dtype=np.float64)
     if np.any(fractions < 0):
         raise ValueError("fractions must be nonnegative")
+    if not abs(fractions.sum() - m) < 1.0:  # also refuses nan
+        raise ValueError(f"fractions sum to {fractions.sum()}, not within 1 of m={m}")
     floors = np.floor(fractions).astype(np.int64)
-    remainder = int(m - floors.sum())
-    if remainder < 0:
-        # only reachable through float drift; trim from the smallest fractional parts
-        order = np.lexsort((np.arange(fractions.size), fractions - floors))
-        for idx in order:
-            if remainder == 0:
-                break
-            if floors[idx] > 0:
-                floors[idx] -= 1
-                remainder += 1
-        return floors
     fracpart = fractions - floors
     order = np.lexsort((np.arange(fractions.size), -fracpart))
-    floors[order[:remainder]] += 1
+    floors[order[:m - floors.sum()]] += 1
     return floors
 
 
 def _round_capped(raw: np.ndarray, m: int, capacities: np.ndarray) -> np.ndarray:
     """Clamp raw desires at 0 and capacity, scale to sum m, round with largest
-    remainder, then repair any capacity overshoot deterministically."""
+    remainder, then move any capacity overshoot to the most spare capacity
+    in one pass (the caller checks that the capacities hold m)."""
     x = np.minimum(np.maximum(raw, 0.0), capacities.astype(np.float64))
     if x.sum() <= 0:
         # no domain wants budget; spread it by remaining capacity
         x = capacities.astype(np.float64).copy()
     incr = largest_remainder_round(x * (m / x.sum()), m)
-    while True:
-        over = incr - capacities
-        excess = int(over[over > 0].sum())
+    excess = int(np.maximum(incr - capacities, 0).sum())
+    incr = np.minimum(incr, capacities)
+    spare = capacities - incr
+    for j in np.argsort(-spare, kind="stable"):
         if excess == 0:
             break
-        incr = np.minimum(incr, capacities)
-        spare = capacities - incr
-        for j in np.argsort(-spare, kind="stable"):
-            if excess == 0:
-                break
-            give = int(min(spare[j], excess))
-            incr[j] += give
-            excess -= give
+        give = int(min(spare[j], excess))
+        incr[j] += give
+        excess -= give
     return incr
 
 

@@ -320,8 +320,6 @@ def outlier_scores(bundle: ModelBundle, z: np.ndarray, domain) -> np.ndarray:
 def grads_select(req: QueryRequest, temperature: float) -> np.ndarray:
     """Gradient embeddings at the given temperature, each scaled by the
     sample's outlier score, then k-means++ selection."""
-    if req.bundle.discriminator is None:
-        raise ValueError("this strategy requires a discriminator-bearing model")
     if req.k == 0:
         return np.empty(0, dtype=np.int64)
     z = req.bundle.encode(req.features)

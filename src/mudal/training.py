@@ -38,11 +38,11 @@ Each backward computes only what its caller reads:
 
 Every batch of a round has the same block sizes, so `_run_epochs` builds
 what depends on them once per round and drops it with the round: each
-labeled domain's features and labels, gathered once (a step draws its rows
-from them with the same `rng.choice` calls as before), and the `BlockLayout`
+labeled domain's features and labels, gathered once, and the `BlockLayout`
 of V_d's alpha-free BCE parts and the segment-membership matrices of the
-0/1 errors and decision rates. A numerical abort names the phase of the step
-it arose in.
+0/1 errors and decision rates. A step's batch is one matrix in that order,
+and each pass reads a slice of the encoder's output over it. A numerical
+abort names the phase of the step it arose in.
 """
 from __future__ import annotations
 
@@ -147,32 +147,26 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
 
 def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
                     labeled: list[tuple[np.ndarray, np.ndarray]], batch: int,
-                    originals: bool):
-    """One minibatch: up to `batch` train rows of each domain, then up to
-    `batch` rows of each domain's labeled (features, labels), as gathered
-    for the round. The train rows are drawn either way, so the stream does not
-    depend on `originals`, but gathered only when it is set: only the
-    discriminator reads them."""
-    orig_feats, lab_feats, lab_labels = [], [], []
+                    originals: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One minibatch (x, labels): x stacks up to `batch` train rows of each
+    domain, then up to `batch` rows of each labeled domain as gathered for
+    the round, in `BlockLayout` order; `labels` are its labeled rows'. The
+    train rows are drawn either way, so the stream does not depend on
+    `originals`, but stacked only when it is set: only the discriminator
+    reads them."""
+    blocks, labels = [], []
     for i in range(dataset.n_domains):
         n = dataset.train_size(i)
         take = rng.choice(n, size=min(batch, n), replace=False)
         if originals:
-            orig_feats.append(dataset.train_features[i][take])
-    for feats, labels in labeled:
-        if labels.size == 0:
-            lab_feats.append(feats)
-            lab_labels.append(labels)
-            continue
-        take = rng.choice(labels.size, size=min(batch, labels.size), replace=False)
-        lab_feats.append(feats[take])
-        lab_labels.append(labels[take])
-    return orig_feats, lab_feats, lab_labels
-
-
-def _split_rows(z: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of the rows of `z` that belong to each stacked block."""
-    return np.split(z, np.cumsum([b.shape[0] for b in blocks])[:-1])
+            blocks.append(dataset.train_features[i][take])
+    for feats, y in labeled:
+        if y.size:
+            take = rng.choice(y.size, size=min(batch, y.size), replace=False)
+            feats, y = feats[take], y[take]
+        blocks.append(feats)
+        labels.append(y)
+    return np.vstack(blocks), np.concatenate(labels)
 
 
 def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainConfig,
@@ -198,31 +192,28 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
 
 def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_set,
                 last_step):
-    """One minibatch step over a batch of the round's `layout`. Returns the
-    new alpha, the new coefficient EMA and (V_h, V_d, V_lambda); V_d reads 0
-    where nothing reads it, under `cal_alpha` on all but an epoch's
-    `last_step`. Every pass and trace lives only as long as the step. A
-    FloatingPointError leaves naming the phase it arose in."""
-    orig_feats, lab_feats, lab_labels = batch
-    n = bundle.n_domains
+    """One minibatch step over a `_sample_batches` batch in the round's
+    `layout`. Returns the new alpha, the new coefficient EMA and (V_h, V_d,
+    V_lambda); V_d reads 0 where nothing reads it, under `cal_alpha` on all
+    but an epoch's `last_step`. Every pass and trace lives only as long as
+    the step. A FloatingPointError leaves naming the phase it arose in."""
+    x, labels = batch
     phase = "encoder forward"
     try:
-        # one encoder pass over the originals (gathered only for V_d), then the
-        # labeled blocks; the discriminator update leaves the encoder as is
-        blocks = orig_feats + lab_feats
-        trace = bundle.encoder.forward(np.vstack(blocks))
-        z = _split_rows(trace.output, blocks)
-        orig_z, lab_z = z[:-n], z[-n:]
+        # the discriminator update leaves the encoder as is
+        trace = bundle.encoder.forward(x)
+        z = trace.output
+        lab = slice(z.shape[0] - labels.size, None)  # the labeled rows, the tail
         phase = "classifier forward"
         # one trunk pass over the labeled rows; the head logits only where
         # V_lambda and the alpha readouts read them
-        cls = classifier_pass(bundle, lab_z, lab_labels, heads=config.optimizes_alpha,
-                              layout=layout)
+        cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
+                              heads=config.optimizes_alpha, member=layout.lab_member)
 
         v_d_val = 0.0
         if config.trains_discriminator:
             phase = "discriminator update"
-            disc = disc_pass(bundle, orig_z, lab_z, layout)
+            disc = disc_pass(bundle, z, layout)
             disc_set.step(compute_vd(disc, alpha, inputs=False).grads, config.lr)
             # the updated discriminator's one pass over the same rows feeds the
             # alpha readouts and then V_d at the new alpha
@@ -256,8 +247,8 @@ def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_s
             v_lambda_val = vl.value
         phase = "backward"
         trunk_g, dz_lab = cls.backward(dhidden)
-        dz = np.zeros_like(trace.output)
-        dz[trace.output.shape[0] - dz_lab.shape[0]:] = dz_lab
+        dz = np.zeros_like(z)
+        dz[lab] = dz_lab
         if config.aligns_encoder:
             # descent on -lambda_d * V_d: the encoder fights the discriminator
             dz -= config.lambda_d * vd.dz
@@ -269,13 +260,12 @@ def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_s
     return alpha, coeff_ema, (vh.value, v_d_val, v_lambda_val)
 
 
-def _disc_accuracy(bundle, batch, layout, alpha) -> np.ndarray:
+def _disc_accuracy(bundle, x, layout, alpha) -> np.ndarray:
     """Per domain, half the rate of originals called original plus the
     alpha-weighted rate of (nonempty) labeled domains called not original,
-    on one batch."""
-    orig_feats, lab_feats, _ = batch
+    on one batch's stacked rows `x`."""
     try:
-        logits = bundle.discriminator.predict(bundle.encode(np.vstack(orig_feats + lab_feats)))
+        logits = bundle.discriminator.predict(bundle.encode(x))
         orig_rate, lab_rate = layout.rates(logits)
     except FloatingPointError as exc:
         raise FloatingPointError(f"epoch snapshot: {exc}") from exc
@@ -307,7 +297,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
                                                        step == steps_per_epoch)
             v_h_val, v_d_val, v_lambda_val = values
             t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
-            disc_acc = (_disc_accuracy(bundle, batch, layout, alpha)
+            disc_acc = (_disc_accuracy(bundle, batch[0], layout, alpha)
                         if config.trains_discriminator else np.zeros(n))
         except FloatingPointError as exc:
             raise NumericalAbort(f"training diverged at epoch {epoch}: {exc}") from exc

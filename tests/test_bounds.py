@@ -10,8 +10,8 @@ from mudal.bounds import (BoundReport, complexity_ratio, empirical_bound, hoeffd
 from mudal.data import MultiDomainDataset, init_pool
 from mudal.models import ModelBundle
 from mudal.nn import DenseNet, Layer
-from mudal.objective import classifier_pass
 from mudal.simplex import BudgetLedger, project_simplex
+from test_objective import classifier_pass_of
 
 
 def onehot_dataset(n_domains=2, per=12, n_classes=2):
@@ -246,7 +246,7 @@ class TestEmpiricalBound:
         alpha = np.array(alpha)
         report = bound_of(bundle, ds, pool, alpha)
         lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(2)]
-        err = classifier_pass(bundle, lab_z, [pool.labels(j) for j in range(2)]).errors()
+        err = classifier_pass_of(bundle, lab_z, [pool.labels(j) for j in range(2)]).errors()
         err_h, head_err = err[0], err[1:]
         has_rows = pool.counts() > 0
         np.testing.assert_allclose(report.weighted_err, alpha.mean(axis=0) @ err_h, atol=1e-12)

@@ -40,16 +40,33 @@ def encode_stacked(bundle, blocks):
     return trace, np.split(trace.output, np.cumsum([b.shape[0] for b in blocks])[:-1])
 
 
+def classifier_pass_of(bundle, lab_z, lab_labels, heads=True, layout=None):
+    """`classifier_pass` over a list of labeled latent blocks and their
+    labels, stacked; a `layout` lends its labeled sizes and membership
+    matrix, as in a training step."""
+    sizes = [z.shape[0] for z in lab_z] if layout is None else layout.n_lab
+    return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels), sizes,
+                           heads=heads, member=None if layout is None else layout.lab_member)
+
+
+def disc_pass_of(bundle, orig_z, lab_z, layout=None):
+    """`disc_pass` over lists of original and labeled latent blocks, stacked,
+    in `layout` or else the layout of their sizes."""
+    if layout is None:
+        layout = BlockLayout.of([z.shape[0] for z in orig_z], [z.shape[0] for z in lab_z])
+    return disc_pass(bundle, np.concatenate([*orig_z, *lab_z]), layout)
+
+
 def vh_of(bundle, z, labels, alpha):
-    return compute_vh(classifier_pass(bundle, z, labels, heads=False), alpha)
+    return compute_vh(classifier_pass_of(bundle, z, labels, heads=False), alpha)
 
 
 def vlambda_of(bundle, z, labels, alpha):
-    return compute_vlambda(classifier_pass(bundle, z, labels), alpha)
+    return compute_vlambda(classifier_pass_of(bundle, z, labels), alpha)
 
 
 def vd_of(bundle, orig_z, lab_z, alpha):
-    return compute_vd(disc_pass(bundle, orig_z, lab_z), alpha)
+    return compute_vd(disc_pass_of(bundle, orig_z, lab_z), alpha)
 
 
 def head_net(bundle, i):
@@ -149,7 +166,7 @@ class TestVh:
         feats, labels = tiny_batches(per=4)
         alpha = random_alpha(3)
         trace, z = encode_stacked(bundle, feats)
-        cls = classifier_pass(bundle, z, labels, heads=False)
+        cls = classifier_pass_of(bundle, z, labels, heads=False)
         res = compute_vh(cls, alpha)
         assert set(res.grads) == {bundle.classifier.layers[-1]}
         res = with_trunk_grads(cls, res)
@@ -180,7 +197,7 @@ class TestVd:
     def test_disc_pass_reads_each_row_once(self):
         bundle = tiny_bundle()
         orig_z, lab_z, _ = labeled_batches(bundle, empty=(1,))
-        disc = disc_pass(bundle, orig_z, lab_z)
+        disc = disc_pass_of(bundle, orig_z, lab_z)
         rows = sum(z.shape[0] for z in orig_z + lab_z)
         assert disc.trace.acts[0].shape == (rows, bundle.latent_dim)
         np.testing.assert_array_equal(disc.trace.output,
@@ -191,7 +208,7 @@ class TestVd:
     def test_rerun_carries_the_alpha_free_bce_parts(self, empty):
         bundle = tiny_bundle(seed=7)
         orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=34)
-        disc = disc_pass(bundle, orig_z, lab_z)
+        disc = disc_pass_of(bundle, orig_z, lab_z)
         again = disc.rerun()
         assert again.layout is disc.layout
         # oracle: the parts built from the pass's block sizes
@@ -212,28 +229,45 @@ class TestVd:
         bundle = tiny_bundle(seed=7)
         orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
         alpha = random_alpha(3, seed=35)
-        own = disc_pass(bundle, orig_z, lab_z)
+        own = disc_pass_of(bundle, orig_z, lab_z)
         layout = BlockLayout.of(own.layout.n_orig, own.layout.n_lab)
-        shared = disc_pass(bundle, orig_z, lab_z, layout)
+        shared = disc_pass_of(bundle, orig_z, lab_z, layout)
         assert shared.layout is layout
         a, b = compute_vd(own, alpha), compute_vd(shared, alpha)
         assert a.value == b.value and a.dz.tobytes() == b.dz.tobytes()
         for x, y in zip(own.rates(), shared.rates()):
             assert x.tobytes() == y.tobytes()
         np.testing.assert_array_equal(
-            classifier_pass(bundle, lab_z, lab_labels, layout=layout).errors(),
-            classifier_pass(bundle, lab_z, lab_labels).errors())
+            classifier_pass_of(bundle, lab_z, lab_labels, layout=layout).errors(),
+            classifier_pass_of(bundle, lab_z, lab_labels).errors())
         other = BlockLayout.of(layout.n_orig, layout.n_lab + 1)
         with pytest.raises(ValueError, match="do not fit"):
-            disc_pass(bundle, orig_z, lab_z, other)
+            disc_pass_of(bundle, orig_z, lab_z, other)
         with pytest.raises(ValueError, match="do not fit"):
-            classifier_pass(bundle, lab_z, lab_labels, layout=other)
+            classifier_pass_of(bundle, lab_z, lab_labels, layout=other)
+
+    def test_passes_refuse_rows_that_do_not_fit(self):
+        bundle = tiny_bundle(seed=7)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, seed=34)
+        layout = disc_pass_of(bundle, orig_z, lab_z).layout
+        z = np.concatenate([*orig_z, *lab_z])
+        lab, labels = np.concatenate(lab_z), np.concatenate(lab_labels)
+        assert disc_pass(bundle, z, layout).trace.output.shape == (z.shape[0], 3)
+        assert classifier_pass(bundle, lab, labels, layout.n_lab).logits.shape[1] == lab.shape[0]
+        with pytest.raises(ValueError, match="do not fit"):
+            disc_pass(bundle, z[1:], layout)
+        with pytest.raises(ValueError, match="do not fit"):
+            disc_pass(bundle, lab, layout)
+        with pytest.raises(ValueError, match="do not fit"):
+            classifier_pass(bundle, lab, labels, layout.n_lab + 1)
+        with pytest.raises(ValueError, match="do not fit"):
+            classifier_pass(bundle, lab, labels[1:], layout.n_lab)
 
     def test_compute_vd_skips_what_is_not_read(self):
         bundle = tiny_bundle(seed=7)
         orig_z, lab_z, _ = labeled_batches(bundle, seed=34)
         alpha = random_alpha(3, seed=35)
-        disc = disc_pass(bundle, orig_z, lab_z)
+        disc = disc_pass_of(bundle, orig_z, lab_z)
         full = compute_vd(disc, alpha)
         params = compute_vd(disc, alpha, inputs=False)
         inputs = compute_vd(disc, alpha, params=False)
@@ -381,7 +415,7 @@ class TestVlambda:
         feats, labels = tiny_batches(per=4, seed=17)
         alpha = random_alpha(3, seed=18)
         trace, z = encode_stacked(bundle, feats)
-        cls = classifier_pass(bundle, z, labels)
+        cls = classifier_pass_of(bundle, z, labels)
         res = compute_vlambda(cls, alpha)
         assert set(res.grads) == set(bundle.head_finals)
         layers = [*bundle.encoder.layers, *bundle.classifier.layers[:-1],
@@ -404,9 +438,9 @@ class TestTermGradients:
         lab, lab_labels = tiny_batches(seed=41)
         alpha = random_alpha(3, seed=42)
         trace, z = encode_stacked(bundle, orig + lab)
-        cls = classifier_pass(bundle, z[3:], lab_labels)
+        cls = classifier_pass_of(bundle, z[3:], lab_labels)
         vh, vl = compute_vh(cls, alpha), compute_vlambda(cls, alpha)
-        vd = compute_vd(disc_pass(bundle, z[:3], z[3:]), alpha)
+        vd = compute_vd(disc_pass_of(bundle, z[:3], z[3:]), alpha)
         trunk_g, _ = cls.backward(vh.dz + vl.dz)
         enc_g, _ = bundle.encoder.backward(trace, vd.dz)
         parts = [set(vh.grads), set(vl.grads), set(trunk_g), set(enc_g)]
@@ -502,8 +536,8 @@ class TestAlphaStep:
         orig_z = encode(bundle, tiny_batches(seed=23)[0])
         lab, lab_labels = tiny_batches(seed=24)
         lab_z = encode(bundle, lab)
-        cls = classifier_pass(bundle, lab_z, lab_labels)
-        disc = disc_pass(bundle, orig_z, lab_z)
+        cls = classifier_pass_of(bundle, lab_z, lab_labels)
+        disc = disc_pass_of(bundle, orig_z, lab_z)
         coeffs = alpha_objective_coefficients(cls, disc, 1.0)
         assert coeffs.shape == (3, 3)
         assert np.all(np.isfinite(coeffs))
@@ -515,7 +549,7 @@ class TestAlphaStep:
             (coeffs + disc.rates()[1] / 6.0) - err[1:] / 3.0,
             np.tile(err[0] / 3.0, (3, 1)), atol=1e-12)
         with pytest.raises(ValueError, match="every head"):
-            alpha_objective_coefficients(classifier_pass(bundle, lab_z, lab_labels, heads=False),
+            alpha_objective_coefficients(classifier_pass_of(bundle, lab_z, lab_labels, heads=False),
                                          disc, 1.0)
 
 
@@ -552,8 +586,8 @@ class TestLabeledReadouts:
     def test_matches_per_network_recount(self):
         bundle = tiny_bundle(seed=5)
         orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=(1,))
-        err = classifier_pass(bundle, lab_z, lab_labels).errors()
-        rate = disc_pass(bundle, orig_z, lab_z).rates()[1]
+        err = classifier_pass_of(bundle, lab_z, lab_labels).errors()
+        rate = disc_pass_of(bundle, orig_z, lab_z).rates()[1]
         assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
         np.testing.assert_array_equal(rate, disc_orig_rates(bundle, lab_z))
         np.testing.assert_array_equal(rate[:, 1], 0.0)  # an empty labeled domain reads 0
@@ -561,7 +595,7 @@ class TestLabeledReadouts:
     def test_disc_orig_rates_match_per_block_recount(self):
         bundle = tiny_bundle(seed=6)
         orig_z, lab_z, _ = labeled_batches(bundle, empty=(2,), seed=31)
-        orig_rate, lab_rate = disc_pass(bundle, orig_z, lab_z).rates()
+        orig_rate, lab_rate = disc_pass_of(bundle, orig_z, lab_z).rates()
         np.testing.assert_array_equal(orig_rate, np.diag(disc_orig_rates(bundle, orig_z)))
         np.testing.assert_array_equal(lab_rate, disc_orig_rates(bundle, lab_z))
         np.testing.assert_array_equal(lab_rate[:, 2], 0.0)  # an empty block reads 0
@@ -573,13 +607,13 @@ class TestLabeledReadouts:
         bundle = tiny_bundle(seed=7)
         orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
         alpha = random_alpha(3, seed=35)
-        before = disc_pass(bundle, orig_z, lab_z)
+        before = disc_pass_of(bundle, orig_z, lab_z)
         bundle.disc_param_set().step(compute_vd(before, alpha).grads, 0.05)
         after = before.rerun()
         assert not np.allclose(after.trace.output, before.trace.output)
         np.testing.assert_array_equal(after.trace.output,
-                                      disc_pass(bundle, orig_z, lab_z).trace.output)
-        cls = classifier_pass(bundle, lab_z, lab_labels)
+                                      disc_pass_of(bundle, orig_z, lab_z).trace.output)
+        cls = classifier_pass_of(bundle, lab_z, lab_labels)
         coeffs = alpha_objective_coefficients(cls, after, 1.0)
         err = cls.errors()
         assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
@@ -595,7 +629,7 @@ class TestLabeledReadouts:
         bundle = tiny_bundle(seed=8)
         _, lab_z, lab_labels = labeled_batches(bundle)
         for layer in (bundle.head_finals[0], bundle.classifier.layers[0]):
-            cls = classifier_pass(bundle, lab_z, lab_labels)
+            cls = classifier_pass_of(bundle, lab_z, lab_labels)
             layer.bump()
             with pytest.raises(ValueError, match="stale"):
                 cls.backward(np.zeros_like(cls.hidden))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mudal import simplex
 from mudal.bounds import complexity_ratio
 from mudal.simplex import (BudgetLedger, SimilarityMatrix, assign_budget,
                            column_importance, greedy_increments, largest_remainder_round,
@@ -174,6 +175,59 @@ class TestLargestRemainder:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative"):
             largest_remainder_round(np.array([-0.5, 5.5]), 5)
+
+    @pytest.mark.parametrize("fractions, m", [([5.0, 5.0], 3), ([0.2, 0.3], 4),
+                                              ([1.0, 1.0], 3), ([np.nan, 1.0], 1)])
+    def test_rejects_fractions_not_within_one_of_m(self, fractions, m):
+        # ([5, 5], 3) used to give [4, 4] and ([0.2, 0.3], 4) [1, 1]
+        with pytest.raises(ValueError, match="not within 1"):
+            largest_remainder_round(np.array(fractions), m)
+
+    def test_sum_just_within_one_of_m(self):
+        np.testing.assert_array_equal(largest_remainder_round(np.array([1.5, 1.49]), 2), [1, 1])
+        np.testing.assert_array_equal(largest_remainder_round(np.array([0.6, 0.5]), 2), [1, 1])
+
+
+def round_capped_loop(raw, m, capacities):
+    """Oracle: the clamp, scale and round of `_round_capped`, then its
+    capacity repair repeated until nothing overshoots."""
+    x = np.minimum(np.maximum(raw, 0.0), capacities.astype(np.float64))
+    if x.sum() <= 0:
+        x = capacities.astype(np.float64).copy()
+    incr = largest_remainder_round(x * (m / x.sum()), m)
+    while True:
+        over = incr - capacities
+        excess = int(over[over > 0].sum())
+        if excess == 0:
+            return incr
+        incr = np.minimum(incr, capacities)
+        spare = capacities - incr
+        for j in np.argsort(-spare, kind="stable"):
+            if excess == 0:
+                break
+            give = int(min(spare[j], excess))
+            incr[j] += give
+            excess -= give
+
+
+def test_one_capacity_repair_pass_matches_the_repeated_loop():
+    rng = np.random.default_rng(11)
+    repaired = 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        capacities = rng.integers(0, 12, n)
+        if capacities.sum() == 0:
+            continue
+        m = int(rng.integers(1, capacities.sum() + 1))
+        raw = rng.normal(0.0, 1.0, n) * rng.choice([0.1, 1.0, 10.0]) * m
+        got = simplex._round_capped(raw, m, capacities)
+        want = round_capped_loop(raw, m, capacities)
+        assert np.array_equal(got, want), (raw, m, capacities)
+        assert got.sum() == m and np.all(got <= capacities) and np.all(got >= 0)
+        x = np.minimum(np.maximum(raw, 0.0), capacities)
+        repaired += x.sum() > 0 and np.any(largest_remainder_round(x * (m / x.sum()), m)
+                                           > capacities)
+    assert repaired > 100  # the repair pass ran
 
 
 class TestBudgetLedger:

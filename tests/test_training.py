@@ -211,13 +211,38 @@ class TestTrainRound:
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
-        orig, lab, labels = training._sample_batches(rng, ds, labeled, 8, True)
-        bare_orig, bare_lab, bare_labels = training._sample_batches(bare_rng, ds, labeled, 8,
-                                                                    False)
-        assert [o.shape for o in orig] == [(8, ds.feature_dim)] * ds.n_domains
-        assert bare_orig == []
-        assert all(np.array_equal(a, b) for a, b in zip(lab + labels, bare_lab + bare_labels))
+        x, labels = training._sample_batches(rng, ds, labeled, 8, True)
+        bare_x, bare_labels = training._sample_batches(bare_rng, ds, labeled, 8, False)
+        n_lab = labels.size
+        assert x.shape == (8 * ds.n_domains + n_lab, ds.feature_dim)
+        # without the originals the batch holds only the labeled blocks
+        assert np.array_equal(bare_x, x[-n_lab:]) and bare_x.shape[0] == n_lab
+        assert np.array_equal(bare_labels, labels)
         assert rng.random() == bare_rng.random()  # the stream is the same after
+
+    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
+    def test_batch_stacks_the_per_block_gathers_in_layout_order(self, empty):
+        # oracle: one gather per block from a twin stream, stacked as
+        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]; an empty labeled domain
+        # draws nothing and adds no rows
+        ds, pool = toy_setup()
+        labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
+        for j in empty:
+            labeled[j] = (np.empty((0, ds.feature_dim)), np.empty(0, dtype=np.int64))
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        x, labels = training._sample_batches(rng, ds, labeled, 8, True)
+        blocks, want_labels = [], []
+        for i in range(ds.n_domains):
+            take = twin.choice(ds.train_size(i), size=8, replace=False)
+            blocks.append(ds.train_features[i][take])
+        for feats, y in labeled:
+            if y.size:
+                take = twin.choice(y.size, size=min(8, y.size), replace=False)
+                blocks.append(feats[take])
+                want_labels.append(y[take])
+        assert x.tobytes() == np.vstack(blocks).tobytes()
+        assert np.array_equal(labels, np.concatenate(want_labels))
+        assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
                                                      ("cal", True)])
