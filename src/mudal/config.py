@@ -69,6 +69,11 @@ class ExperimentConfig:
         n = self.dataset.n_domains
         if self.m0 < n:
             raise ConfigError(f"m0 must be >= n_domains ({n})")
+        # the initial pool splits m0 evenly, so its largest share is ceil(m0 / N)
+        share, train = -(-self.m0 // n), self.dataset.train_per_domain
+        if share > train:
+            raise ConfigError(f"m0 = {self.m0} gives a domain {share} initial labels, "
+                              f"more than train_per_domain ({train})")
         if self.m < 1:
             raise ConfigError("m must be >= 1")
         if self.assignment != "joint" and self.m < n:

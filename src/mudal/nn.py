@@ -16,6 +16,19 @@ skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
 skipped part comes back as None. Either way the parts it does compute are
 the full backward's to the bit.
 
+Which arrays live how long. `forward(x)` allocates each layer's activation
+fresh, and so does the backward of its trace, so `predict` and every pass
+outside training own what they return. A trainer whose passes keep their
+shapes gives `forward` a `PassBuffers` as `out`: arrays allocated once,
+which live as long as the buffers (a training round). Every pass given them
+writes over the last one's activations, and its backward over the masks,
+deltas and, through a `ParamSet`'s `grad_views`, layer gradients. Both
+cases run one loop; `out=None` is numpy's "allocate". A backward refuses a
+trace once its net's parameters changed (`stale trace`), so a caller that
+steps the net before it writes the buffers again never reads a later pass's
+values through an old trace. `np.matmul` and `sum(axis=0)` round alike with
+and without `out=`, so both give the same bits.
+
 The leaky ReLU and its derivative mask avoid `np.where`: on rows whose signs
 mix at random, its data-dependent branch mispredicts about half the time
 and costs several times the arithmetic. `max(z, slope * z)` and a 0/1 mask
@@ -44,21 +57,21 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(a: np.ndarray, kind: str) -> np.ndarray:
+def _activation_grad(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     # Derivative with respect to the pre-activation, read from the activation
-    # a: relu and leaky_relu are positive exactly where their input is. The
-    # subgradient of relu at 0 is taken as 0; leaky_relu uses its
-    # negative-side slope there.
-    if kind == "relu":
-        return (a > 0.0).astype(np.float64)
+    # a and written into `out` (fresh if None): relu and leaky_relu are
+    # positive exactly where their input is. The subgradient of relu at 0 is
+    # taken as 0; leaky_relu uses its negative-side slope there.
+    if kind not in ("relu", "leaky_relu"):
+        # identity's derivative is 1: backward passes its gradient through as is
+        raise ValueError(f"no derivative mask for activation {kind!r}")
+    # the comparison's True/False cast to float64 is the 0/1 mask
+    grad = np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
     if kind == "leaky_relu":
         # 1 or the slope from the 0/1 mask: (1 - slope) + slope rounds to 1
-        grad = (a > 0.0).astype(np.float64)
         grad *= 1.0 - LEAKY_SLOPE
         grad += LEAKY_SLOPE
-        return grad
-    # identity's derivative is 1: backward passes its gradient through as is
-    raise ValueError(f"no derivative mask for activation {kind!r}")
+    return grad
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -111,13 +124,49 @@ class Layer:
         return cls(W, b, activation)
 
 
+class PassBuffers:
+    """The arrays one forward of a net's `layers` over `rows` rows, and the
+    backward of its trace, write into: `acts[k]`, layer k's pre-activation
+    and then its activation; `dz[k]`, its derivative mask and then the
+    gradient of its pre-activation (None for an identity layer, which passes
+    its output gradient on as is); `deltas[k]`, the gradient of its input
+    (None for layer 0 without `inputs`); and `grads`, the (dW, db) arrays each
+    layer's gradient goes to, e.g. a `ParamSet`'s `grad_views` (a layer
+    missing from it gets fresh ones). Layer 0's input gradient without
+    `inputs` is allocated fresh if a backward asks for it.
+
+    `dz` and the deltas past layer 0 die within the backward that writes
+    them, so the buffers of passes whose backwards run one at a time can
+    share them: they come from the `scratch` dict, one array per kind and
+    shape, and passes given the same dict share its arrays."""
+
+    def __init__(self, layers: list[Layer], rows: int, grads: LayerGrads, scratch: dict,
+                 inputs: bool = True):
+        def shared(kind: str, width: int) -> np.ndarray:
+            key = (kind, rows, width)
+            if key not in scratch:
+                scratch[key] = np.empty((rows, width))
+            return scratch[key]
+
+        self.rows = rows
+        self.acts = [np.empty((rows, layer.out_dim)) for layer in layers]
+        self.dz = [None if layer.activation == "identity" else shared("dz", layer.out_dim)
+                   for layer in layers]
+        self.deltas = [shared("delta", layer.in_dim) if k
+                       else np.empty((rows, layer.in_dim)) if inputs else None
+                       for k, layer in enumerate(layers)]
+        self.grads = {layer: grads[layer] for layer in layers if layer in grads}
+
+
 @dataclass
 class ActivationTrace:
-    """Everything forward() saw, sufficient for an exact backward pass."""
+    """Everything forward() saw, sufficient for an exact backward pass, and
+    the buffers it was written into (None: its own arrays)."""
 
     net: "DenseNet"
     acts: list[np.ndarray]     # the input, then the activation of each layer
     versions: tuple[int, ...]
+    out: PassBuffers | None = None
 
     @property
     def output(self) -> np.ndarray:
@@ -171,7 +220,9 @@ class DenseNet:
     def versions(self) -> tuple[int, ...]:
         return tuple(layer.version for layer in self.layers)
 
-    def forward(self, x: np.ndarray) -> ActivationTrace:
+    def forward(self, x: np.ndarray, out: PassBuffers | None = None) -> ActivationTrace:
+        """The trace of x through every layer, written into `out`'s arrays
+        (fresh ones if None), which the backward of the trace then uses."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (B, D) features, got shape {x.shape}")
@@ -179,23 +230,26 @@ class DenseNet:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match net input dim {self.input_dim}"
             )
+        if out is not None and out.rows != x.shape[0]:
+            raise ValueError(f"{x.shape[0]} rows do not fit buffers of {out.rows}")
         acts = [x]
-        for layer in self.layers:
-            z = x @ layer.W.T
+        for k, layer in enumerate(self.layers):
+            z = np.matmul(x, layer.W.T, out=None if out is None else out.acts[k])
             z += layer.b  # the same add as `x @ W.T + b`, one temporary fewer
             x = _activate(z, layer.activation)
             acts.append(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite values in forward output")
-        return ActivationTrace(self, acts, self.versions())
+        return ActivationTrace(self, acts, self.versions(), out)
 
     def backward(self, trace: ActivationTrace, output_grad: np.ndarray, *,
                  params: bool = True, inputs: bool = True,
                  ) -> tuple[LayerGrads | None, np.ndarray | None]:
-        """Every layer's (dW, db) and d(loss)/d(input). A caller that reads
-        only one of them turns the other off: `params=False` skips every
-        dW/db, `inputs=False` skips layer 0's input gradient, and the skipped
-        part comes back as None."""
+        """Every layer's (dW, db) and d(loss)/d(input), written into the
+        trace's buffers where it has them. A caller that reads only one of
+        them turns the other off: `params=False` skips every dW/db,
+        `inputs=False` skips layer 0's input gradient, and the skipped part
+        comes back as None."""
         if not (params or inputs):
             raise ValueError("backward needs params, inputs or both")
         trace.check_current(self)
@@ -204,17 +258,23 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {delta.shape} != output shape {trace.output.shape}"
             )
+        out = trace.out
         grads: LayerGrads | None = {} if params else None
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             if layer.activation == "identity":
                 dz = delta  # times a derivative of 1
             else:
-                dz = _activation_grad(trace.acts[k + 1], layer.activation)
+                dz = _activation_grad(trace.acts[k + 1], layer.activation,
+                                      None if out is None else out.dz[k])
                 dz *= delta
             if params:
-                grads[layer] = (dz.T @ trace.acts[k], dz.sum(axis=0))
-            delta = dz @ layer.W if k or inputs else None
+                dW, db = (None, None) if out is None else out.grads.get(layer, (None, None))
+                grads[layer] = (np.matmul(dz.T, trace.acts[k], out=dW), dz.sum(axis=0, out=db))
+            if k or inputs:
+                delta = np.matmul(dz, layer.W, out=None if out is None else out.deltas[k])
+            else:
+                delta = None
         return grads, delta
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -261,8 +321,10 @@ class ParamSet:
     Adam optimizer, whose state the set holds. `flat` holds every layer's W and
     b in order, each `Layer.W`/`.b` rebound to a view into it, so in-place
     writes (e.g. `grad_check`'s) reach it; the Adam moments and the gradient
-    buffer are flat alike. A set refuses to step once a layer was rebound, by
-    a later set or by assignment."""
+    buffer are flat alike. `grad_views` hands out each layer's (dW, db) view
+    of that buffer, so a backward can write a gradient where `step` reads it.
+    A set refuses to step once a layer was rebound, by a later set or by
+    assignment."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list({id(layer): layer for layer in layers}.values())
@@ -281,9 +343,14 @@ class ParamSet:
             self._slots.append(tuple(slot))
         self.adam = AdamState.init(self.flat)
 
+    def grad_views(self) -> LayerGrads:
+        """Each layer's (dW, db) view of the gradient buffer `step` reads."""
+        return {layer: (dW, db) for layer, _, dW, _, db in self._slots}
+
     def step(self, grads: LayerGrads, lr: float) -> None:
         """One Adam step on every layer; a layer missing from `grads` steps on
-        a zero gradient."""
+        a zero gradient, and a gradient already in its `grad_views` is read in
+        place."""
         for k, (layer, W, dW, b, db) in enumerate(self._slots):
             if layer.W is not W or layer.b is not b:
                 raise ValueError(f"layer {k} ({layer.out_dim}x{layer.in_dim}) no longer views "
@@ -291,6 +358,8 @@ class ParamSet:
             pair = grads.get(layer)
             if pair is None:
                 dW[...] = db[...] = 0.0
+                continue
+            if pair[0] is dW and pair[1] is db:
                 continue
             if (np.shape(pair[0]), np.shape(pair[1])) != (dW.shape, db.shape):
                 raise ValueError(f"layer {k}: gradient shapes {tuple(map(np.shape, pair))} "
@@ -326,10 +395,19 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray,
     if np.any(labels < 0) or np.any(labels >= c):
         raise ValueError("labels out of range")
     weights = np.ones(b) if weights is None else np.asarray(weights, dtype=np.float64)
-    wsum = weights.sum()
-    if wsum <= 0:
+    if weights.sum() <= 0:
         raise ValueError("weights must not all be zero")
+    return _softmax_ce(logits, labels, weights)
 
+
+def _softmax_ce(logits: np.ndarray, labels: np.ndarray,
+                weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """`softmax_ce` on inputs its checks would pass: float64 logits (B, C),
+    integer labels (B,) in [0, C), float64 weights (B,) of positive sum. A
+    caller that knows its labels are in range, e.g. because it checked the
+    set they are drawn from, calls this once a step."""
+    b = logits.shape[0]
+    wsum = weights.sum()
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     denom = expz.sum(axis=1)
@@ -359,9 +437,17 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape != z.shape:
             raise ValueError("weights shape mismatch")
-    wsum = weights.sum()
-    if wsum <= 0:
+    if weights.sum() <= 0:
         raise ValueError("weights must not all be zero")
+    return _sigmoid_bce(z, t, weights)
+
+
+def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """`sigmoid_bce` on inputs its checks would pass: float64 logits, 0/1
+    targets and weights of positive sum, all of one 1-D shape. A caller
+    whose targets are fixed, e.g. a `BlockLayout`'s, checks them once and
+    calls this once a step."""
+    wsum = weights.sum()
     # max(z,0) - z*t + log(1 + exp(-|z|)) is the overflow-safe BCE
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     loss = float((weights * per).sum() / wsum)

@@ -16,6 +16,14 @@ running only the parts of the backward its caller reads. The alpha-free
 parts of both passes (block sizes, segment-membership matrices, V_d's BCE
 weights and targets) form the `BlockLayout`, built once per round.
 
+A pass writes into the buffers its caller gives (`disc_pass`'s
+`PassBuffers`, `classifier_pass`'s `ClassifierBuffers`), and so do the terms
+and backwards that read it; without them every array is fresh. The readers
+of a pass refuse it once its layers changed (`stale trace`). The terms call
+the unchecked cores of `softmax_ce` and `sigmoid_bce`: a `BlockLayout`
+checks V_d's targets once, and a classifier pass's labels must lie in
+[0, C).
+
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
 `estimate_h_distance` (every domain's distance from one discriminator
@@ -24,13 +32,14 @@ forward per block) both read them through it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import ActivationTrace, DenseNet, Layer, LayerGrads, sigmoid_bce, softmax_ce
+from .nn import (ActivationTrace, DenseNet, Layer, LayerGrads, PassBuffers, _sigmoid_bce,
+                 _softmax_ce)
 from .simplex import as_alpha, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -95,10 +104,51 @@ class BlockLayout:
                    np.eye(n)[owner] / n_orig[owner, None], np.repeat(np.arange(n), n_lab),
                    target)
 
+    def __post_init__(self) -> None:
+        if np.any((self.target != 0.0) & (self.target != 1.0)):
+            raise ValueError("V_d's targets must be 0 or 1")
+
     def rates(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`decision_rates` of the logits of rows in this layout."""
         return decision_rates(logits, self.n_orig, self.n_lab,
                               (self.orig_member, self.lab_member))
+
+
+@dataclass(frozen=True)
+class ClassifierBuffers:
+    """The arrays a classifier pass over B labeled rows, V_h and V_lambda on
+    it, and the trunk backward write into: the trunk's `PassBuffers`, the
+    logits (K, B, C), the final layers' (dW, db) arrays in `grads`, V_h's
+    and V_lambda's trunk-output gradients (B, H), the one head's product
+    (B, H) that V_lambda adds to its sum at a time, and its labels once per
+    head (N, B). A part that is None is allocated fresh, as all are for
+    `FRESH`."""
+    trunk: PassBuffers | None = None
+    logits: np.ndarray | None = None
+    grads: LayerGrads = field(default_factory=dict)
+    vh_dz: np.ndarray | None = None
+    vl_dz: np.ndarray | None = None
+    head_product: np.ndarray | None = None
+    head_labels: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, bundle: ModelBundle, rows: int, heads: bool, grads: LayerGrads,
+           scratch: dict) -> ClassifierBuffers:
+        """Buffers for passes over `rows` labeled rows (with every head if
+        `heads`) whose layer gradients go to `grads`, e.g. a `ParamSet`'s
+        `grad_views`; the trunk's `PassBuffers` take their backward's
+        arrays from `scratch`."""
+        trunk = bundle.classifier.layers[:-1]
+        hidden = bundle.classifier.layers[-1].in_dim
+        n, k = bundle.n_domains, 1 + bundle.n_domains * heads
+        return cls(PassBuffers(trunk, rows, grads, scratch) if trunk else None,
+                   np.empty((k, rows, bundle.classifier.output_dim)), grads,
+                   np.empty((rows, hidden)), np.empty((rows, hidden)) if heads else None,
+                   np.empty((rows, hidden)) if heads else None,
+                   np.empty((n, rows), dtype=np.int64) if heads else None)
+
+
+FRESH = ClassifierBuffers()
 
 
 @dataclass
@@ -106,7 +156,8 @@ class ClassifierPass:
     """One classifier-trunk forward over the labeled domains' stacked latent
     rows, and the logits (K, B, C) of the final layers on its output: the
     shared final layer at 0, then head i's final at 1 + i when the pass
-    includes the heads."""
+    includes the heads. Its arrays, and those of the terms that read it,
+    are `out`'s where it has them."""
     trunk: ActivationTrace | None  # None when the classifier has no trunk
     hidden: np.ndarray             # the trunk output, (B, H)
     finals: list[Layer]
@@ -115,10 +166,20 @@ class ClassifierPass:
     labels: np.ndarray
     sizes: np.ndarray              # rows per labeled domain
     member: np.ndarray | None      # the sizes' `segment_member`, if the caller has it
+    out: ClassifierBuffers = FRESH
+
+    def check_current(self) -> None:
+        """Refuse a pass whose layers changed since it ran: a later pass may
+        have written over its buffers."""
+        if tuple(f.version for f in self.finals) != self.versions:
+            raise ValueError("stale trace: final layers changed since classifier_pass()")
+        if self.trunk is not None:
+            self.trunk.check_current(self.trunk.net)
 
     def errors(self) -> np.ndarray:
         """0/1 error (K, N) of each final layer on each L_j; an empty L_j
         reads 1."""
+        self.check_current()
         err = _segment_means(np.argmax(self.logits, axis=2) != self.labels, self.sizes,
                              self.member)
         err[:, self.sizes == 0] = 1.0
@@ -127,40 +188,43 @@ class ClassifierPass:
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
         """The trunk's gradients and the latent gradient of the rows the pass
         read, from the summed gradient of the trunk output."""
-        if tuple(f.version for f in self.finals) != self.versions:
-            raise ValueError("stale trace: final layers changed since classifier_pass()")
+        self.check_current()
         if self.trunk is None:
             return {}, dhidden
         return self.trunk.net.backward(self.trunk, dhidden)
 
 
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
-                    heads: bool = True, member: np.ndarray | None = None) -> ClassifierPass:
+                    heads: bool = True, member: np.ndarray | None = None,
+                    out: ClassifierBuffers = FRESH) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
     rows per labeled domain) and apply the shared final layer (and, with
     `heads`, every head final) as one (K, C, H) stack. `member`, e.g. a
-    `BlockLayout`'s `lab_member`, spares building the sizes' matrix."""
+    `BlockLayout`'s `lab_member`, spares building the sizes' matrix. The
+    labels must lie in [0, C) for V_h and V_lambda to read them."""
     sizes = np.asarray(sizes)
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
     trunk = bundle.classifier.layers[:-1]
-    trace = DenseNet(trunk).forward(z) if trunk else None
+    trace = DenseNet(trunk).forward(z, out.trunk) if trunk else None
     hidden = z if trace is None else trace.output
     finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-    logits = hidden @ np.stack([f.W for f in finals]).transpose(0, 2, 1)
+    logits = np.matmul(hidden, np.stack([f.W for f in finals]).transpose(0, 2, 1),
+                       out=out.logits)
     logits += np.stack([f.b for f in finals])[:, None, :]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite values in classifier logits")
     return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
-                          labels, sizes, member)
+                          labels, sizes, member, out)
 
 
 def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
     """Column-importance-weighted classification loss of the shared classifier:
     sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample weights. `grads`
     covers the shared final layer; `dz` the trunk output."""
+    cls.check_current()
     cols = column_importance(alpha)
     for j in np.nonzero((cls.sizes == 0) & (cols > 0))[0]:
         log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
@@ -169,12 +233,13 @@ def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
     if wsum <= 0:
         value, dlogits = 0.0, np.zeros_like(cls.logits[0])
     else:
-        norm_loss, dlogits = softmax_ce(cls.logits[0], cls.labels, w)
+        norm_loss, dlogits = _softmax_ce(cls.logits[0], cls.labels, w)
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
     final = cls.finals[0]
-    grads = {final: (dlogits.T @ cls.hidden, dlogits.sum(axis=0))}
-    return TermResult(float(value), grads, dlogits @ final.W)
+    dW, db = cls.out.grads.get(final, (None, None))
+    grads = {final: (np.matmul(dlogits.T, cls.hidden, out=dW), dlogits.sum(axis=0, out=db))}
+    return TermResult(float(value), grads, np.matmul(dlogits, final.W, out=cls.out.vh_dz))
 
 
 def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
@@ -182,6 +247,7 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
     (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y), every head's
     logits read from the one pass. `grads` covers the head finals; `dz` the
     trunk output."""
+    cls.check_current()
     a = as_alpha(alpha)
     n = a.shape[0]
     heads = cls.finals[1:]
@@ -195,12 +261,22 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
     if wsum <= 0:
         return TermResult(0.0, {}, np.zeros_like(cls.hidden))
     logits = cls.logits[1:]
-    norm_loss, dlogits = softmax_ce(logits.reshape(-1, logits.shape[2]),
-                                    np.tile(cls.labels, n), w.reshape(-1))
+    out = cls.out
+    labels = out.head_labels
+    if labels is None:
+        labels = np.empty((n, cls.labels.size), np.int64)
+    labels[...] = cls.labels  # np.tile(cls.labels, n), one row per head
+    norm_loss, dlogits = _softmax_ce(logits.reshape(-1, logits.shape[2]), labels.reshape(-1),
+                                     w.reshape(-1))
     dlogits = dlogits.reshape(logits.shape) * (wsum / n)
-    dW = dlogits.transpose(0, 2, 1) @ cls.hidden
-    grads = {h: (dW[i], dlogits[i].sum(axis=0)) for i, h in enumerate(heads)}
-    dhidden = (dlogits @ np.stack([h.W for h in heads])).sum(axis=0)
+    grads = {}
+    for i, h in enumerate(heads):
+        dW, db = out.grads.get(h, (None, None))
+        grads[h] = (np.matmul(dlogits[i].T, cls.hidden, out=dW), dlogits[i].sum(axis=0, out=db))
+    # the heads' trunk-output gradients, summed in head order one product at a time
+    dhidden = np.matmul(dlogits[0], heads[0].W, out=out.vl_dz)
+    for i in range(1, n):
+        dhidden += np.matmul(dlogits[i], heads[i].W, out=out.head_product)
     return TermResult(float(norm_loss * wsum / n), grads, dhidden)
 
 
@@ -212,13 +288,18 @@ class DiscPass:
     trace: ActivationTrace
     layout: BlockLayout
 
-    def rerun(self) -> DiscPass:
+    def rerun(self, out: PassBuffers | None = None) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
-        after its update."""
-        return replace(self, trace=self.trace.net.forward(self.trace.acts[0]))
+        after its update, written into `out` (fresh arrays if None). A
+        trainer gives it other buffers than the pass before the update: the
+        pass after one step's update is still current when the next step's
+        pass before the update runs."""
+        return replace(self, trace=self.trace.net.forward(self.trace.acts[0], out))
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pass's `decision_rates`."""
+        """The pass's `decision_rates`; refused once the discriminator
+        changed, since a later pass may have written over its buffers."""
+        self.trace.check_current(self.trace.net)
         return self.layout.rates(self.trace.output)
 
 
@@ -237,15 +318,16 @@ def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
     return np.diag(orig), _segment_means(decided[:, n_o:], n_lab, lab_m)
 
 
-def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout) -> DiscPass:
+def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
+              out: PassBuffers | None = None) -> DiscPass:
     """Run the discriminator once over the latent rows `z`, stacked as
-    `layout` says."""
+    `layout` says, written into `out` (fresh arrays if None)."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
     rows = layout.n_orig.sum() + layout.n_lab.sum()
     if z.shape[0] != rows:
         raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
-    return DiscPass(bundle.discriminator.forward(z), layout)
+    return DiscPass(bundle.discriminator.forward(z, out), layout)
 
 
 def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True) -> TermResult:
@@ -267,7 +349,8 @@ def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = Tru
     wsum = w.sum()
     logits = disc.trace.output
 
-    norm_loss, dlogits = sigmoid_bce(logits, lay.target, w)
+    norm_loss, dlogits = _sigmoid_bce(logits.reshape(-1), lay.target.reshape(-1),
+                                      w.reshape(-1))
     scale = wsum / (2.0 * n)
     net = disc.trace.net
     if params or inputs:

@@ -25,8 +25,8 @@ so the step's gradient is their union, and one Adam step of the network
 `ParamSet` applies it; the discriminator's `ParamSet` steps on V_d's. Each set
 runs one Adam update over its flat parameter vector, and a layer no term
 reaches (head finals under `vanilla` and `cal_fa`) keeps its initial weights.
-No pass or trace outlives its step. Models are re-initialized at the start of
-every round; the similarity matrix restarts uniform.
+Models are re-initialized at the start of every round; the similarity matrix
+restarts uniform.
 
 Each backward computes only what its caller reads:
 - the discriminator's update: its layer gradients, not its input gradient;
@@ -38,11 +38,28 @@ Each backward computes only what its caller reads:
 
 Every batch of a round has the same block sizes, so `_run_epochs` builds
 what depends on them once per round and drops it with the round: each
-labeled domain's features and labels, gathered once, and the `BlockLayout`
-of V_d's alpha-free BCE parts and the segment-membership matrices of the
-0/1 errors and decision rates. A step's batch is one matrix in that order,
-and each pass reads a slice of the encoder's output over it. A numerical
-abort names the phase of the step it arose in.
+labeled domain's features and labels, gathered (and their labels checked)
+once; the `BlockLayout` of V_d's alpha-free BCE parts and the
+segment-membership matrices of the 0/1 errors and decision rates; and the
+`_StepBuffers`. A step's batch is one matrix in that order, and each pass
+reads a slice of the encoder's output over it.
+
+What lives for the round and what for the step. The `_StepBuffers` live
+for the round, and each step writes over the last one's: each network's
+activations, its backward's masks and deltas, the classifier's logits, V_h's
+and V_lambda's trunk-output gradients, the encoder's output gradient, and
+the layer gradients, which go straight into the `ParamSet`s' gradient
+buffers. What a step reads of them lives only for the step: the readers of
+a pass or trace refuse it once its network stepped (`stale trace`), and
+each network steps before the next step writes over its buffers. The
+discriminator's passes before and after its update keep separate
+activations, because the pass after one step's update is still current
+when the next step's pass before the update runs. The rest of a step's
+arrays are small and fresh each step (the batch, the losses' weights and
+logit gradients, the alpha readouts), and the epoch snapshot and everything
+outside training allocate their own.
+
+A numerical abort names the phase of the step it arose in.
 """
 from __future__ import annotations
 
@@ -53,8 +70,9 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
-                        compute_vd, compute_vh, compute_vlambda, disc_pass)
+from .nn import PassBuffers, ParamSet
+from .objective import (BlockLayout, ClassifierBuffers, alpha_objective_coefficients, alpha_step,
+                        classifier_pass, compute_vd, compute_vh, compute_vlambda, disc_pass)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -190,35 +208,70 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_set,
+@dataclass(frozen=True)
+class _StepBuffers:
+    """The arrays every step of a round writes into, sized by its layout:
+    each network's `PassBuffers` (the discriminator's twice, for its passes
+    before and after its update), the classifier's `ClassifierBuffers` and
+    the encoder's output gradient `dz`. The networks' backwards run one at a
+    time, so their passes share one scratch for the arrays that die within
+    a backward; layer gradients go to the `ParamSet`s' `grad_views`."""
+    encoder: PassBuffers
+    dz: np.ndarray
+    classifier: ClassifierBuffers
+    disc: PassBuffers | None
+    disc_rerun: PassBuffers | None
+
+    @classmethod
+    def of(cls, bundle: ModelBundle, config: TrainConfig, layout: BlockLayout,
+           net_set: ParamSet, disc_set: ParamSet | None) -> _StepBuffers:
+        lab = int(layout.n_lab.sum())
+        rows = lab + int(layout.n_orig.sum()) * config.trains_discriminator
+        grads, scratch = net_set.grad_views(), {}
+        disc = rerun = None
+        if config.trains_discriminator:
+            layers, disc_grads = bundle.discriminator.layers, disc_set.grad_views()
+            disc = PassBuffers(layers, rows, disc_grads, scratch, inputs=False)
+            # only V_d after the update reads the latent gradient, and only
+            # where the encoder aligns
+            rerun = PassBuffers(layers, rows, disc_grads, scratch, inputs=config.aligns_encoder)
+        return cls(PassBuffers(bundle.encoder.layers, rows, grads, scratch, inputs=False),
+                   np.empty((rows, bundle.latent_dim)),
+                   ClassifierBuffers.of(bundle, lab, config.optimizes_alpha, grads, scratch),
+                   disc, rerun)
+
+
+def _train_step(bundle, config, batch, layout, buffers, alpha, coeff_ema, net_set, disc_set,
                 last_step):
     """One minibatch step over a `_sample_batches` batch in the round's
-    `layout`. Returns the new alpha, the new coefficient EMA and (V_h, V_d,
-    V_lambda); V_d reads 0 where nothing reads it, under `cal_alpha` on all
-    but an epoch's `last_step`. Every pass and trace lives only as long as
-    the step. A FloatingPointError leaves naming the phase it arose in."""
+    `layout`, written into the round's `_StepBuffers`. Returns the new
+    alpha, the new coefficient EMA and (V_h, V_d, V_lambda); V_d reads 0
+    where nothing reads it, under `cal_alpha` on all but an epoch's
+    `last_step`. A FloatingPointError leaves naming the phase it arose in."""
     x, labels = batch
     phase = "encoder forward"
     try:
         # the discriminator update leaves the encoder as is
-        trace = bundle.encoder.forward(x)
+        trace = bundle.encoder.forward(x, buffers.encoder)
         z = trace.output
-        lab = slice(z.shape[0] - labels.size, None)  # the labeled rows, the tail
+        n_orig = z.shape[0] - labels.size
+        lab = slice(n_orig, None)  # the labeled rows, the tail
         phase = "classifier forward"
         # one trunk pass over the labeled rows; the head logits only where
         # V_lambda and the alpha readouts read them
         cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
-                              heads=config.optimizes_alpha, member=layout.lab_member)
+                              heads=config.optimizes_alpha, member=layout.lab_member,
+                              out=buffers.classifier)
 
         v_d_val = 0.0
         if config.trains_discriminator:
             phase = "discriminator update"
-            disc = disc_pass(bundle, z, layout)
+            disc = disc_pass(bundle, z, layout, buffers.disc)
             disc_set.step(compute_vd(disc, alpha, inputs=False).grads, config.lr)
             # the updated discriminator's one pass over the same rows feeds the
             # alpha readouts and then V_d at the new alpha
             phase = "discriminator forward"
-            disc = disc.rerun()
+            disc = disc.rerun(buffers.disc_rerun)
             if config.optimizes_alpha:
                 phase = "alpha step"
                 coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
@@ -243,15 +296,17 @@ def _train_step(bundle, config, batch, layout, alpha, coeff_ema, net_set, disc_s
             phase = "V_lambda"
             vl = compute_vlambda(cls, alpha)
             grads = grads | vl.grads
-            dhidden = dhidden + vl.dz
+            dhidden += vl.dz  # V_h's array, this step's own
             v_lambda_val = vl.value
         phase = "backward"
         trunk_g, dz_lab = cls.backward(dhidden)
-        dz = np.zeros_like(z)
+        dz = buffers.dz
+        dz[:n_orig] = 0.0
         dz[lab] = dz_lab
         if config.aligns_encoder:
             # descent on -lambda_d * V_d: the encoder fights the discriminator
-            dz -= config.lambda_d * vd.dz
+            vd.dz *= config.lambda_d
+            dz -= vd.dz
         enc_g, _ = bundle.encoder.backward(trace, dz, inputs=False)
         phase = "optimizer step"
         net_set.step(grads | trunk_g | enc_g, config.lr)
@@ -278,12 +333,18 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     # every batch of the round has the same blocks: gather each labeled
     # domain once and lay the blocks out once
     labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(n)]
+    # every step's labels are drawn from these, so V_h and V_lambda need not
+    # check their range each step
+    pool_labels = np.concatenate([labels for _, labels in labeled])
+    if np.any((pool_labels < 0) | (pool_labels >= dataset.n_classes)):
+        raise ValueError(f"pool labels outside [0, {dataset.n_classes})")
     layout = BlockLayout.of(
         [min(config.batch_size, dataset.train_size(i)) for i in range(n)],
         [min(config.batch_size, labels.size) for _, labels in labeled])
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
     disc_set = bundle.disc_param_set() if config.trains_discriminator else None
+    buffers = _StepBuffers.of(bundle, config, layout, net_set, disc_set)
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
@@ -292,8 +353,8 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             for step in range(1, steps_per_epoch + 1):
                 batch = _sample_batches(rng, dataset, labeled, config.batch_size,
                                         config.trains_discriminator)
-                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, alpha,
-                                                       coeff_ema, net_set, disc_set,
+                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, buffers,
+                                                       alpha, coeff_ema, net_set, disc_set,
                                                        step == steps_per_epoch)
             v_h_val, v_d_val, v_lambda_val = values
             t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val

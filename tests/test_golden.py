@@ -134,6 +134,26 @@ VARIANT_DIGESTS = {
 }
 
 
+# Default widths and 128-row blocks (3 x 128 originals and 3 x 128 labeled
+# rows a step): the training step's arrays at the sizes the benchmark runs,
+# which the batch-8, width-10 setups above never reach.
+GOLDEN_LARGE = ExperimentConfig(
+    dataset=RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40, seed=0),
+    variant="cal", strategy="badge", assignment="paper_literal",
+    train=TrainConfig("cal", epochs=1, batch_size=128),
+    m0=390, m=60, rounds=1, seeds=(1,),
+)
+
+LARGE_DIGESTS = {
+    "bounds.csv": "f1afc76fdb5f22cc5474a9fb1d52074e7a4c614266b8918cd4f39237e2c04c39",
+    "metrics.csv": "47d91fde398f0d115e3bda0449d2d2906d53ea1e2560b207caf6be74961298ec",
+    "seed_1/alpha_round_0.csv": "6c9128bd17233a6d49574d2e0dd37e67d0a2df1b23215629ff65cad5fcfb9e41",
+    "seed_1/alpha_round_1.csv": "738ea100ac3c48e86223c10d5163e5dfa536e6980e48905de140fc1f907175c8",
+    "seed_1/snapshots_round_0.csv": "0861261771e994f9de097229b98b93bcf75d4fecc57746ee462583544af79c03",
+    "seed_1/snapshots_round_1.csv": "98d296dffa3001d60be66ebbc7ab408588c7a3e972ec172a1b3dfabcf425f250",
+}
+
+
 def _output_digests(cfg, names, out_dir):
     run_experiment(cfg, str(out_dir))
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
@@ -141,6 +161,10 @@ def _output_digests(cfg, names, out_dir):
 
 def test_golden_output_digests(tmp_path):
     assert _output_digests(GOLDEN, DIGESTS, tmp_path) == DIGESTS
+
+
+def test_golden_large_rows_digests(tmp_path):
+    assert _output_digests(GOLDEN_LARGE, LARGE_DIGESTS, tmp_path) == LARGE_DIGESTS
 
 
 def test_golden_joint_grads_digests(tmp_path):

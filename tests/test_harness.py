@@ -116,6 +116,19 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match="n_domains"):
                 parse_config_text(bad)
 
+    @pytest.mark.parametrize("kind", ["rotating", "idx"])
+    def test_initial_budget_must_fit_a_domain(self, kind):
+        # m0 = 7 over 2 domains puts ceil(7 / 2) = 4 labels in domain 0
+        text = MINIMAL.replace("n_domains = 3", "n_domains = 2").replace(
+            "train_per_domain = 30", "train_per_domain = 3")
+        if kind == "idx":
+            text = text.replace("kind = rotating", "kind = idx\nimages = i.idx\nlabels = l.idx")
+            text = text.replace("n_classes = 3\n", "")
+        budget = "\n[budget]\nm0 = {}\nm = 2\nrounds = 1\n"
+        with pytest.raises(ConfigError, match="more than train_per_domain"):
+            parse_config_text(text + budget.format(7))
+        assert parse_config_text(text + budget.format(6)).m0 == 6
+
     def test_grads_requires_discriminator_variant(self):
         bad = MINIMAL.replace("variant = cal", "variant = vanilla")
         with pytest.raises(ConfigError, match="discriminator"):
@@ -429,9 +442,13 @@ class TestCli:
         .replace("n_classes = 3\n", "").replace("seed = 0", "seed = -2")
         + FAST_TRAIN + FAST_BUDGET,
         MINIMAL + FAST_TRAIN + FAST_BUDGET + "\n[output]\nseeds = 1,-1\n",
+        # ceil(10 / 2) = 5 initial labels in a domain of 3 train points
+        MINIMAL.replace("n_domains = 3", "n_domains = 2")
+        .replace("train_per_domain = 30", "train_per_domain = 3").replace("grads", "random")
+        + FAST_TRAIN + FAST_BUDGET.replace("m0 = 6", "m0 = 10"),
     ], ids=["n_domains_0", "latent_dim_0", "hidden_width_0", "joint_m_negative",
             "n_classes_40", "n_classes_1", "idx_n_domains_0", "dataset_seed_negative",
-            "idx_seed_negative", "output_seed_negative"])
+            "idx_seed_negative", "output_seed_negative", "m0_exceeds_train"])
     def test_bad_values_exit_2(self, text, tmp_path, capsys):
         (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2)
                                            + bytes(16))
