@@ -59,35 +59,20 @@ def hoeffding_term(alpha_cols: np.ndarray, beta: np.ndarray, m: int) -> float:
     return float(2.0 * np.sqrt(ratio * inner))
 
 
-MIN_GRID_STEP = 0.01  # grid steps accepted: [MIN_GRID_STEP, 0.5], each dividing 1 evenly
-
-
-def grid_steps(grid_step: float) -> int:
-    """1 / grid_step, for a step in [MIN_GRID_STEP, 0.5] that evenly divides 1."""
-    if not MIN_GRID_STEP <= grid_step <= 0.5:  # also refuses nan
-        raise ValueError(f"grid_step must lie in [{MIN_GRID_STEP}, 0.5], got {grid_step}")
-    steps = int(round(1.0 / grid_step))
-    if abs(steps * grid_step - 1.0) > 1e-9:
-        raise ValueError(f"grid_step must evenly divide 1, got {grid_step}")
-    return steps
-
-
-def verify_optimal_beta(alpha_cols: np.ndarray, grid_step: float
-                        ) -> tuple[np.ndarray, float, float]:
+def verify_optimal_beta(alpha_cols: np.ndarray, units: int) -> tuple[np.ndarray, float, float]:
     """Check numerically that the complexity ratio over the budget simplex is
     minimized at beta = alpha.
 
     Returns (grid minimizer, inf-distance to alpha, minimum value) over the
-    shares that are multiples of grid_step, excluding beta_j = 0 where
-    alpha_j > 0. The minimizer is `greedy_increments` of 1/grid_step units
-    from zero counts, so it is exact on the grid for every N.
+    shares that are multiples of 1/units, excluding beta_j = 0 where
+    alpha_j > 0. The minimizer is `greedy_increments` of the units from zero
+    counts, so it is exact on the grid for every N.
     """
     alpha_cols = np.asarray(alpha_cols, dtype=np.float64)
     n = alpha_cols.size
-    steps = grid_steps(grid_step)
-    if np.count_nonzero(alpha_cols > 0) > steps:
+    if np.count_nonzero(alpha_cols > 0) > units:
         raise ValueError("grid too coarse: no feasible interior point")
-    beta_star = greedy_increments(alpha_cols, np.zeros(n), steps, np.full(n, steps)) / steps
+    beta_star = greedy_increments(alpha_cols, np.zeros(n), units, np.full(n, units)) / units
     return (beta_star, float(np.max(np.abs(beta_star - alpha_cols))),
             complexity_ratio(alpha_cols, beta_star))
 

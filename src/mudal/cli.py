@@ -2,7 +2,7 @@
 
     mudal [--log-level LEVEL] run <config> [--seeds 1,2,3] [--out DIR] [--variant V]
                                            [--strategy S] [--mode M]
-    mudal [--log-level LEVEL] verify-theory [--grid-step X]
+    mudal [--log-level LEVEL] verify-theory [--units M]
     mudal [--log-level LEVEL] gradcheck
 
 The package's log records at LEVEL (default WARNING) and above go to stderr
@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bounds import MIN_GRID_STEP, grid_steps, hoeffding_term, verify_optimal_beta
+from .bounds import hoeffding_term, verify_optimal_beta
 from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
@@ -62,8 +62,8 @@ def _cmd_verify_theory(args) -> int:
         alpha = rng.dirichlet(np.ones(n))
         alpha = np.maximum(alpha, 0.02)
         alpha /= alpha.sum()
-        beta_star, gap, value = verify_optimal_beta(alpha, args.grid_step)
-        good = gap <= args.grid_step + 1e-12 and value >= 1.0 - 1e-9
+        beta_star, gap, value = verify_optimal_beta(alpha, args.units)
+        good = gap <= 1.0 / args.units + 1e-12 and value >= 1.0 - 1e-9
         ok &= good
         print(f"  N={n}: alpha={np.round(alpha, 3)} -> beta*={np.round(beta_star, 3)} "
               f"gap={gap:.4f} min={value:.6f} [{'ok' if good else 'FAIL'}]")
@@ -117,13 +117,12 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst < 1e-4 else 1
 
 
-def _grid_step(text: str) -> float:
-    """A `--grid-step` value, checked before any grid is built."""
-    try:
-        grid_steps(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return float(text)
+def _units(text: str) -> int:
+    """A `--units` value: a positive integer, at most 10**6 so that the
+    greedy search's (N, M) gain table stays small."""
+    if not text.isdecimal() or not 1 <= int(text) <= 10**6:
+        raise argparse.ArgumentTypeError(f"expected an integer in [1, 10**6], got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,9 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-theory", help="run the bound-lab numeric checks")
-    p_verify.add_argument("--grid-step", type=_grid_step, default=0.01,
-                          help=f"simplex grid spacing: a step in [{MIN_GRID_STEP}, 0.5] that "
-                          "evenly divides 1 (default 0.01)")
+    p_verify.add_argument("--units", type=_units, default=100,
+                          help="budget units M: budget shares are multiples of 1/M (default 100)")
     p_verify.set_defaults(func=_cmd_verify_theory)
 
     p_grad = sub.add_parser("gradcheck", help="run the gradient oracle checks")
@@ -165,9 +163,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:

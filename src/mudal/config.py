@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import MISSING, dataclass, field, fields as dc_fields
 
 from .data import RotatingSpec
@@ -35,8 +36,8 @@ class IdxDatasetSpec:
             raise ValueError("n_domains must be >= 1")
         if self.train_per_domain < 1 or self.test_per_domain < 1:
             raise ValueError("need at least one train and one test point per domain")
-        if self.total_range_deg <= 0:
-            raise ValueError("total_range_deg must be positive")
+        if not 0 < self.total_range_deg < math.inf:  # also refuses nan
+            raise ValueError("total_range_deg must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -175,8 +176,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path, "r") as f:
-        return parse_config_text(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def _fmt(value) -> str:

@@ -82,12 +82,12 @@ class RotatingSpec:
             raise ValueError("need at least one train and one test point per domain")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if self.total_range_deg <= 0:
-            raise ValueError("total_range_deg must be positive")
+        if not 0 < self.total_range_deg < np.inf:  # also refuses nan
+            raise ValueError("total_range_deg must be positive and finite")
         if self.base_shape not in ("gaussian_blobs", "two_moons_k"):
             raise ValueError(f"unknown base_shape {self.base_shape!r}")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError("noise must be nonnegative and finite")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         # blob centroids are equally spaced on the unit circle: 2*pi/n_classes >= 4*noise

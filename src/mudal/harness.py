@@ -67,7 +67,7 @@ def build_dataset(cfg: ExperimentConfig) -> MultiDomainDataset:
         return rotate_idx_domains(features, labels, spec.n_domains,
                                   spec.train_per_domain, spec.test_per_domain,
                                   spec.total_range_deg, spec.seed)
-    except ValueError as exc:  # a corrupt or too-small IDX pair
+    except (OSError, ValueError) as exc:  # an unreadable, corrupt or too-small IDX pair
         raise ConfigError(str(exc)) from exc
 
 
@@ -232,7 +232,15 @@ def export_outputs(cfg: ExperimentConfig, results: list[SeedRunResult], out_dir)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None) -> list[str]:
-    """Run every seed and export all outputs. Returns the written file paths."""
+    """Run every seed and export all outputs. Returns the written file paths.
+    An output path that names, or lies under, anything but a directory is
+    refused before any training."""
+    out_dir = out_dir or cfg.out_dir
+    found = os.path.abspath(out_dir)
+    while not os.path.exists(found):
+        found = os.path.dirname(found)
+    if not os.path.isdir(found):
+        raise ConfigError(f"output dir {out_dir}: {found} is not a directory")
     dataset = build_dataset(cfg)
     results = [run_seed(cfg, dataset, s) for s in cfg.seeds]
-    return export_outputs(cfg, results, out_dir or cfg.out_dir)
+    return export_outputs(cfg, results, out_dir)

@@ -16,18 +16,19 @@ skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
 skipped part comes back as None. Either way the parts it does compute are
 the full backward's to the bit.
 
-Which arrays live how long. `forward(x)` allocates each layer's activation
-fresh, and so does the backward of its trace, so `predict` and every pass
-outside training own what they return. A trainer whose passes keep their
-shapes gives `forward` a `PassBuffers` as `out`: arrays allocated once,
-which live as long as the buffers (a training round). Every pass given them
-writes over the last one's activations, and its backward over the masks,
-deltas and, through a `ParamSet`'s `grad_views`, layer gradients. Both
-cases run one loop; `out=None` is numpy's "allocate". A backward refuses a
-trace once its net's parameters changed (`stale trace`), so a caller that
-steps the net before it writes the buffers again never reads a later pass's
-values through an old trace. `np.matmul` and `sum(axis=0)` round alike with
-and without `out=`, so both give the same bits.
+Which arrays live how long. `forward(x, ws, role)` writes each layer's
+activation into the `Workspace` ws under `role`, and the backward of its
+trace writes there too: layer 0's input gradient under the role, the masks
+and deltas that die within the backward under their shape alone (so every
+role shares them), and the layer gradients where ws keeps them, e.g. a
+`ParamSet`'s `grad_views`. A trainer keeps one workspace for a round, so
+each pass writes over the last one of its role; the default, `ALLOCATE`,
+makes a new array on every call, so `predict` and every pass outside
+training own what they return. A backward refuses a trace once its net's
+parameters changed (`stale trace`), so a caller that steps the net before
+its role is written again never reads a later pass's values through an old
+trace. `np.matmul` and `sum(axis=0)` round alike with and without `out=`,
+so both give the same bits.
 
 The leaky ReLU and its derivative mask avoid `np.where`: on rows whose signs
 mix at random, its data-dependent branch mispredicts about half the time
@@ -124,49 +125,51 @@ class Layer:
         return cls(W, b, activation)
 
 
-class PassBuffers:
-    """The arrays one forward of a net's `layers` over `rows` rows, and the
-    backward of its trace, write into: `acts[k]`, layer k's pre-activation
-    and then its activation; `dz[k]`, its derivative mask and then the
-    gradient of its pre-activation (None for an identity layer, which passes
-    its output gradient on as is); `deltas[k]`, the gradient of its input
-    (None for layer 0 without `inputs`); and `grads`, the (dW, db) arrays each
-    layer's gradient goes to, e.g. a `ParamSet`'s `grad_views` (a layer
-    missing from it gets fresh ones). Layer 0's input gradient without
-    `inputs` is allocated fresh if a backward asks for it.
+class Workspace:
+    """The arrays the passes of a training round write into: a dict keyed by
+    (role, name, shape, dtype), each array made on first use, plus the
+    layer-gradient destinations `grads` (e.g. `ParamSet`s' `grad_views`
+    merged; a layer missing from them has its own, under the layer as role).
+    A key of role None is shared by every role: the backward keeps there
+    what dies within it."""
 
-    `dz` and the deltas past layer 0 die within the backward that writes
-    them, so the buffers of passes whose backwards run one at a time can
-    share them: they come from the `scratch` dict, one array per kind and
-    shape, and passes given the same dict share its arrays."""
+    def __init__(self, grads: LayerGrads):
+        self.arrays = {}
+        self.grads = dict(grads)
 
-    def __init__(self, layers: list[Layer], rows: int, grads: LayerGrads, scratch: dict,
-                 inputs: bool = True):
-        def shared(kind: str, width: int) -> np.ndarray:
-            key = (kind, rows, width)
-            if key not in scratch:
-                scratch[key] = np.empty((rows, width))
-            return scratch[key]
+    def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        key = (role, name, shape, dtype)
+        a = self.arrays.get(key)
+        if a is None:
+            a = self.arrays[key] = np.empty(shape, dtype)
+        return a
 
-        self.rows = rows
-        self.acts = [np.empty((rows, layer.out_dim)) for layer in layers]
-        self.dz = [None if layer.activation == "identity" else shared("dz", layer.out_dim)
-                   for layer in layers]
-        self.deltas = [shared("delta", layer.in_dim) if k
-                       else np.empty((rows, layer.in_dim)) if inputs else None
-                       for k, layer in enumerate(layers)]
-        self.grads = {layer: grads[layer] for layer in layers if layer in grads}
+    def grad(self, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
+        """The (dW, db) arrays a gradient of `layer` is written into."""
+        if layer in self.grads:
+            return self.grads[layer]
+        return self.array(layer, "dW", layer.W.shape), self.array(layer, "db", layer.b.shape)
+
+
+class _Allocating(Workspace):
+    def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+
+# the workspace of a pass that owns its arrays: a new one on every call
+ALLOCATE = _Allocating({})
 
 
 @dataclass
 class ActivationTrace:
     """Everything forward() saw, sufficient for an exact backward pass, and
-    the buffers it was written into (None: its own arrays)."""
+    the workspace and role it was written into, which its backward uses."""
 
     net: "DenseNet"
     acts: list[np.ndarray]     # the input, then the activation of each layer
     versions: tuple[int, ...]
-    out: PassBuffers | None = None
+    ws: Workspace
+    role: str
 
     @property
     def output(self) -> np.ndarray:
@@ -220,9 +223,9 @@ class DenseNet:
     def versions(self) -> tuple[int, ...]:
         return tuple(layer.version for layer in self.layers)
 
-    def forward(self, x: np.ndarray, out: PassBuffers | None = None) -> ActivationTrace:
-        """The trace of x through every layer, written into `out`'s arrays
-        (fresh ones if None), which the backward of the trace then uses."""
+    def forward(self, x: np.ndarray, ws: Workspace = ALLOCATE, role: str = "") -> ActivationTrace:
+        """The trace of x through every layer, written into `ws` under
+        `role`, as the backward of the trace then is."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (B, D) features, got shape {x.shape}")
@@ -230,26 +233,24 @@ class DenseNet:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match net input dim {self.input_dim}"
             )
-        if out is not None and out.rows != x.shape[0]:
-            raise ValueError(f"{x.shape[0]} rows do not fit buffers of {out.rows}")
         acts = [x]
         for k, layer in enumerate(self.layers):
-            z = np.matmul(x, layer.W.T, out=None if out is None else out.acts[k])
+            # layer k's activation is the role's array named k
+            z = np.matmul(x, layer.W.T, out=ws.array(role, k, (x.shape[0], layer.out_dim)))
             z += layer.b  # the same add as `x @ W.T + b`, one temporary fewer
             x = _activate(z, layer.activation)
             acts.append(x)
         if not np.all(np.isfinite(x)):
             raise FloatingPointError("non-finite values in forward output")
-        return ActivationTrace(self, acts, self.versions(), out)
+        return ActivationTrace(self, acts, self.versions(), ws, role)
 
     def backward(self, trace: ActivationTrace, output_grad: np.ndarray, *,
                  params: bool = True, inputs: bool = True,
                  ) -> tuple[LayerGrads | None, np.ndarray | None]:
         """Every layer's (dW, db) and d(loss)/d(input), written into the
-        trace's buffers where it has them. A caller that reads only one of
-        them turns the other off: `params=False` skips every dW/db,
-        `inputs=False` skips layer 0's input gradient, and the skipped part
-        comes back as None."""
+        trace's workspace. A caller that reads only one of them turns the
+        other off: `params=False` skips every dW/db, `inputs=False` skips
+        layer 0's input gradient, and the skipped part comes back as None."""
         if not (params or inputs):
             raise ValueError("backward needs params, inputs or both")
         trace.check_current(self)
@@ -258,7 +259,7 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {delta.shape} != output shape {trace.output.shape}"
             )
-        out = trace.out
+        ws, rows = trace.ws, delta.shape[0]
         grads: LayerGrads | None = {} if params else None
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
@@ -266,13 +267,15 @@ class DenseNet:
                 dz = delta  # times a derivative of 1
             else:
                 dz = _activation_grad(trace.acts[k + 1], layer.activation,
-                                      None if out is None else out.dz[k])
+                                      ws.array(None, "dz", (rows, layer.out_dim)))
                 dz *= delta
             if params:
-                dW, db = (None, None) if out is None else out.grads.get(layer, (None, None))
+                dW, db = ws.grad(layer)
                 grads[layer] = (np.matmul(dz.T, trace.acts[k], out=dW), dz.sum(axis=0, out=db))
             if k or inputs:
-                delta = np.matmul(dz, layer.W, out=None if out is None else out.deltas[k])
+                # the input gradient outlives the backward, the deltas before it do not
+                delta = np.matmul(dz, layer.W, out=ws.array(None if k else trace.role, "delta",
+                                                             (rows, layer.in_dim)))
             else:
                 delta = None
         return grads, delta

@@ -16,13 +16,16 @@ running only the parts of the backward its caller reads. The alpha-free
 parts of both passes (block sizes, segment-membership matrices, V_d's BCE
 weights and targets) form the `BlockLayout`, built once per round.
 
-A pass writes into the buffers its caller gives (`disc_pass`'s
-`PassBuffers`, `classifier_pass`'s `ClassifierBuffers`), and so do the terms
-and backwards that read it; without them every array is fresh. The readers
-of a pass refuse it once its layers changed (`stale trace`). The terms call
-the unchecked cores of `softmax_ce` and `sigmoid_bce`: a `BlockLayout`
-checks V_d's targets once, and a classifier pass's labels must lie in
-[0, C).
+A pass writes into the `Workspace` its caller gives, under its role, and so
+do the terms and backwards that read it: `classifier_pass` the "trunk" role
+(the trunk's activations, the logits, V_h's and V_lambda's trunk-output
+gradients), `disc_pass` the "disc" role and `DiscPass.rerun` the
+"disc_rerun" role of the same workspace. Without one every array is fresh
+(`ALLOCATE`). The readers of a pass refuse it once its layers changed
+(`stale trace`), since a later pass of its role may have written over it.
+The terms call the unchecked cores of `softmax_ce` and `sigmoid_bce`: a
+`BlockLayout` checks V_d's targets once, and a classifier pass's labels
+must lie in [0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
@@ -32,14 +35,14 @@ forward per block) both read them through it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (ActivationTrace, DenseNet, Layer, LayerGrads, PassBuffers, _sigmoid_bce,
-                 _softmax_ce)
+from .nn import (ALLOCATE, ActivationTrace, DenseNet, Layer, LayerGrads, Workspace,
+                 _sigmoid_bce, _softmax_ce)
 from .simplex import as_alpha, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -114,50 +117,13 @@ class BlockLayout:
                               (self.orig_member, self.lab_member))
 
 
-@dataclass(frozen=True)
-class ClassifierBuffers:
-    """The arrays a classifier pass over B labeled rows, V_h and V_lambda on
-    it, and the trunk backward write into: the trunk's `PassBuffers`, the
-    logits (K, B, C), the final layers' (dW, db) arrays in `grads`, V_h's
-    and V_lambda's trunk-output gradients (B, H), the one head's product
-    (B, H) that V_lambda adds to its sum at a time, and its labels once per
-    head (N, B). A part that is None is allocated fresh, as all are for
-    `FRESH`."""
-    trunk: PassBuffers | None = None
-    logits: np.ndarray | None = None
-    grads: LayerGrads = field(default_factory=dict)
-    vh_dz: np.ndarray | None = None
-    vl_dz: np.ndarray | None = None
-    head_product: np.ndarray | None = None
-    head_labels: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, bundle: ModelBundle, rows: int, heads: bool, grads: LayerGrads,
-           scratch: dict) -> ClassifierBuffers:
-        """Buffers for passes over `rows` labeled rows (with every head if
-        `heads`) whose layer gradients go to `grads`, e.g. a `ParamSet`'s
-        `grad_views`; the trunk's `PassBuffers` take their backward's
-        arrays from `scratch`."""
-        trunk = bundle.classifier.layers[:-1]
-        hidden = bundle.classifier.layers[-1].in_dim
-        n, k = bundle.n_domains, 1 + bundle.n_domains * heads
-        return cls(PassBuffers(trunk, rows, grads, scratch) if trunk else None,
-                   np.empty((k, rows, bundle.classifier.output_dim)), grads,
-                   np.empty((rows, hidden)), np.empty((rows, hidden)) if heads else None,
-                   np.empty((rows, hidden)) if heads else None,
-                   np.empty((n, rows), dtype=np.int64) if heads else None)
-
-
-FRESH = ClassifierBuffers()
-
-
 @dataclass
 class ClassifierPass:
     """One classifier-trunk forward over the labeled domains' stacked latent
     rows, and the logits (K, B, C) of the final layers on its output: the
     shared final layer at 0, then head i's final at 1 + i when the pass
     includes the heads. Its arrays, and those of the terms that read it,
-    are `out`'s where it has them."""
+    come from `ws`."""
     trunk: ActivationTrace | None  # None when the classifier has no trunk
     hidden: np.ndarray             # the trunk output, (B, H)
     finals: list[Layer]
@@ -166,11 +132,11 @@ class ClassifierPass:
     labels: np.ndarray
     sizes: np.ndarray              # rows per labeled domain
     member: np.ndarray | None      # the sizes' `segment_member`, if the caller has it
-    out: ClassifierBuffers = FRESH
+    ws: Workspace = ALLOCATE
 
     def check_current(self) -> None:
         """Refuse a pass whose layers changed since it ran: a later pass may
-        have written over its buffers."""
+        have written over its arrays."""
         if tuple(f.version for f in self.finals) != self.versions:
             raise ValueError("stale trace: final layers changed since classifier_pass()")
         if self.trunk is not None:
@@ -196,28 +162,30 @@ class ClassifierPass:
 
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
                     heads: bool = True, member: np.ndarray | None = None,
-                    out: ClassifierBuffers = FRESH) -> ClassifierPass:
+                    ws: Workspace = ALLOCATE) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
     rows per labeled domain) and apply the shared final layer (and, with
     `heads`, every head final) as one (K, C, H) stack. `member`, e.g. a
-    `BlockLayout`'s `lab_member`, spares building the sizes' matrix. The
-    labels must lie in [0, C) for V_h and V_lambda to read them."""
+    `BlockLayout`'s `lab_member`, spares building the sizes' matrix. Its
+    arrays go to `ws` under the "trunk" role. The labels must lie in [0, C)
+    for V_h and V_lambda to read them."""
     sizes = np.asarray(sizes)
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
     trunk = bundle.classifier.layers[:-1]
-    trace = DenseNet(trunk).forward(z, out.trunk) if trunk else None
+    trace = DenseNet(trunk).forward(z, ws, "trunk") if trunk else None
     hidden = z if trace is None else trace.output
     finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
     logits = np.matmul(hidden, np.stack([f.W for f in finals]).transpose(0, 2, 1),
-                       out=out.logits)
+                       out=ws.array("trunk", "logits",
+                                    (len(finals), hidden.shape[0], finals[0].out_dim)))
     logits += np.stack([f.b for f in finals])[:, None, :]
     if not np.all(np.isfinite(logits)):
         raise FloatingPointError("non-finite values in classifier logits")
     return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
-                          labels, sizes, member, out)
+                          labels, sizes, member, ws)
 
 
 def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
@@ -237,9 +205,10 @@ def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
         value = norm_loss * wsum  # undo the weighted-mean normalization
         dlogits = dlogits * wsum
     final = cls.finals[0]
-    dW, db = cls.out.grads.get(final, (None, None))
+    dW, db = cls.ws.grad(final)
     grads = {final: (np.matmul(dlogits.T, cls.hidden, out=dW), dlogits.sum(axis=0, out=db))}
-    return TermResult(float(value), grads, np.matmul(dlogits, final.W, out=cls.out.vh_dz))
+    dz = np.matmul(dlogits, final.W, out=cls.ws.array("trunk", "vh_dz", cls.hidden.shape))
+    return TermResult(float(value), grads, dz)
 
 
 def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
@@ -261,22 +230,21 @@ def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
     if wsum <= 0:
         return TermResult(0.0, {}, np.zeros_like(cls.hidden))
     logits = cls.logits[1:]
-    out = cls.out
-    labels = out.head_labels
-    if labels is None:
-        labels = np.empty((n, cls.labels.size), np.int64)
+    ws = cls.ws
+    labels = ws.array("trunk", "head_labels", (n, cls.labels.size), np.int64)
     labels[...] = cls.labels  # np.tile(cls.labels, n), one row per head
     norm_loss, dlogits = _softmax_ce(logits.reshape(-1, logits.shape[2]), labels.reshape(-1),
                                      w.reshape(-1))
     dlogits = dlogits.reshape(logits.shape) * (wsum / n)
     grads = {}
     for i, h in enumerate(heads):
-        dW, db = out.grads.get(h, (None, None))
+        dW, db = ws.grad(h)
         grads[h] = (np.matmul(dlogits[i].T, cls.hidden, out=dW), dlogits[i].sum(axis=0, out=db))
     # the heads' trunk-output gradients, summed in head order one product at a time
-    dhidden = np.matmul(dlogits[0], heads[0].W, out=out.vl_dz)
+    dhidden = np.matmul(dlogits[0], heads[0].W, out=ws.array("trunk", "vl_dz", cls.hidden.shape))
+    product = ws.array("trunk", "head_product", cls.hidden.shape)
     for i in range(1, n):
-        dhidden += np.matmul(dlogits[i], heads[i].W, out=out.head_product)
+        dhidden += np.matmul(dlogits[i], heads[i].W, out=product)
     return TermResult(float(norm_loss * wsum / n), grads, dhidden)
 
 
@@ -288,17 +256,17 @@ class DiscPass:
     trace: ActivationTrace
     layout: BlockLayout
 
-    def rerun(self, out: PassBuffers | None = None) -> DiscPass:
+    def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
-        after its update, written into `out` (fresh arrays if None). A
-        trainer gives it other buffers than the pass before the update: the
-        pass after one step's update is still current when the next step's
-        pass before the update runs."""
-        return replace(self, trace=self.trace.net.forward(self.trace.acts[0], out))
+        after its update, written into the pass's workspace under the
+        "disc_rerun" role: the pass after one step's update is still current
+        when the next step's pass before the update runs."""
+        trace = self.trace
+        return replace(self, trace=trace.net.forward(trace.acts[0], trace.ws, "disc_rerun"))
 
     def rates(self) -> tuple[np.ndarray, np.ndarray]:
         """The pass's `decision_rates`; refused once the discriminator
-        changed, since a later pass may have written over its buffers."""
+        changed, since a later pass may have written over its arrays."""
         self.trace.check_current(self.trace.net)
         return self.layout.rates(self.trace.output)
 
@@ -319,15 +287,15 @@ def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
 
 
 def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
-              out: PassBuffers | None = None) -> DiscPass:
+              ws: Workspace = ALLOCATE) -> DiscPass:
     """Run the discriminator once over the latent rows `z`, stacked as
-    `layout` says, written into `out` (fresh arrays if None)."""
+    `layout` says, written into `ws` under the "disc" role."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
     rows = layout.n_orig.sum() + layout.n_lab.sum()
     if z.shape[0] != rows:
         raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
-    return DiscPass(bundle.discriminator.forward(z, out), layout)
+    return DiscPass(bundle.discriminator.forward(z, ws, "disc"), layout)
 
 
 def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True) -> TermResult:
@@ -389,7 +357,8 @@ ALPHA_MAX_BACKTRACKS = 30
 def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
     """One projected-gradient step per row on the frozen linear objective,
     with a backtracking halving that never lets a row's value increase. The
-    rows step together; only those that would rise halve and project again."""
+    rows step together; only those that would rise halve and project again.
+    A step too large for float64 to project is a FloatingPointError."""
     a = as_alpha(alpha).copy()
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if a.shape != coeffs.shape:
@@ -398,7 +367,10 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
     base = (a[:, None, :] @ coeffs[:, :, None]).ravel()
     rows = np.arange(a.shape[0])  # rows whose step is not yet accepted
     for k in range(ALPHA_MAX_BACKTRACKS + 1):
-        trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
+        try:
+            trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
+        except ValueError as exc:  # rows past float64's reach, e.g. from a huge lambda_d
+            raise FloatingPointError(str(exc)) from exc
         ok = (trial[:, None, :] @ coeffs[rows, :, None]).ravel() <= base[rows] + 1e-12
         a[rows[ok]] = trial[ok]
         rows = rows[~ok]

@@ -41,23 +41,24 @@ what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once; the `BlockLayout` of V_d's alpha-free BCE parts and the
 segment-membership matrices of the 0/1 errors and decision rates; and the
-`_StepBuffers`. A step's batch is one matrix in that order, and each pass
-reads a slice of the encoder's output over it.
+`Workspace` every step writes into. A step's batch is one matrix in that
+order, and each pass reads a slice of the encoder's output over it.
 
-What lives for the round and what for the step. The `_StepBuffers` live
-for the round, and each step writes over the last one's: each network's
-activations, its backward's masks and deltas, the classifier's logits, V_h's
-and V_lambda's trunk-output gradients, the encoder's output gradient, and
-the layer gradients, which go straight into the `ParamSet`s' gradient
-buffers. What a step reads of them lives only for the step: the readers of
-a pass or trace refuse it once its network stepped (`stale trace`), and
-each network steps before the next step writes over its buffers. The
-discriminator's passes before and after its update keep separate
-activations, because the pass after one step's update is still current
-when the next step's pass before the update runs. The rest of a step's
-arrays are small and fresh each step (the batch, the losses' weights and
-logit gradients, the alpha readouts), and the epoch snapshot and everything
-outside training allocate their own.
+What lives for the round and what for the step. The workspace lives for
+the round, and each step writes over the last one's arrays of each role:
+"encoder" (its activations and output gradient), "trunk" (the classifier
+pass, its logits and V_h's and V_lambda's trunk-output gradients), "disc"
+and "disc_rerun" (the discriminator's passes before and after its update,
+kept apart because the pass after one step's update is still current when
+the next step's pass before the update runs). The backwards' masks and
+deltas are shared by every role, and the layer gradients go straight into
+the `ParamSet`s' gradient buffers. What a step reads of the workspace lives
+only for the step: the readers of a pass or trace refuse it once its
+network stepped (`stale trace`), and each network steps before the next
+step writes its role again. The rest of a step's arrays are small and
+fresh each step (the batch, the losses' weights and logit gradients, the
+alpha readouts), and the epoch snapshot and everything outside training
+allocate their own.
 
 A numerical abort names the phase of the step it arose in.
 """
@@ -70,9 +71,9 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import PassBuffers, ParamSet
-from .objective import (BlockLayout, ClassifierBuffers, alpha_objective_coefficients, alpha_step,
-                        classifier_pass, compute_vd, compute_vh, compute_vlambda, disc_pass)
+from .nn import Workspace
+from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
+                        compute_vd, compute_vh, compute_vlambda, disc_pass)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -101,12 +102,13 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.lambda_d < 0:
-            raise ValueError("lambda_d must be nonnegative")
-        if self.lr <= 0 or self.lr_alpha <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        # the chained comparisons refuse nan as well
+        if not 0 <= self.lambda_d < math.inf:
+            raise ValueError("lambda_d must be nonnegative and finite")
+        if not (0 < self.lr < math.inf and 0 < self.lr_alpha < math.inf):
+            raise ValueError("learning rates must be positive and finite")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError("temperature must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if min(self.latent_dim, *self.encoder_hidden, *self.classifier_hidden,
@@ -208,43 +210,10 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-@dataclass(frozen=True)
-class _StepBuffers:
-    """The arrays every step of a round writes into, sized by its layout:
-    each network's `PassBuffers` (the discriminator's twice, for its passes
-    before and after its update), the classifier's `ClassifierBuffers` and
-    the encoder's output gradient `dz`. The networks' backwards run one at a
-    time, so their passes share one scratch for the arrays that die within
-    a backward; layer gradients go to the `ParamSet`s' `grad_views`."""
-    encoder: PassBuffers
-    dz: np.ndarray
-    classifier: ClassifierBuffers
-    disc: PassBuffers | None
-    disc_rerun: PassBuffers | None
-
-    @classmethod
-    def of(cls, bundle: ModelBundle, config: TrainConfig, layout: BlockLayout,
-           net_set: ParamSet, disc_set: ParamSet | None) -> _StepBuffers:
-        lab = int(layout.n_lab.sum())
-        rows = lab + int(layout.n_orig.sum()) * config.trains_discriminator
-        grads, scratch = net_set.grad_views(), {}
-        disc = rerun = None
-        if config.trains_discriminator:
-            layers, disc_grads = bundle.discriminator.layers, disc_set.grad_views()
-            disc = PassBuffers(layers, rows, disc_grads, scratch, inputs=False)
-            # only V_d after the update reads the latent gradient, and only
-            # where the encoder aligns
-            rerun = PassBuffers(layers, rows, disc_grads, scratch, inputs=config.aligns_encoder)
-        return cls(PassBuffers(bundle.encoder.layers, rows, grads, scratch, inputs=False),
-                   np.empty((rows, bundle.latent_dim)),
-                   ClassifierBuffers.of(bundle, lab, config.optimizes_alpha, grads, scratch),
-                   disc, rerun)
-
-
-def _train_step(bundle, config, batch, layout, buffers, alpha, coeff_ema, net_set, disc_set,
+def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, disc_set,
                 last_step):
     """One minibatch step over a `_sample_batches` batch in the round's
-    `layout`, written into the round's `_StepBuffers`. Returns the new
+    `layout`, written into the round's `Workspace`. Returns the new
     alpha, the new coefficient EMA and (V_h, V_d, V_lambda); V_d reads 0
     where nothing reads it, under `cal_alpha` on all but an epoch's
     `last_step`. A FloatingPointError leaves naming the phase it arose in."""
@@ -252,7 +221,7 @@ def _train_step(bundle, config, batch, layout, buffers, alpha, coeff_ema, net_se
     phase = "encoder forward"
     try:
         # the discriminator update leaves the encoder as is
-        trace = bundle.encoder.forward(x, buffers.encoder)
+        trace = bundle.encoder.forward(x, ws, "encoder")
         z = trace.output
         n_orig = z.shape[0] - labels.size
         lab = slice(n_orig, None)  # the labeled rows, the tail
@@ -260,18 +229,17 @@ def _train_step(bundle, config, batch, layout, buffers, alpha, coeff_ema, net_se
         # one trunk pass over the labeled rows; the head logits only where
         # V_lambda and the alpha readouts read them
         cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
-                              heads=config.optimizes_alpha, member=layout.lab_member,
-                              out=buffers.classifier)
+                              heads=config.optimizes_alpha, member=layout.lab_member, ws=ws)
 
         v_d_val = 0.0
         if config.trains_discriminator:
             phase = "discriminator update"
-            disc = disc_pass(bundle, z, layout, buffers.disc)
+            disc = disc_pass(bundle, z, layout, ws)
             disc_set.step(compute_vd(disc, alpha, inputs=False).grads, config.lr)
             # the updated discriminator's one pass over the same rows feeds the
             # alpha readouts and then V_d at the new alpha
             phase = "discriminator forward"
-            disc = disc.rerun(buffers.disc_rerun)
+            disc = disc.rerun()
             if config.optimizes_alpha:
                 phase = "alpha step"
                 coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
@@ -300,7 +268,7 @@ def _train_step(bundle, config, batch, layout, buffers, alpha, coeff_ema, net_se
             v_lambda_val = vl.value
         phase = "backward"
         trunk_g, dz_lab = cls.backward(dhidden)
-        dz = buffers.dz
+        dz = ws.array("encoder", "output_grad", z.shape)
         dz[:n_orig] = 0.0
         dz[lab] = dz_lab
         if config.aligns_encoder:
@@ -344,7 +312,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
     disc_set = bundle.disc_param_set() if config.trains_discriminator else None
-    buffers = _StepBuffers.of(bundle, config, layout, net_set, disc_set)
+    ws = Workspace(net_set.grad_views() | (disc_set.grad_views() if disc_set else {}))
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
@@ -353,7 +321,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             for step in range(1, steps_per_epoch + 1):
                 batch = _sample_batches(rng, dataset, labeled, config.batch_size,
                                         config.trains_discriminator)
-                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, buffers,
+                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, ws,
                                                        alpha, coeff_ema, net_set, disc_set,
                                                        step == steps_per_epoch)
             v_h_val, v_d_val, v_lambda_val = values

@@ -483,6 +483,37 @@ class TestCli:
         assert "config error:" in err and message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",
+                                      "idx_images_is_a_directory", "idx_labels_is_a_directory",
+                                      "output_is_a_file"])
+    def test_unreadable_inputs_exit_2(self, case, tmp_path, capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before refusing the output path")
+        monkeypatch.setattr(harness, "train_round", no_training)
+        # a readable IDX pair, so only the case's fault can stop the run
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, 4, 2, 2)
+                                           + bytes(16))
+        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4))
+        text = MINIMAL + FAST_TRAIN + FAST_BUDGET
+        if case.startswith("idx"):
+            (tmp_path / "dir.idx").mkdir()
+            images, labels = ("dir", "lab") if "images" in case else ("img", "dir")
+            idx = f"kind = idx\nimages = {tmp_path}/{images}.idx\nlabels = {tmp_path}/{labels}.idx"
+            text = (MINIMAL.replace("kind = rotating", idx).replace("n_classes = 3\n", "")
+                    + FAST_TRAIN + FAST_BUDGET)
+        path, out = tmp_path / "exp.cfg", tmp_path / "o"
+        if case == "config_is_a_directory":
+            path.mkdir()
+        elif case == "config_not_utf8":
+            path.write_bytes(text.encode() + b"# caf\xe9\n")
+        else:
+            path.write_text(text)
+        if case == "output_is_a_file":
+            out.write_text("")
+        assert cli_main(["run", str(path), "--seeds", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.is_dir()
+
     def test_run_choices_are_the_package_names(self):
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -492,19 +523,19 @@ class TestCli:
         assert choices["mode"] is ASSIGNMENT_MODES
 
     def test_verify_theory_exit_0(self, capsys):
-        assert cli_main(["verify-theory", "--grid-step", "0.02"]) == 0
+        assert cli_main(["verify-theory", "--units", "50"]) == 0
         assert "ok" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("step", ["0.3", "0", "nan", "-0.5", "0.75", "x", "0.005"])
-    def test_verify_theory_bad_grid_step_exit_2(self, step, capsys, monkeypatch):
+    @pytest.mark.parametrize("units", ["0", "-1", "1.5", "x", "1000001"])
+    def test_verify_theory_bad_units_exit_2(self, units, capsys, monkeypatch):
         def no_grid(*args):
             raise AssertionError("the grid was searched")
 
         monkeypatch.setattr(bounds, "greedy_increments", no_grid)
         with pytest.raises(SystemExit) as exc:
-            cli_main(["verify-theory", "--grid-step", step])
+            cli_main(["verify-theory", "--units", units])
         assert exc.value.code == 2
-        assert "--grid-step" in capsys.readouterr().err
+        assert "--units" in capsys.readouterr().err
 
     def test_gradcheck_exit_0(self, capsys):
         assert cli_main(["gradcheck"]) == 0

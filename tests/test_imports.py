@@ -1,8 +1,10 @@
-"""Unused-import check for the package modules, done on the AST because no
+"""Unused-name checks for the package modules, done on the AST because no
 linter is available offline.
 
 A name bound by an import must be referenced somewhere else in its module.
-`__init__.py` is exempt: its imports are the package's exports.
+`__init__.py` is exempt: its imports are the package's exports. A private
+module-level name (one leading underscore) must be referenced somewhere in
+the package beyond its own definition.
 """
 import ast
 import pathlib
@@ -45,3 +47,38 @@ def test_checker_flags_an_unused_import():
 def test_no_unused_imports(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name}: unused {unused}"
+
+
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """`module: name` for each private module-level name of the given
+    modules' sources that no module reads, as a name or an attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [f"{module}: {name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [entry for entry in defined if entry.split(": ")[1] not in used]
+
+
+def test_checker_flags_an_orphaned_private_name():
+    sources = {"a": "_kept = 1\n_lost = 2\ndef _f():\n    return _kept\n__all__ = []\n",
+               "b": "from a import _f\n_f()\nclass _Gone:\n    pass\n"}
+    assert orphaned_private_names(sources) == ["a: _lost", "b: _Gone"]
+
+
+def test_no_orphaned_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert not orphaned_private_names(sources)

@@ -299,8 +299,8 @@ class TestStepBuffers:
         passes = []
         forward = DenseNet.forward
 
-        def recorded(net, x, out=None):
-            trace = forward(net, x, out)
+        def recorded(net, x, *where):
+            trace = forward(net, x, *where)
             passes.append((net, trace.acts[1:]))
             return trace
         monkeypatch.setattr(DenseNet, "forward", recorded)
