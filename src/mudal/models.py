@@ -4,6 +4,7 @@ feature discriminator with one output per domain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,13 @@ class ModelBundle:
     @property
     def latent_dim(self) -> int:
         return self.encoder.output_dim
+
+    @cached_property
+    def trunk(self) -> DenseNet | None:
+        """The classifier's layers but its final one, as one net (None when
+        the classifier is its final layer alone)."""
+        layers = self.classifier.layers[:-1]
+        return DenseNet(layers) if layers else None
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.predict(x)

@@ -9,7 +9,14 @@ oracle.
 
 A gradient has one shape from backward to the optimizer: `LayerGrads`, the
 (dW, db) pair of each layer. A `ParamSet` keeps its layers' W and b as views
-into one flat vector and steps them on a `LayerGrads` with one Adam update.
+into one flat vector, every W first and then every b, and steps them on a
+`LayerGrads` with one Adam update. Adam is elementwise, so the layout leaves
+its bits as they were; it makes consecutive layers of one shape one block
+of W's and one of b's, which `ParamSet.stack` hands out as a `LayerStack`:
+(K, out, in) and (K, out) views of the parameters and of the gradient
+buffer, slice k aliasing layer k. Adam writes its products and quotients,
+in the textbook expression's operand order, into two temporaries the set's
+`AdamState` allocates once.
 
 `DenseNet.backward` computes only what its caller reads: `params=False`
 skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
@@ -29,6 +36,13 @@ parameters changed (`stale trace`), so a caller that steps the net before
 its role is written again never reads a later pass's values through an old
 trace. `np.matmul` and `sum(axis=0)` round alike with and without `out=`,
 so both give the same bits.
+
+The losses' kernels spend few NumPy calls on many short rows: the softmax
+takes its row max and row sum one column at a time (`_row_max`, `_row_sum`:
+the reductions' bits, without a loop per row), subtracts the one-hot rows as
+a boolean array and computes the cross-entropy value only for a caller that
+reads it; the sigmoid picks its two sides with `np.copyto(..., where=)`
+into workspace arrays.
 
 The leaky ReLU and its derivative mask avoid `np.where`: on rows whose signs
 mix at random, its data-dependent branch mispredicts about half the time
@@ -75,10 +89,18 @@ def _activation_grad(a: np.ndarray, kind: str, out: np.ndarray | None = None) ->
     return grad
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, overflow-safe for logits of either sign."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def sigmoid(z: np.ndarray, ws: Workspace | None = None, role=None) -> np.ndarray:
+    """Logistic function, overflow-safe for logits of either sign: 1 / (1 + e)
+    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|), written into `ws`
+    under `role` (fresh arrays without one)."""
+    ws = ALLOCATE if ws is None else ws
+    e = np.abs(z, out=ws.array(role, "sigmoid", z.shape))
+    np.exp(np.negative(e, out=e), out=e)
+    denom = np.add(1.0, e, out=ws.array(role, "sigmoid_denom", z.shape))
+    np.divide(e, denom, out=e)
+    np.copyto(e, np.divide(1.0, denom, out=denom),
+              where=np.greater_equal(z, 0.0, out=ws.array(role, "sigmoid_side", z.shape, bool)))
+    return e
 
 
 class Layer:
@@ -129,13 +151,14 @@ class Workspace:
     """The arrays the passes of a training round write into: a dict keyed by
     (role, name, shape, dtype), each array made on first use, plus the
     layer-gradient destinations `grads` (e.g. `ParamSet`s' `grad_views`
-    merged; a layer missing from them has its own, under the layer as role).
-    A key of role None is shared by every role: the backward keeps there
-    what dies within it."""
+    merged; a layer missing from them has its own, under the layer as role)
+    and `stacks`, `LayerStack`s by their first layer. A key of role None is
+    shared by every role: the backward keeps there what dies within it."""
 
-    def __init__(self, grads: LayerGrads):
+    def __init__(self, grads: LayerGrads, stacks: tuple[LayerStack, ...] = ()):
         self.arrays = {}
         self.grads = dict(grads)
+        self.stacks = {stack.layers[0]: stack for stack in stacks}
 
     def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         key = (role, name, shape, dtype)
@@ -146,9 +169,10 @@ class Workspace:
 
     def grad(self, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
         """The (dW, db) arrays a gradient of `layer` is written into."""
-        if layer in self.grads:
-            return self.grads[layer]
-        return self.array(layer, "dW", layer.W.shape), self.array(layer, "db", layer.b.shape)
+        pair = self.grads.get(layer)
+        if pair is None:
+            pair = self.array(layer, "dW", layer.W.shape), self.array(layer, "db", layer.b.shape)
+        return pair
 
 
 class _Allocating(Workspace):
@@ -221,7 +245,7 @@ class DenseNet:
         return cls(layers)
 
     def versions(self) -> tuple[int, ...]:
-        return tuple(layer.version for layer in self.layers)
+        return tuple([layer.version for layer in self.layers])
 
     def forward(self, x: np.ndarray, ws: Workspace = ALLOCATE, role: str = "") -> ActivationTrace:
         """The trace of x through every layer, written into `ws` under
@@ -233,14 +257,14 @@ class DenseNet:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match net input dim {self.input_dim}"
             )
-        acts = [x]
+        acts, rows = [x], x.shape[0]
         for k, layer in enumerate(self.layers):
             # layer k's activation is the role's array named k
-            z = np.matmul(x, layer.W.T, out=ws.array(role, k, (x.shape[0], layer.out_dim)))
+            z = np.matmul(x, layer.W.T, out=ws.array(role, k, (rows, layer.W.shape[0])))
             z += layer.b  # the same add as `x @ W.T + b`, one temporary fewer
             x = _activate(z, layer.activation)
             acts.append(x)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FloatingPointError("non-finite values in forward output")
         return ActivationTrace(self, acts, self.versions(), ws, role)
 
@@ -289,11 +313,15 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators of one flat parameter vector."""
+    """First/second moment accumulators of one flat parameter vector, and
+    the two temporaries of its update."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def init(cls, param: np.ndarray) -> "AdamState":
@@ -301,54 +329,122 @@ class AdamState:
 
 
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
-    """Apply one bias-corrected Adam update in place and advance the step counter."""
+    """Apply one bias-corrected Adam update in place and advance the step
+    counter. Each product and quotient is the textbook expression's, in its
+    operand order, written into the state's two temporaries."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ValueError(f"shape mismatch: param {param.shape} vs grad {grad.shape} "
                          f"vs state {state.m.shape}")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise FloatingPointError("NaN/Inf in gradients; aborting optimizer step")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state.m, state.v
+    step, denom = state.scratch
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(1.0 - b1, grad, out=step)
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    param -= lr * (m / (1.0 - b1 ** state.t)) / (np.sqrt(v / (1.0 - b2 ** state.t)) + ADAM_EPS)
+    v += np.multiply(np.multiply(1.0 - b2, grad, out=step), grad, out=step)
+    # param -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
+    np.multiply(lr, np.divide(m, 1.0 - b1 ** state.t, out=step), out=step)
+    np.sqrt(np.divide(v, 1.0 - b2 ** state.t, out=denom), out=denom)
+    denom += ADAM_EPS
+    param -= np.divide(step, denom, out=step)
+
+
+@dataclass(frozen=True)
+class LayerStack:
+    """Consecutive layers of one shape in a `ParamSet`, viewed as one stack:
+    W (K, out, in) and b (K, out), and dW and db alike in its gradient
+    buffer. Slice k aliases layer k's W, b and `grad_views` pair, which
+    `grads` holds."""
+    layers: tuple[Layer, ...]
+    W: np.ndarray
+    b: np.ndarray
+    dW: np.ndarray
+    db: np.ndarray
+    grads: LayerGrads
+
+    @classmethod
+    def copied(cls, layers: list[Layer]) -> LayerStack:
+        """A stack of copies of the layers' W and b, with fresh gradient
+        arrays: for layers that no `ParamSet` lays out together."""
+        W, b = np.stack([layer.W for layer in layers]), np.stack([layer.b for layer in layers])
+        dW, db = np.empty_like(W), np.empty_like(b)
+        return cls(tuple(layers), W, b, dW, db,
+                   {layer: (dW[k], db[k]) for k, layer in enumerate(layers)})
+
+    def first(self, k: int) -> LayerStack:
+        """The stack of the first k layers, viewing the same memory."""
+        return LayerStack(self.layers[:k], self.W[:k], self.b[:k], self.dW[:k], self.db[:k],
+                          {layer: self.grads[layer] for layer in self.layers[:k]})
 
 
 class ParamSet:
     """An ordered, de-duplicated collection of layers updated together by one
-    Adam optimizer, whose state the set holds. `flat` holds every layer's W and
-    b in order, each `Layer.W`/`.b` rebound to a view into it, so in-place
-    writes (e.g. `grad_check`'s) reach it; the Adam moments and the gradient
-    buffer are flat alike. `grad_views` hands out each layer's (dW, db) view
-    of that buffer, so a backward can write a gradient where `step` reads it.
-    A set refuses to step once a layer was rebound, by a later set or by
-    assignment."""
+    Adam optimizer, whose state the set holds. `flat` holds every layer's W in
+    order, then every layer's b, each `Layer.W`/`.b` rebound to a view into
+    it, so in-place writes (e.g. `grad_check`'s) reach it; the Adam moments
+    and the gradient buffer are flat alike. Adam is elementwise, so the
+    layout does not change its bits, and it lets consecutive layers of one
+    shape read as one `stack`. `grad_views` hands out each layer's (dW, db)
+    view of the gradient buffer, so a backward can write a gradient where
+    `step` reads it. A set refuses to step, or to stack, once a layer was
+    rebound, by a later set or by assignment."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list({id(layer): layer for layer in layers}.values())
-        self.flat = np.empty(sum(layer.W.size + layer.b.size for layer in self.layers))
+        params = [layer.W for layer in self.layers] + [layer.b for layer in self.layers]
+        self.flat = np.empty(sum(p.size for p in params))
         self._grad = np.empty_like(self.flat)
+        views, self._starts, end = [], [], 0
+        for p in params:
+            start, end = end, end + p.size
+            view = self.flat[start:end].reshape(p.shape)
+            view[...] = p
+            views.append((view, self._grad[start:end].reshape(p.shape)))
+            self._starts.append(start)
+        n = len(self.layers)
         self._slots = []  # (layer, W view, dW slot, b view, db slot)
-        end = 0
-        for layer in self.layers:
-            slot = [layer]
-            for p in (layer.W, layer.b):
-                start, end = end, end + p.size
-                view = self.flat[start:end].reshape(p.shape)
-                view[...] = p
-                slot += (view, self._grad[start:end].reshape(p.shape))
-            layer.W, layer.b = slot[1], slot[3]
-            self._slots.append(tuple(slot))
+        for layer, (W, dW), (b, db) in zip(self.layers, views[:n], views[n:]):
+            layer.W, layer.b = W, b
+            self._slots.append((layer, W, dW, b, db))
         self.adam = AdamState.init(self.flat)
+
+    def _check_views(self, k: int) -> None:
+        layer, W, _, b, _ = self._slots[k]
+        if layer.W is not W or layer.b is not b:
+            raise ValueError(f"layer {k} ({layer.out_dim}x{layer.in_dim}) no longer views "
+                             "this ParamSet's parameters")
 
     def grad_views(self) -> LayerGrads:
         """Each layer's (dW, db) view of the gradient buffer `step` reads."""
         return {layer: (dW, db) for layer, _, dW, _, db in self._slots}
+
+    def stack(self, layers: list[Layer]) -> LayerStack:
+        """`layers`, consecutive layers of this set with one shape, as one
+        `LayerStack` of views."""
+        starts = [k for k, layer in enumerate(self.layers) if layer is layers[0]]
+        first = starts[0] if starts else 0
+        end = first + len(layers)
+        run = self.layers[first:end]
+        if not starts or len(run) != len(layers) or any(a is not b for a, b in zip(run, layers)):
+            raise ValueError("the layers to stack are not consecutive in this ParamSet")
+        if len({layer.W.shape for layer in layers}) != 1:
+            raise ValueError("the layers to stack differ in shape")
+        for k in range(first, end):
+            self._check_views(k)
+        w_size, b_size = layers[0].W.size, layers[0].b.size
+        w0, b0 = self._starts[first], self._starts[len(self.layers) + first]
+        K, shape = len(layers), layers[0].W.shape
+        W = self.flat[w0:w0 + K * w_size].reshape(K, *shape)
+        dW = self._grad[w0:w0 + K * w_size].reshape(K, *shape)
+        b = self.flat[b0:b0 + K * b_size].reshape(K, shape[0])
+        db = self._grad[b0:b0 + K * b_size].reshape(K, shape[0])
+        views = self.grad_views()
+        return LayerStack(tuple(layers), W, b, dW, db, {layer: views[layer] for layer in layers})
 
     def step(self, grads: LayerGrads, lr: float) -> None:
         """One Adam step on every layer; a layer missing from `grads` steps on
@@ -356,8 +452,7 @@ class ParamSet:
         place."""
         for k, (layer, W, dW, b, db) in enumerate(self._slots):
             if layer.W is not W or layer.b is not b:
-                raise ValueError(f"layer {k} ({layer.out_dim}x{layer.in_dim}) no longer views "
-                                 "this ParamSet's parameters")
+                self._check_views(k)
             pair = grads.get(layer)
             if pair is None:
                 dW[...] = db[...] = 0.0
@@ -398,31 +493,63 @@ def softmax_ce(logits: np.ndarray, labels: np.ndarray,
     if np.any(labels < 0) or np.any(labels >= c):
         raise ValueError("labels out of range")
     weights = np.ones(b) if weights is None else np.asarray(weights, dtype=np.float64)
-    if weights.sum() <= 0:
-        raise ValueError("weights must not all be zero")
-    return _softmax_ce(logits, labels, weights)
-
-
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray,
-                weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """`softmax_ce` on inputs its checks would pass: float64 logits (B, C),
-    integer labels (B,) in [0, C), float64 weights (B,) of positive sum. A
-    caller that knows its labels are in range, e.g. because it checked the
-    set they are drawn from, calls this once a step."""
-    b = logits.shape[0]
     wsum = weights.sum()
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    denom = expz.sum(axis=1)
-    probs = expz / denom[:, None]
+    if wsum <= 0:
+        raise ValueError("weights must not all be zero")
+    onehot = labels[:, None] == np.arange(c)
+    shifted, denom, residual = _softmax_residual(logits, onehot)
     # log-sum-exp form keeps the per-sample CE finite even for extreme logits
-    ce = np.log(denom) - shifted[np.arange(b), labels]
-    loss = float((weights * ce).sum() / wsum)
+    loss = float((weights * (np.log(denom) - shifted[onehot])).sum() / wsum)
+    return loss, np.multiply((weights / wsum)[:, None], residual, out=residual)
 
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(b), labels] = 1.0
-    dlogits = (weights / wsum)[:, None] * (probs - onehot)
-    return loss, dlogits
+
+# NumPy adds fewer than 8 values along an axis one after another (below its
+# pairwise summation's block), so a row sum of this many columns or fewer is
+# the columns added in order, to the bit
+SEQUENTIAL_SUM_MAX = 7
+
+
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """x.max(axis=-1), one column at a time: on many rows of a few columns,
+    C - 1 calls cost less than one reduction's per-row loop. A maximum is
+    exact, so the order does not change its value (only, on a tie of 0 and
+    -0, which zero comes back)."""
+    if x.shape[-1] == 1:
+        return x[..., 0].copy()
+    m = np.maximum(x[..., 0], x[..., 1])
+    for k in range(2, x.shape[-1]):
+        np.maximum(m, x[..., k], out=m)
+    return m
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=-1) of a C-contiguous array to the bit: one column at a
+    time in order when C <= SEQUENTIAL_SUM_MAX, else the reduction itself."""
+    if x.shape[-1] == 1 or x.shape[-1] > SEQUENTIAL_SUM_MAX:
+        return x.sum(axis=-1)
+    s = x[..., 0] + x[..., 1]
+    for k in range(2, x.shape[-1]):
+        s += x[..., k]
+    return s
+
+
+def _softmax_residual(logits: np.ndarray, onehot: np.ndarray,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's softmax less its one-hot row, for C-contiguous float64
+    logits (..., C) and a boolean `onehot` that broadcasts to them, and what
+    the cross-entropy reads besides: the logits shifted by their row max and
+    the row sums of their exponentials. Every row is computed on its own, so
+    stacking rows does not change their bits. A weighted-mean softmax CE's
+    gradient is w_b / sum w times row b of the residual."""
+    # a zero's sign in the row max changes only zeros' signs in `shifted`,
+    # which exp and the loss read alike
+    shifted = logits - _row_max(logits)[..., None]
+    expz = np.exp(shifted)
+    denom = _row_sum(expz)
+    # subtracting True (1) or False (0) is p - onehot
+    residual = np.divide(expz, denom[..., None], out=expz)
+    residual -= onehot
+    return shifted, denom, residual
 
 
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,
@@ -440,21 +567,31 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,
         weights = np.asarray(weights, dtype=np.float64).reshape(-1)
         if weights.shape != z.shape:
             raise ValueError("weights shape mismatch")
-    if weights.sum() <= 0:
-        raise ValueError("weights must not all be zero")
-    return _sigmoid_bce(z, t, weights)
-
-
-def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """`sigmoid_bce` on inputs its checks would pass: float64 logits, 0/1
-    targets and weights of positive sum, all of one 1-D shape. A caller
-    whose targets are fixed, e.g. a `BlockLayout`'s, checks them once and
-    calls this once a step."""
     wsum = weights.sum()
-    # max(z,0) - z*t + log(1 + exp(-|z|)) is the overflow-safe BCE
-    per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    loss = float((weights * per).sum() / wsum)
-    dlogits = weights * (sigmoid(z) - t) / wsum
+    if wsum <= 0:
+        raise ValueError("weights must not all be zero")
+    return _sigmoid_bce(z, t, weights, wsum)
+
+
+def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray, wsum, *,
+                 value: bool = True, ws: Workspace = ALLOCATE,
+                 role=None) -> tuple[float | None, np.ndarray]:
+    """`sigmoid_bce` on inputs its checks would pass: float64 logits, 0/1
+    targets and weights of positive sum `wsum`, all of one shape. A caller
+    whose targets are fixed, e.g. a `BlockLayout`'s, checks them once and
+    calls this once a step; one that does not read the loss turns `value`
+    off and gets None for it. The gradient is written into `ws` under
+    `role`."""
+    loss = None
+    if value:
+        # max(z,0) - z*t + log(1 + exp(-|z|)) is the overflow-safe BCE
+        per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+        loss = float((weights * per).sum() / wsum)
+    # weights * (sigmoid(z) - t) / wsum, over the sigmoid's array
+    dlogits = sigmoid(z, ws, role)
+    dlogits -= t
+    dlogits *= weights
+    dlogits /= wsum
     return loss, dlogits
 
 

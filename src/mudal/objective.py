@@ -13,36 +13,55 @@ the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
-parts of both passes (block sizes, segment-membership matrices, V_d's BCE
-weights and targets) form the `BlockLayout`, built once per round.
+parts of both passes (block sizes, segment-membership matrices and
+divisors, V_d's originals' weights, labeled divisors and targets) form the
+`BlockLayout`, built once per round.
+
+Values on demand. V_h, V_lambda and V_d compute their loss value only when
+the caller asks (`value=True`, the default); otherwise the value reads None,
+so nothing can take an uncomputed value for 0. Their gradients are the same
+bits either way.
+
+Batched heads. When the workspace holds a `LayerStack` of the shared final
+layer and the heads (a trainer builds it from its `ParamSet`), the pass
+reads its (K, C, H) views instead of stacking copies, and V_lambda writes
+the heads' dW with one batched product and their db with one row sum
+straight into the set's gradient buffer. Its trunk-output gradient is one
+batched (N, B, H) product summed over the heads in head order, as the
+per-head loop summed it. V_h and V_lambda read one softmax of all K final
+layers' logits (`ClassifierPass.softmax`), computed once per pass: each row
+is computed on its own, so the stacked rows keep their bits.
 
 A pass writes into the `Workspace` its caller gives, under its role, and so
 do the terms and backwards that read it: `classifier_pass` the "trunk" role
 (the trunk's activations, the logits, V_h's and V_lambda's trunk-output
 gradients), `disc_pass` the "disc" role and `DiscPass.rerun` the
-"disc_rerun" role of the same workspace. Without one every array is fresh
-(`ALLOCATE`). The readers of a pass refuse it once its layers changed
-(`stale trace`), since a later pass of its role may have written over it.
-The terms call the unchecked cores of `softmax_ce` and `sigmoid_bce`: a
+"disc_rerun" role of the same workspace. V_d writes its BCE weights, its
+sigmoid and its logit gradient under the "vd" role, which both of a step's
+V_d calls share: each writes them before it reads them. Without a workspace
+every array is fresh (`ALLOCATE`). The readers of a pass refuse it once its
+layers changed (`stale trace`), since a later pass of its role may have
+written over it. The terms call the unchecked cores of the losses: a
 `BlockLayout` checks V_d's targets once, and a classifier pass's labels
 must lie in [0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
-`DiscPass.rates` (the alpha coefficients and the epoch snapshot) and
-`estimate_h_distance` (every domain's distance from one discriminator
-forward per block) both read them through it.
+`DiscPass.rates` (the alpha coefficients, which read only the labeled
+rates, and the epoch snapshot) and `estimate_h_distance` (every domain's
+distance from one discriminator forward per block) both read them through
+it.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (ALLOCATE, ActivationTrace, DenseNet, Layer, LayerGrads, Workspace,
-                 _sigmoid_bce, _softmax_ce)
+from .nn import (ALLOCATE, ActivationTrace, Layer, LayerGrads, LayerStack, Workspace,
+                 _sigmoid_bce, _softmax_residual)
 from .simplex import as_alpha, column_importance, project_simplex
 
 log = logging.getLogger(__name__)
@@ -53,8 +72,9 @@ class TermResult:
     """A term's value; `grads`, the gradients of the layers the term owns past
     the rows it read; and `dz`, the gradient of those rows, stacked in the
     order read (trunk outputs for V_h and V_lambda, latent rows for V_d).
-    A part the caller asked `compute_vd` to skip is None."""
-    value: float
+    A part the caller asked the term to skip is None: the value of any term,
+    the grads or dz of `compute_vd`."""
+    value: float | None
     grads: LayerGrads | None
     dz: np.ndarray | None
 
@@ -65,16 +85,16 @@ def segment_member(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
 
 
-def _segment_means(x: np.ndarray, sizes: np.ndarray,
-                   member: np.ndarray | None = None) -> np.ndarray:
+def _segment_means(x: np.ndarray, sizes: np.ndarray, member: np.ndarray | None = None,
+                   div: np.ndarray | None = None) -> np.ndarray:
     """Means of 0/1 values in consecutive segments of the given sizes along
-    x's last axis, through `member`, the sizes' `segment_member` matrix
-    (built here if not given; a float64 copy spares the cast); an empty
-    segment reads 0. The sums count 0/1 values, so they are exact in any
-    order and either matrix gives the same bits."""
+    x's last axis, through `member`, the sizes' `segment_member` matrix, and
+    `div`, max(sizes, 1) (each built here if not given; a float64 matrix
+    spares the cast); an empty segment reads 0. The sums count 0/1 values,
+    so they are exact in any order and either matrix gives the same bits."""
     if member is None:
         member = segment_member(sizes)
-    return x.astype(np.float64) @ member / np.maximum(sizes, 1)
+    return x.astype(np.float64) @ member / (np.maximum(sizes, 1) if div is None else div)
 
 
 @dataclass(frozen=True)
@@ -82,16 +102,23 @@ class BlockLayout:
     """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
     L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
     domain. It holds the block sizes, their `segment_member` matrices as
-    float64 (read by the 0/1 errors and the decision rates) and V_d's BCE
-    parts: the originals' weights, each labeled row's domain and the
-    targets. It depends on the sizes alone, so a trainer whose batches keep
-    their sizes builds it once per round."""
+    float64 and their divisors max(size, 1) (read by the 0/1 errors, the
+    decision rates and V_h's and V_lambda's row weights), whether a labeled
+    block is empty, and V_d's BCE parts: the originals' weights, each
+    labeled row's domain and size and the targets. It depends on the sizes
+    alone, so a trainer whose batches keep their sizes builds it once per
+    round."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
+    orig_rows: int      # rows of all originals, the stack's head
     orig_member: np.ndarray
     lab_member: np.ndarray
+    orig_div: np.ndarray
+    lab_div: np.ndarray
+    lab_empty: bool     # whether some labeled block has no rows
     orig_w: np.ndarray
     lab_owner: np.ndarray
+    lab_row_div: np.ndarray  # the size of each labeled row's block, (rows, 1)
     target: np.ndarray
 
     @classmethod
@@ -100,21 +127,24 @@ class BlockLayout:
         if np.any(n_orig == 0):
             raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
         n = n_orig.size
-        owner = np.repeat(np.arange(n), n_orig)
+        owner, lab_owner = np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_lab)
         target = np.repeat([1.0, 0.0], [n_orig.sum(), n_lab.sum()])[:, None] * np.ones(n)
-        return cls(n_orig, n_lab, segment_member(n_orig).astype(np.float64),
-                   segment_member(n_lab).astype(np.float64),
-                   np.eye(n)[owner] / n_orig[owner, None], np.repeat(np.arange(n), n_lab),
+        return cls(n_orig, n_lab, int(n_orig.sum()), segment_member(n_orig).astype(np.float64),
+                   segment_member(n_lab).astype(np.float64), np.maximum(n_orig, 1),
+                   np.maximum(n_lab, 1), bool(np.any(n_lab == 0)),
+                   np.eye(n)[owner] / n_orig[owner, None], lab_owner, n_lab[lab_owner, None],
                    target)
 
     def __post_init__(self) -> None:
         if np.any((self.target != 0.0) & (self.target != 1.0)):
             raise ValueError("V_d's targets must be 0 or 1")
 
-    def rates(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rates(self, logits: np.ndarray, originals: bool = True,
+              ) -> tuple[np.ndarray | None, np.ndarray]:
         """`decision_rates` of the logits of rows in this layout."""
         return decision_rates(logits, self.n_orig, self.n_lab,
-                              (self.orig_member, self.lab_member))
+                              (self.orig_member, self.lab_member),
+                              (self.orig_div, self.lab_div), originals=originals)
 
 
 @dataclass
@@ -123,21 +153,36 @@ class ClassifierPass:
     rows, and the logits (K, B, C) of the final layers on its output: the
     shared final layer at 0, then head i's final at 1 + i when the pass
     includes the heads. Its arrays, and those of the terms that read it,
-    come from `ws`."""
+    come from `ws`, and the final layers' from `stack`: the workspace's
+    `LayerStack` of them if it has one, else a stacked copy."""
     trunk: ActivationTrace | None  # None when the classifier has no trunk
     hidden: np.ndarray             # the trunk output, (B, H)
     finals: list[Layer]
-    versions: tuple[int, ...]      # of `finals`, at the forward pass
+    versions: list[int]            # of `finals`, at the forward pass
     logits: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray              # rows per labeled domain
     member: np.ndarray | None      # the sizes' `segment_member`, if the caller has it
+    div: np.ndarray                # max(sizes, 1)
+    empty: bool                    # whether some labeled domain has no rows
+    stack: LayerStack              # of `finals`, whose gradients the terms write
     ws: Workspace = ALLOCATE
+    _softmax: tuple | None = None
+
+    def softmax(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`_softmax_residual` of every final layer's logits on the labels,
+        and the labels' one-hot rows (B, C): computed for all K stacked
+        layers once, on the first request, and read by V_h (layer 0) and
+        V_lambda (the heads), neither of which writes into it."""
+        if self._softmax is None:
+            onehot = self.labels[:, None] == np.arange(self.logits.shape[2])
+            self._softmax = (*_softmax_residual(self.logits, onehot), onehot)
+        return self._softmax
 
     def check_current(self) -> None:
         """Refuse a pass whose layers changed since it ran: a later pass may
         have written over its arrays."""
-        if tuple(f.version for f in self.finals) != self.versions:
+        if [f.version for f in self.finals] != self.versions:
             raise ValueError("stale trace: final layers changed since classifier_pass()")
         if self.trunk is not None:
             self.trunk.check_current(self.trunk.net)
@@ -146,9 +191,10 @@ class ClassifierPass:
         """0/1 error (K, N) of each final layer on each L_j; an empty L_j
         reads 1."""
         self.check_current()
-        err = _segment_means(np.argmax(self.logits, axis=2) != self.labels, self.sizes,
-                             self.member)
-        err[:, self.sizes == 0] = 1.0
+        err = _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes,
+                             self.member, self.div)
+        if self.empty:
+            err[:, self.sizes == 0] = 1.0
         return err
 
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
@@ -161,91 +207,115 @@ class ClassifierPass:
 
 
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
-                    heads: bool = True, member: np.ndarray | None = None,
+                    heads: bool = True, layout: BlockLayout | None = None,
                     ws: Workspace = ALLOCATE) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
     rows per labeled domain) and apply the shared final layer (and, with
-    `heads`, every head final) as one (K, C, H) stack. `member`, e.g. a
-    `BlockLayout`'s `lab_member`, spares building the sizes' matrix. Its
-    arrays go to `ws` under the "trunk" role. The labels must lie in [0, C)
-    for V_h and V_lambda to read them."""
+    `heads`, every head final) as one (K, C, H) `LayerStack`. `layout`, a
+    `BlockLayout` whose labeled sizes these are, lends its membership matrix
+    and divisors. Its arrays go to `ws` under the "trunk" role. The labels
+    must lie in [0, C) for V_h and V_lambda to read them."""
     sizes = np.asarray(sizes)
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
-    trunk = bundle.classifier.layers[:-1]
-    trace = DenseNet(trunk).forward(z, ws, "trunk") if trunk else None
+    trace = bundle.trunk.forward(z, ws, "trunk") if bundle.trunk else None
     hidden = z if trace is None else trace.output
-    finals = [bundle.classifier.layers[-1], *(bundle.head_finals if heads else [])]
+    final = bundle.classifier.layers[-1]
+    k = 1 + len(bundle.head_finals) if heads else 1
+    stack = ws.stacks.get(final)
+    if stack is None:
+        stack = LayerStack.copied([final, *bundle.head_finals][:k])
+    elif k < len(stack.layers):
+        stack = stack.first(k)
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-    logits = np.matmul(hidden, np.stack([f.W for f in finals]).transpose(0, 2, 1),
-                       out=ws.array("trunk", "logits",
-                                    (len(finals), hidden.shape[0], finals[0].out_dim)))
-    logits += np.stack([f.b for f in finals])[:, None, :]
-    if not np.all(np.isfinite(logits)):
+    logits = np.matmul(hidden, stack.W.transpose(0, 2, 1),
+                       out=ws.array("trunk", "logits", (k, hidden.shape[0], final.out_dim)))
+    logits += stack.b[:, None, :]
+    if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    return ClassifierPass(trace, hidden, finals, tuple(f.version for f in finals), logits,
-                          labels, sizes, member, ws)
+    if layout is None:
+        member, div, empty = None, np.maximum(sizes, 1), bool(np.any(sizes == 0))
+    else:
+        member, div, empty = layout.lab_member, layout.lab_div, layout.lab_empty
+    finals = list(stack.layers)
+    return ClassifierPass(trace, hidden, finals, [f.version for f in finals], logits, labels,
+                          sizes, member, div, empty, stack, ws)
 
 
-def compute_vh(cls: ClassifierPass, alpha) -> TermResult:
+def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
     """Column-importance-weighted classification loss of the shared classifier:
     sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample weights. `grads`
-    covers the shared final layer; `dz` the trunk output."""
+    covers the shared final layer; `dz` the trunk output. Without `value`
+    the loss is not computed and reads None."""
     cls.check_current()
     cols = column_importance(alpha)
-    for j in np.nonzero((cls.sizes == 0) & (cols > 0))[0]:
-        log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
-    w = np.repeat(cols / np.maximum(cls.sizes, 1), cls.sizes)
+    if cls.empty:
+        for j in np.nonzero((cls.sizes == 0) & (cols > 0))[0]:
+            log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
+    w = (cols / cls.div).repeat(cls.sizes)
     wsum = w.sum()
+    loss = 0.0 if value else None  # the weighted mean's, before wsum undoes it
     if wsum <= 0:
-        value, dlogits = 0.0, np.zeros_like(cls.logits[0])
+        dlogits = np.zeros_like(cls.logits[0])
     else:
-        norm_loss, dlogits = _softmax_ce(cls.logits[0], cls.labels, w)
-        value = norm_loss * wsum  # undo the weighted-mean normalization
-        dlogits = dlogits * wsum
+        shifted, denom, residual, onehot = cls.softmax()
+        if value:
+            ce = np.log(denom[0]) - shifted[0][onehot]
+            loss = float((w * ce).sum() / wsum)
+        dlogits = np.multiply((w / wsum)[:, None], residual[0])
+        dlogits *= wsum
     final = cls.finals[0]
-    dW, db = cls.ws.grad(final)
+    dW, db = cls.stack.grads[final]
     grads = {final: (np.matmul(dlogits.T, cls.hidden, out=dW), dlogits.sum(axis=0, out=db))}
-    dz = np.matmul(dlogits, final.W, out=cls.ws.array("trunk", "vh_dz", cls.hidden.shape))
-    return TermResult(float(value), grads, dz)
+    dz = np.matmul(dlogits, cls.stack.W[0], out=cls.ws.array("trunk", "vh_dz", cls.hidden.shape))
+    return TermResult(None if loss is None else float(loss * wsum), grads, dz)
 
 
-def compute_vlambda(cls: ClassifierPass, alpha) -> TermResult:
+def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
     """Domain-specific head loss:
     (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y), every head's
     logits read from the one pass. `grads` covers the head finals; `dz` the
-    trunk output."""
+    trunk output. The heads' gradients are batched over the heads: their
+    dW in one stacked product and their db in one row sum, written into the
+    pass's `LayerStack`, and `dz` sums the heads' (B, H) products over the
+    heads in head order. Without `value` the loss is not computed and reads
+    None."""
     cls.check_current()
     a = as_alpha(alpha)
     n = a.shape[0]
     heads = cls.finals[1:]
     if len(heads) != n:
         raise ValueError("V_lambda needs a classifier pass with every head")
-    for j in np.nonzero((cls.sizes == 0) & (a.max(axis=0) > 0))[0]:
-        log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
+    if cls.empty:
+        for j in np.nonzero((cls.sizes == 0) & (a.max(axis=0) > 0))[0]:
+            log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
     # head i weighs each row of L_j by alpha[i, j] / |L_j|
-    w = np.repeat(a / np.maximum(cls.sizes, 1), cls.sizes, axis=1)
+    w = (a / cls.div).repeat(cls.sizes, axis=1)
     wsum = w.sum()
     if wsum <= 0:
-        return TermResult(0.0, {}, np.zeros_like(cls.hidden))
-    logits = cls.logits[1:]
-    ws = cls.ws
-    labels = ws.array("trunk", "head_labels", (n, cls.labels.size), np.int64)
-    labels[...] = cls.labels  # np.tile(cls.labels, n), one row per head
-    norm_loss, dlogits = _softmax_ce(logits.reshape(-1, logits.shape[2]), labels.reshape(-1),
-                                     w.reshape(-1))
-    dlogits = dlogits.reshape(logits.shape) * (wsum / n)
-    grads = {}
-    for i, h in enumerate(heads):
-        dW, db = ws.grad(h)
-        grads[h] = (np.matmul(dlogits[i].T, cls.hidden, out=dW), dlogits[i].sum(axis=0, out=db))
-    # the heads' trunk-output gradients, summed in head order one product at a time
-    dhidden = np.matmul(dlogits[0], heads[0].W, out=ws.array("trunk", "vl_dz", cls.hidden.shape))
-    product = ws.array("trunk", "head_product", cls.hidden.shape)
+        return TermResult(0.0 if value else None, {}, np.zeros_like(cls.hidden))
+    shifted, denom, residual, onehot = cls.softmax()
+    loss = None
+    if value:
+        # the weighted-mean CE over every head's rows, one after another
+        ce = (np.log(denom[1:]).reshape(-1)
+              - shifted[1:][np.broadcast_to(onehot, shifted[1:].shape)])
+        loss = float((w.reshape(-1) * ce).sum() / wsum)
+    dlogits = np.multiply((w / wsum)[..., None], residual[1:])
+    dlogits *= wsum / n
+    W, dW, db = cls.stack.W[1:], cls.stack.dW[1:], cls.stack.db[1:]
+    grads = {h: cls.stack.grads[h] for h in heads}
+    np.matmul(dlogits.transpose(0, 2, 1), cls.hidden, out=dW)
+    dlogits.sum(axis=1, out=db)
+    # each head's (B, H) product, then their sum in head order, one at a time
+    # into the first: sum(axis=0)'s bits without a second array
+    products = np.matmul(dlogits, W, out=cls.ws.array("trunk", "head_products",
+                                                      (n, *cls.hidden.shape)))
+    dhidden = products[0]
     for i in range(1, n):
-        dhidden += np.matmul(dlogits[i], heads[i].W, out=product)
-    return TermResult(float(norm_loss * wsum / n), grads, dhidden)
+        dhidden += products[i]
+    return TermResult(None if loss is None else float(loss * wsum / n), grads, dhidden)
 
 
 @dataclass
@@ -262,28 +332,32 @@ class DiscPass:
         "disc_rerun" role: the pass after one step's update is still current
         when the next step's pass before the update runs."""
         trace = self.trace
-        return replace(self, trace=trace.net.forward(trace.acts[0], trace.ws, "disc_rerun"))
+        return DiscPass(trace.net.forward(trace.acts[0], trace.ws, "disc_rerun"), self.layout)
 
-    def rates(self) -> tuple[np.ndarray, np.ndarray]:
+    def rates(self, originals: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """The pass's `decision_rates`; refused once the discriminator
         changed, since a later pass may have written over its arrays."""
         self.trace.check_current(self.trace.net)
-        return self.layout.rates(self.trace.output)
+        return self.layout.rates(self.trace.output, originals)
 
 
 def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
                    members: tuple[np.ndarray, np.ndarray] | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   divs: tuple[np.ndarray, np.ndarray] | None = None, *,
+                   originals: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """How often the discriminator takes rows for original (D_i >= 0), from
     its logits (rows x N) on rows stacked as [O_0, ..., O_{N-1}, L_0, ...,
     L_{N-1}]: on each domain's originals under its own logit, (N,); on each
     L_j under each logit i, (N, N). An empty block reads 0. `members`, the
-    two sizes' `segment_member` matrices, spares building them."""
-    decided = (logits >= 0.0).T
+    two sizes' `segment_member` matrices, and `divs`, their max(size, 1),
+    spare building them. With `originals` off the originals' rates are
+    skipped and read None."""
     n_o = n_orig.sum()
-    orig_m, lab_m = (None, None) if members is None else members
-    orig = _segment_means(decided[:, :n_o], n_orig, orig_m)
-    return np.diag(orig), _segment_means(decided[:, n_o:], n_lab, lab_m)
+    (orig_m, lab_m), (orig_d, lab_d) = members or (None, None), divs or (None, None)
+    lab = _segment_means((logits[n_o:] >= 0.0).T, n_lab, lab_m, lab_d)
+    if not originals:
+        return None, lab
+    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, n_orig, orig_m, orig_d)), lab
 
 
 def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
@@ -292,42 +366,51 @@ def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
     `layout` says, written into `ws` under the "disc" role."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    rows = layout.n_orig.sum() + layout.n_lab.sum()
+    rows = layout.orig_rows + layout.lab_owner.size
     if z.shape[0] != rows:
         raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
     return DiscPass(bundle.discriminator.forward(z, ws, "disc"), layout)
 
 
-def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True) -> TermResult:
+def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True,
+               value: bool = True) -> TermResult:
     """Conditional-discriminator loss from one discriminator pass: for each
     original domain i, BCE of D_i against target 1 on the originals of i and
     target 0 on every labeled domain j weighted alpha[i, j]. `grads` covers
     the discriminator; `dz` the original rows, then the labeled rows. A
     caller turns off what it does not read: `params=False` leaves `grads`
     None, `inputs=False` leaves `dz` None, and with both off no backward
-    runs."""
+    runs; `value=False` leaves the value None. The BCE weights and the
+    logit gradient go to the pass's workspace under the "vd" role, which
+    every pass shares: each call writes them before it reads them."""
     a = as_alpha(alpha)
     lay = disc.layout
     n = lay.n_orig.size
-    for i, j in zip(*np.nonzero((a > 0) & (lay.n_lab == 0))):
-        log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
+    if lay.lab_empty:
+        for i, j in zip(*np.nonzero((a > 0) & (lay.n_lab == 0))):
+            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
+    trace, net = disc.trace, disc.trace.net
+    backward = params or inputs
+    if not backward:
+        trace.check_current(net)
+        if not value:
+            return TermResult(None, None, None)
+    logits, ws = trace.output, trace.ws
     # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
-    w = np.concatenate([lay.orig_w, a[:, lay.lab_owner].T / lay.n_lab[lay.lab_owner, None]])
-    wsum = w.sum()
-    logits = disc.trace.output
-
+    w = ws.array("vd", "weights", logits.shape)
+    w[:lay.orig_rows] = lay.orig_w
+    np.divide(a[:, lay.lab_owner].T, lay.lab_row_div, out=w[lay.orig_rows:])
+    wsum = w.sum()  # the flat weights' sum too: a contiguous array sums alike in any shape
     norm_loss, dlogits = _sigmoid_bce(logits.reshape(-1), lay.target.reshape(-1),
-                                      w.reshape(-1))
+                                      w.reshape(-1), wsum, value=value, ws=ws, role="vd")
     scale = wsum / (2.0 * n)
-    net = disc.trace.net
-    if params or inputs:
-        grads, dz = net.backward(disc.trace, dlogits.reshape(logits.shape) * scale,
-                                 params=params, inputs=inputs)
-    else:
-        disc.trace.check_current(net)
-        grads = dz = None
-    return TermResult(float(norm_loss * scale), grads, dz)
+    grads = dz = None
+    if backward:
+        dlogits *= scale
+        grads, dz = net.backward(trace, dlogits.reshape(logits.shape), params=params,
+                                 inputs=inputs)
+    return TermResult(None if norm_loss is None else float(norm_loss * scale), grads, dz)
 
 
 def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
@@ -346,7 +429,7 @@ def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
     n = err.shape[1]
     if err.shape[0] != n + 1:
         raise ValueError("the alpha coefficients need a classifier pass with every head")
-    err_h, head_err, disc_orig = err[0], err[1:], disc.rates()[1]
+    err_h, head_err, disc_orig = err[0], err[1:], disc.rates(originals=False)[1]
     return (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
 
 
@@ -359,24 +442,29 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
     with a backtracking halving that never lets a row's value increase. The
     rows step together; only those that would rise halve and project again.
     A step too large for float64 to project is a FloatingPointError."""
-    a = as_alpha(alpha).copy()
+    a = as_alpha(alpha)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if a.shape != coeffs.shape:
         raise ValueError("alpha/coefficient shape mismatch")
     # a stacked matmul takes each row's 1-D dot product a[i] @ coeffs[i], to the bit
     base = (a[:, None, :] @ coeffs[:, :, None]).ravel()
-    rows = np.arange(a.shape[0])  # rows whose step is not yet accepted
+    stepped = None  # alpha with the accepted rows stepped, once a row backtracks
+    rows = slice(None)  # the rows whose step is not yet accepted: at first all, by slice
     for k in range(ALPHA_MAX_BACKTRACKS + 1):
         try:
             trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
         except ValueError as exc:  # rows past float64's reach, e.g. from a huge lambda_d
             raise FloatingPointError(str(exc)) from exc
         ok = (trial[:, None, :] @ coeffs[rows, :, None]).ravel() <= base[rows] + 1e-12
-        a[rows[ok]] = trial[ok]
+        if stepped is None:
+            if ok.all():
+                return trial
+            stepped, rows = a.copy(), np.arange(a.shape[0])
+        stepped[rows[ok]] = trial[ok]
         rows = rows[~ok]
         if rows.size == 0:
             break
-    return a
+    return stepped
 
 
 def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],

@@ -36,35 +36,47 @@ Each backward computes only what its caller reads:
 - the classifier trunk: its layer gradients and its input gradient;
 - the encoder: its layer gradients, not its input gradient.
 
+What a step asks for on which step. The loss values feed only the epoch
+snapshot, which reads the epoch's last step. So V_h, V_lambda and V_d at
+the new alpha compute their values on that step alone and return None on
+every other; V_d before the discriminator's update never computes one. The
+alpha readouts read only the labeled decision rates. Every gradient is the
+same on every step.
+
 Every batch of a round has the same block sizes, so `_run_epochs` builds
 what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
-once; the `BlockLayout` of V_d's alpha-free BCE parts and the
-segment-membership matrices of the 0/1 errors and decision rates; and the
-`Workspace` every step writes into. A step's batch is one matrix in that
-order, and each pass reads a slice of the encoder's output over it.
+once, and stacked with the train rows for `_batch_sampler`; the
+`BlockLayout` of V_d's alpha-free BCE parts and of the membership matrices
+and divisors of the 0/1 errors and decision rates; and the `Workspace`
+every step writes into, with the `LayerStack` of the shared final layer and
+the heads. A step's batch is one matrix in that order, gathered with one
+index, and each pass reads a slice of the encoder's output over it.
 
 What lives for the round and what for the step. The workspace lives for
 the round, and each step writes over the last one's arrays of each role:
-"encoder" (its activations and output gradient), "trunk" (the classifier
-pass, its logits and V_h's and V_lambda's trunk-output gradients), "disc"
-and "disc_rerun" (the discriminator's passes before and after its update,
-kept apart because the pass after one step's update is still current when
-the next step's pass before the update runs). The backwards' masks and
-deltas are shared by every role, and the layer gradients go straight into
-the `ParamSet`s' gradient buffers. What a step reads of the workspace lives
-only for the step: the readers of a pass or trace refuse it once its
-network stepped (`stale trace`), and each network steps before the next
-step writes its role again. The rest of a step's arrays are small and
-fresh each step (the batch, the losses' weights and logit gradients, the
-alpha readouts), and the epoch snapshot and everything outside training
-allocate their own.
+"encoder" (its activations), "trunk" (the classifier pass, its logits, V_h's
+trunk-output gradient and V_lambda's head products), "disc" and
+"disc_rerun" (the discriminator's passes before and after its update, kept
+apart because the pass after one step's update is still current when the
+next step's pass before the update runs) and "vd" (V_d's weights, sigmoid
+and logit gradient). The backwards' masks and deltas are shared by every
+role, and the layer gradients go straight into the `ParamSet`s' gradient
+buffers. Where the encoder aligns, its output gradient is written over V_d's
+latent gradient; elsewhere it is the "encoder" role's. What a step reads of
+the workspace lives only for the step: the readers of a pass or trace
+refuse it once its network stepped (`stale trace`), and each network steps
+before the next step writes its role again. The rest of a step's arrays are
+small and fresh each step (the batch, the classifier pass's softmax, V_h's
+and V_lambda's row weights and logit gradients, the alpha readouts), and the
+epoch snapshot and everything outside training allocate their own.
 
 A numerical abort names the phase of the step it arose in.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,28 +177,37 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
             f.write(",".join(row) + "\n")
 
 
-def _sample_batches(rng: np.random.Generator, dataset: MultiDomainDataset,
-                    labeled: list[tuple[np.ndarray, np.ndarray]], batch: int,
-                    originals: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One minibatch (x, labels): x stacks up to `batch` train rows of each
-    domain, then up to `batch` rows of each labeled domain as gathered for
-    the round, in `BlockLayout` order; `labels` are its labeled rows'. The
-    train rows are drawn either way, so the stream does not depend on
-    `originals`, but stacked only when it is set: only the discriminator
-    reads them."""
-    blocks, labels = [], []
-    for i in range(dataset.n_domains):
-        n = dataset.train_size(i)
-        take = rng.choice(n, size=min(batch, n), replace=False)
-        if originals:
-            blocks.append(dataset.train_features[i][take])
-    for feats, y in labeled:
-        if y.size:
-            take = rng.choice(y.size, size=min(batch, y.size), replace=False)
-            feats, y = feats[take], y[take]
-        blocks.append(feats)
-        labels.append(y)
-    return np.vstack(blocks), np.concatenate(labels)
+def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, np.ndarray]],
+                   batch: int, originals: bool,
+                   ) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]:
+    """A round's minibatch draw: `draw(rng)` returns one minibatch (x,
+    labels). x stacks up to `batch` train rows of each domain, then up to
+    `batch` rows of each labeled domain as gathered for the round, in
+    `BlockLayout` order; `labels` are its labeled rows'. The train rows are
+    drawn either way, so the stream does not depend on `originals`, but
+    stacked only when it is set: only the discriminator reads them. The rows
+    a draw picks from are stacked once, here, so a draw gathers x and the
+    labels with one index each instead of one per block."""
+    n = dataset.n_domains
+    sizes = [dataset.train_size(i) for i in range(n)] + [y.size for _, y in labeled]
+    takes = [min(batch, size) for size in sizes]
+    drawn = [b for b in range(2 * n) if b < n or sizes[b]]  # an empty labeled domain draws nothing
+    stacked = range(2 * n) if originals else range(n, 2 * n)
+    rows = np.vstack([*(dataset.train_features if originals else []), *(f for f, _ in labeled)])
+    labels = np.concatenate([y for _, y in labeled])
+    # each stacked block's first row in `rows`, once per row of the batch it gives
+    starts = np.cumsum([0] + [sizes[b] for b in stacked])[:-1]
+    offsets = np.repeat(starts, [takes[b] for b in stacked])
+    n_orig = sum(takes[:n]) if originals else 0  # the batch's rows before the labeled ones
+    lab_start = sum(sizes[:n]) if originals else 0  # and those of `rows`
+    first = 0 if originals else n  # the first draw that is stacked
+
+    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        picks = [rng.choice(sizes[b], size=takes[b], replace=False) for b in drawn]
+        idx = np.concatenate(picks[first:] or [np.zeros(0, np.int64)])
+        idx += offsets
+        return rows[idx], labels[idx[n_orig:] - lab_start]
+    return draw
 
 
 def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainConfig,
@@ -212,11 +233,13 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
 
 def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, disc_set,
                 last_step):
-    """One minibatch step over a `_sample_batches` batch in the round's
+    """One minibatch step over a `_batch_sampler` batch in the round's
     `layout`, written into the round's `Workspace`. Returns the new
-    alpha, the new coefficient EMA and (V_h, V_d, V_lambda); V_d reads 0
-    where nothing reads it, under `cal_alpha` on all but an epoch's
-    `last_step`. A FloatingPointError leaves naming the phase it arose in."""
+    alpha, the new coefficient EMA and (V_h, V_d, V_lambda). The terms
+    compute their values only on an epoch's `last_step`, the one the epoch
+    snapshot reads; on every other step the values are None. V_d reads 0
+    under `vanilla`, and V_lambda under `cal_fa` and `vanilla`. A
+    FloatingPointError leaves naming the phase it arose in."""
     x, labels = batch
     phase = "encoder forward"
     try:
@@ -229,13 +252,13 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
         # one trunk pass over the labeled rows; the head logits only where
         # V_lambda and the alpha readouts read them
         cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
-                              heads=config.optimizes_alpha, member=layout.lab_member, ws=ws)
+                              heads=config.optimizes_alpha, layout=layout, ws=ws)
 
-        v_d_val = 0.0
+        v_d_val = 0.0 if last_step else None
         if config.trains_discriminator:
             phase = "discriminator update"
             disc = disc_pass(bundle, z, layout, ws)
-            disc_set.step(compute_vd(disc, alpha, inputs=False).grads, config.lr)
+            disc_set.step(compute_vd(disc, alpha, inputs=False, value=False).grads, config.lr)
             # the updated discriminator's one pass over the same rows feeds the
             # alpha readouts and then V_d at the new alpha
             phase = "discriminator forward"
@@ -252,29 +275,35 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
             if config.aligns_encoder or last_step:
                 phase = "V_d"
                 # the encoder reads V_d's latent gradient only where it aligns
-                vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder)
+                vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder,
+                                value=last_step)
                 v_d_val = vd.value
 
         phase = "V_h"
-        vh = compute_vh(cls, alpha)
+        vh = compute_vh(cls, alpha, value=last_step)
         grads = vh.grads
         dhidden = vh.dz
-        v_lambda_val = 0.0
+        v_lambda_val = 0.0 if last_step else None
         if config.optimizes_alpha:
             phase = "V_lambda"
-            vl = compute_vlambda(cls, alpha)
+            vl = compute_vlambda(cls, alpha, value=last_step)
             grads = grads | vl.grads
             dhidden += vl.dz  # V_h's array, this step's own
             v_lambda_val = vl.value
         phase = "backward"
         trunk_g, dz_lab = cls.backward(dhidden)
-        dz = ws.array("encoder", "output_grad", z.shape)
-        dz[:n_orig] = 0.0
-        dz[lab] = dz_lab
         if config.aligns_encoder:
-            # descent on -lambda_d * V_d: the encoder fights the discriminator
-            vd.dz *= config.lambda_d
-            dz -= vd.dz
+            # descent on -lambda_d * V_d: the encoder fights the discriminator.
+            # 0 - x on the originals and dz_lab - x on the labeled rows, written
+            # over V_d's latent gradient x, this step's own
+            dz = vd.dz
+            dz *= config.lambda_d
+            np.subtract(0.0, dz[:n_orig], out=dz[:n_orig])
+            np.subtract(dz_lab, dz[lab], out=dz[lab])
+        else:
+            dz = ws.array("encoder", "output_grad", z.shape)
+            dz[:n_orig] = 0.0
+            dz[lab] = dz_lab
         enc_g, _ = bundle.encoder.backward(trace, dz, inputs=False)
         phase = "optimizer step"
         net_set.step(grads | trunk_g | enc_g, config.lr)
@@ -312,15 +341,17 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     alpha = np.full((n, n), 1.0 / n)
     net_set = bundle.net_param_set()
     disc_set = bundle.disc_param_set() if config.trains_discriminator else None
-    ws = Workspace(net_set.grad_views() | (disc_set.grad_views() if disc_set else {}))
+    # the shared final layer and the heads, consecutive in the set, as one stack
+    ws = Workspace(net_set.grad_views() | (disc_set.grad_views() if disc_set else {}),
+                   (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
+    draw = _batch_sampler(dataset, labeled, config.batch_size, config.trains_discriminator)
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None
     for epoch in range(1, config.epochs + 1):
         try:
             for step in range(1, steps_per_epoch + 1):
-                batch = _sample_batches(rng, dataset, labeled, config.batch_size,
-                                        config.trains_discriminator)
+                batch = draw(rng)
                 alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, ws,
                                                        alpha, coeff_ema, net_set, disc_set,
                                                        step == steps_per_epoch)

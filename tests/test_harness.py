@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from mudal.cli import build_parser, main as cli_main
+from mudal.cli import _no_better_move, build_parser, main as cli_main
 from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
 from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledPool, RotatingSpec
@@ -526,7 +526,23 @@ class TestCli:
         assert cli_main(["verify-theory", "--units", "50"]) == 0
         assert "ok" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("units", ["0", "-1", "1.5", "x", "1000001"])
+    @pytest.mark.parametrize("units", ["6", "7", "100"])
+    def test_verify_theory_passes_on_coarse_grids(self, units, capsys):
+        # on a coarse grid the exact minimizer can lie more than 1/M from
+        # alpha (every positive alpha_j needs a unit), and still passes
+        assert cli_main(["verify-theory", "--units", units]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("[ok]") == 6
+
+    def test_verify_theory_move_check_flags_a_worse_point(self):
+        alpha = np.array([0.5, 0.3, 0.2])
+        assert _no_better_move(alpha, np.array([0.5, 0.3, 0.2]), 10)
+        # one unit too many on domain 0: moving it back lowers the ratio
+        assert not _no_better_move(alpha, np.array([0.6, 0.2, 0.2]), 10)
+        # a tie both ways is no better move
+        assert _no_better_move(np.array([0.5, 0.5]), np.array([0.5, 0.5]), 2)
+
+    @pytest.mark.parametrize("units", ["0", "-1", "1.5", "x", "1000001", "5"])
     def test_verify_theory_bad_units_exit_2(self, units, capsys, monkeypatch):
         def no_grid(*args):
             raise AssertionError("the grid was searched")

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from mudal import nn
 from mudal.cli import gradcheck_cases
-from mudal.nn import (ALLOCATE, LEAKY_SLOPE, AdamState, DenseNet, Layer, ParamSet, Workspace,
-                      adam_step, grad_check, sigmoid, sigmoid_bce, softmax, softmax_ce)
+from mudal.nn import (ALLOCATE, LEAKY_SLOPE, AdamState, DenseNet, Layer, LayerStack, ParamSet,
+                      Workspace, adam_step, grad_check, sigmoid, sigmoid_bce, softmax,
+                      softmax_ce)
 
 
 def identity_net(dim):
@@ -237,6 +239,24 @@ class TestAdam:
             adam_step(param, np.ones(2), state, lr=0.1)
             assert state.t == k
 
+    def test_temporaries_give_the_textbook_expression_bit_for_bit(self):
+        # oracle: the update written as one expression, each temporary fresh
+        rng = np.random.default_rng(12)
+        param = rng.standard_normal(50)
+        want, m, v = param.copy(), np.zeros(50), np.zeros(50)
+        state = AdamState.init(param)
+        scratch = [id(a) for a in state.scratch]
+        b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+        for t in range(1, 6):
+            g = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 3)
+            adam_step(param, g, state, lr=0.003)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            want -= 0.003 * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            for got, oracle in ((param, want), (state.m, m), (state.v, v)):
+                assert np.array_equal(got.view(np.int64), oracle.view(np.int64))
+        assert [id(a) for a in state.scratch] == scratch
+
 
 def probs_from_gradient(dlogits, labels):
     """The probabilities behind an unweighted `softmax_ce` gradient, whose
@@ -463,6 +483,85 @@ class TestParamSet:
                 value, dout = loss(out)
                 return value, dout * 1.001
             assert 5e-4 < grad_check(net, x, wrong) < 2e-3, name
+
+
+class TestStack:
+    def heads(self, seed=0, k=4):
+        """A small net and k consecutive same-shape layers after it, in one set."""
+        rng = np.random.default_rng(seed)
+        net = small_net(seed)
+        layers = [Layer.random(5, 3, "identity", rng) for _ in range(k)]
+        return net, layers, ParamSet([*net.layers, *layers])
+
+    def test_every_W_before_every_b(self):
+        net, layers, pset = self.heads()
+        ws = [layer.W for layer in pset.layers]
+        bs = [layer.b for layer in pset.layers]
+        flat = np.concatenate([p.reshape(-1) for p in ws + bs])
+        assert np.array_equal(pset.flat, flat)
+        assert all(np.shares_memory(p, pset.flat) for p in ws + bs)
+
+    def test_views_alias_each_layer_and_its_gradient_views(self):
+        net, layers, pset = self.heads(1)
+        stack, views = pset.stack(layers), pset.grad_views()
+        assert stack.layers == tuple(layers)
+        assert stack.W.shape == (4, 3, 5) and stack.b.shape == (4, 3)
+        assert stack.dW.shape == (4, 3, 5) and stack.db.shape == (4, 3)
+        for k, layer in enumerate(layers):
+            assert np.array_equal(stack.W[k], layer.W) and np.array_equal(stack.b[k], layer.b)
+            assert all(a is b for a, b in zip(stack.grads[layer], views[layer], strict=True))
+            for a, b in ((stack.W[k], layer.W), (stack.b[k], layer.b),
+                         (stack.dW[k], views[layer][0]), (stack.db[k], views[layer][1])):
+                assert np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
+        # a write through the stack reaches the layer and the gradient `step` reads
+        stack.W[2, 1, 3] = 7.0
+        stack.db[3] = 1.5
+        assert layers[2].W[1, 3] == 7.0 and np.all(views[layers[3]][1] == 1.5)
+        # a run of the stack is the stack of that run
+        assert np.shares_memory(pset.stack(layers[1:3]).W, stack.W[1:3])
+        first = stack.first(2)
+        assert first.layers == tuple(layers[:2]) and set(first.grads) == set(layers[:2])
+        assert first.W.ctypes.data == stack.W.ctypes.data and first.dW.shape == (2, 3, 5)
+        # layers no set lays out together stack as copies, with their own gradients
+        copied = LayerStack.copied(layers)
+        assert np.array_equal(copied.W, stack.W) and np.array_equal(copied.b, stack.b)
+        assert not any(np.shares_memory(a, pset.flat) or np.shares_memory(a, pset.grad_views()[
+            layers[0]][0]) for a in (copied.W, copied.b, copied.dW, copied.db))
+        assert all(np.shares_memory(copied.grads[layer][0], copied.dW[k])
+                   for k, layer in enumerate(layers))
+
+    @pytest.mark.parametrize("pick", [lambda net, layers: [layers[0], layers[2]],
+                                      lambda net, layers: [net.layers[-1], layers[0]],
+                                      lambda net, layers: [layers[0], small_net().layers[0]]],
+                             ids=["not_consecutive", "differ_in_shape", "not_in_the_set"])
+    def test_refused_unless_consecutive_layers_of_one_shape(self, pick):
+        net, layers, pset = self.heads(2)
+        with pytest.raises(ValueError, match="stack"):
+            pset.stack(pick(net, layers))
+
+    def test_a_rebound_layer_is_still_refused(self):
+        net, layers, pset = self.heads(3)
+        stack = pset.stack(layers)
+        layers[1].W = layers[1].W.copy()
+        with pytest.raises(ValueError, match="no longer views"):
+            pset.stack(layers)
+        with pytest.raises(ValueError, match="no longer views"):
+            pset.step(stack.grads, 0.01)
+        # a later set takes the layers over: the first one refuses them too
+        later = ParamSet(layers)
+        with pytest.raises(ValueError, match="no longer views"):
+            pset.stack(layers[2:])
+        assert np.shares_memory(later.stack(layers).W, layers[1].W)
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (50, 2), (96, 4), (7, 96, 4), (30, 7), (30, 8),
+                                   (30, 12), (2, 9, 11)])
+def test_row_max_and_row_sum_are_the_reductions_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = np.exp(rng.standard_normal(shape) * 3.0)
+    x[..., -1] = x[..., 0]  # a tie
+    assert np.array_equal(nn._row_max(x).view(np.int64), x.max(axis=-1).view(np.int64))
+    assert np.array_equal(nn._row_sum(x).view(np.int64), x.sum(axis=-1).view(np.int64))
 
 
 class TestWorkspace:

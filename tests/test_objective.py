@@ -6,7 +6,7 @@ import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
-from mudal.nn import DenseNet, sigmoid_bce, softmax_ce
+from mudal.nn import DenseNet, Workspace, sigmoid_bce, softmax_ce
 from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              disc_pass, estimate_h_distance, evaluate)
@@ -46,7 +46,7 @@ def classifier_pass_of(bundle, lab_z, lab_labels, heads=True, layout=None):
     matrix, as in a training step."""
     sizes = [z.shape[0] for z in lab_z] if layout is None else layout.n_lab
     return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels), sizes,
-                           heads=heads, member=None if layout is None else layout.lab_member)
+                           heads=heads, layout=layout)
 
 
 def disc_pass_of(bundle, orig_z, lab_z, layout=None):
@@ -283,6 +283,36 @@ class TestVd:
         with pytest.raises(ValueError, match="stale"):
             compute_vd(disc, alpha, params=False, inputs=False)
 
+    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
+    def test_matches_the_concatenated_weights_bit_for_bit(self, empty):
+        # oracle: the weights concatenated per call, the sigmoid by np.where,
+        # and one allocating backward of the logit gradient
+        bundle = tiny_bundle(seed=8)
+        orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=36)
+        alpha = random_alpha(3, seed=37)
+        disc = disc_pass_of(bundle, orig_z, lab_z)
+        lay, logits = disc.layout, disc.trace.output
+        w = np.concatenate([lay.orig_w, alpha[:, lay.lab_owner].T
+                            / lay.n_lab[lay.lab_owner, None]]).reshape(-1)
+        z, t, wsum = logits.reshape(-1), lay.target.reshape(-1), w.sum()
+        per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+        e = np.exp(-np.abs(z))
+        dlogits = w * (np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - t) / wsum
+        scale = wsum / (2.0 * 3)
+        grads, dz = bundle.discriminator.backward(disc.trace,
+                                                  dlogits.reshape(logits.shape) * scale)
+        full = compute_vd(disc, alpha)
+        assert full.value == float(float((w * per).sum() / wsum) * scale)
+        assert same_bits(full.dz, dz)
+        for layer, pair in grads.items():
+            assert all(same_bits(a, b) for a, b in zip(full.grads[layer], pair))
+        # without its value: the same gradients, and a value of None
+        bare = compute_vd(disc, alpha, value=False)
+        assert bare.value is None and same_bits(bare.dz, dz)
+        for layer, pair in grads.items():
+            assert all(same_bits(a, b) for a, b in zip(bare.grads[layer], pair))
+        assert compute_vd(disc, alpha, params=False, inputs=False, value=False).value is None
+
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()
         final = bundle.discriminator.layers[-1]
@@ -423,6 +453,120 @@ class TestVlambda:
         fd_check_term(bundle, layers,
                       lambda: vlambda_of(bundle, encode(bundle, feats), labels, alpha).value,
                       with_encoder_grads(bundle, trace, with_trunk_grads(cls, res)))
+
+
+def softmax_ce_by_rows(logits, labels, weights):
+    """The weighted softmax CE as per-row reductions and a one-hot matrix
+    compute it: the bitwise oracle of the column-at-a-time kernels."""
+    b = logits.shape[0]
+    wsum = weights.sum()
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    expz = np.exp(shifted)
+    denom = expz.sum(axis=1)
+    probs = expz / denom[:, None]
+    loss = float((weights * (np.log(denom) - shifted[np.arange(b), labels])).sum() / wsum)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(b), labels] = 1.0
+    return loss, (weights / wsum)[:, None] * (probs - onehot)
+
+
+def vh_oracle(cls, alpha):
+    """V_h's value, shared-final (dW, db) and trunk-output gradient, one
+    array at a time: the bitwise oracle of `compute_vh`."""
+    w = np.repeat(alpha.mean(axis=0) / np.maximum(cls.sizes, 1), cls.sizes)
+    wsum = w.sum()
+    if wsum <= 0:
+        value, dlogits = 0.0, np.zeros_like(cls.logits[0])
+    else:
+        norm_loss, dlogits = softmax_ce_by_rows(cls.logits[0], cls.labels, w)
+        value, dlogits = norm_loss * wsum, dlogits * wsum
+    return (float(value), (dlogits.T @ cls.hidden, dlogits.sum(axis=0)),
+            dlogits @ cls.finals[0].W)
+
+
+def vlambda_oracle(cls, alpha):
+    """V_lambda's value, each head's (dW, db) and the trunk-output gradient
+    as a loop over the heads, summed in head order: the bitwise oracle of
+    `compute_vlambda`'s batched kernels."""
+    n = alpha.shape[0]
+    heads = cls.finals[1:]
+    w = np.repeat(alpha / np.maximum(cls.sizes, 1), cls.sizes, axis=1)
+    wsum = w.sum()
+    logits = cls.logits[1:]
+    norm_loss, dlogits = softmax_ce_by_rows(logits.reshape(-1, logits.shape[2]),
+                                            np.tile(cls.labels, n), w.reshape(-1))
+    dlogits = dlogits.reshape(logits.shape) * (wsum / n)
+    grads = [(dlogits[i].T @ cls.hidden, dlogits[i].sum(axis=0)) for i in range(n)]
+    dhidden = dlogits[0] @ heads[0].W
+    for i in range(1, n):
+        dhidden += dlogits[i] @ heads[i].W
+    return float(norm_loss * wsum / n), grads, dhidden
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestBatchedHeads:
+    def draws(self, count=40, seed=50):
+        """(bundle, stacked pass, pass with a copied stack, alpha) over random
+        N, block sizes (one empty in half the draws), C and H."""
+        rng = np.random.default_rng(seed)
+        for k in range(count):
+            n, c, h = rng.integers(1, 7), rng.integers(2, 10), rng.integers(1, 41)
+            sizes = rng.integers(1, 21, size=n)
+            if k % 2 and n > 1:
+                sizes[rng.integers(n)] = 0
+            bundle = make_bundle(2, c, n, rng, latent_dim=5, encoder_hidden=(4,),
+                                 classifier_hidden=(h,), disc_hidden=(3,))
+            net_set = bundle.net_param_set()
+            ws = Workspace(net_set.grad_views(),
+                           (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
+            z = rng.standard_normal((sizes.sum(), 5))
+            labels = rng.integers(0, c, size=sizes.sum())
+            alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
+            yield (classifier_pass(bundle, z, labels, sizes, ws=ws),
+                   classifier_pass(bundle, z, labels, sizes), alpha)
+
+    def test_match_the_per_head_loop_bit_for_bit(self):
+        for stacked, copied, alpha in self.draws():
+            # the stacked pass reads the set's views; the other, stacked copies
+            assert np.shares_memory(stacked.stack.W, stacked.finals[0].W)
+            assert not np.shares_memory(copied.stack.W, copied.finals[0].W)
+            assert same_bits(stacked.logits, copied.logits)
+            for cls in (stacked, copied):
+                value, (dW, db), dz = vh_oracle(cls, alpha)
+                vh = compute_vh(cls, alpha)
+                (got_dW, got_db), = vh.grads.values()
+                assert vh.value == value and same_bits(vh.dz, dz)
+                assert same_bits(got_dW, dW) and same_bits(got_db, db)
+                value, grads, dhidden = vlambda_oracle(cls, alpha)
+                vl = compute_vlambda(cls, alpha)
+                assert vl.value == value and same_bits(vl.dz, dhidden)
+                assert list(vl.grads) == cls.finals[1:]
+                for (got_dW, got_db), (dW, db) in zip(vl.grads.values(), grads, strict=True):
+                    assert same_bits(got_dW, dW) and same_bits(got_db, db)
+
+    def test_stacked_gradients_land_in_the_param_set(self):
+        stacked, _, alpha = next(self.draws(1, seed=51))
+        stack = stacked.stack
+        vh, vl = compute_vh(stacked, alpha), compute_vlambda(stacked, alpha)
+        for layer, pair in (vh.grads | vl.grads).items():
+            assert all(a is b for a, b in zip(pair, stack.grads[layer], strict=True))
+
+    def test_a_value_not_asked_for_is_none(self):
+        for stacked, copied, alpha in self.draws(6, seed=52):
+            for cls in (stacked, copied):
+                for term in (compute_vh, compute_vlambda):
+                    full = term(cls, alpha)
+                    full = (full.value, {k: tuple(a.copy() for a in v)
+                                         for k, v in full.grads.items()}, full.dz.copy())
+                    bare = term(cls, alpha, value=False)
+                    assert full[0] is not None and bare.value is None
+                    assert same_bits(bare.dz, full[2])
+                    for layer, pair in bare.grads.items():
+                        assert all(same_bits(a, b) for a, b in zip(pair, full[1][layer]))
 
 
 class TestTermGradients:

@@ -230,6 +230,16 @@ def test_one_capacity_repair_pass_matches_the_repeated_loop():
     assert repaired > 100  # the repair pass ran
 
 
+@pytest.mark.parametrize("tiny", [2.2250738585e-311, 5e-324, 1e-300])
+def test_subnormal_desires_scale_without_overflow(tiny):
+    # m / sum overflows for a subnormal sum: the property test
+    # test_assigned_increments_sum_to_m_within_capacity drew 2.2e-311
+    with np.errstate(over="raise"):
+        got = simplex._round_capped(np.array([0.0, 0.0, 0.0, tiny, 0.0]), 1,
+                                    np.array([0, 0, 0, 1, 0]))
+    np.testing.assert_array_equal(got, [0, 0, 0, 1, 0])
+
+
 class TestBudgetLedger:
     def test_beta_identity(self):
         ledger = BudgetLedger(m0=12, m=6, initial_counts=np.array([4, 4, 4]))
