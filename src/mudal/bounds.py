@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelBundle
-from .objective import classifier_pass, estimate_h_distance
+from .objective import classifier_pass, estimate_h_distance, require_rows
 from .simplex import BudgetLedger, as_alpha, column_importance, greedy_increments
 
 # The Hoeffding term's d, a comparative capacity proxy rather than a certified
@@ -86,7 +86,9 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
     feature distance, and the trainable stand-in for the per-domain
     joint-error floor. It reads the latent rows and labels of each labeled
     domain (`lab_z`, `lab_labels`) and the latent rows of each domain's train
-    rows (`orig_z`, None without a discriminator) and encodes nothing."""
+    rows (`orig_z`, None without a discriminator) and encodes nothing. An
+    empty labeled domain is refused."""
+    require_rows([y.size for y in lab_labels], "labeled")
     a = as_alpha(alpha)
     n = a.shape[0]
     cols = column_importance(a)
@@ -108,8 +110,6 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
 
     proxy = 0.0
     for j in range(n):
-        if lab_z[j].shape[0] == 0:
-            continue
         for i in range(n):
             if a[i, j] != 0.0:
                 proxy += a[i, j] * head_err[i, j]

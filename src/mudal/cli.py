@@ -5,9 +5,10 @@
     mudal [--log-level LEVEL] verify-theory [--units M]
     mudal [--log-level LEVEL] gradcheck
 
-The package's log records at LEVEL (default WARNING) and above go to stderr
-for the length of the command, e.g. `--log-level INFO` shows each budget
-round's `clamping triggered` line.
+The package's log records at LEVEL (default WARNING) and above are held
+while the command runs and go to stderr when it ends, after its verdict
+line (`config error: ...` or `numerical abort: ...`) if it has one, e.g.
+`--log-level INFO` shows each budget round's `clamping triggered` line.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort.
 """
@@ -17,6 +18,8 @@ import argparse
 import dataclasses
 import itertools
 import logging
+import logging.handlers
+import math
 import sys
 
 import numpy as np
@@ -177,9 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the package's records at the chosen level go to stderr while the command runs
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    # the package's records at the chosen level are held while the command
+    # runs, so that a verdict line comes first on stderr
+    stream = logging.StreamHandler(sys.stderr)
+    stream.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler = logging.handlers.MemoryHandler(math.inf, logging.CRITICAL + 1, stream)
     pkg = logging.getLogger("mudal")
     level = pkg.level
     pkg.addHandler(handler)
@@ -194,6 +199,7 @@ def main(argv=None) -> int:
         return 3
     finally:
         pkg.removeHandler(handler)
+        handler.close()  # writes the held records
         pkg.setLevel(level)
 
 

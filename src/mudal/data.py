@@ -313,9 +313,11 @@ def split_budget_evenly(total: int, parts: int) -> np.ndarray:
 
 
 def init_pool(dataset: MultiDomainDataset, m0: int, seed) -> LabeledPool:
-    """Reveal m0 domain-balanced uniform random train points."""
-    if m0 < 0:
-        raise ValueError("m0 must be nonnegative")
+    """Reveal m0 domain-balanced uniform random train points, at least one
+    in every domain: an m0 below the domain count is refused."""
+    if m0 < dataset.n_domains:
+        raise ValueError(f"m0 = {m0} leaves labeled domain {max(m0, 0)} with no rows; "
+                         f"every domain needs one (m0 >= {dataset.n_domains})")
     counts = split_budget_evenly(m0, dataset.n_domains)
     for j, c in enumerate(counts):
         if c > dataset.train_size(j):
@@ -325,7 +327,5 @@ def init_pool(dataset: MultiDomainDataset, m0: int, seed) -> LabeledPool:
     rng = np.random.default_rng(seed)
     pool = LabeledPool(dataset)
     for j, c in enumerate(counts):
-        if c > 0:
-            chosen = rng.choice(dataset.train_size(j), size=int(c), replace=False)
-            pool.reveal(j, chosen)
+        pool.reveal(j, rng.choice(dataset.train_size(j), size=int(c), replace=False))
     return pool

@@ -29,6 +29,8 @@ class ModelBundle:
     n_domains: int
 
     def __post_init__(self) -> None:
+        if len(self.classifier.layers) < 2:
+            raise ValueError("the classifier needs a trunk: a hidden layer before its final one")
         if len(self.head_finals) != self.n_domains:
             raise ValueError("need one head final layer per domain")
         trunk_out = self.classifier.layers[-1].in_dim
@@ -46,11 +48,9 @@ class ModelBundle:
         return self.encoder.output_dim
 
     @cached_property
-    def trunk(self) -> DenseNet | None:
-        """The classifier's layers but its final one, as one net (None when
-        the classifier is its final layer alone)."""
-        layers = self.classifier.layers[:-1]
-        return DenseNet(layers) if layers else None
+    def trunk(self) -> DenseNet:
+        """The classifier's layers but its final one, as one net."""
+        return DenseNet(self.classifier.layers[:-1])
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.predict(x)

@@ -13,9 +13,12 @@ the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
-parts of both passes (block sizes, segment-membership matrices and
-divisors, V_d's originals' weights, labeled divisors and targets) form the
-`BlockLayout`, built once per round.
+parts of both passes (block sizes, segment-membership matrices, V_d's
+originals' weights, labeled row sizes and targets) form the `BlockLayout`,
+built once per round.
+
+Every block has rows: `BlockLayout.of` and `classifier_pass` refuse an empty
+one, naming its domain, so a block's size divides every mean over it.
 
 Values on demand. V_h, V_lambda and V_d compute their loss value only when
 the caller asks (`value=True`, the default); otherwise the value reads None,
@@ -53,7 +56,6 @@ it.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +65,6 @@ from .models import ModelBundle
 from .nn import (ALLOCATE, ActivationTrace, Layer, LayerGrads, LayerStack, Workspace,
                  _sigmoid_bce, _softmax_residual)
 from .simplex import as_alpha, column_importance, project_simplex
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -85,16 +85,18 @@ def segment_member(sizes: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
 
 
-def _segment_means(x: np.ndarray, sizes: np.ndarray, member: np.ndarray | None = None,
-                   div: np.ndarray | None = None) -> np.ndarray:
+def require_rows(sizes, kind: str) -> None:
+    """Refuse a domain's block of no rows, naming the first such domain."""
+    empty = np.flatnonzero(np.asarray(sizes) == 0)
+    if empty.size:
+        raise ValueError(f"{kind} domain {empty[0]} has no rows")
+
+
+def _segment_means(x: np.ndarray, sizes: np.ndarray, member: np.ndarray) -> np.ndarray:
     """Means of 0/1 values in consecutive segments of the given sizes along
-    x's last axis, through `member`, the sizes' `segment_member` matrix, and
-    `div`, max(sizes, 1) (each built here if not given; a float64 matrix
-    spares the cast); an empty segment reads 0. The sums count 0/1 values,
-    so they are exact in any order and either matrix gives the same bits."""
-    if member is None:
-        member = segment_member(sizes)
-    return x.astype(np.float64) @ member / (np.maximum(sizes, 1) if div is None else div)
+    x's last axis, through `member`, the sizes' `segment_member` matrix. The
+    sums count 0/1 values, so they are exact in any order."""
+    return x.astype(np.float64) @ member / sizes
 
 
 @dataclass(frozen=True)
@@ -102,20 +104,15 @@ class BlockLayout:
     """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
     L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
     domain. It holds the block sizes, their `segment_member` matrices as
-    float64 and their divisors max(size, 1) (read by the 0/1 errors, the
-    decision rates and V_h's and V_lambda's row weights), whether a labeled
-    block is empty, and V_d's BCE parts: the originals' weights, each
-    labeled row's domain and size and the targets. It depends on the sizes
-    alone, so a trainer whose batches keep their sizes builds it once per
-    round."""
+    float64 (read by the 0/1 errors and the decision rates), and V_d's BCE
+    parts: the originals' weights, each labeled row's domain and size and
+    the targets. It depends on the sizes alone, so a trainer whose batches
+    keep their sizes builds it once per round. Every block has rows."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
     orig_rows: int      # rows of all originals, the stack's head
     orig_member: np.ndarray
     lab_member: np.ndarray
-    orig_div: np.ndarray
-    lab_div: np.ndarray
-    lab_empty: bool     # whether some labeled block has no rows
     orig_w: np.ndarray
     lab_owner: np.ndarray
     lab_row_div: np.ndarray  # the size of each labeled row's block, (rows, 1)
@@ -124,27 +121,19 @@ class BlockLayout:
     @classmethod
     def of(cls, n_orig, n_lab) -> BlockLayout:
         n_orig, n_lab = np.asarray(n_orig), np.asarray(n_lab)
-        if np.any(n_orig == 0):
-            raise ValueError(f"original domain {np.argmin(n_orig)} batch is empty")
-        n = n_orig.size
-        owner, lab_owner = np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_lab)
-        target = np.repeat([1.0, 0.0], [n_orig.sum(), n_lab.sum()])[:, None] * np.ones(n)
-        return cls(n_orig, n_lab, int(n_orig.sum()), segment_member(n_orig).astype(np.float64),
-                   segment_member(n_lab).astype(np.float64), np.maximum(n_orig, 1),
-                   np.maximum(n_lab, 1), bool(np.any(n_lab == 0)),
-                   np.eye(n)[owner] / n_orig[owner, None], lab_owner, n_lab[lab_owner, None],
-                   target)
+        require_rows(n_orig, "original")
+        require_rows(n_lab, "labeled")
+        orig_rows, orig_member = int(n_orig.sum()), segment_member(n_orig).astype(np.float64)
+        lab_owner = np.repeat(np.arange(n_lab.size), n_lab)
+        target = np.zeros((orig_rows + lab_owner.size, n_orig.size))
+        target[:orig_rows] = 1.0
+        # an original's weight is 1/|O_i| in its own column i, 0 in the others
+        return cls(n_orig, n_lab, orig_rows, orig_member, segment_member(n_lab).astype(np.float64),
+                   orig_member / n_orig, lab_owner, n_lab[lab_owner, None], target)
 
     def __post_init__(self) -> None:
         if np.any((self.target != 0.0) & (self.target != 1.0)):
             raise ValueError("V_d's targets must be 0 or 1")
-
-    def rates(self, logits: np.ndarray, originals: bool = True,
-              ) -> tuple[np.ndarray | None, np.ndarray]:
-        """`decision_rates` of the logits of rows in this layout."""
-        return decision_rates(logits, self.n_orig, self.n_lab,
-                              (self.orig_member, self.lab_member),
-                              (self.orig_div, self.lab_div), originals=originals)
 
 
 @dataclass
@@ -155,17 +144,15 @@ class ClassifierPass:
     includes the heads. Its arrays, and those of the terms that read it,
     come from `ws`, and the final layers' from `stack`: the workspace's
     `LayerStack` of them if it has one, else a stacked copy."""
-    trunk: ActivationTrace | None  # None when the classifier has no trunk
-    hidden: np.ndarray             # the trunk output, (B, H)
+    trunk: ActivationTrace
+    hidden: np.ndarray      # the trunk output, (B, H)
     finals: list[Layer]
-    versions: list[int]            # of `finals`, at the forward pass
+    versions: list[int]     # of `finals`, at the forward pass
     logits: np.ndarray
     labels: np.ndarray
-    sizes: np.ndarray              # rows per labeled domain
-    member: np.ndarray | None      # the sizes' `segment_member`, if the caller has it
-    div: np.ndarray                # max(sizes, 1)
-    empty: bool                    # whether some labeled domain has no rows
-    stack: LayerStack              # of `finals`, whose gradients the terms write
+    sizes: np.ndarray       # rows per labeled domain
+    member: np.ndarray      # the sizes' `segment_member`
+    stack: LayerStack       # of `finals`, whose gradients the terms write
     ws: Workspace = ALLOCATE
     _softmax: tuple | None = None
 
@@ -184,25 +171,17 @@ class ClassifierPass:
         have written over its arrays."""
         if [f.version for f in self.finals] != self.versions:
             raise ValueError("stale trace: final layers changed since classifier_pass()")
-        if self.trunk is not None:
-            self.trunk.check_current(self.trunk.net)
+        self.trunk.check_current(self.trunk.net)
 
     def errors(self) -> np.ndarray:
-        """0/1 error (K, N) of each final layer on each L_j; an empty L_j
-        reads 1."""
+        """0/1 error (K, N) of each final layer on each L_j."""
         self.check_current()
-        err = _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes,
-                             self.member, self.div)
-        if self.empty:
-            err[:, self.sizes == 0] = 1.0
-        return err
+        return _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes, self.member)
 
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
         """The trunk's gradients and the latent gradient of the rows the pass
         read, from the summed gradient of the trunk output."""
         self.check_current()
-        if self.trunk is None:
-            return {}, dhidden
         return self.trunk.net.backward(self.trunk, dhidden)
 
 
@@ -212,15 +191,18 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
     rows per labeled domain) and apply the shared final layer (and, with
     `heads`, every head final) as one (K, C, H) `LayerStack`. `layout`, a
-    `BlockLayout` whose labeled sizes these are, lends its membership matrix
-    and divisors. Its arrays go to `ws` under the "trunk" role. The labels
-    must lie in [0, C) for V_h and V_lambda to read them."""
+    `BlockLayout` whose labeled sizes these are, lends its membership matrix;
+    without one, an empty labeled block is refused. Its arrays go to `ws`
+    under the "trunk" role. The labels must lie in [0, C) for V_h and
+    V_lambda to read them."""
     sizes = np.asarray(sizes)
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
-    trace = bundle.trunk.forward(z, ws, "trunk") if bundle.trunk else None
-    hidden = z if trace is None else trace.output
+    if layout is None:
+        require_rows(sizes, "labeled")
+    trace = bundle.trunk.forward(z, ws, "trunk")
+    hidden = trace.output
     final = bundle.classifier.layers[-1]
     k = 1 + len(bundle.head_finals) if heads else 1
     stack = ws.stacks.get(final)
@@ -234,13 +216,10 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    if layout is None:
-        member, div, empty = None, np.maximum(sizes, 1), bool(np.any(sizes == 0))
-    else:
-        member, div, empty = layout.lab_member, layout.lab_div, layout.lab_empty
+    member = segment_member(sizes) if layout is None else layout.lab_member
     finals = list(stack.layers)
     return ClassifierPass(trace, hidden, finals, [f.version for f in finals], logits, labels,
-                          sizes, member, div, empty, stack, ws)
+                          sizes, member, stack, ws)
 
 
 def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
@@ -250,21 +229,15 @@ def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
     the loss is not computed and reads None."""
     cls.check_current()
     cols = column_importance(alpha)
-    if cls.empty:
-        for j in np.nonzero((cls.sizes == 0) & (cols > 0))[0]:
-            log.warning("labeled domain %d is empty; its V_h term contributes 0", j)
-    w = (cols / cls.div).repeat(cls.sizes)
+    w = (cols / cls.sizes).repeat(cls.sizes)
     wsum = w.sum()
-    loss = 0.0 if value else None  # the weighted mean's, before wsum undoes it
-    if wsum <= 0:
-        dlogits = np.zeros_like(cls.logits[0])
-    else:
-        shifted, denom, residual, onehot = cls.softmax()
-        if value:
-            ce = np.log(denom[0]) - shifted[0][onehot]
-            loss = float((w * ce).sum() / wsum)
-        dlogits = np.multiply((w / wsum)[:, None], residual[0])
-        dlogits *= wsum
+    loss = None  # the weighted mean's, before wsum undoes it
+    shifted, denom, residual, onehot = cls.softmax()
+    if value:
+        ce = np.log(denom[0]) - shifted[0][onehot]
+        loss = float((w * ce).sum() / wsum)
+    dlogits = np.multiply((w / wsum)[:, None], residual[0])
+    dlogits *= wsum
     final = cls.finals[0]
     dW, db = cls.stack.grads[final]
     grads = {final: (np.matmul(dlogits.T, cls.hidden, out=dW), dlogits.sum(axis=0, out=db))}
@@ -287,14 +260,9 @@ def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermRe
     heads = cls.finals[1:]
     if len(heads) != n:
         raise ValueError("V_lambda needs a classifier pass with every head")
-    if cls.empty:
-        for j in np.nonzero((cls.sizes == 0) & (a.max(axis=0) > 0))[0]:
-            log.warning("labeled domain %d is empty; its V_lambda terms contribute 0", j)
     # head i weighs each row of L_j by alpha[i, j] / |L_j|
-    w = (a / cls.div).repeat(cls.sizes, axis=1)
+    w = (a / cls.sizes).repeat(cls.sizes, axis=1)
     wsum = w.sum()
-    if wsum <= 0:
-        return TermResult(0.0 if value else None, {}, np.zeros_like(cls.hidden))
     shifted, denom, residual, onehot = cls.softmax()
     loss = None
     if value:
@@ -338,26 +306,22 @@ class DiscPass:
         """The pass's `decision_rates`; refused once the discriminator
         changed, since a later pass may have written over its arrays."""
         self.trace.check_current(self.trace.net)
-        return self.layout.rates(self.trace.output, originals)
+        return decision_rates(self.trace.output, self.layout, originals=originals)
 
 
-def decision_rates(logits: np.ndarray, n_orig: np.ndarray, n_lab: np.ndarray,
-                   members: tuple[np.ndarray, np.ndarray] | None = None,
-                   divs: tuple[np.ndarray, np.ndarray] | None = None, *,
+def decision_rates(logits: np.ndarray, layout: BlockLayout, *,
                    originals: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """How often the discriminator takes rows for original (D_i >= 0), from
-    its logits (rows x N) on rows stacked as [O_0, ..., O_{N-1}, L_0, ...,
-    L_{N-1}]: on each domain's originals under its own logit, (N,); on each
-    L_j under each logit i, (N, N). An empty block reads 0. `members`, the
-    two sizes' `segment_member` matrices, and `divs`, their max(size, 1),
-    spare building them. With `originals` off the originals' rates are
-    skipped and read None."""
-    n_o = n_orig.sum()
-    (orig_m, lab_m), (orig_d, lab_d) = members or (None, None), divs or (None, None)
-    lab = _segment_means((logits[n_o:] >= 0.0).T, n_lab, lab_m, lab_d)
+    its logits (rows x N) on rows stacked as `layout` says: on each domain's
+    originals under its own logit, (N,); on each L_j under each logit i,
+    (N, N). With `originals` off the originals' rates are skipped and read
+    None."""
+    n_o = layout.orig_rows
+    lab = _segment_means((logits[n_o:] >= 0.0).T, layout.n_lab, layout.lab_member)
     if not originals:
         return None, lab
-    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, n_orig, orig_m, orig_d)), lab
+    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, layout.n_orig,
+                                  layout.orig_member)), lab
 
 
 def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
@@ -386,9 +350,6 @@ def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = Tru
     a = as_alpha(alpha)
     lay = disc.layout
     n = lay.n_orig.size
-    if lay.lab_empty:
-        for i, j in zip(*np.nonzero((a > 0) & (lay.n_lab == 0))):
-            log.warning("labeled domain %d empty; V_d term for pair (%d,%d) skipped", j, i, j)
     trace, net = disc.trace, disc.trace.net
     backward = params or inputs
     if not backward:
@@ -422,8 +383,7 @@ def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
     With the networks frozen the objective is linear in every alpha row:
     coefficient (i, j) collects the shared-classifier 0/1 error on L_j, the
     head-i 0/1 error on L_j, and (negatively) the rate at which the
-    discriminator mistakes L_j for original domain i. An empty L_j reads as
-    error 1 and rate 0.
+    discriminator mistakes L_j for original domain i.
     """
     err = cls.errors()
     n = err.shape[1]
@@ -471,22 +431,16 @@ def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],
                         labeled_z: list[np.ndarray], alpha) -> np.ndarray:
     """Empirical feature-space distance (N,) between each original domain i
     and its alpha[i]-weighted labeled mixture, from latent rows and one
-    discriminator forward per nonempty block: 2 * (1 - [originals of i
-    misread as mixture + sum_j alpha[i, j] * L_j misread as original of i]),
-    clamped to [0, 2]. The sum runs over j in domain order."""
+    discriminator forward per block: 2 * (1 - [originals of i misread as
+    mixture + sum_j alpha[i, j] * L_j misread as original of i]), clamped to
+    [0, 2]. The sum runs over j in domain order. The blocks' `BlockLayout`
+    refuses an empty one."""
     a = as_alpha(alpha)
-    n_orig = np.array([z.shape[0] for z in orig_z])
-    n_lab = np.array([z.shape[0] for z in labeled_z])
-    if np.any(n_orig == 0):
-        raise ValueError(f"original domain {np.argmin(n_orig)} sample set is empty")
-    empty = np.nonzero((n_lab == 0) & np.any(a != 0.0, axis=0))[0]
-    if empty.size:
-        raise ValueError(f"empty labeled sample set for domain {empty[0]} with positive weight")
-    logits = np.concatenate([bundle.discriminator.predict(z)
-                             for z in [*orig_z, *labeled_z] if z.shape[0]])
-    orig_rate, lab_rate = decision_rates(logits, n_orig, n_lab)
+    layout = BlockLayout.of([z.shape[0] for z in orig_z], [z.shape[0] for z in labeled_z])
+    logits = np.concatenate([bundle.discriminator.predict(z) for z in [*orig_z, *labeled_z]])
+    orig_rate, lab_rate = decision_rates(logits, layout)
     # misread originals counted back from the rate: the mean of D_i < 0 to the bit
-    err_o = (n_orig - np.rint(orig_rate * n_orig)) / n_orig
+    err_o = (layout.n_orig - np.rint(orig_rate * layout.n_orig)) / layout.n_orig
     err_l = np.zeros(a.shape[0])
     for j in range(a.shape[1]):
         err_l += a[:, j] * lab_rate[:, j]

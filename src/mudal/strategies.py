@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelBundle
-from .nn import DenseNet, sigmoid, softmax
+from .nn import sigmoid, softmax
 
 STRATEGIES = ("random", "margin", "badge", "grads")
 
@@ -67,8 +67,8 @@ def select_random(req: QueryRequest) -> np.ndarray:
 
 def _classifier_readout(bundle: ModelBundle, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The classifier's final-layer input on latent rows, and its final logits."""
-    *trunk, final = bundle.classifier.layers
-    hidden = DenseNet(trunk).predict(z) if trunk else z
+    final = bundle.classifier.layers[-1]
+    hidden = bundle.trunk.predict(z)
     return hidden, hidden @ final.W.T + final.b
 
 

@@ -26,7 +26,8 @@ so the step's gradient is their union, and one Adam step of the network
 runs one Adam update over its flat parameter vector, and a layer no term
 reaches (head finals under `vanilla` and `cal_fa`) keeps its initial weights.
 Models are re-initialized at the start of every round; the similarity matrix
-restarts uniform.
+restarts uniform. Every labeled domain has rows: `train_round` refuses an
+empty one, naming it, so every block of every batch has rows.
 
 Each backward computes only what its caller reads:
 - the discriminator's update: its layer gradients, not its input gradient;
@@ -48,9 +49,8 @@ what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once, and stacked with the train rows for `_batch_sampler`; the
 `BlockLayout` of V_d's alpha-free BCE parts and of the membership matrices
-and divisors of the 0/1 errors and decision rates; and the `Workspace`
-every step writes into, with the `LayerStack` of the shared final layer and
-the heads. A step's batch is one matrix in that order, gathered with one
+of the 0/1 errors and decision rates; and the `Workspace` every step writes
+into, with the `LayerStack` of the shared final layer and the heads. A step's batch is one matrix in that order, gathered with one
 index, and each pass reads a slice of the encoder's output over it.
 
 What lives for the round and what for the step. The workspace lives for
@@ -85,7 +85,8 @@ from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
 from .nn import Workspace
 from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
-                        compute_vd, compute_vh, compute_vlambda, disc_pass)
+                        compute_vd, compute_vh, compute_vlambda, decision_rates, disc_pass,
+                        require_rows)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -123,6 +124,8 @@ class TrainConfig:
             raise ValueError("temperature must be positive and finite")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not self.classifier_hidden:
+            raise ValueError("classifier_hidden must name at least one trunk width")
         if min(self.latent_dim, *self.encoder_hidden, *self.classifier_hidden,
                *self.disc_hidden) < 1:
             raise ValueError("latent_dim and every hidden width must be >= 1")
@@ -191,7 +194,6 @@ def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, 
     n = dataset.n_domains
     sizes = [dataset.train_size(i) for i in range(n)] + [y.size for _, y in labeled]
     takes = [min(batch, size) for size in sizes]
-    drawn = [b for b in range(2 * n) if b < n or sizes[b]]  # an empty labeled domain draws nothing
     stacked = range(2 * n) if originals else range(n, 2 * n)
     rows = np.vstack([*(dataset.train_features if originals else []), *(f for f, _ in labeled)])
     labels = np.concatenate([y for _, y in labeled])
@@ -203,8 +205,8 @@ def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, 
     first = 0 if originals else n  # the first draw that is stacked
 
     def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        picks = [rng.choice(sizes[b], size=takes[b], replace=False) for b in drawn]
-        idx = np.concatenate(picks[first:] or [np.zeros(0, np.int64)])
+        picks = [rng.choice(sizes[b], size=takes[b], replace=False) for b in range(2 * n)]
+        idx = np.concatenate(picks[first:])
         idx += offsets
         return rows[idx], labels[idx[n_orig:] - lab_start]
     return draw
@@ -214,7 +216,8 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
                 seed) -> RoundResult:
     """Train freshly initialized networks on the current pool and return the
     trained bundle, the final similarity matrix, and per-epoch objective
-    snapshots."""
+    snapshots. A pool with an empty labeled domain is refused."""
+    require_rows(pool.counts(), "labeled")
     rng = np.random.default_rng(seed)
     bundle = make_bundle(
         dataset.feature_dim, dataset.n_classes, dataset.n_domains, rng,
@@ -314,15 +317,14 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
 
 def _disc_accuracy(bundle, x, layout, alpha) -> np.ndarray:
     """Per domain, half the rate of originals called original plus the
-    alpha-weighted rate of (nonempty) labeled domains called not original,
-    on one batch's stacked rows `x`."""
+    alpha-weighted rate of labeled domains called not original, on one
+    batch's stacked rows `x`."""
     try:
         logits = bundle.discriminator.predict(bundle.encode(x))
-        orig_rate, lab_rate = layout.rates(logits)
+        orig_rate, lab_rate = decision_rates(logits, layout)
     except FloatingPointError as exc:
         raise FloatingPointError(f"epoch snapshot: {exc}") from exc
-    present = layout.n_lab > 0
-    return 0.5 * (orig_rate + (alpha * (1.0 - lab_rate) * present).sum(axis=1))
+    return 0.5 * (orig_rate + (alpha * (1.0 - lab_rate)).sum(axis=1))
 
 
 def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:

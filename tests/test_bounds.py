@@ -219,11 +219,11 @@ class TestEmpiricalBound:
                      report.vlambda_proxy):
             assert part >= 0.0
 
-    @pytest.mark.parametrize("m0, alpha", [(8, [[0.7, 0.3], [0.4, 0.6]]), (1, [[1.0, 0.0]] * 2)],
-                             ids=["full", "empty_domain"])
+    @pytest.mark.parametrize("m0, alpha", [(8, [[0.7, 0.3], [0.4, 0.6]]), (2, [[1.0, 0.0]] * 2)],
+                             ids=["full", "one_row"])
     def test_errors_match_the_stacked_readouts(self, m0, alpha):
-        # per-domain passes must read what one pass over the pool reads; an
-        # empty L_j (allowed only with a zero alpha column) drops out
+        # per-domain passes must read what one pass over the pool reads, a
+        # zero alpha column included
         ds = onehot_dataset(n_domains=2, per=10, n_classes=2)
         bundle = passthrough_bundle(disc_zero=False)
         rng = np.random.default_rng(5)
@@ -235,10 +235,21 @@ class TestEmpiricalBound:
         lab_z = [bundle.encode(pool.labeled_features(j)) for j in range(2)]
         err = classifier_pass_of(bundle, lab_z, [pool.labels(j) for j in range(2)]).errors()
         err_h, head_err = err[0], err[1:]
-        has_rows = pool.counts() > 0
         np.testing.assert_allclose(report.weighted_err, alpha.mean(axis=0) @ err_h, atol=1e-12)
-        np.testing.assert_allclose(report.vlambda_proxy,
-                                   (alpha * head_err)[:, has_rows].sum() / 2, atol=1e-12)
+        np.testing.assert_allclose(report.vlambda_proxy, (alpha * head_err).sum() / 2,
+                                   atol=1e-12)
+
+    def test_an_empty_labeled_domain_is_refused_by_name(self):
+        # the bound passes one domain at a time, yet names the domain itself
+        ds = onehot_dataset(n_domains=3, per=10, n_classes=2)
+        bundle = passthrough_bundle(n_domains=3)
+        lab_z = [x[:2] for x in ds.train_features]
+        lab_labels = [y[:2] for y in ds.train_labels]
+        lab_z[2], lab_labels[2] = lab_z[2][:0], lab_labels[2][:0]
+        ledger = BudgetLedger(6, 1, np.array([2, 2, 2]))
+        with pytest.raises(ValueError, match="labeled domain 2 has no rows"):
+            empirical_bound(bundle, ledger, 0, np.full((3, 3), 1 / 3), lab_z, lab_labels,
+                            ds.train_features)
 
 
 class TestBoundReport:

@@ -9,7 +9,9 @@ sometimes, so their defaults are fuzzed too. The output directory is always
 `--out`, a fresh temporary directory. An `idx` example also draws a small
 IDX image/label pair, written next to the config (`test_data.write_idx_pair`),
 whose paths its `images` and `labels` keys name, or now and then a wrong
-file, a directory or no file at all.
+file, a directory or no file at all. A fixed config whose first seed logs a
+warning and whose second seed aborts pins the order on stderr: the verdict
+line first, then the run's log records.
 """
 import contextlib
 import csv
@@ -161,3 +163,41 @@ def test_every_config_exits_0_2_or_3(example):
             assert err.getvalue().startswith("numerical abort:"), err.getvalue()
         else:
             check_outputs(out)
+
+
+# seed 2 logs a warning (its pool runs out before round 1), then seed 1 aborts
+LOGS_THEN_ABORTS = """\
+[dataset]
+kind = rotating
+n_domains = 1
+train_per_domain = 8
+test_per_domain = 1
+n_classes = 3
+seed = 4
+[method]
+variant = cal_alpha
+[train]
+lambda_d = 1e300
+epochs = 1
+batch_size = 1
+latent_dim = 1
+disc_hidden = 1
+[budget]
+m0 = 3
+m = 6
+rounds = 1
+[output]
+seeds = 2,1
+"""
+
+
+def test_the_verdict_comes_before_the_log_records(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text(LOGS_THEN_ABORTS)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main(["run", str(path), "--out", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    assert code == 3, err.getvalue()
+    assert lines[0].startswith("numerical abort: seed 1, round 0: "), lines
+    assert lines[1:] == ["WARNING mudal.harness: seed 2: unlabeled pool exhausted before round 1"]

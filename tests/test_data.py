@@ -162,6 +162,14 @@ class TestPool:
         assert any(not np.array_equal(a.labeled_indices(j), b.labeled_indices(j))
                    for j in range(6))
 
+    def test_an_m0_below_the_domain_count_is_refused_by_name(self):
+        # the even split gives the remainder to the lowest domains, so domain
+        # m0 is the first with no rows
+        ds = gen_rotating(small_spec())
+        for m0 in (5, 0):
+            with pytest.raises(ValueError, match=f"labeled domain {m0} with no rows"):
+                init_pool(ds, m0, seed=0)
+
     def test_budget_exceeding_pool_rejected(self):
         ds = gen_rotating(small_spec(train_per_domain=5))
         with pytest.raises(ValueError, match="exceeds"):

@@ -68,7 +68,8 @@ def test_checker_flags_disc_logits_calls():
 
 def test_objective_reads_discriminator_decisions_from_one_home():
     # every decision rate in objective.py comes from `decision_rates` over
-    # whole-block logits, not from per-domain `disc_logits` reads
+    # the logits of a `BlockLayout`'s blocks, not from per-domain
+    # `disc_logits` reads
     callers = disc_logits_callers(OBJECTIVE.read_text())
     assert not callers, f"objective.py functions that call disc_logits: {callers}"
 

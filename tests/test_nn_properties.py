@@ -16,7 +16,8 @@ SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 2.2250738585072014e-308,
 values = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(allow_nan=False, allow_subnormal=True, width=64))
 blocks = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)), elements=values)
-PROPERTY = settings(max_examples=300, deadline=None)
+# the same examples on every run, and none replayed from a database
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
 
 def bits(x: np.ndarray) -> np.ndarray:

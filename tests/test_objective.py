@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mudal.data import RotatingSpec, gen_rotating, init_pool
-from mudal.models import make_bundle
-from mudal.nn import DenseNet, Workspace, sigmoid_bce, softmax_ce
+from mudal.models import ModelBundle, make_bundle
+from mudal.nn import DenseNet, Layer, Workspace, sigmoid_bce, softmax_ce
 from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              disc_pass, estimate_h_distance, evaluate)
@@ -82,10 +82,9 @@ def disc_logit(bundle, z, i):
 
 def disc_orig_rates(bundle, z_blocks):
     """Oracle: (N, B), how often the discriminator takes latent block b for
-    original domain i, one `disc_logit` read per (code, block). An empty
-    block reads 0."""
-    return np.array([[np.mean(disc_logit(bundle, z, i) >= 0.0) if z.shape[0] else 0.0
-                      for z in z_blocks] for i in range(bundle.n_domains)])
+    original domain i, one `disc_logit` read per (code, block)."""
+    return np.array([[np.mean(disc_logit(bundle, z, i) >= 0.0) for z in z_blocks]
+                     for i in range(bundle.n_domains)])
 
 
 def with_trunk_grads(cls, res):
@@ -176,27 +175,41 @@ class TestVh:
                       lambda: vh_of(bundle, encode(bundle, feats), labels, alpha).value,
                       with_encoder_grads(bundle, trace, res))
 
-    def test_empty_domain_contributes_zero(self, caplog):
+
+class TestEmptyBlocksRefused:
+    """Every original and labeled domain has rows: an empty block is refused
+    where it enters, naming its domain."""
+
+    def test_block_layout_names_the_empty_domain(self):
+        with pytest.raises(ValueError, match="original domain 1 has no rows"):
+            BlockLayout.of([3, 0, 2], [1, 1, 1])
+        with pytest.raises(ValueError, match="labeled domain 2 has no rows"):
+            BlockLayout.of([3, 3, 3], [1, 1, 0])
+        with pytest.raises(ValueError, match="labeled domain 0 has no rows"):
+            BlockLayout.of([3, 3, 3], [0, 0, 0])
+
+    def test_classifier_pass_names_the_empty_domain(self):
         bundle = tiny_bundle()
         feats, labels = tiny_batches()
-        feats[2] = np.empty((0, 2))
-        labels[2] = np.empty(0, dtype=np.int64)
-        alpha = np.full((3, 3), 1.0 / 3.0)
-        with caplog.at_level("WARNING"):
-            res = vh_of(bundle, encode(bundle, feats), labels, alpha)
-        cols = alpha.mean(axis=0)
-        expected = sum(
-            cols[j] * softmax_ce(bundle.class_logits(feats[j]), labels[j])[0]
-            for j in range(2)
-        )
-        np.testing.assert_allclose(res.value, expected, atol=1e-12)
-        assert "empty" in caplog.text
+        feats[1] = np.empty((0, 2))
+        labels[1] = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
+            classifier_pass_of(bundle, encode(bundle, feats), labels)
+
+    def test_a_classifier_without_a_trunk_is_refused(self):
+        # a classifier of one layer, latent rows straight to classes, and its heads
+        bundle, rng = tiny_bundle(), np.random.default_rng(0)
+        layers = [Layer.random(4, 3, "identity", rng) for _ in range(4)]
+        with pytest.raises(ValueError, match="needs a trunk"):
+            ModelBundle(bundle.encoder, DenseNet(layers[:1]), layers[1:], bundle.discriminator, 3)
+        with pytest.raises(ValueError, match="classifier_hidden"):
+            TrainConfig(classifier_hidden=())
 
 
 class TestVd:
     def test_disc_pass_reads_each_row_once(self):
         bundle = tiny_bundle()
-        orig_z, lab_z, _ = labeled_batches(bundle, empty=(1,))
+        orig_z, lab_z, _ = labeled_batches(bundle, short=(1,))
         disc = disc_pass_of(bundle, orig_z, lab_z)
         rows = sum(z.shape[0] for z in orig_z + lab_z)
         assert disc.trace.acts[0].shape == (rows, bundle.latent_dim)
@@ -204,10 +217,10 @@ class TestVd:
                                       bundle.discriminator.predict(np.vstack(orig_z + lab_z)))
         assert disc.trace.output.shape == (rows, 3)
 
-    @pytest.mark.parametrize("empty", [(), (1,)])
-    def test_rerun_carries_the_alpha_free_bce_parts(self, empty):
+    @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
+    def test_rerun_carries_the_alpha_free_bce_parts(self, short):
         bundle = tiny_bundle(seed=7)
-        orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=34)
+        orig_z, lab_z, _ = labeled_batches(bundle, short=short, seed=34)
         disc = disc_pass_of(bundle, orig_z, lab_z)
         again = disc.rerun()
         assert again.layout is disc.layout
@@ -224,10 +237,10 @@ class TestVd:
         np.testing.assert_array_equal(lay.orig_member, np.eye(3)[orig_owner])
         np.testing.assert_array_equal(lay.lab_member, np.eye(3)[lab_owner])
 
-    @pytest.mark.parametrize("empty", [(), (1,)])
-    def test_a_shared_layout_gives_the_same_passes(self, empty):
+    @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
+    def test_a_shared_layout_gives_the_same_passes(self, short):
         bundle = tiny_bundle(seed=7)
-        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, short=short, seed=34)
         alpha = random_alpha(3, seed=35)
         own = disc_pass_of(bundle, orig_z, lab_z)
         layout = BlockLayout.of(own.layout.n_orig, own.layout.n_lab)
@@ -283,12 +296,12 @@ class TestVd:
         with pytest.raises(ValueError, match="stale"):
             compute_vd(disc, alpha, params=False, inputs=False)
 
-    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
-    def test_matches_the_concatenated_weights_bit_for_bit(self, empty):
+    @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
+    def test_matches_the_concatenated_weights_bit_for_bit(self, short):
         # oracle: the weights concatenated per call, the sigmoid by np.where,
         # and one allocating backward of the logit gradient
         bundle = tiny_bundle(seed=8)
-        orig_z, lab_z, _ = labeled_batches(bundle, empty=empty, seed=36)
+        orig_z, lab_z, _ = labeled_batches(bundle, short=short, seed=36)
         alpha = random_alpha(3, seed=37)
         disc = disc_pass_of(bundle, orig_z, lab_z)
         lay, logits = disc.layout, disc.trace.output
@@ -339,12 +352,12 @@ class TestVd:
         np.testing.assert_allclose(res_eye.value, expected, atol=1e-12)
 
     @staticmethod
-    def _check_nested_sum_oracle(empty_labeled):
+    def _check_nested_sum_oracle(short_labeled):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(seed=5)
         lab, _ = tiny_batches(seed=6)
-        for j in empty_labeled:
-            lab[j] = np.empty((0, 2))
+        for j in short_labeled:
+            lab[j] = lab[j][:1]
         alpha = random_alpha(3, seed=7)
         expected = 0.0
         for i in range(3):
@@ -352,8 +365,6 @@ class TestVd:
             lo, _ = sigmoid_bce(disc_logit(bundle, z_o, i), np.ones(z_o.shape[0]))
             expected += lo
             for j in range(3):
-                if j in empty_labeled:
-                    continue  # an empty L_j adds nothing
                 z_l = bundle.encode(lab[j])
                 ll, _ = sigmoid_bce(disc_logit(bundle, z_l, i), np.zeros(z_l.shape[0]))
                 expected += alpha[i, j] * ll
@@ -362,10 +373,10 @@ class TestVd:
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
 
     def test_matches_nested_sum_oracle(self):
-        self._check_nested_sum_oracle(empty_labeled=())
+        self._check_nested_sum_oracle(short_labeled=())
 
-    def test_matches_nested_sum_oracle_with_empty_labeled_domain(self):
-        self._check_nested_sum_oracle(empty_labeled=(1,))
+    def test_matches_nested_sum_oracle_with_a_one_row_labeled_domain(self):
+        self._check_nested_sum_oracle(short_labeled=(1,))
 
     def test_discriminator_gradients_match_fd(self):
         bundle = tiny_bundle()
@@ -380,12 +391,12 @@ class TestVd:
                       res.grads)
 
     @staticmethod
-    def _check_encoder_gradients(empty_labeled):
+    def _check_encoder_gradients(short_labeled):
         bundle = tiny_bundle()
         orig, _ = tiny_batches(per=4, seed=11)
         lab, _ = tiny_batches(per=4, seed=12)
-        for j in empty_labeled:
-            lab[j] = np.empty((0, 2))
+        for j in short_labeled:
+            lab[j] = lab[j][:1]
         alpha = random_alpha(3, seed=13)
         # the latent gradient of every row read: originals, then labeled
         trace, z = encode_stacked(bundle, orig + lab)
@@ -396,10 +407,10 @@ class TestVd:
                       with_encoder_grads(bundle, trace, res))
 
     def test_encoder_gradients_match_fd(self):
-        self._check_encoder_gradients(empty_labeled=())
+        self._check_encoder_gradients(short_labeled=())
 
-    def test_encoder_gradients_match_fd_with_empty_labeled_domain(self):
-        self._check_encoder_gradients(empty_labeled=(0,))
+    def test_encoder_gradients_match_fd_with_a_one_row_labeled_domain(self):
+        self._check_encoder_gradients(short_labeled=(0,))
 
 
 class TestVlambda:
@@ -473,13 +484,10 @@ def softmax_ce_by_rows(logits, labels, weights):
 def vh_oracle(cls, alpha):
     """V_h's value, shared-final (dW, db) and trunk-output gradient, one
     array at a time: the bitwise oracle of `compute_vh`."""
-    w = np.repeat(alpha.mean(axis=0) / np.maximum(cls.sizes, 1), cls.sizes)
+    w = np.repeat(alpha.mean(axis=0) / cls.sizes, cls.sizes)
     wsum = w.sum()
-    if wsum <= 0:
-        value, dlogits = 0.0, np.zeros_like(cls.logits[0])
-    else:
-        norm_loss, dlogits = softmax_ce_by_rows(cls.logits[0], cls.labels, w)
-        value, dlogits = norm_loss * wsum, dlogits * wsum
+    norm_loss, dlogits = softmax_ce_by_rows(cls.logits[0], cls.labels, w)
+    value, dlogits = norm_loss * wsum, dlogits * wsum
     return (float(value), (dlogits.T @ cls.hidden, dlogits.sum(axis=0)),
             dlogits @ cls.finals[0].W)
 
@@ -490,7 +498,7 @@ def vlambda_oracle(cls, alpha):
     `compute_vlambda`'s batched kernels."""
     n = alpha.shape[0]
     heads = cls.finals[1:]
-    w = np.repeat(alpha / np.maximum(cls.sizes, 1), cls.sizes, axis=1)
+    w = np.repeat(alpha / cls.sizes, cls.sizes, axis=1)
     wsum = w.sum()
     logits = cls.logits[1:]
     norm_loss, dlogits = softmax_ce_by_rows(logits.reshape(-1, logits.shape[2]),
@@ -511,13 +519,13 @@ def same_bits(a, b):
 class TestBatchedHeads:
     def draws(self, count=40, seed=50):
         """(bundle, stacked pass, pass with a copied stack, alpha) over random
-        N, block sizes (one empty in half the draws), C and H."""
+        N, block sizes (one of a single row in half the draws), C and H."""
         rng = np.random.default_rng(seed)
         for k in range(count):
             n, c, h = rng.integers(1, 7), rng.integers(2, 10), rng.integers(1, 41)
             sizes = rng.integers(1, 21, size=n)
             if k % 2 and n > 1:
-                sizes[rng.integers(n)] = 0
+                sizes[rng.integers(n)] = 1
             bundle = make_bundle(2, c, n, rng, latent_dim=5, encoder_hidden=(4,),
                                  classifier_hidden=(h,), disc_hidden=(3,))
             net_set = bundle.net_param_set()
@@ -570,7 +578,8 @@ class TestBatchedHeads:
 
 
 class TestTermGradients:
-    @pytest.mark.parametrize("classifier_hidden", [(5,), ()], ids=["trunk", "no_trunk"])
+    @pytest.mark.parametrize("classifier_hidden", [(5,), (5, 4)],
+                             ids=["trunk", "two_layer_trunk"])
     def test_terms_reach_disjoint_layers(self, classifier_hidden):
         # the training step merges the term gradients by dict union: V_h's
         # (shared final), V_lambda's (head finals), the trunk's and the
@@ -697,25 +706,19 @@ class TestAlphaStep:
                                          disc, 1.0)
 
 
-def labeled_batches(bundle, empty=(), seed=28):
+def labeled_batches(bundle, short=(), seed=28):
     """Latent originals, latent labeled blocks and their labels; the labeled
-    domains in `empty` have no rows."""
+    domains in `short` have one row."""
     orig_z = encode(bundle, tiny_batches(seed=seed - 1)[0])
     lab, lab_labels = tiny_batches(seed=seed)
-    for j in empty:
-        lab[j] = np.empty((0, 2))
-        lab_labels[j] = np.empty(0, dtype=np.int64)
+    for j in short:
+        lab[j], lab_labels[j] = lab[j][:1], lab_labels[j][:1]
     return orig_z, encode(bundle, lab), lab_labels
 
 
 def assert_errors_match_recount(bundle, lab_z, lab_labels, err_h, head_err):
-    """The stacked 0/1 readouts against one network run per (net, domain);
-    an empty labeled domain reads as error 1."""
+    """The stacked 0/1 readouts against one network run per (net, domain)."""
     for j, z in enumerate(lab_z):
-        if z.shape[0] == 0:
-            assert err_h[j] == 1.0
-            np.testing.assert_array_equal(head_err[:, j], 1.0)
-            continue
         pred = np.argmax(bundle.classifier.predict(z), axis=1)
         assert err_h[j] == np.mean(pred != lab_labels[j])
         for i in range(bundle.n_domains):
@@ -729,27 +732,25 @@ class TestLabeledReadouts:
 
     def test_matches_per_network_recount(self):
         bundle = tiny_bundle(seed=5)
-        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=(1,))
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, short=(1,))
         err = classifier_pass_of(bundle, lab_z, lab_labels).errors()
         rate = disc_pass_of(bundle, orig_z, lab_z).rates()[1]
         assert_errors_match_recount(bundle, lab_z, lab_labels, err[0], err[1:])
         np.testing.assert_array_equal(rate, disc_orig_rates(bundle, lab_z))
-        np.testing.assert_array_equal(rate[:, 1], 0.0)  # an empty labeled domain reads 0
 
     def test_disc_orig_rates_match_per_block_recount(self):
         bundle = tiny_bundle(seed=6)
-        orig_z, lab_z, _ = labeled_batches(bundle, empty=(2,), seed=31)
+        orig_z, lab_z, _ = labeled_batches(bundle, short=(2,), seed=31)
         orig_rate, lab_rate = disc_pass_of(bundle, orig_z, lab_z).rates()
         np.testing.assert_array_equal(orig_rate, np.diag(disc_orig_rates(bundle, orig_z)))
         np.testing.assert_array_equal(lab_rate, disc_orig_rates(bundle, lab_z))
-        np.testing.assert_array_equal(lab_rate[:, 2], 0.0)  # an empty block reads 0
 
-    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
-    def test_post_update_pass_feeds_the_alpha_readouts(self, empty):
+    @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
+    def test_post_update_pass_feeds_the_alpha_readouts(self, short):
         # a training step reads the alpha coefficients' discriminator rates
         # from the pass V_d reads after the discriminator update
         bundle = tiny_bundle(seed=7)
-        orig_z, lab_z, lab_labels = labeled_batches(bundle, empty=empty, seed=34)
+        orig_z, lab_z, lab_labels = labeled_batches(bundle, short=short, seed=34)
         alpha = random_alpha(3, seed=35)
         before = disc_pass_of(bundle, orig_z, lab_z)
         bundle.disc_param_set().step(compute_vd(before, alpha).grads, 0.05)
@@ -820,26 +821,24 @@ class TestHDistance:
 
     def test_matches_the_per_domain_oracle(self):
         # random block sizes, so most rates are not short binary fractions;
-        # labeled domain 1 is empty under a zero alpha column; 9 domains, so
-        # a sum out of domain order (np.sum pairs terms from 8 up) shows
+        # labeled domain 1 has a zero alpha column; 9 domains, so a sum out
+        # of domain order (np.sum pairs terms from 8 up) shows
         rng = np.random.default_rng(27)
         for seed in range(12):
             bundle = tiny_bundle(n_domains=9, seed=seed)
             orig = random_blocks(bundle, rng, rng.integers(1, 40, 9))
-            sizes = rng.integers(1, 15, 9)
-            sizes[1] = 0
-            lab = random_blocks(bundle, rng, sizes)
+            lab = random_blocks(bundle, rng, rng.integers(1, 15, 9))
             alpha = np.array([project_simplex(rng.random(9)) for _ in range(9)])
             alpha[:, 1] = 0.0
             alpha /= alpha.sum(axis=1, keepdims=True)
             np.testing.assert_array_equal(estimate_h_distance(bundle, orig, lab, alpha),
                                           h_distance_oracle(bundle, orig, lab, alpha))
 
-    def test_one_forward_per_nonempty_block(self, monkeypatch):
+    def test_one_forward_per_block(self, monkeypatch):
         bundle = tiny_bundle(seed=9)
         rng = np.random.default_rng(10)
         orig = random_blocks(bundle, rng, (5, 6, 7))
-        lab = random_blocks(bundle, rng, (4, 0, 3))
+        lab = random_blocks(bundle, rng, (4, 1, 3))
         alpha = np.array([[0.5, 0.0, 0.5]] * 3)
         expected = h_distance_oracle(bundle, orig, lab, alpha)
         rows = []
@@ -847,18 +846,19 @@ class TestHDistance:
         monkeypatch.setattr(bundle.discriminator, "predict",
                             lambda z: rows.append(z.shape[0]) or predict(z))
         np.testing.assert_array_equal(estimate_h_distance(bundle, orig, lab, alpha), expected)
-        assert rows == [5, 6, 7, 4, 3]
+        assert rows == [5, 6, 7, 4, 1, 3]
 
     def test_empty_sets_rejected(self):
         bundle = tiny_bundle()
         z = encode(bundle, tiny_batches()[0])
         alpha = np.array([[1, 0, 0.0]] * 3)
-        with pytest.raises(ValueError, match="original domain 1 .*empty"):
+        with pytest.raises(ValueError, match="original domain 1 has no rows"):
             estimate_h_distance(bundle, [z[0], np.empty((0, 4)), z[2]], z, alpha)
-        with pytest.raises(ValueError, match="empty labeled .* domain 0 "):
+        with pytest.raises(ValueError, match="labeled domain 0 has no rows"):
             estimate_h_distance(bundle, z, [np.empty((0, 4))] * 3, alpha)
-        # an empty labeled domain under a zero alpha column is fine
-        estimate_h_distance(bundle, z, [z[0], np.empty((0, 4)), np.empty((0, 4))], alpha)
+        # under a zero alpha column as well
+        with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
+            estimate_h_distance(bundle, z, [z[0], np.empty((0, 4)), z[2]], alpha)
 
 
 class TestEvaluate:

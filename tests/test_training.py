@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mudal import training
-from mudal.data import RotatingSpec, gen_rotating, init_pool
+from mudal.data import LabeledPool, RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import DenseNet
 from mudal.objective import alpha_step, compute_vd, compute_vh
@@ -228,15 +228,15 @@ class TestTrainRound:
         assert np.array_equal(bare_labels, labels)
         assert rng.random() == bare_rng.random()  # the stream is the same after
 
-    @pytest.mark.parametrize("empty", [(), (1,)], ids=["full", "empty_domain"])
-    def test_batch_stacks_the_per_block_gathers_in_layout_order(self, empty):
+    @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
+    def test_batch_stacks_the_per_block_gathers_in_layout_order(self, short):
         # oracle: one gather per block from a twin stream, stacked as
-        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]; an empty labeled domain
-        # draws nothing and adds no rows
+        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]; a labeled domain of one
+        # row gives one row
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
-        for j in empty:
-            labeled[j] = (np.empty((0, ds.feature_dim)), np.empty(0, dtype=np.int64))
+        for j in short:
+            labeled[j] = (labeled[j][0][:1], labeled[j][1][:1])
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         x, labels = training._batch_sampler(ds, labeled, 8, True)(rng)
         blocks, want_labels = [], []
@@ -244,10 +244,9 @@ class TestTrainRound:
             take = twin.choice(ds.train_size(i), size=8, replace=False)
             blocks.append(ds.train_features[i][take])
         for feats, y in labeled:
-            if y.size:
-                take = twin.choice(y.size, size=min(8, y.size), replace=False)
-                blocks.append(feats[take])
-                want_labels.append(y[take])
+            take = twin.choice(y.size, size=min(8, y.size), replace=False)
+            blocks.append(feats[take])
+            want_labels.append(y[take])
         assert x.tobytes() == np.vstack(blocks).tobytes()
         assert np.array_equal(labels, np.concatenate(want_labels))
         assert rng.random() == twin.random()
@@ -299,6 +298,14 @@ class TestTrainRound:
                 for s in lean.history] == [(s.epoch, s.v_h, s.v_d, s.v_lambda, s.t_value,
                                             s.disc_acc.tobytes()) for s in full.history]
         assert all(type(v) is float for s in lean.history for v in (s.v_h, s.v_d, s.v_lambda))
+
+    def test_an_empty_labeled_domain_is_refused_by_name(self):
+        ds, _ = toy_setup()
+        pool = LabeledPool(ds)
+        for j in (0, 2):
+            pool.reveal(j, np.arange(4))
+        with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
+            train_round(ds, pool, fast_cfg(), seed=0)
 
     def test_numerical_abort_on_divergence(self):
         # a pathological step size overflows the second matmul immediately
