@@ -108,11 +108,7 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
         hdist = float(np.cumsum(estimate_h_distance(bundle, orig_z, lab_z, a))[-1])
     mean_hdist = hdist / (2.0 * n)
 
-    proxy = 0.0
-    for j in range(n):
-        for i in range(n):
-            if a[i, j] != 0.0:
-                proxy += a[i, j] * head_err[i, j]
-    vlambda_proxy = proxy / n
+    # a running sum over j, then i, in domain order
+    vlambda_proxy = float(np.cumsum((a * head_err).ravel(order="F"))[-1]) / n
 
     return BoundReport(weighted_err, hoeff, mean_hdist, vlambda_proxy)

@@ -39,15 +39,14 @@ class RoundMetrics:
     seed: int
     round: int
     per_domain_acc: np.ndarray
-    avg_acc: float
     alpha: SimilarityMatrix
     hdist: np.ndarray
     bound: BoundReport
     history: list[ObjectiveSnapshot]
 
-    def __post_init__(self) -> None:
-        if abs(self.avg_acc - float(np.mean(self.per_domain_acc))) > 1e-12:
-            raise ValueError("average accuracy must equal the per-domain mean")
+    @property
+    def avg_acc(self) -> float:
+        return float(np.mean(self.per_domain_acc))
 
 
 @dataclass
@@ -113,10 +112,10 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         except NumericalAbort as exc:
             raise NumericalAbort(f"seed {seed}, round {r}: {exc}") from exc
         bundle = rr.bundle
-        per_acc, avg = evaluate(bundle, dataset)
+        per_acc, _ = evaluate(bundle, dataset)
         hdist, report = _score_round(bundle, dataset, pool, ledger, r, rr.alpha)
         result.rounds.append(RoundMetrics(
-            seed=seed, round=r, per_domain_acc=per_acc, avg_acc=avg,
+            seed=seed, round=r, per_domain_acc=per_acc,
             alpha=rr.alpha, hdist=hdist, bound=report, history=rr.history,
         ))
 

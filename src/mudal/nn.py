@@ -472,10 +472,7 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Stable softmax over the last axis at a temperature."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    scaled = np.asarray(logits, dtype=np.float64) / temperature
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    expz = np.exp(shifted)
-    return expz / expz.sum(axis=-1, keepdims=True)
+    return _softmax_residual(np.asarray(logits, dtype=np.float64) / temperature, False)[2]
 
 
 def softmax_ce(logits: np.ndarray, labels: np.ndarray,
@@ -514,10 +511,8 @@ def _row_max(x: np.ndarray) -> np.ndarray:
     C - 1 calls cost less than one reduction's per-row loop. A maximum is
     exact, so the order does not change its value (only, on a tie of 0 and
     -0, which zero comes back)."""
-    if x.shape[-1] == 1:
-        return x[..., 0].copy()
-    m = np.maximum(x[..., 0], x[..., 1])
-    for k in range(2, x.shape[-1]):
+    m = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
         np.maximum(m, x[..., k], out=m)
     return m
 

@@ -13,9 +13,9 @@ the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
-parts of both passes (block sizes, segment-membership matrices, V_d's
-originals' weights, labeled row sizes and targets) form the `BlockLayout`,
-built once per round.
+part of both passes is the `BlockLayout`, which is its block sizes: every
+mean over a block, and V_d's weights and targets, are worked out from them
+when read.
 
 Every block has rows: `BlockLayout.of` and `classifier_pass` refuse an empty
 one, naming its domain, so a block's size divides every mean over it.
@@ -44,9 +44,9 @@ sigmoid and its logit gradient under the "vd" role, which both of a step's
 V_d calls share: each writes them before it reads them. Without a workspace
 every array is fresh (`ALLOCATE`). The readers of a pass refuse it once its
 layers changed (`stale trace`), since a later pass of its role may have
-written over it. The terms call the unchecked cores of the losses: a
-`BlockLayout` checks V_d's targets once, and a classifier pass's labels
-must lie in [0, C).
+written over it. The terms call the unchecked cores of the losses: V_d's
+targets are 0/1 by construction, and a classifier pass's labels must lie in
+[0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients, which read only the labeled
@@ -57,6 +57,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -79,12 +80,6 @@ class TermResult:
     dz: np.ndarray | None
 
 
-def segment_member(sizes: np.ndarray) -> np.ndarray:
-    """The boolean matrix (rows, segments) of which consecutive segment of
-    the given sizes each row belongs to."""
-    return np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
-
-
 def require_rows(sizes, kind: str) -> None:
     """Refuse a domain's block of no rows, naming the first such domain."""
     empty = np.flatnonzero(np.asarray(sizes) == 0)
@@ -92,48 +87,49 @@ def require_rows(sizes, kind: str) -> None:
         raise ValueError(f"{kind} domain {empty[0]} has no rows")
 
 
-def _segment_means(x: np.ndarray, sizes: np.ndarray, member: np.ndarray) -> np.ndarray:
+def _segment_means(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Means of 0/1 values in consecutive segments of the given sizes along
-    x's last axis, through `member`, the sizes' `segment_member` matrix. The
-    sums count 0/1 values, so they are exact in any order."""
-    return x.astype(np.float64) @ member / sizes
+    x's last axis: one integer count per segment, so exact, over its size.
+
+    Two traps of `np.add.reduceat`. For an empty segment it returns the
+    value at the segment's start, not 0; every block has rows, refused
+    where they enter (`require_rows`), so no segment here is empty. And
+    `np.add` on bools is a logical OR, which a `reduceat` without `dtype`
+    computes on some NumPy versions, not a count: the counts name theirs."""
+    return np.add.reduceat(x, sizes.cumsum() - sizes, axis=-1, dtype=np.int64) / sizes
 
 
 @dataclass(frozen=True)
 class BlockLayout:
     """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
     L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
-    domain. It holds the block sizes, their `segment_member` matrices as
-    float64 (read by the 0/1 errors and the decision rates), and V_d's BCE
-    parts: the originals' weights, each labeled row's domain and size and
-    the targets. It depends on the sizes alone, so a trainer whose batches
-    keep their sizes builds it once per round. Every block has rows."""
+    domain. The layout is its block sizes: the means over its blocks (the
+    0/1 errors and the decision rates) are worked out from them when read,
+    and V_d's BCE parts (the originals' weights and the 0/1 targets) when
+    first read, so a layout V_d never reads (the h-distance's, over the
+    whole pool) builds none of its (rows, N) arrays. Every block has rows."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
-    orig_rows: int      # rows of all originals, the stack's head
-    orig_member: np.ndarray
-    lab_member: np.ndarray
-    orig_w: np.ndarray
-    lab_owner: np.ndarray
-    lab_row_div: np.ndarray  # the size of each labeled row's block, (rows, 1)
-    target: np.ndarray
 
     @classmethod
     def of(cls, n_orig, n_lab) -> BlockLayout:
         n_orig, n_lab = np.asarray(n_orig), np.asarray(n_lab)
         require_rows(n_orig, "original")
         require_rows(n_lab, "labeled")
-        orig_rows, orig_member = int(n_orig.sum()), segment_member(n_orig).astype(np.float64)
-        lab_owner = np.repeat(np.arange(n_lab.size), n_lab)
-        target = np.zeros((orig_rows + lab_owner.size, n_orig.size))
-        target[:orig_rows] = 1.0
-        # an original's weight is 1/|O_i| in its own column i, 0 in the others
-        return cls(n_orig, n_lab, orig_rows, orig_member, segment_member(n_lab).astype(np.float64),
-                   orig_member / n_orig, lab_owner, n_lab[lab_owner, None], target)
+        return cls(n_orig, n_lab)
 
-    def __post_init__(self) -> None:
-        if np.any((self.target != 0.0) & (self.target != 1.0)):
-            raise ValueError("V_d's targets must be 0 or 1")
+    @cached_property
+    def orig_rows(self) -> int:  # the stack's head
+        return int(self.n_orig.sum())
+
+    @cached_property
+    def orig_w(self) -> np.ndarray:  # 1/|O_i| in an original's own column i, 0 in the others
+        return np.repeat(np.diag(1.0 / self.n_orig), self.n_orig, axis=0)
+
+    @cached_property
+    def target(self) -> np.ndarray:  # 1 on the originals, 0 on the labeled rows
+        n = self.n_orig.size
+        return np.repeat([[1.0] * n, [0.0] * n], [self.orig_rows, self.n_lab.sum()], axis=0)
 
 
 @dataclass
@@ -151,7 +147,6 @@ class ClassifierPass:
     logits: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray       # rows per labeled domain
-    member: np.ndarray      # the sizes' `segment_member`
     stack: LayerStack       # of `finals`, whose gradients the terms write
     ws: Workspace = ALLOCATE
     _softmax: tuple | None = None
@@ -176,7 +171,7 @@ class ClassifierPass:
     def errors(self) -> np.ndarray:
         """0/1 error (K, N) of each final layer on each L_j."""
         self.check_current()
-        return _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes, self.member)
+        return _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes)
 
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
         """The trunk's gradients and the latent gradient of the rows the pass
@@ -186,21 +181,17 @@ class ClassifierPass:
 
 
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
-                    heads: bool = True, layout: BlockLayout | None = None,
-                    ws: Workspace = ALLOCATE) -> ClassifierPass:
+                    heads: bool = True, ws: Workspace = ALLOCATE) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
     rows per labeled domain) and apply the shared final layer (and, with
-    `heads`, every head final) as one (K, C, H) `LayerStack`. `layout`, a
-    `BlockLayout` whose labeled sizes these are, lends its membership matrix;
-    without one, an empty labeled block is refused. Its arrays go to `ws`
-    under the "trunk" role. The labels must lie in [0, C) for V_h and
-    V_lambda to read them."""
+    `heads`, every head final) as one (K, C, H) `LayerStack`. An empty
+    labeled block is refused. Its arrays go to `ws` under the "trunk" role.
+    The labels must lie in [0, C) for V_h and V_lambda to read them."""
     sizes = np.asarray(sizes)
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
-    if layout is None:
-        require_rows(sizes, "labeled")
+    require_rows(sizes, "labeled")
     trace = bundle.trunk.forward(z, ws, "trunk")
     hidden = trace.output
     final = bundle.classifier.layers[-1]
@@ -216,10 +207,9 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    member = segment_member(sizes) if layout is None else layout.lab_member
     finals = list(stack.layers)
     return ClassifierPass(trace, hidden, finals, [f.version for f in finals], logits, labels,
-                          sizes, member, stack, ws)
+                          sizes, stack, ws)
 
 
 def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
@@ -317,11 +307,10 @@ def decision_rates(logits: np.ndarray, layout: BlockLayout, *,
     (N, N). With `originals` off the originals' rates are skipped and read
     None."""
     n_o = layout.orig_rows
-    lab = _segment_means((logits[n_o:] >= 0.0).T, layout.n_lab, layout.lab_member)
+    lab = _segment_means((logits[n_o:] >= 0.0).T, layout.n_lab)
     if not originals:
         return None, lab
-    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, layout.n_orig,
-                                  layout.orig_member)), lab
+    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, layout.n_orig)), lab
 
 
 def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
@@ -330,7 +319,7 @@ def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
     `layout` says, written into `ws` under the "disc" role."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
-    rows = layout.orig_rows + layout.lab_owner.size
+    rows = layout.orig_rows + int(layout.n_lab.sum())
     if z.shape[0] != rows:
         raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
     return DiscPass(bundle.discriminator.forward(z, ws, "disc"), layout)
@@ -361,7 +350,7 @@ def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = Tru
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
     w = ws.array("vd", "weights", logits.shape)
     w[:lay.orig_rows] = lay.orig_w
-    np.divide(a[:, lay.lab_owner].T, lay.lab_row_div, out=w[lay.orig_rows:])
+    w[lay.orig_rows:] = np.repeat((a / lay.n_lab).T, lay.n_lab, axis=0)
     wsum = w.sum()  # the flat weights' sum too: a contiguous array sums alike in any shape
     norm_loss, dlogits = _sigmoid_bce(logits.reshape(-1), lay.target.reshape(-1),
                                       w.reshape(-1), wsum, value=value, ws=ws, role="vd")
@@ -441,9 +430,8 @@ def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],
     orig_rate, lab_rate = decision_rates(logits, layout)
     # misread originals counted back from the rate: the mean of D_i < 0 to the bit
     err_o = (layout.n_orig - np.rint(orig_rate * layout.n_orig)) / layout.n_orig
-    err_l = np.zeros(a.shape[0])
-    for j in range(a.shape[1]):
-        err_l += a[:, j] * lab_rate[:, j]
+    # a running sum over j in domain order; a row's positive entry rules out -0.0
+    err_l = np.cumsum(a * lab_rate, axis=1)[:, -1]
     return np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
 
 

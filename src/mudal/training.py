@@ -48,10 +48,11 @@ Every batch of a round has the same block sizes, so `_run_epochs` builds
 what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once, and stacked with the train rows for `_batch_sampler`; the
-`BlockLayout` of V_d's alpha-free BCE parts and of the membership matrices
-of the 0/1 errors and decision rates; and the `Workspace` every step writes
-into, with the `LayerStack` of the shared final layer and the heads. A step's batch is one matrix in that order, gathered with one
-index, and each pass reads a slice of the encoder's output over it.
+`BlockLayout`, the block sizes each draw takes and the terms read; and the
+`Workspace` every step writes into, with the `LayerStack` of the shared
+final layer and the heads. A step's batch is one matrix in that order,
+gathered with one index, and each pass reads a slice of the encoder's
+output over it.
 
 What lives for the round and what for the step. The workspace lives for
 the round, and each step writes over the last one's arrays of each role:
@@ -181,26 +182,26 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
 
 
 def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, np.ndarray]],
-                   batch: int, originals: bool,
+                   layout: BlockLayout, originals: bool,
                    ) -> Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]]:
     """A round's minibatch draw: `draw(rng)` returns one minibatch (x,
-    labels). x stacks up to `batch` train rows of each domain, then up to
-    `batch` rows of each labeled domain as gathered for the round, in
-    `BlockLayout` order; `labels` are its labeled rows'. The train rows are
-    drawn either way, so the stream does not depend on `originals`, but
-    stacked only when it is set: only the discriminator reads them. The rows
-    a draw picks from are stacked once, here, so a draw gathers x and the
-    labels with one index each instead of one per block."""
+    labels). x stacks `layout.n_orig[i]` train rows of each domain i, then
+    `layout.n_lab[j]` rows of each labeled domain j as gathered for the
+    round, in `BlockLayout` order; `labels` are its labeled rows'. The train
+    rows are drawn either way, so the stream does not depend on `originals`,
+    but stacked only when it is set: only the discriminator reads them. The
+    rows a draw picks from are stacked once, here, so a draw gathers x and
+    the labels with one index each instead of one per block."""
     n = dataset.n_domains
     sizes = [dataset.train_size(i) for i in range(n)] + [y.size for _, y in labeled]
-    takes = [min(batch, size) for size in sizes]
+    takes = [*layout.n_orig.tolist(), *layout.n_lab.tolist()]
     stacked = range(2 * n) if originals else range(n, 2 * n)
     rows = np.vstack([*(dataset.train_features if originals else []), *(f for f, _ in labeled)])
     labels = np.concatenate([y for _, y in labeled])
     # each stacked block's first row in `rows`, once per row of the batch it gives
     starts = np.cumsum([0] + [sizes[b] for b in stacked])[:-1]
     offsets = np.repeat(starts, [takes[b] for b in stacked])
-    n_orig = sum(takes[:n]) if originals else 0  # the batch's rows before the labeled ones
+    n_orig = layout.orig_rows if originals else 0  # the batch's rows before the labeled ones
     lab_start = sum(sizes[:n]) if originals else 0  # and those of `rows`
     first = 0 if originals else n  # the first draw that is stacked
 
@@ -255,7 +256,7 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
         # one trunk pass over the labeled rows; the head logits only where
         # V_lambda and the alpha readouts read them
         cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
-                              heads=config.optimizes_alpha, layout=layout, ws=ws)
+                              heads=config.optimizes_alpha, ws=ws)
 
         v_d_val = 0.0 if last_step else None
         if config.trains_discriminator:
@@ -346,7 +347,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     # the shared final layer and the heads, consecutive in the set, as one stack
     ws = Workspace(net_set.grad_views() | (disc_set.grad_views() if disc_set else {}),
                    (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
-    draw = _batch_sampler(dataset, labeled, config.batch_size, config.trains_discriminator)
+    draw = _batch_sampler(dataset, labeled, layout, config.trains_discriminator)
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
     coeff_ema = None

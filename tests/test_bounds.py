@@ -7,7 +7,7 @@ import pytest
 from mudal.bounds import (BoundReport, complexity_ratio, empirical_bound, hoeffding_term,
                           verify_optimal_beta)
 from mudal.data import MultiDomainDataset, init_pool
-from mudal.models import ModelBundle
+from mudal.models import ModelBundle, make_bundle
 from mudal.nn import DenseNet, Layer
 from mudal.simplex import BudgetLedger, project_simplex
 from test_objective import classifier_pass_of
@@ -238,6 +238,30 @@ class TestEmpiricalBound:
         np.testing.assert_allclose(report.weighted_err, alpha.mean(axis=0) @ err_h, atol=1e-12)
         np.testing.assert_allclose(report.vlambda_proxy, (alpha * head_err).sum() / 2,
                                    atol=1e-12)
+
+    def test_vlambda_proxy_matches_the_domain_loop_bit_for_bit(self):
+        # oracle: the loop over j, then i, the bound once ran, skipping zero
+        # alpha entries; random sizes, so the errors are not short binary
+        # fractions and a sum in another order shows
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            n = int(rng.integers(2, 8))
+            bundle = make_bundle(2, 3, n, rng, latent_dim=3, encoder_hidden=(4,),
+                                 classifier_hidden=(5,), disc_hidden=(3,),
+                                 with_discriminator=False)
+            sizes = rng.integers(1, 30, n)
+            lab_z = [rng.standard_normal((k, 3)) for k in sizes]
+            lab_labels = [rng.integers(0, 3, k) for k in sizes]
+            alpha = np.stack([project_simplex(rng.random(n) - 0.2) for _ in range(n)])
+            report = empirical_bound(bundle, BudgetLedger(int(sizes.sum()), 1, sizes), 0,
+                                     alpha, lab_z, lab_labels, None)
+            head_err = classifier_pass_of(bundle, lab_z, lab_labels).errors()[1:]
+            proxy = 0.0
+            for j in range(n):
+                for i in range(n):
+                    if alpha[i, j] != 0.0:
+                        proxy += alpha[i, j] * head_err[i, j]
+            assert report.vlambda_proxy == proxy / n, trial
 
     def test_an_empty_labeled_domain_is_refused_by_name(self):
         # the bound passes one domain at a time, yet names the domain itself

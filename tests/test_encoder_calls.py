@@ -2,7 +2,8 @@
 reads latent rows that the trainer encodes, and classifier logits from the
 one stacked `classifier_pass`. So no function there but `evaluate` runs the
 encoder forward or backward itself, runs the whole classifier, or builds a
-per-head net. The same layering holds in `bounds.py`, which reads the latent
+per-head net, and only `disc_pass` and `estimate_h_distance` run the
+discriminator. The same layering holds in `bounds.py`, which reads the latent
 rows the harness encodes, and in `strategies.py`, where only the `select_*`
 entry points and `grads_select` encode their request's rows.
 """
@@ -53,25 +54,39 @@ def test_objective_terms_read_latent_rows():
     assert not callers, f"objective.py functions that run the encoder or classifier: {callers}"
 
 
-def disc_logits_callers(source: str) -> list[str]:
-    """Names of the functions that call `.disc_logits(`."""
+# the functions of objective.py that run the discriminator: the training
+# step's pass (which `DiscPass.rerun` runs again through its trace) and the
+# h-distance's forward per block
+DISC_RUNNERS = {"disc_pass", "estimate_h_distance"}
+
+
+def discriminator_callers(source: str) -> list[str]:
+    """Names of the functions that call `.forward`, `.predict` or `.backward`
+    on `<x>.discriminator`."""
     return [fn.name for fn in ast.walk(ast.parse(source)) if isinstance(fn, ast.FunctionDef)
             and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "disc_logits" for node in ast.walk(fn))]
+                    and node.func.attr in NET_CALLS
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "discriminator" for node in ast.walk(fn))]
 
 
-def test_checker_flags_disc_logits_calls():
-    source = ("def p(b, z, i):\n    return b.disc_logits(z, i)\n"
-              "def q(b, z):\n    return b.discriminator.predict(z)\n")
-    assert disc_logits_callers(source) == ["p"]
+def test_checker_flags_discriminator_calls():
+    source = ("def p(b, z):\n    return b.discriminator.predict(z)\n"
+              "def q(b, z, ws):\n    return b.discriminator.forward(z, ws, 'disc')\n"
+              "def r(b, t, d):\n    b.discriminator.backward(t, d)\n"
+              "def s(trace):\n    return trace.net.forward(trace.acts[0])\n"
+              "def t(b):\n    return b.discriminator.layers[0].forward\n"
+              "def u(b, z):\n    return b.encoder.predict(z)\n"
+              "def v(disc, z):\n    return disc.predict(z)\n")
+    assert discriminator_callers(source) == ["p", "q", "r"]
 
 
 def test_objective_reads_discriminator_decisions_from_one_home():
-    # every decision rate in objective.py comes from `decision_rates` over
-    # the logits of a `BlockLayout`'s blocks, not from per-domain
-    # `disc_logits` reads
-    callers = disc_logits_callers(OBJECTIVE.read_text())
-    assert not callers, f"objective.py functions that call disc_logits: {callers}"
+    # only `disc_pass` and `estimate_h_distance` run the discriminator in
+    # objective.py; every decision rate comes from `decision_rates` over the
+    # logits of a `BlockLayout`'s blocks
+    callers = discriminator_callers(OBJECTIVE.read_text())
+    assert set(callers) == DISC_RUNNERS, f"objective.py discriminator runners: {callers}"
 
 
 def test_bounds_reads_latent_rows():

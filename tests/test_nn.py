@@ -361,6 +361,31 @@ def test_softmax_helper_temperature():
     np.testing.assert_allclose(p1.sum(), 1.0, atol=1e-12)
 
 
+def reduction_softmax(logits, temperature=1.0):
+    """The softmax by whole-row reductions that `softmax` replaced with the
+    losses' column-at-a-time kernel, as its bitwise oracle."""
+    scaled = np.asarray(logits, dtype=np.float64) / temperature
+    shifted = scaled - scaled.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    return expz / expz.sum(axis=-1, keepdims=True)
+
+
+def test_softmax_matches_the_reduction_softmax_bit_for_bit():
+    # C from 1 to 11 (both sides of the sequential row sum), signed zeros
+    # and ties, several temperatures, and 1-D rows as well as stacks
+    rng = np.random.default_rng(70)
+    for k in range(600):
+        c = int(rng.integers(1, 12))
+        shape = (c,) if k % 5 == 0 else (int(rng.integers(1, 30)), c)
+        x = rng.standard_normal(shape) * rng.choice([0.1, 1.0, 30.0])
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0
+        for t in (1.0, 0.5, 0.1):
+            got, want = softmax(x, temperature=t), reduction_softmax(x, t)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (k, t)
+
+
 def masked_sigmoid(z):
     """The boolean-mask form `sigmoid` replaced, as the bitwise oracle."""
     out = np.empty_like(z, dtype=np.float64)

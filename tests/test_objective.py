@@ -1,15 +1,17 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from mudal import objective
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import ModelBundle, make_bundle
 from mudal.nn import DenseNet, Layer, Workspace, sigmoid_bce, softmax_ce
 from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
-                             disc_pass, estimate_h_distance, evaluate)
+                             decision_rates, disc_pass, estimate_h_distance, evaluate)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
 
@@ -40,13 +42,11 @@ def encode_stacked(bundle, blocks):
     return trace, np.split(trace.output, np.cumsum([b.shape[0] for b in blocks])[:-1])
 
 
-def classifier_pass_of(bundle, lab_z, lab_labels, heads=True, layout=None):
+def classifier_pass_of(bundle, lab_z, lab_labels, heads=True):
     """`classifier_pass` over a list of labeled latent blocks and their
-    labels, stacked; a `layout` lends its labeled sizes and membership
-    matrix, as in a training step."""
-    sizes = [z.shape[0] for z in lab_z] if layout is None else layout.n_lab
-    return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels), sizes,
-                           heads=heads, layout=layout)
+    labels, stacked."""
+    return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels),
+                           [z.shape[0] for z in lab_z], heads=heads)
 
 
 def disc_pass_of(bundle, orig_z, lab_z, layout=None):
@@ -205,6 +205,64 @@ class TestEmptyBlocksRefused:
         with pytest.raises(ValueError, match="classifier_hidden"):
             TrainConfig(classifier_hidden=())
 
+    def test_refused_before_any_reduction_or_forward(self, monkeypatch):
+        # a mean over an empty block would read the next block's first value
+        # (`np.add.reduceat`), so the refusal comes before any reduction
+        bundle = tiny_bundle()
+        calls = []
+        monkeypatch.setattr(objective, "_segment_means", lambda *a: calls.append("mean"))
+        for net in (bundle.trunk, bundle.discriminator):
+            monkeypatch.setattr(net, "forward", lambda *a, **k: calls.append("forward"))
+            monkeypatch.setattr(net, "predict", lambda *a: calls.append("predict"))
+        z = encode(bundle, tiny_batches()[0])
+        empty = [z[0], np.empty((0, 4)), z[2]]
+        with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
+            classifier_pass(bundle, np.concatenate(empty), np.zeros(14, dtype=np.int64),
+                            [7, 0, 7])
+        with pytest.raises(ValueError, match="original domain 1 has no rows"):
+            estimate_h_distance(bundle, empty, z, np.full((3, 3), 1 / 3))
+        with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
+            estimate_h_distance(bundle, z, empty, np.full((3, 3), 1 / 3))
+        assert calls == []
+
+
+def membership_means(x, sizes):
+    """The membership-matrix product `_segment_means` replaced, as its
+    bitwise oracle: the 0/1 values as float64 times the (rows, segments)
+    matrix of which segment each row is in, over the sizes."""
+    member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
+    return x.astype(np.float64) @ member.astype(np.float64) / sizes
+
+
+class TestSegmentMeans:
+    @pytest.mark.parametrize("lead, sizes", [
+        ((7,), [10] * 6), ((4,), [128] * 3), ((3,), [2000] * 3), ((3,), [150] * 3),
+        ((2, 5), [1, 300, 2, 255, 256]), ((), [1]), ((9,), [1] * 9)],
+        ids=["cal_default", "cal_bigbatch", "h_distance_originals", "h_distance_labeled",
+             "past_255", "one_row", "single_rows"])
+    def test_match_the_membership_product_bit_for_bit(self, lead, sizes):
+        sizes = np.array(sizes)
+        rng = np.random.default_rng(sizes.sum())
+        for density in (0.0, 0.3, 0.5, 0.97, 1.0):
+            x = rng.random((*lead, sizes.sum())) < density
+            assert same_bits(objective._segment_means(x, sizes), membership_means(x, sizes))
+
+    def test_match_on_random_layouts(self):
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            sizes = rng.integers(1, 40, rng.integers(1, 10))
+            x = rng.random((int(rng.integers(1, 8)), sizes.sum())) < rng.random()
+            assert same_bits(objective._segment_means(x, sizes), membership_means(x, sizes))
+
+    def test_the_h_distance_rates_match_the_membership_product(self):
+        # the layout over a whole pool: 3 x 2,000 originals, 3 x 150 labeled
+        layout = BlockLayout.of([2000] * 3, [150] * 3)
+        logits = np.random.default_rng(62).standard_normal((6450, 3))
+        orig_rate, lab_rate = decision_rates(logits, layout)
+        want = membership_means((logits[:6000] >= 0.0).T, layout.n_orig)
+        assert same_bits(orig_rate, np.diag(want))
+        assert same_bits(lab_rate, membership_means((logits[6000:] >= 0.0).T, layout.n_lab))
+
 
 class TestVd:
     def test_disc_pass_reads_each_row_once(self):
@@ -224,23 +282,22 @@ class TestVd:
         disc = disc_pass_of(bundle, orig_z, lab_z)
         again = disc.rerun()
         assert again.layout is disc.layout
-        # oracle: the parts built from the pass's block sizes
+        # the layout is its sizes; oracle: the parts built from them, each
+        # built once
         lay = disc.layout
+        assert [f.name for f in dataclasses.fields(lay)] == ["n_orig", "n_lab"]
         orig_owner = np.repeat(np.arange(3), lay.n_orig)
-        lab_owner = np.repeat(np.arange(3), lay.n_lab)
-        np.testing.assert_array_equal(lay.orig_w,
-                                      np.eye(3)[orig_owner] / lay.n_orig[orig_owner, None])
-        np.testing.assert_array_equal(lay.lab_owner, lab_owner)
-        target = np.repeat([1.0, 0.0], [orig_owner.size, lab_owner.size])[:, None]
-        np.testing.assert_array_equal(lay.target,
-                                      np.broadcast_to(target, disc.trace.output.shape))
-        np.testing.assert_array_equal(lay.orig_member, np.eye(3)[orig_owner])
-        np.testing.assert_array_equal(lay.lab_member, np.eye(3)[lab_owner])
+        lab_rows = int(lay.n_lab.sum())
+        assert lay.orig_rows == orig_owner.size
+        assert same_bits(lay.orig_w, np.eye(3)[orig_owner] / lay.n_orig[orig_owner, None])
+        target = np.repeat([1.0, 0.0], [orig_owner.size, lab_rows])[:, None]
+        assert same_bits(lay.target, np.broadcast_to(target, disc.trace.output.shape))
+        assert lay.orig_w is lay.orig_w and lay.target is lay.target
 
     @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
     def test_a_shared_layout_gives_the_same_passes(self, short):
         bundle = tiny_bundle(seed=7)
-        orig_z, lab_z, lab_labels = labeled_batches(bundle, short=short, seed=34)
+        orig_z, lab_z, _ = labeled_batches(bundle, short=short, seed=34)
         alpha = random_alpha(3, seed=35)
         own = disc_pass_of(bundle, orig_z, lab_z)
         layout = BlockLayout.of(own.layout.n_orig, own.layout.n_lab)
@@ -250,14 +307,9 @@ class TestVd:
         assert a.value == b.value and a.dz.tobytes() == b.dz.tobytes()
         for x, y in zip(own.rates(), shared.rates()):
             assert x.tobytes() == y.tobytes()
-        np.testing.assert_array_equal(
-            classifier_pass_of(bundle, lab_z, lab_labels, layout=layout).errors(),
-            classifier_pass_of(bundle, lab_z, lab_labels).errors())
         other = BlockLayout.of(layout.n_orig, layout.n_lab + 1)
         with pytest.raises(ValueError, match="do not fit"):
             disc_pass_of(bundle, orig_z, lab_z, other)
-        with pytest.raises(ValueError, match="do not fit"):
-            classifier_pass_of(bundle, lab_z, lab_labels, layout=other)
 
     def test_passes_refuse_rows_that_do_not_fit(self):
         bundle = tiny_bundle(seed=7)
@@ -305,8 +357,8 @@ class TestVd:
         alpha = random_alpha(3, seed=37)
         disc = disc_pass_of(bundle, orig_z, lab_z)
         lay, logits = disc.layout, disc.trace.output
-        w = np.concatenate([lay.orig_w, alpha[:, lay.lab_owner].T
-                            / lay.n_lab[lay.lab_owner, None]]).reshape(-1)
+        owner = np.repeat(np.arange(3), lay.n_lab)
+        w = np.concatenate([lay.orig_w, alpha[:, owner].T / lay.n_lab[owner, None]]).reshape(-1)
         z, t, wsum = logits.reshape(-1), lay.target.reshape(-1), w.sum()
         per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
         e = np.exp(-np.abs(z))
@@ -325,6 +377,28 @@ class TestVd:
         for layer, pair in grads.items():
             assert all(same_bits(a, b) for a, b in zip(bare.grads[layer], pair))
         assert compute_vd(disc, alpha, params=False, inputs=False, value=False).value is None
+
+    def test_weights_match_the_owner_gather_bit_for_bit(self):
+        # oracle: each row's weight gathered through its block's owner, as
+        # the layout once stored it: alpha[:, owner].T / n_lab[owner] for the
+        # labeled rows, 1/|O_i| in its own column for an original of i
+        rng = np.random.default_rng(60)
+        for k in range(24):
+            n = int(rng.integers(1, 8))
+            n_orig, n_lab = rng.integers(1, 20, n), rng.integers(1, 20, n)
+            if k % 3 == 0:
+                n_lab[rng.integers(n)] = 300
+            layout, ws = BlockLayout.of(n_orig, n_lab), Workspace({})
+            z = rng.standard_normal((n_orig.sum() + n_lab.sum(), 4))
+            disc = disc_pass(tiny_bundle(n_domains=n, seed=k), z, layout, ws)
+            alpha = np.stack([project_simplex(rng.random(n) - 0.3 * (k % 2))
+                              for _ in range(n)])
+            compute_vd(disc, alpha, params=False, inputs=False)
+            w = ws.array("vd", "weights", disc.trace.output.shape)
+            orig_owner, owner = np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_lab)
+            assert same_bits(w[:layout.orig_rows],
+                             np.eye(n)[orig_owner] / n_orig[orig_owner, None])
+            assert same_bits(w[layout.orig_rows:], alpha[:, owner].T / n_lab[owner, None])
 
     def test_zero_logit_discriminator_gives_ln2(self):
         bundle = tiny_bundle()

@@ -8,7 +8,7 @@ from mudal import training
 from mudal.data import LabeledPool, RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import DenseNet
-from mudal.objective import alpha_step, compute_vd, compute_vh
+from mudal.objective import BlockLayout, alpha_step, compute_vd, compute_vh
 from mudal.training import (VARIANTS, NumericalAbort, TrainConfig, train_round,
                             write_snapshots_csv)
 
@@ -24,6 +24,13 @@ def toy_setup(n_domains=3, n_classes=3, seed=0, m0=18):
     ds = gen_rotating(spec)
     pool = init_pool(ds, m0, seed=seed + 1)
     return ds, pool
+
+
+def batch_layout(ds, labeled, batch):
+    """The round's `BlockLayout` as `train_round` builds it: up to `batch`
+    rows of each domain's train rows and of each labeled domain."""
+    return BlockLayout.of([min(batch, ds.train_size(i)) for i in range(ds.n_domains)],
+                          [min(batch, y.size) for _, y in labeled])
 
 
 def shared_trunk_ok(bundle):
@@ -219,8 +226,9 @@ class TestTrainRound:
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
-        x, labels = training._batch_sampler(ds, labeled, 8, True)(rng)
-        bare_x, bare_labels = training._batch_sampler(ds, labeled, 8, False)(bare_rng)
+        layout = batch_layout(ds, labeled, 8)
+        x, labels = training._batch_sampler(ds, labeled, layout, True)(rng)
+        bare_x, bare_labels = training._batch_sampler(ds, labeled, layout, False)(bare_rng)
         n_lab = labels.size
         assert x.shape == (8 * ds.n_domains + n_lab, ds.feature_dim)
         # without the originals the batch holds only the labeled blocks
@@ -238,7 +246,7 @@ class TestTrainRound:
         for j in short:
             labeled[j] = (labeled[j][0][:1], labeled[j][1][:1])
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        x, labels = training._batch_sampler(ds, labeled, 8, True)(rng)
+        x, labels = training._batch_sampler(ds, labeled, batch_layout(ds, labeled, 8), True)(rng)
         blocks, want_labels = [], []
         for i in range(ds.n_domains):
             take = twin.choice(ds.train_size(i), size=8, replace=False)
@@ -249,6 +257,24 @@ class TestTrainRound:
             want_labels.append(y[take])
         assert x.tobytes() == np.vstack(blocks).tobytes()
         assert np.array_equal(labels, np.concatenate(want_labels))
+        assert rng.random() == twin.random()
+
+    def test_a_block_draws_as_many_rows_as_the_layout_says(self):
+        # the layout is the one home of the draw sizes: any sizes it gives
+        # are drawn, from the same stream as one gather per block
+        ds, pool = toy_setup()
+        labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
+        layout = BlockLayout.of([2, 5, 3], [1, 4, 2])
+        rng, twin = np.random.default_rng(6), np.random.default_rng(6)
+        x, labels = training._batch_sampler(ds, labeled, layout, True)(rng)
+        takes = [twin.choice(size, size=k, replace=False) for size, k in
+                 zip([ds.train_size(i) for i in range(3)] + [y.size for _, y in labeled],
+                     [2, 5, 3, 1, 4, 2])]
+        want = [ds.train_features[i][t] for i, t in enumerate(takes[:3])]
+        want += [f[t] for (f, _), t in zip(labeled, takes[3:])]
+        assert x.tobytes() == np.vstack(want).tobytes()
+        assert np.array_equal(labels, np.concatenate([y[t] for (_, y), t in
+                                                      zip(labeled, takes[3:])]))
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
