@@ -7,7 +7,7 @@ import os
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .nn import DenseNet, Layer, grad_check, sigmoid_bce, softmax, softmax_ce
+from .nn import DenseNet, Layer, grad_check, softmax
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,
                    init_pool, load_idx, rotate_idx_domains)
 from .simplex import (BudgetLedger, SimilarityMatrix, assign_budget,

@@ -28,8 +28,8 @@ class BoundReport:
 
     def __post_init__(self) -> None:
         for name in ("weighted_err", "hoeffding", "mean_hdist", "vlambda_proxy"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:  # also refuses nan
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @property
     def total(self) -> float:

@@ -5,12 +5,15 @@
     mudal [--log-level LEVEL] verify-theory [--units M]
     mudal [--log-level LEVEL] gradcheck
 
+`gradcheck` checks each variant's training-step gradients against central
+finite differences (`gradcheck_cases`).
+
 The package's log records at LEVEL (default WARNING) and above are held
 while the command runs and go to stderr when it ends, after its verdict
 line (`config error: ...` or `numerical abort: ...`) if it has one, e.g.
 `--log-level INFO` shows each budget round's `clamping triggered` line.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical abort.
+Exit codes: 0 success, 1 failed check, 2 config error, 3 numerical abort.
 """
 from __future__ import annotations
 
@@ -28,9 +31,10 @@ from .bounds import complexity_ratio, hoeffding_term, verify_optimal_beta
 from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
-from .nn import DenseNet, grad_check, sigmoid_bce, softmax_ce
+from .nn import Workspace, grad_check
+from .objective import BlockLayout, classifier_pass, compute_vd, disc_pass
 from .strategies import STRATEGIES
-from .training import VARIANTS, NumericalAbort, TrainConfig
+from .training import VARIANTS, NumericalAbort, TrainConfig, step_grads
 
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
@@ -41,7 +45,7 @@ def _cmd_run(args) -> int:
     updates = {}
     if args.seeds is not None:
         updates["seeds"] = parse_int_tuple(args.seeds)
-    if args.out:
+    if args.out is not None:
         updates["out_dir"] = args.out
     if args.variant:
         updates["variant"] = args.variant
@@ -103,42 +107,62 @@ def _cmd_verify_theory(args) -> int:
 
 
 def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
-    """(name, net, inputs, loss) for each network of a bundle at the default
-    `TrainConfig` widths, with inputs, labels, targets and weights from `rng`."""
-    cfg = TrainConfig()
-    bundle = make_bundle(2, 4, 6, rng, cfg.latent_dim, cfg.encoder_hidden,
-                         cfg.classifier_hidden, cfg.disc_hidden)
-    x = rng.standard_normal((6, 2))
-    labels = rng.integers(0, 4, size=6)
-    weights = rng.uniform(0.2, 1.0, size=6)
-    z = rng.standard_normal((6, bundle.latent_dim))
-    targets = rng.integers(0, 2, size=(6, bundle.n_domains)).astype(float)
-    disc_weights = rng.uniform(0.2, 1.0, size=(6, bundle.n_domains))
+    """(name, layers, grads, loss) for `grad_check`, per variant: the network
+    step's gradient (`training.step_grads`, in the trainer's workspace)
+    against the objective it descends with alpha and the discriminator held
+    fixed; where the discriminator trains, its step's V_d gradient against
+    V_d. Every parameter of networks with each layer kind of the default
+    `TrainConfig` at width 4, the batch, alpha and lambda_d come from `rng`."""
+    n, c = 3, 3
+    layout = BlockLayout.of(rng.integers(1, 4, n), rng.integers(1, 4, n))
+    x = rng.standard_normal((layout.orig_rows + layout.n_lab.sum(), 2))
+    labels = rng.integers(0, c, layout.n_lab.sum())
+    alpha = rng.dirichlet(np.ones(n), size=n)
 
-    def bce(out):
-        loss, dlogits = sigmoid_bce(out, targets, disc_weights)
-        return loss, dlogits.reshape(out.shape)
+    def cases_of(variant: str) -> list[tuple]:
+        cfg = TrainConfig(variant, lambda_d=rng.uniform(0.5, 2.0), latent_dim=3,
+                          encoder_hidden=(4,), classifier_hidden=(4,), disc_hidden=(4, 4))
+        bundle = make_bundle(2, c, n, rng, cfg.latent_dim, cfg.encoder_hidden,
+                             cfg.classifier_hidden, cfg.disc_hidden, cfg.trains_discriminator)
+        net_set = bundle.net_param_set()
+        for pset in [net_set, bundle.disc_param_set()] if bundle.discriminator else [net_set]:
+            pset.flat[...] = rng.standard_normal(pset.flat.size)
+        ws = Workspace(net_set.grad_views(),
+                       (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
 
-    full = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers])
-    head = DenseNet([*bundle.encoder.layers, *bundle.classifier.layers[:-1],
-                     bundle.head_finals[0]])
-    return [
-        ("encoder+classifier / CE", full, x, lambda out: softmax_ce(out, labels)),
-        ("encoder+classifier / weighted CE", full, x,
-         lambda out: softmax_ce(out, labels, weights)),
-        ("encoder+domain head / CE", head, x, lambda out: softmax_ce(out, labels)),
-        ("discriminator, one logit per domain / weighted BCE", bundle.discriminator, z, bce),
-    ]
+        def step(value: bool):
+            trace = bundle.encoder.forward(x, ws, "encoder")
+            cls = classifier_pass(bundle, trace.output[layout.orig_rows:], labels, layout.n_lab,
+                                  heads=cfg.optimizes_alpha, ws=ws)
+            # V_d reaches the network step only where the encoder aligns
+            disc = disc_pass(bundle, trace.output, layout, ws) if cfg.aligns_encoder else None
+            return step_grads(cfg, trace, cls, disc, alpha, ws, value=value)
+
+        def objective() -> float:
+            v_h, v_d, v_lambda = step(True)[1]
+            return v_h + v_lambda - cfg.lambda_d * v_d
+        # copies, as the objective's steps write over them; only V_lambda reads the heads
+        grads = {layer: (dW.copy(), db.copy()) for layer, (dW, db) in step(False)[0].items()}
+        layers = net_set.layers if cfg.optimizes_alpha else net_set.layers[:-n]
+        cases = [(f"{variant}: network step", layers, grads, objective)]
+        if bundle.discriminator:
+            z = bundle.encoder.forward(x).output
+            grads = compute_vd(disc_pass(bundle, z, layout), alpha, inputs=False,
+                               value=False).grads
+            cases.append((f"{variant}: discriminator step", bundle.discriminator.layers, grads,
+                          lambda: compute_vd(disc_pass(bundle, z, layout), alpha, params=False,
+                                             inputs=False).value))
+        return cases
+    return [case for variant in VARIANTS for case in cases_of(variant)]
 
 
 def _cmd_gradcheck(args) -> int:
     worst = 0.0
-    for name, net, feats, loss in gradcheck_cases(np.random.default_rng(0)):
-        err = grad_check(net, feats, loss)
+    for name, layers, grads, loss in gradcheck_cases(np.random.default_rng(0)):
+        err = grad_check(layers, grads, loss)
         worst = max(worst, err)
         print(f"  {name}: max relative error beyond roundoff {err:.3e}")
-    print(f"worst case: {worst:.3e} "
-          f"[{'ok' if worst < 1e-4 else 'FAIL'}]")
+    print(f"worst case: {worst:.3e} [{'ok' if worst < 1e-4 else 'FAIL'}]")
     return 0 if worst < 1e-4 else 1
 
 
@@ -173,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="budget units M: budget shares are multiples of 1/M (default 100)")
     p_verify.set_defaults(func=_cmd_verify_theory)
 
-    p_grad = sub.add_parser("gradcheck", help="run the gradient oracle checks")
+    p_grad = sub.add_parser("gradcheck", help="check training-step gradients numerically")
     p_grad.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"repeated seeds in {self.seeds}")
+        if not self.out_dir:
+            raise ConfigError("the output dir must not be empty")
 
 
 def parse_int_tuple(s: str) -> tuple[int, ...]:

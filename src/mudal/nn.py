@@ -3,9 +3,10 @@
 Provides exactly what the rest of the package needs: dense layers with a
 handful of activations, an explicit forward/backward pass that also returns
 input gradients (required to chain gradients into an upstream encoder and to
-flip the sign of adversarial updates), weighted softmax/sigmoid cross-entropy
-losses, and a central finite-difference gradient checker used as the test
-oracle.
+flip the sign of adversarial updates), the kernels of the weighted
+softmax/sigmoid cross-entropies that the objective's terms call (no public
+loss), and `grad_check(layers, grads, loss)`, the oracle of any gradient, e.g.
+a training step's, by central finite differences of a zero-argument `loss()`.
 
 A gradient has one shape from backward to the optimizer: `LayerGrads`, the
 (dW, db) pair of each layer. A `ParamSet` keeps its layers' W and b as views
@@ -475,31 +476,6 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return _softmax_residual(np.asarray(logits, dtype=np.float64) / temperature, False)[2]
 
 
-def softmax_ce(logits: np.ndarray, labels: np.ndarray,
-               weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Weighted-mean softmax cross-entropy. Returns (loss, dloss/dlogits).
-
-    The loss is sum_b w_b * CE_b / sum_b w_b, so the gradient rows are
-    w_b * (p_b - onehot_b) / sum w, with p_b the softmax of row b.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    b, c = logits.shape
-    if labels.shape != (b,):
-        raise ValueError("labels must be shape (B,)")
-    if np.any(labels < 0) or np.any(labels >= c):
-        raise ValueError("labels out of range")
-    weights = np.ones(b) if weights is None else np.asarray(weights, dtype=np.float64)
-    wsum = weights.sum()
-    if wsum <= 0:
-        raise ValueError("weights must not all be zero")
-    onehot = labels[:, None] == np.arange(c)
-    shifted, denom, residual = _softmax_residual(logits, onehot)
-    # log-sum-exp form keeps the per-sample CE finite even for extreme logits
-    loss = float((weights * (np.log(denom) - shifted[onehot])).sum() / wsum)
-    return loss, np.multiply((weights / wsum)[:, None], residual, out=residual)
-
-
 # NumPy adds fewer than 8 values along an axis one after another (below its
 # pairwise summation's block), so a row sum of this many columns or fewer is
 # the columns added in order, to the bit
@@ -547,34 +523,13 @@ def _softmax_residual(logits: np.ndarray, onehot: np.ndarray,
     return shifted, denom, residual
 
 
-def sigmoid_bce(logits: np.ndarray, targets: np.ndarray,
-                weights: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-    """Weighted-mean binary cross-entropy on logits. Returns (loss, dloss/dlogits)."""
-    z = np.asarray(logits, dtype=np.float64).reshape(-1)
-    t = np.asarray(targets, dtype=np.float64).reshape(-1)
-    if z.shape != t.shape:
-        raise ValueError("logit/target shape mismatch")
-    if np.any((t != 0.0) & (t != 1.0)):
-        raise ValueError("targets must be 0 or 1")
-    if weights is None:
-        weights = np.ones_like(z)
-    else:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if weights.shape != z.shape:
-            raise ValueError("weights shape mismatch")
-    wsum = weights.sum()
-    if wsum <= 0:
-        raise ValueError("weights must not all be zero")
-    return _sigmoid_bce(z, t, weights, wsum)
-
-
 def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray, wsum, *,
                  value: bool = True, ws: Workspace = ALLOCATE,
                  role=None) -> tuple[float | None, np.ndarray]:
-    """`sigmoid_bce` on inputs its checks would pass: float64 logits, 0/1
-    targets and weights of positive sum `wsum`, all of one shape. A caller
-    whose targets are fixed, e.g. a `BlockLayout`'s, checks them once and
-    calls this once a step; one that does not read the loss turns `value`
+    """Weighted-mean binary cross-entropy on logits: (loss, dloss/dz), for
+    float64 logits z, 0/1 targets t and weights of positive sum `wsum`, all
+    of one shape, which the caller guarantees (V_d's targets and weights are
+    its `BlockLayout`'s). A caller that does not read the loss turns `value`
     off and gets None for it. The gradient is written into `ws` under
     `role`."""
     loss = None
@@ -594,40 +549,31 @@ def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray, wsum, *,
 FD_ROUNDOFF_ULPS = 8.0
 
 
-def grad_check(net: DenseNet, features: np.ndarray, loss_fn, eps: float = 1e-6) -> float:
-    """Max relative error between analytic parameter gradients and central
-    finite differences. ``loss_fn`` maps the net output to (scalar, dloss/doutput).
+def grad_check(layers: list[Layer], grads: LayerGrads, loss, eps: float = 1e-6) -> float:
+    """Max relative error between the gradients `grads` of the zero-argument
+    `loss()` and its central finite differences over each layer's live W and
+    b, perturbed in place one entry at a time; a layer missing from `grads`
+    counts as zero.
 
     A central difference carries its two loss values' roundoff, divided by
     2 * eps. Each entry scores |g - fd| less that noise floor, relative to
     max(|g|, |fd|): an entry that agrees to within the floor scores 0 however
     small it is, and any larger disagreement counts in full above it.
     """
-    features = np.asarray(features, dtype=np.float64)
-    trace = net.forward(features)
-    _, dout = loss_fn(trace.output)
-    grads, _ = net.backward(trace, dout, inputs=False)
-
-    def loss_at() -> float:
-        value, _ = loss_fn(net.forward(features).output)
-        return value
-
     worst = 0.0
-    params = [p for layer in net.layers for p in (layer.W, layer.b)]
-    analytic = [g for layer in net.layers for g in grads[layer]]
-    for p, g in zip(params, analytic):
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + eps
-            up = loss_at()
-            flat_p[i] = orig - eps
-            down = loss_at()
-            flat_p[i] = orig
-            fd = (up - down) / (2.0 * eps)
-            noise = FD_ROUNDOFF_ULPS * np.finfo(np.float64).eps * max(abs(up), abs(down)) / eps
-            excess = abs(flat_g[i] - fd) - noise
-            if excess > 0.0:
-                worst = max(worst, excess / max(abs(flat_g[i]), abs(fd)))
+    for layer in layers:
+        for p, g in zip((layer.W, layer.b), grads.get(layer, (0.0 * layer.W, 0.0 * layer.b))):
+            flat_p = p.reshape(-1)
+            for i, g_i in enumerate(np.reshape(g, -1)):
+                orig = flat_p[i]
+                flat_p[i] = orig + eps
+                up = loss()
+                flat_p[i] = orig - eps
+                down = loss()
+                flat_p[i] = orig
+                fd = (up - down) / (2.0 * eps)
+                noise = FD_ROUNDOFF_ULPS * np.finfo(np.float64).eps * max(abs(up), abs(down)) / eps
+                excess = abs(g_i - fd) - noise
+                if excess > 0.0:
+                    worst = max(worst, excess / max(abs(g_i), abs(fd)))
     return worst

@@ -44,9 +44,9 @@ sigmoid and its logit gradient under the "vd" role, which both of a step's
 V_d calls share: each writes them before it reads them. Without a workspace
 every array is fresh (`ALLOCATE`). The readers of a pass refuse it once its
 layers changed (`stale trace`), since a later pass of its role may have
-written over it. The terms call the unchecked cores of the losses: V_d's
-targets are 0/1 by construction, and a classifier pass's labels must lie in
-[0, C).
+written over it. The terms call the losses' kernels, which check nothing:
+V_d's targets are 0/1 by construction, and a classifier pass's labels must
+lie in [0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients, which read only the labeled

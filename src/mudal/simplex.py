@@ -67,8 +67,8 @@ class SimilarityMatrix:
     def validate(self, atol: float = 1e-9) -> None:
         if self.alpha.ndim != 2 or self.alpha.shape[0] != self.alpha.shape[1]:
             raise ValueError(f"alpha must be square (got shape {self.alpha.shape})")
-        if np.any(self.alpha < -atol):
-            raise ValueError("alpha entries must be nonnegative")
+        if not np.all(np.isfinite(self.alpha) & (self.alpha >= -atol)):
+            raise ValueError("alpha entries must be finite and nonnegative")
         rows = self.alpha.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > atol):
             raise ValueError(f"alpha rows must sum to 1 (got {rows})")

@@ -16,8 +16,10 @@ once before and once after its own update:
    decisions and the classifier pass's errors give the alpha coefficients;
    V_d at the new alpha reads the same pass.
 
-V_h and V_lambda read the classifier pass and the trunk runs backward once on
-their summed gradient; the latent gradients (the trunk's, and V_d's times
+`step_grads` is the one home of the network step's gradient: the trainer
+steps on it and `mudal gradcheck` checks it against finite differences. In
+it, V_h and V_lambda read the classifier pass and the trunk runs backward once
+on their summed gradient; the latent gradients (the trunk's, and V_d's times
 -lambda_d) go back through the encoder once. Each term's layer gradients
 cover layers no other term reaches (V_h the shared final layer, V_lambda the
 head finals, the trunk backward the trunk, the encoder backward the encoder),
@@ -235,14 +237,56 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
+def step_grads(config, trace, cls, disc, alpha, ws, *, value=True):
+    """The network step's `LayerGrads` of V_h + V_lambda - lambda_d * V_d,
+    less the terms the variant lacks, at `alpha` with the discriminator held
+    fixed, and (V_h, V_d, V_lambda), None unless `value`: V_d from the
+    post-update pass `disc` (0 if None), V_h and V_lambda (0 without heads)
+    from the classifier pass `cls`, backward over the encoder `trace`, all
+    written into `ws`. A FloatingPointError leaves naming its phase."""
+    phase = "V_d"
+    try:
+        v_d = v_lambda = 0.0 if value else None
+        if disc is not None and (config.aligns_encoder or value):
+            # the encoder reads V_d's latent gradient only where it aligns
+            vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder, value=value)
+            v_d = vd.value
+        phase = "V_h"
+        vh = compute_vh(cls, alpha, value=value)
+        grads, dhidden = vh.grads, vh.dz
+        if config.optimizes_alpha:
+            phase = "V_lambda"
+            vl = compute_vlambda(cls, alpha, value=value)
+            grads = grads | vl.grads
+            dhidden += vl.dz  # V_h's array, this step's own
+            v_lambda = vl.value
+        phase = "backward"
+        trunk_g, dz_lab = cls.backward(dhidden)
+        n_orig = trace.output.shape[0] - dz_lab.shape[0]  # the labeled rows are the tail
+        if config.aligns_encoder:
+            # descent on -lambda_d * V_d: the encoder fights the discriminator.
+            # 0 - x on the originals and dz_lab - x on the labeled rows, written
+            # over V_d's latent gradient x, this step's own
+            dz = vd.dz
+            dz *= config.lambda_d
+            np.subtract(0.0, dz[:n_orig], out=dz[:n_orig])
+            np.subtract(dz_lab, dz[n_orig:], out=dz[n_orig:])
+        else:
+            dz = ws.array("encoder", "output_grad", trace.output.shape)
+            dz[:n_orig] = 0.0
+            dz[n_orig:] = dz_lab
+        enc_g, _ = trace.net.backward(trace, dz, inputs=False)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{phase}: {exc}") from exc
+    return grads | trunk_g | enc_g, (vh.value, v_d, v_lambda)
+
+
 def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, disc_set,
                 last_step):
     """One minibatch step over a `_batch_sampler` batch in the round's
     `layout`, written into the round's `Workspace`. Returns the new
-    alpha, the new coefficient EMA and (V_h, V_d, V_lambda). The terms
-    compute their values only on an epoch's `last_step`, the one the epoch
-    snapshot reads; on every other step the values are None. V_d reads 0
-    under `vanilla`, and V_lambda under `cal_fa` and `vanilla`. A
+    alpha, the new coefficient EMA and `step_grads`'s values, computed only
+    on an epoch's `last_step`, the one the epoch snapshot reads. A
     FloatingPointError leaves naming the phase it arose in."""
     x, labels = batch
     phase = "encoder forward"
@@ -250,15 +294,12 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
         # the discriminator update leaves the encoder as is
         trace = bundle.encoder.forward(x, ws, "encoder")
         z = trace.output
-        n_orig = z.shape[0] - labels.size
-        lab = slice(n_orig, None)  # the labeled rows, the tail
         phase = "classifier forward"
-        # one trunk pass over the labeled rows; the head logits only where
-        # V_lambda and the alpha readouts read them
-        cls = classifier_pass(bundle, z[lab], labels, layout.n_lab,
+        # one trunk pass over the labeled rows, the tail; the head logits only
+        # where V_lambda and the alpha readouts read them
+        cls = classifier_pass(bundle, z[-labels.size:], labels, layout.n_lab,
                               heads=config.optimizes_alpha, ws=ws)
-
-        v_d_val = 0.0 if last_step else None
+        disc = None
         if config.trains_discriminator:
             phase = "discriminator update"
             disc = disc_pass(bundle, z, layout, ws)
@@ -270,50 +311,17 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
             if config.optimizes_alpha:
                 phase = "alpha step"
                 coeffs = alpha_objective_coefficients(cls, disc, config.lambda_d)
-                if coeff_ema is None:
-                    coeff_ema = coeffs
-                else:
-                    mom = ALPHA_COEFF_MOMENTUM
-                    coeff_ema = mom * coeff_ema + (1.0 - mom) * coeffs
+                mom = ALPHA_COEFF_MOMENTUM
+                coeff_ema = coeffs if coeff_ema is None else mom * coeff_ema + (1.0 - mom) * coeffs
                 alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
-            if config.aligns_encoder or last_step:
-                phase = "V_d"
-                # the encoder reads V_d's latent gradient only where it aligns
-                vd = compute_vd(disc, alpha, params=False, inputs=config.aligns_encoder,
-                                value=last_step)
-                v_d_val = vd.value
-
-        phase = "V_h"
-        vh = compute_vh(cls, alpha, value=last_step)
-        grads = vh.grads
-        dhidden = vh.dz
-        v_lambda_val = 0.0 if last_step else None
-        if config.optimizes_alpha:
-            phase = "V_lambda"
-            vl = compute_vlambda(cls, alpha, value=last_step)
-            grads = grads | vl.grads
-            dhidden += vl.dz  # V_h's array, this step's own
-            v_lambda_val = vl.value
-        phase = "backward"
-        trunk_g, dz_lab = cls.backward(dhidden)
-        if config.aligns_encoder:
-            # descent on -lambda_d * V_d: the encoder fights the discriminator.
-            # 0 - x on the originals and dz_lab - x on the labeled rows, written
-            # over V_d's latent gradient x, this step's own
-            dz = vd.dz
-            dz *= config.lambda_d
-            np.subtract(0.0, dz[:n_orig], out=dz[:n_orig])
-            np.subtract(dz_lab, dz[lab], out=dz[lab])
-        else:
-            dz = ws.array("encoder", "output_grad", z.shape)
-            dz[:n_orig] = 0.0
-            dz[lab] = dz_lab
-        enc_g, _ = bundle.encoder.backward(trace, dz, inputs=False)
-        phase = "optimizer step"
-        net_set.step(grads | trunk_g | enc_g, config.lr)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{phase}: {exc}") from exc
-    return alpha, coeff_ema, (vh.value, v_d_val, v_lambda_val)
+    grads, values = step_grads(config, trace, cls, disc, alpha, ws, value=last_step)
+    try:
+        net_set.step(grads, config.lr)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"optimizer step: {exc}") from exc
+    return alpha, coeff_ema, values
 
 
 def _disc_accuracy(bundle, x, layout, alpha) -> np.ndarray:

@@ -280,3 +280,11 @@ class TestBoundReport:
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             BoundReport(-0.1, 0.2, 0.3, 0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_component_rejected(self, bad):
+        for k in range(4):
+            parts = [0.1, 0.2, 0.3, 0.05]
+            parts[k] = bad
+            with pytest.raises(ValueError, match="finite"):
+                BoundReport(*parts)

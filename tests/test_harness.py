@@ -11,12 +11,12 @@ from mudal.cli import _no_better_move, build_parser, main as cli_main
 from mudal.config import (ASSIGNMENT_MODES, ConfigError, ExperimentConfig, config_to_text,
                           parse_config, parse_config_text)
 from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledPool, RotatingSpec
-from mudal import bounds, harness
+from mudal import bounds, cli, harness
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.models import ModelBundle
 from mudal.simplex import SimilarityMatrix
 from mudal.strategies import STRATEGIES
-from mudal.training import VARIANTS, TrainConfig
+from mudal.training import VARIANTS, TrainConfig, step_grads
 
 MINIMAL = """
 [dataset]
@@ -555,3 +555,31 @@ class TestCli:
 
     def test_gradcheck_exit_0(self, capsys):
         assert cli_main(["gradcheck"]) == 0
+
+    def test_gradcheck_fails_a_planted_wrong_step_gradient(self, capsys, monkeypatch):
+        def wrong(*args, **kwargs):
+            grads, values = step_grads(*args, **kwargs)
+            return {layer: (dW * 1.001, db * 1.001) for layer, (dW, db) in grads.items()}, values
+        monkeypatch.setattr(cli, "step_grads", wrong)
+        assert cli_main(["gradcheck"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].endswith("[FAIL]")
+        # every network step fails, every discriminator step passes
+        scores = dict(re.findall(r"  (.+): max relative error beyond roundoff (\S+)", out))
+        assert len(scores) == 7
+        assert all((float(e) > 5e-4) == name.endswith("network step")
+                   for name, e in scores.items())
+
+    @pytest.mark.parametrize("output, flag", [("dir =\n", []), ("", ["--out", ""])],
+                             ids=["config_dir", "out_flag"])
+    def test_an_empty_output_dir_is_refused_before_training(self, output, flag, tmp_path,
+                                                            capsys, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before refusing the output dir")
+        monkeypatch.setattr(harness, "train_round", no_training)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(MINIMAL + FAST_TRAIN + FAST_BUDGET
+                                          + "\n[output]\nseeds = 1\n" + output)
+        assert cli_main(["run", "exp.cfg", *flag]) == 2
+        assert capsys.readouterr().err.startswith("config error: the output dir")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.cfg"]

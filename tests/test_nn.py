@@ -6,8 +6,9 @@ import pytest
 from mudal import nn
 from mudal.cli import gradcheck_cases
 from mudal.nn import (ALLOCATE, LEAKY_SLOPE, AdamState, DenseNet, Layer, LayerStack, ParamSet,
-                      Workspace, adam_step, grad_check, sigmoid, sigmoid_bce, softmax,
-                      softmax_ce)
+                      Workspace, _sigmoid_bce, _softmax_residual, adam_step, grad_check, sigmoid,
+                      softmax)
+from test_objective import softmax_ce_by_rows
 
 
 def identity_net(dim):
@@ -145,6 +146,14 @@ class TestBackward:
             b.backward(trace, np.ones((2, 3)))
 
 
+def net_grad_check(net, x, loss_fn):
+    """`grad_check` of a loss of the net's output, `loss_fn(out)` giving the
+    value and its gradient in `out`, against the net's backward."""
+    trace = net.forward(x)
+    grads, _ = net.backward(trace, loss_fn(trace.output)[1], inputs=False)
+    return grad_check(net.layers, grads, lambda: loss_fn(net.forward(x).output)[0])
+
+
 class TestGradCheck:
     def test_linear_net_squared_loss_near_exact(self):
         rng = np.random.default_rng(1)
@@ -154,7 +163,7 @@ class TestGradCheck:
         def sq_loss(out):
             return 0.5 * float((out ** 2).sum()), out
 
-        assert grad_check(net, x, sq_loss) < 1e-7
+        assert net_grad_check(net, x, sq_loss) < 1e-7
 
     def test_relu_net_away_from_kinks(self):
         rng = np.random.default_rng(2)
@@ -162,7 +171,7 @@ class TestGradCheck:
         x = rng.standard_normal((6, 3)) + 0.1
         labels = np.array([0, 1, 0, 1, 0, 1])
 
-        assert grad_check(net, x, lambda out: softmax_ce(out, labels)) < 1e-5
+        assert net_grad_check(net, x, lambda out: softmax_ce_by_rows(out, labels)) < 1e-5
 
     def test_leaky_relu_net(self):
         rng = np.random.default_rng(8)
@@ -171,24 +180,46 @@ class TestGradCheck:
         targets = np.array([1.0, 0.0, 1.0, 0.0, 1.0])
 
         def loss(out):
-            value, d = sigmoid_bce(out.reshape(-1), targets)
+            value, d = _sigmoid_bce(out.reshape(-1), targets, np.ones(5), 5.0)
             return value, d[:, None]
 
-        assert grad_check(net, x, loss) < 1e-5
+        assert net_grad_check(net, x, loss) < 1e-5
+
+    def test_a_layer_missing_from_the_grads_counts_as_zero(self):
+        rng = np.random.default_rng(3)
+        net, unread = small_net(3), Layer.random(2, 2, "identity", rng)
+        x = rng.standard_normal((4, 3))
+        trace = net.forward(x)
+        grads, _ = net.backward(trace, trace.output, inputs=False)
+
+        def loss():
+            return 0.5 * float((net.forward(x).output ** 2).sum())
+        # a layer the loss does not read has a zero gradient, as it has none
+        assert grad_check([*net.layers, unread], grads, loss) < 1e-7
+        del grads[net.layers[0]]
+        assert grad_check(net.layers, grads, loss) > 0.99
 
     def test_command_cases_pass_at_every_draw(self):
         # correct gradients far below one pass the check: their central
         # differences differ from them by roundoff alone
         for seed in range(40):
-            for name, net, x, loss in gradcheck_cases(np.random.default_rng(seed)):
-                assert grad_check(net, x, loss) < 1e-4, (seed, name)
+            cases = gradcheck_cases(np.random.default_rng(seed))
+            assert [name.split(":")[0] for name, *_ in cases] == [
+                "cal", "cal", "cal_alpha", "cal_alpha", "cal_fa", "cal_fa", "vanilla"]
+            for name, layers, grads, loss in cases:
+                assert grad_check(layers, grads, loss) < 1e-4, (seed, name)
 
     def test_planted_wrong_gradient_fails(self):
-        for name, net, x, loss in gradcheck_cases(np.random.default_rng(0)):
-            def wrong(out, loss=loss):
-                value, dout = loss(out)
-                return value, dout * 1.001
-            assert 5e-4 < grad_check(net, x, wrong) < 2e-3, name
+        for name, layers, grads, loss in gradcheck_cases(np.random.default_rng(0)):
+            wrong = {layer: (dW * 1.001, db * 1.001) for layer, (dW, db) in grads.items()}
+            assert 5e-4 < grad_check(layers, wrong, loss) < 2e-3, name
+
+    def test_the_cases_check_the_live_weights_of_parameter_sets(self):
+        # the cases perturb the layers of the trainer's `ParamSet`s in place
+        # (test_command_cases_pass_at_every_draw fails if the writes miss them)
+        for name, layers, grads, loss in gradcheck_cases(np.random.default_rng(11)):
+            flat = layers[0].W.base
+            assert all(np.shares_memory(p, flat) for layer in layers for p in (layer.W, layer.b))
 
 
 class TestAdam:
@@ -258,21 +289,22 @@ class TestAdam:
         assert [id(a) for a in state.scratch] == scratch
 
 
-def probs_from_gradient(dlogits, labels):
-    """The probabilities behind an unweighted `softmax_ce` gradient, whose
-    rows are (p - onehot) / B."""
-    probs = dlogits * labels.size
-    probs[np.arange(labels.size), labels] += 1.0
-    return probs
+def softmax_parts(logits, labels):
+    """`_softmax_residual` of logits on labels: each row's cross-entropy,
+    read off the kernel's parts as the terms read it, and the residual
+    p - onehot."""
+    onehot = labels[:, None] == np.arange(logits.shape[1])
+    shifted, denom, residual = _softmax_residual(np.asarray(logits, dtype=np.float64), onehot)
+    return np.log(denom) - shifted[onehot], residual
 
 
 class TestSoftmaxCE:
     def test_equal_logits_symmetry(self):
-        logits = np.zeros((3, 4))
         labels = np.array([0, 1, 2])
-        loss, d = softmax_ce(logits, labels)
-        np.testing.assert_allclose(probs_from_gradient(d, labels), 0.25)
-        np.testing.assert_allclose(loss, math.log(4.0), rtol=1e-12)
+        ce, residual = softmax_parts(np.zeros((3, 4)), labels)
+        probs = residual + (labels[:, None] == np.arange(4))
+        np.testing.assert_allclose(probs, 0.25)
+        np.testing.assert_allclose(ce, math.log(4.0), rtol=1e-12)
 
     def test_hand_computed_weighted_oracle(self):
         # scalar arithmetic done independently with math.*
@@ -286,72 +318,59 @@ class TestSoftmaxCE:
             ce = math.log(denom) - z[labels[b]]
             expected += weights[b] * ce
         expected /= weights.sum()
-        loss, _ = softmax_ce(logits, labels, weights)
-        np.testing.assert_allclose(loss, expected, rtol=1e-12)
+        ce, _ = softmax_parts(logits, labels)
+        np.testing.assert_allclose((weights * ce).sum() / weights.sum(), expected, rtol=1e-12)
 
     def test_probability_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((20, 5)) * 10
         labels = rng.integers(0, 5, 20)
-        _, d = softmax_ce(logits, labels)
-        probs = probs_from_gradient(d, labels)
+        _, residual = softmax_parts(logits, labels)
+        probs = residual + (labels[:, None] == np.arange(5))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_gradient_rows_sum_to_zero_uniform_weights(self):
         rng = np.random.default_rng(1)
-        logits = rng.standard_normal((10, 4))
-        _, d = softmax_ce(logits, rng.integers(0, 4, 10))
-        np.testing.assert_allclose(d.sum(axis=1), 0.0, atol=1e-9)
+        _, residual = softmax_parts(rng.standard_normal((10, 4)), rng.integers(0, 4, 10))
+        np.testing.assert_allclose(residual.sum(axis=1), 0.0, atol=1e-9)
 
     def test_gradient_scaling_contract(self):
-        # rows equal weight * (p - onehot) / sum w
+        # a weighted-mean CE's gradient rows, w_b / sum w times the residual's,
+        # equal weight * (p - onehot) / sum w
         logits = np.array([[0.3, -0.7], [1.2, 0.1]])
         labels = np.array([1, 0])
         weights = np.array([2.0, 1.0])
-        _, d = softmax_ce(logits, labels, weights)
+        _, residual = softmax_parts(logits, labels)
         probs = softmax(logits)
         onehot = np.zeros_like(probs)
         onehot[np.arange(2), labels] = 1.0
         expected = weights[:, None] * (probs - onehot) / weights.sum()
-        np.testing.assert_allclose(d, expected, rtol=1e-12)
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            softmax_ce(np.zeros((2, 2)), np.array([0, 1]), weights=np.zeros(2))
-
-    def test_out_of_range_labels_rejected(self):
-        with pytest.raises(ValueError, match="range"):
-            softmax_ce(np.zeros((1, 2)), np.array([2]))
+        np.testing.assert_allclose((weights / weights.sum())[:, None] * residual, expected,
+                                   rtol=1e-12)
 
 
 class TestSigmoidBCE:
     def test_zero_logit_target_one(self):
-        loss, _ = sigmoid_bce(np.zeros(1), np.ones(1))
+        loss, _ = _sigmoid_bce(np.zeros(1), np.ones(1), np.ones(1), 1.0)
         np.testing.assert_allclose(loss, math.log(2.0), rtol=1e-12)
 
     def test_large_logit_saturates(self):
-        loss, _ = sigmoid_bce(np.array([50.0]), np.ones(1))
+        loss, _ = _sigmoid_bce(np.array([50.0]), np.ones(1), np.ones(1), 1.0)
         assert loss < 1e-20
 
     def test_hand_computed_mixed_batch(self):
         logits = np.array([0.5, -1.0, 2.0])
         targets = np.array([1.0, 0.0, 0.0])
         weights = np.array([1.0, 2.0, 0.5])
-        expected = 0.0
+        expected, grad = 0.0, []
         for z, t, w in zip(logits, targets, weights):
             p = 1.0 / (1.0 + math.exp(-z))
             expected += w * (-(t * math.log(p) + (1 - t) * math.log(1 - p)))
+            grad.append(w * (p - t) / weights.sum())
         expected /= weights.sum()
-        loss, _ = sigmoid_bce(logits, targets, weights)
+        loss, dlogits = _sigmoid_bce(logits, targets, weights, weights.sum())
         np.testing.assert_allclose(loss, expected, rtol=1e-12)
-
-    def test_bad_targets_rejected(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            sigmoid_bce(np.zeros(2), np.array([0.0, 0.5]))
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            sigmoid_bce(np.zeros(2), np.zeros(2), np.zeros(2))
+        np.testing.assert_allclose(dlogits, grad, rtol=1e-12)
 
 
 def test_softmax_helper_temperature():
@@ -498,16 +517,6 @@ class TestParamSet:
         net.layers[2].W = net.layers[2].W.copy()
         with pytest.raises(ValueError, match="layer 1 .*no longer views"):
             second.step(grads, 0.01)
-
-    def test_grad_check_reaches_the_live_weights(self):
-        for name, net, x, loss in gradcheck_cases(np.random.default_rng(11)):
-            ParamSet(net.layers)
-            assert grad_check(net, x, loss) < 1e-4, name
-
-            def wrong(out, loss=loss):
-                value, dout = loss(out)
-                return value, dout * 1.001
-            assert 5e-4 < grad_check(net, x, wrong) < 2e-3, name
 
 
 class TestStack:

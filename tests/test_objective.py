@@ -8,7 +8,7 @@ import pytest
 from mudal import objective
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import ModelBundle, make_bundle
-from mudal.nn import DenseNet, Layer, Workspace, sigmoid_bce, softmax_ce
+from mudal.nn import DenseNet, Layer, Workspace
 from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
                              classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              decision_rates, disc_pass, estimate_h_distance, evaluate)
@@ -80,6 +80,12 @@ def disc_logit(bundle, z, i):
     return bundle.discriminator.predict(z)[:, i]
 
 
+def mean_bce(logits, target):
+    """Oracle: the mean binary cross-entropy of logits against one 0/1
+    target, log(1 + e^z) - t * z per row."""
+    return float(np.mean(np.logaddexp(0.0, logits) - target * logits))
+
+
 def disc_orig_rates(bundle, z_blocks):
     """Oracle: (N, B), how often the discriminator takes latent block b for
     original domain i, one `disc_logit` read per (code, block)."""
@@ -136,7 +142,7 @@ class TestVh:
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         # pooled mean over equal-size batches == mean of per-domain means
         pooled_logits = bundle.class_logits(np.vstack(feats))
-        pooled_loss, _ = softmax_ce(pooled_logits, np.concatenate(labels))
+        pooled_loss, _ = softmax_ce_by_rows(pooled_logits, np.concatenate(labels))
         np.testing.assert_allclose(res.value, pooled_loss, atol=1e-9)
 
     def test_point_mass_selects_single_domain(self):
@@ -145,7 +151,7 @@ class TestVh:
         alpha = np.zeros((3, 3))
         alpha[:, 1] = 1.0
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
-        one_loss, _ = softmax_ce(bundle.class_logits(feats[1]), labels[1])
+        one_loss, _ = softmax_ce_by_rows(bundle.class_logits(feats[1]), labels[1])
         np.testing.assert_allclose(res.value, one_loss, atol=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -155,7 +161,7 @@ class TestVh:
         cols = alpha.mean(axis=0)
         expected = 0.0
         for j in range(3):
-            loss_j, _ = softmax_ce(bundle.class_logits(feats[j]), labels[j])
+            loss_j, _ = softmax_ce_by_rows(bundle.class_logits(feats[j]), labels[j])
             expected += cols[j] * loss_j
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
@@ -419,8 +425,8 @@ class TestVd:
         for i in range(3):
             z_o = bundle.encode(orig[i])
             z_l = bundle.encode(lab[i])
-            lo, _ = sigmoid_bce(disc_logit(bundle, z_o, i), np.ones(z_o.shape[0]))
-            ll, _ = sigmoid_bce(disc_logit(bundle, z_l, i), np.zeros(z_l.shape[0]))
+            lo = mean_bce(disc_logit(bundle, z_o, i), 1.0)
+            ll = mean_bce(disc_logit(bundle, z_l, i), 0.0)
             expected += lo + ll
         expected /= 6.0
         np.testing.assert_allclose(res_eye.value, expected, atol=1e-12)
@@ -436,11 +442,11 @@ class TestVd:
         expected = 0.0
         for i in range(3):
             z_o = bundle.encode(orig[i])
-            lo, _ = sigmoid_bce(disc_logit(bundle, z_o, i), np.ones(z_o.shape[0]))
+            lo = mean_bce(disc_logit(bundle, z_o, i), 1.0)
             expected += lo
             for j in range(3):
                 z_l = bundle.encode(lab[j])
-                ll, _ = sigmoid_bce(disc_logit(bundle, z_l, i), np.zeros(z_l.shape[0]))
+                ll = mean_bce(disc_logit(bundle, z_l, i), 0.0)
                 expected += alpha[i, j] * ll
         expected /= 6.0
         res = vd_of(bundle, encode(bundle, orig), encode(bundle, lab), alpha)
@@ -519,7 +525,7 @@ class TestVlambda:
             head = head_net(bundle, i)
             for j in range(3):
                 z = bundle.encode(feats[j])
-                loss, _ = softmax_ce(head.predict(z), labels[j])
+                loss, _ = softmax_ce_by_rows(head.predict(z), labels[j])
                 expected += alpha[i, j] * loss
         expected /= 3.0
         res = vlambda_of(bundle, encode(bundle, feats), labels, alpha)
@@ -540,10 +546,12 @@ class TestVlambda:
                       with_encoder_grads(bundle, trace, with_trunk_grads(cls, res)))
 
 
-def softmax_ce_by_rows(logits, labels, weights):
-    """The weighted softmax CE as per-row reductions and a one-hot matrix
-    compute it: the bitwise oracle of the column-at-a-time kernels."""
+def softmax_ce_by_rows(logits, labels, weights=None):
+    """The weighted softmax CE (loss, dloss/dlogits), unweighted without
+    `weights`, as per-row reductions and a one-hot matrix compute it: the
+    bitwise oracle of the column-at-a-time kernels."""
     b = logits.shape[0]
+    weights = np.ones(b) if weights is None else weights
     wsum = weights.sum()
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)

@@ -96,6 +96,17 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             SimilarityMatrix(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityMatrix(np.full((2, 2), bad))
+
+    def test_nan_csv_rejected(self, tmp_path):
+        path = tmp_path / "alpha.csv"
+        path.write_text("L0,L1\nnan,nan\n0.5,0.5\n")
+        with pytest.raises(ValueError, match="finite"):
+            SimilarityMatrix.from_csv(path)
+
     def test_non_square_csv_rejected(self, tmp_path):
         path = tmp_path / "alpha.csv"
         path.write_text("L0,L1,L2\n0.5,0.25,0.25\n0.2,0.3,0.5\n")
