@@ -31,7 +31,7 @@ from .bounds import complexity_ratio, hoeffding_term, verify_optimal_beta
 from .config import ASSIGNMENT_MODES, ConfigError, parse_config, parse_int_tuple
 from .harness import run_experiment
 from .models import make_bundle
-from .nn import Workspace, grad_check
+from .nn import grad_check
 from .objective import BlockLayout, classifier_pass, compute_vd, disc_pass
 from .strategies import STRATEGIES
 from .training import VARIANTS, NumericalAbort, TrainConfig, step_grads
@@ -110,9 +110,10 @@ def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
     """(name, layers, grads, loss) for `grad_check`, per variant: the network
     step's gradient (`training.step_grads`, in the trainer's workspace)
     against the objective it descends with alpha and the discriminator held
-    fixed; where the discriminator trains, its step's V_d gradient against
-    V_d. Every parameter of networks with each layer kind of the default
-    `TrainConfig` at width 4, the batch, alpha and lambda_d come from `rng`."""
+    fixed, whose `loss()` returns its terms; where the discriminator trains,
+    its step's V_d gradient against V_d. Every parameter of networks with
+    each layer kind of the default `TrainConfig` at width 4, the batch, alpha
+    and lambda_d come from `rng`."""
     n, c = 3, 3
     layout = BlockLayout.of(rng.integers(1, 4, n), rng.integers(1, 4, n))
     x = rng.standard_normal((layout.orig_rows + layout.n_lab.sum(), 2))
@@ -124,11 +125,9 @@ def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
                           encoder_hidden=(4,), classifier_hidden=(4,), disc_hidden=(4, 4))
         bundle = make_bundle(2, c, n, rng, cfg.latent_dim, cfg.encoder_hidden,
                              cfg.classifier_hidden, cfg.disc_hidden, cfg.trains_discriminator)
-        net_set = bundle.net_param_set()
-        for pset in [net_set, bundle.disc_param_set()] if bundle.discriminator else [net_set]:
+        for pset in filter(None, (bundle.net_params, bundle.disc_params)):
             pset.flat[...] = rng.standard_normal(pset.flat.size)
-        ws = Workspace(net_set.grad_views(),
-                       (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
+        ws = bundle.workspace()
 
         def step(value: bool):
             trace = bundle.encoder.forward(x, ws, "encoder")
@@ -136,22 +135,23 @@ def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
                                   heads=cfg.optimizes_alpha, ws=ws)
             # V_d reaches the network step only where the encoder aligns
             disc = disc_pass(bundle, trace.output, layout, ws) if cfg.aligns_encoder else None
-            return step_grads(cfg, trace, cls, disc, alpha, ws, value=value)
+            return step_grads(cfg, trace, cls, disc, alpha, value=value)
 
-        def objective() -> float:
+        def terms() -> tuple[float, ...]:
             v_h, v_d, v_lambda = step(True)[1]
-            return v_h + v_lambda - cfg.lambda_d * v_d
+            return v_h, v_lambda, -cfg.lambda_d * v_d
         # copies, as the objective's steps write over them; only V_lambda reads the heads
         grads = {layer: (dW.copy(), db.copy()) for layer, (dW, db) in step(False)[0].items()}
-        layers = net_set.layers if cfg.optimizes_alpha else net_set.layers[:-n]
-        cases = [(f"{variant}: network step", layers, grads, objective)]
+        layers = bundle.net_params.layers
+        layers = layers if cfg.optimizes_alpha else layers[:-n]
+        cases = [(f"{variant}: network step", layers, grads, terms)]
         if bundle.discriminator:
             z = bundle.encoder.forward(x).output
             grads = compute_vd(disc_pass(bundle, z, layout), alpha, inputs=False,
                                value=False).grads
             cases.append((f"{variant}: discriminator step", bundle.discriminator.layers, grads,
-                          lambda: compute_vd(disc_pass(bundle, z, layout), alpha, params=False,
-                                             inputs=False).value))
+                          lambda: (compute_vd(disc_pass(bundle, z, layout), alpha, params=False,
+                                              inputs=False).value,)))
         return cases
     return [case for variant in VARIANTS for case in cases_of(variant)]
 

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nn import DenseNet, Layer, ParamSet
+from .nn import DenseNet, Layer, ParamSet, Workspace
 
 
 @dataclass
@@ -20,6 +20,12 @@ class ModelBundle:
     Logit i of the discriminator is the conditional decision D_i(z) that a
     latent row is an original of domain i rather than part of its labeled
     mixture: MDAN's per-domain discriminators as heads over one shared trunk.
+
+    The bundle is its parameters' one home, built with it: `net_params`, the
+    `ParamSet` of the encoder, classifier and head finals, `finals`, its
+    `LayerStack` of the shared final layer and the heads, and `disc_params`,
+    the discriminator's set (None without one). Every pass and step reads
+    them: another set over the same layers would stop these from stepping.
     """
 
     encoder: DenseNet
@@ -33,15 +39,16 @@ class ModelBundle:
             raise ValueError("the classifier needs a trunk: a hidden layer before its final one")
         if len(self.head_finals) != self.n_domains:
             raise ValueError("need one head final layer per domain")
-        trunk_out = self.classifier.layers[-1].in_dim
-        for i, head in enumerate(self.head_finals):
-            if head.in_dim != trunk_out or head.out_dim != self.classifier.output_dim:
-                raise ValueError(f"head {i} does not match the classifier final layer shape")
         disc = self.discriminator
         if disc is not None and (disc.input_dim, disc.output_dim) != (self.latent_dim,
                                                                        self.n_domains):
             raise ValueError(f"discriminator maps {disc.input_dim} -> {disc.output_dim}; "
                              f"need latent {self.latent_dim} -> {self.n_domains} domain logits")
+        self.net_params = ParamSet([*self.encoder.layers, *self.classifier.layers,
+                                    *self.head_finals])
+        # refuses a head whose shape is not the shared final layer's
+        self.finals = self.net_params.stack([self.classifier.layers[-1], *self.head_finals])
+        self.disc_params = None if disc is None else ParamSet(disc.layers)
 
     @property
     def latent_dim(self) -> int:
@@ -55,17 +62,15 @@ class ModelBundle:
     def encode(self, x: np.ndarray) -> np.ndarray:
         return self.encoder.predict(x)
 
-    def class_logits(self, x: np.ndarray) -> np.ndarray:
-        return self.classifier.predict(self.encode(x))
+    def readout(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The classifier's final-layer input on latent rows z, and its logits."""
+        trace = self.classifier.forward(z)
+        return trace.acts[-2], trace.output
 
-    def net_param_set(self) -> ParamSet:
-        """Encoder, classifier, and all head finals, each layer once."""
-        return ParamSet([*self.encoder.layers, *self.classifier.layers, *self.head_finals])
-
-    def disc_param_set(self) -> ParamSet:
-        if self.discriminator is None:
-            raise ValueError("bundle has no discriminator")
-        return ParamSet(self.discriminator.layers)
+    def workspace(self) -> Workspace:
+        """A new `Workspace` for a round, writing layer gradients where `step` reads them."""
+        disc = {} if self.disc_params is None else self.disc_params.grad_views()
+        return Workspace(self.net_params.grad_views() | disc)
 
 
 def make_bundle(feature_dim: int, n_classes: int, n_domains: int,

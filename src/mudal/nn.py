@@ -6,7 +6,8 @@ input gradients (required to chain gradients into an upstream encoder and to
 flip the sign of adversarial updates), the kernels of the weighted
 softmax/sigmoid cross-entropies that the objective's terms call (no public
 loss), and `grad_check(layers, grads, loss)`, the oracle of any gradient, e.g.
-a training step's, by central finite differences of a zero-argument `loss()`.
+a training step's, by central finite differences of a zero-argument `loss()`
+that returns the loss's terms.
 
 A gradient has one shape from backward to the optimizer: `LayerGrads`, the
 (dW, db) pair of each layer. A `ParamSet` keeps its layers' W and b as views
@@ -17,7 +18,11 @@ of W's and one of b's, which `ParamSet.stack` hands out as a `LayerStack`:
 (K, out, in) and (K, out) views of the parameters and of the gradient
 buffer, slice k aliasing layer k. Adam writes its products and quotients,
 in the textbook expression's operand order, into two temporaries the set's
-`AdamState` allocates once.
+`AdamState` allocates once. A layer views one set at a time: a later set
+over it takes it over, and the earlier one then refuses to step. So a
+`models.ModelBundle` builds its sets and its stack of final layers once,
+with itself, and every pass reads those; a gradient a term writes through
+the stack lands in the set's buffer, where the next pass writes over it.
 
 `DenseNet.backward` computes only what its caller reads: `params=False`
 skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
@@ -151,15 +156,14 @@ class Layer:
 class Workspace:
     """The arrays the passes of a training round write into: a dict keyed by
     (role, name, shape, dtype), each array made on first use, plus the
-    layer-gradient destinations `grads` (e.g. `ParamSet`s' `grad_views`
-    merged; a layer missing from them has its own, under the layer as role)
-    and `stacks`, `LayerStack`s by their first layer. A key of role None is
-    shared by every role: the backward keeps there what dies within it."""
+    layer-gradient destinations `grads` (a bundle's `ParamSet`s'
+    `grad_views` merged; a layer missing from them has its own, under the
+    layer as role). A key of role None is shared by every role: the backward
+    keeps there what dies within it."""
 
-    def __init__(self, grads: LayerGrads, stacks: tuple[LayerStack, ...] = ()):
+    def __init__(self, grads: LayerGrads):
         self.arrays = {}
         self.grads = dict(grads)
-        self.stacks = {stack.layers[0]: stack for stack in stacks}
 
     def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         key = (role, name, shape, dtype)
@@ -368,15 +372,6 @@ class LayerStack:
     db: np.ndarray
     grads: LayerGrads
 
-    @classmethod
-    def copied(cls, layers: list[Layer]) -> LayerStack:
-        """A stack of copies of the layers' W and b, with fresh gradient
-        arrays: for layers that no `ParamSet` lays out together."""
-        W, b = np.stack([layer.W for layer in layers]), np.stack([layer.b for layer in layers])
-        dW, db = np.empty_like(W), np.empty_like(b)
-        return cls(tuple(layers), W, b, dW, db,
-                   {layer: (dW[k], db[k]) for k, layer in enumerate(layers)})
-
     def first(self, k: int) -> LayerStack:
         """The stack of the first k layers, viewing the same memory."""
         return LayerStack(self.layers[:k], self.W[:k], self.b[:k], self.dW[:k], self.db[:k],
@@ -545,20 +540,22 @@ def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray, wsum, *,
     return loss, dlogits
 
 
-# a loss value is taken as exact to within this many units in its last place
+# a loss term is taken as exact to within this many units in its last place
 FD_ROUNDOFF_ULPS = 8.0
 
 
 def grad_check(layers: list[Layer], grads: LayerGrads, loss, eps: float = 1e-6) -> float:
-    """Max relative error between the gradients `grads` of the zero-argument
-    `loss()` and its central finite differences over each layer's live W and
-    b, perturbed in place one entry at a time; a layer missing from `grads`
-    counts as zero.
+    """Max relative error between the gradients `grads` of the loss and its
+    central finite differences over each layer's live W and b, perturbed in
+    place one entry at a time; a layer missing from `grads` counts as zero.
+    The zero-argument `loss()` returns the loss's terms, which the check sums.
 
-    A central difference carries its two loss values' roundoff, divided by
-    2 * eps. Each entry scores |g - fd| less that noise floor, relative to
-    max(|g|, |fd|): an entry that agrees to within the floor scores 0 however
-    small it is, and any larger disagreement counts in full above it.
+    A central difference carries its loss values' roundoff, divided by
+    2 * eps, and a sum of terms carries the roundoff of its largest term even
+    where the terms cancel. Each entry scores |g - fd| less that noise floor,
+    relative to max(|g|, |fd|): an entry that agrees to within the floor
+    scores 0 however small it is, and any larger disagreement counts in full
+    above it.
     """
     worst = 0.0
     for layer in layers:
@@ -571,8 +568,9 @@ def grad_check(layers: list[Layer], grads: LayerGrads, loss, eps: float = 1e-6) 
                 flat_p[i] = orig - eps
                 down = loss()
                 flat_p[i] = orig
-                fd = (up - down) / (2.0 * eps)
-                noise = FD_ROUNDOFF_ULPS * np.finfo(np.float64).eps * max(abs(up), abs(down)) / eps
+                fd = (sum(up) - sum(down)) / (2.0 * eps)
+                largest = max(abs(term) for term in (*up, *down))
+                noise = FD_ROUNDOFF_ULPS * np.finfo(np.float64).eps * largest / eps
                 excess = abs(g_i - fd) - noise
                 if excess > 0.0:
                     worst = max(worst, excess / max(abs(g_i), abs(fd)))

@@ -25,12 +25,12 @@ the caller asks (`value=True`, the default); otherwise the value reads None,
 so nothing can take an uncomputed value for 0. Their gradients are the same
 bits either way.
 
-Batched heads. When the workspace holds a `LayerStack` of the shared final
-layer and the heads (a trainer builds it from its `ParamSet`), the pass
-reads its (K, C, H) views instead of stacking copies, and V_lambda writes
-the heads' dW with one batched product and their db with one row sum
-straight into the set's gradient buffer. Its trunk-output gradient is one
-batched (N, B, H) product summed over the heads in head order, as the
+Batched heads. The pass reads the bundle's stack of the shared final layer
+and the heads (`ModelBundle.finals`), views of its network `ParamSet`. V_h
+and V_lambda write the final layers' dW and db into the set's buffer (the
+heads' with one batched product and one row sum), so a caller that keeps
+them across another pass copies them. V_lambda's trunk-output gradient is
+one batched (N, B, H) product summed over the heads in head order, as the
 per-head loop summed it. V_h and V_lambda read one softmax of all K final
 layers' logits (`ClassifierPass.softmax`), computed once per pass: each row
 is computed on its own, so the stacked rows keep their bits.
@@ -63,8 +63,8 @@ import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (ALLOCATE, ActivationTrace, Layer, LayerGrads, LayerStack, Workspace,
-                 _sigmoid_bce, _softmax_residual)
+from .nn import (ALLOCATE, ActivationTrace, LayerGrads, LayerStack, Workspace, _sigmoid_bce,
+                 _softmax_residual)
 from .simplex import as_alpha, column_importance, project_simplex
 
 
@@ -138,17 +138,14 @@ class ClassifierPass:
     rows, and the logits (K, B, C) of the final layers on its output: the
     shared final layer at 0, then head i's final at 1 + i when the pass
     includes the heads. Its arrays, and those of the terms that read it,
-    come from `ws`, and the final layers' from `stack`: the workspace's
-    `LayerStack` of them if it has one, else a stacked copy."""
-    trunk: ActivationTrace
-    hidden: np.ndarray      # the trunk output, (B, H)
-    finals: list[Layer]
-    versions: list[int]     # of `finals`, at the forward pass
+    come from the trunk trace's workspace; the final layers are `stack`,
+    the bundle's `LayerStack` of them, whose gradient views the terms write."""
+    trunk: ActivationTrace  # its output is the trunk output, (B, H)
+    versions: list[int]     # of the stack's layers, at the forward pass
     logits: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray       # rows per labeled domain
-    stack: LayerStack       # of `finals`, whose gradients the terms write
-    ws: Workspace = ALLOCATE
+    stack: LayerStack
     _softmax: tuple | None = None
 
     def softmax(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +161,7 @@ class ClassifierPass:
     def check_current(self) -> None:
         """Refuse a pass whose layers changed since it ran: a later pass may
         have written over its arrays."""
-        if [f.version for f in self.finals] != self.versions:
+        if [f.version for f in self.stack.layers] != self.versions:
             raise ValueError("stale trace: final layers changed since classifier_pass()")
         self.trunk.check_current(self.trunk.net)
 
@@ -183,8 +180,8 @@ class ClassifierPass:
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
                     heads: bool = True, ws: Workspace = ALLOCATE) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`sizes`
-    rows per labeled domain) and apply the shared final layer (and, with
-    `heads`, every head final) as one (K, C, H) `LayerStack`. An empty
+    rows per labeled domain) and apply the bundle's `finals` (with `heads`,
+    else the shared final layer alone) as one (K, C, H) stack. An empty
     labeled block is refused. Its arrays go to `ws` under the "trunk" role.
     The labels must lie in [0, C) for V_h and V_lambda to read them."""
     sizes = np.asarray(sizes)
@@ -193,23 +190,15 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
                          f"labeled blocks of {sizes.tolist()} rows")
     require_rows(sizes, "labeled")
     trace = bundle.trunk.forward(z, ws, "trunk")
-    hidden = trace.output
-    final = bundle.classifier.layers[-1]
-    k = 1 + len(bundle.head_finals) if heads else 1
-    stack = ws.stacks.get(final)
-    if stack is None:
-        stack = LayerStack.copied([final, *bundle.head_finals][:k])
-    elif k < len(stack.layers):
-        stack = stack.first(k)
+    stack = bundle.finals if heads else bundle.finals.first(1)
+    k, c = stack.b.shape
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-    logits = np.matmul(hidden, stack.W.transpose(0, 2, 1),
-                       out=ws.array("trunk", "logits", (k, hidden.shape[0], final.out_dim)))
+    logits = np.matmul(trace.output, stack.W.transpose(0, 2, 1),
+                       out=ws.array("trunk", "logits", (k, z.shape[0], c)))
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    finals = list(stack.layers)
-    return ClassifierPass(trace, hidden, finals, [f.version for f in finals], logits, labels,
-                          sizes, stack, ws)
+    return ClassifierPass(trace, [f.version for f in stack.layers], logits, labels, sizes, stack)
 
 
 def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
@@ -228,10 +217,10 @@ def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
         loss = float((w * ce).sum() / wsum)
     dlogits = np.multiply((w / wsum)[:, None], residual[0])
     dlogits *= wsum
-    final = cls.finals[0]
+    hidden, final = cls.trunk.output, cls.stack.layers[0]
     dW, db = cls.stack.grads[final]
-    grads = {final: (np.matmul(dlogits.T, cls.hidden, out=dW), dlogits.sum(axis=0, out=db))}
-    dz = np.matmul(dlogits, cls.stack.W[0], out=cls.ws.array("trunk", "vh_dz", cls.hidden.shape))
+    grads = {final: (np.matmul(dlogits.T, hidden, out=dW), dlogits.sum(axis=0, out=db))}
+    dz = np.matmul(dlogits, cls.stack.W[0], out=cls.trunk.ws.array("trunk", "vh_dz", hidden.shape))
     return TermResult(None if loss is None else float(loss * wsum), grads, dz)
 
 
@@ -247,7 +236,7 @@ def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermRe
     cls.check_current()
     a = as_alpha(alpha)
     n = a.shape[0]
-    heads = cls.finals[1:]
+    heads = cls.stack.layers[1:]
     if len(heads) != n:
         raise ValueError("V_lambda needs a classifier pass with every head")
     # head i weighs each row of L_j by alpha[i, j] / |L_j|
@@ -264,12 +253,12 @@ def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermRe
     dlogits *= wsum / n
     W, dW, db = cls.stack.W[1:], cls.stack.dW[1:], cls.stack.db[1:]
     grads = {h: cls.stack.grads[h] for h in heads}
-    np.matmul(dlogits.transpose(0, 2, 1), cls.hidden, out=dW)
+    np.matmul(dlogits.transpose(0, 2, 1), cls.trunk.output, out=dW)
     dlogits.sum(axis=1, out=db)
     # each head's (B, H) product, then their sum in head order, one at a time
     # into the first: sum(axis=0)'s bits without a second array
-    products = np.matmul(dlogits, W, out=cls.ws.array("trunk", "head_products",
-                                                      (n, *cls.hidden.shape)))
+    products = np.matmul(dlogits, W, out=cls.trunk.ws.array("trunk", "head_products",
+                                                            (n, *cls.trunk.output.shape)))
     dhidden = products[0]
     for i in range(1, n):
         dhidden += products[i]
@@ -440,6 +429,6 @@ def evaluate(bundle: ModelBundle, dataset: MultiDomainDataset) -> tuple[np.ndarr
     ties toward the lowest class index."""
     accs = np.zeros(dataset.n_domains)
     for i in range(dataset.n_domains):
-        pred = np.argmax(bundle.class_logits(dataset.test_features[i]), axis=1)
+        pred = np.argmax(bundle.readout(bundle.encode(dataset.test_features[i]))[1], axis=1)
         accs[i] = float(np.mean(pred == dataset.test_labels[i]))
     return accs, float(accs.mean())

@@ -65,16 +65,9 @@ def select_random(req: QueryRequest) -> np.ndarray:
     return np.sort(chosen)
 
 
-def _classifier_readout(bundle: ModelBundle, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The classifier's final-layer input on latent rows, and its final logits."""
-    final = bundle.classifier.layers[-1]
-    hidden = bundle.trunk.predict(z)
-    return hidden, hidden @ final.W.T + final.b
-
-
 def margin_scores(bundle: ModelBundle, z: np.ndarray) -> np.ndarray:
     """Top-1 minus top-2 predicted probability per latent row (small = uncertain)."""
-    probs = softmax(_classifier_readout(bundle, z)[1])
+    probs = softmax(bundle.readout(z)[1])
     part = np.sort(probs, axis=1)
     return part[:, -1] - part[:, -2]
 
@@ -131,7 +124,7 @@ def badge_embeddings(bundle: ModelBundle, z: np.ndarray,
     (p - onehot(argmax p)) outer h, as its factors: h is the classifier's
     final-layer input on latent rows z and p the temperature softmax of the
     logits."""
-    hidden, logits = _classifier_readout(bundle, z)
+    hidden, logits = bundle.readout(z)
     delta = softmax(logits, temperature=temperature)
     delta[np.arange(delta.shape[0]), np.argmax(delta, axis=1)] -= 1.0
     return RankOneRows(delta, hidden)

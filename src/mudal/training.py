@@ -23,13 +23,14 @@ on their summed gradient; the latent gradients (the trunk's, and V_d's times
 -lambda_d) go back through the encoder once. Each term's layer gradients
 cover layers no other term reaches (V_h the shared final layer, V_lambda the
 head finals, the trunk backward the trunk, the encoder backward the encoder),
-so the step's gradient is their union, and one Adam step of the network
-`ParamSet` applies it; the discriminator's `ParamSet` steps on V_d's. Each set
-runs one Adam update over its flat parameter vector, and a layer no term
-reaches (head finals under `vanilla` and `cal_fa`) keeps its initial weights.
-Models are re-initialized at the start of every round; the similarity matrix
-restarts uniform. Every labeled domain has rows: `train_round` refuses an
-empty one, naming it, so every block of every batch has rows.
+so the step's gradient is their union, and one Adam step of the bundle's
+network `ParamSet` applies it; its discriminator `ParamSet` steps on V_d's.
+Each set runs one Adam update over its flat parameter vector, and a layer no
+term reaches (head finals under `vanilla` and `cal_fa`) keeps its initial
+weights. Models are re-initialized at the start of every round; the
+similarity matrix restarts uniform. Every labeled domain has rows:
+`train_round` refuses an empty one, naming it, so every block of every batch
+has rows.
 
 Each backward computes only what its caller reads:
 - the discriminator's update: its layer gradients, not its input gradient;
@@ -51,10 +52,9 @@ what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once, and stacked with the train rows for `_batch_sampler`; the
 `BlockLayout`, the block sizes each draw takes and the terms read; and the
-`Workspace` every step writes into, with the `LayerStack` of the shared
-final layer and the heads. A step's batch is one matrix in that order,
-gathered with one index, and each pass reads a slice of the encoder's
-output over it.
+bundle's `Workspace` every step writes into (`ModelBundle.workspace`). A
+step's batch is one matrix in that order, gathered with one index, and each
+pass reads a slice of the encoder's output over it.
 
 What lives for the round and what for the step. The workspace lives for
 the round, and each step writes over the last one's arrays of each role:
@@ -64,12 +64,12 @@ trunk-output gradient and V_lambda's head products), "disc" and
 apart because the pass after one step's update is still current when the
 next step's pass before the update runs) and "vd" (V_d's weights, sigmoid
 and logit gradient). The backwards' masks and deltas are shared by every
-role, and the layer gradients go straight into the `ParamSet`s' gradient
-buffers. Where the encoder aligns, its output gradient is written over V_d's
-latent gradient; elsewhere it is the "encoder" role's. What a step reads of
-the workspace lives only for the step: the readers of a pass or trace
-refuse it once its network stepped (`stale trace`), and each network steps
-before the next step writes its role again. The rest of a step's arrays are
+role, and the layer gradients go straight into the bundle's `ParamSet`s'
+gradient buffers. Where the encoder aligns, its output gradient is written
+over V_d's latent gradient; elsewhere it is the "encoder" role's. What a
+step reads of the workspace lives only for the step: the readers of a pass
+or trace refuse it once its network stepped (`stale trace`), and each
+network steps before the next step writes its role again. The rest of a step's arrays are
 small and fresh each step (the batch, the classifier pass's softmax, V_h's
 and V_lambda's row weights and logit gradients, the alpha readouts), and the
 epoch snapshot and everything outside training allocate their own.
@@ -86,7 +86,6 @@ import numpy as np
 
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
-from .nn import Workspace
 from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
                         compute_vd, compute_vh, compute_vlambda, decision_rates, disc_pass,
                         require_rows)
@@ -237,13 +236,14 @@ def train_round(dataset: MultiDomainDataset, pool: LabeledPool, config: TrainCon
     return RoundResult(bundle, SimilarityMatrix(alpha), history)
 
 
-def step_grads(config, trace, cls, disc, alpha, ws, *, value=True):
+def step_grads(config, trace, cls, disc, alpha, *, value=True):
     """The network step's `LayerGrads` of V_h + V_lambda - lambda_d * V_d,
     less the terms the variant lacks, at `alpha` with the discriminator held
     fixed, and (V_h, V_d, V_lambda), None unless `value`: V_d from the
     post-update pass `disc` (0 if None), V_h and V_lambda (0 without heads)
     from the classifier pass `cls`, backward over the encoder `trace`, all
-    written into `ws`. A FloatingPointError leaves naming its phase."""
+    written into the trace's workspace. A FloatingPointError leaves naming
+    its phase."""
     phase = "V_d"
     try:
         v_d = v_lambda = 0.0 if value else None
@@ -272,7 +272,7 @@ def step_grads(config, trace, cls, disc, alpha, ws, *, value=True):
             np.subtract(0.0, dz[:n_orig], out=dz[:n_orig])
             np.subtract(dz_lab, dz[n_orig:], out=dz[n_orig:])
         else:
-            dz = ws.array("encoder", "output_grad", trace.output.shape)
+            dz = trace.ws.array("encoder", "output_grad", trace.output.shape)
             dz[:n_orig] = 0.0
             dz[n_orig:] = dz_lab
         enc_g, _ = trace.net.backward(trace, dz, inputs=False)
@@ -281,8 +281,7 @@ def step_grads(config, trace, cls, disc, alpha, ws, *, value=True):
     return grads | trunk_g | enc_g, (vh.value, v_d, v_lambda)
 
 
-def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, disc_set,
-                last_step):
+def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
     """One minibatch step over a `_batch_sampler` batch in the round's
     `layout`, written into the round's `Workspace`. Returns the new
     alpha, the new coefficient EMA and `step_grads`'s values, computed only
@@ -303,7 +302,8 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
         if config.trains_discriminator:
             phase = "discriminator update"
             disc = disc_pass(bundle, z, layout, ws)
-            disc_set.step(compute_vd(disc, alpha, inputs=False, value=False).grads, config.lr)
+            bundle.disc_params.step(compute_vd(disc, alpha, inputs=False, value=False).grads,
+                                    config.lr)
             # the updated discriminator's one pass over the same rows feeds the
             # alpha readouts and then V_d at the new alpha
             phase = "discriminator forward"
@@ -316,9 +316,9 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, net_set, di
                 alpha = alpha_step(alpha, coeff_ema, config.lr_alpha)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{phase}: {exc}") from exc
-    grads, values = step_grads(config, trace, cls, disc, alpha, ws, value=last_step)
+    grads, values = step_grads(config, trace, cls, disc, alpha, value=last_step)
     try:
-        net_set.step(grads, config.lr)
+        bundle.net_params.step(grads, config.lr)
     except FloatingPointError as exc:
         raise FloatingPointError(f"optimizer step: {exc}") from exc
     return alpha, coeff_ema, values
@@ -350,11 +350,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         [min(config.batch_size, dataset.train_size(i)) for i in range(n)],
         [min(config.batch_size, labels.size) for _, labels in labeled])
     alpha = np.full((n, n), 1.0 / n)
-    net_set = bundle.net_param_set()
-    disc_set = bundle.disc_param_set() if config.trains_discriminator else None
-    # the shared final layer and the heads, consecutive in the set, as one stack
-    ws = Workspace(net_set.grad_views() | (disc_set.grad_views() if disc_set else {}),
-                   (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
+    ws = bundle.workspace()
     draw = _batch_sampler(dataset, labeled, layout, config.trains_discriminator)
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
@@ -364,8 +360,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
             for step in range(1, steps_per_epoch + 1):
                 batch = draw(rng)
                 alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, ws,
-                                                       alpha, coeff_ema, net_set, disc_set,
-                                                       step == steps_per_epoch)
+                                                       alpha, coeff_ema, step == steps_per_epoch)
             v_h_val, v_d_val, v_lambda_val = values
             t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
             disc_acc = (_disc_accuracy(bundle, batch[0], layout, alpha)

@@ -210,7 +210,7 @@ class TestEmpiricalBound:
         recount = 0.0
         for j in range(2):
             feats = pool.labeled_features(j)
-            pred = np.argmax(bundle.class_logits(feats), axis=1)
+            pred = np.argmax(bundle.classifier.predict(bundle.encode(feats)), axis=1)
             recount += cols[j] * np.mean(pred != pool.labels(j))
         np.testing.assert_allclose(report.weighted_err, recount, atol=1e-12)
         assert report.total == (report.weighted_err + report.hoeffding

@@ -5,7 +5,8 @@ encoder forward or backward itself, runs the whole classifier, or builds a
 per-head net, and only `disc_pass` and `estimate_h_distance` run the
 discriminator. The same layering holds in `bounds.py`, which reads the latent
 rows the harness encodes, and in `strategies.py`, where only the `select_*`
-entry points and `grads_select` encode their request's rows.
+entry points and `grads_select` encode their request's rows and the readouts
+run the classifier through `ModelBundle.readout` alone.
 """
 import ast
 import pathlib
@@ -16,10 +17,11 @@ ALLOWED = {"evaluate"}
 NET_CALLS = ("forward", "backward", "predict")
 
 
-def encoder_callers(source: str) -> list[str]:
+def encoder_callers(source: str, attrs=("encode", "readout", "head_net")) -> list[str]:
     """Names of the functions that call `encoder.forward`, `encoder.backward`,
-    `classifier.forward`/`.backward`/`.predict`, `.encode(`, `.class_logits(`
-    or `.head_net(`."""
+    `classifier.forward`/`.backward`/`.predict`, or a method named in
+    `attrs`: by default `.encode(`, `.readout(` (the whole classifier) or
+    `.head_net(`."""
     callers = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
@@ -28,7 +30,7 @@ def encoder_callers(source: str) -> list[str]:
             if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
                 continue
             attr, owner = node.func.attr, node.func.value
-            if attr in ("encode", "class_logits", "head_net") or (
+            if attr in attrs or (
                     attr in NET_CALLS and isinstance(owner, ast.Attribute)
                     and owner.attr in ("encoder", "classifier")):
                 callers.append(fn.name)
@@ -42,11 +44,12 @@ def test_checker_flags_encoder_calls():
               "def e(b, x):\n    return b.encode(x)\n"
               "def f(b, z):\n    return b.classifier.forward(z)\n"
               "def g(b, z):\n    return b.head_net(0).forward(z)\n"
-              "def h(b, x):\n    return b.class_logits(x)\n"
+              "def h(b, z):\n    return b.readout(z)\n"
               "def k(b, z):\n    return b.classifier.predict(z)\n"
               "def m(trunk, z):\n    return DenseNet(trunk).forward(z)\n"
               "def p(b, z, i):\n    return b.disc_logits(z, i)\n")
     assert encoder_callers(source) == ["a", "c", "e", "f", "g", "h", "k"]
+    assert encoder_callers(source, ("encode",)) == ["a", "c", "e", "f", "k"]
 
 
 def test_objective_terms_read_latent_rows():
@@ -95,6 +98,7 @@ def test_bounds_reads_latent_rows():
 
 
 def test_only_strategy_entry_points_encode():
-    callers = [name for name in encoder_callers((SRC / "strategies.py").read_text())
+    # the readouts take latent rows, and the classifier's logits from `readout`
+    callers = [name for name in encoder_callers((SRC / "strategies.py").read_text(), ("encode",))
                if not (name.startswith("select_") or name == "grads_select")]
     assert not callers, f"strategies.py readouts that run the encoder or classifier: {callers}"

@@ -69,6 +69,11 @@ def vd_of(bundle, orig_z, lab_z, alpha):
     return compute_vd(disc_pass_of(bundle, orig_z, lab_z), alpha)
 
 
+def class_logits(bundle, x):
+    """Oracle: the classifier's logits on the latent rows of features x."""
+    return bundle.classifier.predict(bundle.encode(x))
+
+
 def head_net(bundle, i):
     """Oracle: domain head i as a net sharing every classifier layer but the
     last."""
@@ -95,11 +100,14 @@ def disc_orig_rates(bundle, z_blocks):
 
 def with_trunk_grads(cls, res):
     """A classifier term's grads plus the trunk's, and the latent gradient of
-    the labeled rows, backpropagated from `res.dz`."""
-    assert res.dz.shape == cls.hidden.shape
+    the labeled rows, backpropagated from `res.dz`. The term's final-layer
+    grads are copied: they live in the network set's buffer, which the next
+    pass over the bundle's stack writes over."""
+    assert res.dz.shape == cls.trunk.output.shape
     trunk_g, dz = cls.backward(res.dz)
     assert not set(res.grads) & set(trunk_g)
-    return TermResult(res.value, res.grads | trunk_g, dz)
+    kept = {layer: (dW.copy(), db.copy()) for layer, (dW, db) in res.grads.items()}
+    return TermResult(res.value, kept | trunk_g, dz)
 
 
 def with_encoder_grads(bundle, trace, res):
@@ -141,7 +149,7 @@ class TestVh:
         alpha = np.full((3, 3), 1.0 / 3.0)
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         # pooled mean over equal-size batches == mean of per-domain means
-        pooled_logits = bundle.class_logits(np.vstack(feats))
+        pooled_logits = class_logits(bundle, np.vstack(feats))
         pooled_loss, _ = softmax_ce_by_rows(pooled_logits, np.concatenate(labels))
         np.testing.assert_allclose(res.value, pooled_loss, atol=1e-9)
 
@@ -151,7 +159,7 @@ class TestVh:
         alpha = np.zeros((3, 3))
         alpha[:, 1] = 1.0
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
-        one_loss, _ = softmax_ce_by_rows(bundle.class_logits(feats[1]), labels[1])
+        one_loss, _ = softmax_ce_by_rows(class_logits(bundle, feats[1]), labels[1])
         np.testing.assert_allclose(res.value, one_loss, atol=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -161,7 +169,7 @@ class TestVh:
         cols = alpha.mean(axis=0)
         expected = 0.0
         for j in range(3):
-            loss_j, _ = softmax_ce_by_rows(bundle.class_logits(feats[j]), labels[j])
+            loss_j, _ = softmax_ce_by_rows(class_logits(bundle, feats[j]), labels[j])
             expected += cols[j] * loss_j
         res = vh_of(bundle, encode(bundle, feats), labels, alpha)
         np.testing.assert_allclose(res.value, expected, atol=1e-12)
@@ -570,8 +578,8 @@ def vh_oracle(cls, alpha):
     wsum = w.sum()
     norm_loss, dlogits = softmax_ce_by_rows(cls.logits[0], cls.labels, w)
     value, dlogits = norm_loss * wsum, dlogits * wsum
-    return (float(value), (dlogits.T @ cls.hidden, dlogits.sum(axis=0)),
-            dlogits @ cls.finals[0].W)
+    return (float(value), (dlogits.T @ cls.trunk.output, dlogits.sum(axis=0)),
+            dlogits @ cls.stack.layers[0].W)
 
 
 def vlambda_oracle(cls, alpha):
@@ -579,14 +587,14 @@ def vlambda_oracle(cls, alpha):
     as a loop over the heads, summed in head order: the bitwise oracle of
     `compute_vlambda`'s batched kernels."""
     n = alpha.shape[0]
-    heads = cls.finals[1:]
+    heads = cls.stack.layers[1:]
     w = np.repeat(alpha / cls.sizes, cls.sizes, axis=1)
     wsum = w.sum()
     logits = cls.logits[1:]
     norm_loss, dlogits = softmax_ce_by_rows(logits.reshape(-1, logits.shape[2]),
                                             np.tile(cls.labels, n), w.reshape(-1))
     dlogits = dlogits.reshape(logits.shape) * (wsum / n)
-    grads = [(dlogits[i].T @ cls.hidden, dlogits[i].sum(axis=0)) for i in range(n)]
+    grads = [(dlogits[i].T @ cls.trunk.output, dlogits[i].sum(axis=0)) for i in range(n)]
     dhidden = dlogits[0] @ heads[0].W
     for i in range(1, n):
         dhidden += dlogits[i] @ heads[i].W
@@ -600,8 +608,9 @@ def same_bits(a, b):
 
 class TestBatchedHeads:
     def draws(self, count=40, seed=50):
-        """(bundle, stacked pass, pass with a copied stack, alpha) over random
-        N, block sizes (one of a single row in half the draws), C and H."""
+        """(pass in a round's workspace, pass in fresh arrays, alpha) over
+        random N, block sizes (one of a single row in half the draws), C and
+        H, both passes over the same rows of one bundle."""
         rng = np.random.default_rng(seed)
         for k in range(count):
             n, c, h = rng.integers(1, 7), rng.integers(2, 10), rng.integers(1, 41)
@@ -610,22 +619,19 @@ class TestBatchedHeads:
                 sizes[rng.integers(n)] = 1
             bundle = make_bundle(2, c, n, rng, latent_dim=5, encoder_hidden=(4,),
                                  classifier_hidden=(h,), disc_hidden=(3,))
-            net_set = bundle.net_param_set()
-            ws = Workspace(net_set.grad_views(),
-                           (net_set.stack([bundle.classifier.layers[-1], *bundle.head_finals]),))
             z = rng.standard_normal((sizes.sum(), 5))
             labels = rng.integers(0, c, size=sizes.sum())
             alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
-            yield (classifier_pass(bundle, z, labels, sizes, ws=ws),
+            yield (classifier_pass(bundle, z, labels, sizes, ws=bundle.workspace()),
                    classifier_pass(bundle, z, labels, sizes), alpha)
 
     def test_match_the_per_head_loop_bit_for_bit(self):
-        for stacked, copied, alpha in self.draws():
-            # the stacked pass reads the set's views; the other, stacked copies
-            assert np.shares_memory(stacked.stack.W, stacked.finals[0].W)
-            assert not np.shares_memory(copied.stack.W, copied.finals[0].W)
-            assert same_bits(stacked.logits, copied.logits)
-            for cls in (stacked, copied):
+        for kept, fresh, alpha in self.draws():
+            # both passes read the bundle's stack, views of its network set
+            assert kept.stack is fresh.stack
+            assert np.shares_memory(kept.stack.W, kept.stack.layers[0].W)
+            assert same_bits(kept.logits, fresh.logits)
+            for cls in (kept, fresh):
                 value, (dW, db), dz = vh_oracle(cls, alpha)
                 vh = compute_vh(cls, alpha)
                 (got_dW, got_db), = vh.grads.values()
@@ -634,20 +640,22 @@ class TestBatchedHeads:
                 value, grads, dhidden = vlambda_oracle(cls, alpha)
                 vl = compute_vlambda(cls, alpha)
                 assert vl.value == value and same_bits(vl.dz, dhidden)
-                assert list(vl.grads) == cls.finals[1:]
+                assert tuple(vl.grads) == cls.stack.layers[1:]
                 for (got_dW, got_db), (dW, db) in zip(vl.grads.values(), grads, strict=True):
                     assert same_bits(got_dW, dW) and same_bits(got_db, db)
 
     def test_stacked_gradients_land_in_the_param_set(self):
-        stacked, _, alpha = next(self.draws(1, seed=51))
-        stack = stacked.stack
-        vh, vl = compute_vh(stacked, alpha), compute_vlambda(stacked, alpha)
-        for layer, pair in (vh.grads | vl.grads).items():
-            assert all(a is b for a, b in zip(pair, stack.grads[layer], strict=True))
+        # in a round's workspace or not, the final layers' gradients are the
+        # set's gradient views
+        kept, fresh, alpha = next(self.draws(1, seed=51))
+        for cls in (kept, fresh):
+            vh, vl = compute_vh(cls, alpha), compute_vlambda(cls, alpha)
+            for layer, pair in (vh.grads | vl.grads).items():
+                assert all(a is b for a, b in zip(pair, cls.stack.grads[layer], strict=True))
 
     def test_a_value_not_asked_for_is_none(self):
-        for stacked, copied, alpha in self.draws(6, seed=52):
-            for cls in (stacked, copied):
+        for kept, fresh, alpha in self.draws(6, seed=52):
+            for cls in (kept, fresh):
                 for term in (compute_vh, compute_vlambda):
                     full = term(cls, alpha)
                     full = (full.value, {k: tuple(a.copy() for a in v)
@@ -681,7 +689,7 @@ class TestTermGradients:
         parts = [set(vh.grads), set(vl.grads), set(trunk_g), set(enc_g)]
         for a, b in itertools.combinations(parts, 2):
             assert not a & b
-        assert set().union(*parts) == set(bundle.net_param_set().layers)
+        assert set().union(*parts) == set(bundle.net_params.layers)
         assert set(vd.grads) == set(bundle.discriminator.layers)
 
 
@@ -835,7 +843,7 @@ class TestLabeledReadouts:
         orig_z, lab_z, lab_labels = labeled_batches(bundle, short=short, seed=34)
         alpha = random_alpha(3, seed=35)
         before = disc_pass_of(bundle, orig_z, lab_z)
-        bundle.disc_param_set().step(compute_vd(before, alpha).grads, 0.05)
+        bundle.disc_params.step(compute_vd(before, alpha).grads, 0.05)
         after = before.rerun()
         assert not np.allclose(after.trace.output, before.trace.output)
         np.testing.assert_array_equal(after.trace.output,
@@ -859,7 +867,7 @@ class TestLabeledReadouts:
             cls = classifier_pass_of(bundle, lab_z, lab_labels)
             layer.bump()
             with pytest.raises(ValueError, match="stale"):
-                cls.backward(np.zeros_like(cls.hidden))
+                cls.backward(np.zeros_like(cls.trunk.output))
 
 
 def h_distance_oracle(bundle, orig_z, lab_z, alpha):
@@ -964,7 +972,7 @@ class TestEvaluate:
         bundle = tiny_bundle(n_domains=3, n_classes=3, seed=4)
         per, avg = evaluate(bundle, ds)
         for i in range(3):
-            pred = np.argmax(bundle.class_logits(ds.test_features[i]), axis=1)
+            pred = np.argmax(class_logits(bundle, ds.test_features[i]), axis=1)
             conf = np.zeros((3, 3), dtype=int)
             for p, t in zip(pred, ds.test_labels[i]):
                 conf[t, p] += 1

@@ -87,7 +87,7 @@ class TestMargin:
         bundle = real_bundle(seed=3)
         feats = np.random.default_rng(4).standard_normal((20, 2))
         out = select_margin(request(bundle, feats, 5))
-        probs = softmax(bundle.class_logits(feats))
+        probs = softmax(bundle.classifier.predict(bundle.encode(feats)))
         srt = np.sort(probs, axis=1)
         margins = srt[:, -1] - srt[:, -2]
         oracle = np.arange(100, 120)[np.lexsort((np.arange(20), margins))[:5]]

@@ -39,7 +39,7 @@ def shared_trunk_ok(bundle):
     the parameter set updates each of those layers once."""
     trunk = bundle.classifier.layers[:-1]
     heads = [DenseNet([*trunk, final]) for final in bundle.head_finals]
-    layers = bundle.net_param_set().layers
+    layers = bundle.net_params.layers
     return (all(a is b for head in heads for a, b in zip(head.layers[:-1], trunk))
             and all(sum(x is layer for x in layers) == 1
                     for layer in [*trunk, *bundle.head_finals]))
@@ -108,7 +108,7 @@ class TestTrainRound:
         correct = total = 0
         for j in range(ds.n_domains):
             feats = pool.labeled_features(j)
-            pred = np.argmax(rr.bundle.class_logits(feats), axis=1)
+            pred = np.argmax(rr.bundle.classifier.predict(rr.bundle.encode(feats)), axis=1)
             correct += int((pred == pool.labels(j)).sum())
             total += feats.shape[0]
         assert correct / total > 0.95
