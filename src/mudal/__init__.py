@@ -18,9 +18,7 @@ from .objective import (alpha_objective_coefficients, alpha_step, classifier_pas
                         estimate_h_distance, evaluate)
 from .training import (NumericalAbort, ObjectiveSnapshot, RoundResult, TrainConfig,
                        train_round, write_snapshots_csv)
-from .strategies import (QueryRequest, RankOneRows, badge_embeddings, grads_select,
-                         kmeanspp_select, select, select_badge, select_margin,
-                         select_random)
+from .strategies import RankOneRows, badge_embeddings, kmeanspp_select, select
 from .bounds import BoundReport, empirical_bound, hoeffding_term, verify_optimal_beta
 from .config import ConfigError, ExperimentConfig, config_to_text, parse_config
 from .harness import RoundMetrics, SeedRunResult, export_outputs, run_experiment

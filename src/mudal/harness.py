@@ -2,8 +2,10 @@
 domain budgets, select instances, reveal), the baseline assignment modes, and
 CSV export. After training, a round encodes each row block once: each
 domain's test rows, labeled rows and, with a discriminator, train rows (read
-by the h-distances and the bound), and each nonempty margin, BADGE or GRADS
-request. The export reads each round's reveals and budget shares from the ledger.
+by the h-distances and the bound), and the rows of each nonempty margin,
+BADGE or GRADS selection. A strategy returns positions into the rows it is
+given, and the harness maps them to pool indices. The export reads each
+round's reveals and budget shares from the ledger.
 
 Every random draw derives from (experiment seed, purpose, round, domain), so a
 rerun with the same config and seeds reproduces byte-identical outputs.
@@ -22,7 +24,7 @@ from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
                    load_idx, rotate_idx_domains)
 from .objective import estimate_h_distance, evaluate
 from .simplex import BudgetLedger, SimilarityMatrix, assign_budget
-from .strategies import QueryRequest, select
+from .strategies import select
 from .training import NumericalAbort, ObjectiveSnapshot, train_round, write_snapshots_csv
 
 log = logging.getLogger(__name__)
@@ -73,16 +75,14 @@ def build_dataset(cfg: ExperimentConfig) -> MultiDomainDataset:
 def _joint_select(cfg: ExperimentConfig, dataset: MultiDomainDataset,
                   unlab: list[np.ndarray], bundle, seed_seq) -> list[np.ndarray]:
     """Pick m samples from the pooled unlabeled set, ignoring domains: one
-    request over every domain's unlabeled rows `unlab[j]`, each row keeping
+    selection over every domain's unlabeled rows `unlab[j]`, each row keeping
     its domain."""
     n = dataset.n_domains
     owners = np.concatenate([np.full(unlab[j].size, j) for j in range(n)])
     flat_idx = np.concatenate(unlab)
-    req = QueryRequest(domain=owners, k=cfg.m, unlabeled=np.arange(flat_idx.size),
-                       features=np.vstack([dataset.train_features[j][unlab[j]]
-                                           for j in range(n)]),
-                       bundle=bundle, seed=seed_seq)
-    positions = select(cfg.strategy, req, temperature=cfg.train.temperature)
+    features = np.vstack([dataset.train_features[j][unlab[j]] for j in range(n)])
+    positions = select(cfg.strategy, bundle, features, cfg.m, seed=seed_seq, domain=owners,
+                       temperature=cfg.train.temperature)
     return [flat_idx[positions[owners[positions] == j]] for j in range(n)]
 
 
@@ -112,7 +112,7 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         except NumericalAbort as exc:
             raise NumericalAbort(f"seed {seed}, round {r}: {exc}") from exc
         bundle = rr.bundle
-        per_acc, _ = evaluate(bundle, dataset)
+        per_acc = evaluate(bundle, dataset)
         hdist, report = _score_round(bundle, dataset, pool, ledger, r, rr.alpha)
         result.rounds.append(RoundMetrics(
             seed=seed, round=r, per_domain_acc=per_acc,
@@ -122,7 +122,7 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
         if r == cfg.rounds:
             break
 
-        # the round's unlabeled rows, read once for the capacities and the requests
+        # the round's unlabeled rows, read once for the capacities and the selections
         unlab = [pool.unlabeled_indices(j) for j in range(n)]
         capacities = np.array([u.size for u in unlab])
         if capacities.sum() < cfg.m:
@@ -145,13 +145,11 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
             else:
                 increments = assign_budget(cols, ledger, r + 1, capacities, cfg.assignment,
                                            prev_cols)
-            chosen = []
-            for j in range(n):
-                req = QueryRequest(domain=j, k=int(increments[j]), unlabeled=unlab[j],
-                                   features=dataset.train_features[j][unlab[j]],
-                                   bundle=bundle,
-                                   seed=_rng_seed(seed, _STREAM_QUERY, r + 1, j))
-                chosen.append(select(cfg.strategy, req, temperature=cfg.train.temperature))
+            chosen = [unlab[j][select(cfg.strategy, bundle, dataset.train_features[j][unlab[j]],
+                                      int(increments[j]), domain=j,
+                                      seed=_rng_seed(seed, _STREAM_QUERY, r + 1, j),
+                                      temperature=cfg.train.temperature)]
+                      for j in range(n)]
 
         for j in range(n):
             pool.reveal(j, chosen[j])

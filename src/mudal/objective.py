@@ -424,11 +424,11 @@ def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],
     return np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
 
 
-def evaluate(bundle: ModelBundle, dataset: MultiDomainDataset) -> tuple[np.ndarray, float]:
-    """Per-domain and average test accuracy of argmax h(e(x)); argmax breaks
-    ties toward the lowest class index."""
+def evaluate(bundle: ModelBundle, dataset: MultiDomainDataset) -> np.ndarray:
+    """Per-domain test accuracy (N,) of argmax h(e(x)); argmax breaks ties
+    toward the lowest class index."""
     accs = np.zeros(dataset.n_domains)
     for i in range(dataset.n_domains):
         pred = np.argmax(bundle.readout(bundle.encode(dataset.test_features[i]))[1], axis=1)
         accs[i] = float(np.mean(pred == dataset.test_labels[i]))
-    return accs, float(accs.mean())
+    return accs

@@ -1,13 +1,14 @@
 """Instance-level selection: Random, Margin, BADGE (last-layer gradient
 embeddings + k-means++ seeding), and the discriminator-score-weighted variant
-with a temperature-sharpened softmax. Strategies never touch the pool; they
-return indices and the harness applies the reveals. Each `select_*` entry point
-encodes its request's rows once; the readouts take the latent rows. BADGE and
-GRADS embeddings stay factored (`RankOneRows`): k-means++ seeding keeps each
-row's distance to its nearest pick from two small GEMVs per pick, takes a pick
-only when a forward-error bound proves the exact distances pick the same row,
-and recomputes them exactly otherwise, so picks are bit-identical to the
-direct loop over the dense rows (`kmeanspp_select`)."""
+with a temperature-sharpened softmax. `select` is the one entry point: it
+encodes the rows it is given once and returns positions into them, never pool
+indices; the harness maps positions to indices and applies the reveals. The
+readouts take the latent rows. BADGE and GRADS embeddings stay factored
+(`RankOneRows`): k-means++ seeding keeps each row's distance to its nearest
+pick from two small GEMVs per pick, takes a pick only when a forward-error
+bound proves the exact distances pick the same row, and recomputes them
+exactly otherwise, so picks are bit-identical to the direct loop over the
+dense rows (`kmeanspp_select`)."""
 from __future__ import annotations
 
 import logging
@@ -23,62 +24,11 @@ STRATEGIES = ("random", "margin", "badge", "grads")
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class QueryRequest:
-    """A selection request: pick k of the given unlabeled indices.
-
-    ``features`` holds the feature rows aligned with ``unlabeled``. ``domain``
-    is the one domain every row belongs to, or an array with each row's
-    domain when one request pools several domains (joint assignment); GRADS
-    reads each row's outlier score under that row's domain.
-    """
-
-    domain: int | np.ndarray
-    k: int
-    unlabeled: np.ndarray
-    features: np.ndarray
-    bundle: ModelBundle
-    seed: object = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "unlabeled", np.asarray(self.unlabeled, dtype=np.int64))
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        if self.k < 0 or self.k > self.unlabeled.size:
-            raise ValueError(f"budget k={self.k} outside [0, {self.unlabeled.size}]")
-        if self.features.shape[0] != self.unlabeled.size:
-            raise ValueError("features must align with unlabeled indices")
-        d = np.asarray(self.domain)
-        if not np.issubdtype(d.dtype, np.integer):
-            raise ValueError(f"domain indices must be integers, got {d.dtype}")
-        if d.ndim and d.shape != self.unlabeled.shape:
-            raise ValueError("per-row domains must align with unlabeled indices")
-        if d.size and (d.min() < 0 or d.max() >= self.bundle.n_domains):
-            raise ValueError(f"domain index out of range [0, {self.bundle.n_domains})")
-
-
-def select_random(req: QueryRequest) -> np.ndarray:
-    """Uniform without replacement, sorted ascending."""
-    if req.k == 0:
-        return np.empty(0, dtype=np.int64)
-    rng = np.random.default_rng(req.seed)
-    chosen = rng.choice(req.unlabeled, size=req.k, replace=False)
-    return np.sort(chosen)
-
-
 def margin_scores(bundle: ModelBundle, z: np.ndarray) -> np.ndarray:
     """Top-1 minus top-2 predicted probability per latent row (small = uncertain)."""
     probs = softmax(bundle.readout(z)[1])
     part = np.sort(probs, axis=1)
     return part[:, -1] - part[:, -2]
-
-
-def select_margin(req: QueryRequest) -> np.ndarray:
-    """The k smallest margins, ties broken by ascending index."""
-    if req.k == 0:
-        return np.empty(0, dtype=np.int64)
-    margins = margin_scores(req.bundle, req.bundle.encode(req.features))
-    order = np.lexsort((req.unlabeled, margins))
-    return req.unlabeled[order[:req.k]]
 
 
 @dataclass(frozen=True)
@@ -292,16 +242,6 @@ def kmeanspp_select(vectors, k: int, seed) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
-def select_badge(req: QueryRequest) -> np.ndarray:
-    """BADGE: k-means++ seeds over gradient embeddings at the T = 1 softmax, in
-    selection order."""
-    if req.k == 0:
-        return np.empty(0, dtype=np.int64)
-    emb = badge_embeddings(req.bundle, req.bundle.encode(req.features))
-    positions = kmeanspp_select(emb, req.k, req.seed)
-    return req.unlabeled[positions]
-
-
 def outlier_scores(bundle: ModelBundle, z: np.ndarray, domain) -> np.ndarray:
     """Discriminator probability that a latent row is original rather than part
     of the labeled mixture for its domain (one index, or one per row)."""
@@ -310,27 +250,39 @@ def outlier_scores(bundle: ModelBundle, z: np.ndarray, domain) -> np.ndarray:
     return sigmoid(bundle.discriminator.predict(z)[np.arange(z.shape[0]), domain])
 
 
-def grads_select(req: QueryRequest, temperature: float) -> np.ndarray:
-    """Gradient embeddings at the given temperature, each scaled by the
-    sample's outlier score, then k-means++ selection."""
-    if req.k == 0:
+def select(strategy: str, bundle: ModelBundle, features: np.ndarray, k: int, *, seed,
+           domain: int | np.ndarray, temperature: float) -> np.ndarray:
+    """Pick k of the feature rows by strategy name (random | margin | badge |
+    grads) and return their positions: random sorted ascending, margin by
+    ascending margin with ties to the lower position, BADGE (at T = 1) and
+    GRADS (at `temperature`) in k-means++ order.
+
+    ``domain`` is the one domain every row belongs to, or an array with each
+    row's domain when one call pools several domains (joint assignment); GRADS
+    reads each row's outlier score under that row's domain.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    if k < 0 or k > n:
+        raise ValueError(f"budget k={k} outside [0, {n}]")
+    d = np.asarray(domain)
+    if not np.issubdtype(d.dtype, np.integer):
+        raise ValueError(f"domain indices must be integers, got {d.dtype}")
+    if d.ndim and d.shape != (n,):
+        raise ValueError("per-row domains must align with the feature rows")
+    if d.size and (d.min() < 0 or d.max() >= bundle.n_domains):
+        raise ValueError(f"domain index out of range [0, {bundle.n_domains})")
+    if k == 0:
         return np.empty(0, dtype=np.int64)
-    z = req.bundle.encode(req.features)
-    emb = badge_embeddings(req.bundle, z, temperature=temperature)
-    emb = RankOneRows(emb.left, emb.right, outlier_scores(req.bundle, z, req.domain))
-    positions = kmeanspp_select(emb, req.k, req.seed)
-    return req.unlabeled[positions]
-
-
-def select(strategy: str, req: QueryRequest, temperature: float) -> np.ndarray:
-    """Dispatch by strategy name: random | margin | badge | grads; only grads
-    reads the temperature."""
     if strategy == "random":
-        return select_random(req)
+        return np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
+    z = bundle.encode(features)
     if strategy == "margin":
-        return select_margin(req)
+        return np.argsort(margin_scores(bundle, z), kind="stable")[:k]
     if strategy == "badge":
-        return select_badge(req)
-    if strategy == "grads":
-        return grads_select(req, temperature=temperature)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        return kmeanspp_select(badge_embeddings(bundle, z), k, seed)
+    emb = badge_embeddings(bundle, z, temperature)
+    emb = RankOneRows(emb.left, emb.right, outlier_scores(bundle, z, domain))
+    return kmeanspp_select(emb, k, seed)

@@ -4,9 +4,9 @@ one stacked `classifier_pass`. So no function there but `evaluate` runs the
 encoder forward or backward itself, runs the whole classifier, or builds a
 per-head net, and only `disc_pass` and `estimate_h_distance` run the
 discriminator. The same layering holds in `bounds.py`, which reads the latent
-rows the harness encodes, and in `strategies.py`, where only the `select_*`
-entry points and `grads_select` encode their request's rows and the readouts
-run the classifier through `ModelBundle.readout` alone.
+rows the harness encodes, and in `strategies.py`, where only `select` encodes
+the rows it is given and the readouts run the classifier through
+`ModelBundle.readout` alone.
 """
 import ast
 import pathlib
@@ -98,7 +98,7 @@ def test_bounds_reads_latent_rows():
 
 
 def test_only_strategy_entry_points_encode():
-    # the readouts take latent rows, and the classifier's logits from `readout`
-    callers = [name for name in encoder_callers((SRC / "strategies.py").read_text(), ("encode",))
-               if not (name.startswith("select_") or name == "grads_select")]
-    assert not callers, f"strategies.py readouts that run the encoder or classifier: {callers}"
+    # `select` encodes; the readouts take latent rows, and the classifier's
+    # logits from `readout`
+    callers = encoder_callers((SRC / "strategies.py").read_text(), ("encode",))
+    assert callers == ["select"], f"strategies.py functions that run the encoder: {callers}"

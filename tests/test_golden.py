@@ -154,6 +154,43 @@ LARGE_DIGESTS = {
 }
 
 
+# The same setup under the strategy and assignment pairs that no pin above
+# covers. Each pick feeds the next round's training, so the last round's
+# snapshots pin both rounds' selections.
+SELECTION_DIGESTS = {
+    ("random", "separate"): {
+        "bounds.csv":
+            "e7203719ab7c0cbdd412621bd58891c5f8548900d047157a4068c0dbec47259a",
+        "metrics.csv":
+            "895fffa7013b67161cad08c812854a6b07213fd970f641fc47074c3afe8e238e",
+        "seed_1/snapshots_round_2.csv":
+            "7dffd72c7d630493c6f9ccdfcd645b2c3ca2af99b70ebbe550a163a2a26d0a05",
+        "seed_2/snapshots_round_2.csv":
+            "3ca5ac0e10ae684b307d44b2cd50c1cd88921dec42613b994792fb350e48a0b2",
+    },
+    ("random", "joint"): {
+        "bounds.csv":
+            "78b6bb22156d7822cd4d1b6a1fd3adb63af9551e10011590e533d146d0037ebf",
+        "metrics.csv":
+            "6d9e9401ee8409603c0059aa4edc4c5887dcf6468710fe8f5d4bba3d308b3378",
+        "seed_1/snapshots_round_2.csv":
+            "b744289823b8213645f1d9ad3edcc682171dc44c83f9f6a042a7a877617f30e2",
+        "seed_2/snapshots_round_2.csv":
+            "e340d48553c251b0ae29b3a52c4429f13f7c536b6aa312ddda7b06071b2c53d6",
+    },
+    ("margin", "joint"): {
+        "bounds.csv":
+            "a58719b7245d8c6789d51182dd25f20b93908c848869e94e311733247dd463e9",
+        "metrics.csv":
+            "6cb576ff43d5ccf8d358aefa50a3a1172279e4394075b2e7904ceeb90e89c87f",
+        "seed_1/snapshots_round_2.csv":
+            "9ef98b12ad96e5bc17ddbc85c708caae4cc5f88b2c74a10617b37b4dc35e91e8",
+        "seed_2/snapshots_round_2.csv":
+            "4ae5b48c50d8110e4cd5e0262fc0bfef31901806ca5c901f8c2da751ded2e514",
+    },
+}
+
+
 def _output_digests(cfg, names, out_dir):
     run_experiment(cfg, str(out_dir))
     return {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in names}
@@ -176,4 +213,11 @@ def test_golden_variant_digests(variant, tmp_path):
     cfg = dataclasses.replace(GOLDEN, variant=variant, strategy=VARIANT_STRATEGY[variant],
                               train=dataclasses.replace(GOLDEN.train, variant=variant))
     digests = VARIANT_DIGESTS[variant]
+    assert _output_digests(cfg, digests, tmp_path) == digests
+
+
+@pytest.mark.parametrize("strategy, assignment", sorted(SELECTION_DIGESTS))
+def test_golden_selection_digests(strategy, assignment, tmp_path):
+    cfg = dataclasses.replace(GOLDEN, strategy=strategy, assignment=assignment)
+    digests = SELECTION_DIGESTS[strategy, assignment]
     assert _output_digests(cfg, digests, tmp_path) == digests

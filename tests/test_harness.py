@@ -227,7 +227,7 @@ class TestRunSeed:
                                                     monkeypatch):
         # per round, outside training: each domain's test rows, its labeled
         # rows and, with a discriminator, its train rows, plus the rows of each
-        # nonempty margin/badge/grads request
+        # nonempty margin/badge/grads selection
         cfg = fast_config(assignment=assignment, strategy=strategy)
         cfg = dataclasses.replace(cfg, variant=variant,
                                   train=dataclasses.replace(cfg.train, variant=variant))
@@ -266,7 +266,7 @@ class TestRunSeed:
     ])
     def test_unlabeled_rows_read_once_per_domain_per_query_round(self, assignment, strategy,
                                                                   monkeypatch):
-        # the capacities, the per-domain requests and the joint request read
+        # the capacities, the per-domain selections and the joint selection read
         # one list of each domain's unlabeled rows per query round
         cfg = fast_config(assignment=assignment, strategy=strategy)
         calls, unlabeled = [], LabeledPool.unlabeled_indices

@@ -6,9 +6,8 @@ import pytest
 from mudal.models import ModelBundle, make_bundle
 from mudal.nn import DenseNet, Layer, softmax
 import mudal.strategies as strategies
-from mudal.strategies import (QueryRequest, RankOneRows, badge_embeddings, grads_select,
-                              kmeanspp_select, margin_scores, outlier_scores,
-                              select, select_badge, select_margin, select_random)
+from mudal.strategies import (RankOneRows, badge_embeddings, kmeanspp_select, margin_scores,
+                              outlier_scores, select)
 from mudal.training import TrainConfig
 from test_objective import softmax_ce_by_rows
 
@@ -42,29 +41,24 @@ def trunk_output(bundle, feats):
     return DenseNet(bundle.classifier.layers[:-1]).predict(bundle.encode(feats))
 
 
-def request(bundle, feats, k, domain=0, seed=0):
-    n = feats.shape[0]
-    return QueryRequest(domain=domain, k=k, unlabeled=np.arange(100, 100 + n),
-                        features=feats, bundle=bundle, seed=seed)
-
-
 class TestRandom:
     def test_k_equals_pool_returns_everything(self):
         bundle = real_bundle()
         feats = np.random.default_rng(0).standard_normal((7, 2))
-        out = select_random(request(bundle, feats, 7))
-        np.testing.assert_array_equal(out, np.arange(100, 107))
+        out = select("random", bundle, feats, 7, seed=0, domain=0, temperature=TEMPERATURE)
+        np.testing.assert_array_equal(out, np.arange(7))
 
     def test_k_zero_empty(self):
         bundle = real_bundle()
         feats = np.zeros((4, 2))
-        assert select_random(request(bundle, feats, 0)).size == 0
+        assert select("random", bundle, feats, 0, seed=0, domain=0,
+                      temperature=TEMPERATURE).size == 0
 
     def test_fixed_seed_deterministic(self):
         bundle = real_bundle()
         feats = np.random.default_rng(1).standard_normal((30, 2))
-        a = select_random(request(bundle, feats, 9, seed=5))
-        b = select_random(request(bundle, feats, 9, seed=5))
+        a = select("random", bundle, feats, 9, seed=5, domain=0, temperature=TEMPERATURE)
+        b = select("random", bundle, feats, 9, seed=5, domain=0, temperature=TEMPERATURE)
         np.testing.assert_array_equal(a, b)
         assert np.all(np.diff(a) > 0)  # sorted, distinct
 
@@ -80,17 +74,17 @@ class TestMargin:
         confident = np.log(np.array([0.98, 0.01, 0.01]))
         uniformish = np.log(np.array([0.34, 0.33, 0.33]))
         feats = np.stack([confident, uniformish])
-        out = select_margin(request(bundle, feats, 1))
-        np.testing.assert_array_equal(out, [101])
+        out = select("margin", bundle, feats, 1, seed=0, domain=0, temperature=TEMPERATURE)
+        np.testing.assert_array_equal(out, [1])
 
     def test_matches_full_sort_oracle(self):
         bundle = real_bundle(seed=3)
         feats = np.random.default_rng(4).standard_normal((20, 2))
-        out = select_margin(request(bundle, feats, 5))
+        out = select("margin", bundle, feats, 5, seed=0, domain=0, temperature=TEMPERATURE)
         probs = softmax(bundle.classifier.predict(bundle.encode(feats)))
         srt = np.sort(probs, axis=1)
         margins = srt[:, -1] - srt[:, -2]
-        oracle = np.arange(100, 120)[np.lexsort((np.arange(20), margins))[:5]]
+        oracle = np.lexsort((np.arange(20), margins))[:5]
         np.testing.assert_array_equal(out, oracle)
 
     def test_invariant_to_per_sample_logit_shift(self):
@@ -98,8 +92,8 @@ class TestMargin:
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((12, 3))
         shifted = logits + 1.5  # same constant added to every class logit
-        a = select_margin(request(bundle, logits, 4))
-        b = select_margin(request(bundle, shifted, 4))
+        a = select("margin", bundle, logits, 4, seed=0, domain=0, temperature=TEMPERATURE)
+        b = select("margin", bundle, shifted, 4, seed=0, domain=0, temperature=TEMPERATURE)
         np.testing.assert_array_equal(a, b)
 
 
@@ -347,9 +341,19 @@ class TestGrads:
         bundle = self.zeroed_disc_bundle()
         feats = np.random.default_rng(13).standard_normal((25, 2))
         for seed in range(20):
-            req = request(bundle, feats, 6, domain=1, seed=seed)
-            np.testing.assert_array_equal(grads_select(req, temperature=1.0),
-                                          select_badge(req))
+            np.testing.assert_array_equal(
+                select("grads", bundle, feats, 6, seed=seed, domain=1, temperature=1.0),
+                select("badge", bundle, feats, 6, seed=seed, domain=1, temperature=1.0))
+
+    def test_badge_ignores_the_temperature(self):
+        # BADGE always embeds at T = 1; only GRADS reads the temperature
+        bundle = real_bundle(seed=12)
+        feats = np.random.default_rng(13).standard_normal((25, 2))
+        for seed in range(5):
+            picks = [select("badge", bundle, feats, 6, seed=seed, domain=0, temperature=t)
+                     for t in (0.1, 0.5, 1.0, TEMPERATURE, 4.0)]
+            for other in picks[1:]:
+                np.testing.assert_array_equal(other, picks[0])
 
     def test_outlier_scores_are_probabilities(self):
         bundle = real_bundle(seed=14)
@@ -375,13 +379,14 @@ class TestGrads:
         np.testing.assert_allclose(outlier_scores(bundle, z, owners), expected,
                                    rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="align"):
-            request(bundle, feats, 2, domain=owners[:5])
+            select("grads", bundle, feats, 2, seed=0, domain=owners[:5],
+                   temperature=TEMPERATURE)
 
     def test_missing_discriminator_rejected(self):
         bundle = real_bundle(with_disc=False)
         feats = np.zeros((5, 2))
         with pytest.raises(ValueError, match="discriminator"):
-            grads_select(request(bundle, feats, 2), TEMPERATURE)
+            select("grads", bundle, feats, 2, seed=0, domain=0, temperature=TEMPERATURE)
 
     def test_temperature_reweights_toward_uncertain(self):
         bundle = passthrough_bundle(c=2, with_disc=True)
@@ -402,11 +407,10 @@ class TestDispatchAndContracts:
         bundle = real_bundle(seed=16)
         feats = np.random.default_rng(17).standard_normal((18, 2))
         for name in ("random", "margin", "badge", "grads"):
-            req = request(bundle, feats, 5, domain=0, seed=9)
-            out = select(name, req, TEMPERATURE)
+            out = select(name, bundle, feats, 5, seed=9, domain=0, temperature=TEMPERATURE)
             assert out.shape == (5,)
             assert np.unique(out).size == 5
-            assert np.all(np.isin(out, req.unlabeled))
+            assert np.all((out >= 0) & (out < 18))
 
     @pytest.mark.parametrize("name, encodes", [("random", 0), ("margin", 1), ("badge", 1),
                                                ("grads", 1)])
@@ -416,26 +420,30 @@ class TestDispatchAndContracts:
         rows = []
         encode = bundle.encode
         monkeypatch.setattr(bundle, "encode", lambda x: rows.append(x.shape[0]) or encode(x))
-        select(name, request(bundle, feats, 4, domain=2), TEMPERATURE)
+        select(name, bundle, feats, 4, seed=0, domain=2, temperature=TEMPERATURE)
         assert rows == [12] * encodes
-        # an empty request encodes nothing
-        select(name, request(bundle, feats, 0, domain=2), TEMPERATURE)
+        # an empty selection encodes nothing
+        select(name, bundle, feats, 0, seed=0, domain=2, temperature=TEMPERATURE)
         assert rows == [12] * encodes
 
     def test_unknown_strategy_rejected(self):
         bundle = real_bundle()
-        req = request(bundle, np.zeros((3, 2)), 1)
-        with pytest.raises(ValueError, match="unknown strategy"):
-            select("entropy", req, TEMPERATURE)
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                select("entropy", bundle, np.zeros((3, 2)), k, seed=0, domain=0,
+                       temperature=TEMPERATURE)
 
     def test_budget_exceeding_pool_rejected(self):
         bundle = real_bundle()
-        with pytest.raises(ValueError, match="budget"):
-            request(bundle, np.zeros((3, 2)), 4)
+        for k in (4, -1):
+            with pytest.raises(ValueError, match="budget"):
+                select("random", bundle, np.zeros((3, 2)), k, seed=0, domain=0,
+                       temperature=TEMPERATURE)
 
     def test_bad_domains_rejected(self):
         bundle = real_bundle(n_domains=3)
         feats = np.zeros((3, 2))
         for bad in (3, -1, np.array([0, 1, 3]), 1.0, np.array([0, 1])):
             with pytest.raises(ValueError, match="domain"):
-                request(bundle, feats, 1, domain=bad)
+                select("random", bundle, feats, 1, seed=0, domain=bad,
+                       temperature=TEMPERATURE)
