@@ -262,10 +262,6 @@ class LabeledPool:
         self.dataset = dataset
         self._labeled = [np.empty(0, dtype=np.int64) for _ in range(dataset.n_domains)]
 
-    @property
-    def n_domains(self) -> int:
-        return self.dataset.n_domains
-
     def labeled_indices(self, j: int) -> np.ndarray:
         return self._labeled[j].copy()
 
@@ -273,11 +269,8 @@ class LabeledPool:
         all_idx = np.arange(self.dataset.train_size(j), dtype=np.int64)
         return np.setdiff1d(all_idx, self._labeled[j], assume_unique=True)
 
-    def labeled_count(self, j: int) -> int:
-        return int(self._labeled[j].size)
-
     def counts(self) -> np.ndarray:
-        return np.array([self.labeled_count(j) for j in range(self.n_domains)], dtype=np.int64)
+        return np.array([lab.size for lab in self._labeled], dtype=np.int64)
 
     def labeled_features(self, j: int) -> np.ndarray:
         return self.dataset.train_features[j][self._labeled[j]]

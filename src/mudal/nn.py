@@ -78,16 +78,16 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+def _activation_grad(a: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     # Derivative with respect to the pre-activation, read from the activation
-    # a and written into `out` (fresh if None): relu and leaky_relu are
-    # positive exactly where their input is. The subgradient of relu at 0 is
-    # taken as 0; leaky_relu uses its negative-side slope there.
+    # a and written into `out`: relu and leaky_relu are positive exactly
+    # where their input is. The subgradient of relu at 0 is taken as 0;
+    # leaky_relu uses its negative-side slope there.
     if kind not in ("relu", "leaky_relu"):
         # identity's derivative is 1: backward passes its gradient through as is
         raise ValueError(f"no derivative mask for activation {kind!r}")
     # the comparison's True/False cast to float64 is the 0/1 mask
-    grad = np.greater(a, 0.0, out=np.empty_like(a) if out is None else out)
+    grad = np.greater(a, 0.0, out=out)
     if kind == "leaky_relu":
         # 1 or the slope from the 0/1 mask: (1 - slope) + slope rounds to 1
         grad *= 1.0 - LEAKY_SLOPE

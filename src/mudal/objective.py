@@ -322,18 +322,18 @@ def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = Tru
     the discriminator; `dz` the original rows, then the labeled rows. A
     caller turns off what it does not read: `params=False` leaves `grads`
     None, `inputs=False` leaves `dz` None, and with both off no backward
-    runs; `value=False` leaves the value None. The BCE weights and the
-    logit gradient go to the pass's workspace under the "vd" role, which
-    every pass shares: each call writes them before it reads them."""
+    runs; `value=False` leaves the value None; all three off is a ValueError.
+    The BCE weights and the logit gradient go to the pass's workspace under
+    the "vd" role, which every pass shares: each call writes them first."""
+    backward = params or inputs
+    if not (backward or value):
+        raise ValueError("compute_vd needs its value, params or inputs")
     a = as_alpha(alpha)
     lay = disc.layout
     n = lay.n_orig.size
     trace, net = disc.trace, disc.trace.net
-    backward = params or inputs
     if not backward:
         trace.check_current(net)
-        if not value:
-            return TermResult(None, None, None)
     logits, ws = trace.output, trace.ws
     # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
@@ -371,38 +371,31 @@ def alpha_objective_coefficients(cls: ClassifierPass, disc: DiscPass,
     return (err_h[None, :] + head_err) / n - lambda_d * disc_orig / (2.0 * n)
 
 
-# halvings of the alpha step before a row that still would rise keeps its value
-ALPHA_MAX_BACKTRACKS = 30
-
-
 def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
-    """One projected-gradient step per row on the frozen linear objective,
-    with a backtracking halving that never lets a row's value increase. The
-    rows step together; only those that would rise halve and project again.
-    A step too large for float64 to project is a FloatingPointError."""
+    """project_simplex(alpha - lr * coeffs): one projected-gradient step per
+    row on the frozen linear objective; a step float64 cannot project is a
+    FloatingPointError. Rows must lie on the simplex, as the trainer's do:
+    they start uniform and only ever come from this step.
+
+    Exactly, p = proj(a - t c) has c.p <= c.a - |a - p|^2 / t (projection
+    theorem): no row's value rises. Computed, with n the width, eps = 2^-53,
+    gamma_m = m eps / (1 - m eps) (Higham 2002) and M = 1 + t |c|_inf, each
+    entry of p is within E = 3 (n + 2)^2 eps M of the exact one: a - t c
+    rounds by 2 eps M, which moves the projection by twice that; its
+    threshold, a sum of at most n entries below M less 1 over a count, errs
+    by gamma_{n+2} (n M + 1), and by as much again for a misread cut; the
+    clip rounds by eps (2 M + 1). For a row within d of the simplex per
+    entry (d is the E of the step that made it), the computed c.p exceeds the
+    computed c.a by at most |c|_1 (E + 3 d) + 2 gamma_n |c|_inf (1 + n E),
+    the last term for the two dot products."""
     a = as_alpha(alpha)
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if a.shape != coeffs.shape:
         raise ValueError("alpha/coefficient shape mismatch")
-    # a stacked matmul takes each row's 1-D dot product a[i] @ coeffs[i], to the bit
-    base = (a[:, None, :] @ coeffs[:, :, None]).ravel()
-    stepped = None  # alpha with the accepted rows stepped, once a row backtracks
-    rows = slice(None)  # the rows whose step is not yet accepted: at first all, by slice
-    for k in range(ALPHA_MAX_BACKTRACKS + 1):
-        try:
-            trial = project_simplex(a[rows] - lr * 0.5 ** k * coeffs[rows])
-        except ValueError as exc:  # rows past float64's reach, e.g. from a huge lambda_d
-            raise FloatingPointError(str(exc)) from exc
-        ok = (trial[:, None, :] @ coeffs[rows, :, None]).ravel() <= base[rows] + 1e-12
-        if stepped is None:
-            if ok.all():
-                return trial
-            stepped, rows = a.copy(), np.arange(a.shape[0])
-        stepped[rows[ok]] = trial[ok]
-        rows = rows[~ok]
-        if rows.size == 0:
-            break
-    return stepped
+    try:
+        return project_simplex(a - lr * coeffs)
+    except ValueError as exc:  # rows past float64's reach, e.g. from a huge lambda_d
+        raise FloatingPointError(str(exc)) from exc
 
 
 def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],

@@ -56,10 +56,6 @@ class SimilarityMatrix:
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
         self.validate()
 
-    @classmethod
-    def uniform(cls, n: int) -> "SimilarityMatrix":
-        return cls(np.full((n, n), 1.0 / n))
-
     @property
     def n(self) -> int:
         return self.alpha.shape[0]
@@ -108,10 +104,6 @@ class BudgetLedger:
         self.initial_counts = np.asarray(self.initial_counts, dtype=np.int64)
         if self.initial_counts.sum() != self.m0:
             raise ValueError("initial counts must sum to m0")
-
-    @property
-    def n_domains(self) -> int:
-        return self.initial_counts.size
 
     def record(self, incr: np.ndarray) -> None:
         incr = np.asarray(incr, dtype=np.int64)

@@ -64,9 +64,6 @@ class RankOneRows:
             out *= self.scale[idx, None]
         return out
 
-    def dense(self) -> np.ndarray:
-        return self.rows(slice(None))
-
 
 def badge_embeddings(bundle: ModelBundle, z: np.ndarray,
                      temperature: float = 1.0) -> RankOneRows:

@@ -187,7 +187,7 @@ class TestPool:
         pool = init_pool(ds, 12, seed=0)
         take = pool.unlabeled_indices(1)[:5]
         pool.reveal(1, take)
-        assert pool.labeled_count(1) == 2 + 5
+        assert pool.counts()[1] == 2 + 5
 
     def test_double_labeling_rejected(self):
         ds = gen_rotating(small_spec())

@@ -35,7 +35,7 @@ def test_leaky_forward_equals_the_where_form(z):
 @given(blocks, blocks)
 def test_leaky_gradient_equals_the_where_form(z, delta):
     a = _activate(z.copy(), "leaky_relu")
-    grad = _activation_grad(a, "leaky_relu")
+    grad = _activation_grad(a, "leaky_relu", np.empty_like(a))
     where = np.where(a > 0.0, 1.0, LEAKY_SLOPE)
     np.testing.assert_array_equal(bits(grad), bits(where))
     # backward's product, taken on a delta of the same shape
@@ -47,5 +47,5 @@ def test_the_special_values_at_once():
     z = np.array([SPECIAL])
     a = _activate(z.copy(), "leaky_relu")
     np.testing.assert_array_equal(bits(a), bits(np.where(z > 0.0, z, LEAKY_SLOPE * z)))
-    np.testing.assert_array_equal(_activation_grad(a, "leaky_relu"),
+    np.testing.assert_array_equal(_activation_grad(a, "leaky_relu", np.empty_like(a)),
                                   np.where(z > 0.0, 1.0, LEAKY_SLOPE))

@@ -390,7 +390,8 @@ class TestVd:
         assert bare.value is None and same_bits(bare.dz, dz)
         for layer, pair in grads.items():
             assert all(same_bits(a, b) for a, b in zip(bare.grads[layer], pair))
-        assert compute_vd(disc, alpha, params=False, inputs=False, value=False).value is None
+        with pytest.raises(ValueError, match="needs its value, params or inputs"):
+            compute_vd(disc, alpha, params=False, inputs=False, value=False)
 
     def test_weights_match_the_owner_gather_bit_for_bit(self):
         # oracle: each row's weight gathered through its block's owner, as
@@ -694,7 +695,7 @@ class TestTermGradients:
 
 
 def alpha_step_per_row(alpha, coeffs, lr, max_backtracks=30, backtracked=None):
-    """The per-row loop the batched `alpha_step` replaced, as the bitwise
+    """The per-row backtracking loop `alpha_step` once ran, as the bitwise
     oracle; `backtracked` collects the number of halvings of each row."""
     a = np.asarray(alpha, dtype=np.float64).copy()
     for i in range(a.shape[0]):
@@ -716,23 +717,19 @@ def alpha_step_per_row(alpha, coeffs, lr, max_backtracks=30, backtracked=None):
 
 class TestAlphaStep:
     def test_matches_the_per_row_loop_bit_for_bit(self):
-        # rows off the simplex can rise under any step, so they backtrack
-        # through every halving while the other rows of the call step at once
+        # on rows on the simplex the loop's first, full step is accepted, so
+        # one projection of every row gives its bits
         rng = np.random.default_rng(18)
         halvings = []
         for trial in range(300):
             n = int(rng.integers(1, 8))
-            if trial % 2:
-                alpha = rng.random((n, n)) * 2.0
-            else:
-                alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
+            alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
             coeffs = rng.standard_normal((n, n)) * rng.choice([0.01, 1.0, 100.0])
             for lr in (0.01, 1.0, 1e3):
                 want = alpha_step_per_row(alpha, coeffs, lr, backtracked=halvings)
                 got = alpha_step(alpha, coeffs, lr)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (trial, lr)
-        halvings = np.array(halvings)
-        assert np.any(halvings == 30) and np.any(halvings == 0)
+        assert len(halvings) > 1000 and not any(halvings)
 
     def test_equal_coefficients_leave_alpha(self):
         alpha = random_alpha(4, seed=19)

@@ -84,10 +84,6 @@ class TestProjectSimplex:
 
 
 class TestSimilarityMatrix:
-    def test_uniform(self):
-        m = SimilarityMatrix.uniform(4)
-        np.testing.assert_allclose(m.alpha, 0.25)
-
     def test_invalid_rows_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             SimilarityMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))

@@ -101,7 +101,7 @@ class TestBadgeEmbeddings:
     def test_one_hot_probability_gives_zero_embedding(self):
         bundle = passthrough_bundle(c=2)
         z = np.array([[1000.0, 0.0]])  # softmax saturates to exactly (1, 0)
-        emb = badge_embeddings(bundle, z).dense()
+        emb = badge_embeddings(bundle, z).rows(slice(None))
         np.testing.assert_array_equal(emb, np.zeros((1, 4)))
 
     def test_hand_chain_rule_case(self):
@@ -115,13 +115,13 @@ class TestBadgeEmbeddings:
         classifier = DenseNet([trunk, final])
         heads = [Layer(np.eye(c), np.zeros(c), "identity")]
         bundle = ModelBundle(encoder, classifier, heads, None, 1)
-        emb = badge_embeddings(bundle, np.array([[1.0, 0.0]])).dense()
+        emb = badge_embeddings(bundle, np.array([[1.0, 0.0]])).rows(slice(None))
         np.testing.assert_allclose(emb, [[-0.3, 0.0, 0.3, 0.0]], atol=1e-12)
 
     def test_norm_factorizes(self):
         bundle = real_bundle(seed=6)
         feats = np.random.default_rng(7).standard_normal((15, 2))
-        emb = badge_embeddings(bundle, bundle.encode(feats)).dense()
+        emb = badge_embeddings(bundle, bundle.encode(feats)).rows(slice(None))
         z = trunk_output(bundle, feats)
         probs = softmax(z @ bundle.classifier.layers[-1].W.T + bundle.classifier.layers[-1].b)
         delta = probs.copy()
@@ -132,7 +132,7 @@ class TestBadgeEmbeddings:
     def test_embedding_is_exact_last_layer_gradient(self):
         bundle = real_bundle(seed=8)
         feats = np.random.default_rng(9).standard_normal((6, 2))
-        emb = badge_embeddings(bundle, bundle.encode(feats)).dense()
+        emb = badge_embeddings(bundle, bundle.encode(feats)).rows(slice(None))
         z = trunk_output(bundle, feats)
         final_net = DenseNet([bundle.classifier.layers[-1]])
         for b in range(6):
@@ -151,12 +151,12 @@ class TestBadgeEmbeddings:
         scores[2] = 5e-324  # a subnormal score
         emb = np.einsum("bc,bz->bcz", delta, hidden).reshape(9, -1)
         rows = RankOneRows(delta, hidden)
-        assert np.array_equal(rows.dense(), emb)
+        assert np.array_equal(rows.rows(slice(None)), emb)
         idx = np.array([7, 0, 7, 3])
         assert np.array_equal(rows.rows(idx), emb[idx])
         emb *= scores[:, None]  # GRADS's scaling of the dense embedding
         scaled = RankOneRows(delta, hidden, scores)
-        assert np.array_equal(scaled.dense(), emb)
+        assert np.array_equal(scaled.rows(slice(None)), emb)
         assert np.array_equal(scaled.rows(idx), emb[idx])
         assert np.array_equal(scaled.rows(slice(2, 5)), emb[2:5])
         assert len(scaled) == 9
@@ -316,7 +316,7 @@ class TestKmeansPP:
         for seed in range(5):
             fallbacks.clear()
             np.testing.assert_array_equal(kmeanspp_select(rows, 12, seed),
-                                          direct_kmeanspp(rows.dense(), 12, seed))
+                                          direct_kmeanspp(rows.rows(slice(None)), 12, seed))
             assert len(fallbacks) == 11
 
     def test_debug_record_counts_the_fallbacks(self, caplog):
@@ -395,7 +395,8 @@ class TestGrads:
         feats = np.stack([low_margin, high_margin])
 
         def norm_ratio(temp):
-            emb = badge_embeddings(bundle, feats, temperature=temp).dense()  # identity encoder
+            # the identity encoder: the features are the latent rows
+            emb = badge_embeddings(bundle, feats, temperature=temp).rows(slice(None))
             norms = np.linalg.norm(emb, axis=1)
             return norms[0] / norms[1]
 

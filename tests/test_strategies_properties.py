@@ -63,4 +63,4 @@ def test_factored_rows_match_the_direct_loop(parts, scale, on_left, fraction, se
             else RankOneRows(delta, h * scale, score))
     k = int(round(fraction * len(rows)))
     np.testing.assert_array_equal(kmeanspp_select(rows, k, seed),
-                                  direct_kmeanspp(rows.dense(), k, seed))
+                                  direct_kmeanspp(rows.rows(slice(None)), k, seed))
