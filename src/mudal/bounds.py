@@ -11,7 +11,7 @@ import numpy as np
 
 from .models import ModelBundle
 from .objective import classifier_pass, estimate_h_distance, require_rows
-from .simplex import BudgetLedger, as_alpha, column_importance, greedy_increments
+from .simplex import BudgetLedger, column_importance, greedy_increments
 
 # The Hoeffding term's d, a comparative capacity proxy rather than a certified
 # VC dimension, and its confidence delta.
@@ -77,7 +77,7 @@ def verify_optimal_beta(alpha_cols: np.ndarray, units: int) -> tuple[np.ndarray,
             complexity_ratio(alpha_cols, beta_star))
 
 
-def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
+def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha: np.ndarray,
                     lab_z: list[np.ndarray], lab_labels: list[np.ndarray],
                     orig_z: list[np.ndarray] | None) -> BoundReport:
     """Compose the empirical bound of round r from the current model state:
@@ -89,9 +89,8 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
     rows (`orig_z`, None without a discriminator) and encodes nothing. An
     empty labeled domain is refused."""
     require_rows([y.size for y in lab_labels], "labeled")
-    a = as_alpha(alpha)
-    n = a.shape[0]
-    cols = column_importance(a)
+    n = alpha.shape[0]
+    cols = column_importance(alpha)
 
     # one classifier pass per labeled domain: one pass over the whole pool
     # raises vanilla_select's peak RSS (see CHANGES.md)
@@ -105,10 +104,10 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha,
     hdist = 0.0
     if bundle.discriminator is not None:
         # a running sum in domain order: np.sum pairs terms from 8 domains up
-        hdist = float(np.cumsum(estimate_h_distance(bundle, orig_z, lab_z, a))[-1])
+        hdist = float(np.cumsum(estimate_h_distance(bundle, orig_z, lab_z, alpha))[-1])
     mean_hdist = hdist / (2.0 * n)
 
     # a running sum over j, then i, in domain order
-    vlambda_proxy = float(np.cumsum((a * head_err).ravel(order="F"))[-1]) / n
+    vlambda_proxy = float(np.cumsum((alpha * head_err).ravel(order="F"))[-1]) / n
 
     return BoundReport(weighted_err, hoeff, mean_hdist, vlambda_proxy)

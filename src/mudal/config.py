@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import configparser
 import io
-import math
 from dataclasses import MISSING, dataclass, field, fields as dc_fields
 
-from .data import RotatingSpec
+from .data import RotatingSpec, check_rotating_split
 from .training import TrainConfig, VARIANTS
 from .strategies import STRATEGIES
 
@@ -32,14 +31,7 @@ class IdxDatasetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_domains < 1:
-            raise ValueError("n_domains must be >= 1")
-        if self.train_per_domain < 1 or self.test_per_domain < 1:
-            raise ValueError("need at least one train and one test point per domain")
-        if not 0 < self.total_range_deg < math.inf:  # also refuses nan
-            raise ValueError("total_range_deg must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_rotating_split(self)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,26 @@ class MultiDomainDataset:
         return self.train_features[j].shape[0]
 
 
+def check_rotating_split(spec) -> None:
+    """The checks every rotating-domain spec makes of its `n_domains`,
+    `train_per_domain`, `test_per_domain`, `total_range_deg` and `seed`."""
+    if spec.n_domains < 1:
+        raise ValueError("n_domains must be >= 1")
+    if spec.train_per_domain < 1 or spec.test_per_domain < 1:
+        raise ValueError("need at least one train and one test point per domain")
+    if not 0 < spec.total_range_deg < np.inf:  # also refuses nan
+        raise ValueError("total_range_deg must be positive and finite")
+    if spec.seed < 0:
+        raise ValueError("seed must be >= 0")
+
+
+def domain_ranges(total_range_deg: float, n_domains: int) -> list[tuple[float, float]]:
+    """Each domain's angle range (lo, hi) in degrees: domain i takes the i-th
+    of n_domains contiguous equal parts of [0, total_range_deg)."""
+    width = total_range_deg / n_domains
+    return [(i * width, (i + 1) * width) for i in range(n_domains)]
+
+
 @dataclass(frozen=True)
 class RotatingSpec:
     """Recipe for a synthetic rotating-domain dataset.
@@ -76,20 +96,13 @@ class RotatingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_domains < 1:
-            raise ValueError("n_domains must be >= 1")
-        if self.train_per_domain < 1 or self.test_per_domain < 1:
-            raise ValueError("need at least one train and one test point per domain")
+        check_rotating_split(self)
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if not 0 < self.total_range_deg < np.inf:  # also refuses nan
-            raise ValueError("total_range_deg must be positive and finite")
         if self.base_shape not in ("gaussian_blobs", "two_moons_k"):
             raise ValueError(f"unknown base_shape {self.base_shape!r}")
         if not 0 <= self.noise < np.inf:
             raise ValueError("noise must be nonnegative and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         # blob centroids are equally spaced on the unit circle: 2*pi/n_classes >= 4*noise
         max_classes = max(1, int(np.floor(np.pi / (2.0 * max(self.noise, 1e-9)))))
         if self.base_shape == "gaussian_blobs" and self.n_classes > max_classes:
@@ -124,11 +137,9 @@ def _rotate(points: np.ndarray, angles_rad: np.ndarray) -> np.ndarray:
 def gen_rotating(spec: RotatingSpec) -> MultiDomainDataset:
     """Generate a rotating-domain dataset, deterministic in spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    width = spec.total_range_deg / spec.n_domains
     train_f, train_y, test_f, test_y = [], [], [], []
     train_angles, test_angles = [], []
-    for i in range(spec.n_domains):
-        lo, hi = i * width, (i + 1) * width
+    for lo, hi in domain_ranges(spec.total_range_deg, spec.n_domains):
         per_split = []
         for count in (spec.train_per_domain, spec.test_per_domain):
             counts = split_budget_evenly(count, spec.n_classes)
@@ -232,11 +243,10 @@ def rotate_idx_domains(features: np.ndarray, labels: np.ndarray, n_domains: int,
         raise ValueError(f"labels give {n_classes} class; need at least 2")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    width = total_range_deg / n_domains
     train_f, train_y, test_f, test_y = [], [], [], []
-    for i in range(n_domains):
+    for i, (lo, hi) in enumerate(domain_ranges(total_range_deg, n_domains)):
         take = order[i * per_domain:(i + 1) * per_domain]
-        deg = rng.uniform(i * width, (i + 1) * width, size=per_domain)
+        deg = rng.uniform(lo, hi, size=per_domain)
         imgs = features[take].reshape(-1, side, side)
         rotated = np.stack([
             ndimage.rotate(img, a, reshape=False, order=1, mode="constant", cval=0.0)

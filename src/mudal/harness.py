@@ -23,7 +23,7 @@ from .config import ConfigError, ExperimentConfig, IdxDatasetSpec, config_to_tex
 from .data import (MultiDomainDataset, RotatingSpec, gen_rotating, init_pool,
                    load_idx, rotate_idx_domains)
 from .objective import estimate_h_distance, evaluate
-from .simplex import BudgetLedger, SimilarityMatrix, assign_budget
+from .simplex import BudgetLedger, SimilarityMatrix, assign_budget, column_importance
 from .strategies import select
 from .training import NumericalAbort, ObjectiveSnapshot, train_round, write_snapshots_csv
 
@@ -113,7 +113,8 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
             raise NumericalAbort(f"seed {seed}, round {r}: {exc}") from exc
         bundle = rr.bundle
         per_acc = evaluate(bundle, dataset)
-        hdist, report = _score_round(bundle, dataset, pool, ledger, r, rr.alpha)
+        alpha = rr.alpha.alpha
+        hdist, report = _score_round(bundle, dataset, pool, ledger, r, alpha)
         result.rounds.append(RoundMetrics(
             seed=seed, round=r, per_domain_acc=per_acc,
             alpha=rr.alpha, hdist=hdist, bound=report, history=rr.history,
@@ -130,7 +131,7 @@ def run_seed(cfg: ExperimentConfig, dataset: MultiDomainDataset, seed: int) -> S
             result.truncated_at = r + 1
             break
 
-        cols = rr.alpha.column_importance()
+        cols = column_importance(alpha)
         if cfg.assignment == "joint":
             chosen = _joint_select(cfg, dataset, unlab, bundle,
                                    _rng_seed(seed, _STREAM_QUERY, r + 1))

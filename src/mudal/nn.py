@@ -37,11 +37,12 @@ role shares them), and the layer gradients where ws keeps them, e.g. a
 `ParamSet`'s `grad_views`. A trainer keeps one workspace for a round, so
 each pass writes over the last one of its role; the default, `ALLOCATE`,
 makes a new array on every call, so `predict` and every pass outside
-training own what they return. A backward refuses a trace once its net's
-parameters changed (`stale trace`), so a caller that steps the net before
-its role is written again never reads a later pass's values through an old
-trace. `np.matmul` and `sum(axis=0)` round alike with and without `out=`,
-so both give the same bits.
+training own what they return. A trace is current while the `AdamState`
+that steps its net (`Layer.adam`) has taken no step since the forward pass;
+after one its backward refuses it (`stale trace`), so no caller reads a
+later pass's values through an old trace (writes past `step` go unseen).
+`np.matmul` and `sum(axis=0)` round alike with and without `out=`, so both
+give the same bits.
 
 The losses' kernels spend few NumPy calls on many short rows: the softmax
 takes its row max and row sum one column at a time (`_row_max`, `_row_sum`:
@@ -110,13 +111,11 @@ def sigmoid(z: np.ndarray, ws: Workspace | None = None, role=None) -> np.ndarray
 
 
 class Layer:
-    """One dense layer: weight (out, in), bias (out,), activation tag.
+    """One dense layer: weight (out, in), bias (out,), activation tag, and
+    `adam`, the `AdamState` of the `ParamSet` that steps it (None for a
+    layer no set holds)."""
 
-    ``version`` increments on every in-place parameter update so a forward
-    trace can detect that it has gone stale.
-    """
-
-    __slots__ = ("W", "b", "activation", "version")
+    __slots__ = ("W", "b", "activation", "adam")
 
     def __init__(self, W: np.ndarray, b: np.ndarray, activation: str = "identity"):
         W = np.array(W, dtype=np.float64)
@@ -128,7 +127,7 @@ class Layer:
         self.W = W
         self.b = b
         self.activation = activation
-        self.version = 0
+        self.adam = None
 
     @property
     def in_dim(self) -> int:
@@ -137,9 +136,6 @@ class Layer:
     @property
     def out_dim(self) -> int:
         return self.W.shape[0]
-
-    def bump(self) -> None:
-        self.version += 1
 
     @classmethod
     def random(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> "Layer":
@@ -196,7 +192,8 @@ class ActivationTrace:
 
     net: "DenseNet"
     acts: list[np.ndarray]     # the input, then the activation of each layer
-    versions: tuple[int, ...]
+    adam: "AdamState | None"   # the net's optimizer at forward() (its first layer's)
+    t: int | None              # and its step count then
     ws: Workspace
     role: str
 
@@ -204,11 +201,11 @@ class ActivationTrace:
     def output(self) -> np.ndarray:
         return self.acts[-1]
 
-    def check_current(self, net: "DenseNet") -> None:
-        """Refuse a trace of another net, or one taken before a parameter update."""
-        if self.net is not net:
-            raise ValueError("trace was produced by a different net")
-        if self.versions != net.versions():
+    def check_current(self) -> None:
+        """Refuse a trace once its net's optimizer stepped, or a later
+        `ParamSet` took the net's layers over, since forward()."""
+        adam = self.net.layers[0].adam
+        if adam is not self.adam or (adam is not None and adam.t != self.t):
             raise ValueError("stale trace: parameters changed since forward()")
 
 
@@ -249,9 +246,6 @@ class DenseNet:
         ]
         return cls(layers)
 
-    def versions(self) -> tuple[int, ...]:
-        return tuple([layer.version for layer in self.layers])
-
     def forward(self, x: np.ndarray, ws: Workspace = ALLOCATE, role: str = "") -> ActivationTrace:
         """The trace of x through every layer, written into `ws` under
         `role`, as the backward of the trace then is."""
@@ -271,7 +265,8 @@ class DenseNet:
             acts.append(x)
         if not np.isfinite(x).all():
             raise FloatingPointError("non-finite values in forward output")
-        return ActivationTrace(self, acts, self.versions(), ws, role)
+        adam = self.layers[0].adam
+        return ActivationTrace(self, acts, adam, None if adam is None else adam.t, ws, role)
 
     def backward(self, trace: ActivationTrace, output_grad: np.ndarray, *,
                  params: bool = True, inputs: bool = True,
@@ -282,7 +277,9 @@ class DenseNet:
         layer 0's input gradient, and the skipped part comes back as None."""
         if not (params or inputs):
             raise ValueError("backward needs params, inputs or both")
-        trace.check_current(self)
+        if trace.net is not self:
+            raise ValueError("trace was produced by a different net")
+        trace.check_current()
         delta = np.asarray(output_grad, dtype=np.float64)
         if delta.shape != trace.output.shape:
             raise ValueError(
@@ -403,11 +400,11 @@ class ParamSet:
             views.append((view, self._grad[start:end].reshape(p.shape)))
             self._starts.append(start)
         n = len(self.layers)
+        self.adam = AdamState.init(self.flat)
         self._slots = []  # (layer, W view, dW slot, b view, db slot)
         for layer, (W, dW), (b, db) in zip(self.layers, views[:n], views[n:]):
-            layer.W, layer.b = W, b
+            layer.W, layer.b, layer.adam = W, b, self.adam
             self._slots.append((layer, W, dW, b, db))
-        self.adam = AdamState.init(self.flat)
 
     def _check_views(self, k: int) -> None:
         layer, W, _, b, _ = self._slots[k]
@@ -460,8 +457,6 @@ class ParamSet:
                                  f"!= parameter shapes {(dW.shape, db.shape)}")
             dW[...], db[...] = pair
         adam_step(self.flat, self._grad, self.adam, lr)
-        for layer in self.layers:
-            layer.bump()
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

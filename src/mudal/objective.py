@@ -43,10 +43,10 @@ gradients), `disc_pass` the "disc" role and `DiscPass.rerun` the
 sigmoid and its logit gradient under the "vd" role, which both of a step's
 V_d calls share: each writes them before it reads them. Without a workspace
 every array is fresh (`ALLOCATE`). The readers of a pass refuse it once its
-layers changed (`stale trace`), since a later pass of its role may have
-written over it. The terms call the losses' kernels, which check nothing:
-V_d's targets are 0/1 by construction, and a classifier pass's labels must
-lie in [0, C).
+network's set stepped (`stale trace`), since a later pass of its role may
+have written over it. The terms call the losses' kernels, which check
+nothing: V_d's targets are 0/1 by construction, and a classifier pass's
+labels must lie in [0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients, which read only the labeled
@@ -65,7 +65,7 @@ from .data import MultiDomainDataset
 from .models import ModelBundle
 from .nn import (ALLOCATE, ActivationTrace, LayerGrads, LayerStack, Workspace, _sigmoid_bce,
                  _softmax_residual)
-from .simplex import as_alpha, column_importance, project_simplex
+from .simplex import column_importance, project_simplex
 
 
 @dataclass
@@ -141,7 +141,6 @@ class ClassifierPass:
     come from the trunk trace's workspace; the final layers are `stack`,
     the bundle's `LayerStack` of them, whose gradient views the terms write."""
     trunk: ActivationTrace  # its output is the trunk output, (B, H)
-    versions: list[int]     # of the stack's layers, at the forward pass
     logits: np.ndarray
     labels: np.ndarray
     sizes: np.ndarray       # rows per labeled domain
@@ -159,11 +158,9 @@ class ClassifierPass:
         return self._softmax
 
     def check_current(self) -> None:
-        """Refuse a pass whose layers changed since it ran: a later pass may
-        have written over its arrays."""
-        if [f.version for f in self.stack.layers] != self.versions:
-            raise ValueError("stale trace: final layers changed since classifier_pass()")
-        self.trunk.check_current(self.trunk.net)
+        """Refuse a pass once the set that steps its trunk, and with it the
+        final layers, stepped: a later pass may have written over it."""
+        self.trunk.check_current()
 
     def errors(self) -> np.ndarray:
         """0/1 error (K, N) of each final layer on each L_j."""
@@ -198,10 +195,10 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    return ClassifierPass(trace, [f.version for f in stack.layers], logits, labels, sizes, stack)
+    return ClassifierPass(trace, logits, labels, sizes, stack)
 
 
-def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
+def compute_vh(cls: ClassifierPass, alpha: np.ndarray, *, value: bool = True) -> TermResult:
     """Column-importance-weighted classification loss of the shared classifier:
     sum_j alpha_j * mean_{L_j} CE(h(z), y), via per-sample weights. `grads`
     covers the shared final layer; `dz` the trunk output. Without `value`
@@ -224,7 +221,8 @@ def compute_vh(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
     return TermResult(None if loss is None else float(loss * wsum), grads, dz)
 
 
-def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermResult:
+def compute_vlambda(cls: ClassifierPass, alpha: np.ndarray, *,
+                    value: bool = True) -> TermResult:
     """Domain-specific head loss:
     (1/N) sum_i sum_j alpha[i, j] * mean_{L_j} CE(h_i(z), y), every head's
     logits read from the one pass. `grads` covers the head finals; `dz` the
@@ -234,13 +232,12 @@ def compute_vlambda(cls: ClassifierPass, alpha, *, value: bool = True) -> TermRe
     heads in head order. Without `value` the loss is not computed and reads
     None."""
     cls.check_current()
-    a = as_alpha(alpha)
-    n = a.shape[0]
+    n = alpha.shape[0]
     heads = cls.stack.layers[1:]
     if len(heads) != n:
         raise ValueError("V_lambda needs a classifier pass with every head")
     # head i weighs each row of L_j by alpha[i, j] / |L_j|
-    w = (a / cls.sizes).repeat(cls.sizes, axis=1)
+    w = (alpha / cls.sizes).repeat(cls.sizes, axis=1)
     wsum = w.sum()
     shifted, denom, residual, onehot = cls.softmax()
     loss = None
@@ -284,7 +281,7 @@ class DiscPass:
     def rates(self, originals: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """The pass's `decision_rates`; refused once the discriminator
         changed, since a later pass may have written over its arrays."""
-        self.trace.check_current(self.trace.net)
+        self.trace.check_current()
         return decision_rates(self.trace.output, self.layout, originals=originals)
 
 
@@ -314,7 +311,7 @@ def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
     return DiscPass(bundle.discriminator.forward(z, ws, "disc"), layout)
 
 
-def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = True,
+def compute_vd(disc: DiscPass, alpha: np.ndarray, *, params: bool = True, inputs: bool = True,
                value: bool = True) -> TermResult:
     """Conditional-discriminator loss from one discriminator pass: for each
     original domain i, BCE of D_i against target 1 on the originals of i and
@@ -328,18 +325,17 @@ def compute_vd(disc: DiscPass, alpha, *, params: bool = True, inputs: bool = Tru
     backward = params or inputs
     if not (backward or value):
         raise ValueError("compute_vd needs its value, params or inputs")
-    a = as_alpha(alpha)
     lay = disc.layout
     n = lay.n_orig.size
     trace, net = disc.trace, disc.trace.net
     if not backward:
-        trace.check_current(net)
+        trace.check_current()
     logits, ws = trace.output, trace.ws
     # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
     # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
     w = ws.array("vd", "weights", logits.shape)
     w[:lay.orig_rows] = lay.orig_w
-    w[lay.orig_rows:] = np.repeat((a / lay.n_lab).T, lay.n_lab, axis=0)
+    w[lay.orig_rows:] = np.repeat((alpha / lay.n_lab).T, lay.n_lab, axis=0)
     wsum = w.sum()  # the flat weights' sum too: a contiguous array sums alike in any shape
     norm_loss, dlogits = _sigmoid_bce(logits.reshape(-1), lay.target.reshape(-1),
                                       w.reshape(-1), wsum, value=value, ws=ws, role="vd")
@@ -388,32 +384,30 @@ def alpha_step(alpha: np.ndarray, coeffs: np.ndarray, lr: float) -> np.ndarray:
     entry (d is the E of the step that made it), the computed c.p exceeds the
     computed c.a by at most |c|_1 (E + 3 d) + 2 gamma_n |c|_inf (1 + n E),
     the last term for the two dot products."""
-    a = as_alpha(alpha)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    if a.shape != coeffs.shape:
+    if alpha.shape != coeffs.shape:
         raise ValueError("alpha/coefficient shape mismatch")
     try:
-        return project_simplex(a - lr * coeffs)
+        return project_simplex(alpha - lr * coeffs)
     except ValueError as exc:  # rows past float64's reach, e.g. from a huge lambda_d
         raise FloatingPointError(str(exc)) from exc
 
 
 def estimate_h_distance(bundle: ModelBundle, orig_z: list[np.ndarray],
-                        labeled_z: list[np.ndarray], alpha) -> np.ndarray:
+                        labeled_z: list[np.ndarray], alpha: np.ndarray) -> np.ndarray:
     """Empirical feature-space distance (N,) between each original domain i
     and its alpha[i]-weighted labeled mixture, from latent rows and one
     discriminator forward per block: 2 * (1 - [originals of i misread as
     mixture + sum_j alpha[i, j] * L_j misread as original of i]), clamped to
     [0, 2]. The sum runs over j in domain order. The blocks' `BlockLayout`
     refuses an empty one."""
-    a = as_alpha(alpha)
     layout = BlockLayout.of([z.shape[0] for z in orig_z], [z.shape[0] for z in labeled_z])
     logits = np.concatenate([bundle.discriminator.predict(z) for z in [*orig_z, *labeled_z]])
     orig_rate, lab_rate = decision_rates(logits, layout)
     # misread originals counted back from the rate: the mean of D_i < 0 to the bit
     err_o = (layout.n_orig - np.rint(orig_rate * layout.n_orig)) / layout.n_orig
     # a running sum over j in domain order; a row's positive entry rules out -0.0
-    err_l = np.cumsum(a * lab_rate, axis=1)[:, -1]
+    err_l = np.cumsum(alpha * lab_rate, axis=1)[:, -1]
     return np.clip(2.0 * (1.0 - (err_o + err_l)), 0.0, 2.0)
 
 

@@ -31,18 +31,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(rows - tau[:, None], 0.0).reshape(v.shape)
 
 
-def as_alpha(alpha: np.ndarray | "SimilarityMatrix") -> np.ndarray:
-    """The float64 array of a similarity matrix or of an array-like."""
-    if isinstance(alpha, SimilarityMatrix):
-        return alpha.alpha
-    return np.asarray(alpha, dtype=np.float64)
-
-
-def column_importance(alpha: np.ndarray | "SimilarityMatrix") -> np.ndarray:
-    """Column means of the similarity matrix: labeled domain j's overall weight.
+def column_importance(alpha: np.ndarray) -> np.ndarray:
+    """Column means of the similarity array: labeled domain j's overall weight.
     The column sums divided by N are `mean(axis=0)` to the bit, in fewer calls."""
-    a = as_alpha(alpha)
-    return a.sum(axis=0) / a.shape[0]
+    return alpha.sum(axis=0) / alpha.shape[0]
 
 
 @dataclass
@@ -68,9 +60,6 @@ class SimilarityMatrix:
         rows = self.alpha.sum(axis=1)
         if np.any(np.abs(rows - 1.0) > atol):
             raise ValueError(f"alpha rows must sum to 1 (got {rows})")
-
-    def column_importance(self) -> np.ndarray:
-        return column_importance(self.alpha)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as f:

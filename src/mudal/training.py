@@ -68,11 +68,12 @@ role, and the layer gradients go straight into the bundle's `ParamSet`s'
 gradient buffers. Where the encoder aligns, its output gradient is written
 over V_d's latent gradient; elsewhere it is the "encoder" role's. What a
 step reads of the workspace lives only for the step: the readers of a pass
-or trace refuse it once its network stepped (`stale trace`), and each
-network steps before the next step writes its role again. The rest of a step's arrays are
-small and fresh each step (the batch, the classifier pass's softmax, V_h's
-and V_lambda's row weights and logit gradients, the alpha readouts), and the
-epoch snapshot and everything outside training allocate their own.
+or trace refuse it once its network's `AdamState` stepped (`stale trace`),
+as each does before the next step writes its role again. The rest of a
+step's arrays are small and fresh each step (the batch, the classifier
+pass's softmax, V_h's and V_lambda's row weights and logit gradients, the
+alpha readouts); the epoch snapshot and everything outside training
+allocate their own.
 
 A numerical abort names the phase of the step it arose in.
 """

@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+from mudal.config import IdxDatasetSpec
 from mudal.data import (IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledPool,
-                        RotatingSpec, gen_rotating, init_pool, load_idx,
+                        RotatingSpec, domain_ranges, gen_rotating, init_pool, load_idx,
                         rotate_idx_domains, split_budget_evenly)
 
 
@@ -24,6 +25,27 @@ class TestGenRotating:
         for i in range(6):
             a = ds.meta["train_angles"][i]
             assert np.all(a >= 30.0 * i) and np.all(a < 30.0 * (i + 1))
+
+    @pytest.mark.parametrize("total, n", [(97.3, 7), (1.0, 11), (359.9, 3)])
+    def test_domain_ranges_keep_the_generators_expressions(self, total, n):
+        # i * width and (i + 1) * width, width = total / n, as both generators
+        # drew their angles; total * i / n rounds differently at these sizes
+        width = total / n
+        ranges = domain_ranges(total, n)
+        assert ranges == [(i * width, (i + 1) * width) for i in range(n)]
+        assert any(i * width != total * i / n for i in range(n + 1))
+        assert ranges[0][0] == 0.0 and all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+
+    @pytest.mark.parametrize("over", [
+        dict(n_domains=0), dict(train_per_domain=0), dict(test_per_domain=0),
+        dict(total_range_deg=0.0), dict(total_range_deg=np.inf), dict(total_range_deg=np.nan),
+        dict(seed=-1)])
+    def test_both_specs_refuse_a_bad_split_alike(self, over):
+        with pytest.raises(ValueError) as rotating:
+            small_spec(**over)
+        with pytest.raises(ValueError) as idx:
+            IdxDatasetSpec("images.idx", "labels.idx", **over)
+        assert str(rotating.value) == str(idx.value)
 
     def test_single_domain(self):
         ds = gen_rotating(small_spec(n_domains=1, total_range_deg=30.0))

@@ -14,7 +14,7 @@ from mudal.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, LabeledPool, RotatingSp
 from mudal import bounds, cli, harness
 from mudal.harness import build_dataset, export_outputs, run_experiment, run_seed
 from mudal.models import ModelBundle
-from mudal.simplex import SimilarityMatrix
+from mudal.simplex import SimilarityMatrix, column_importance
 from mudal.strategies import STRATEGIES
 from mudal.training import VARIANTS, TrainConfig, step_grads
 
@@ -214,7 +214,7 @@ class TestRunSeed:
         for r in range(1, len(ledger.increments) + 1):
             if r in clamped:
                 continue
-            cols = res.rounds[r - 1].alpha.column_importance()
+            cols = column_importance(res.rounds[r - 1].alpha.alpha)
             assert np.abs(ledger.beta(r) - cols).sum() < n / (cfg.m0 + r * cfg.m), r
             checked += 1
         assert checked >= 4

@@ -67,3 +67,18 @@ def test_readout_is_the_classifier_net_bit_for_bit():
         final = bundle.classifier.layers[-1]
         assert same_bits(hidden, bundle.trunk.predict(z))
         assert same_bits(logits, hidden @ final.W.T + final.b)
+
+
+def test_each_network_is_stepped_by_one_optimizer():
+    # a trace is current while its first layer's optimizer has not stepped,
+    # so every net a pass runs must be stepped by one `AdamState` alone
+    bundle = bundle_of(np.random.default_rng(5))
+    nets = {"encoder": bundle.encoder, "classifier": bundle.classifier, "trunk": bundle.trunk,
+            "discriminator": bundle.discriminator}
+    for name, net in nets.items():
+        assert len({id(layer.adam) for layer in net.layers}) == 1, name
+    assert bundle.encoder.layers[0].adam is bundle.net_params.adam
+    assert bundle.trunk.layers[0].adam is bundle.net_params.adam
+    assert all(layer.adam is bundle.net_params.adam for layer in bundle.finals.layers)
+    assert bundle.discriminator.layers[0].adam is bundle.disc_params.adam
+    assert bundle.disc_params.adam is not bundle.net_params.adam

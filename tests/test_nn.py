@@ -131,11 +131,39 @@ class TestBackward:
     def test_stale_trace_rejected(self):
         rng = np.random.default_rng(0)
         net = DenseNet.create([2, 3], ["identity"], rng)
+        params = ParamSet(net.layers)
         trace = net.forward(rng.standard_normal((2, 2)))
-        net.layers[0].W[0, 0] += 1.0
-        net.layers[0].bump()
+        params.step({net.layers[0]: (np.ones((3, 2)), np.ones(3))}, 0.1)
         with pytest.raises(ValueError, match="stale"):
             net.backward(trace, np.ones((2, 3)))
+
+    def test_trace_stale_once_a_later_set_takes_its_layers_over(self):
+        rng = np.random.default_rng(0)
+        net = DenseNet.create([2, 3, 3], ["relu", "identity"], rng)
+        x = rng.standard_normal((2, 2))
+        bare = net.forward(x)
+        ParamSet(net.layers)
+        held = net.forward(x)
+        ParamSet(net.layers)  # no step: the takeover alone
+        for trace in (bare, held):
+            with pytest.raises(ValueError, match="stale"):
+                net.backward(trace, np.ones((2, 3)))
+        net.backward(net.forward(x), np.ones((2, 3)))
+
+    def test_refused_nan_step_leaves_traces_current(self):
+        rng = np.random.default_rng(1)
+        net = DenseNet.create([2, 3, 3], ["relu", "identity"], rng)
+        params = ParamSet(net.layers)
+        params.step(random_grads(net, rng), 0.1)
+        trace = net.forward(rng.standard_normal((4, 2)))
+        g = rng.standard_normal((4, 3))
+        before = net.backward(trace, g)[1].copy()
+        grads = random_grads(net, rng)
+        grads[net.layers[1]][0].flat[0] = np.nan
+        with pytest.raises(FloatingPointError):
+            params.step(grads, 0.1)
+        assert params.adam.t == 1
+        assert net.backward(trace, g)[1].tobytes() == before.tobytes()
 
     def test_foreign_trace_rejected(self):
         rng = np.random.default_rng(0)

@@ -358,7 +358,7 @@ class TestVd:
         for layer, (dw, db) in full.grads.items():
             assert params.grads[layer][0].tobytes() == dw.tobytes()
             assert params.grads[layer][1].tobytes() == db.tobytes()
-        bundle.discriminator.layers[0].bump()
+        bundle.disc_params.step(full.grads, 0.05)
         with pytest.raises(ValueError, match="stale"):
             compute_vd(disc, alpha, params=False, inputs=False)
 
@@ -862,7 +862,8 @@ class TestLabeledReadouts:
         _, lab_z, lab_labels = labeled_batches(bundle)
         for layer in (bundle.head_finals[0], bundle.classifier.layers[0]):
             cls = classifier_pass_of(bundle, lab_z, lab_labels)
-            layer.bump()
+            # a step on this layer's gradient alone
+            bundle.net_params.step({layer: (np.ones_like(layer.W), np.ones_like(layer.b))}, 0.05)
             with pytest.raises(ValueError, match="stale"):
                 cls.backward(np.zeros_like(cls.trunk.output))
 

@@ -1,5 +1,7 @@
+import gc
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -407,6 +409,21 @@ class TestStepBuffers:
                      lambda: rr.bundle.encoder.backward(enc, np.zeros_like(enc.output))):
             with pytest.raises(ValueError, match="stale trace"):
                 read()
+
+    def test_a_finished_round_is_freed_by_reference_counting(self):
+        # a layer refers to its set's `AdamState`, never to the set, so no
+        # cycle keeps a round's bundle alive until the collector runs
+        ds, pool = toy_setup()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
+            params, disc = weakref.ref(rr.bundle.net_params), weakref.ref(rr.bundle.disc_params)
+            del rr
+            assert params() is None and disc() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="counts the page faults of glibc's heap")
