@@ -131,8 +131,8 @@ def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
 
         def step(value: bool):
             trace = bundle.encoder.forward(x, ws, "encoder")
-            cls = classifier_pass(bundle, trace.output[layout.orig_rows:], labels, layout.n_lab,
-                                  heads=cfg.optimizes_alpha, ws=ws)
+            cls = classifier_pass(bundle, trace.output[layout.orig_rows:], labels,
+                                  layout.lab_blocks, heads=cfg.optimizes_alpha, ws=ws)
             # V_d reaches the network step only where the encoder aligns
             disc = disc_pass(bundle, trace.output, layout, ws) if cfg.aligns_encoder else None
             return step_grads(cfg, trace, cls, disc, alpha, value=value)

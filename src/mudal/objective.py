@@ -13,9 +13,10 @@ the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
-part of both passes is the `BlockLayout`, which is its block sizes: every
-mean over a block, and V_d's weights and targets, are worked out from them
-when read.
+part of both passes is the `BlockLayout`, which is its block sizes and
+their `Segments`: every mean over a block reads the segments, built once with
+the layout, and V_d's weights and targets are worked out from the sizes when
+read.
 
 Every block has rows: `BlockLayout.of` and `classifier_pass` refuse an empty
 one, naming its domain, so a block's size divides every mean over it.
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,36 +89,51 @@ def require_rows(sizes, kind: str) -> None:
         raise ValueError(f"{kind} domain {empty[0]} has no rows")
 
 
-def _segment_means(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Means of 0/1 values in consecutive segments of the given sizes along
-    x's last axis: one integer count per segment, so exact, over its size.
+class Segments(NamedTuple):
+    """Consecutive segments of the given sizes along an axis, and each one's
+    first index and size as a float, worked out once for every mean over
+    them."""
+    sizes: np.ndarray
+    starts: np.ndarray
+    float_sizes: np.ndarray
 
-    Two traps of `np.add.reduceat`. For an empty segment it returns the
-    value at the segment's start, not 0; every block has rows, refused
-    where they enter (`require_rows`), so no segment here is empty. And
-    `np.add` on bools is a logical OR, which a `reduceat` without `dtype`
-    computes on some NumPy versions, not a count: the counts name theirs."""
-    return np.add.reduceat(x, sizes.cumsum() - sizes, axis=-1, dtype=np.int64) / sizes
+    @classmethod
+    def of(cls, sizes) -> Segments:
+        sizes = np.asarray(sizes)
+        return cls(sizes, sizes.cumsum() - sizes, sizes.astype(np.float64))
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """Means of 0/1 values in the segments along x's last axis: one
+        integer count per segment, so exact, over its size.
+
+        Two traps of `np.add.reduceat`. For an empty segment it returns the
+        value at the segment's start, not 0; every block has rows, refused
+        where they enter (`require_rows`), so no segment here is empty. And
+        `np.add` on bools is a logical OR, which a `reduceat` without `dtype`
+        computes on some NumPy versions, not a count: the counts name theirs."""
+        return np.add.reduceat(x, self.starts, axis=-1, dtype=np.int64) / self.float_sizes
 
 
 @dataclass(frozen=True)
 class BlockLayout:
     """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
     L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
-    domain. The layout is its block sizes: the means over its blocks (the
-    0/1 errors and the decision rates) are worked out from them when read,
-    and V_d's BCE parts (the originals' weights and the 0/1 targets) when
-    first read, so a layout V_d never reads (the h-distance's, over the
+    domain. The layout is its block sizes, and their `Segments`, which the
+    means over its blocks (the 0/1 errors and the decision rates) read; V_d's
+    BCE parts (the originals' weights and the 0/1 targets) are worked out
+    when first read, so a layout V_d never reads (the h-distance's, over the
     whole pool) builds none of its (rows, N) arrays. Every block has rows."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
+    orig_blocks: Segments
+    lab_blocks: Segments
 
     @classmethod
     def of(cls, n_orig, n_lab) -> BlockLayout:
         n_orig, n_lab = np.asarray(n_orig), np.asarray(n_lab)
         require_rows(n_orig, "original")
         require_rows(n_lab, "labeled")
-        return cls(n_orig, n_lab)
+        return cls(n_orig, n_lab, Segments.of(n_orig), Segments.of(n_lab))
 
     @cached_property
     def orig_rows(self) -> int:  # the stack's head
@@ -143,7 +160,7 @@ class ClassifierPass:
     trunk: ActivationTrace  # its output is the trunk output, (B, H)
     logits: np.ndarray
     labels: np.ndarray
-    sizes: np.ndarray       # rows per labeled domain
+    blocks: Segments        # rows per labeled domain
     stack: LayerStack
     _softmax: tuple | None = None
 
@@ -165,7 +182,7 @@ class ClassifierPass:
     def errors(self) -> np.ndarray:
         """0/1 error (K, N) of each final layer on each L_j."""
         self.check_current()
-        return _segment_means(self.logits.argmax(axis=2) != self.labels, self.sizes)
+        return self.blocks.means(self.logits.argmax(axis=2) != self.labels)
 
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
         """The trunk's gradients and the latent gradient of the rows the pass
@@ -174,14 +191,15 @@ class ClassifierPass:
         return self.trunk.net.backward(self.trunk, dhidden)
 
 
-def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, sizes, *,
-                    heads: bool = True, ws: Workspace = ALLOCATE) -> ClassifierPass:
-    """Run the classifier trunk once over labeled latent rows `z` (`sizes`
-    rows per labeled domain) and apply the bundle's `finals` (with `heads`,
-    else the shared final layer alone) as one (K, C, H) stack. An empty
+def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray,
+                    blocks: Segments, *, heads: bool = True,
+                    ws: Workspace = ALLOCATE) -> ClassifierPass:
+    """Run the classifier trunk once over labeled latent rows `z` (`blocks`,
+    their rows per labeled domain) and apply the bundle's `finals` (with
+    `heads`, else the shared final layer alone) as one (K, C, H) stack. An empty
     labeled block is refused. Its arrays go to `ws` under the "trunk" role.
     The labels must lie in [0, C) for V_h and V_lambda to read them."""
-    sizes = np.asarray(sizes)
+    sizes = blocks.sizes
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
@@ -195,7 +213,7 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray, size
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
-    return ClassifierPass(trace, logits, labels, sizes, stack)
+    return ClassifierPass(trace, logits, labels, blocks, stack)
 
 
 def compute_vh(cls: ClassifierPass, alpha: np.ndarray, *, value: bool = True) -> TermResult:
@@ -205,7 +223,8 @@ def compute_vh(cls: ClassifierPass, alpha: np.ndarray, *, value: bool = True) ->
     the loss is not computed and reads None."""
     cls.check_current()
     cols = column_importance(alpha)
-    w = (cols / cls.sizes).repeat(cls.sizes)
+    sizes = cls.blocks.sizes
+    w = (cols / sizes).repeat(sizes)
     wsum = w.sum()
     loss = None  # the weighted mean's, before wsum undoes it
     shifted, denom, residual, onehot = cls.softmax()
@@ -237,7 +256,8 @@ def compute_vlambda(cls: ClassifierPass, alpha: np.ndarray, *,
     if len(heads) != n:
         raise ValueError("V_lambda needs a classifier pass with every head")
     # head i weighs each row of L_j by alpha[i, j] / |L_j|
-    w = (alpha / cls.sizes).repeat(cls.sizes, axis=1)
+    sizes = cls.blocks.sizes
+    w = (alpha / sizes).repeat(sizes, axis=1)
     wsum = w.sum()
     shifted, denom, residual, onehot = cls.softmax()
     loss = None
@@ -293,10 +313,10 @@ def decision_rates(logits: np.ndarray, layout: BlockLayout, *,
     (N, N). With `originals` off the originals' rates are skipped and read
     None."""
     n_o = layout.orig_rows
-    lab = _segment_means((logits[n_o:] >= 0.0).T, layout.n_lab)
+    lab = layout.lab_blocks.means((logits[n_o:] >= 0.0).T)
     if not originals:
         return None, lab
-    return np.diag(_segment_means((logits[:n_o] >= 0.0).T, layout.n_orig)), lab
+    return np.diag(layout.orig_blocks.means((logits[:n_o] >= 0.0).T)), lab
 
 
 def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,

@@ -11,6 +11,7 @@ import os
 import sys
 
 import mudal
+import numpy as np
 import pytest
 from mudal import training
 from mudal.data import RotatingSpec, gen_rotating, init_pool
@@ -57,3 +58,24 @@ def test_step_calls_stay_within_their_bound(variant, monkeypatch):
 
 def test_the_count_repeats_exactly(monkeypatch):
     assert step_calls("cal", monkeypatch) == step_calls("cal", monkeypatch)
+
+
+def test_a_round_without_a_rejected_word_makes_no_choice_calls(monkeypatch):
+    # a round's minibatches are `rng.choice` picks, drawn by one read of a
+    # PCG64 generator per epoch; the calls run only where Lemire's test
+    # would reject a word, which no draw of this round meets
+    ds = gen_rotating(RotatingSpec(6, 400, 160, seed=0))
+    pool = init_pool(ds, 60, 1)
+    calls = []
+
+    class Counting(np.random.Generator):
+        def choice(self, *args, **kwargs):
+            calls.append(args)
+            return super().choice(*args, **kwargs)
+
+    for bits, want in ((np.random.PCG64, 0), (np.random.MT19937, 12 * STEPS)):
+        calls.clear()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(bits(seed)))
+        train_round(ds, pool, TrainConfig("cal", epochs=2), 3)
+        # another generator makes the calls, 12 a step
+        assert len(calls) == want

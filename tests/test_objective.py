@@ -9,8 +9,8 @@ from mudal import objective
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import ModelBundle, make_bundle
 from mudal.nn import DenseNet, Layer, Workspace
-from mudal.objective import (BlockLayout, TermResult, alpha_objective_coefficients, alpha_step,
-                             classifier_pass, compute_vd, compute_vh, compute_vlambda,
+from mudal.objective import (BlockLayout, Segments, TermResult, alpha_objective_coefficients,
+                             alpha_step, classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              decision_rates, disc_pass, estimate_h_distance, evaluate)
 from mudal.simplex import project_simplex
 from mudal.training import TrainConfig, train_round
@@ -46,7 +46,7 @@ def classifier_pass_of(bundle, lab_z, lab_labels, heads=True):
     """`classifier_pass` over a list of labeled latent blocks and their
     labels, stacked."""
     return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels),
-                           [z.shape[0] for z in lab_z], heads=heads)
+                           Segments.of([z.shape[0] for z in lab_z]), heads=heads)
 
 
 def disc_pass_of(bundle, orig_z, lab_z, layout=None):
@@ -224,7 +224,7 @@ class TestEmptyBlocksRefused:
         # (`np.add.reduceat`), so the refusal comes before any reduction
         bundle = tiny_bundle()
         calls = []
-        monkeypatch.setattr(objective, "_segment_means", lambda *a: calls.append("mean"))
+        monkeypatch.setattr(objective.Segments, "means", lambda *a: calls.append("mean"))
         for net in (bundle.trunk, bundle.discriminator):
             monkeypatch.setattr(net, "forward", lambda *a, **k: calls.append("forward"))
             monkeypatch.setattr(net, "predict", lambda *a: calls.append("predict"))
@@ -232,7 +232,7 @@ class TestEmptyBlocksRefused:
         empty = [z[0], np.empty((0, 4)), z[2]]
         with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
             classifier_pass(bundle, np.concatenate(empty), np.zeros(14, dtype=np.int64),
-                            [7, 0, 7])
+                            Segments.of([7, 0, 7]))
         with pytest.raises(ValueError, match="original domain 1 has no rows"):
             estimate_h_distance(bundle, empty, z, np.full((3, 3), 1 / 3))
         with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
@@ -241,7 +241,7 @@ class TestEmptyBlocksRefused:
 
 
 def membership_means(x, sizes):
-    """The membership-matrix product `_segment_means` replaced, as its
+    """The membership-matrix product `Segments.means` replaced, as its
     bitwise oracle: the 0/1 values as float64 times the (rows, segments)
     matrix of which segment each row is in, over the sizes."""
     member = np.repeat(np.arange(sizes.size), sizes)[:, None] == np.arange(sizes.size)
@@ -259,14 +259,14 @@ class TestSegmentMeans:
         rng = np.random.default_rng(sizes.sum())
         for density in (0.0, 0.3, 0.5, 0.97, 1.0):
             x = rng.random((*lead, sizes.sum())) < density
-            assert same_bits(objective._segment_means(x, sizes), membership_means(x, sizes))
+            assert same_bits(Segments.of(sizes).means(x), membership_means(x, sizes))
 
     def test_match_on_random_layouts(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
             sizes = rng.integers(1, 40, rng.integers(1, 10))
             x = rng.random((int(rng.integers(1, 8)), sizes.sum())) < rng.random()
-            assert same_bits(objective._segment_means(x, sizes), membership_means(x, sizes))
+            assert same_bits(Segments.of(sizes).means(x), membership_means(x, sizes))
 
     def test_the_h_distance_rates_match_the_membership_product(self):
         # the layout over a whole pool: 3 x 2,000 originals, 3 x 150 labeled
@@ -296,10 +296,14 @@ class TestVd:
         disc = disc_pass_of(bundle, orig_z, lab_z)
         again = disc.rerun()
         assert again.layout is disc.layout
-        # the layout is its sizes; oracle: the parts built from them, each
-        # built once
+        # the layout is its sizes and their segments; oracle: the parts built
+        # from them, each built once
         lay = disc.layout
-        assert [f.name for f in dataclasses.fields(lay)] == ["n_orig", "n_lab"]
+        assert [f.name for f in dataclasses.fields(lay)] == ["n_orig", "n_lab", "orig_blocks",
+                                                             "lab_blocks"]
+        for sizes, blocks in ((lay.n_orig, lay.orig_blocks), (lay.n_lab, lay.lab_blocks)):
+            assert blocks.sizes is sizes and blocks.float_sizes.tolist() == sizes.tolist()
+            assert blocks.starts.tolist() == np.cumsum([0, *sizes[:-1]]).tolist()
         orig_owner = np.repeat(np.arange(3), lay.n_orig)
         lab_rows = int(lay.n_lab.sum())
         assert lay.orig_rows == orig_owner.size
@@ -332,15 +336,16 @@ class TestVd:
         z = np.concatenate([*orig_z, *lab_z])
         lab, labels = np.concatenate(lab_z), np.concatenate(lab_labels)
         assert disc_pass(bundle, z, layout).trace.output.shape == (z.shape[0], 3)
-        assert classifier_pass(bundle, lab, labels, layout.n_lab).logits.shape[1] == lab.shape[0]
+        cls = classifier_pass(bundle, lab, labels, layout.lab_blocks)
+        assert cls.logits.shape[1] == lab.shape[0]
         with pytest.raises(ValueError, match="do not fit"):
             disc_pass(bundle, z[1:], layout)
         with pytest.raises(ValueError, match="do not fit"):
             disc_pass(bundle, lab, layout)
         with pytest.raises(ValueError, match="do not fit"):
-            classifier_pass(bundle, lab, labels, layout.n_lab + 1)
+            classifier_pass(bundle, lab, labels, Segments.of(layout.n_lab + 1))
         with pytest.raises(ValueError, match="do not fit"):
-            classifier_pass(bundle, lab, labels[1:], layout.n_lab)
+            classifier_pass(bundle, lab, labels[1:], layout.lab_blocks)
 
     def test_compute_vd_skips_what_is_not_read(self):
         bundle = tiny_bundle(seed=7)
@@ -575,7 +580,7 @@ def softmax_ce_by_rows(logits, labels, weights=None):
 def vh_oracle(cls, alpha):
     """V_h's value, shared-final (dW, db) and trunk-output gradient, one
     array at a time: the bitwise oracle of `compute_vh`."""
-    w = np.repeat(alpha.mean(axis=0) / cls.sizes, cls.sizes)
+    w = np.repeat(alpha.mean(axis=0) / cls.blocks.sizes, cls.blocks.sizes)
     wsum = w.sum()
     norm_loss, dlogits = softmax_ce_by_rows(cls.logits[0], cls.labels, w)
     value, dlogits = norm_loss * wsum, dlogits * wsum
@@ -589,7 +594,7 @@ def vlambda_oracle(cls, alpha):
     `compute_vlambda`'s batched kernels."""
     n = alpha.shape[0]
     heads = cls.stack.layers[1:]
-    w = np.repeat(alpha / cls.sizes, cls.sizes, axis=1)
+    w = np.repeat(alpha / cls.blocks.sizes, cls.blocks.sizes, axis=1)
     wsum = w.sum()
     logits = cls.logits[1:]
     norm_loss, dlogits = softmax_ce_by_rows(logits.reshape(-1, logits.shape[2]),
@@ -623,8 +628,9 @@ class TestBatchedHeads:
             z = rng.standard_normal((sizes.sum(), 5))
             labels = rng.integers(0, c, size=sizes.sum())
             alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
-            yield (classifier_pass(bundle, z, labels, sizes, ws=bundle.workspace()),
-                   classifier_pass(bundle, z, labels, sizes), alpha)
+            blocks = Segments.of(sizes)
+            yield (classifier_pass(bundle, z, labels, blocks, ws=bundle.workspace()),
+                   classifier_pass(bundle, z, labels, blocks), alpha)
 
     def test_match_the_per_head_loop_bit_for_bit(self):
         for kept, fresh, alpha in self.draws():

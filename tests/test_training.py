@@ -229,36 +229,39 @@ class TestTrainRound:
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
         layout = batch_layout(ds, labeled, 8)
-        x, labels = training._batch_sampler(ds, labeled, layout, True)(rng)
-        bare_x, bare_labels = training._batch_sampler(ds, labeled, layout, False)(bare_rng)
-        n_lab = labels.size
-        assert x.shape == (8 * ds.n_domains + n_lab, ds.feature_dim)
-        # without the originals the batch holds only the labeled blocks
-        assert np.array_equal(bare_x, x[-n_lab:]) and bare_x.shape[0] == n_lab
-        assert np.array_equal(bare_labels, labels)
+        batches = list(training._batch_sampler(ds, labeled, layout, True)(rng, 5))
+        bare = list(training._batch_sampler(ds, labeled, layout, False)(bare_rng, 5))
+        assert len(batches) == len(bare) == 5
+        for (x, labels), (bare_x, bare_labels) in zip(batches, bare):
+            n_lab = labels.size
+            assert x.shape == (8 * ds.n_domains + n_lab, ds.feature_dim)
+            # without the originals the batch holds only the labeled blocks
+            assert np.array_equal(bare_x, x[-n_lab:]) and bare_x.shape[0] == n_lab
+            assert np.array_equal(bare_labels, labels)
         assert rng.random() == bare_rng.random()  # the stream is the same after
 
     @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
     def test_batch_stacks_the_per_block_gathers_in_layout_order(self, short):
         # oracle: one gather per block from a twin stream, stacked as
-        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}]; a labeled domain of one
-        # row gives one row
+        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}], step after step; a labeled
+        # domain of one row gives one row
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         for j in short:
             labeled[j] = (labeled[j][0][:1], labeled[j][1][:1])
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        x, labels = training._batch_sampler(ds, labeled, batch_layout(ds, labeled, 8), True)(rng)
-        blocks, want_labels = [], []
-        for i in range(ds.n_domains):
-            take = twin.choice(ds.train_size(i), size=8, replace=False)
-            blocks.append(ds.train_features[i][take])
-        for feats, y in labeled:
-            take = twin.choice(y.size, size=min(8, y.size), replace=False)
-            blocks.append(feats[take])
-            want_labels.append(y[take])
-        assert x.tobytes() == np.vstack(blocks).tobytes()
-        assert np.array_equal(labels, np.concatenate(want_labels))
+        epoch = training._batch_sampler(ds, labeled, batch_layout(ds, labeled, 8), True)
+        for x, labels in epoch(rng, 4):
+            blocks, want_labels = [], []
+            for i in range(ds.n_domains):
+                take = twin.choice(ds.train_size(i), size=8, replace=False)
+                blocks.append(ds.train_features[i][take])
+            for feats, y in labeled:
+                take = twin.choice(y.size, size=min(8, y.size), replace=False)
+                blocks.append(feats[take])
+                want_labels.append(y[take])
+            assert x.tobytes() == np.vstack(blocks).tobytes()
+            assert np.array_equal(labels, np.concatenate(want_labels))
         assert rng.random() == twin.random()
 
     def test_a_block_draws_as_many_rows_as_the_layout_says(self):
@@ -268,15 +271,15 @@ class TestTrainRound:
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         layout = BlockLayout.of([2, 5, 3], [1, 4, 2])
         rng, twin = np.random.default_rng(6), np.random.default_rng(6)
-        x, labels = training._batch_sampler(ds, labeled, layout, True)(rng)
-        takes = [twin.choice(size, size=k, replace=False) for size, k in
-                 zip([ds.train_size(i) for i in range(3)] + [y.size for _, y in labeled],
-                     [2, 5, 3, 1, 4, 2])]
-        want = [ds.train_features[i][t] for i, t in enumerate(takes[:3])]
-        want += [f[t] for (f, _), t in zip(labeled, takes[3:])]
-        assert x.tobytes() == np.vstack(want).tobytes()
-        assert np.array_equal(labels, np.concatenate([y[t] for (_, y), t in
-                                                      zip(labeled, takes[3:])]))
+        for x, labels in training._batch_sampler(ds, labeled, layout, True)(rng, 3):
+            takes = [twin.choice(size, size=k, replace=False) for size, k in
+                     zip([ds.train_size(i) for i in range(3)] + [y.size for _, y in labeled],
+                         [2, 5, 3, 1, 4, 2])]
+            want = [ds.train_features[i][t] for i, t in enumerate(takes[:3])]
+            want += [f[t] for (f, _), t in zip(labeled, takes[3:])]
+            assert x.tobytes() == np.vstack(want).tobytes()
+            assert np.array_equal(labels, np.concatenate([y[t] for (_, y), t in
+                                                          zip(labeled, takes[3:])]))
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
@@ -354,6 +357,108 @@ class TestTrainRound:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("epoch,V_h,V_d,V_lambda,T,disc_acc_0")
         assert len(lines) == 4
+
+
+def choice_loop(rng, blocks, used, steps):
+    """The reference draws: `rng.choice(n, size=k, replace=False)` for each
+    block (n, k) in turn, step after step, the `used` blocks' side by side."""
+    out = []
+    for _ in range(steps):
+        picks = [rng.choice(n, size=k, replace=False) for n, k in blocks]
+        out.append(np.concatenate([picks[b] for b in used]))
+    return np.array(out)
+
+
+def drawn(draws, rng, steps):
+    """The picks `draws` writes for `steps` steps."""
+    out = np.empty((steps, draws.width), np.int64)
+    draws(rng, out)
+    return out
+
+
+def hold_a_half(rng):
+    """Leave the generator holding an unread 32-bit half, as a 32-bit draw does."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0x9E3779B9
+    rng.bit_generator.state = state
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("blocks, used, steps", [
+        # Floyd's j = 0 draws nothing where k = n
+        ([(16, 16), (7, 7), (30, 5), (2, 2)], [0, 1, 2, 3], 6),
+        ([(1, 1), (9, 1), (1, 1), (5, 3)], [0, 1, 2, 3], 6),
+        # no block draws: every pick is row 0
+        ([(1, 1)] * 4, [0, 1, 2, 3], 5),
+        ([(2000, 128), (2000, 128), (203, 128), (197, 128), (150, 128)], [0, 1, 2, 3, 4], 3),
+        # vanilla: the originals are drawn but not read
+        ([(3000, 64), (3000, 64), (50, 50), (61, 50)], [2, 3], 4),
+        ([(400, 16)] * 6 + [(10, 10), (11, 10), (30, 16), (1, 1), (2, 1), (16, 16)], range(12),
+         25),
+    ], ids=["k_is_n", "k_is_1", "no_draws", "bigbatch", "unused_originals", "cal_default"])
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held_half"])
+    def test_the_picks_are_the_choice_calls(self, blocks, used, steps, held):
+        draws = training._BlockDraws(blocks, used)
+        for seed in range(8):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:
+                hold_a_half(rng)
+                hold_a_half(twin)
+            for piece in (steps, 1):
+                got = drawn(draws, rng, piece)
+                assert np.array_equal(got, choice_loop(twin, blocks, used, piece))
+                assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.random() == twin.random()
+
+    def test_an_epoch_in_pieces_reads_on_where_each_piece_stopped(self, monkeypatch):
+        ds, pool = toy_setup()
+        labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
+        layout = batch_layout(ds, labeled, 8)
+        whole = training._batch_sampler(ds, labeled, layout, True)
+        # 75 draws and 42 picks a step: pieces of 2 steps, so 5 steps are 2 + 2 + 1
+        monkeypatch.setattr(training, "_PIECE_BYTES", 700)
+        pieced = training._batch_sampler(ds, labeled, layout, True)
+        pieces = []
+        draw = training._BlockDraws.__call__
+        monkeypatch.setattr(training._BlockDraws, "__call__",
+                            lambda self, rng, out: pieces.append(len(out)) or draw(self, rng, out))
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        hold_a_half(rng)
+        hold_a_half(twin)
+        got = [x.tobytes() for x, _ in pieced(rng, 5)]
+        assert pieces == [2, 2, 1]
+        assert got == [x.tobytes() for x, _ in whole(twin, 5)] and pieces[3:] == [5]
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("used", [[0, 1], [1]], ids=["read", "unread"])
+    def test_a_rejected_word_makes_the_calls(self, used, monkeypatch):
+        # ranges near 3 * 2^29: Lemire's test rejects a quarter of the words,
+        # in a block read or only drawn, and the calls then read the retries
+        blocks = [(3 << 29, 3), (40, 8)]
+        draws = training._BlockDraws(blocks, used)
+        calls = []
+        loop = training._BlockDraws._calls
+        monkeypatch.setattr(training._BlockDraws, "_calls",
+                            lambda self, rng, out: calls.append(len(out)) or loop(self, rng, out))
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = drawn(draws, rng, 2)
+            assert np.array_equal(got, choice_loop(twin, blocks, used, 2))
+            assert rng.random() == twin.random()
+            if calls:
+                break
+        assert calls == [2]
+
+    @pytest.mark.parametrize("blocks", [[(2_000, 129), (300, 8)], [(10_001, 201), (40, 8)]],
+                             ids=["over_max_take", "tail_shuffled"])
+    def test_a_block_past_the_max_take_makes_the_calls(self, blocks):
+        # past `_MAX_TAKE` rows a block the calls are faster; past 10,000 rows
+        # `choice` shuffles the tail of arange(n) for k > n // 50, past it too
+        draws = training._BlockDraws(blocks, [0, 1])
+        assert not draws.batched and training._BlockDraws([(2_000, 128)], [0]).batched
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(drawn(draws, rng, 2), choice_loop(twin, blocks, [0, 1], 2))
+        assert rng.random() == twin.random()
 
 
 class TestStepBuffers:
