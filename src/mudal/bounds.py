@@ -94,7 +94,7 @@ def empirical_bound(bundle: ModelBundle, ledger: BudgetLedger, r: int, alpha: np
 
     # one classifier pass per labeled domain: one pass over the whole pool
     # raises vanilla_select's peak RSS (see CHANGES.md)
-    err = np.concatenate([classifier_pass(bundle, z, y, Segments.of([y.size])).errors()
+    err = np.concatenate([classifier_pass(bundle, z, y, Segments.of([y.size], "labeled")).errors()
                           for z, y in zip(lab_z, lab_labels)], axis=1)
     err_h, head_err = err[0], err[1:]
     weighted_err = float(cols @ err_h)

@@ -13,12 +13,11 @@ the discriminator once over the whole stack; column i of its output is the
 conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
-part of both passes is the `BlockLayout`, which is its block sizes and
-their `Segments`: every mean over a block reads the segments, built once with
-the layout, and V_d's weights and targets are worked out from the sizes when
-read.
+part of both passes is the `BlockLayout`, which is its block sizes: the
+`Segments` every mean over a block reads, and V_d's weights and targets,
+are worked out from them when first read.
 
-Every block has rows: `BlockLayout.of` and `classifier_pass` refuse an empty
+Every block has rows: `BlockLayout.of` and `Segments.of` refuse an empty
 one, naming its domain, so a block's size divides every mean over it.
 
 Values on demand. V_h, V_lambda and V_d compute their loss value only when
@@ -92,14 +91,17 @@ def require_rows(sizes, kind: str) -> None:
 class Segments(NamedTuple):
     """Consecutive segments of the given sizes along an axis, and each one's
     first index and size as a float, worked out once for every mean over
-    them."""
+    them. Every segment has rows."""
     sizes: np.ndarray
     starts: np.ndarray
     float_sizes: np.ndarray
 
     @classmethod
-    def of(cls, sizes) -> Segments:
+    def of(cls, sizes, kind: str) -> Segments:
+        """The segments of blocks of `sizes` rows, an empty one refused as a
+        `kind` domain's."""
         sizes = np.asarray(sizes)
+        require_rows(sizes, kind)
         return cls(sizes, sizes.cumsum() - sizes, sizes.astype(np.float64))
 
     def means(self, x: np.ndarray) -> np.ndarray:
@@ -107,8 +109,8 @@ class Segments(NamedTuple):
         integer count per segment, so exact, over its size.
 
         Two traps of `np.add.reduceat`. For an empty segment it returns the
-        value at the segment's start, not 0; every block has rows, refused
-        where they enter (`require_rows`), so no segment here is empty. And
+        value at the segment's start, not 0; `Segments.of` refuses an empty
+        segment. And
         `np.add` on bools is a logical OR, which a `reduceat` without `dtype`
         computes on some NumPy versions, not a count: the counts name theirs."""
         return np.add.reduceat(x, self.starts, axis=-1, dtype=np.int64) / self.float_sizes
@@ -118,22 +120,28 @@ class Segments(NamedTuple):
 class BlockLayout:
     """The alpha-free layout of latent rows stacked as [O_0, ..., O_{N-1},
     L_0, ..., L_{N-1}]: the originals of each domain, then each labeled
-    domain. The layout is its block sizes, and their `Segments`, which the
-    means over its blocks (the 0/1 errors and the decision rates) read; V_d's
-    BCE parts (the originals' weights and the 0/1 targets) are worked out
+    domain. The layout is its block sizes: the `Segments` the means over its
+    blocks read (the 0/1 errors and the decision rates), and V_d's BCE parts
+    (the originals' weights and the 0/1 targets), are worked out from them
     when first read, so a layout V_d never reads (the h-distance's, over the
     whole pool) builds none of its (rows, N) arrays. Every block has rows."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
-    orig_blocks: Segments
-    lab_blocks: Segments
 
     @classmethod
     def of(cls, n_orig, n_lab) -> BlockLayout:
         n_orig, n_lab = np.asarray(n_orig), np.asarray(n_lab)
         require_rows(n_orig, "original")
         require_rows(n_lab, "labeled")
-        return cls(n_orig, n_lab, Segments.of(n_orig), Segments.of(n_lab))
+        return cls(n_orig, n_lab)
+
+    @cached_property
+    def orig_blocks(self) -> Segments:
+        return Segments.of(self.n_orig, "original")
+
+    @cached_property
+    def lab_blocks(self) -> Segments:
+        return Segments.of(self.n_lab, "labeled")
 
     @cached_property
     def orig_rows(self) -> int:  # the stack's head
@@ -196,14 +204,13 @@ def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray,
                     ws: Workspace = ALLOCATE) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`blocks`,
     their rows per labeled domain) and apply the bundle's `finals` (with
-    `heads`, else the shared final layer alone) as one (K, C, H) stack. An empty
-    labeled block is refused. Its arrays go to `ws` under the "trunk" role.
-    The labels must lie in [0, C) for V_h and V_lambda to read them."""
+    `heads`, else the shared final layer alone) as one (K, C, H) stack. Its
+    arrays go to `ws` under the "trunk" role. The labels must lie in [0, C)
+    for V_h and V_lambda to read them."""
     sizes = blocks.sizes
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
-    require_rows(sizes, "labeled")
     trace = bundle.trunk.forward(z, ws, "trunk")
     stack = bundle.finals if heads else bundle.finals.first(1)
     k, c = stack.b.shape

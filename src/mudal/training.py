@@ -61,11 +61,10 @@ encoder's output over it.
 The minibatches are the picks of `rng.choice(size, size=take,
 replace=False)` for each block in `BlockLayout` order, step after step, to
 the bit, and the round's generator reads nothing else while it trains. So
-the steps' draws are one stretch of the PCG64 stream: each draw is one
-32-bit word, the low then the high half of each 64-bit output, and
-`_BlockDraws` reads the stretch of a piece of an epoch's steps at once
-(`random_raw`) and maps it to the same picks, falling back on the calls
-themselves where Lemire's test would reject a word.
+the steps' draws are one run of bounded draws, each the one
+`rng.integers` makes for a bound: `_BlockDraws` makes those of a piece of
+an epoch's steps with one `rng.integers` call over the calls' bounds, in
+their order, and maps them to the same picks.
 
 What lives for the round and what for the step. The workspace lives for
 the round, and each step writes over the last one's arrays of each role:
@@ -85,7 +84,7 @@ step's arrays are small and fresh each step (the batch, the classifier
 pass's softmax, V_h's and V_lambda's row weights and logit gradients, the
 alpha readouts); the epoch snapshot and everything outside training
 allocate their own. The index of a piece of the epoch's steps lives until
-the epoch's last step has its batch; the words and the temporaries that
+the epoch's last step has its batch; the draws and the temporaries that
 map them to it live only while it is drawn.
 
 A numerical abort names the phase of the step it arose in.
@@ -196,73 +195,65 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
             f.write(",".join(row) + "\n")
 
 
-# the swaps take one NumPy round per position of the largest block, so past
-# this many rows a block the calls are as fast (us a step, calls / batched,
-# on a 2-vCPU x86 box: 6 blocks of 128 rows 63 / 60, of 160 70 / 70; 12
-# blocks of 128 137 / 128, of 160 143 / 153). It also keeps every block on
-# Floyd's algorithm: `rng.choice(n, k, replace=False)` shuffles the tail of
-# arange(n) instead only for n > 10,000 and k > n // 50
-_MAX_TAKE = 128
-# the steps drawn at once keep each array they allocate (a 4-byte word per
-# draw, an 8-byte value per pick) under 128 KiB, glibc's first mmap
+# the steps drawn at once keep each array they allocate (a 4-byte value per
+# draw, an 8-byte one per pick or swap) under 128 KiB, glibc's first mmap
 # threshold: a freed larger block raises it for the rest of the process
 _PIECE_BYTES = (1 << 17) - 1
 
 
 class _BlockDraws:
-    """`draws(rng, out)` writes into `out` (steps, width), for each step, the
-    picks of `rng.choice(n, size=k, replace=False)` for each block (n, k) of
-    `blocks` in turn, those of the blocks in `used` side by side. The picks
-    are the calls' bit for bit, and the generator is left where the calls
-    leave it; the other blocks' draws are read and dropped. At most `piece`
-    steps are drawn at once.
+    """`draws(rng, out)` writes into a C-contiguous `out` (steps, width), for
+    each step, the picks of `rng.choice(n, size=k, replace=False)` for each
+    block (n, k) of `blocks` in turn, those of the blocks in `used` side by
+    side. The picks are the calls' bit for bit, and the generator is left
+    where the calls leave it; the other blocks' draws are made and dropped.
+    At most `piece` steps are drawn at once.
 
     How a call draws k of n: Floyd's algorithm (Bentley & Floyd 1987) takes,
-    for t = 0 .. k-1, a draw v_t in [0, j] at j = n - k + t (none where
-    j = 0) and picks v_t, or j where v_t was picked before; a Fisher-Yates
-    pass then swaps position i with a draw r_i in [0, i], for i = k-1 .. 1.
-    Each draw maps one 32-bit word into [0, j] by Lemire's multiply-shift
-    (Lemire 2019): the high half of the word times j + 1, unless the low
-    half is below 2^32 mod (j + 1); then the word is rejected and another
-    read. PCG64 gives the words as the low, then the high half of each
-    64-bit output, and keeps an unread high half in its state (`has_uint32`,
-    `uinteger`).
+    for t = 0 .. k-1, a draw v_t in [0, j] at j = n - k + t and picks v_t,
+    or j where v_t was picked before; a Fisher-Yates pass then swaps
+    position i with a draw r_i in [0, i], for i = k-1 .. 1. Each draw is
+    NumPy's bounded draw, the one `rng.integers(0, bounds, endpoint=True)`
+    makes for each of an array of bounds in turn, as int32 or int64 alike:
+    Lemire's multiply-shift (Lemire 2019) on a 32-bit word where the bound
+    is under 2^32, retried where it rejects the word, and no read where the
+    bound is 0. So one such call over the bounds of a piece's calls, in
+    their order, makes the calls' draws, for any bit generator.
 
-    So the steps' draws are one read of consecutive words, made at once
-    (`random_raw`) and mapped together. Where a word would be rejected (at
-    most one draw in 2^32 / j), the generator is put back and the calls run
-    instead, as they do where a block takes more than `_MAX_TAKE` rows, the
-    blocks hold 2^31 rows or more, or the generator is not PCG64. Floyd's
-    picks are resolved for all (step, block) lanes at once: v_t is taken
-    unless an earlier v of its lane equals it, or it is the j of an earlier
-    t' = v_t - n + k whose v was not taken; so it is taken where the v at
-    the end of that chain of links is, which pointer jumping finds. The
-    swaps run one position at a time, over every lane at once."""
+    Floyd's picks are resolved for all (step, block) lanes at once: v_t is
+    taken unless an earlier v of its lane equals it, or it is the j of an
+    earlier t' = v_t - n + k whose v was not taken; so it is taken where the
+    v at the end of that chain of links is, which pointer jumping finds. The
+    swaps run one position at a time, over every lane at once.
+
+    The calls themselves run where a call would not take Floyd's picks (it
+    shuffles the tail of arange(n) for n > 10,000 and k > n // 50) and for
+    blocks of 2^31 rows or more in all, where a bound would not fit the
+    int32 draws or a sort key int64."""
 
     def __init__(self, blocks: list[tuple[int, int]], used):
         self.blocks, self.used = blocks, list(used)
-        # under 2^31 rows in all a word times j + 1, and a sort key, fit int64
         self.batched = (sum(n for n, _ in blocks) < 1 << 31
-                        and max(k for _, k in blocks) <= _MAX_TAKE)
-        # each draw's j + 1; per column of a used block, the draw of its t and
-        # its j; per used block, its k, its first column and its offset among
-        # the lanes' values; per swap of a used block, for i = k-1 .. 1, i,
-        # the draw of r_i and the block's first column
-        rex, f_col, f_j, lanes, swaps = [], [], [], [], []
+                        and not any(n > 10_000 and k > n // 50 for n, k in blocks))
+        # each draw's bound, Floyd's j then the swaps' i block by block; per
+        # column of a used block, the draw of its t; per used block, its k,
+        # its first column and its offset among the lanes' values; per swap
+        # of a used block, for i = k-1 .. 1, i, the draw of r_i and the
+        # block's first column
+        bounds, f_col, lanes, swaps = [], [], [], []
         col = key = start = 0
         for b, (n, k) in enumerate(blocks):
-            first = start - (n == k)  # the draw of t = 0, one early where it draws nothing
-            rex += [np.arange(n - k + (n == k), n) + 1, np.arange(k, 1, -1)]
-            start += 2 * k - 1 - (n == k)
+            bounds += [np.arange(n - k, n), np.arange(k - 1, 0, -1)]
             if b in self.used:
-                f_col.append(np.maximum(first + np.arange(k), 0))
-                f_j.append(np.arange(n - k, n))
+                f_col.append(start + np.arange(k))
                 lanes.append((k, col, key))
                 i = np.arange(k - 1, 0, -1)
-                swaps.append(np.stack([i, first + 2 * k - 1 - i, np.full(k - 1, col)]))
+                swaps.append(np.stack([i, start + 2 * k - 1 - i, np.full(k - 1, col)]))
                 col, key = col + k, key + n
-        self.rex = np.concatenate(rex).astype(np.uint32)
-        self.f_col, self.f_j = np.concatenate(f_col), np.concatenate(f_j)
+            start += 2 * k - 1
+        self.bounds = np.concatenate(bounds)
+        self.f_col = np.concatenate(f_col)
+        self.f_j = self.bounds[self.f_col]
         self.k, self.first, self.key = np.array(lanes).T
         # the swaps position by position, from the last: every lane's i, then i - 1
         swaps = np.concatenate(swaps, axis=1)
@@ -270,56 +261,28 @@ class _BlockDraws:
         self.s_col, self.s_base = swaps[1:, order]
         self.s_count = np.bincount(swaps[0])[:0:-1]  # the swaps of each i, from the last
         self.ends = np.cumsum(self.s_count).tolist()
-        self.per_step, self.width = self.rex.size, col
-        self.piece = max(1, min(_PIECE_BYTES // (4 * self.per_step or 1),
-                                _PIECE_BYTES // (8 * self.width)))
-
-    def _calls(self, rng, out):
-        for step in out:
-            picks = [rng.choice(n, size=k, replace=False) for n, k in self.blocks]
-            step[:] = np.concatenate([picks[b] for b in self.used])
+        self.width, self.values = col, key
+        self.piece = max(1, _PIECE_BYTES // max(4 * self.bounds.size, 8 * self.width,
+                                                8 * self.s_col.size))
 
     def __call__(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        if not self.batched:
+            for step in out:
+                picks = [rng.choice(n, size=k, replace=False) for n, k in self.blocks]
+                step[:] = np.concatenate([picks[b] for b in self.used])
+            return
         steps = out.shape[0]
-        if not self.batched or type(rng.bit_generator) is not np.random.PCG64:
-            self._calls(rng, out)
-            return
-        if not self.per_step:  # every block k = n = 1
-            out[...] = 0
-            return
-        bits = rng.bit_generator
-        saved = bits.state
-        held = saved["has_uint32"]
-        count = steps * self.per_step - held  # the words to read past the held one
-        halves = bits.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
-        words = halves[:count]
-        if held:
-            words = np.concatenate((np.array([saved["uinteger"]], np.uint32), words))
-        words = words.reshape(steps, self.per_step)
-        # the low halves of the words times j + 1, in uint32, against 2^32 mod (j + 1)
-        if ((words * self.rex) < ((-self.rex) % self.rex).astype(np.float64)).any():
-            bits.state = saved
-            self._calls(rng, out)
-            return
-        state = bits.state
-        state["has_uint32"] = count % 2
-        if halves.size:
-            state["uinteger"] = int(halves[-1])
-        bits.state = state
-        # each column's draws, (step, column); where j = 0 draws nothing,
-        # j + 1 = 1 maps any word to 0
-        t = np.arange(self.width) - np.repeat(self.first, self.k)
-        v = _high_halves(words, self.f_col, self.f_j + 1)
+        draws = rng.integers(0, self.bounds, (steps, self.bounds.size), np.int32, endpoint=True)
+        out[...] = draws[:, self.f_col]
+        # each swap's r_i and i, flat in the picks, (swap, step)
+        rows = np.arange(0, out.size, self.width)  # each step's first pick
         swap_i = np.repeat(np.arange(self.s_count.size, 0, -1), self.s_count)
-        r = _high_halves(words, self.s_col, swap_i + 1)
-        del halves, words
-        self._floyd(v, self.f_j, t, np.repeat(self.key, self.k))
-        picks = v.reshape(-1)
-        rows = np.arange(0, picks.size, self.width)[:, None]  # each step's first pick
-        r += self.s_base
-        r += rows  # each swap's r_i, flat in `picks`
-        at = (self.s_base + swap_i + rows).T.copy()  # and its i, by swap
-        r = r.T.copy()
+        r = draws.T[self.s_col] + (self.s_base[:, None] + rows)
+        at = (self.s_base + swap_i)[:, None] + rows
+        del draws
+        t = np.arange(self.width) - np.repeat(self.first, self.k)
+        self._floyd(out, self.f_j, t, np.repeat(self.key, self.k))
+        picks = out.reshape(-1)
         start = 0
         for end in self.ends:
             i, r_i = at[start:end], r[start:end]
@@ -327,24 +290,23 @@ class _BlockDraws:
             picks[r_i] = picks[i]
             picks[i] = swapped
             start = end
-        out[...] = v
 
     def _floyd(self, v, j, t, key):
         """Floyd's picks, in place of each column's draws v (steps, width),
         given each column's j, t and its block's offset among the values."""
         steps, width = v.shape
         size = v.size
-        # one key per draw, by lane, value and then column: sorted, a key
-        # whose lane and value are the last one's is a repeat
-        keys = v + key
-        keys *= steps
-        keys += np.arange(steps)[:, None]
-        keys *= size
-        keys += np.arange(size).reshape(steps, width)
+        shift = size.bit_length()
+        # one key per draw, by step, lane and value (the steps' lanes are
+        # apart by the values a step's lanes take), then by its index: sorted,
+        # a key whose step, lane and value are the last one's is a repeat
+        keys = v << shift
+        keys += np.add.outer(np.arange(steps) * ((self.values << shift) + width),
+                             (key << shift) + np.arange(width))
         keys = keys.reshape(-1)
         keys.sort()
-        group = keys // size
-        keys -= group * size
+        group = keys >> shift
+        keys &= (1 << shift) - 1
         repeat = np.zeros(size, bool)
         repeat[keys[1:]] = group[1:] == group[:-1]
         del keys, group
@@ -361,15 +323,6 @@ class _BlockDraws:
         # a linked v is taken where its chain's first v is
         repeat[linked] = repeat[ptr[linked]]
         np.copyto(v, j, where=repeat.reshape(steps, width))
-
-
-def _high_halves(words, at, rex):
-    """The draws of the words (step, draw) `words[:, at]` into [0, rex - 1]:
-    the high halves of the words times rex, as int64."""
-    draws = words[:, at].astype(np.uint64, order="C")
-    draws *= rex.astype(np.uint64)
-    draws >>= 32
-    return draws.view(np.int64)
 
 
 def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, np.ndarray]],

@@ -46,7 +46,7 @@ def classifier_pass_of(bundle, lab_z, lab_labels, heads=True):
     """`classifier_pass` over a list of labeled latent blocks and their
     labels, stacked."""
     return classifier_pass(bundle, np.concatenate(lab_z), np.concatenate(lab_labels),
-                           Segments.of([z.shape[0] for z in lab_z]), heads=heads)
+                           Segments.of([z.shape[0] for z in lab_z], "labeled"), heads=heads)
 
 
 def disc_pass_of(bundle, orig_z, lab_z, layout=None):
@@ -232,7 +232,7 @@ class TestEmptyBlocksRefused:
         empty = [z[0], np.empty((0, 4)), z[2]]
         with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
             classifier_pass(bundle, np.concatenate(empty), np.zeros(14, dtype=np.int64),
-                            Segments.of([7, 0, 7]))
+                            Segments.of([7, 0, 7], "labeled"))
         with pytest.raises(ValueError, match="original domain 1 has no rows"):
             estimate_h_distance(bundle, empty, z, np.full((3, 3), 1 / 3))
         with pytest.raises(ValueError, match="labeled domain 1 has no rows"):
@@ -259,14 +259,14 @@ class TestSegmentMeans:
         rng = np.random.default_rng(sizes.sum())
         for density in (0.0, 0.3, 0.5, 0.97, 1.0):
             x = rng.random((*lead, sizes.sum())) < density
-            assert same_bits(Segments.of(sizes).means(x), membership_means(x, sizes))
+            assert same_bits(Segments.of(sizes, "labeled").means(x), membership_means(x, sizes))
 
     def test_match_on_random_layouts(self):
         rng = np.random.default_rng(61)
         for _ in range(200):
             sizes = rng.integers(1, 40, rng.integers(1, 10))
             x = rng.random((int(rng.integers(1, 8)), sizes.sum())) < rng.random()
-            assert same_bits(Segments.of(sizes).means(x), membership_means(x, sizes))
+            assert same_bits(Segments.of(sizes, "labeled").means(x), membership_means(x, sizes))
 
     def test_the_h_distance_rates_match_the_membership_product(self):
         # the layout over a whole pool: 3 x 2,000 originals, 3 x 150 labeled
@@ -296,11 +296,10 @@ class TestVd:
         disc = disc_pass_of(bundle, orig_z, lab_z)
         again = disc.rerun()
         assert again.layout is disc.layout
-        # the layout is its sizes and their segments; oracle: the parts built
-        # from them, each built once
+        # the layout is its sizes; oracle: the parts built from them, each
+        # built once
         lay = disc.layout
-        assert [f.name for f in dataclasses.fields(lay)] == ["n_orig", "n_lab", "orig_blocks",
-                                                             "lab_blocks"]
+        assert [f.name for f in dataclasses.fields(lay)] == ["n_orig", "n_lab"]
         for sizes, blocks in ((lay.n_orig, lay.orig_blocks), (lay.n_lab, lay.lab_blocks)):
             assert blocks.sizes is sizes and blocks.float_sizes.tolist() == sizes.tolist()
             assert blocks.starts.tolist() == np.cumsum([0, *sizes[:-1]]).tolist()
@@ -311,6 +310,7 @@ class TestVd:
         target = np.repeat([1.0, 0.0], [orig_owner.size, lab_rows])[:, None]
         assert same_bits(lay.target, np.broadcast_to(target, disc.trace.output.shape))
         assert lay.orig_w is lay.orig_w and lay.target is lay.target
+        assert lay.orig_blocks is lay.orig_blocks and lay.lab_blocks is lay.lab_blocks
 
     @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
     def test_a_shared_layout_gives_the_same_passes(self, short):
@@ -343,7 +343,7 @@ class TestVd:
         with pytest.raises(ValueError, match="do not fit"):
             disc_pass(bundle, lab, layout)
         with pytest.raises(ValueError, match="do not fit"):
-            classifier_pass(bundle, lab, labels, Segments.of(layout.n_lab + 1))
+            classifier_pass(bundle, lab, labels, Segments.of(layout.n_lab + 1, "labeled"))
         with pytest.raises(ValueError, match="do not fit"):
             classifier_pass(bundle, lab, labels[1:], layout.lab_blocks)
 
@@ -628,7 +628,7 @@ class TestBatchedHeads:
             z = rng.standard_normal((sizes.sum(), 5))
             labels = rng.integers(0, c, size=sizes.sum())
             alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
-            blocks = Segments.of(sizes)
+            blocks = Segments.of(sizes, "labeled")
             yield (classifier_pass(bundle, z, labels, blocks, ws=bundle.workspace()),
                    classifier_pass(bundle, z, labels, blocks), alpha)
 

@@ -415,7 +415,7 @@ class TestBlockDraws:
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         layout = batch_layout(ds, labeled, 8)
         whole = training._batch_sampler(ds, labeled, layout, True)
-        # 75 draws and 42 picks a step: pieces of 2 steps, so 5 steps are 2 + 2 + 1
+        # 42 picks a step: pieces of 2 steps, so 5 steps are 2 + 2 + 1
         monkeypatch.setattr(training, "_PIECE_BYTES", 700)
         pieced = training._batch_sampler(ds, labeled, layout, True)
         pieces = []
@@ -431,31 +431,32 @@ class TestBlockDraws:
         assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("used", [[0, 1], [1]], ids=["read", "unread"])
-    def test_a_rejected_word_makes_the_calls(self, used, monkeypatch):
+    def test_rejected_words_are_retried_as_the_calls_retry_them(self, used):
         # ranges near 3 * 2^29: Lemire's test rejects a quarter of the words,
-        # in a block read or only drawn, and the calls then read the retries
+        # in a block read or only drawn, and the draws read the retries
         blocks = [(3 << 29, 3), (40, 8)]
         draws = training._BlockDraws(blocks, used)
-        calls = []
-        loop = training._BlockDraws._calls
-        monkeypatch.setattr(training._BlockDraws, "_calls",
-                            lambda self, rng, out: calls.append(len(out)) or loop(self, rng, out))
-        for seed in range(20):
+        assert draws.batched
+        for seed in range(4):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = drawn(draws, rng, 2)
-            assert np.array_equal(got, choice_loop(twin, blocks, used, 2))
+            assert np.array_equal(drawn(draws, rng, 8), choice_loop(twin, blocks, used, 8))
             assert rng.random() == twin.random()
-            if calls:
-                break
-        assert calls == [2]
 
-    @pytest.mark.parametrize("blocks", [[(2_000, 129), (300, 8)], [(10_001, 201), (40, 8)]],
-                             ids=["over_max_take", "tail_shuffled"])
-    def test_a_block_past_the_max_take_makes_the_calls(self, blocks):
-        # past `_MAX_TAKE` rows a block the calls are faster; past 10,000 rows
-        # `choice` shuffles the tail of arange(n) for k > n // 50, past it too
+    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_any_bit_generator_gives_the_calls_picks(self, bits):
+        blocks, used = [(400, 16)] * 3 + [(10, 10), (30, 16), (1, 1)], range(6)
+        draws = training._BlockDraws(blocks, used)
+        rng, twin = np.random.Generator(bits(7)), np.random.Generator(bits(7))
+        assert np.array_equal(drawn(draws, rng, 5), choice_loop(twin, blocks, used, 5))
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("take, batched", [(200, True), (201, False)])
+    def test_a_block_the_calls_shuffle_the_tail_of_makes_the_calls(self, take, batched):
+        # `choice` shuffles the tail of arange(n) instead of Floyd's
+        # algorithm for n > 10,000 and k > n // 50
+        blocks = [(10_001, take), (40, 8)]
         draws = training._BlockDraws(blocks, [0, 1])
-        assert not draws.batched and training._BlockDraws([(2_000, 128)], [0]).batched
+        assert draws.batched == batched
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         assert np.array_equal(drawn(draws, rng, 2), choice_loop(twin, blocks, [0, 1], 2))
         assert rng.random() == twin.random()
