@@ -2,6 +2,7 @@
 and labeled/unlabeled pool bookkeeping."""
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -171,6 +172,23 @@ def _read_u32be(data: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
+def _idx_payload(data: bytes, path: str, magic: int, n_dims: int,
+                 what: str) -> tuple[list[int], np.ndarray]:
+    """An IDX file's header dims and its uint8 payload of their product in
+    bytes, its magic number and length checked. The product is of Python
+    ints: a u32 header can claim 2^96 bytes, which int64 would wrap."""
+    found = _read_u32be(data, 0, path)
+    if found != magic:
+        raise ValueError(f"{path}: bad magic 0x{found:08x} at byte offset 0 "
+                         f"(expected 0x{magic:08x})")
+    dims = [_read_u32be(data, 4 + 4 * k, path) for k in range(n_dims)]
+    start, size = 4 + 4 * n_dims, math.prod(dims)
+    if len(data) < start + size:
+        raise ValueError(f"{path}: truncated {what} data at byte offset {len(data)} "
+                         f"(expected {start + size} bytes)")
+    return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
+
+
 def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
     """Load a classic big-endian IDX image/label file pair.
 
@@ -182,43 +200,12 @@ def load_idx(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray
     with open(labels_path, "rb") as f:
         lab = f.read()
 
-    magic = _read_u32be(img, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise ValueError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{IDX_IMAGE_MAGIC:08x})"
-        )
-    n = _read_u32be(img, 4, images_path)
-    rows = _read_u32be(img, 8, images_path)
-    cols = _read_u32be(img, 12, images_path)
-    need = 16 + n * rows * cols
-    if len(img) < need:
-        raise ValueError(
-            f"{images_path}: truncated pixel data at byte offset {len(img)} "
-            f"(expected {need} bytes)"
-        )
-    pixels = np.frombuffer(img, dtype=np.uint8, count=n * rows * cols, offset=16)
-
-    magic = _read_u32be(lab, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise ValueError(
-            f"{labels_path}: bad magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{IDX_LABEL_MAGIC:08x})"
-        )
-    n_lab = _read_u32be(lab, 4, labels_path)
-    if len(lab) < 8 + n_lab:
-        raise ValueError(
-            f"{labels_path}: truncated label data at byte offset {len(lab)} "
-            f"(expected {8 + n_lab} bytes)"
-        )
+    (n, rows, cols), pixels = _idx_payload(img, images_path, IDX_IMAGE_MAGIC, 3, "pixel")
+    (n_lab,), labels = _idx_payload(lab, labels_path, IDX_LABEL_MAGIC, 1, "label")
     if n_lab != n:
-        raise ValueError(
-            f"image count {n} ({images_path}) != label count {n_lab} ({labels_path})"
-        )
-    labels = np.frombuffer(lab, dtype=np.uint8, count=n_lab, offset=8).astype(np.int64)
-
+        raise ValueError(f"image count {n} ({images_path}) != label count {n_lab} ({labels_path})")
     features = pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
-    return features, labels
+    return features, labels.astype(np.int64)
 
 
 def rotate_idx_domains(features: np.ndarray, labels: np.ndarray, n_domains: int,

@@ -194,8 +194,8 @@ class ClassifierPass:
 
     def backward(self, dhidden: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
         """The trunk's gradients and the latent gradient of the rows the pass
-        read, from the summed gradient of the trunk output."""
-        self.check_current()
+        read, from the summed gradient of the trunk output; the trunk's
+        backward refuses a stale pass."""
         return self.trunk.net.backward(self.trunk, dhidden)
 
 

@@ -5,7 +5,7 @@ its own BCE), the similarity matrix descends its frozen-net 0/1 objective via
 a projected step, and finally encoder, shared classifier, and domain heads
 descend the full objective with the discriminator term sign-flipped into the
 encoder. Each network runs forward once per minibatch, the discriminator
-once before and once after its own update:
+once before and once after its own update, and no pass runs outside a step:
 
 1. the encoder, over the originals and the labeled rows stacked;
 2. the classifier trunk over the labeled rows, with the shared and head
@@ -14,7 +14,8 @@ once before and once after its own update:
    row once, with one logit per domain (`disc_pass`), for its own update;
 4. the updated discriminator over the same rows (`DiscPass.rerun`). Its
    decisions and the classifier pass's errors give the alpha coefficients;
-   V_d at the new alpha reads the same pass.
+   V_d at the new alpha reads the same pass, and so does the epoch
+   snapshot's discriminator accuracy after the epoch's last step.
 
 `step_grads` is the one home of the network step's gradient: the trainer
 steps on it and `mudal gradcheck` checks it against finite differences. In
@@ -82,10 +83,12 @@ or trace refuse it once its network's `AdamState` stepped (`stale trace`),
 as each does before the next step writes its role again. The rest of a
 step's arrays are small and fresh each step (the batch, the classifier
 pass's softmax, V_h's and V_lambda's row weights and logit gradients, the
-alpha readouts); the epoch snapshot and everything outside training
-allocate their own. The index of a piece of the epoch's steps lives until
-the epoch's last step has its batch; the draws and the temporaries that
-map them to it live only while it is drawn.
+alpha readouts). The epoch snapshot reads the last step's pass after the
+discriminator's update once the step is done, still current since only the
+network set steps after it; everything outside training allocates its own.
+The index of a piece of the epoch's steps lives until the epoch's last step
+has its batch; the draws and the temporaries that map them to it live only
+while it is drawn.
 
 A numerical abort names the phase of the step it arose in.
 """
@@ -100,8 +103,7 @@ import numpy as np
 from .data import LabeledPool, MultiDomainDataset
 from .models import ModelBundle, make_bundle
 from .objective import (BlockLayout, alpha_objective_coefficients, alpha_step, classifier_pass,
-                        compute_vd, compute_vh, compute_vlambda, decision_rates, disc_pass,
-                        require_rows)
+                        compute_vd, compute_vh, compute_vlambda, disc_pass, require_rows)
 from .simplex import SimilarityMatrix
 
 VARIANTS = ("cal", "cal_alpha", "cal_fa", "vanilla")
@@ -435,9 +437,10 @@ def step_grads(config, trace, cls, disc, alpha, *, value=True):
 def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
     """One minibatch step over a `_batch_sampler` batch in the round's
     `layout`, written into the round's `Workspace`. Returns the new
-    alpha, the new coefficient EMA and `step_grads`'s values, computed only
-    on an epoch's `last_step`, the one the epoch snapshot reads. A
-    FloatingPointError leaves naming the phase it arose in."""
+    alpha, the new coefficient EMA, `step_grads`'s values, computed only
+    on an epoch's `last_step`, the one the epoch snapshot reads, and the
+    updated discriminator's pass (None without one), still current after
+    the step. A FloatingPointError leaves naming the phase it arose in."""
     x, labels = batch
     phase = "encoder forward"
     try:
@@ -472,19 +475,7 @@ def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
         bundle.net_params.step(grads, config.lr)
     except FloatingPointError as exc:
         raise FloatingPointError(f"optimizer step: {exc}") from exc
-    return alpha, coeff_ema, values
-
-
-def _disc_accuracy(bundle, x, layout, alpha) -> np.ndarray:
-    """Per domain, half the rate of originals called original plus the
-    alpha-weighted rate of labeled domains called not original, on one
-    batch's stacked rows `x`."""
-    try:
-        logits = bundle.discriminator.predict(bundle.encode(x))
-        orig_rate, lab_rate = decision_rates(logits, layout)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"epoch snapshot: {exc}") from exc
-    return 0.5 * (orig_rate + (alpha * (1.0 - lab_rate)).sum(axis=1))
+    return alpha, coeff_ema, values, disc
 
 
 def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
@@ -509,14 +500,18 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
     for epoch in range(1, config.epochs + 1):
         try:
             for step, batch in enumerate(epoch_batches(rng, steps_per_epoch), 1):
-                alpha, coeff_ema, values = _train_step(bundle, config, batch, layout, ws,
-                                                       alpha, coeff_ema, step == steps_per_epoch)
-            v_h_val, v_d_val, v_lambda_val = values
-            t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
-            disc_acc = (_disc_accuracy(bundle, batch[0], layout, alpha)
-                        if config.trains_discriminator else np.zeros(n))
+                alpha, coeff_ema, values, disc = _train_step(
+                    bundle, config, batch, layout, ws, alpha, coeff_ema, step == steps_per_epoch)
         except FloatingPointError as exc:
             raise NumericalAbort(f"training diverged at epoch {epoch}: {exc}") from exc
+        v_h_val, v_d_val, v_lambda_val = values
+        t_value = v_h_val - config.lambda_d * v_d_val + v_lambda_val
+        # per domain, half the rate of originals called original plus the
+        # alpha-weighted rate of labeled domains called not original
+        disc_acc = np.zeros(n)
+        if disc is not None:
+            orig_rate, lab_rate = disc.rates()
+            disc_acc = 0.5 * (orig_rate + (alpha * (1.0 - lab_rate)).sum(axis=1))
         snap = ObjectiveSnapshot(epoch, v_h_val, v_d_val, v_lambda_val, t_value, disc_acc)
         if not snap.finite():
             raise NumericalAbort(

@@ -33,11 +33,11 @@ DIGESTS = {
     "seed_2/alpha_round_2.csv": "46ae38e23f2665805a8807650851ef15f22b536bd863386358ad74ab19e148d8",
     # the snapshot CSVs pin cal's V_h, V_d, V_lambda and disc_acc per epoch
     "seed_1/snapshots_round_0.csv": "3e45c5dfb733811c61f6528c09b37925af3097d1b01f5c34d416f83828a4c04d",
-    "seed_1/snapshots_round_1.csv": "da4da9c067fcac8febd820296e046b9fc0cedce0c35e9bdffdafa136a7e8ad64",
+    "seed_1/snapshots_round_1.csv": "74362e64a64c8495f647250a87d2b22ecc5c0315b43dc5cdb159afc78c201fe0",
     "seed_1/snapshots_round_2.csv": "0f648e67cd284e6316b626cbd2e1b91cedbaf3854cf0686a644024cb01a42a12",
     "seed_2/snapshots_round_0.csv": "fa150d7b9ab0dd8ea3748cb1943090038454ea412cf32df70b5ac4f55c298fc4",
     "seed_2/snapshots_round_1.csv": "ffb9a26ae8ceeedffbe17771b07b6c2519dec7f885e84f020cf309ebc607f693",
-    "seed_2/snapshots_round_2.csv": "bb016ab378b7d2d04782f79f6883ec6db69d714f31a34197c44d1c1f23888481",
+    "seed_2/snapshots_round_2.csv": "7d460d9dbe60011a74a700d0686291e5219a914c0865958a43e92840f8b3eeb8",
 }
 
 
@@ -93,7 +93,7 @@ VARIANT_DIGESTS = {
         "seed_2/snapshots_round_1.csv":
             "572dd598aabc72f2d6a155b6421ce29d2b1f02f5b9d3fa5975632570c4c4c03a",
         "seed_2/snapshots_round_2.csv":
-            "36a3ea24c1f0260a70a5ad4d6480f20d045542e4117d43d42e48bcf440f6b60b",
+            "6f4253f60565e47cfbe4a1d322524d79e8d8993421687719a24bb68c6aff320a",
     },
     "cal_fa": {
         "bounds.csv":
@@ -111,7 +111,7 @@ VARIANT_DIGESTS = {
         "seed_2/snapshots_round_1.csv":
             "48921d4feeed2ff54f65bf704dd2ef585a407b45260153dcd4848fcb13f7c89e",
         "seed_2/snapshots_round_2.csv":
-            "c7483f7691e1256c78ff0c88d4d285405cedada79cb1ecf7dca2a08246da1b15",
+            "b04eb926e4c46cba2029cf9db1a537da595ce993decf0e0dd20fb8bbd80dd5bc",
     },
     "vanilla": {
         "bounds.csv":
@@ -149,8 +149,8 @@ LARGE_DIGESTS = {
     "metrics.csv": "47d91fde398f0d115e3bda0449d2d2906d53ea1e2560b207caf6be74961298ec",
     "seed_1/alpha_round_0.csv": "6c9128bd17233a6d49574d2e0dd37e67d0a2df1b23215629ff65cad5fcfb9e41",
     "seed_1/alpha_round_1.csv": "738ea100ac3c48e86223c10d5163e5dfa536e6980e48905de140fc1f907175c8",
-    "seed_1/snapshots_round_0.csv": "0861261771e994f9de097229b98b93bcf75d4fecc57746ee462583544af79c03",
-    "seed_1/snapshots_round_1.csv": "98d296dffa3001d60be66ebbc7ab408588c7a3e972ec172a1b3dfabcf425f250",
+    "seed_1/snapshots_round_0.csv": "0dc23bd43a0999bc6dfbe551eb93f659813b7255035b625dae79fd0e7d5e6472",
+    "seed_1/snapshots_round_1.csv": "f8c88bfc50758d5accffa3ce869424e37fbba8642f7cf84f847077e96bafcb89",
 }
 
 
@@ -166,7 +166,7 @@ SELECTION_DIGESTS = {
         "seed_1/snapshots_round_2.csv":
             "7dffd72c7d630493c6f9ccdfcd645b2c3ca2af99b70ebbe550a163a2a26d0a05",
         "seed_2/snapshots_round_2.csv":
-            "3ca5ac0e10ae684b307d44b2cd50c1cd88921dec42613b994792fb350e48a0b2",
+            "e37765e1b3d0db31881b1c8fc14177ba26966472bf07c4dbc4749165a6d9f38a",
     },
     ("random", "joint"): {
         "bounds.csv":
@@ -184,9 +184,9 @@ SELECTION_DIGESTS = {
         "metrics.csv":
             "6cb576ff43d5ccf8d358aefa50a3a1172279e4394075b2e7904ceeb90e89c87f",
         "seed_1/snapshots_round_2.csv":
-            "9ef98b12ad96e5bc17ddbc85c708caae4cc5f88b2c74a10617b37b4dc35e91e8",
+            "9e61368d542843bc94f7cfaf27e9a2ae35e07d03863ad384c07c92bb77600b75",
         "seed_2/snapshots_round_2.csv":
-            "4ae5b48c50d8110e4cd5e0262fc0bfef31901806ca5c901f8c2da751ded2e514",
+            "373fd948eeb82941a416a37ac4d4d1cbc7d280f8eb8eda04a105ec832f2e1cec",
     },
 }
 

@@ -380,7 +380,7 @@ class TestCli:
         err = capsys.readouterr().err
         phases = ("encoder forward", "classifier forward", "discriminator update",
                   "discriminator forward", "alpha step", "V_d", "V_h", "V_lambda", "backward",
-                  "optimizer step", "epoch snapshot")
+                  "optimizer step")
         match = re.match(r"numerical abort: seed 4, round 0: training diverged at epoch \d+: "
                          r"([^:]+): ", err)
         assert match and match.group(1) in phases, err
@@ -481,6 +481,23 @@ class TestCli:
         assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_idx_header_past_int64_exit_2(self, tmp_path, capsys):
+        # n = rows = cols = 2^32 - 1 claims about 2^96 pixel bytes over a
+        # 16-byte pixel block
+        big = 2**32 - 1
+        (tmp_path / "img.idx").write_bytes(struct.pack(">IIII", IDX_IMAGE_MAGIC, big, big, big)
+                                           + bytes(16))
+        (tmp_path / "lab.idx").write_bytes(struct.pack(">II", IDX_LABEL_MAGIC, 4) + bytes(4))
+        path = tmp_path / "bad.cfg"
+        idx = f"kind = idx\nimages = {tmp_path}/img.idx\nlabels = {tmp_path}/lab.idx"
+        path.write_text(MINIMAL.replace("kind = rotating", idx).replace("n_classes = 3\n", "")
+                        + FAST_TRAIN + FAST_BUDGET)
+        assert cli_main(["run", str(path), "--seeds", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"truncated pixel data at byte offset 32 (expected {16 + big**3} bytes)" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "config_not_utf8",

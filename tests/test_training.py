@@ -10,7 +10,7 @@ from mudal import training
 from mudal.data import LabeledPool, RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
 from mudal.nn import DenseNet
-from mudal.objective import BlockLayout, alpha_step, compute_vd, compute_vh
+from mudal.objective import BlockLayout, alpha_step, compute_vd, compute_vh, decision_rates
 from mudal.training import (VARIANTS, NumericalAbort, TrainConfig, train_round,
                             write_snapshots_csv)
 
@@ -163,21 +163,46 @@ class TestTrainRound:
         def disc_calls(kind):
             return net_calls(kind, lambda net: net is rr.bundle.discriminator)
 
-        # each step encodes its stacked blocks once; the epoch snapshot
-        # encodes them once more to read the discriminator
-        snapshot = 1 if cfg.trains_discriminator else 0
-        assert encoder_calls("forward") == cfg.epochs * (steps + snapshot)
+        # each step encodes its stacked blocks once, and nothing else runs
+        # the encoder: the epoch snapshot reads the last step's passes
+        assert encoder_calls("forward") == cfg.epochs * steps
         # the summed latent gradient goes back through the encoder once a step
         assert encoder_calls("backward") == cfg.epochs * steps
         # one classifier-trunk pass feeds V_h, V_lambda and the alpha readouts
         assert trunk_calls("forward") == trunk_calls("backward") == cfg.epochs * steps
-        # the discriminator runs once before its update and once after it;
-        # the snapshot reads one more pass. It runs backward for its update,
-        # and after it only where the encoder reads V_d's latent gradient
+        # the discriminator runs once before its update and once after it.
+        # It runs backward for its update, and after it only where the
+        # encoder reads V_d's latent gradient
         disc_steps = 2 * steps if cfg.trains_discriminator else 0
-        assert disc_calls("forward") == cfg.epochs * (disc_steps + snapshot)
+        assert disc_calls("forward") == cfg.epochs * disc_steps
         disc_backwards = steps * (cfg.trains_discriminator + cfg.aligns_encoder)
         assert disc_calls("backward") == cfg.epochs * disc_backwards
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_snapshot_reads_the_last_steps_discriminator_pass(self, variant, monkeypatch):
+        # the oracle: after each epoch's last step, the updated discriminator
+        # run afresh on the latent rows that step fed it, read at the alpha
+        # the step returned. Re-encoding the batch after the step would
+        # differ from it on this setup in every variant
+        step, expected = training._train_step, []
+
+        def recorded(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
+            out = step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step)
+            alpha, disc = out[0], out[3]
+            assert (disc is None) == (variant == "vanilla")
+            if last_step and disc is not None:
+                logits = bundle.discriminator.predict(disc.trace.acts[0])
+                orig_rate, lab_rate = decision_rates(logits, layout)
+                expected.append(0.5 * (orig_rate + (alpha * (1.0 - lab_rate)).sum(axis=1)))
+            return out
+        monkeypatch.setattr(training, "_train_step", recorded)
+        ds, pool = toy_setup()
+        rr = train_round(ds, pool, fast_cfg(variant=variant, epochs=3), seed=8)
+        if variant == "vanilla":
+            expected = [np.zeros(ds.n_domains)] * 3
+        assert len(expected) == len(rr.history) == 3
+        for snap, acc in zip(rr.history, expected):
+            assert np.array_equal(snap.disc_acc, acc)
 
     @pytest.mark.parametrize("variant, disc_flags", [
         # the update reads the layer gradients; V_d at the new alpha, its
@@ -464,8 +489,7 @@ class TestBlockDraws:
 
 class TestStepBuffers:
     def test_steps_of_a_round_write_over_one_set_of_arrays(self, monkeypatch):
-        # the discriminator's passes before and after its update keep apart,
-        # and the epoch snapshot allocates its own
+        # the discriminator's passes before and after its update keep apart
         passes = []
         forward = DenseNet.forward
 
@@ -478,7 +502,7 @@ class TestStepBuffers:
         rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
         enc = [acts for net, acts in passes if net is rr.bundle.encoder]
         disc = [acts for net, acts in passes if net is rr.bundle.discriminator]
-        assert len(enc) == 8 + 1 and len(disc) == 2 * 8 + 1  # 8 steps, then the snapshot
+        assert len(enc) == 8 and len(disc) == 2 * 8  # 8 steps, no pass outside them
 
         def same(a, b):
             return all(x is y for x, y in zip(a, b, strict=True))
@@ -487,7 +511,6 @@ class TestStepBuffers:
             return not any(np.shares_memory(x, y) for x in a for y in b)
         assert same(enc[0], enc[1]) and same(disc[0], disc[2]) and same(disc[1], disc[3])
         assert apart(disc[0], disc[1])
-        assert apart(enc[0], enc[-1]) and apart(disc[0], disc[-1]) and apart(disc[1], disc[-1])
 
     def test_a_pass_kept_past_its_step_is_refused(self, monkeypatch):
         kept = {}  # the first step's passes, by name, and traces, by net
@@ -554,8 +577,10 @@ class TestStepBuffers:
         # tracemalloc's peak over a warmed-up round read 3,214,924 bytes with
         # per-head kernels and transient loss and Adam arrays, and 3,343,108
         # bytes with the batched heads' (N, B, H) products and the round's
-        # loss and Adam arrays. The peak falls in the epoch snapshot, on top
-        # of everything the round keeps; it may grow 5% past the first reading
+        # loss and Adam arrays. The peak falls in V_lambda's term (2,909,064
+        # bytes), on top of everything the round keeps, since the epoch
+        # snapshot runs no pass of its own; it may grow 5% past the first
+        # reading
         ds = gen_rotating(RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40,
                                        seed=0))
         pool = init_pool(ds, 390, seed=1)
