@@ -1,11 +1,61 @@
 """Multi-domain active learning: similarity-weighted surrogate domains,
 adversarial feature alignment, theoretically guided budget assignment, and
-pluggable instance-level query strategies. Importing the package pins
-OpenBLAS to one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set; the pin cannot reach a NumPy imported before it."""
+pluggable instance-level query strategies.
+
+Importing the package sets up the process for that work:
+
+- It pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS,
+  GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the pin cannot reach a NumPy
+  imported before it.
+- Under glibc it fixes malloc's mmap threshold at 32 MiB and its trim
+  threshold at 64 MiB, so freed arrays stay in the heap and the next round,
+  step or selection reuses pages that are still resident instead of faulting
+  them in again. The cost is that up to 64 MiB of freed memory at the top of
+  the heap stays resident. It is skipped where the C library is not glibc or
+  has no `mallopt`, and where the caller tuned malloc: any MALLOC_*_ variable
+  (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_, ...) or a GLIBC_TUNABLES
+  entry under glibc.malloc. MALLOC_PERTURB_=0, glibc's default, opts out and
+  leaves malloc exactly as glibc sets it up.
+"""
+import ctypes
 import os
+
 if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+# glibc's dynamic rule raises the mmap threshold to each freed mmapped block's
+# size, up to 32 MiB on 64-bit, and keeps the trim threshold at twice it. These
+# are its ceilings. Both must be set: setting either alone turns the rule off
+# and leaves the other at its 128 KiB start, so the freed heap top is still
+# trimmed (mmap threshold alone) or every array over 128 KiB is still mapped
+# afresh (trim threshold alone).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _keep_freed_memory() -> bool:
+    """Fix glibc's thresholds unless the caller tuned malloc; True if they
+    are fixed. A second call sets the same values."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    if (any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ)
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+        return False
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # the mmap threshold goes first: where glibc refuses it (a 32-bit build),
+    # nothing is set and the dynamic rule stays
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_keep_freed_memory()
 
 from .nn import DenseNet, Layer, grad_check, softmax
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,

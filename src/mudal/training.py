@@ -198,8 +198,9 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
 
 
 # the steps drawn at once keep each array they allocate (a 4-byte value per
-# draw, an 8-byte one per pick or swap) under 128 KiB, glibc's first mmap
-# threshold: a freed larger block raises it for the rest of the process
+# draw, an 8-byte one per pick or swap) under 128 KiB, so a long epoch's draws
+# and their temporaries take a bounded amount of memory, not one that grows
+# with the epoch's steps
 _PIECE_BYTES = (1 << 17) - 1
 
 

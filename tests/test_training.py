@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import mudal
 from mudal import training
 from mudal.data import LabeledPool, RotatingSpec, gen_rotating, init_pool
 from mudal.models import make_bundle
@@ -557,10 +558,14 @@ class TestStepBuffers:
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="counts the page faults of glibc's heap")
     def test_a_round_does_not_refault_the_heap_each_step(self):
-        # 12 steps of 768 rows at the default widths. On Linux with glibc
-        # 2.36, a warmed-up round faulted in 1,128 pages (the round's buffers
-        # and the four epoch snapshots); allocating each step's arrays afresh
-        # re-faulted the heap top every step, 5,602 pages
+        # 12 steps of 768 rows at the default widths, Linux, glibc 2.36. With
+        # the malloc thresholds `mudal` fixes at import, a warmed-up round
+        # faults in 0-1 pages. Where the caller's MALLOC_* or GLIBC_TUNABLES
+        # setting turns that off it faulted 634-635 pages under glibc's own
+        # rule (the round's buffers, given back when the heap top is trimmed
+        # after the round) and ~2,960 with a 128 KiB trim threshold.
+        # Allocating each step's arrays afresh re-faulted the heap top every
+        # step, 5,602 pages
         ds = gen_rotating(RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40,
                                        seed=0))
         pool = init_pool(ds, 390, seed=1)
@@ -568,7 +573,8 @@ class TestStepBuffers:
         train_round(ds, pool, cfg, seed=2)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train_round(ds, pool, cfg, seed=2)
-        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 3500
+        bound = 50 if mudal._keep_freed_memory() else 3500
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < bound
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="the reading was taken on Linux")
