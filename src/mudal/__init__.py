@@ -2,7 +2,8 @@
 adversarial feature alignment, theoretically guided budget assignment, and
 pluggable instance-level query strategies.
 
-Importing the package sets up the process for that work:
+Importing the package sets up the whole process for that work, not just
+`mudal`'s own calls:
 
 - It pins OpenBLAS to one thread unless OPENBLAS_NUM_THREADS,
   GOTO_NUM_THREADS or OMP_NUM_THREADS is set; the pin cannot reach a NumPy
@@ -10,12 +11,14 @@ Importing the package sets up the process for that work:
 - Under glibc it fixes malloc's mmap threshold at 32 MiB and its trim
   threshold at 64 MiB, so freed arrays stay in the heap and the next round,
   step or selection reuses pages that are still resident instead of faulting
-  them in again. The cost is that up to 64 MiB of freed memory at the top of
-  the heap stays resident. It is skipped where the C library is not glibc or
-  has no `mallopt`, and where the caller tuned malloc: any MALLOC_*_ variable
-  (MALLOC_TRIM_THRESHOLD_, MALLOC_MMAP_THRESHOLD_, ...) or a GLIBC_TUNABLES
-  entry under glibc.malloc. MALLOC_PERTURB_=0, glibc's default, opts out and
-  leaves malloc exactly as glibc sets it up.
+  them in again. The cost: a freed block under 32 MiB that is not at the top
+  of the heap is never given back to the OS, and the freed top is given back
+  only past 64 MiB. It is skipped where the C library is not glibc, and where
+  the caller set either threshold: MALLOC_MMAP_THRESHOLD_ or
+  MALLOC_TRIM_THRESHOLD_, or glibc.malloc.mmap_threshold or
+  glibc.malloc.trim_threshold in GLIBC_TUNABLES. Setting one of them is the
+  way to opt out; `mudal.FREED_MEMORY_KEPT` says whether the import fixed
+  them.
 """
 import ctypes
 import os
@@ -32,22 +35,23 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.envi
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+_THRESHOLD_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+_THRESHOLD_TUNABLES = ("glibc.malloc.mmap_threshold", "glibc.malloc.trim_threshold")
 
 
 def _keep_freed_memory() -> bool:
-    """Fix glibc's thresholds unless the caller tuned malloc; True if they
-    are fixed. A second call sets the same values."""
+    """Fix glibc's thresholds unless the caller set one; True if they are
+    fixed."""
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return False
     except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
         return False
-    if (any(k.startswith("MALLOC_") and k.endswith("_") for k in os.environ)
-            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if (any(v in os.environ for v in _THRESHOLD_VARS)
+            or any(t in tunables for t in _THRESHOLD_TUNABLES)):
         return False
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return False
+    mallopt = ctypes.CDLL(None).mallopt
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     # the mmap threshold goes first: where glibc refuses it (a 32-bit build),
     # nothing is set and the dynamic rule stays
@@ -55,7 +59,7 @@ def _keep_freed_memory() -> bool:
                 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
-_keep_freed_memory()
+FREED_MEMORY_KEPT = _keep_freed_memory()
 
 from .nn import DenseNet, Layer, grad_check, softmax
 from .data import (LabeledPool, MultiDomainDataset, RotatingSpec, gen_rotating,

@@ -1,8 +1,9 @@
 """OpenBLAS thread count: importing `mudal` pins one BLAS thread unless the
-caller set one, and the thread count cannot move any exported byte.
+caller set one, and neither the thread count nor the malloc thresholds the
+import fixes can move any exported byte.
 
 Each case runs in a fresh interpreter, since OpenBLAS reads its environment
-once, when NumPy loads it."""
+once, when NumPy loads it, and glibc reads its own at start-up."""
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+MALLOC_VARS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
 
 PIN_PROBE = """
 import json, os
@@ -43,9 +45,12 @@ print(json.dumps({os.path.relpath(p, out): hashlib.sha256(open(p, "rb").read()).
 """
 
 
-def run_child(code: str, *args: str, **blas_env: str):
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env.update(blas_env, PYTHONPATH=str(SRC))
+def run_child(code: str, *args: str, **given_env: str):
+    """The last line of `code`'s output, as JSON, from a fresh interpreter
+    that sees none of the caller's BLAS thread or malloc threshold settings,
+    only `given_env`'s."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS + MALLOC_VARS}
+    env.update(given_env, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     return json.loads(out.splitlines()[-1])
@@ -72,5 +77,8 @@ def test_a_set_thread_count_is_left_alone(given, expected):
 def test_blas_thread_count_moves_no_output(tmp_path):
     one = run_child(EXPERIMENT, str(tmp_path / "one"), OPENBLAS_NUM_THREADS="1")
     two = run_child(EXPERIMENT, str(tmp_path / "two"), OPENBLAS_NUM_THREADS="2")
-    assert one == two
+    # glibc's own thresholds: a caller's threshold turns the import's off
+    glibcs = run_child(EXPERIMENT, str(tmp_path / "glibcs"), OPENBLAS_NUM_THREADS="1",
+                       MALLOC_TRIM_THRESHOLD_="131072")
+    assert one == two == glibcs
     assert "bounds.csv" in one

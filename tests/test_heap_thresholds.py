@@ -1,17 +1,14 @@
 """glibc malloc thresholds: importing `mudal` fixes them, so freed arrays stay
 in the heap and the next allocation reuses resident pages, unless the caller
-tuned malloc; the setting cannot move any exported byte.
+set one. `tests/test_blas_threads.py` checks that they move no exported byte.
 
 Each case runs in a fresh interpreter, since glibc reads its environment once,
 at start-up, and the thresholds hold for the rest of the process."""
-import json
 import os
-import subprocess
-import sys
 
 import pytest
 
-from test_blas_threads import EXPERIMENT, SRC
+from test_blas_threads import run_child
 
 try:
     import resource
@@ -36,8 +33,8 @@ print(json.dumps(faults))
 """
 
 # the `mallopt` calls of the import, with `mallopt` replaced by a recorder that
-# refuses the parameter in argv[1] (0 for none), or missing ("missing"); the C
-# library is named glibc, or not at all where argv[2] == "musl"
+# refuses the parameter in argv[1] (0 for none); the C library is named glibc,
+# or not at all where argv[2] == "musl"
 MALLOPT = """
 import ctypes, json, os, sys, types
 import numpy
@@ -45,8 +42,7 @@ calls = []
 def mallopt(param, value):
     calls.append([param, value])
     return int(str(param) != sys.argv[1])
-libc = types.SimpleNamespace() if sys.argv[1] == "missing" else types.SimpleNamespace(mallopt=mallopt)
-ctypes.CDLL = lambda name: libc
+ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)
 def confstr(name):
     if sys.argv[2] == "musl":
         raise ValueError("unrecognized configuration name")
@@ -78,15 +74,6 @@ print(json.dumps(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
 """
 
 
-def run_child(code: str, *args: str, **malloc_env: str):
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
-    env.update(malloc_env, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, timeout=120, check=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
 def is_glibc() -> bool:
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))
@@ -106,11 +93,15 @@ def test_freed_arrays_stay_resident():
 
 
 @needs_glibc
-@pytest.mark.parametrize("opt_out", [{"MALLOC_TRIM_THRESHOLD_": "131072"},
-                                     {"MALLOC_PERTURB_": "0"}], ids=["trim", "perturb"])
-def test_a_caller_malloc_setting_is_left_alone(opt_out):
-    # glibc's own rule trims the freed 3 MiB top of the heap, or maps the
-    # arrays afresh, every cycle
+@pytest.mark.parametrize("opt_out", [
+    {"MALLOC_TRIM_THRESHOLD_": "131072"},
+    {"MALLOC_MMAP_THRESHOLD_": "131072"},
+    {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"},
+], ids=["trim", "mmap", "tunable"])
+def test_a_caller_threshold_is_left_alone(opt_out):
+    # glibc keeps the caller's threshold and its 128 KiB start for the other:
+    # the freed 3 MiB top of the heap is trimmed, or the arrays mapped afresh,
+    # every cycle
     assert min(run_child(CYCLES, **opt_out)[1:]) >= 700
 
 
@@ -121,27 +112,22 @@ def test_a_warmed_seed_run_faults_no_heap_pages():
     assert run_child(RUN_SEED) <= 50
 
 
-def test_the_thresholds_move_no_output(tmp_path):
-    kept = run_child(EXPERIMENT, str(tmp_path / "kept"))
-    glibcs = run_child(EXPERIMENT, str(tmp_path / "glibcs"), MALLOC_PERTURB_="0")
-    assert kept == glibcs
-    assert "bounds.csv" in kept
-
-
 BOTH = [[MMAP, 32 << 20], [TRIM, 64 << 20]]
 
 
 @pytest.mark.parametrize("refused, libc, env, calls", [
     ("0", "glibc", {}, BOTH),
     (str(MMAP), "glibc", {}, BOTH[:1]),
-    ("missing", "glibc", {}, []),
     ("0", "musl", {}, []),
-    ("0", "glibc", {"MALLOC_TOP_PAD_": "0"}, []),
-    ("0", "glibc", {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, []),
-    ("0", "glibc", {"MALLOC_ARENA_MAX": "1"}, BOTH),
-], ids=["set", "mmap-refused", "no-mallopt", "not-glibc", "malloc-var", "tunable",
-        "arena-max"])
+    ("0", "glibc", {"MALLOC_MMAP_THRESHOLD_": "131072"}, []),
+    ("0", "glibc", {"MALLOC_TRIM_THRESHOLD_": "131072"}, []),
+    ("0", "glibc", {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"}, []),
+    ("0", "glibc", {"GLIBC_TUNABLES": "glibc.malloc.tcache_count=0"}, BOTH),
+    ("0", "glibc", {"MALLOC_PERTURB_": "0", "MALLOC_CHECK_": "3"}, BOTH),
+], ids=["set", "mmap-refused", "not-glibc", "mmap-var", "trim-var", "tunable",
+        "other-tunable", "debug-vars"])
 def test_which_thresholds_are_set(refused, libc, env, calls):
     # where glibc refuses the mmap threshold, the trim threshold is not set
-    # alone; without `mallopt` the import still succeeds
+    # alone; off glibc the import still succeeds; malloc's debugging settings
+    # leave the thresholds as a plain run has them
     assert run_child(MALLOPT, refused, libc, **env) == calls

@@ -560,8 +560,8 @@ class TestStepBuffers:
     def test_a_round_does_not_refault_the_heap_each_step(self):
         # 12 steps of 768 rows at the default widths, Linux, glibc 2.36. With
         # the malloc thresholds `mudal` fixes at import, a warmed-up round
-        # faults in 0-1 pages. Where the caller's MALLOC_* or GLIBC_TUNABLES
-        # setting turns that off it faulted 634-635 pages under glibc's own
+        # faults in 0-1 pages. Where the caller set a threshold and so turned
+        # that off, it faulted 634-635 pages under glibc's own
         # rule (the round's buffers, given back when the heap top is trimmed
         # after the round) and ~2,960 with a 128 KiB trim threshold.
         # Allocating each step's arrays afresh re-faulted the heap top every
@@ -573,7 +573,7 @@ class TestStepBuffers:
         train_round(ds, pool, cfg, seed=2)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train_round(ds, pool, cfg, seed=2)
-        bound = 50 if mudal._keep_freed_memory() else 3500
+        bound = 50 if mudal.FREED_MEMORY_KEPT else 3500
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < bound
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
