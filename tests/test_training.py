@@ -560,10 +560,10 @@ class TestStepBuffers:
     def test_a_round_does_not_refault_the_heap_each_step(self):
         # 12 steps of 768 rows at the default widths, Linux, glibc 2.36. With
         # the malloc thresholds `mudal` fixes at import, a warmed-up round
-        # faults in 0-1 pages. Where the caller set a threshold and so turned
-        # that off, it faulted 634-635 pages under glibc's own
-        # rule (the round's buffers, given back when the heap top is trimmed
-        # after the round) and ~2,960 with a 128 KiB trim threshold.
+        # faults in 0-1 pages. Under glibc's own dynamic thresholds it
+        # faulted 634-635 (the round's buffers, given back when the heap top
+        # is trimmed after the round), and ~2,960 where the caller set a
+        # 128 KiB trim threshold, which keeps `mudal` from fixing them.
         # Allocating each step's arrays afresh re-faulted the heap top every
         # step, 5,602 pages
         ds = gen_rotating(RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40,
