@@ -108,12 +108,12 @@ def _cmd_verify_theory(args) -> int:
 
 def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
     """(name, layers, grads, loss) for `grad_check`, per variant: the network
-    step's gradient (`training.step_grads`, in the trainer's workspace)
-    against the objective it descends with alpha and the discriminator held
-    fixed, whose `loss()` returns its terms; where the discriminator trains,
-    its step's V_d gradient against V_d. Every parameter of networks with
-    each layer kind of the default `TrainConfig` at width 4, the batch, alpha
-    and lambda_d come from `rng`."""
+    step's gradient (`training.step_grads`) against the objective it
+    descends with alpha and the discriminator held fixed, whose `loss()`
+    returns its terms; where the discriminator trains, its step's V_d
+    gradient against V_d. Every parameter of networks with each layer kind
+    of the default `TrainConfig` at width 4, the batch, alpha and lambda_d
+    come from `rng`."""
     n, c = 3, 3
     layout = BlockLayout.of(rng.integers(1, 4, n), rng.integers(1, 4, n))
     x = rng.standard_normal((layout.orig_rows + layout.n_lab.sum(), 2))
@@ -127,14 +127,13 @@ def gradcheck_cases(rng: np.random.Generator) -> list[tuple]:
                              cfg.classifier_hidden, cfg.disc_hidden, cfg.trains_discriminator)
         for pset in filter(None, (bundle.net_params, bundle.disc_params)):
             pset.flat[...] = rng.standard_normal(pset.flat.size)
-        ws = bundle.workspace()
 
         def step(value: bool):
-            trace = bundle.encoder.forward(x, ws, "encoder")
+            trace = bundle.encoder.forward(x)
             cls = classifier_pass(bundle, trace.output[layout.orig_rows:], labels,
-                                  layout.lab_blocks, heads=cfg.optimizes_alpha, ws=ws)
+                                  layout.lab_blocks, heads=cfg.optimizes_alpha)
             # V_d reaches the network step only where the encoder aligns
-            disc = disc_pass(bundle, trace.output, layout, ws) if cfg.aligns_encoder else None
+            disc = disc_pass(bundle, trace.output, layout) if cfg.aligns_encoder else None
             return step_grads(cfg, trace, cls, disc, alpha, value=value)
 
         def terms() -> tuple[float, ...]:

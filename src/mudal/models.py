@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .nn import DenseNet, Layer, ParamSet, Workspace
+from .nn import DenseNet, Layer, ParamSet
 
 
 @dataclass
@@ -66,11 +66,6 @@ class ModelBundle:
         """The classifier's final-layer input on latent rows z, and its logits."""
         trace = self.classifier.forward(z)
         return trace.acts[-2], trace.output
-
-    def workspace(self) -> Workspace:
-        """A new `Workspace` for a round, writing layer gradients where `step` reads them."""
-        disc = {} if self.disc_params is None else self.disc_params.grad_views()
-        return Workspace(self.net_params.grad_views() | disc)
 
 
 def make_bundle(feature_dim: int, n_classes: int, n_domains: int,

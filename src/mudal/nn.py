@@ -23,33 +23,24 @@ over it takes it over, and the earlier one then refuses to step. So a
 `models.ModelBundle` builds its sets and its stack of final layers once,
 with itself, and every pass reads those; a gradient a term writes through
 the stack lands in the set's buffer, where the next pass writes over it.
+`np.matmul` and `sum(axis=0)` round alike with and without `out=`, so such a
+gradient has the bits of a fresh one.
 
 `DenseNet.backward` computes only what its caller reads: `params=False`
 skips every dW/db and `inputs=False` skips layer 0's input gradient, and a
 skipped part comes back as None. Either way the parts it does compute are
 the full backward's to the bit.
 
-Which arrays live how long. `forward(x, ws, role)` writes each layer's
-activation into the `Workspace` ws under `role`, and the backward of its
-trace writes there too: layer 0's input gradient under the role, the masks
-and deltas that die within the backward under their shape alone (so every
-role shares them), and the layer gradients where ws keeps them, e.g. a
-`ParamSet`'s `grad_views`. A trainer keeps one workspace for a round, so
-each pass writes over the last one of its role; the default, `ALLOCATE`,
-makes a new array on every call, so `predict` and every pass outside
-training own what they return. A trace is current while the `AdamState`
-that steps its net (`Layer.adam`) has taken no step since the forward pass;
-after one its backward refuses it (`stale trace`), so no caller reads a
-later pass's values through an old trace (writes past `step` go unseen).
-`np.matmul` and `sum(axis=0)` round alike with and without `out=`, so both
-give the same bits.
+Every pass computes into fresh arrays. A trace is refused (`stale trace`)
+once the `AdamState` that steps its net (`Layer.adam`) has stepped since
+the forward pass, since its backward would pair the old activations with
+the new weights.
 
 The losses' kernels spend few NumPy calls on many short rows: the softmax
 takes its row max and row sum one column at a time (`_row_max`, `_row_sum`:
 the reductions' bits, without a loop per row), subtracts the one-hot rows as
 a boolean array and computes the cross-entropy value only for a caller that
-reads it; the sigmoid picks its two sides with `np.copyto(..., where=)`
-into workspace arrays.
+reads it; the sigmoid picks its two sides with `np.copyto(..., where=)`.
 
 The leaky ReLU and its derivative mask avoid `np.where`: on rows whose signs
 mix at random, its data-dependent branch mispredicts about half the time
@@ -96,17 +87,14 @@ def _activation_grad(a: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def sigmoid(z: np.ndarray, ws: Workspace | None = None, role=None) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-safe for logits of either sign: 1 / (1 + e)
-    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|), written into `ws`
-    under `role` (fresh arrays without one)."""
-    ws = ALLOCATE if ws is None else ws
-    e = np.abs(z, out=ws.array(role, "sigmoid", z.shape))
+    where z >= 0 and e / (1 + e) elsewhere, e = exp(-|z|)."""
+    e = np.abs(z)
     np.exp(np.negative(e, out=e), out=e)
-    denom = np.add(1.0, e, out=ws.array(role, "sigmoid_denom", z.shape))
+    denom = np.add(1.0, e)
     np.divide(e, denom, out=e)
-    np.copyto(e, np.divide(1.0, denom, out=denom),
-              where=np.greater_equal(z, 0.0, out=ws.array(role, "sigmoid_side", z.shape, bool)))
+    np.copyto(e, np.divide(1.0, denom, out=denom), where=z >= 0.0)
     return e
 
 
@@ -149,53 +137,15 @@ class Layer:
         return cls(W, b, activation)
 
 
-class Workspace:
-    """The arrays the passes of a training round write into: a dict keyed by
-    (role, name, shape, dtype), each array made on first use, plus the
-    layer-gradient destinations `grads` (a bundle's `ParamSet`s'
-    `grad_views` merged; a layer missing from them has its own, under the
-    layer as role). A key of role None is shared by every role: the backward
-    keeps there what dies within it."""
-
-    def __init__(self, grads: LayerGrads):
-        self.arrays = {}
-        self.grads = dict(grads)
-
-    def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (role, name, shape, dtype)
-        a = self.arrays.get(key)
-        if a is None:
-            a = self.arrays[key] = np.empty(shape, dtype)
-        return a
-
-    def grad(self, layer: Layer) -> tuple[np.ndarray, np.ndarray]:
-        """The (dW, db) arrays a gradient of `layer` is written into."""
-        pair = self.grads.get(layer)
-        if pair is None:
-            pair = self.array(layer, "dW", layer.W.shape), self.array(layer, "db", layer.b.shape)
-        return pair
-
-
-class _Allocating(Workspace):
-    def array(self, role, name, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        return np.empty(shape, dtype)
-
-
-# the workspace of a pass that owns its arrays: a new one on every call
-ALLOCATE = _Allocating({})
-
-
 @dataclass
 class ActivationTrace:
     """Everything forward() saw, sufficient for an exact backward pass, and
-    the workspace and role it was written into, which its backward uses."""
+    the step of the net's optimizer it was taken at."""
 
     net: "DenseNet"
     acts: list[np.ndarray]     # the input, then the activation of each layer
     adam: "AdamState | None"   # the net's optimizer at forward() (its first layer's)
     t: int | None              # and its step count then
-    ws: Workspace
-    role: str
 
     @property
     def output(self) -> np.ndarray:
@@ -246,9 +196,8 @@ class DenseNet:
         ]
         return cls(layers)
 
-    def forward(self, x: np.ndarray, ws: Workspace = ALLOCATE, role: str = "") -> ActivationTrace:
-        """The trace of x through every layer, written into `ws` under
-        `role`, as the backward of the trace then is."""
+    def forward(self, x: np.ndarray) -> ActivationTrace:
+        """The trace of x through every layer."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError(f"expected (B, D) features, got shape {x.shape}")
@@ -256,25 +205,24 @@ class DenseNet:
             raise ValueError(
                 f"feature dim {x.shape[1]} does not match net input dim {self.input_dim}"
             )
-        acts, rows = [x], x.shape[0]
-        for k, layer in enumerate(self.layers):
-            # layer k's activation is the role's array named k
-            z = np.matmul(x, layer.W.T, out=ws.array(role, k, (rows, layer.W.shape[0])))
+        acts = [x]
+        for layer in self.layers:
+            z = x @ layer.W.T
             z += layer.b  # the same add as `x @ W.T + b`, one temporary fewer
             x = _activate(z, layer.activation)
             acts.append(x)
         if not np.isfinite(x).all():
             raise FloatingPointError("non-finite values in forward output")
         adam = self.layers[0].adam
-        return ActivationTrace(self, acts, adam, None if adam is None else adam.t, ws, role)
+        return ActivationTrace(self, acts, adam, None if adam is None else adam.t)
 
     def backward(self, trace: ActivationTrace, output_grad: np.ndarray, *,
                  params: bool = True, inputs: bool = True,
                  ) -> tuple[LayerGrads | None, np.ndarray | None]:
-        """Every layer's (dW, db) and d(loss)/d(input), written into the
-        trace's workspace. A caller that reads only one of them turns the
-        other off: `params=False` skips every dW/db, `inputs=False` skips
-        layer 0's input gradient, and the skipped part comes back as None."""
+        """Every layer's (dW, db) and d(loss)/d(input), in fresh arrays. A
+        caller that reads only one of them turns the other off:
+        `params=False` skips every dW/db, `inputs=False` skips layer 0's
+        input gradient, and the skipped part comes back as None."""
         if not (params or inputs):
             raise ValueError("backward needs params, inputs or both")
         if trace.net is not self:
@@ -285,23 +233,18 @@ class DenseNet:
             raise ValueError(
                 f"output_grad shape {delta.shape} != output shape {trace.output.shape}"
             )
-        ws, rows = trace.ws, delta.shape[0]
         grads: LayerGrads | None = {} if params else None
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             if layer.activation == "identity":
                 dz = delta  # times a derivative of 1
             else:
-                dz = _activation_grad(trace.acts[k + 1], layer.activation,
-                                      ws.array(None, "dz", (rows, layer.out_dim)))
+                dz = _activation_grad(trace.acts[k + 1], layer.activation, np.empty(delta.shape))
                 dz *= delta
             if params:
-                dW, db = ws.grad(layer)
-                grads[layer] = (np.matmul(dz.T, trace.acts[k], out=dW), dz.sum(axis=0, out=db))
+                grads[layer] = (dz.T @ trace.acts[k], dz.sum(axis=0))
             if k or inputs:
-                # the input gradient outlives the backward, the deltas before it do not
-                delta = np.matmul(dz, layer.W, out=ws.array(None if k else trace.role, "delta",
-                                                             (rows, layer.in_dim)))
+                delta = dz @ layer.W
             else:
                 delta = None
         return grads, delta
@@ -383,9 +326,10 @@ class ParamSet:
     and the gradient buffer are flat alike. Adam is elementwise, so the
     layout does not change its bits, and it lets consecutive layers of one
     shape read as one `stack`. `grad_views` hands out each layer's (dW, db)
-    view of the gradient buffer, so a backward can write a gradient where
-    `step` reads it. A set refuses to step, or to stack, once a layer was
-    rebound, by a later set or by assignment."""
+    view of the gradient buffer, so a term can write a gradient where `step`
+    reads it, as V_h and V_lambda do through the final layers' stack. A set
+    refuses to step, or to stack, once a layer was rebound, by a later set or
+    by assignment."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list({id(layer): layer for layer in layers}.values())
@@ -441,8 +385,9 @@ class ParamSet:
 
     def step(self, grads: LayerGrads, lr: float) -> None:
         """One Adam step on every layer; a layer missing from `grads` steps on
-        a zero gradient, and a gradient already in its `grad_views` is read in
-        place."""
+        a zero gradient. A backward's fresh (dW, db) is copied into the
+        gradient buffer; a pair that is the layer's `grad_views`, as the
+        final-layer `LayerStack`'s are, is read in place."""
         for k, (layer, W, dW, b, db) in enumerate(self._slots):
             if layer.W is not W or layer.b is not b:
                 self._check_views(k)
@@ -452,10 +397,11 @@ class ParamSet:
                 continue
             if pair[0] is dW and pair[1] is db:
                 continue
-            if (np.shape(pair[0]), np.shape(pair[1])) != (dW.shape, db.shape):
-                raise ValueError(f"layer {k}: gradient shapes {tuple(map(np.shape, pair))} "
+            gW, gb = np.asarray(pair[0]), np.asarray(pair[1])
+            if (gW.shape, gb.shape) != (dW.shape, db.shape):
+                raise ValueError(f"layer {k}: gradient shapes {(gW.shape, gb.shape)} "
                                  f"!= parameter shapes {(dW.shape, db.shape)}")
-            dW[...], db[...] = pair
+            dW[...], db[...] = gW, gb
         adam_step(self.flat, self._grad, self.adam, lr)
 
 
@@ -514,21 +460,19 @@ def _softmax_residual(logits: np.ndarray, onehot: np.ndarray,
 
 
 def _sigmoid_bce(z: np.ndarray, t: np.ndarray, weights: np.ndarray, wsum, *,
-                 value: bool = True, ws: Workspace = ALLOCATE,
-                 role=None) -> tuple[float | None, np.ndarray]:
+                 value: bool = True) -> tuple[float | None, np.ndarray]:
     """Weighted-mean binary cross-entropy on logits: (loss, dloss/dz), for
     float64 logits z, 0/1 targets t and weights of positive sum `wsum`, all
     of one shape, which the caller guarantees (V_d's targets and weights are
     its `BlockLayout`'s). A caller that does not read the loss turns `value`
-    off and gets None for it. The gradient is written into `ws` under
-    `role`."""
+    off and gets None for it."""
     loss = None
     if value:
         # max(z,0) - z*t + log(1 + exp(-|z|)) is the overflow-safe BCE
         per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
         loss = float((weights * per).sum() / wsum)
     # weights * (sigmoid(z) - t) / wsum, over the sigmoid's array
-    dlogits = sigmoid(z, ws, role)
+    dlogits = sigmoid(z)
     dlogits -= t
     dlogits *= weights
     dlogits /= wsum

@@ -14,8 +14,9 @@ conditional decision D_i(z) of every row. The pass does not depend on alpha:
 `compute_vd` takes the loss and backward pass from it at a given alpha,
 running only the parts of the backward its caller reads. The alpha-free
 part of both passes is the `BlockLayout`, which is its block sizes: the
-`Segments` every mean over a block reads, and V_d's weights and targets,
-are worked out from them when first read.
+`Segments` every mean over a block reads, and V_d's targets, are worked
+out from them when first read, and V_d's weights at an alpha from them
+and the alpha.
 
 Every block has rows: `BlockLayout.of` and `Segments.of` refuse an empty
 one, naming its domain, so a block's size divides every mean over it.
@@ -35,18 +36,10 @@ per-head loop summed it. V_h and V_lambda read one softmax of all K final
 layers' logits (`ClassifierPass.softmax`), computed once per pass: each row
 is computed on its own, so the stacked rows keep their bits.
 
-A pass writes into the `Workspace` its caller gives, under its role, and so
-do the terms and backwards that read it: `classifier_pass` the "trunk" role
-(the trunk's activations, the logits, V_h's and V_lambda's trunk-output
-gradients), `disc_pass` the "disc" role and `DiscPass.rerun` the
-"disc_rerun" role of the same workspace. V_d writes its BCE weights, its
-sigmoid and its logit gradient under the "vd" role, which both of a step's
-V_d calls share: each writes them before it reads them. Without a workspace
-every array is fresh (`ALLOCATE`). The readers of a pass refuse it once its
-network's set stepped (`stale trace`), since a later pass of its role may
-have written over it. The terms call the losses' kernels, which check
-nothing: V_d's targets are 0/1 by construction, and a classifier pass's
-labels must lie in [0, C).
+The readers of a pass refuse it once its network's set stepped (`stale
+trace`), since it would pair old activations with new weights. The terms
+call the losses' kernels, which check nothing: V_d's targets are 0/1 by
+construction, and a classifier pass's labels must lie in [0, C).
 
 `decision_rates` is the one home of the discriminator's 0/1 decision rates:
 `DiscPass.rates` (the alpha coefficients, which read only the labeled
@@ -64,8 +57,7 @@ import numpy as np
 
 from .data import MultiDomainDataset
 from .models import ModelBundle
-from .nn import (ALLOCATE, ActivationTrace, LayerGrads, LayerStack, Workspace, _sigmoid_bce,
-                 _softmax_residual)
+from .nn import ActivationTrace, LayerGrads, LayerStack, _sigmoid_bce, _softmax_residual
 from .simplex import column_importance, project_simplex
 
 
@@ -124,7 +116,8 @@ class BlockLayout:
     blocks read (the 0/1 errors and the decision rates), and V_d's BCE parts
     (the originals' weights and the 0/1 targets), are worked out from them
     when first read, so a layout V_d never reads (the h-distance's, over the
-    whole pool) builds none of its (rows, N) arrays. Every block has rows."""
+    whole pool) builds none of its (rows, N) arrays; `vd_weights` builds
+    V_d's weights at an alpha. Every block has rows."""
     n_orig: np.ndarray  # rows per original domain
     n_lab: np.ndarray   # rows per labeled domain
 
@@ -156,15 +149,20 @@ class BlockLayout:
         n = self.n_orig.size
         return np.repeat([[1.0] * n, [0.0] * n], [self.orig_rows, self.n_lab.sum()], axis=0)
 
+    def vd_weights(self, alpha: np.ndarray) -> np.ndarray:
+        """V_d's BCE weight of each (row, logit i) at alpha, (rows, N): 1/|O_i|
+        for an original of domain i (0 for the other originals), and
+        alpha[i, j]/|L_j| for a row of L_j."""
+        return np.concatenate([self.orig_w, np.repeat((alpha / self.n_lab).T, self.n_lab, axis=0)])
+
 
 @dataclass
 class ClassifierPass:
     """One classifier-trunk forward over the labeled domains' stacked latent
     rows, and the logits (K, B, C) of the final layers on its output: the
     shared final layer at 0, then head i's final at 1 + i when the pass
-    includes the heads. Its arrays, and those of the terms that read it,
-    come from the trunk trace's workspace; the final layers are `stack`,
-    the bundle's `LayerStack` of them, whose gradient views the terms write."""
+    includes the heads. The final layers are `stack`, the bundle's
+    `LayerStack` of them, whose gradient views the terms write."""
     trunk: ActivationTrace  # its output is the trunk output, (B, H)
     logits: np.ndarray
     labels: np.ndarray
@@ -184,7 +182,7 @@ class ClassifierPass:
 
     def check_current(self) -> None:
         """Refuse a pass once the set that steps its trunk, and with it the
-        final layers, stepped: a later pass may have written over it."""
+        final layers, stepped: its logits are the old weights'."""
         self.trunk.check_current()
 
     def errors(self) -> np.ndarray:
@@ -200,23 +198,19 @@ class ClassifierPass:
 
 
 def classifier_pass(bundle: ModelBundle, z: np.ndarray, labels: np.ndarray,
-                    blocks: Segments, *, heads: bool = True,
-                    ws: Workspace = ALLOCATE) -> ClassifierPass:
+                    blocks: Segments, *, heads: bool = True) -> ClassifierPass:
     """Run the classifier trunk once over labeled latent rows `z` (`blocks`,
     their rows per labeled domain) and apply the bundle's `finals` (with
-    `heads`, else the shared final layer alone) as one (K, C, H) stack. Its
-    arrays go to `ws` under the "trunk" role. The labels must lie in [0, C)
-    for V_h and V_lambda to read them."""
+    `heads`, else the shared final layer alone) as one (K, C, H) stack. The
+    labels must lie in [0, C) for V_h and V_lambda to read them."""
     sizes = blocks.sizes
     if sizes.sum() != z.shape[0] or labels.shape != (z.shape[0],):
         raise ValueError(f"{z.shape[0]} latent rows with {labels.shape[0]} labels do not fit "
                          f"labeled blocks of {sizes.tolist()} rows")
-    trace = bundle.trunk.forward(z, ws, "trunk")
+    trace = bundle.trunk.forward(z)
     stack = bundle.finals if heads else bundle.finals.first(1)
-    k, c = stack.b.shape
     # final layers are identity-activated: x @ W.T + b, as in DenseNet.forward
-    logits = np.matmul(trace.output, stack.W.transpose(0, 2, 1),
-                       out=ws.array("trunk", "logits", (k, z.shape[0], c)))
+    logits = trace.output @ stack.W.transpose(0, 2, 1)
     logits += stack.b[:, None, :]
     if not np.isfinite(logits).all():
         raise FloatingPointError("non-finite values in classifier logits")
@@ -243,7 +237,7 @@ def compute_vh(cls: ClassifierPass, alpha: np.ndarray, *, value: bool = True) ->
     hidden, final = cls.trunk.output, cls.stack.layers[0]
     dW, db = cls.stack.grads[final]
     grads = {final: (np.matmul(dlogits.T, hidden, out=dW), dlogits.sum(axis=0, out=db))}
-    dz = np.matmul(dlogits, cls.stack.W[0], out=cls.trunk.ws.array("trunk", "vh_dz", hidden.shape))
+    dz = dlogits @ cls.stack.W[0]
     return TermResult(None if loss is None else float(loss * wsum), grads, dz)
 
 
@@ -281,8 +275,7 @@ def compute_vlambda(cls: ClassifierPass, alpha: np.ndarray, *,
     dlogits.sum(axis=1, out=db)
     # each head's (B, H) product, then their sum in head order, one at a time
     # into the first: sum(axis=0)'s bits without a second array
-    products = np.matmul(dlogits, W, out=cls.trunk.ws.array("trunk", "head_products",
-                                                            (n, *cls.trunk.output.shape)))
+    products = dlogits @ W
     dhidden = products[0]
     for i in range(1, n):
         dhidden += products[i]
@@ -299,15 +292,12 @@ class DiscPass:
 
     def rerun(self) -> DiscPass:
         """The same input rows through the discriminator as it is now, e.g.
-        after its update, written into the pass's workspace under the
-        "disc_rerun" role: the pass after one step's update is still current
-        when the next step's pass before the update runs."""
-        trace = self.trace
-        return DiscPass(trace.net.forward(trace.acts[0], trace.ws, "disc_rerun"), self.layout)
+        after its update."""
+        return DiscPass(self.trace.net.forward(self.trace.acts[0]), self.layout)
 
     def rates(self, originals: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
         """The pass's `decision_rates`; refused once the discriminator
-        changed, since a later pass may have written over its arrays."""
+        changed, since they would be the old weights' decisions."""
         self.trace.check_current()
         return decision_rates(self.trace.output, self.layout, originals=originals)
 
@@ -326,16 +316,15 @@ def decision_rates(logits: np.ndarray, layout: BlockLayout, *,
     return np.diag(layout.orig_blocks.means((logits[:n_o] >= 0.0).T)), lab
 
 
-def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout,
-              ws: Workspace = ALLOCATE) -> DiscPass:
+def disc_pass(bundle: ModelBundle, z: np.ndarray, layout: BlockLayout) -> DiscPass:
     """Run the discriminator once over the latent rows `z`, stacked as
-    `layout` says, written into `ws` under the "disc" role."""
+    `layout` says."""
     if bundle.discriminator is None:
         raise ValueError("V_d needs a discriminator")
     rows = layout.orig_rows + int(layout.n_lab.sum())
     if z.shape[0] != rows:
         raise ValueError(f"{z.shape[0]} latent rows do not fit a layout of {rows}")
-    return DiscPass(bundle.discriminator.forward(z, ws, "disc"), layout)
+    return DiscPass(bundle.discriminator.forward(z), layout)
 
 
 def compute_vd(disc: DiscPass, alpha: np.ndarray, *, params: bool = True, inputs: bool = True,
@@ -347,8 +336,7 @@ def compute_vd(disc: DiscPass, alpha: np.ndarray, *, params: bool = True, inputs
     caller turns off what it does not read: `params=False` leaves `grads`
     None, `inputs=False` leaves `dz` None, and with both off no backward
     runs; `value=False` leaves the value None; all three off is a ValueError.
-    The BCE weights and the logit gradient go to the pass's workspace under
-    the "vd" role, which every pass shares: each call writes them first."""
+    The BCE weights are the layout's `vd_weights` at alpha."""
     backward = params or inputs
     if not (backward or value):
         raise ValueError("compute_vd needs its value, params or inputs")
@@ -357,15 +345,11 @@ def compute_vd(disc: DiscPass, alpha: np.ndarray, *, params: bool = True, inputs
     trace, net = disc.trace, disc.trace.net
     if not backward:
         trace.check_current()
-    logits, ws = trace.output, trace.ws
-    # BCE weight of each (row, logit i): 1/|O_i| for an original of domain i
-    # (0 for the other originals), alpha[i, j]/|L_j| for a row of L_j
-    w = ws.array("vd", "weights", logits.shape)
-    w[:lay.orig_rows] = lay.orig_w
-    w[lay.orig_rows:] = np.repeat((alpha / lay.n_lab).T, lay.n_lab, axis=0)
+    logits = trace.output
+    w = lay.vd_weights(alpha)
     wsum = w.sum()  # the flat weights' sum too: a contiguous array sums alike in any shape
     norm_loss, dlogits = _sigmoid_bce(logits.reshape(-1), lay.target.reshape(-1),
-                                      w.reshape(-1), wsum, value=value, ws=ws, role="vd")
+                                      w.reshape(-1), wsum, value=value)
     scale = wsum / (2.0 * n)
     grads = dz = None
     if backward:

@@ -53,11 +53,10 @@ what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once, and stacked with the train rows for `_batch_sampler`; the
 `BlockLayout`, the block sizes each draw takes and the terms read, with the
-segments of its blocks that the means over them read; the plan of the
-round's draws (`_BlockDraws`); and the bundle's `Workspace` every step
-writes into (`ModelBundle.workspace`). A step's batch is one matrix in that
-order, gathered with one index, and each pass reads a slice of the
-encoder's output over it.
+segments of its blocks that the means over them read; and the plan of the
+round's draws (`_BlockDraws`). A step's batch is one matrix in that order,
+gathered with one index, and each pass reads a slice of the encoder's
+output over it.
 
 The minibatches are the picks of `rng.choice(size, size=take,
 replace=False)` for each block in `BlockLayout` order, step after step, to
@@ -67,28 +66,11 @@ the steps' draws are one run of bounded draws, each the one
 an epoch's steps with one `rng.integers` call over the calls' bounds, in
 their order, and maps them to the same picks.
 
-What lives for the round and what for the step. The workspace lives for
-the round, and each step writes over the last one's arrays of each role:
-"encoder" (its activations), "trunk" (the classifier pass, its logits, V_h's
-trunk-output gradient and V_lambda's head products), "disc" and
-"disc_rerun" (the discriminator's passes before and after its update, kept
-apart because the pass after one step's update is still current when the
-next step's pass before the update runs) and "vd" (V_d's weights, sigmoid
-and logit gradient). The backwards' masks and deltas are shared by every
-role, and the layer gradients go straight into the bundle's `ParamSet`s'
-gradient buffers. Where the encoder aligns, its output gradient is written
-over V_d's latent gradient; elsewhere it is the "encoder" role's. What a
-step reads of the workspace lives only for the step: the readers of a pass
-or trace refuse it once its network's `AdamState` stepped (`stale trace`),
-as each does before the next step writes its role again. The rest of a
-step's arrays are small and fresh each step (the batch, the classifier
-pass's softmax, V_h's and V_lambda's row weights and logit gradients, the
-alpha readouts). The epoch snapshot reads the last step's pass after the
-discriminator's update once the step is done, still current since only the
-network set steps after it; everything outside training allocates its own.
-The index of a piece of the epoch's steps lives until the epoch's last step
-has its batch; the draws and the temporaries that map them to it live only
-while it is drawn.
+Every pass computes into fresh arrays. A step's pass or trace is refused
+(`stale trace`) once its network's `AdamState` stepped, since it would pair
+old activations with new weights; the epoch snapshot reads the last step's
+pass after the discriminator's update, still current since only the network
+set steps after it.
 
 A numerical abort names the phase of the step it arose in.
 """
@@ -395,9 +377,8 @@ def step_grads(config, trace, cls, disc, alpha, *, value=True):
     less the terms the variant lacks, at `alpha` with the discriminator held
     fixed, and (V_h, V_d, V_lambda), None unless `value`: V_d from the
     post-update pass `disc` (0 if None), V_h and V_lambda (0 without heads)
-    from the classifier pass `cls`, backward over the encoder `trace`, all
-    written into the trace's workspace. A FloatingPointError leaves naming
-    its phase."""
+    from the classifier pass `cls`, backward over the encoder `trace`. A
+    FloatingPointError leaves naming its phase."""
     phase = "V_d"
     try:
         v_d = v_lambda = 0.0 if value else None
@@ -426,8 +407,7 @@ def step_grads(config, trace, cls, disc, alpha, *, value=True):
             np.subtract(0.0, dz[:n_orig], out=dz[:n_orig])
             np.subtract(dz_lab, dz[n_orig:], out=dz[n_orig:])
         else:
-            dz = trace.ws.array("encoder", "output_grad", trace.output.shape)
-            dz[:n_orig] = 0.0
+            dz = np.zeros(trace.output.shape)
             dz[n_orig:] = dz_lab
         enc_g, _ = trace.net.backward(trace, dz, inputs=False)
     except FloatingPointError as exc:
@@ -435,28 +415,28 @@ def step_grads(config, trace, cls, disc, alpha, *, value=True):
     return grads | trunk_g | enc_g, (vh.value, v_d, v_lambda)
 
 
-def _train_step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
+def _train_step(bundle, config, batch, layout, alpha, coeff_ema, last_step):
     """One minibatch step over a `_batch_sampler` batch in the round's
-    `layout`, written into the round's `Workspace`. Returns the new
-    alpha, the new coefficient EMA, `step_grads`'s values, computed only
-    on an epoch's `last_step`, the one the epoch snapshot reads, and the
-    updated discriminator's pass (None without one), still current after
-    the step. A FloatingPointError leaves naming the phase it arose in."""
+    `layout`. Returns the new alpha, the new coefficient EMA,
+    `step_grads`'s values, computed only on an epoch's `last_step`, the one
+    the epoch snapshot reads, and the updated discriminator's pass (None
+    without one), still current after the step. A FloatingPointError leaves
+    naming the phase it arose in."""
     x, labels = batch
     phase = "encoder forward"
     try:
         # the discriminator update leaves the encoder as is
-        trace = bundle.encoder.forward(x, ws, "encoder")
+        trace = bundle.encoder.forward(x)
         z = trace.output
         phase = "classifier forward"
         # one trunk pass over the labeled rows, the tail; the head logits only
         # where V_lambda and the alpha readouts read them
         cls = classifier_pass(bundle, z[-labels.size:], labels, layout.lab_blocks,
-                              heads=config.optimizes_alpha, ws=ws)
+                              heads=config.optimizes_alpha)
         disc = None
         if config.trains_discriminator:
             phase = "discriminator update"
-            disc = disc_pass(bundle, z, layout, ws)
+            disc = disc_pass(bundle, z, layout)
             bundle.disc_params.step(compute_vd(disc, alpha, inputs=False, value=False).grads,
                                     config.lr)
             # the updated discriminator's one pass over the same rows feeds the
@@ -493,7 +473,6 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         [min(config.batch_size, dataset.train_size(i)) for i in range(n)],
         [min(config.batch_size, labels.size) for _, labels in labeled])
     alpha = np.full((n, n), 1.0 / n)
-    ws = bundle.workspace()
     epoch_batches = _batch_sampler(dataset, labeled, layout, config.trains_discriminator)
     max_train = max(dataset.train_size(i) for i in range(n))
     steps_per_epoch = max(1, math.ceil(max_train / config.batch_size))
@@ -502,7 +481,7 @@ def _run_epochs(dataset, pool, config, rng, bundle, history) -> np.ndarray:
         try:
             for step, batch in enumerate(epoch_batches(rng, steps_per_epoch), 1):
                 alpha, coeff_ema, values, disc = _train_step(
-                    bundle, config, batch, layout, ws, alpha, coeff_ema, step == steps_per_epoch)
+                    bundle, config, batch, layout, alpha, coeff_ema, step == steps_per_epoch)
         except FloatingPointError as exc:
             raise NumericalAbort(f"training diverged at epoch {epoch}: {exc}") from exc
         v_h_val, v_d_val, v_lambda_val = values

@@ -22,7 +22,7 @@ STEP = training._train_step
 STEPS = 50  # 400 train rows per domain in batches of 16, over 2 epochs
 
 # at most this many calls over the round's 50 steps, the step's own call among them
-MAX_CALLS = {"cal": 7357, "vanilla": 2955}
+MAX_CALLS = {"cal": 4807, "vanilla": 2105}
 
 
 def step_calls(variant: str, monkeypatch) -> tuple[int, int]:

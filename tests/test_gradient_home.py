@@ -6,8 +6,7 @@ the gradient check's cases (`cli.gradcheck_cases`) call `step_grads`. So
 `mudal gradcheck` checks the gradient the trainer takes, not a copy of it.
 
 The parameters it steps have one home too: in `src`, only `models` (the
-`ModelBundle`) constructs a `ParamSet` or a `Workspace` or calls
-`ParamSet.stack`, apart from `nn`'s module-level `ALLOCATE`.
+`ModelBundle`) constructs a `ParamSet` or calls `ParamSet.stack`.
 """
 import ast
 import pathlib
@@ -48,9 +47,8 @@ def referrers(source: str, names) -> set[str]:
                   or isinstance(node, ast.Attribute) and node.attr in names)
 
 
-# the constructors of a set of parameters and of a workspace, and the
-# workspace `nn.ALLOCATE` is an instance of
-CONSTRUCTORS = ("ParamSet", "Workspace", "_Allocating")
+# the constructor of a set of parameters
+CONSTRUCTORS = ("ParamSet",)
 
 
 def builds_parameters(node) -> bool:
@@ -100,25 +98,27 @@ def test_a_check_with_its_own_copy_of_the_gradient_is_flagged():
 
 
 def test_checker_finds_every_set_stack_and_workspace_built():
-    source = ("from .nn import ParamSet, Workspace\n"
+    source = ("from .nn import ParamSet\n"
               "def a(bundle):\n    return ParamSet(bundle.encoder.layers)\n"
-              "def b(pset):\n    return nn.Workspace(pset.grad_views())\n"
+              "def b(layers):\n    return nn.ParamSet(layers)\n"
               "def c(pset, layers):\n    return pset.stack(layers)\n"
               "def d(rows):\n    return np.stack(rows), numpy.stack(rows)\n"
-              "def e(ws: Workspace = ALLOCATE) -> ParamSet:\n    return ws\n"
-              "ALLOCATE = _Allocating({})\n")
+              "def e(pset: ParamSet) -> ParamSet:\n    return pset\n"
+              "SET = ParamSet([])\n")
     assert owners(source, builds_parameters) == {"a", "b", "c", "<module>"}
 
 
 def test_only_models_builds_sets_stacks_and_workspaces():
     found = {f"{path.stem}.{name}" for path in SRC.glob("*.py")
              for name in owners(path.read_text(), builds_parameters)}
-    assert {name for name in found if not name.startswith("models.")} == {"nn.<module>"}
+    assert {name for name in found if not name.startswith("models.")} == set()
     assert "models.ModelBundle.__post_init__" in found
 
 
 def test_a_round_that_builds_its_own_workspace_is_flagged():
-    # the trainer's round rewritten to lay its workspace out itself
+    # the trainer's round rewritten to build a set of its own
     planted = (SRC / "training.py").read_text().replace(
-        "ws = bundle.workspace()", "ws = Workspace(bundle.net_params.grad_views())")
+        "alpha = np.full((n, n), 1.0 / n)",
+        "alpha = np.full((n, n), 1.0 / n)\n    params = ParamSet(bundle.encoder.layers)")
+    assert planted.count("ParamSet(") == 1
     assert "_run_epochs" in owners(planted, builds_parameters)

@@ -5,9 +5,8 @@ import pytest
 
 from mudal import nn
 from mudal.cli import gradcheck_cases
-from mudal.nn import (ALLOCATE, LEAKY_SLOPE, AdamState, DenseNet, Layer, ParamSet,
-                      Workspace, _sigmoid_bce, _softmax_residual, adam_step, grad_check, sigmoid,
-                      softmax)
+from mudal.nn import (LEAKY_SLOPE, AdamState, DenseNet, Layer, ParamSet, _sigmoid_bce,
+                      _softmax_residual, adam_step, grad_check, sigmoid, softmax)
 from test_objective import softmax_ce_by_rows
 
 
@@ -43,6 +42,12 @@ class TestForward:
         a = net.forward(x).output
         b = net.forward(x).output
         assert np.array_equal(a, b)
+
+    def test_two_predict_calls_share_no_memory(self):
+        # so predict's output stays the caller's
+        net, x = small_net(), np.ones((2, 3))
+        kept = net.predict(x)
+        assert not np.shares_memory(kept, net.predict(x))
 
     def test_dimension_mismatch_rejected(self):
         net = identity_net(3)
@@ -633,55 +638,3 @@ def test_row_max_and_row_sum_are_the_reductions_bit_for_bit(shape):
     x[..., -1] = x[..., 0]  # a tie
     assert np.array_equal(nn._row_max(x).view(np.int64), x.max(axis=-1).view(np.int64))
     assert np.array_equal(nn._row_sum(x).view(np.int64), x.sum(axis=-1).view(np.int64))
-
-
-class TestWorkspace:
-    def passes(self, ws, roles, net=None):
-        """One forward and full backward of `net` (a `small_net` if None) per
-        role, all in `ws`: the net, the traces and the input gradients."""
-        net, rng = net or small_net(), np.random.default_rng(0)
-        x, g = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
-        traces = [net.forward(x, ws, role) for role in roles]
-        return net, traces, [net.backward(trace, g)[1] for trace in traces]
-
-    def test_a_key_returns_one_array(self):
-        ws = Workspace({})
-        a = ws.array("encoder", 0, (3, 4))
-        assert ws.array("encoder", 0, (3, 4)) is a
-        others = [ws.array("encoder", 0, (4, 3)), ws.array("encoder", 1, (3, 4)),
-                  ws.array("disc", 0, (3, 4)), ws.array("encoder", 0, (3, 4), np.int64)]
-        assert not any(np.shares_memory(a, b) for b in others)
-
-    def test_layer_gradients_go_where_it_keeps_them(self):
-        net = small_net()
-        views = ParamSet(net.layers).grad_views()
-        trace = net.forward(np.ones((2, 3)), Workspace(views), "net")
-        grads, _ = net.backward(trace, np.ones((2, 2)))
-        assert all(grads[layer][0] is views[layer][0] and grads[layer][1] is views[layer][1]
-                   for layer in net.layers)
-
-    def test_two_roles_of_one_shape_share_no_memory(self):
-        _, (a, b), (dx_a, dx_b) = self.passes(Workspace({}), ("disc", "disc_rerun"))
-        np.testing.assert_array_equal(a.output, b.output)
-        assert not any(np.shares_memory(p, q) for p in a.acts[1:] for q in b.acts[1:])
-        assert not np.shares_memory(dx_a, dx_b)
-
-    def test_backward_scratch_is_shared_across_roles(self):
-        ws = Workspace({})
-        net, _, _ = self.passes(ws, ("encoder",))
-        first = set(ws.arrays)
-        assert any(role is None for role, *_ in first)  # the masks and the deltas past layer 0
-        self.passes(ws, ("trunk",), net)
-        # the second role adds its own activations and input gradient, nothing shared
-        assert {role for role, *_ in set(ws.arrays) - first} == {"trunk"}
-
-    def test_allocate_never_returns_an_array_twice(self):
-        assert ALLOCATE.array("r", "a", (2, 2)) is not ALLOCATE.array("r", "a", (2, 2))
-        net, (a, b), (dx_a, dx_b) = self.passes(ALLOCATE, ("r", "r"))
-        assert not np.shares_memory(a.output, b.output) and not np.shares_memory(dx_a, dx_b)
-        assert not np.shares_memory(ALLOCATE.grad(net.layers[0])[0],
-                                    ALLOCATE.grad(net.layers[0])[0])
-        # so predict's output stays the caller's
-        x = np.ones((2, 3))
-        kept = net.predict(x)
-        assert not np.shares_memory(kept, net.predict(x))

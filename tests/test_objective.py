@@ -8,7 +8,7 @@ import pytest
 from mudal import objective
 from mudal.data import RotatingSpec, gen_rotating, init_pool
 from mudal.models import ModelBundle, make_bundle
-from mudal.nn import DenseNet, Layer, Workspace
+from mudal.nn import DenseNet, Layer
 from mudal.objective import (BlockLayout, Segments, TermResult, alpha_objective_coefficients,
                              alpha_step, classifier_pass, compute_vd, compute_vh, compute_vlambda,
                              decision_rates, disc_pass, estimate_h_distance, evaluate)
@@ -408,13 +408,10 @@ class TestVd:
             n_orig, n_lab = rng.integers(1, 20, n), rng.integers(1, 20, n)
             if k % 3 == 0:
                 n_lab[rng.integers(n)] = 300
-            layout, ws = BlockLayout.of(n_orig, n_lab), Workspace({})
-            z = rng.standard_normal((n_orig.sum() + n_lab.sum(), 4))
-            disc = disc_pass(tiny_bundle(n_domains=n, seed=k), z, layout, ws)
+            layout = BlockLayout.of(n_orig, n_lab)
             alpha = np.stack([project_simplex(rng.random(n) - 0.3 * (k % 2))
                               for _ in range(n)])
-            compute_vd(disc, alpha, params=False, inputs=False)
-            w = ws.array("vd", "weights", disc.trace.output.shape)
+            w = layout.vd_weights(alpha)
             orig_owner, owner = np.repeat(np.arange(n), n_orig), np.repeat(np.arange(n), n_lab)
             assert same_bits(w[:layout.orig_rows],
                              np.eye(n)[orig_owner] / n_orig[orig_owner, None])
@@ -614,9 +611,8 @@ def same_bits(a, b):
 
 class TestBatchedHeads:
     def draws(self, count=40, seed=50):
-        """(pass in a round's workspace, pass in fresh arrays, alpha) over
-        random N, block sizes (one of a single row in half the draws), C and
-        H, both passes over the same rows of one bundle."""
+        """(classifier pass, alpha) over random N, block sizes (one of a
+        single row in half the draws), C and H."""
         rng = np.random.default_rng(seed)
         for k in range(count):
             n, c, h = rng.integers(1, 7), rng.integers(2, 10), rng.integers(1, 41)
@@ -629,49 +625,42 @@ class TestBatchedHeads:
             labels = rng.integers(0, c, size=sizes.sum())
             alpha = np.stack([project_simplex(rng.random(n)) for _ in range(n)])
             blocks = Segments.of(sizes, "labeled")
-            yield (classifier_pass(bundle, z, labels, blocks, ws=bundle.workspace()),
-                   classifier_pass(bundle, z, labels, blocks), alpha)
+            yield classifier_pass(bundle, z, labels, blocks), alpha
 
     def test_match_the_per_head_loop_bit_for_bit(self):
-        for kept, fresh, alpha in self.draws():
-            # both passes read the bundle's stack, views of its network set
-            assert kept.stack is fresh.stack
-            assert np.shares_memory(kept.stack.W, kept.stack.layers[0].W)
-            assert same_bits(kept.logits, fresh.logits)
-            for cls in (kept, fresh):
-                value, (dW, db), dz = vh_oracle(cls, alpha)
-                vh = compute_vh(cls, alpha)
-                (got_dW, got_db), = vh.grads.values()
-                assert vh.value == value and same_bits(vh.dz, dz)
+        for cls, alpha in self.draws():
+            # the pass reads the bundle's stack, views of its network set
+            assert np.shares_memory(cls.stack.W, cls.stack.layers[0].W)
+            value, (dW, db), dz = vh_oracle(cls, alpha)
+            vh = compute_vh(cls, alpha)
+            (got_dW, got_db), = vh.grads.values()
+            assert vh.value == value and same_bits(vh.dz, dz)
+            assert same_bits(got_dW, dW) and same_bits(got_db, db)
+            value, grads, dhidden = vlambda_oracle(cls, alpha)
+            vl = compute_vlambda(cls, alpha)
+            assert vl.value == value and same_bits(vl.dz, dhidden)
+            assert tuple(vl.grads) == cls.stack.layers[1:]
+            for (got_dW, got_db), (dW, db) in zip(vl.grads.values(), grads, strict=True):
                 assert same_bits(got_dW, dW) and same_bits(got_db, db)
-                value, grads, dhidden = vlambda_oracle(cls, alpha)
-                vl = compute_vlambda(cls, alpha)
-                assert vl.value == value and same_bits(vl.dz, dhidden)
-                assert tuple(vl.grads) == cls.stack.layers[1:]
-                for (got_dW, got_db), (dW, db) in zip(vl.grads.values(), grads, strict=True):
-                    assert same_bits(got_dW, dW) and same_bits(got_db, db)
 
     def test_stacked_gradients_land_in_the_param_set(self):
-        # in a round's workspace or not, the final layers' gradients are the
-        # set's gradient views
-        kept, fresh, alpha = next(self.draws(1, seed=51))
-        for cls in (kept, fresh):
-            vh, vl = compute_vh(cls, alpha), compute_vlambda(cls, alpha)
-            for layer, pair in (vh.grads | vl.grads).items():
-                assert all(a is b for a, b in zip(pair, cls.stack.grads[layer], strict=True))
+        # the final layers' gradients are the set's gradient views
+        cls, alpha = next(self.draws(1, seed=51))
+        vh, vl = compute_vh(cls, alpha), compute_vlambda(cls, alpha)
+        for layer, pair in (vh.grads | vl.grads).items():
+            assert all(a is b for a, b in zip(pair, cls.stack.grads[layer], strict=True))
 
     def test_a_value_not_asked_for_is_none(self):
-        for kept, fresh, alpha in self.draws(6, seed=52):
-            for cls in (kept, fresh):
-                for term in (compute_vh, compute_vlambda):
-                    full = term(cls, alpha)
-                    full = (full.value, {k: tuple(a.copy() for a in v)
-                                         for k, v in full.grads.items()}, full.dz.copy())
-                    bare = term(cls, alpha, value=False)
-                    assert full[0] is not None and bare.value is None
-                    assert same_bits(bare.dz, full[2])
-                    for layer, pair in bare.grads.items():
-                        assert all(same_bits(a, b) for a, b in zip(pair, full[1][layer]))
+        for cls, alpha in self.draws(6, seed=52):
+            for term in (compute_vh, compute_vlambda):
+                full = term(cls, alpha)
+                full = (full.value, {k: tuple(a.copy() for a in v)
+                                     for k, v in full.grads.items()}, full.dz.copy())
+                bare = term(cls, alpha, value=False)
+                assert full[0] is not None and bare.value is None
+                assert same_bits(bare.dz, full[2])
+                for layer, pair in bare.grads.items():
+                    assert all(same_bits(a, b) for a, b in zip(pair, full[1][layer]))
 
 
 class TestTermGradients:

@@ -187,8 +187,8 @@ class TestTrainRound:
         # differ from it on this setup in every variant
         step, expected = training._train_step, []
 
-        def recorded(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step):
-            out = step(bundle, config, batch, layout, ws, alpha, coeff_ema, last_step)
+        def recorded(bundle, config, batch, layout, alpha, coeff_ema, last_step):
+            out = step(bundle, config, batch, layout, alpha, coeff_ema, last_step)
             alpha, disc = out[0], out[3]
             assert (disc is None) == (variant == "vanilla")
             if last_step and disc is not None:
@@ -490,28 +490,20 @@ class TestBlockDraws:
 
 class TestStepBuffers:
     def test_steps_of_a_round_write_over_one_set_of_arrays(self, monkeypatch):
-        # the discriminator's passes before and after its update keep apart
+        # one encoder pass and two discriminator passes per step, before and
+        # after its update
         passes = []
         forward = DenseNet.forward
 
-        def recorded(net, x, *where):
-            trace = forward(net, x, *where)
-            passes.append((net, trace.acts[1:]))
-            return trace
+        def recorded(net, x):
+            passes.append(net)
+            return forward(net, x)
         monkeypatch.setattr(DenseNet, "forward", recorded)
         ds, pool = toy_setup()
         rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
-        enc = [acts for net, acts in passes if net is rr.bundle.encoder]
-        disc = [acts for net, acts in passes if net is rr.bundle.discriminator]
+        enc = [net for net in passes if net is rr.bundle.encoder]
+        disc = [net for net in passes if net is rr.bundle.discriminator]
         assert len(enc) == 8 and len(disc) == 2 * 8  # 8 steps, no pass outside them
-
-        def same(a, b):
-            return all(x is y for x, y in zip(a, b, strict=True))
-
-        def apart(a, b):
-            return not any(np.shares_memory(x, y) for x in a for y in b)
-        assert same(enc[0], enc[1]) and same(disc[0], disc[2]) and same(disc[1], disc[3])
-        assert apart(disc[0], disc[1])
 
     def test_a_pass_kept_past_its_step_is_refused(self, monkeypatch):
         kept = {}  # the first step's passes, by name, and traces, by net
@@ -529,7 +521,8 @@ class TestStepBuffers:
                             keeping(lambda net, *_: net, DenseNet.forward))
         ds, pool = toy_setup()
         rr = train_round(ds, pool, fast_cfg(epochs=1), seed=8)
-        # later steps wrote over the first step's buffers
+        # the first step's passes are kept past it: later steps updated the
+        # weights they were computed with
         cls, disc, enc = kept["classifier_pass"], kept["disc_pass"], kept[rr.bundle.encoder]
         assert not np.array_equal(disc.trace.output, rr.bundle.discriminator.predict(
             disc.trace.acts[0]))
@@ -558,14 +551,15 @@ class TestStepBuffers:
     @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"),
                         reason="counts the page faults of glibc's heap")
     def test_a_round_does_not_refault_the_heap_each_step(self):
-        # 12 steps of 768 rows at the default widths, Linux, glibc 2.36. With
-        # the malloc thresholds `mudal` fixes at import, a warmed-up round
-        # faults in 0-1 pages. Under glibc's own dynamic thresholds it
-        # faulted 634-635 (the round's buffers, given back when the heap top
-        # is trimmed after the round), and ~2,960 where the caller set a
-        # 128 KiB trim threshold, which keeps `mudal` from fixing them.
-        # Allocating each step's arrays afresh re-faulted the heap top every
-        # step, 5,602 pages
+        # 12 steps of 768 rows at the default widths, Linux, glibc 2.36.
+        # Every pass computes into fresh arrays. With the malloc thresholds
+        # `mudal` fixes at import, the freed arrays stay in the heap and a
+        # warmed-up round faults in 0-22 pages, as the heap's layout moves
+        # with the code and the environment: the thresholds, not a cache of
+        # the step's arrays, keep the round resident. Where the caller set a
+        # 128 KiB trim threshold, which keeps `mudal` from fixing them, glibc
+        # gives each step's freed arrays back and the round faults them in
+        # again, 12,682-12,819 pages; the bound is that and 17% more
         ds = gen_rotating(RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40,
                                        seed=0))
         pool = init_pool(ds, 390, seed=1)
@@ -573,7 +567,7 @@ class TestStepBuffers:
         train_round(ds, pool, cfg, seed=2)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         train_round(ds, pool, cfg, seed=2)
-        bound = 50 if mudal.FREED_MEMORY_KEPT else 3500
+        bound = 50 if mudal.FREED_MEMORY_KEPT else 15000
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < bound
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
