@@ -53,18 +53,18 @@ what depends on them once per round and drops it with the round: each
 labeled domain's features and labels, gathered (and their labels checked)
 once, and stacked with the train rows for `_batch_sampler`; the
 `BlockLayout`, the block sizes each draw takes and the terms read, with the
-segments of its blocks that the means over them read; and the plan of the
-round's draws (`_BlockDraws`). A step's batch is one matrix in that order,
-gathered with one index, and each pass reads a slice of the encoder's
-output over it.
+segments of its blocks that the means over them read. A step's batch is
+one matrix in that order, gathered with one index, and each pass reads a
+slice of the encoder's output over it.
 
-The minibatches are the picks of `rng.choice(size, size=take,
-replace=False)` for each block in `BlockLayout` order, step after step, to
-the bit, and the round's generator reads nothing else while it trains. So
-the steps' draws are one run of bounded draws, each the one
-`rng.integers` makes for a bound: `_BlockDraws` makes those of a piece of
-an epoch's steps with one `rng.integers` call over the calls' bounds, in
-their order, and maps them to the same picks.
+The minibatches reshuffle each block as the epoch goes through it (random
+reshuffling; Bottou 2009, Gurbuzbalaban, Ozdaglar & Parrilo 2021): in each
+epoch, one `rng.permuted` call shuffles a block of n rows that a batch
+takes k of as many times as the epoch's steps need, n // k steps a
+shuffle, and each step takes the next k rows of the current shuffle. So a
+step's rows of a block are distinct, and where k divides n, an epoch of
+n / k steps visits each row once. The draws are the round generator's only
+reads while it trains.
 
 Every pass computes into fresh arrays. A step's pass or trace is refused
 (`stale trace`) once its network's `AdamState` stepped, since it would pair
@@ -179,135 +179,14 @@ def write_snapshots_csv(history: list[ObjectiveSnapshot], path) -> None:
             f.write(",".join(row) + "\n")
 
 
-# the steps drawn at once keep each array they allocate (a 4-byte value per
-# draw, an 8-byte one per pick or swap) under 128 KiB, so a long epoch's draws
-# and their temporaries take a bounded amount of memory, not one that grows
-# with the epoch's steps
-_PIECE_BYTES = (1 << 17) - 1
-
-
-class _BlockDraws:
-    """`draws(rng, out)` writes into a C-contiguous `out` (steps, width), for
-    each step, the picks of `rng.choice(n, size=k, replace=False)` for each
-    block (n, k) of `blocks` in turn, those of the blocks in `used` side by
-    side. The picks are the calls' bit for bit, and the generator is left
-    where the calls leave it; the other blocks' draws are made and dropped.
-    At most `piece` steps are drawn at once.
-
-    How a call draws k of n: Floyd's algorithm (Bentley & Floyd 1987) takes,
-    for t = 0 .. k-1, a draw v_t in [0, j] at j = n - k + t and picks v_t,
-    or j where v_t was picked before; a Fisher-Yates pass then swaps
-    position i with a draw r_i in [0, i], for i = k-1 .. 1. Each draw is
-    NumPy's bounded draw, the one `rng.integers(0, bounds, endpoint=True)`
-    makes for each of an array of bounds in turn, as int32 or int64 alike:
-    Lemire's multiply-shift (Lemire 2019) on a 32-bit word where the bound
-    is under 2^32, retried where it rejects the word, and no read where the
-    bound is 0. So one such call over the bounds of a piece's calls, in
-    their order, makes the calls' draws, for any bit generator.
-
-    Floyd's picks are resolved for all (step, block) lanes at once: v_t is
-    taken unless an earlier v of its lane equals it, or it is the j of an
-    earlier t' = v_t - n + k whose v was not taken; so it is taken where the
-    v at the end of that chain of links is, which pointer jumping finds. The
-    swaps run one position at a time, over every lane at once.
-
-    The calls themselves run where a call would not take Floyd's picks (it
-    shuffles the tail of arange(n) for n > 10,000 and k > n // 50) and for
-    blocks of 2^31 rows or more in all, where a bound would not fit the
-    int32 draws or a sort key int64."""
-
-    def __init__(self, blocks: list[tuple[int, int]], used):
-        self.blocks, self.used = blocks, list(used)
-        self.batched = (sum(n for n, _ in blocks) < 1 << 31
-                        and not any(n > 10_000 and k > n // 50 for n, k in blocks))
-        # each draw's bound, Floyd's j then the swaps' i block by block; per
-        # column of a used block, the draw of its t; per used block, its k,
-        # its first column and its offset among the lanes' values; per swap
-        # of a used block, for i = k-1 .. 1, i, the draw of r_i and the
-        # block's first column
-        bounds, f_col, lanes, swaps = [], [], [], []
-        col = key = start = 0
-        for b, (n, k) in enumerate(blocks):
-            bounds += [np.arange(n - k, n), np.arange(k - 1, 0, -1)]
-            if b in self.used:
-                f_col.append(start + np.arange(k))
-                lanes.append((k, col, key))
-                i = np.arange(k - 1, 0, -1)
-                swaps.append(np.stack([i, start + 2 * k - 1 - i, np.full(k - 1, col)]))
-                col, key = col + k, key + n
-            start += 2 * k - 1
-        self.bounds = np.concatenate(bounds)
-        self.f_col = np.concatenate(f_col)
-        self.f_j = self.bounds[self.f_col]
-        self.k, self.first, self.key = np.array(lanes).T
-        # the swaps position by position, from the last: every lane's i, then i - 1
-        swaps = np.concatenate(swaps, axis=1)
-        order = np.argsort(-swaps[0], kind="stable")
-        self.s_col, self.s_base = swaps[1:, order]
-        self.s_count = np.bincount(swaps[0])[:0:-1]  # the swaps of each i, from the last
-        self.ends = np.cumsum(self.s_count).tolist()
-        self.width, self.values = col, key
-        self.piece = max(1, _PIECE_BYTES // max(4 * self.bounds.size, 8 * self.width,
-                                                8 * self.s_col.size))
-
-    def __call__(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        if not self.batched:
-            for step in out:
-                picks = [rng.choice(n, size=k, replace=False) for n, k in self.blocks]
-                step[:] = np.concatenate([picks[b] for b in self.used])
-            return
-        steps = out.shape[0]
-        draws = rng.integers(0, self.bounds, (steps, self.bounds.size), np.int32, endpoint=True)
-        out[...] = draws[:, self.f_col]
-        # each swap's r_i and i, flat in the picks, (swap, step)
-        rows = np.arange(0, out.size, self.width)  # each step's first pick
-        swap_i = np.repeat(np.arange(self.s_count.size, 0, -1), self.s_count)
-        r = draws.T[self.s_col] + (self.s_base[:, None] + rows)
-        at = (self.s_base + swap_i)[:, None] + rows
-        del draws
-        t = np.arange(self.width) - np.repeat(self.first, self.k)
-        self._floyd(out, self.f_j, t, np.repeat(self.key, self.k))
-        picks = out.reshape(-1)
-        start = 0
-        for end in self.ends:
-            i, r_i = at[start:end], r[start:end]
-            swapped = picks[r_i]
-            picks[r_i] = picks[i]
-            picks[i] = swapped
-            start = end
-
-    def _floyd(self, v, j, t, key):
-        """Floyd's picks, in place of each column's draws v (steps, width),
-        given each column's j, t and its block's offset among the values."""
-        steps, width = v.shape
-        size = v.size
-        shift = size.bit_length()
-        # one key per draw, by step, lane and value (the steps' lanes are
-        # apart by the values a step's lanes take), then by its index: sorted,
-        # a key whose step, lane and value are the last one's is a repeat
-        keys = v << shift
-        keys += np.add.outer(np.arange(steps) * ((self.values << shift) + width),
-                             (key << shift) + np.arange(width))
-        keys = keys.reshape(-1)
-        keys.sort()
-        group = keys >> shift
-        keys &= (1 << shift) - 1
-        repeat = np.zeros(size, bool)
-        repeat[keys[1:]] = group[1:] == group[:-1]
-        del keys, group
-        # a v that is no repeat and the j of an earlier t: -t <= v - j < 0
-        back = v - j
-        linked = np.flatnonzero(~repeat & ((back < 0) & (back >= -t)).reshape(-1))
-        ptr = np.arange(size)
-        ptr[linked] += back.reshape(-1)[linked]
-        del back
-        live = linked  # jumps double until each link reaches its chain's first v
-        while live.size:
-            ptr[live] = nxt = ptr[ptr[live]]
-            live = live[ptr[nxt] != nxt]
-        # a linked v is taken where its chain's first v is
-        repeat[linked] = repeat[ptr[linked]]
-        np.copyto(v, j, where=repeat.reshape(steps, width))
+def _shuffled_takes(rng: np.random.Generator, n: int, k: int, steps: int) -> np.ndarray:
+    """(steps, k) rows of arange(n), k distinct ones a step: one
+    `rng.permuted` call shuffles arange(n) as many times as the steps use,
+    and each shuffle gives n // k steps their next k rows, dropping the
+    n % k left over."""
+    per = n // k
+    shuffles = rng.permuted(np.broadcast_to(np.arange(n), (-(-steps // per), n)), axis=1)
+    return shuffles[:, :per * k].reshape(-1, k)[:steps]
 
 
 def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, np.ndarray]],
@@ -317,14 +196,12 @@ def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, 
     """A round's minibatches: `epoch(rng, steps)` yields `steps` minibatches
     (x, labels). x stacks `layout.n_orig[i]` train rows of each domain i,
     then `layout.n_lab[j]` rows of each labeled domain j as gathered for the
-    round, in `BlockLayout` order, each block's rows those of
-    `rng.choice(size, size=take, replace=False)` for the blocks in that
-    order, step after step, bit for bit (`_BlockDraws`); `labels` are its
-    labeled rows'. The train rows are drawn either way, so the stream does
-    not depend on `originals`, but stacked only when it is set: only the
-    discriminator reads them. The rows a draw picks from are stacked once,
-    here, and the draws of whole steps are made at once, so each step
-    gathers x and the labels with one index each."""
+    round, in `BlockLayout` order; `labels` are its labeled rows'. Each
+    block's rows are its `_shuffled_takes`, drawn in that order each epoch.
+    The train rows are drawn and stacked only when `originals` is set: only
+    the discriminator reads them. The rows a draw picks from are stacked
+    once, here, and an epoch's draws are made at once, so each step gathers
+    x and the labels with one index each."""
     n = dataset.n_domains
     sizes = [dataset.train_size(i) for i in range(n)] + [y.size for _, y in labeled]
     takes = [*layout.n_orig.tolist(), *layout.n_lab.tolist()]
@@ -336,17 +213,12 @@ def _batch_sampler(dataset: MultiDomainDataset, labeled: list[tuple[np.ndarray, 
     offsets = np.repeat(starts, [takes[b] for b in stacked])
     n_orig = layout.orig_rows if originals else 0  # the batch's rows before the labeled ones
     lab_start = sum(sizes[:n]) if originals else 0  # and those of `rows`
-    draws = _BlockDraws(list(zip(sizes, takes)), stacked)
 
     def epoch(rng: np.random.Generator, steps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        # allocated before the draws' temporaries, which it outlives
-        idx = np.empty((min(draws.piece, steps), offsets.size), np.int64)
-        for first in range(0, steps, draws.piece):
-            piece = idx[:min(draws.piece, steps - first)]
-            draws(rng, piece)
-            piece += offsets
-            for row in piece:
-                yield rows[row], labels[row[n_orig:] - lab_start]
+        idx = np.hstack([_shuffled_takes(rng, sizes[b], takes[b], steps) for b in stacked])
+        idx += offsets
+        for row in idx:
+            yield rows[row], labels[row[n_orig:] - lab_start]
     return epoch
 
 

@@ -61,8 +61,9 @@ def test_the_count_repeats_exactly(monkeypatch):
 
 
 def test_a_round_makes_no_choice_calls(monkeypatch):
-    # a round's minibatches are `rng.choice` picks, drawn a piece of an
-    # epoch at a time by one `rng.integers` call, whatever the bit generator
+    # a round's minibatches are the next rows of per-epoch shuffles, one
+    # `rng.permuted` call a block, whatever the bit generator; no step
+    # draws on its own
     ds = gen_rotating(RotatingSpec(6, 400, 160, seed=0))
     pool = init_pool(ds, 60, 1)
     calls = []
@@ -76,3 +77,35 @@ def test_a_round_makes_no_choice_calls(monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(bits(seed)))
         train_round(ds, pool, TrainConfig("cal", epochs=2), 3)
     assert calls == []
+
+
+@pytest.mark.parametrize("variant, blocks", [("cal", 12), ("vanilla", 6)])
+def test_a_rounds_draws_make_one_generator_call_per_block_and_epoch(variant, blocks,
+                                                                   monkeypatch):
+    # 6 domains: the originals and the labeled rows are 12 blocks, and only
+    # the labeled ones are drawn without a discriminator. Every generator
+    # method the round calls while it trains is counted, so per-step draws
+    # of any kind would show
+    ds = gen_rotating(RotatingSpec(6, 400, 160, seed=0))
+    pool = init_pool(ds, 60, 1)
+    calls, training_now = [], []
+
+    class Counting(np.random.Generator):
+        def __getattribute__(self, name):
+            if training_now and not name.startswith("_"):
+                calls.append(name)
+            return super().__getattribute__(name)
+
+    run = training._run_epochs
+
+    def counted(*args):
+        training_now.append(True)
+        try:
+            return run(*args)
+        finally:
+            training_now.clear()
+    monkeypatch.setattr(training, "_run_epochs", counted)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Counting(np.random.PCG64(seed)))
+    epochs = 3
+    train_round(ds, pool, TrainConfig(variant, epochs=epochs), 3)
+    assert 0 < len(calls) <= epochs * blocks, calls

@@ -23,21 +23,21 @@ GOLDEN = ExperimentConfig(
 )
 
 DIGESTS = {
-    "bounds.csv": "3eb17d5f7aeb9d572232e005511a8fe428438cd45b077c08d00fb157db97fd4a",
-    "metrics.csv": "0e7548329c9354d748040a9d68a4ec024f253afa7cc762204e3ded4c50dfe2da",
-    "seed_1/alpha_round_0.csv": "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
-    "seed_1/alpha_round_1.csv": "aaa13c6cab59cafa7d5bd8ac5d5f2bae7e44e31d426049c6a3fac510e55eec89",
-    "seed_1/alpha_round_2.csv": "90e0b9e353df5f86a0e62cd6662cc8ff287e0185399ef54f0b20eaa6984e044e",
+    "bounds.csv": "6caa9b35b2142f88f1f426cfcde1d8bffac1c6937fcb1393734b51ceb255900c",
+    "metrics.csv": "ae4f4a99a52c2b70d7203c9c534afa50f5c9752639f605d37ab22a22cd9a15cb",
+    "seed_1/alpha_round_0.csv": "a4774c35548ce81664dee503a791f922a0fc57028b43af3503d980a2fe72531f",
+    "seed_1/alpha_round_1.csv": "36e342d6a7758d19bba80faff897c38cf2a1be97d931868d5065737e48b783fb",
+    "seed_1/alpha_round_2.csv": "380b67b94d6ac6f46a1cea2e23507f51993657a774447d71cfa21cc5cdd04bf6",
     "seed_2/alpha_round_0.csv": "d1145d62fc89b03cc265b9f1af6c8dd4d763562a6b77ed5c110890080c7d6d77",
-    "seed_2/alpha_round_1.csv": "15a14526e8845839c0c14e1eee61a064fcb05d0daebc1c468904c4ead5848631",
-    "seed_2/alpha_round_2.csv": "46ae38e23f2665805a8807650851ef15f22b536bd863386358ad74ab19e148d8",
+    "seed_2/alpha_round_1.csv": "4a4c75a58dcb815541f416cbcbddb0ce56a0c98fd654098ab9f418edc7db8cf0",
+    "seed_2/alpha_round_2.csv": "2a88cd68d201576664a3ffe7bfcdcccc4393bb934f000a9e2f51c37b9e17c9e9",
     # the snapshot CSVs pin cal's V_h, V_d, V_lambda and disc_acc per epoch
-    "seed_1/snapshots_round_0.csv": "3e45c5dfb733811c61f6528c09b37925af3097d1b01f5c34d416f83828a4c04d",
-    "seed_1/snapshots_round_1.csv": "74362e64a64c8495f647250a87d2b22ecc5c0315b43dc5cdb159afc78c201fe0",
-    "seed_1/snapshots_round_2.csv": "0f648e67cd284e6316b626cbd2e1b91cedbaf3854cf0686a644024cb01a42a12",
-    "seed_2/snapshots_round_0.csv": "fa150d7b9ab0dd8ea3748cb1943090038454ea412cf32df70b5ac4f55c298fc4",
-    "seed_2/snapshots_round_1.csv": "ffb9a26ae8ceeedffbe17771b07b6c2519dec7f885e84f020cf309ebc607f693",
-    "seed_2/snapshots_round_2.csv": "7d460d9dbe60011a74a700d0686291e5219a914c0865958a43e92840f8b3eeb8",
+    "seed_1/snapshots_round_0.csv": "ef2afb5fe75a388c9c6a242d240b15128ddba3a83453ae34cda63cddd3a1d8b8",
+    "seed_1/snapshots_round_1.csv": "efec2d8323b81aca680d46b3f864be8c6e7f7e37df8362434454a1dd8379942f",
+    "seed_1/snapshots_round_2.csv": "18e0025b907b15398b46a0cdd280ba0e34d9799f545c6b8811648f4539ecd2d3",
+    "seed_2/snapshots_round_0.csv": "6c5406ebc75108eb61f83ff136c0de0603adb781ac690c14700305fad24a8a1d",
+    "seed_2/snapshots_round_1.csv": "0d7a2a70877039badbeb77c01aae8169d01cb88ce30f0cb2c237a4b911ee5ef9",
+    "seed_2/snapshots_round_2.csv": "b03d20fe8ea5d2c4b09bc0199f2c458fa1b1606d8c1adc30596f721843fb79d9",
 }
 
 
@@ -46,14 +46,14 @@ DIGESTS = {
 GOLDEN_JOINT = dataclasses.replace(GOLDEN, assignment="joint")
 
 JOINT_DIGESTS = {
-    "bounds.csv": "1f7b4dbeb8b002a8b5df2b5f12dd0ac074b3be015eb7928b406b0c2beb2c2967",
-    "metrics.csv": "38426d2158d13b08fd3325aa7aca2e79860365e158315e5c1b882cbc9a707772",
-    "seed_1/alpha_round_0.csv": "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
-    "seed_1/alpha_round_1.csv": "266537bc3f5067c253e744a454420f916258d7c06139ac66c8eb89b8b33bf880",
-    "seed_1/alpha_round_2.csv": "3a293e4ab731b9e2217826a678016fd449279d534770b4e46e405e9f647a23a6",
+    "bounds.csv": "a3fffa6c7f1bd7dbcdb4cd87d41d401b5aa74453fecdda78f9a2707404c4fccb",
+    "metrics.csv": "f65a6b23611cda8817fc4008b1066f2ad278b40a9c170dc0407f1dc3a45a09a5",
+    "seed_1/alpha_round_0.csv": "a4774c35548ce81664dee503a791f922a0fc57028b43af3503d980a2fe72531f",
+    "seed_1/alpha_round_1.csv": "507b041256a8e8a92d152d8914fa630c1fc5520d579d2e220bf8ae02a34c0ca8",
+    "seed_1/alpha_round_2.csv": "13d53607fa824f62de8bc2842da37d99599c70715b4c96e31eecd6a0f8afb8fb",
     "seed_2/alpha_round_0.csv": "d1145d62fc89b03cc265b9f1af6c8dd4d763562a6b77ed5c110890080c7d6d77",
     "seed_2/alpha_round_1.csv": "5d1cbaf062072fddcb820cad264466daaa1580141eb0182a27a0de286000a70b",
-    "seed_2/alpha_round_2.csv": "8a48685b5d882dd2945d6266d843c61eeb3cbf5e4576be209e01d1b1217cb963",
+    "seed_2/alpha_round_2.csv": "7430421e8b855a6f401a8fa79f4c2cd01399360e61ae4def8430edea572a0d9c",
 }
 
 
@@ -67,51 +67,51 @@ VARIANT_STRATEGY = {"cal_alpha": "grads", "cal_fa": "grads", "vanilla": "margin"
 VARIANT_DIGESTS = {
     "cal_alpha": {
         "bounds.csv":
-            "913171ec2c29a944381e8ae1a8952134851805bbf50fbf1939c3c65a7d158f80",
+            "d2c7e3d058b4022817ba2f4da928d51ffbc85127bb3972b572ddc5e4bdab816c",
         "metrics.csv":
-            "02a964a0e0a4a9febebd53cde6cdbdf70a48944c508768b7674988b23fbfa2fd",
+            "ec37b499922689cb68e554f20cddc28d31298be7b345b6c1dd1e4ad7a1743301",
         "seed_1/alpha_round_0.csv":
-            "122c883a93a745afc85ad9bb92da14f4ed627a2f250cfb8fbc6d36b5f7a9250d",
+            "a4774c35548ce81664dee503a791f922a0fc57028b43af3503d980a2fe72531f",
         "seed_1/alpha_round_1.csv":
-            "780fd538163ab12b8246b0dcbea9ded14464d3461c082568ed9d207c54cf4ab3",
+            "efd25deddde2f90e35825ecd088b9bc24f48c58aa1dfef0721f66b5e3df97364",
         "seed_1/alpha_round_2.csv":
-            "651f3ee12467effbbe776781bfe6e9bda8f4eb5e349d65dbc08516a093b5b51b",
+            "ab8f2b86e2da6ec3647a91d220026fdd63eab3f8d71a2bec22638f752e702551",
         "seed_2/alpha_round_0.csv":
             "7c97f348ab136c0712004189185f3511aaf5de5f4f3b038ee5651836c3ec29d6",
         "seed_2/alpha_round_1.csv":
             "15a14526e8845839c0c14e1eee61a064fcb05d0daebc1c468904c4ead5848631",
         "seed_2/alpha_round_2.csv":
-            "314eedda7d1d096c56d500faf369991c51be2e61bbc877dc087d9bf9cfd4d1c2",
+            "a190ce7ea961d9e49807f958398593158609b4deda74e4bd236d8634a410625a",
         "seed_1/snapshots_round_0.csv":
-            "7dd409dbbcb06cb98d228124760a98432f7cb6f1083fad1a1c3bf06c07ba7382",
+            "958d1ea087748410f1b5904b6813e54fea4ef84c1d88b88c4b6a0f0ca3a7ad12",
         "seed_1/snapshots_round_1.csv":
-            "5c2db3e3b98c8387d67ffb508a95b4e6c25dcf641ad49983cee63bf84dadae7b",
+            "e27df77268bb461366ac3a80e57df88dd8edc6bd4e4a2761a803a4688ad4fc87",
         "seed_1/snapshots_round_2.csv":
-            "87bb9ec9ee621d964b762dbf3723ddff7f1623fa0f50e7c1ad0f7ec11ef1f9f1",
+            "9b321360d232e78b3fe866bd50e923fe1bc7c78d0f1b38eb5dc90224638ef0a9",
         "seed_2/snapshots_round_0.csv":
-            "47abc6f3182355bd098cb32314c75728ccc0302912ea2b84bc0bddf1cd6a4c35",
+            "2c626fd15c95e482c199c59e71510173c207040b1d39d5e2d881f4be1c309836",
         "seed_2/snapshots_round_1.csv":
-            "572dd598aabc72f2d6a155b6421ce29d2b1f02f5b9d3fa5975632570c4c4c03a",
+            "e308b4351ccbf5d7dd93af484444ee27c55f40c71f8019d2d3991f89358593f5",
         "seed_2/snapshots_round_2.csv":
-            "6f4253f60565e47cfbe4a1d322524d79e8d8993421687719a24bb68c6aff320a",
+            "4d07b7508f8c1ae8c676b49c78268079caa20cdd889bb405528cce8fb6434599",
     },
     "cal_fa": {
         "bounds.csv":
-            "f928d9ba78a939445795ded52444db1f6a9e85c0a6ca11394bd4b965d15e638a",
+            "6af7aee4dc1bbec5281123c2440fb3a5ba4914844ae12f40600b997bd27ab6a1",
         "metrics.csv":
-            "52b144fd789f47b3f87ca63f684700c7968ac904e45fff7dee8d9de1d8cc02fb",
+            "237697632e86c3d15d94e779845ab6d414245ee18d6eb6b0c6e96cd48be77999",
         "seed_1/snapshots_round_0.csv":
-            "097f63a9e5ec854c75d3258f19f36a27e4e7db9751fb2f3e02b5a09ddd5684d8",
+            "540dc988c0ea9b2d9005e5b02f3fd7db6dce16f1caeee8c22b06395f8131839e",
         "seed_1/snapshots_round_1.csv":
-            "05b0515548051a8012ae4060978f0cf730b8f2918813befc4f9c23b747b3aad7",
+            "1238386ca8bdf01a1c7dd86880cd9e776fc09210e4be2b1a0e29e4b1b5f422c9",
         "seed_1/snapshots_round_2.csv":
-            "d7ed25a528410e24e5c87506595fcce5e777335c1b0898616680adc8f903c43d",
+            "ca247fa3d0bf0abdd14a56c867a46cf7cd12c502d33f7e9265000031cb5408c4",
         "seed_2/snapshots_round_0.csv":
-            "ad1350e8b18941013868cb7d6b6042f30d2a129644ac1fda48b256e6fdf56528",
+            "8462c7e32cc45e3b198eda812d16c54d53382a7d08d3aa3c7e9d85f9078ec850",
         "seed_2/snapshots_round_1.csv":
-            "48921d4feeed2ff54f65bf704dd2ef585a407b45260153dcd4848fcb13f7c89e",
+            "edceea416c467e45e76a5490f196b8e4b8e8b1569209100f75c7d6f0172631a8",
         "seed_2/snapshots_round_2.csv":
-            "b04eb926e4c46cba2029cf9db1a537da595ce993decf0e0dd20fb8bbd80dd5bc",
+            "a74be6253a8e7e3a46949f4746d9e0fbb2b452abbbc47ba0fe431836861f9704",
     },
     "vanilla": {
         "bounds.csv":
@@ -145,12 +145,12 @@ GOLDEN_LARGE = ExperimentConfig(
 )
 
 LARGE_DIGESTS = {
-    "bounds.csv": "f1afc76fdb5f22cc5474a9fb1d52074e7a4c614266b8918cd4f39237e2c04c39",
-    "metrics.csv": "47d91fde398f0d115e3bda0449d2d2906d53ea1e2560b207caf6be74961298ec",
-    "seed_1/alpha_round_0.csv": "6c9128bd17233a6d49574d2e0dd37e67d0a2df1b23215629ff65cad5fcfb9e41",
-    "seed_1/alpha_round_1.csv": "738ea100ac3c48e86223c10d5163e5dfa536e6980e48905de140fc1f907175c8",
-    "seed_1/snapshots_round_0.csv": "0dc23bd43a0999bc6dfbe551eb93f659813b7255035b625dae79fd0e7d5e6472",
-    "seed_1/snapshots_round_1.csv": "f8c88bfc50758d5accffa3ce869424e37fbba8642f7cf84f847077e96bafcb89",
+    "bounds.csv": "6145d701c0342003ab3b1b3ddea0beba174e9ea381b3d60274833f160efae331",
+    "metrics.csv": "71fdbbe74af455a55d8ca47a0f33d8bc88045eba35c555a89feaaba16b64298b",
+    "seed_1/alpha_round_0.csv": "5ca6bfa46e223a3283e8cd196b269b6e0e817655dbb9c61d07fa0db432dd6d12",
+    "seed_1/alpha_round_1.csv": "88da08eeb28caa2d3fc42c7cffc8ef5ee83d90402be35aaa81feb9fc0492063e",
+    "seed_1/snapshots_round_0.csv": "13ee25523c3d86d528f392e4d2f2e365e9ed66bfc03ce68125ef99dabb9f64f0",
+    "seed_1/snapshots_round_1.csv": "1167860861586b3552d5812f0373185e451898d6065fad0f269878ec4f2f4fcc",
 }
 
 
@@ -160,33 +160,33 @@ LARGE_DIGESTS = {
 SELECTION_DIGESTS = {
     ("random", "separate"): {
         "bounds.csv":
-            "e7203719ab7c0cbdd412621bd58891c5f8548900d047157a4068c0dbec47259a",
+            "89ea67fcc39c742cfe3e6509f02862d2862d58af7e097f672ca66ec6856cd419",
         "metrics.csv":
-            "895fffa7013b67161cad08c812854a6b07213fd970f641fc47074c3afe8e238e",
+            "79a1e903cbc919fccfe0c13ab6daa204924b707c54b1cf20e28a9296db75cc6a",
         "seed_1/snapshots_round_2.csv":
-            "7dffd72c7d630493c6f9ccdfcd645b2c3ca2af99b70ebbe550a163a2a26d0a05",
+            "92411ff47db8b21ead2d7629d05e5fc7dcc6f24f6b3ceebb411cd25714dc0436",
         "seed_2/snapshots_round_2.csv":
-            "e37765e1b3d0db31881b1c8fc14177ba26966472bf07c4dbc4749165a6d9f38a",
+            "a526b9385a847c63a8ca0ea6e7bd87f0a762bbe2a25b6526c9476ff12e5bb2ef",
     },
     ("random", "joint"): {
         "bounds.csv":
-            "78b6bb22156d7822cd4d1b6a1fd3adb63af9551e10011590e533d146d0037ebf",
+            "da36636d7d6735e29ce78ecbb94465d11baa09513c2462fc7528166ea174ac7c",
         "metrics.csv":
-            "6d9e9401ee8409603c0059aa4edc4c5887dcf6468710fe8f5d4bba3d308b3378",
+            "126b646fd284f3639f6ad669cf32b0ffa554e5ac6fcb148409a956fec42c0680",
         "seed_1/snapshots_round_2.csv":
-            "b744289823b8213645f1d9ad3edcc682171dc44c83f9f6a042a7a877617f30e2",
+            "6e33f595e257e10a4873017b5bcf4dad745c84e27fdaa1945ac12799b7a065d0",
         "seed_2/snapshots_round_2.csv":
-            "e340d48553c251b0ae29b3a52c4429f13f7c536b6aa312ddda7b06071b2c53d6",
+            "2e7755b00a0ec083c03971d9dd2090f4eac0430d94fb326ff746d98c4cc8cb76",
     },
     ("margin", "joint"): {
         "bounds.csv":
-            "a58719b7245d8c6789d51182dd25f20b93908c848869e94e311733247dd463e9",
+            "0534ec2717296df17d31e7c636d72df7750df170b194eb72cbf9ba87d5a93f60",
         "metrics.csv":
-            "6cb576ff43d5ccf8d358aefa50a3a1172279e4394075b2e7904ceeb90e89c87f",
+            "dddb7d9f8c928e83ac16a7bd4f2d4b13de6796551eedad8a415620ff27a71ade",
         "seed_1/snapshots_round_2.csv":
-            "9e61368d542843bc94f7cfaf27e9a2ae35e07d03863ad384c07c92bb77600b75",
+            "a0f23211b8be4c40e4b21cb41efab101ba405d7a023aab876a9615376bf2ae9b",
         "seed_2/snapshots_round_2.csv":
-            "373fd948eeb82941a416a37ac4d4d1cbc7d280f8eb8eda04a105ec832f2e1cec",
+            "1b6607cd3c02c7495b1d6e01be1f40550090c1db0e69b911f38180f495d6e006",
     },
 }
 

@@ -250,62 +250,72 @@ class TestTrainRound:
         assert sum(kw.get("params", True) is False for kw in calls) == 2 * per_epoch
         assert all(snap.v_d != 0.0 for snap in rr.history) == (variant != "vanilla")
 
-    def test_originals_drawn_but_gathered_only_for_the_discriminator(self):
+    def test_originals_are_drawn_only_for_the_discriminator(self):
+        # without the originals the batch holds only the labeled blocks, and
+        # the generator shuffles only the labeled domains' rows
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
-        rng, bare_rng = np.random.default_rng(4), np.random.default_rng(4)
         layout = batch_layout(ds, labeled, 8)
-        batches = list(training._batch_sampler(ds, labeled, layout, True)(rng, 5))
-        bare = list(training._batch_sampler(ds, labeled, layout, False)(bare_rng, 5))
-        assert len(batches) == len(bare) == 5
-        for (x, labels), (bare_x, bare_labels) in zip(batches, bare):
-            n_lab = labels.size
-            assert x.shape == (8 * ds.n_domains + n_lab, ds.feature_dim)
-            # without the originals the batch holds only the labeled blocks
-            assert np.array_equal(bare_x, x[-n_lab:]) and bare_x.shape[0] == n_lab
-            assert np.array_equal(bare_labels, labels)
-        assert rng.random() == bare_rng.random()  # the stream is the same after
+        shuffled = {}
+        for originals in (True, False):
+            rng = Counting(np.random.PCG64(4))
+            batches = list(training._batch_sampler(ds, labeled, layout, originals)(rng, 5))
+            shuffled[originals] = rng.shuffled
+            assert len(batches) == 5
+            for x, labels in batches:
+                assert x.shape == (8 * ds.n_domains * originals + labels.size, ds.feature_dim)
+                assert labels.size == layout.n_lab.sum()
+        lab_sizes = [y.size for _, y in labeled]
+        assert shuffled[True] == [ds.train_size(i) for i in range(ds.n_domains)] + lab_sizes
+        assert shuffled[False] == lab_sizes
+        # the labeled blocks are a bare sampler's first draws
+        takes = layout.n_lab.tolist()
+        want = reshuffled(np.random.default_rng(4), list(zip(lab_sizes, takes)), 5)
+        bare = training._batch_sampler(ds, labeled, layout, False)(np.random.default_rng(4), 5)
+        for (x, labels), take in zip(bare, want, strict=True):
+            picks = np.split(take, np.cumsum(takes)[:-1])
+            assert x.tobytes() == np.vstack([f[t] for (f, _), t in zip(labeled, picks)]).tobytes()
 
     @pytest.mark.parametrize("short", [(), (1,)], ids=["full", "one_row"])
     def test_batch_stacks_the_per_block_gathers_in_layout_order(self, short):
-        # oracle: one gather per block from a twin stream, stacked as
-        # [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}], step after step; a labeled
-        # domain of one row gives one row
+        # oracle: one gather per block of the reference draws from a twin
+        # stream, stacked as [O_0, ..., O_{N-1}, L_0, ..., L_{N-1}], step
+        # after step; a labeled domain of one row gives one row
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         for j in short:
             labeled[j] = (labeled[j][0][:1], labeled[j][1][:1])
+        layout = batch_layout(ds, labeled, 8)
+        sources = [*ds.train_features, *(f for f, _ in labeled)]
+        takes = [*layout.n_orig.tolist(), *layout.n_lab.tolist()]
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        epoch = training._batch_sampler(ds, labeled, batch_layout(ds, labeled, 8), True)
-        for x, labels in epoch(rng, 4):
-            blocks, want_labels = [], []
-            for i in range(ds.n_domains):
-                take = twin.choice(ds.train_size(i), size=8, replace=False)
-                blocks.append(ds.train_features[i][take])
-            for feats, y in labeled:
-                take = twin.choice(y.size, size=min(8, y.size), replace=False)
-                blocks.append(feats[take])
-                want_labels.append(y[take])
-            assert x.tobytes() == np.vstack(blocks).tobytes()
-            assert np.array_equal(labels, np.concatenate(want_labels))
+        epoch = training._batch_sampler(ds, labeled, layout, True)
+        for _ in range(2):  # each epoch draws afresh
+            want = reshuffled(twin, [(f.shape[0], k) for f, k in zip(sources, takes)], 9)
+            for (x, labels), take in zip(epoch(rng, 9), want, strict=True):
+                picks = np.split(take, np.cumsum(takes)[:-1])
+                assert x.tobytes() == np.vstack([f[t] for f, t in zip(sources, picks)]).tobytes()
+                assert np.array_equal(labels, np.concatenate(
+                    [y[t] for (_, y), t in zip(labeled, picks[ds.n_domains:])]))
         assert rng.random() == twin.random()
 
     def test_a_block_draws_as_many_rows_as_the_layout_says(self):
         # the layout is the one home of the draw sizes: any sizes it gives
-        # are drawn, from the same stream as one gather per block
+        # are drawn, from the same stream as the reference draws
         ds, pool = toy_setup()
         labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
         layout = BlockLayout.of([2, 5, 3], [1, 4, 2])
+        sizes = [ds.train_size(i) for i in range(3)] + [y.size for _, y in labeled]
         rng, twin = np.random.default_rng(6), np.random.default_rng(6)
-        for x, labels in training._batch_sampler(ds, labeled, layout, True)(rng, 3):
-            takes = [twin.choice(size, size=k, replace=False) for size, k in
-                     zip([ds.train_size(i) for i in range(3)] + [y.size for _, y in labeled],
-                         [2, 5, 3, 1, 4, 2])]
-            want = [ds.train_features[i][t] for i, t in enumerate(takes[:3])]
-            want += [f[t] for (f, _), t in zip(labeled, takes[3:])]
-            assert x.tobytes() == np.vstack(want).tobytes()
+        want = reshuffled(twin, list(zip(sizes, [2, 5, 3, 1, 4, 2])), 3)
+        for (x, labels), take in zip(training._batch_sampler(ds, labeled, layout, True)(rng, 3),
+                                     want, strict=True):
+            picks = np.split(take, np.cumsum([2, 5, 3, 1, 4]))
+            want_x = [ds.train_features[i][t] for i, t in enumerate(picks[:3])]
+            want_x += [f[t] for (f, _), t in zip(labeled, picks[3:])]
+            assert x.tobytes() == np.vstack(want_x).tobytes()
             assert np.array_equal(labels, np.concatenate([y[t] for (_, y), t in
-                                                          zip(labeled, takes[3:])]))
+                                                          zip(labeled, picks[3:])]))
         assert rng.random() == twin.random()
 
     @pytest.mark.parametrize("variant, heads_move", [("vanilla", False), ("cal_fa", False),
@@ -385,107 +395,69 @@ class TestTrainRound:
         assert len(lines) == 4
 
 
-def choice_loop(rng, blocks, used, steps):
-    """The reference draws: `rng.choice(n, size=k, replace=False)` for each
-    block (n, k) in turn, step after step, the `used` blocks' side by side."""
-    out = []
-    for _ in range(steps):
-        picks = [rng.choice(n, size=k, replace=False) for n, k in blocks]
-        out.append(np.concatenate([picks[b] for b in used]))
-    return np.array(out)
+def reshuffled(rng, blocks, steps):
+    """The reference draws, each step's picks of the blocks side by side:
+    for each block (n, k) in turn, one `rng.permuted` call over
+    ceil(steps / (n // k)) copies of arange(n), one shuffle a row; step
+    after step takes the next k rows of the current shuffle, and the next
+    shuffle starts where fewer than k are left."""
+    per_block = []
+    for n, k in blocks:
+        shuffles = iter(rng.permuted(np.tile(np.arange(n), (-(-steps // (n // k)), 1)), axis=1))
+        order, at, picks = next(shuffles), 0, []
+        for _ in range(steps):
+            if n - at < k:
+                order, at = next(shuffles), 0
+            picks.append(order[at:at + k])
+            at += k
+        per_block.append(picks)
+    return [np.concatenate(step) for step in zip(*per_block)]
 
 
-def drawn(draws, rng, steps):
-    """The picks `draws` writes for `steps` steps."""
-    out = np.empty((steps, draws.width), np.int64)
-    draws(rng, out)
-    return out
+class Counting(np.random.Generator):
+    """A generator that records the row length of each `permuted` call."""
+
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.shuffled = []
+
+    def permuted(self, x, *args, **kwargs):
+        self.shuffled.append(np.shape(x)[-1])
+        return super().permuted(x, *args, **kwargs)
 
 
-def hold_a_half(rng):
-    """Leave the generator holding an unread 32-bit half, as a 32-bit draw does."""
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, 0x9E3779B9
-    rng.bit_generator.state = state
-
-
-class TestBlockDraws:
-    @pytest.mark.parametrize("blocks, used, steps", [
-        # Floyd's j = 0 draws nothing where k = n
-        ([(16, 16), (7, 7), (30, 5), (2, 2)], [0, 1, 2, 3], 6),
-        ([(1, 1), (9, 1), (1, 1), (5, 3)], [0, 1, 2, 3], 6),
-        # no block draws: every pick is row 0
-        ([(1, 1)] * 4, [0, 1, 2, 3], 5),
-        ([(2000, 128), (2000, 128), (203, 128), (197, 128), (150, 128)], [0, 1, 2, 3, 4], 3),
-        # vanilla: the originals are drawn but not read
-        ([(3000, 64), (3000, 64), (50, 50), (61, 50)], [2, 3], 4),
-        ([(400, 16)] * 6 + [(10, 10), (11, 10), (30, 16), (1, 1), (2, 1), (16, 16)], range(12),
-         25),
-    ], ids=["k_is_n", "k_is_1", "no_draws", "bigbatch", "unused_originals", "cal_default"])
-    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held_half"])
-    def test_the_picks_are_the_choice_calls(self, blocks, used, steps, held):
-        draws = training._BlockDraws(blocks, used)
-        for seed in range(8):
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            if held:
-                hold_a_half(rng)
-                hold_a_half(twin)
-            for piece in (steps, 1):
-                got = drawn(draws, rng, piece)
-                assert np.array_equal(got, choice_loop(twin, blocks, used, piece))
-                assert rng.bit_generator.state == twin.bit_generator.state
-            assert rng.random() == twin.random()
-
-    def test_an_epoch_in_pieces_reads_on_where_each_piece_stopped(self, monkeypatch):
-        ds, pool = toy_setup()
-        labeled = [(pool.labeled_features(j), pool.labels(j)) for j in range(ds.n_domains)]
-        layout = batch_layout(ds, labeled, 8)
-        whole = training._batch_sampler(ds, labeled, layout, True)
-        # 42 picks a step: pieces of 2 steps, so 5 steps are 2 + 2 + 1
-        monkeypatch.setattr(training, "_PIECE_BYTES", 700)
-        pieced = training._batch_sampler(ds, labeled, layout, True)
-        pieces = []
-        draw = training._BlockDraws.__call__
-        monkeypatch.setattr(training._BlockDraws, "__call__",
-                            lambda self, rng, out: pieces.append(len(out)) or draw(self, rng, out))
-        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
-        hold_a_half(rng)
-        hold_a_half(twin)
-        got = [x.tobytes() for x, _ in pieced(rng, 5)]
-        assert pieces == [2, 2, 1]
-        assert got == [x.tobytes() for x, _ in whole(twin, 5)] and pieces[3:] == [5]
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    @pytest.mark.parametrize("used", [[0, 1], [1]], ids=["read", "unread"])
-    def test_rejected_words_are_retried_as_the_calls_retry_them(self, used):
-        # ranges near 3 * 2^29: Lemire's test rejects a quarter of the words,
-        # in a block read or only drawn, and the draws read the retries
-        blocks = [(3 << 29, 3), (40, 8)]
-        draws = training._BlockDraws(blocks, used)
-        assert draws.batched
-        for seed in range(4):
-            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert np.array_equal(drawn(draws, rng, 8), choice_loop(twin, blocks, used, 8))
-            assert rng.random() == twin.random()
-
-    @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
-    def test_any_bit_generator_gives_the_calls_picks(self, bits):
-        blocks, used = [(400, 16)] * 3 + [(10, 10), (30, 16), (1, 1)], range(6)
-        draws = training._BlockDraws(blocks, used)
-        rng, twin = np.random.Generator(bits(7)), np.random.Generator(bits(7))
-        assert np.array_equal(drawn(draws, rng, 5), choice_loop(twin, blocks, used, 5))
+class TestReshuffledDraws:
+    @pytest.mark.parametrize("n, k, steps", [
+        (400, 16, 25), (60, 8, 8), (30, 8, 25), (10, 10, 7), (1, 1, 4), (2, 1, 5),
+        (4000, 512, 8), (9, 4, 3)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_steps_rows_are_distinct_and_in_range(self, n, k, steps, seed):
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        takes = training._shuffled_takes(rng, n, k, steps)
+        assert takes.shape == (steps, k)
+        assert takes.min() >= 0 and takes.max() < n
+        assert all(np.unique(step).size == k for step in takes)
+        assert np.array_equal(takes, np.array(reshuffled(twin, [(n, k)], steps)))
         assert rng.random() == twin.random()
 
-    @pytest.mark.parametrize("take, batched", [(200, True), (201, False)])
-    def test_a_block_the_calls_shuffle_the_tail_of_makes_the_calls(self, take, batched):
-        # `choice` shuffles the tail of arange(n) instead of Floyd's
-        # algorithm for n > 10,000 and k > n // 50
-        blocks = [(10_001, take), (40, 8)]
-        draws = training._BlockDraws(blocks, [0, 1])
-        assert draws.batched == batched
-        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
-        assert np.array_equal(drawn(draws, rng, 2), choice_loop(twin, blocks, [0, 1], 2))
-        assert rng.random() == twin.random()
+    def test_each_original_is_drawn_once_an_epoch_at_the_default_shape(self):
+        # cal_default: 400 train rows a domain in batches of 16, 25 steps;
+        # each epoch draws every row once, in a new order
+        rng = np.random.default_rng(0)
+        epochs = [training._shuffled_takes(rng, 400, 16, 25) for _ in range(3)]
+        for takes in epochs:
+            assert np.array_equal(np.sort(takes, axis=None), np.arange(400))
+        assert not np.array_equal(epochs[0], epochs[1])
+
+    @pytest.mark.parametrize("n, k", [(30, 8), (11, 10), (17, 5)])
+    def test_a_short_block_gives_distinct_rows_over_each_shuffles_steps(self, n, k):
+        # a labeled block of fewer rows than the epoch draws: each shuffle's
+        # n // k steps draw n // k * k distinct rows, and the next starts over
+        steps, per = 25, n // k
+        takes = training._shuffled_takes(np.random.default_rng(1), n, k, steps)
+        for first in range(0, steps, per):
+            rows = takes[first:first + per]
+            assert np.unique(rows).size == rows.size
 
 
 class TestStepBuffers:
@@ -554,8 +526,9 @@ class TestStepBuffers:
         # 12 steps of 768 rows at the default widths, Linux, glibc 2.36.
         # Every pass computes into fresh arrays. With the malloc thresholds
         # `mudal` fixes at import, the freed arrays stay in the heap and a
-        # warmed-up round faults in 0-22 pages, as the heap's layout moves
-        # with the code and the environment: the thresholds, not a cache of
+        # warmed-up round faults in a few pages (0-3 from two checkout paths,
+        # 22 with other code), as the heap's layout moves with the code, the
+        # checkout path and the environment: the thresholds, not a cache of
         # the step's arrays, keep the round resident. Where the caller set a
         # 128 KiB trim threshold, which keeps `mudal` from fixing them, glibc
         # gives each step's freed arrays back and the round faults them in
@@ -577,10 +550,11 @@ class TestStepBuffers:
         # tracemalloc's peak over a warmed-up round read 3,214,924 bytes with
         # per-head kernels and transient loss and Adam arrays, and 3,343,108
         # bytes with the batched heads' (N, B, H) products and the round's
-        # loss and Adam arrays. The peak falls in V_lambda's term (2,909,064
-        # bytes), on top of everything the round keeps, since the epoch
-        # snapshot runs no pass of its own; it may grow 5% past the first
-        # reading
+        # loss and Adam arrays. It now reads 2,719,284-2,723,493 bytes and
+        # falls in a backward pass of the network step (`step_grads`), on top
+        # of everything the round keeps: the epoch snapshot runs no pass of
+        # its own, and an epoch's draws are one index array. It may grow 5%
+        # past the first reading
         ds = gen_rotating(RotatingSpec(n_domains=3, train_per_domain=300, test_per_domain=40,
                                        seed=0))
         pool = init_pool(ds, 390, seed=1)
